@@ -158,6 +158,9 @@ def _parse_complex(lines, i):
                 raise InputError("duplicate vertices line", lineno)
             if len(tok) < 2:
                 raise InputError("vertices line needs at least one vertex", lineno)
+            dup = _first_repeat(tok[1:])
+            if dup is not None:
+                raise InputError(f"vertices line repeats label {dup!r}", lineno)
             block.vertices = tok[1:]
         elif tok[0] == "facet":
             if len(tok) < 2:
@@ -165,11 +168,23 @@ def _parse_complex(lines, i):
             for v in tok[1:]:
                 if v not in block.vertices:
                     raise InputError(f"facet references undeclared vertex {v!r}", lineno)
+            dup = _first_repeat(tok[1:])
+            if dup is not None:
+                raise InputError(f"facet repeats vertex {dup!r}", lineno)
             block.facets.append(tuple(tok[1:]))
         else:
             raise InputError(f"unexpected {tok[0]!r} in complex block", lineno)
         i += 1
     raise InputError("unterminated complex block (missing end)", block.line)
+
+
+def _first_repeat(labels):
+    seen = set()
+    for v in labels:
+        if v in seen:
+            return v
+        seen.add(v)
+    return None
 
 
 def _parse_action(lines, i):

@@ -188,8 +188,8 @@ def group_cohomology_dims(g_matrix, p: int) -> tuple[int, int]:
 
     # Tate representatives: even classes in ker(g-1)/im(norm), odd classes
     # in ker(norm)/im(g-1).
-    even = _subquotient_data(gm1, norm, field)   # (basis rows, reducer)
-    odd = _subquotient_data(norm, gm1, field)
+    even = exactalg.Subquotient(exactalg.kernel_basis(gm1, field), norm.T, field, n)
+    odd = exactalg.Subquotient(exactalg.kernel_basis(norm, field), gm1.T, field, n)
 
     # V (x) J_2 with g acting as  [g  g] (one unipotent Jordan step on J_2):
     #                             [0  g]
@@ -214,11 +214,11 @@ def group_cohomology_dims(g_matrix, p: int) -> tuple[int, int]:
     # s: even -> odd uses the differential (g-1) on the big module; the
     # boundary of an even rep is the odd-position obstruction.  s: odd ->
     # even uses the norm.
-    s_even_to_odd = [connecting(z, bgm1) for z in even[0]]
-    s_odd_to_even = [connecting(z, bnorm) for z in odd[0]]
+    s_even_to_odd = [connecting(z, bgm1) for z in even.basis]
+    s_odd_to_even = [connecting(z, bnorm) for z in odd.basis]
 
-    even_dim = _dim_modulo(even, s_odd_to_even, field)
-    odd_dim = _dim_modulo(odd, s_even_to_odd, field)
+    even_dim = _dim_modulo(even, s_odd_to_even)
+    odd_dim = _dim_modulo(odd, s_even_to_odd)
     return even_dim, odd_dim
 
 
@@ -241,44 +241,14 @@ def _norm_matrix(g: np.ndarray, p: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def _subquotient_data(ker_of: np.ndarray, im_of: np.ndarray, field):
-    """Echelon basis of ker(ker_of)/im(im_of) plus the reduction data."""
-    kern = exactalg.kernel_basis(ker_of, field)
-    image_rows = [im_of[:, c] for c in range(im_of.shape[1]) if im_of[:, c].any()]
-    if image_rows:
-        imR, imP = exactalg.rref(np.array(image_rows), field)
-    else:
-        imR, imP = np.zeros((0, ker_of.shape[1]), dtype=np.int64), []
-    p = field.p
-
-    def reduce(v):
-        v = np.array(v) % p
-        for r, pc in enumerate(imP):
-            if v[pc]:
-                v = (v - int(v[pc]) * imR[r]) % p
-        return v
-
-    reduced = [reduce(v) for v in kern]
-    reduced = [v for v in reduced if v.any()]
-    if reduced:
-        B, piv = exactalg.rref(np.array(reduced), field)
-        basis = [B[r] for r in range(len(piv))]
-    else:
-        basis, piv = [], []
-    return basis, (imR, imP, reduce, piv)
-
-
-def _dim_modulo(subq, incoming, field):
+def _dim_modulo(sq: exactalg.Subquotient, incoming):
     """dim of the subquotient after killing the incoming s-image."""
-    basis, (imR, imP, reduce, piv) = subq
-    if not basis:
+    if not sq.pivots:
         return 0
-    p = field.p
-    extra = [reduce(v) for v in incoming]
-    extra = [v for v in extra if v.any()]
+    extra = [v for v in (sq.reduce(v) for v in incoming) if v.any()]
     if not extra:
-        return len(basis)
-    stacked = np.array([np.asarray(b) % p for b in basis] + extra)
-    total_rank = len(exactalg.rref(stacked, field)[1])
-    extra_rank = len(exactalg.rref(np.array(extra), field)[1])
+        return len(sq.pivots)
+    stacked = np.array(list(sq.basis) + extra)
+    total_rank = len(exactalg.rref(stacked, sq.field)[1])
+    extra_rank = len(exactalg.rref(np.array(extra), sq.field)[1])
     return total_rank - extra_rank

@@ -210,6 +210,58 @@ def rank(matrix, field) -> int:
     return len(rref(matrix, field)[1])
 
 
+class Subquotient:
+    """Reduced-echelon basis of span(kernel) modulo span(image), plus a reducer.
+
+    ``kernel`` is any spanning set of the subspace and ``image`` a 2-D
+    array-like whose rows span the part divided out; vectors have length
+    ``n``.  Kernel vectors are reduced against the rref of the image and the
+    nonzero residues are put in reduced echelon form, so ``basis`` (one row
+    per class) and ``pivots`` depend only on the two spans, not on the
+    spanning sets chosen.
+    """
+
+    def __init__(self, kernel, image, field, n: int):
+        self.field = field
+        self._p = field.p if isinstance(field, PrimeField) else None
+        if len(image):
+            self._im_rref, self._im_pivots = rref(image, field)
+        else:
+            self._im_rref, self._im_pivots = None, []
+        reduced = [w for w in (self.reduce(v) for v in kernel) if any(w)]
+        if reduced:
+            R, self.pivots = rref(np.array(reduced), field)
+            self.basis = R[: len(self.pivots)]
+        else:
+            self.basis, self.pivots = field_matrix([], field, n), []
+
+    def _clear(self, v: np.ndarray, R, pivots) -> tuple[np.ndarray, np.ndarray]:
+        """Clear v at each pivot column with the matching row of R.
+
+        Returns the residue and the multiple of each row taken out.
+        """
+        coeffs = np.zeros(len(pivots), dtype=np.int64 if self._p else object)
+        for r, pc in enumerate(pivots):
+            if v[pc]:
+                coeffs[r] = v[pc]
+                v = v - coeffs[r] * R[r]
+                if self._p:
+                    v %= self._p
+        return v, coeffs
+
+    def reduce(self, v) -> np.ndarray:
+        """The representative of v modulo the image: zero at image pivots."""
+        v = np.array(v) % self._p if self._p else np.array(v).astype(object)
+        return self._clear(v, self._im_rref, self._im_pivots)[0]
+
+    def express(self, v) -> np.ndarray:
+        """Coefficients of v's class in ``basis``; ValueError outside the span."""
+        w, coeffs = self._clear(self.reduce(v), self.basis, self.pivots)
+        if any(w):
+            raise ValueError("vector is not in the kernel modulo the image")
+        return coeffs
+
+
 def matmul(A, B, field):
     """Exact matrix product in the canonical carrier of *field*."""
     if isinstance(field, PrimeField):
@@ -234,17 +286,65 @@ def invert(M, field) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sparse exact elimination (rank only)
+# Sparse exact elimination: one loop for Q, F_p and the p-local ring
 # ---------------------------------------------------------------------------
 
-def _sparse_eliminate(rows: list[dict[int, int]], p: int | None) -> int:
-    """Rank by sparse elimination; ``p`` a prime for F_p, ``None`` for Q.
+def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, local: bool):
+    """Clear column *pc* of ``rows[dst]`` with ``rows[src]``, keeping the index.
 
-    Rows are dicts {column: nonzero int}.  The rational case runs
-    fraction-free on integer rows with gcd normalisation, so it is exact.
-    Pivot choice: sparsest active row first, then the entry whose column
-    hits fewest rows (classic fill-in heuristic); ties break on indices so
-    the elimination is deterministic.
+    ``col_rows[c]`` is the set of rows with a nonzero entry in column c.
+    Over F_p (the source pivot is 1): dst <- dst - f*src.  Otherwise
+    fraction-free: dst <- pv*dst - f*src, then dst is divided by the gcd of
+    its entries (p-locally, by the prime-to-p part of that gcd).
+    """
+    other, row = rows[dst], rows[src]
+    f = other[pc]
+    modp = p is not None and not local
+    if not modp:
+        pv = row[pc]
+        for c in list(other):
+            if c not in row:
+                other[c] = other[c] * pv
+    for c, v in row.items():
+        if modp:
+            nv = (other.get(c, 0) - f * v) % p
+        else:
+            nv = (other[c] * pv if c in other else 0) - f * v
+        if nv:
+            if c not in other:
+                col_rows.setdefault(c, set()).add(dst)
+            other[c] = nv
+        elif c in other:
+            del other[c]
+            col_rows[c].discard(dst)
+    if other and not modp:
+        g = 0
+        for v in other.values():
+            g = math.gcd(g, v)
+            if g == 1:
+                break
+        if local:
+            while g % p == 0:
+                g //= p
+        if g > 1:
+            for c in other:
+                other[c] //= g
+
+
+def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = False):
+    """Sparse Gaussian elimination shared by every sparse rank and echelon form.
+
+    Rows are dicts {column: nonzero int}; they are copied, not modified.
+    Three arithmetic modes: over Q (``p`` None) fraction-free on integer
+    rows with gcd normalisation, so it is exact; over F_p (``p`` a prime)
+    with each pivot scaled to 1; p-locally (``local``) where only p-unit
+    entries may be pivots.  Pivot choice: sparsest active row first, then
+    the admissible column that hits the fewest active rows (classic fill-in
+    heuristic); ties break on indices so the elimination is deterministic.
+
+    Returns ``(work, pivots, rest)``: the reduced rows, the (row, column)
+    pivots in elimination order, and the nonzero rows left without a pivot
+    (p-locally, rows whose entries are all divisible by p; empty otherwise).
     """
     work = [dict(r) for r in rows]
     col_rows: dict[int, set[int]] = {}
@@ -254,7 +354,7 @@ def _sparse_eliminate(rows: list[dict[int, int]], p: int | None) -> int:
     heap = [(len(row), i) for i, row in enumerate(work) if row]
     heapq.heapify(heap)
     active = {i for i, row in enumerate(work) if row}
-    rnk = 0
+    pivots: list[tuple[int, int]] = []
     while heap:
         nnz, i = heapq.heappop(heap)
         if i not in active:
@@ -263,69 +363,36 @@ def _sparse_eliminate(rows: list[dict[int, int]], p: int | None) -> int:
         if len(row) != nnz:  # stale heap entry
             heapq.heappush(heap, (len(row), i))
             continue
-        pc = min(row, key=lambda c: (len(col_rows[c] & active), c))
-        pv = row[pc]
+        cols = [c for c, v in row.items() if v % p] if local else row
+        if not cols:
+            continue  # no p-unit entry; stays active until an update gives one
+        pc = min(cols, key=lambda c: (len(col_rows[c] & active), c))
         active.discard(i)
-        if p is not None:
-            inv = pow(pv % p, -1, p)
+        pivots.append((i, pc))
+        if p is not None and not local:
+            inv = pow(row[pc] % p, -1, p)
             if inv != 1:
-                for c in list(row):
+                for c in row:
                     row[c] = row[c] * inv % p
-        targets = [j for j in col_rows[pc] if j in active]
-        for j in targets:
-            other = work[j]
-            f = other[pc]
-            if p is not None:
-                for c, v in row.items():
-                    nv = (other.get(c, 0) - f * v) % p
-                    if nv:
-                        if c not in other:
-                            col_rows.setdefault(c, set()).add(j)
-                        other[c] = nv
-                    elif c in other:
-                        del other[c]
-                        col_rows[c].discard(j)
-            else:
-                # Fraction-free update: other <- pv*other - f*row.
-                for c in list(other):
-                    if c not in row:
-                        other[c] = other[c] * pv
-                for c, v in row.items():
-                    nv = (other[c] * pv if c in other else 0) - f * v
-                    if nv:
-                        if c not in other:
-                            col_rows.setdefault(c, set()).add(j)
-                        other[c] = nv
-                    elif c in other:
-                        del other[c]
-                        col_rows[c].discard(j)
-                if other:
-                    g = 0
-                    for v in other.values():
-                        g = math.gcd(g, v)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        for c in other:
-                            other[c] //= g
-            if not other:
+        for j in [j for j in col_rows[pc] if j in active]:
+            _subtract_pivot_row(work, col_rows, j, i, pc, p, local)
+            if not work[j]:
                 active.discard(j)
             else:
-                heapq.heappush(heap, (len(other), j))
+                heapq.heappush(heap, (len(work[j]), j))
         for c in row:
             col_rows[c].discard(i)
-        rnk += 1
-    return rnk
+    return work, pivots, [work[i] for i in sorted(active)]
 
 
 def sparse_rank_modp(rows: list[dict[int, int]], p: int) -> int:
     """Exact rank over F_p of a dict-of-rows matrix."""
-    return _sparse_eliminate(rows, p)
+    return len(_eliminate(rows, p)[1])
 
 
 def sparse_rank_q(rows: list[dict[int, int]]) -> int:
     """Exact rank over Q of an integer dict-of-rows matrix."""
-    return _sparse_eliminate(rows, None)
+    return len(_eliminate(rows)[1])
 
 
 def sparse_rref_q(rows: list[dict[int, int]]) -> tuple[list[dict[int, Fraction]], list[int]]:
@@ -340,72 +407,15 @@ def sparse_rref_q(rows: list[dict[int, int]]) -> tuple[list[dict[int, Fraction]]
     arithmetic integral until the final scaling, so large sparse coboundary
     matrices reduce in near-linear time.  Deterministic for fixed input.
     """
-    work = [dict(r) for r in rows]
+    work, pivots, _ = _eliminate(rows)
+    # Backward pass: clear each pivot column from the other pivot rows.
     col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(work):
-        for c in row:
+    for i, _ in pivots:
+        for c in work[i]:
             col_rows.setdefault(c, set()).add(i)
-
-    def eliminate(dst: int, src: int, pivot_col: int):
-        """dst <- pv*dst - f*src (fraction-free), maintaining the index."""
-        other, srow = work[dst], work[src]
-        pv, f = srow[pivot_col], other[pivot_col]
-        for c in list(other):
-            if c not in srow:
-                other[c] = other[c] * pv
-        for c, v in srow.items():
-            nv = (other[c] * pv if c in other else 0) - f * v
-            if nv:
-                if c not in other:
-                    col_rows.setdefault(c, set()).add(dst)
-                other[c] = nv
-            elif c in other:
-                del other[c]
-                col_rows[c].discard(dst)
-        if other:
-            g = 0
-            for v in other.values():
-                g = math.gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                for c in other:
-                    other[c] //= g
-
-    heap = [(len(row), i) for i, row in enumerate(work) if row]
-    heapq.heapify(heap)
-    active = {i for i, row in enumerate(work) if row}
-    pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
-    while heap:
-        nnz, i = heapq.heappop(heap)
-        if i not in active:
-            continue
-        row = work[i]
-        if len(row) != nnz:
-            heapq.heappush(heap, (len(row), i))
-            continue
-        pc = min(row, key=lambda c: (len(col_rows[c] & active), c))
-        active.discard(i)
-        pivots.append((i, pc))
-        for j in [j for j in col_rows[pc] if j in active]:
-            eliminate(j, i, pc)
-            if not work[j]:
-                active.discard(j)
-            else:
-                heapq.heappush(heap, (len(work[j]), j))
-        for c in row:
-            col_rows[c].discard(i)
-    # Backward pass: clear pivot columns from the other pivot rows.
-    pivot_rows = {i for i, _ in pivots}
-    for c in list(col_rows):
-        col_rows[c] &= pivot_rows
-    for i, row in enumerate(work):
-        if i in pivot_rows:
-            for c in row:
-                col_rows.setdefault(c, set()).add(i)
-    for (i, pc) in reversed(pivots):
-        for j in [j for j in col_rows.get(pc, ()) if j != i and j in pivot_rows]:
-            eliminate(j, i, pc)
+    for i, pc in reversed(pivots):
+        for j in [j for j in col_rows[pc] if j != i]:
+            _subtract_pivot_row(work, col_rows, j, i, pc, None, False)
     # Normalise pivots to 1 and sort by pivot column.
     out_rows: list[dict[int, Fraction]] = []
     out_pivots: list[int] = []
@@ -632,74 +642,16 @@ def p_valuation_profile(rows: list[dict[int, int]], p: int) -> list[int]:
     stage k equals the number of divisors with valuation exactly k.  Much
     cheaper than a full Smith reduction on large matrices and exact.
     """
-    work = [dict(r) for r in rows if r]
+    work = [r for r in rows if r]
     vals: list[int] = []
     stage = 0
     while work:
-        col_rows: dict[int, set[int]] = {}
-        for i, row in enumerate(work):
-            for c in row:
-                col_rows.setdefault(c, set()).add(i)
-        active = set(range(len(work)))
-        heap = [(len(row), i) for i, row in enumerate(work)]
-        heapq.heapify(heap)
-        found = 0
-        while heap:
-            nnz, i = heapq.heappop(heap)
-            if i not in active:
-                continue
-            row = work[i]
-            if len(row) != nnz:
-                heapq.heappush(heap, (len(row), i))
-                continue
-            unit_cols = [c for c, v in row.items() if v % p]
-            if not unit_cols:
-                continue  # row currently has no p-unit entry; may gain none
-            pc = min(unit_cols, key=lambda c: (len(col_rows[c] & active), c))
-            pv = row[pc]
-            active.discard(i)
-            found += 1
-            for j in list(col_rows[pc]):
-                if j not in active:
-                    continue
-                other = work[j]
-                f = other[pc]
-                for c in list(other):
-                    other[c] = other[c] * pv
-                for c, v in row.items():
-                    nv = other.get(c, 0) - f * v
-                    if nv:
-                        if c not in other:
-                            col_rows.setdefault(c, set()).add(j)
-                        other[c] = nv
-                    elif c in other:
-                        del other[c]
-                        col_rows[c].discard(j)
-                if other:
-                    g = 0
-                    for v in other.values():
-                        g = math.gcd(g, v)
-                    g_unit = g
-                    while g_unit % p == 0:
-                        g_unit //= p
-                    if g_unit > 1:
-                        for c in other:
-                            other[c] //= g_unit
-                    heapq.heappush(heap, (len(other), j))
-                else:
-                    active.discard(j)
-            for c in row:
-                col_rows[c].discard(i)
-        vals.extend([stage] * found)
+        _, pivots, rest = _eliminate(work, p, local=True)
+        vals.extend([stage] * len(pivots))
         # Everything left is divisible by p: strip one factor and recurse.
-        nxt = []
-        for i in active:
-            row = work[i]
-            if row:
-                nxt.append({c: v // p for c, v in row.items()})
-        work = nxt
+        work = [{c: v // p for c, v in row.items()} for row in rest]
         stage += 1
-    return sorted(vals)
+    return vals
 
 
 # ---------------------------------------------------------------------------

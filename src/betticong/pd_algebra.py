@@ -312,58 +312,6 @@ def check_derivation(A: BigradedAlgebra, delta: Differential) -> DerivationRepor
 # Homology of (A, delta)
 # ---------------------------------------------------------------------------
 
-class _Subquotient:
-    """Kernel-mod-image bookkeeping inside one bidegree component."""
-
-    def __init__(self, A: BigradedAlgebra, indices, kernel_vecs, image_vecs):
-        self.field = A.field
-        self.indices = indices
-        if image_vecs:
-            self.im_rref, self.im_piv = exactalg.rref(np.array(image_vecs), A.field)
-        else:
-            self.im_rref, self.im_piv = None, []
-        reduced = [self._reduce(v) for v in kernel_vecs]
-        reduced = [v for v in reduced if any(v)]
-        if reduced:
-            self.basis, self.piv = exactalg.rref(np.array(reduced), A.field)
-            self.basis = self.basis[: len(self.piv)]
-        else:
-            self.basis, self.piv = np.zeros((0, len(indices)), dtype=object), []
-
-    def _reduce(self, v: np.ndarray) -> np.ndarray:
-        v = np.array(v)
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            v = v % p
-            for r, pc in enumerate(self.im_piv):
-                if v[pc]:
-                    v = (v - int(v[pc]) * self.im_rref[r]) % p
-        else:
-            v = v.astype(object)
-            for r, pc in enumerate(self.im_piv):
-                if v[pc]:
-                    v = v - v[pc] * self.im_rref[r]
-        return v
-
-    def express(self, v: np.ndarray) -> np.ndarray:
-        w = self._reduce(v)
-        coeffs = _zeros(len(self.piv), self.field)
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            for r, pc in enumerate(self.piv):
-                if w[pc]:
-                    coeffs[r] = int(w[pc]) % p
-                    w = (w - coeffs[r] * self.basis[r]) % p
-        else:
-            for r, pc in enumerate(self.piv):
-                if w[pc]:
-                    coeffs[r] = w[pc]
-                    w = w - coeffs[r] * self.basis[r]
-        if any(w):
-            raise ValueError("vector not in the subquotient")
-        return coeffs
-
-
 def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
     """(H(A, delta), induced orientation), or (None, None) when H = 0.
 
@@ -375,7 +323,7 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
     field = A.field
     de, dj = delta.shift
     D = delta.matrix
-    subq: dict[BiDegree, _Subquotient] = {}
+    subq: dict[BiDegree, exactalg.Subquotient] = {}
     h_reps: list[np.ndarray] = []
     h_bidegrees: list[BiDegree] = []
     for bd, indices in sorted(A._components.items()):
@@ -394,9 +342,9 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
             else np.array(comp_matrix, dtype=np.int64),
             field,
         )
-        sq = _Subquotient(A, indices, kern, image)
+        sq = exactalg.Subquotient(kern, image, field, len(indices))
         subq[bd] = sq
-        for row in range(len(sq.piv)):
+        for row in range(len(sq.pivots)):
             rep = _zeros(A.dim, field)
             for pos, amb in enumerate(indices):
                 rep[amb] = sq.basis[row][pos]
@@ -415,11 +363,11 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
             )
             coeffs = _zeros(hdim, field)
             if bd in subq and any(prod):
-                local = [prod[i] for i in subq[bd].indices]
+                local = [prod[i] for i in A._components[bd]]
                 expressed = subq[bd].express(np.array(local))
                 offset = 0
                 for bd2, _ in sorted(A._components.items()):
-                    cnt = len(subq[bd2].piv)
+                    cnt = len(subq[bd2].pivots)
                     if bd2 == bd:
                         for k in range(cnt):
                             coeffs[offset + k] = expressed[k]
@@ -430,10 +378,10 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
     unit_index = None
     for i, bd in enumerate(h_bidegrees):
         if bd == unit_bd:
-            unit_vec = [A.unit_vector()[k] for k in subq[unit_bd].indices]
+            unit_vec = [A.unit_vector()[k] for k in A._components[unit_bd]]
             coeffs = subq[unit_bd].express(np.array(unit_vec))
             offset = sum(
-                len(subq[b2].piv) for b2, _ in sorted(A._components.items()) if b2 < unit_bd
+                len(subq[b2].pivots) for b2, _ in sorted(A._components.items()) if b2 < unit_bd
             )
             for k, c in enumerate(coeffs):
                 if c:

@@ -45,6 +45,17 @@ class GradedBetti:
         return s
 
 
+def _maximal(simplices: list[Simplex]) -> list[Simplex]:
+    """The simplices not properly contained in another one, in input order.
+
+    Compares every pair, so it is quadratic in the number of simplices.
+    """
+    return [
+        f for f in simplices
+        if not any(set(f) < set(g) for g in simplices if len(g) > len(f))
+    ]
+
+
 class SimplicialComplex:
     """Finite simplicial complex on an ordered vertex set."""
 
@@ -93,11 +104,7 @@ class SimplicialComplex:
                 raise ValueError(f"facet references unknown vertex: {sorted(unknown)}")
         index = {v: i for i, v in enumerate(order)}
         idx_facets = sorted({tuple(sorted(index[v] for v in f)) for f in facet_sets})
-        maximal = [
-            f for f in idx_facets
-            if not any(set(f) < set(g) for g in idx_facets if len(g) > len(f))
-        ]
-        return cls(order, tuple(maximal))
+        return cls(order, tuple(_maximal(idx_facets)))
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
@@ -107,11 +114,7 @@ class SimplicialComplex:
     def from_simplices(cls, vertex_order: tuple[str, ...], simplices) -> "SimplicialComplex":
         """Internal builder tolerating the empty complex (e.g. fixed sets)."""
         index = {v: i for i, v in enumerate(vertex_order)}
-        idx = sorted({tuple(sorted(index[str(v)] for v in s)) for s in simplices})
-        maximal = [
-            f for f in idx
-            if not any(set(f) < set(g) for g in idx if len(g) > len(f))
-        ]
+        maximal = _maximal(sorted({tuple(sorted(index[str(v)] for v in s)) for s in simplices}))
         used = sorted({v for f in maximal for v in f})
         remap = {v: i for i, v in enumerate(used)}
         verts = tuple(vertex_order[v] for v in used)
@@ -286,9 +289,10 @@ class _DegreeBasis:
 
     The basis is deterministic: the rref of im(delta^{i-1}) is removed from
     the kernel of delta^i and the residues are put in reduced echelon form
-    against the fixed simplex order.  The prime-field backend is dense
-    int64; the rational backend works on sparse rows throughout, which is
-    what makes cocycle bases affordable on the product complexes.
+    against the fixed simplex order.  The prime-field backend is a dense
+    int64 ``exactalg.Subquotient``; the rational backend works on sparse
+    rows throughout, which is what makes cocycle bases affordable on the
+    product complexes.
     """
 
     def __init__(self, X: SimplicialComplex, field, degree: int):
@@ -298,39 +302,16 @@ class _DegreeBasis:
         n = X.n_simplices(degree)
         self.ncochains = n
         if isinstance(field, PrimeField):
-            self._init_dense(X, field, degree, n)
+            kernel = exactalg.kernel_basis(X.coboundary_matrix(degree), field)
+            # Image of delta^{i-1} in C^i: columns of the coboundary matrix.
+            image = np.ascontiguousarray(X.coboundary_matrix(degree - 1).T) if degree else []
+            self._dense = exactalg.Subquotient(kernel, image, field, n)
+            self.basis, self.pivots = self._dense.basis, self._dense.pivots
         else:
+            self._dense = None
             self._init_sparse_q(X, degree, n)
 
-    def _init_dense(self, X, field, degree, n):
-        self._sparse = False
-        if degree > 0 and X.n_simplices(degree - 1):
-            # Image of delta^{i-1} in C^i: columns of the coboundary matrix.
-            im_rows = _transpose_rows(
-                X.coboundary_rows(degree - 1), X.n_simplices(degree - 1)
-            )
-            M = _rows_to_matrix(im_rows, n, field)
-            self.im_rref, self.im_pivots = exactalg.rref(M, field)
-        else:
-            self.im_rref, self.im_pivots = _rows_to_matrix([], n, field), []
-        cob = X.coboundary_rows(degree)
-        Mk = _rows_to_matrix(cob, n, field)
-        kernel = exactalg.kernel_basis(Mk, field) if n else []
-        reduced = []
-        for v in kernel:
-            w = self._reduce_by_image(np.array(v))
-            if any(w):
-                reduced.append(w)
-        if reduced:
-            R, piv = exactalg.rref(np.array(reduced), field)
-            self.basis = [R[r] for r in range(len(piv))]
-            self.pivots = piv
-        else:
-            self.basis = []
-            self.pivots = []
-
     def _init_sparse_q(self, X, degree, n):
-        self._sparse = True
         if degree > 0 and X.n_simplices(degree - 1):
             im_rows = _transpose_rows(
                 X.coboundary_rows(degree - 1), X.n_simplices(degree - 1)
@@ -358,15 +339,6 @@ class _DegreeBasis:
     def __len__(self):
         return len(self.basis)
 
-    def _reduce_by_image(self, v: np.ndarray) -> np.ndarray:
-        R, piv = self.im_rref, self.im_pivots
-        p = self.field.p
-        v = v % p
-        for r, pc in enumerate(piv):
-            if v[pc]:
-                v = (v - int(v[pc]) * R[r]) % p
-        return v
-
     def _reduce_sparse(self, v: dict) -> dict:
         v = {c: Fraction(x) for c, x in v.items() if x}
         for row, pc in zip(self.im_rows_s, self.im_pivots):
@@ -382,17 +354,8 @@ class _DegreeBasis:
 
     def express(self, cochain) -> np.ndarray:
         """Coefficients of a cocycle's class in the basis; errors otherwise."""
-        if not self._sparse:
-            p = self.field.p
-            w = self._reduce_by_image(np.array(cochain))
-            coeffs = np.zeros(len(self.basis), dtype=np.int64)
-            for r, pc in enumerate(self.pivots):
-                if w[pc]:
-                    coeffs[r] = int(w[pc]) % p
-                    w = (w - coeffs[r] * self.basis[r]) % p
-            if any(w):
-                raise ValueError("cochain is not a cocycle modulo coboundaries")
-            return coeffs
+        if self._dense is not None:
+            return self._dense.express(cochain)
         if isinstance(cochain, dict):
             sparse = cochain
         else:
@@ -436,20 +399,6 @@ def _transpose_rows(rows: list[dict[int, int]], ncols_in: int) -> list[dict[int,
         for c, v in row.items():
             out[c][r] = v
     return out
-
-
-def _rows_to_matrix(rows: list[dict[int, int]], ncols: int, field) -> np.ndarray:
-    if isinstance(field, PrimeField):
-        M = np.zeros((len(rows), ncols), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for c, v in row.items():
-                M[i, c] = v % field.p
-    else:
-        M = np.zeros((len(rows), ncols), dtype=object)
-        for i, row in enumerate(rows):
-            for c, v in row.items():
-                M[i, c] = v
-    return M
 
 
 # ---------------------------------------------------------------------------

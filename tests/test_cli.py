@@ -99,6 +99,19 @@ def test_parse_unknown_vertex_has_line_number():
         parse(bad)
 
 
+@pytest.mark.parametrize("doc, line", [
+    ("complex X\nvertices a b\nfacet a a\nend\n", 3),
+    ("complex X\nvertices a a b\nfacet a b\nend\n", 2),
+])
+def test_repeated_vertex_rejected_with_its_line(tmp_path, capsys, doc, line):
+    with pytest.raises(InputError, match=f"line {line}: .*repeats"):
+        parse(doc)
+    path = tmp_path / "bad.bc"
+    path.write_text(doc)
+    assert main(["cohomology", str(path)]) == 3
+    assert f"line {line}:" in capsys.readouterr().err
+
+
 def test_parse_wrong_order_names_cycle():
     bad = PENTAGON_DOC.replace("p 5", "p 3")
     with pytest.raises(InputError, match="cycle.*length 5, not 1 or 3"):

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from betticong.exactalg import (
     GF,
     QQ,
+    Subquotient,
     kernel_basis,
     matmul,
     nilpotent_block_sizes,
@@ -357,3 +358,56 @@ def test_sparse_rref_q_properties(m, n, seed):
     # Determinism.
     again = sparse_rref_q(rows)
     assert again == (out_rows, pivots)
+
+
+# ---------------------------------------------------------------------------
+# one elimination engine, three arithmetic modes
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
+def test_engine_modes_agree(m, n, seed):
+    """Valuation-0 divisors count the rank mod p; rref rank is the Q rank."""
+    rng = random.Random(seed)
+    M = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(m)]
+    rows = [{j: v for j, v in enumerate(row) if v} for row in M]
+    for p in (2, 3, 5):
+        rows_p = [{j: v % p for j, v in row.items() if v % p} for row in rows]
+        assert p_valuation_profile(rows, p).count(0) == sparse_rank_modp(rows_p, p)
+    assert len(sparse_rref_q(rows)[1]) == sparse_rank_q(rows)
+
+
+# ---------------------------------------------------------------------------
+# dense kernel-modulo-image bases
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(1, 4), st.integers(0, 10**6),
+       st.sampled_from(["Q", "F3"]))
+def test_subquotient_depends_only_on_the_spans(n, k, m, seed, field_name):
+    rng = random.Random(seed)
+    field = QQ if field_name == "Q" else GF(3)
+    units = [1, -1, 2, Fraction(-1, 3), Fraction(5, 2)] if field is QQ else [1, 2]
+
+    def vec():
+        return [field.coerce(rng.randint(-2, 2)) for _ in range(n)]
+
+    image = [vec() for _ in range(k)]
+    kernel = [vec() for _ in range(m)]
+    sq = Subquotient(kernel, np.array(image).reshape(k, n), field, n)
+    # Shuffle, scale by units and pad with image vectors: same basis.
+    respan = []
+    for v in kernel + image:
+        u = rng.choice(units)
+        respan.append([field.coerce(u * x) for x in v])
+    rng.shuffle(respan)
+    sq2 = Subquotient(respan, image, field, n)
+    assert sq2.pivots == sq.pivots
+    assert [list(r) for r in sq2.basis] == [list(r) for r in sq.basis]
+    for r, row in enumerate(sq.basis):
+        assert list(sq.express(row)) == [int(c == r) for c in range(len(sq.pivots))]
+    outside = vec()
+    span = kernel + image
+    if rank([*span, outside], field) > rank(span, field):
+        with pytest.raises(ValueError):
+            sq.express(outside)
