@@ -5,7 +5,7 @@ fraction-free elimination over Q, canonical residues over F_p.
 """
 
 from betticong import GF, QQ, SimplicialComplex, cup_pairing, pd_check, product, suspension
-from betticong.corpus import polygon, rp2_six_vertex
+from betticong.corpus import lens_space, polygon, rp2_six_vertex
 
 # A circle, a sphere, a torus.
 circle = polygon(5)
@@ -33,3 +33,7 @@ print("torus is PD:", result.is_pd, "of formal dimension", result.formal_dim)
 
 # A suspension shifts reduced Betti numbers up by one.
 print("suspension of RP^2 over Z:", suspension(rp2).integral_cohomology())
+
+# The lens space L(3,1) (1728 tetrahedra) has H^2 = Z/3.  Its Smith form
+# eliminates the +-1 pivots sparsely and leaves a tiny core.
+print("L(3,1) over Z:", lens_space().integral_cohomology())

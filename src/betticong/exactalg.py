@@ -286,16 +286,17 @@ def invert(M, field) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sparse exact elimination: one loop for Q, F_p and the p-local ring
+# Sparse exact elimination: one loop for Q, F_p, the p-local ring and Z
 # ---------------------------------------------------------------------------
 
-def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, local: bool):
+def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, local: bool, unit=False):
     """Clear column *pc* of ``rows[dst]`` with ``rows[src]``, keeping the index.
 
     ``col_rows[c]`` is the set of rows with a nonzero entry in column c.
     Over F_p (the source pivot is 1): dst <- dst - f*src.  Otherwise
     fraction-free: dst <- pv*dst - f*src, then dst is divided by the gcd of
-    its entries (p-locally, by the prime-to-p part of that gcd).
+    its entries (p-locally, by the prime-to-p part of that gcd; with a
+    ``unit`` pivot pv = +-1, not at all, as that division is not unimodular).
     """
     other, row = rows[dst], rows[src]
     f = other[pc]
@@ -317,7 +318,7 @@ def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, local: b
         elif c in other:
             del other[c]
             col_rows[c].discard(dst)
-    if other and not modp:
+    if other and not modp and not unit:
         g = 0
         for v in other.values():
             g = math.gcd(g, v)
@@ -331,22 +332,28 @@ def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, local: b
                 other[c] //= g
 
 
-def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = False):
+def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = False, unit=False):
     """Sparse Gaussian elimination shared by every sparse rank and echelon form.
 
     Rows are dicts {column: nonzero int}; they are copied, not modified.
-    Three arithmetic modes: over Q (``p`` None) fraction-free on integer
-    rows with gcd normalisation, so it is exact; over F_p (``p`` a prime)
-    with each pivot scaled to 1; p-locally (``local``) where only p-unit
-    entries may be pivots.  Pivot choice: sparsest active row first, then
-    the admissible column that hits the fewest active rows (classic fill-in
-    heuristic); ties break on indices so the elimination is deterministic.
+    Four modes: over Q (``p`` None) fraction-free on integer rows with gcd
+    normalisation, so it is exact; over F_p (``p`` a prime) on residues mod
+    p with each pivot scaled to 1; p-locally (``local``) where only p-unit
+    entries may be pivots; over Z (``unit``) with +-1 pivots only and no
+    rescaling, so every step is unimodular and keeps the Smith form.  Pivot
+    choice: sparsest active row first, then the admissible column that hits
+    the fewest active rows (classic fill-in heuristic); ties break on
+    indices so the elimination is deterministic.
 
     Returns ``(work, pivots, rest)``: the reduced rows, the (row, column)
     pivots in elimination order, and the nonzero rows left without a pivot
-    (p-locally, rows whose entries are all divisible by p; empty otherwise).
+    (p-locally, rows whose entries are all divisible by p; with unit
+    pivots, rows without a +-1 entry; empty otherwise).  Rows in ``rest``
+    are zero in every pivot column.
     """
-    work = [dict(r) for r in rows]
+    modp = p is not None and not local
+    work = ([{c: v % p for c, v in r.items() if v % p} for r in rows] if modp
+            else [dict(r) for r in rows])
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(work):
         for c in row:
@@ -363,19 +370,24 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = F
         if len(row) != nnz:  # stale heap entry
             heapq.heappush(heap, (len(row), i))
             continue
-        cols = [c for c, v in row.items() if v % p] if local else row
+        if local:
+            cols = [c for c, v in row.items() if v % p]
+        elif unit:
+            cols = [c for c, v in row.items() if v in (1, -1)]
+        else:
+            cols = row
         if not cols:
-            continue  # no p-unit entry; stays active until an update gives one
+            continue  # no admissible entry; stays active until an update gives one
         pc = min(cols, key=lambda c: (len(col_rows[c] & active), c))
         active.discard(i)
         pivots.append((i, pc))
-        if p is not None and not local:
-            inv = pow(row[pc] % p, -1, p)
+        if modp:
+            inv = pow(row[pc], -1, p)
             if inv != 1:
                 for c in row:
                     row[c] = row[c] * inv % p
         for j in [j for j in col_rows[pc] if j in active]:
-            _subtract_pivot_row(work, col_rows, j, i, pc, p, local)
+            _subtract_pivot_row(work, col_rows, j, i, pc, p, local, unit)
             if not work[j]:
                 active.discard(j)
             else:
@@ -463,11 +475,13 @@ class SmithForm:
 
 
 def smith_normal_form(matrix, want_transforms: bool = False) -> SmithForm:
-    """Smith normal form of an integer matrix, exact at any size.
+    """Smith normal form of an integer matrix, optionally with transforms.
 
     Pivot selection: smallest absolute value among the remaining nonzero
     entries, ties broken by lowest (row, col); this bounds entry growth and
-    makes the reduction deterministic.  Arithmetic is arbitrary-precision.
+    makes the reduction deterministic.  Arithmetic is arbitrary-precision, but
+    each pivot choice scans every remaining entry: large matrices belong to
+    ``sparse_smith_divisors``, which uses this on its small core.
     """
     M = np.array(matrix, dtype=object)
     if M.size == 0:
@@ -631,6 +645,24 @@ def smith_normal_form(matrix, want_transforms: bool = False) -> SmithForm:
         left=L,
         right=R,
     )
+
+
+def sparse_smith_divisors(rows: list[dict[int, int]], ncols: int) -> tuple[int, ...]:
+    """``smith_normal_form(matrix).divisors`` of a dict-of-rows integer matrix.
+
+    The +-1 pivots are eliminated sparsely first; that is unimodular and
+    each one gives a divisor 1.  The rows left, on the columns without a
+    pivot, form a small core whose divisors come from the dense Smith form
+    (Dumas-Saunders-Villard, J. Symb. Comp. 2001).
+    """
+    _, pivots, rest = _eliminate(rows, unit=True)
+    cols = {c: j for j, c in enumerate(sorted({c for row in rest for c in row}))}
+    core = np.zeros((len(rest), len(cols)), dtype=object)
+    for i, row in enumerate(rest):
+        for c, v in row.items():
+            core[i, cols[c]] = v
+    divisors = [1] * len(pivots) + [d for d in smith_normal_form(core).divisors if d]
+    return tuple(divisors + [0] * (min(len(rows), ncols) - len(divisors)))
 
 
 def p_valuation_profile(rows: list[dict[int, int]], p: int) -> list[int]:

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from . import exactalg
-from .exactalg import QQ, PrimeField
+from .exactalg import PrimeField
 
 Simplex = tuple[int, ...]  # strictly increasing vertex indices
 
@@ -48,11 +48,19 @@ class GradedBetti:
 def _maximal(simplices: list[Simplex]) -> list[Simplex]:
     """The simplices not properly contained in another one, in input order.
 
-    Compares every pair, so it is quadratic in the number of simplices.
+    A simplex can only lie in a larger simplex through each of its vertices,
+    so it is checked against the star of its rarest vertex alone.
     """
+    if len({len(s) for s in simplices}) <= 1:
+        return list(simplices)
+    sets = [frozenset(s) for s in simplices]
+    star: dict[int, list[frozenset[int]]] = {}
+    for s in sets:
+        for v in s:
+            star.setdefault(v, []).append(s)
     return [
-        f for f in simplices
-        if not any(set(f) < set(g) for g in simplices if len(g) > len(f))
+        f for f, s in zip(simplices, sets)
+        if not any(s < g for g in star[min(f, key=lambda v: len(star[v]))])
     ]
 
 
@@ -198,12 +206,9 @@ class SimplicialComplex:
         if key not in self._cache:
             rows = self.coboundary_rows(k)
             if isinstance(field, PrimeField):
-                srows = [
-                    {c: v % field.p for c, v in r.items() if v % field.p} for r in rows
-                ]
-                self._cache[key] = exactalg.sparse_rank_modp(srows, field.p)
+                self._cache[key] = exactalg.sparse_rank_modp(rows, field.p)
             else:
-                self._cache[key] = exactalg.sparse_rank_q([dict(r) for r in rows])
+                self._cache[key] = exactalg.sparse_rank_q(rows)
         return self._cache[key]
 
     # -- cohomology ------------------------------------------------------
@@ -222,21 +227,23 @@ class SimplicialComplex:
         return self._cache[key]
 
     def integral_cohomology(self) -> GradedBetti:
-        """Free ranks and torsion divisors of H^*(X;Z) via Smith form."""
+        """Free ranks and torsion divisors of H^*(X;Z) via sparse Smith divisors.
+
+        The rank of delta^i is its number of nonzero divisors; the torsion
+        of H^i is the divisors > 1 of delta^{i-1}.
+        """
         if "integral" not in self._cache:
-            betti = []
-            torsion = []
-            snf: dict[int, tuple[int, ...]] = {}
-            for i in range(self.dim + 1):
-                rows = self.coboundary_rows(i - 1) if i > 0 else []
-                if i > 0 and rows:
-                    M = self.coboundary_matrix(i - 1)
-                    snf[i - 1] = exactalg.smith_normal_form(M.astype(object)).divisors
-                r_prev = sum(1 for d in snf.get(i - 1, ()) if d) if i > 0 else 0
-                r_i = self._coboundary_rank(i, QQ)
-                betti.append(self.n_simplices(i) - r_i - r_prev)
-                torsion.append(tuple(d for d in snf.get(i - 1, ()) if d > 1))
-            self._cache["integral"] = GradedBetti("Z", tuple(betti), tuple(torsion))
+            # divisors[i] belongs to delta^{i-1}; delta^{-1} and delta^dim are zero.
+            divisors = [()] + [
+                exactalg.sparse_smith_divisors(self.coboundary_rows(k), self.n_simplices(k))
+                for k in range(self.dim)
+            ] + [()]
+            r = [sum(1 for d in ds if d) for ds in divisors]
+            self._cache["integral"] = GradedBetti(
+                "Z",
+                tuple(self.n_simplices(i) - r[i] - r[i + 1] for i in range(self.dim + 1)),
+                tuple(tuple(d for d in divisors[i] if d > 1) for i in range(self.dim + 1)),
+            )
         return self._cache["integral"]
 
     def torsion_valuation_profile(self, p: int) -> dict[int, list[int]]:

@@ -31,6 +31,7 @@ from betticong.exactalg import (
     smith_normal_form,
     sparse_rank_modp,
     sparse_rank_q,
+    sparse_smith_divisors,
 )
 
 
@@ -411,3 +412,45 @@ def test_subquotient_depends_only_on_the_spans(n, k, m, seed, field_name):
     if rank([*span, outside], field) > rank(span, field):
         with pytest.raises(ValueError):
             sq.express(outside)
+
+
+def test_sparse_rank_modp_reduces_entries():
+    # Entries divisible by p are zero over F_p, not pivots.
+    assert sparse_rank_modp([{0: 3}], 3) == 0
+    assert sparse_rank_modp([{0: 4, 1: 3}], 3) == 1
+
+
+# ---------------------------------------------------------------------------
+# sparse Smith divisors: unit pivots, then the dense Smith form on the core
+# ---------------------------------------------------------------------------
+
+_ENTRIES = {
+    "mixed": [0, 0, 1, -1, 2, -2, 3, 4, -6],
+    "no_unit": [0, 0, 2, -2, 3, -3, 4, 6, -9],  # the whole matrix is the core
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 10**6),
+       st.sampled_from(sorted(_ENTRIES)), st.booleans())
+def test_sparse_smith_divisors_match_dense(m, n, seed, kind, zero_lines):
+    rng = random.Random(seed)
+    M = [[rng.choice(_ENTRIES[kind]) for _ in range(n)] for _ in range(m)]
+    if zero_lines:
+        dead_rows = {i for i in range(m) if rng.random() < 0.3}
+        dead_cols = {j for j in range(n) if rng.random() < 0.3}
+        M = [[0 if i in dead_rows or j in dead_cols else v for j, v in enumerate(row)]
+             for i, row in enumerate(M)]
+    rows = [{j: v for j, v in enumerate(row) if v} for row in M]
+    dense = np.array(M, dtype=object).reshape(m, n)
+    assert sparse_smith_divisors(rows, n) == smith_normal_form(dense).divisors
+
+
+def test_sparse_smith_divisors_keep_the_row_content():
+    # [[1, 1], [1, 3]] has determinant 2: the row left after the unit pivot
+    # is (0, 2), and dividing it by its gcd would lose the divisor 2.
+    assert sparse_smith_divisors([{0: 1, 1: 1}, {0: 1, 1: 3}], 2) == (1, 2)
+    # No +-1 entry but coprime entries: the core alone gives the divisor 1.
+    assert sparse_smith_divisors([{0: 2, 1: 3}], 2) == (1,)
+    assert sparse_smith_divisors([], 3) == ()
+    assert sparse_smith_divisors([{}, {}], 3) == (0, 0)

@@ -7,11 +7,15 @@ the library's vectorised/sparse path.
 
 from __future__ import annotations
 
+import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from betticong import corpus
 from betticong.corpus import (
     full_triangle,
     polygon,
@@ -21,9 +25,10 @@ from betticong.corpus import (
     torus,
     wedge_fixture,
 )
-from betticong.exactalg import GF, QQ
+from betticong.exactalg import GF, QQ, smith_normal_form, sparse_smith_divisors
 from betticong.simplicial import (
     SimplicialComplex,
+    _maximal,
     barycentric_subdivision,
     cup_pairing,
     join,
@@ -177,6 +182,34 @@ def test_integral_suspension_rp2():
     g = suspension(rp2_six_vertex()).integral_cohomology()
     assert g.betti == (1, 0, 0, 0)
     assert g.torsion == ((), (), (), (2,))
+
+
+def _small_corpus_complexes():
+    fixtures = [full_triangle(), rp2_six_vertex(), suspension(rp2_six_vertex()),
+                wedge_fixture(), corpus.three_sphere_wedge(), corpus.one_point()]
+    actions = [a.complex for a in corpus.corpus_actions().values()]
+    return [X for X in fixtures + actions if sum(X.f_vector) <= 500]
+
+
+def test_integral_divisors_match_dense_snf_on_the_corpus():
+    for X in _small_corpus_complexes():
+        for k in range(X.dim):
+            dense = smith_normal_form(X.coboundary_matrix(k).astype(object)).divisors
+            assert sparse_smith_divisors(X.coboundary_rows(k), X.n_simplices(k)) == dense
+        assert X.integral_cohomology().betti == X.cohomology(QQ).betti
+
+
+def test_integral_lens_space_agrees_with_other_routes():
+    L = corpus.lens_space()
+    g = L.integral_cohomology()
+    assert g.torsion == ((), (), (3,), ())
+    assert g.betti == L.cohomology(QQ).betti == (1, 0, 0, 1)
+    # The p-local profile sees the same 3-torsion: one divisor of valuation 1.
+    profile = L.torsion_valuation_profile(3)
+    assert {i: [v for v in vals if v] for i, vals in profile.items()} == {1: [], 2: [1], 3: []}
+    # Universal coefficients: b_i(F_3) = b_i(Q) + t_i(3) + t_{i+1}(3).
+    t3 = [len(t) for t in g.torsion] + [0]
+    assert L.cohomology(GF(3)).betti == tuple(b + t3[i] + t3[i + 1] for i, b in enumerate(g.betti))
 
 
 def test_uct_equality_iff_no_torsion():
@@ -431,3 +464,23 @@ def test_random_complex_subdivision_preserves_betti(X):
     S = barycentric_subdivision(X)
     assert S.euler_characteristic() == X.euler_characteristic()
     assert S.cohomology(GF(3)).betti[: X.dim + 1] == X.cohomology(GF(3)).betti
+
+
+def _maximal_pairwise(simplices):
+    return [f for f in simplices if not any(set(f) < set(g) for g in simplices)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True), max_size=25))
+def test_maximal_matches_pairwise_definition(simplices):
+    simplices = [tuple(sorted(s)) for s in simplices]
+    assert _maximal(simplices) == _maximal_pairwise(simplices)
+
+
+def test_maximal_does_not_enumerate_faces_of_a_wide_simplex():
+    big = tuple(range(24))
+    simplices = [big] + [(v,) for v in big] + list(combinations(big, 2))
+    random.Random(0).shuffle(simplices)
+    start = time.perf_counter()
+    assert _maximal(simplices) == [big]
+    assert time.perf_counter() - start < 0.5
