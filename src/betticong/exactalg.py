@@ -440,19 +440,22 @@ def sparse_rref_q(rows: list[dict[int, int]]) -> tuple[list[dict[int, Fraction]]
 
 
 def sparse_kernel_q(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[dict[int, Fraction]]]:
-    """(rank, sparse kernel basis) over Q: one vector per free column."""
+    """(rank, sparse kernel basis) over Q: one vector per free column.
+
+    The vector of free column f is 1 at f and -row[f] at each pivot row's
+    column; one pass over the rref rows fills every vector.
+    """
     rref_rows, pivots = sparse_rref_q(rows)
     piv_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in piv_set:
-            continue
-        v: dict[int, Fraction] = {f: Fraction(1)}
-        for row, pc in zip(rref_rows, pivots):
-            if f in row:
-                v[pc] = -row[f]
-        basis.append(v)
-    return len(pivots), basis
+    free: dict[int, dict[int, Fraction]] = {
+        f: {f: Fraction(1)} for f in range(ncols) if f not in piv_set
+    }
+    for row, pc in zip(rref_rows, pivots):
+        for c, val in row.items():
+            v = free.get(c)
+            if v is not None:
+                v[pc] = -val
+    return len(pivots), list(free.values())
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,15 @@ class GradedBetti:
         return s
 
 
+def _vertex_star(simplices) -> dict[int, list]:
+    """Each vertex's simplices, in input order."""
+    star: dict[int, list] = {}
+    for s in simplices:
+        for v in s:
+            star.setdefault(v, []).append(s)
+    return star
+
+
 def _maximal(simplices: list[Simplex]) -> list[Simplex]:
     """The simplices not properly contained in another one, in input order.
 
@@ -54,10 +63,7 @@ def _maximal(simplices: list[Simplex]) -> list[Simplex]:
     if len({len(s) for s in simplices}) <= 1:
         return list(simplices)
     sets = [frozenset(s) for s in simplices]
-    star: dict[int, list[frozenset[int]]] = {}
-    for s in sets:
-        for v in s:
-            star.setdefault(v, []).append(s)
+    star = _vertex_star(sets)
     return [
         f for f, s in zip(simplices, sets)
         if not any(s < g for g in star[min(f, key=lambda v: len(star[v]))])
@@ -296,10 +302,13 @@ class _DegreeBasis:
 
     The basis is deterministic: the rref of im(delta^{i-1}) is removed from
     the kernel of delta^i and the residues are put in reduced echelon form
-    against the fixed simplex order.  The prime-field backend is a dense
-    int64 ``exactalg.Subquotient``; the rational backend works on sparse
-    rows throughout, which is what makes cocycle bases affordable on the
-    product complexes.
+    against the fixed simplex order.  A degree whose Betti number (from the
+    cached sparse ranks) is zero is short-circuited: the basis is empty, no
+    kernel or image is computed, and ``express`` only checks that delta^i
+    kills the cochain, since there ker delta^i = im delta^{i-1}.  Otherwise
+    the prime-field backend is a dense int64 ``exactalg.Subquotient`` and
+    the rational backend works on sparse rows throughout, which is what
+    makes cocycle bases affordable on the product complexes.
     """
 
     def __init__(self, X: SimplicialComplex, field, degree: int):
@@ -308,14 +317,19 @@ class _DegreeBasis:
         self.degree = degree
         n = X.n_simplices(degree)
         self.ncochains = n
-        if isinstance(field, PrimeField):
+        self._p = field.p if isinstance(field, PrimeField) else None
+        self._dense = None
+        self._zero = X.cohomology(field).betti[degree] == 0
+        if self._zero:
+            self.basis = exactalg.field_matrix([], field, n) if self._p else []
+            self.basis_rows_s, self.pivots = [], []
+        elif self._p:
             kernel = exactalg.kernel_basis(X.coboundary_matrix(degree), field)
             # Image of delta^{i-1} in C^i: columns of the coboundary matrix.
             image = np.ascontiguousarray(X.coboundary_matrix(degree - 1).T) if degree else []
             self._dense = exactalg.Subquotient(kernel, image, field, n)
             self.basis, self.pivots = self._dense.basis, self._dense.pivots
         else:
-            self._dense = None
             self._init_sparse_q(X, degree, n)
 
     def _init_sparse_q(self, X, degree, n):
@@ -323,9 +337,10 @@ class _DegreeBasis:
             im_rows = _transpose_rows(
                 X.coboundary_rows(degree - 1), X.n_simplices(degree - 1)
             )
-            self.im_rows_s, self.im_pivots = exactalg.sparse_rref_q(im_rows)
+            rows_s, pivots = exactalg.sparse_rref_q(im_rows)
+            self._im_rows = dict(zip(pivots, rows_s))
         else:
-            self.im_rows_s, self.im_pivots = [], []
+            self._im_rows = {}
         _, kern = exactalg.sparse_kernel_q(X.coboundary_rows(degree), n)
         reduced = []
         for v in kern:
@@ -347,20 +362,27 @@ class _DegreeBasis:
         return len(self.basis)
 
     def _reduce_sparse(self, v: dict) -> dict:
+        """v minus the image rows at the image pivots in its support.
+
+        The image rref is fully reduced, so subtracting one row leaves v
+        unchanged at every other image pivot: the rows to subtract are
+        known from v's support up front, and are taken in pivot order.
+        """
         v = {c: Fraction(x) for c, x in v.items() if x}
-        for row, pc in zip(self.im_rows_s, self.im_pivots):
-            f = v.get(pc)
-            if f:
-                for c, val in row.items():
-                    nv = v.get(c, 0) - f * val
-                    if nv:
-                        v[c] = nv
-                    else:
-                        v.pop(c, None)
+        for pc in sorted(c for c in v if c in self._im_rows):
+            f = v[pc]
+            for c, val in self._im_rows[pc].items():
+                nv = v.get(c, 0) - f * val
+                if nv:
+                    v[c] = nv
+                else:
+                    v.pop(c, None)
         return v
 
     def express(self, cochain) -> np.ndarray:
         """Coefficients of a cocycle's class in the basis; errors otherwise."""
+        if self._zero:
+            return self._express_coboundary(cochain)
         if self._dense is not None:
             return self._dense.express(cochain)
         if isinstance(cochain, dict):
@@ -382,6 +404,18 @@ class _DegreeBasis:
         if w:
             raise ValueError("cochain is not a cocycle modulo coboundaries")
         return coeffs
+
+    def _express_coboundary(self, cochain) -> np.ndarray:
+        """Empty coefficients for a cocycle (H^i = 0); ValueError unless delta^i v = 0."""
+        if not isinstance(cochain, dict):
+            cochain = {c: x for c, x in enumerate(cochain) if x}
+        for row in self.complex.coboundary_rows(self.degree):
+            s = sum(val * cochain.get(c, 0) for c, val in row.items())
+            if self._p:
+                s %= self._p
+            if s:
+                raise ValueError("cochain is not a cocycle modulo coboundaries")
+        return np.zeros(0, dtype=np.int64 if self._p else object)
 
 
 def _clear_denominators(row: dict) -> dict[int, int]:
@@ -625,9 +659,13 @@ def link(X: SimplicialComplex, simplex_labels) -> SimplicialComplex:
     d = len(s) - 1
     if X._simplex_index.get(d, {}).get(s) is None:
         raise ValueError("not a simplex of the complex")
+    # Every facet containing s lies in the star of s's rarest vertex.
+    if "star" not in X._cache:
+        X._cache["star"] = _vertex_star(X.facets)
+    star = X._cache["star"]
     sset = set(s)
     candidates = []
-    for f in X.facets:
+    for f in star[min(s, key=lambda v: len(star[v]))]:
         if sset <= set(f):
             rest = tuple(v for v in f if v not in sset)
             if rest:

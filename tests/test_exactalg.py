@@ -30,7 +30,9 @@ from betticong.exactalg import (
     rref,
     smith_normal_form,
     sparse_rank_modp,
+    sparse_kernel_q,
     sparse_rank_q,
+    sparse_rref_q,
     sparse_smith_divisors,
 )
 
@@ -412,6 +414,39 @@ def test_subquotient_depends_only_on_the_spans(n, k, m, seed, field_name):
     if rank([*span, outside], field) > rank(span, field):
         with pytest.raises(ValueError):
             sq.express(outside)
+
+
+def _kernel_per_free_column(rows, ncols):
+    """The per-free-column kernel loop that sparse_kernel_q replaced."""
+    rref_rows, pivots = sparse_rref_q(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = {f: Fraction(1)}
+        for row, pc in zip(rref_rows, pivots):
+            if f in row:
+                v[pc] = -row[f]
+        basis.append(v)
+    return len(pivots), basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 9), st.integers(0, 10**6), st.floats(0.1, 0.9))
+def test_sparse_kernel_q_matches_per_column_loop(m, n, seed, density):
+    rng = random.Random(seed)
+    rows = [
+        {j: rng.choice([1, -1, 2, -3, 5]) for j in range(n) if rng.random() < density}
+        for _ in range(m)
+    ]
+    r, kern = sparse_kernel_q(rows, n)
+    r_old, kern_old = _kernel_per_free_column(rows, n)
+    assert r == r_old
+    # Same vectors with the same key order.
+    assert [list(v.items()) for v in kern] == [list(v.items()) for v in kern_old]
+    assert len(kern) == n - r
+    for v in kern:
+        assert all(sum(val * v.get(c, 0) for c, val in row.items()) == 0 for row in rows)
 
 
 def test_sparse_rank_modp_reduces_entries():

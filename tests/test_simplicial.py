@@ -25,10 +25,19 @@ from betticong.corpus import (
     torus,
     wedge_fixture,
 )
-from betticong.exactalg import GF, QQ, smith_normal_form, sparse_smith_divisors
+from betticong.exactalg import (
+    GF,
+    QQ,
+    smith_normal_form,
+    sparse_kernel_q,
+    sparse_rref_q,
+    sparse_smith_divisors,
+)
 from betticong.simplicial import (
     SimplicialComplex,
+    _clear_denominators,
     _maximal,
+    _transpose_rows,
     barycentric_subdivision,
     cup_pairing,
     join,
@@ -217,6 +226,82 @@ def test_uct_equality_iff_no_torsion():
     bq = X.cohomology(QQ).betti
     assert X.cohomology(GF(3)).betti == bq  # no 3-torsion
     assert X.cohomology(GF(2)).betti != bq  # 2-torsion present
+
+
+# ---------------------------------------------------------------------------
+# cocycle bases: zero degrees and the rational residue reduction
+# ---------------------------------------------------------------------------
+
+def _coboundary_of_simplex(X: SimplicialComplex, k: int, j: int) -> dict[int, int]:
+    """delta^k of the indicator of the j-th k-simplex, as a sparse cochain."""
+    return {t: row[j] for t, row in enumerate(X.coboundary_rows(k)) if j in row}
+
+
+def test_zero_degrees_have_empty_bases_and_check_coboundaries():
+    # Every corpus complex of at most 500 simplices (see _small_corpus_complexes).
+    for X in _small_corpus_complexes():
+        for field in (QQ, GF(3)):
+            betti = X.cohomology(field).betti
+            p = getattr(field, "p", None)
+            for d in range(X.dim + 1):
+                B = X.cohomology_basis(field, d)
+                assert (len(B) == 0) == (betti[d] == 0)
+                if betti[d]:
+                    continue
+                n = X.n_simplices(d)
+                for j in range(X.n_simplices(d - 1)):
+                    v = np.zeros(n, dtype=np.int64 if p else object)
+                    for t, x in _coboundary_of_simplex(X, d - 1, j).items():
+                        v[t] = x % p if p else x
+                    assert len(B.express(v)) == 0
+                for j in range(n):
+                    if _coboundary_of_simplex(X, d, j):
+                        e = np.zeros(n, dtype=np.int64 if p else object)
+                        e[j] = 1
+                        with pytest.raises(ValueError):
+                            B.express(e)
+
+
+def _residue_full_scan(im_rows, im_pivots, v):
+    """Reduce v by every image row in pivot order: the scan the basis replaced."""
+    v = {c: Fraction(x) for c, x in v.items() if x}
+    for row, pc in zip(im_rows, im_pivots):
+        f = v.get(pc)
+        if f:
+            for c, val in row.items():
+                nv = v.get(c, 0) - f * val
+                if nv:
+                    v[c] = nv
+                else:
+                    v.pop(c, None)
+    return v
+
+
+def _check_q_bases_against_full_scan(X: SimplicialComplex):
+    for d in range(X.dim + 1):
+        n = X.n_simplices(d)
+        if d:
+            im_rows, im_pivots = sparse_rref_q(
+                _transpose_rows(X.coboundary_rows(d - 1), X.n_simplices(d - 1))
+            )
+        else:
+            im_rows, im_pivots = [], []
+        _, kern = sparse_kernel_q(X.coboundary_rows(d), n)
+        B = X.cohomology_basis(QQ, d)
+        residues = [_residue_full_scan(im_rows, im_pivots, v) for v in kern]
+        if len(B):
+            for v, w in zip(kern, residues):
+                assert list(B._reduce_sparse(v).items()) == list(w.items())
+        reduced = [_clear_denominators(w) for w in residues if w]
+        rows, pivots = sparse_rref_q(reduced) if reduced else ([], [])
+        assert B.pivots == pivots
+        assert B.basis_rows_s == rows
+        assert len(B) == X.cohomology(QQ).betti[d]
+
+
+def test_q_bases_match_the_full_scan_route_on_the_corpus():
+    for X in _small_corpus_complexes():
+        _check_q_bases_against_full_scan(X)
 
 
 # ---------------------------------------------------------------------------
@@ -484,3 +569,27 @@ def test_maximal_does_not_enumerate_faces_of_a_wide_simplex():
     start = time.perf_counter()
     assert _maximal(simplices) == [big]
     assert time.perf_counter() - start < 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_complexes())
+def test_random_complex_q_bases_match_the_full_scan_route(X):
+    _check_q_bases_against_full_scan(X)
+
+
+def _link_all_facets(X: SimplicialComplex, s):
+    """The link by its definition, scanning every facet of X."""
+    sset = set(s)
+    rest = [tuple(X.vertices[v] for v in f if v not in sset) for f in X.facets if sset <= set(f)]
+    rest = [r for r in rest if r]
+    return SimplicialComplex.from_simplices(X.vertices, rest) if rest else SimplicialComplex.empty()
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_complexes())
+def test_link_matches_all_facets_definition(X):
+    for d in range(X.dim + 1):
+        for s in X.simplices(d):
+            got = link(X, tuple(X.vertices[v] for v in s))
+            want = _link_all_facets(X, s)
+            assert (got.vertices, got.facets) == (want.vertices, want.facets)
