@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import corpus
-from .exactalg import GF, QQ, _is_prime
+from .exactalg import GF, QQ, checked_prime
 from .group_action import (
     GroupAction,
     bockstein_condition,
@@ -212,10 +212,10 @@ def _parse_action(lines, i):
 def _parse_algebra(lines, i):
     lineno, tok = lines[i]
     block = AlgebraBlock(name=tok[1], field_name=tok[3], basis=[], line=lineno)
-    if block.field_name != "Q":
-        if not (block.field_name.startswith("F") and block.field_name[1:].isdigit()
-                and _is_prime(int(block.field_name[1:]))):
-            raise InputError(f"field must be Q or Fp for a prime p, got {tok[3]!r}", lineno)
+    try:
+        _field_named(block.field_name)
+    except ValueError as e:
+        raise InputError(f"field must be Q or Fp for a prime p, got {tok[3]!r}: {e}", lineno)
     i += 1
     labels = set()
     while i < len(lines):
@@ -333,8 +333,17 @@ def _scalar(field_obj, s: str):
     return field_obj.coerce(Fraction(s))
 
 
+def _field_named(name: str):
+    """QQ for ``Q``, GF(p) for ``F<p>``; ValueError for anything else."""
+    if name == "Q":
+        return QQ
+    if not (name.startswith("F") and name[1:].isdigit()):
+        raise ValueError("not of the form Q or F<digits>")
+    return GF(int(name[1:]))
+
+
 def _build_algebra(b: AlgebraBlock):
-    field_obj = QQ if b.field_name == "Q" else GF(int(b.field_name[1:]))
+    field_obj = _field_named(b.field_name)
     n = len(b.basis)
     index = {lab: i for i, (lab, _, _) in enumerate(b.basis)}
     bidegrees = [(e, j) for _, e, j in b.basis]
@@ -343,35 +352,34 @@ def _build_algebra(b: AlgebraBlock):
     if bidegrees[0] != (0, 0):
         raise ValueError("first basis element is the unit and must sit at bidegree (0, 0)")
     table = np.empty((n, n), dtype=object)
-    zero = np.zeros(n, dtype=object)
     for i in range(n):
         for j in range(n):
-            table[i, j] = zero.copy()
+            table[i, j] = field_obj.zeros(n)
     for i in range(n):
-        table[0, i][i] = field_obj.coerce(1)
-        table[i, 0][i] = field_obj.coerce(1)
+        table[0, i][i] = field_obj.one
+        table[i, 0][i] = field_obj.one
     for (a, c), terms in b.mult.items():
-        v = zero.copy()
+        v = field_obj.zeros(n)
         for coeff, lab in terms:
-            v[index[lab]] = v[index[lab]] + _scalar(field_obj, coeff)
+            v[index[lab]] = field_obj.reduce(v[index[lab]] + _scalar(field_obj, coeff))
         table[index[a], index[c]] = v
     A = BigradedAlgebra(field_obj, bidegrees, table, unit_index=0,
                         labels=[lab for lab, _, _ in b.basis])
     phi = None
     if b.phi:
-        values = zero.copy()
+        values = field_obj.zeros(n)
         for lab, coeff in b.phi.items():
             values[index[lab]] = _scalar(field_obj, coeff)
         phi = make_orientation(A, values)
     delta = None
     if b.delta:
-        D = np.zeros((n, n), dtype=object)
+        D = field_obj.zeros((n, n))
         shift = None
         for lab, terms in b.delta.items():
             src = index[lab]
             for coeff, tlab in terms:
                 tgt = index[tlab]
-                D[tgt, src] = D[tgt, src] + _scalar(field_obj, coeff)
+                D[tgt, src] = field_obj.reduce(D[tgt, src] + _scalar(field_obj, coeff))
                 se = (bidegrees[tgt][0] - bidegrees[src][0]) % 2
                 sj = bidegrees[tgt][1] - bidegrees[src][1]
                 if shift is None:
@@ -493,11 +501,10 @@ def _pick(doc: InputDocument, kind: str, name: str | None, flag: str):
 
 
 def _field_of(args):
-    if args.field in (None, "Q"):
-        return QQ
-    if args.field.startswith("F") and args.field[1:].isdigit():
-        return GF(int(args.field[1:]))
-    raise InputError(f"bad --field {args.field!r}")
+    try:
+        return _field_named(args.field or "Q")
+    except ValueError as e:
+        raise InputError(f"bad --field {args.field!r}: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -875,8 +882,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.degrees:
             args.degrees = _parse_degrees(args.degrees)
-        if args.p is not None and (args.p == 2 or not _is_prime(args.p)):
-            raise InputError(f"--p must be an odd prime, got {args.p}")
+        if args.p == 2:
+            raise InputError("--p must be an odd prime, got 2")
+        if args.p is not None:
+            try:
+                checked_prime(args.p)
+            except ValueError as e:
+                raise InputError(f"--p must be an odd prime: {e}")
         handler, needs_doc = COMMANDS[args.command]
         doc = None
         if needs_doc:

@@ -36,15 +36,8 @@ class BorelComplex:
         self.p = p or action.p
         self.X = action.complex
         self.field = GF(self.p)
-        self._perm: dict[int, tuple[list[int], list[int]]] = {}
         self._horizontal: dict[tuple[int, int], list[dict[int, int]]] = {}
         self._rank_cache: dict = {}
-
-    def pullback_permutation(self, j: int) -> tuple[list[int], list[int]]:
-        """sigma^# on C^j as (simplex permutation, signs): a |-> sign * a o perm."""
-        if j not in self._perm:
-            self._perm[j] = pullback_permutation(self.action, j)
-        return self._perm[j]
 
     def horizontal_rows(self, i: int, j: int) -> list[dict[int, int]]:
         """Sparse rows of K^{i,j} -> K^{i+1,j}: sigma^# - 1 or the norm.
@@ -54,7 +47,7 @@ class BorelComplex:
         """
         key = (i % 2, j)
         if key not in self._horizontal:
-            perm, signs = self.pullback_permutation(j)
+            perm, signs = pullback_permutation(self.action, j)
             n = len(perm)
             p = self.p
             rows: list[dict[int, int]] = []
@@ -181,10 +174,10 @@ def group_cohomology_dims(g_matrix, p: int) -> tuple[int, int]:
     n = g.shape[0]
     if n == 0:
         return 0, 0
-    if np.any(_matpow(g, p, p) != np.eye(n, dtype=np.int64) % p):
+    norm, g_p = _norm(g, field)
+    if np.any(g_p != np.eye(n, dtype=np.int64)):
         raise ValueError("operator does not have order dividing p")
-    gm1 = (g - np.eye(n, dtype=np.int64)) % p
-    norm = _norm_matrix(g, p)
+    gm1 = field.reduce(g - np.eye(n, dtype=np.int64))
 
     # Tate representatives: even classes in ker(g-1)/im(norm), odd classes
     # in ker(norm)/im(g-1).
@@ -193,21 +186,21 @@ def group_cohomology_dims(g_matrix, p: int) -> tuple[int, int]:
 
     # V (x) J_2 with g acting as  [g  g] (one unipotent Jordan step on J_2):
     #                             [0  g]
-    big = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    big = field.zeros((2 * n, 2 * n))
     big[:n, :n] = g
     big[n:, n:] = g
     big[:n, n:] = g
-    bgm1 = (big - np.eye(2 * n, dtype=np.int64)) % p
-    bnorm = _norm_matrix(big, p)
+    bgm1 = field.reduce(big - np.eye(2 * n, dtype=np.int64))
+    bnorm, _ = _norm(big, field)
 
     # Connecting map: lift a class rep z to (z, 0)... the extension is
     # 0 -> V -i-> V(x)J2 -pi-> V -> 0 with i(v) = (v, 0), pi(v, w) = w.
     # Lift z in the quotient copy to (0, z), apply the relevant periodic
     # differential of V(x)J2, land in the image of i, pull back.
     def connecting(z: np.ndarray, diff_big: np.ndarray) -> np.ndarray:
-        lifted = np.zeros(2 * n, dtype=np.int64)
+        lifted = field.zeros(2 * n)
         lifted[n:] = z
-        out = diff_big @ lifted % p
+        out = exactalg.matmul(diff_big, lifted, field)
         assert not out[n:].any(), "connecting image must lie in the subrepresentation"
         return out[:n]
 
@@ -222,23 +215,13 @@ def group_cohomology_dims(g_matrix, p: int) -> tuple[int, int]:
     return even_dim, odd_dim
 
 
-def _matpow(M: np.ndarray, k: int, p: int) -> np.ndarray:
-    out = np.eye(M.shape[0], dtype=object)
-    A = M.astype(object)
-    for _ in range(k):
-        out = out @ A % p
-    return out.astype(np.int64)
-
-
-def _norm_matrix(g: np.ndarray, p: int) -> np.ndarray:
-    n = g.shape[0]
-    acc = np.eye(n, dtype=object)
-    out = np.eye(n, dtype=object)
-    G = g.astype(object)
-    for _ in range(p - 1):
-        acc = acc @ G % p
-        out = (out + acc) % p
-    return out.astype(np.int64)
+def _norm(g: np.ndarray, field) -> tuple[np.ndarray, np.ndarray]:
+    """The norm 1 + g + ... + g^(p-1) and g^p, over F_p."""
+    power = norm = np.eye(g.shape[0], dtype=np.int64)
+    for _ in range(field.p - 1):
+        power = exactalg.matmul(power, g, field)
+        norm = field.reduce(norm + power)
+    return norm, exactalg.matmul(power, g, field)
 
 
 def _dim_modulo(sq: exactalg.Subquotient, incoming):

@@ -5,10 +5,12 @@ to the primitives in this module: reduced row echelon forms with kernel
 bases, integer Smith normal form, p-local valuation profiles and the Jordan
 block partition of a nilpotent operator.  All arithmetic is exact: Python
 ints, ``fractions.Fraction`` for the rationals, canonical residues in
-``[0, p)`` for prime fields.  Dense matrices are numpy arrays (``int64`` for
-prime fields, ``object`` otherwise); the sparse routines work on
-dict-of-rows and exist because the corpus coboundary matrices are large but
-eliminate with tiny fill-in.
+``[0, p)`` for prime fields.  The two field objects own the dense carrier:
+``dtype`` (``object`` over Q, ``int64`` over F_p), ``one``, ``zeros`` and
+``reduce`` (the identity over Q, ``% p`` over F_p), so no other module tests
+which field it holds.  The sparse routines work on dict-of-rows and exist
+because the corpus coboundary matrices are large but eliminate with tiny
+fill-in.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# int64 products must not overflow: entries < p, p*p < 2**63.
+# int64 products of two residues must not overflow: p*p < 2**63.
 _MAX_FIELD_PRIME = 2**31
 
 
@@ -38,16 +40,38 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def checked_prime(p: int) -> int:
+    """*p* if it is a prime that ``PrimeField`` accepts, else ValueError.
+
+    The size bound is tested first, so a huge input fails at once instead
+    of running trial division.
+    """
+    if p >= _MAX_FIELD_PRIME:
+        raise ValueError(f"{p} is too large: prime fields need p < 2**31")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
+
+
 class RationalField:
     """The field Q; elements are ints or ``Fraction`` in lowest terms."""
 
     char = 0
     name = "Q"
+    dtype = object
+    one = Fraction(1)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
             return x
         return Fraction(x)
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.zeros(shape, dtype=object)
+
+    def reduce(self, a):
+        """Canonical form of an element or array: nothing to do over Q."""
+        return a
 
     def __repr__(self):
         return "QQ"
@@ -56,17 +80,23 @@ class RationalField:
 class PrimeField:
     """The field F_p; elements are canonical residues in ``[0, p)``."""
 
+    dtype = np.int64
+    one = 1
+
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p >= _MAX_FIELD_PRIME:
-            raise ValueError(f"prime {p} too large for int64 arithmetic")
-        self.p = p
+        self.p = checked_prime(p)
         self.char = p
         self.name = f"F{p}"
 
     def coerce(self, x):
         return int(x) % self.p
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.zeros(shape, dtype=np.int64)
+
+    def reduce(self, a):
+        """Canonical residues of an element or array (``% p``)."""
+        return a % self.p
 
     def inv(self, a: int) -> int:
         return pow(int(a) % self.p, -1, self.p)
@@ -85,18 +115,15 @@ def GF(p: int) -> PrimeField:
 
 def field_matrix(rows, field, ncols: int | None = None) -> np.ndarray:
     """Coerce a 2-D array-like into the canonical dense carrier for *field*."""
-    dtype = np.int64 if isinstance(field, PrimeField) else object
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        m = rows.astype(dtype)
+        m = rows.astype(field.dtype)
     elif len(rows):
-        m = np.array(rows, dtype=dtype)
+        m = np.array(rows, dtype=field.dtype)
         if m.ndim == 1:
             m = m.reshape((1, -1))
     else:
-        m = np.zeros((0, ncols or 0), dtype=dtype)
-    if isinstance(field, PrimeField):
-        return m % field.p
-    return m
+        m = field.zeros((0, ncols or 0))
+    return field.reduce(m)
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +203,10 @@ def _kernel_from_rref(R: np.ndarray, pivots: list[int], n: int, field) -> list[n
     free = [j for j in range(n) if j not in piv_set]
     basis = []
     for f in free:
-        if isinstance(field, PrimeField):
-            v = np.zeros(n, dtype=np.int64)
-            v[f] = 1
-            for row_idx, pc in enumerate(pivots):
-                v[pc] = (-int(R[row_idx, f])) % field.p
-        else:
-            v = np.zeros(n, dtype=object)
-            v[f] = 1
-            for row_idx, pc in enumerate(pivots):
-                v[pc] = -R[row_idx, f]
-        basis.append(v)
+        v = field.zeros(n)
+        v[f] = 1
+        v[pivots] = -R[: len(pivots), f]
+        basis.append(field.reduce(v))
     return basis
 
 
@@ -223,7 +243,6 @@ class Subquotient:
 
     def __init__(self, kernel, image, field, n: int):
         self.field = field
-        self._p = field.p if isinstance(field, PrimeField) else None
         if len(image):
             self._im_rref, self._im_pivots = rref(image, field)
         else:
@@ -240,18 +259,16 @@ class Subquotient:
 
         Returns the residue and the multiple of each row taken out.
         """
-        coeffs = np.zeros(len(pivots), dtype=np.int64 if self._p else object)
+        coeffs = self.field.zeros(len(pivots))
         for r, pc in enumerate(pivots):
             if v[pc]:
                 coeffs[r] = v[pc]
-                v = v - coeffs[r] * R[r]
-                if self._p:
-                    v %= self._p
+                v = self.field.reduce(v - coeffs[r] * R[r])
         return v, coeffs
 
     def reduce(self, v) -> np.ndarray:
         """The representative of v modulo the image: zero at image pivots."""
-        v = np.array(v) % self._p if self._p else np.array(v).astype(object)
+        v = self.field.reduce(np.array(v, dtype=self.field.dtype))
         return self._clear(v, self._im_rref, self._im_pivots)[0]
 
     def express(self, v) -> np.ndarray:
@@ -263,12 +280,16 @@ class Subquotient:
 
 
 def matmul(A, B, field):
-    """Exact matrix product in the canonical carrier of *field*."""
-    if isinstance(field, PrimeField):
-        A = field_matrix(A, field)
-        B = field_matrix(B, field)
+    """Exact product of matrices or vectors in the canonical carrier of *field*.
+
+    Over F_p the inputs are reduced first; the int64 product is used when
+    no sum of products can reach 2**63, else the product runs on Python ints.
+    """
+    A = field.reduce(np.asarray(A, dtype=field.dtype))
+    B = field.reduce(np.asarray(B, dtype=field.dtype))
+    if isinstance(field, PrimeField) and (field.p - 1) ** 2 * A.shape[-1] >= 2**63:
         return (A.astype(object) @ B.astype(object) % field.p).astype(np.int64)
-    return np.array(A, dtype=object) @ np.array(B, dtype=object)
+    return field.reduce(A @ B)
 
 
 def invert(M, field) -> np.ndarray:
@@ -277,8 +298,7 @@ def invert(M, field) -> np.ndarray:
     n = M.shape[0]
     if n != M.shape[1]:
         raise ValueError("invert needs a square matrix")
-    ident = np.eye(n, dtype=np.int64) if isinstance(field, PrimeField) else np.eye(n, dtype=object)
-    aug = np.concatenate([M, ident], axis=1)
+    aug = np.concatenate([M, np.eye(n, dtype=field.dtype)], axis=1)
     R, piv = rref(aug, field)
     if piv != list(range(n)):
         raise ValueError("matrix is singular")
@@ -699,10 +719,7 @@ def nilpotent_block_sizes(matrix, field, bound: int) -> list[int]:
     Derived from the kernel-dimension profile: dim ker(n^k) = sum over
     blocks of min(k, size).  Rejects input with ``n**bound != 0``.
     """
-    if isinstance(field, PrimeField):
-        N = field_matrix(matrix, field)
-    else:
-        N = np.array(matrix, dtype=object)
+    N = field.reduce(np.array(matrix, dtype=field.dtype))
     if N.ndim != 2 or N.shape[0] != N.shape[1]:
         raise ValueError("nilpotent_block_sizes needs a square matrix")
     dim = N.shape[0]

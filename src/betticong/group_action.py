@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactalg
-from .exactalg import GF, QQ, PrimeField
+from .exactalg import GF, QQ
 from .simplicial import (
     GradedBetti,
     SimplicialComplex,
@@ -65,8 +65,12 @@ def validate_action(X: SimplicialComplex, sigma: dict, p: int) -> GroupAction:
     sigma a vertex bijection with sigma^p = id, and every simplex mapped to
     a simplex.
     """
-    if p == 2 or not exactalg._is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    if p == 2:
+        raise ValueError("p must be an odd prime, got 2")
+    try:
+        exactalg.checked_prime(p)
+    except ValueError as e:
+        raise ValueError(f"p must be an odd prime: {e}") from None
     mapping = {str(k): str(v) for k, v in sigma.items()}
     vertices = set(X.vertices)
     unknown = (set(mapping) | set(mapping.values())) - vertices
@@ -209,28 +213,20 @@ def pullback_permutation(action: GroupAction, degree: int) -> tuple[list[int], l
 def apply_pullback(action: GroupAction, degree: int, vec, field):
     """Apply sigma^# to a cochain vector in O(n)."""
     perm, signs = pullback_permutation(action, degree)
-    if isinstance(field, PrimeField):
-        out = np.zeros(len(perm), dtype=np.int64)
-        for s in range(len(perm)):
-            out[s] = signs[s] * vec[perm[s]] % field.p
-    else:
-        out = np.zeros(len(perm), dtype=object)
-        for s in range(len(perm)):
-            out[s] = signs[s] * vec[perm[s]]
-    return out
+    out = field.zeros(len(perm))
+    for s in range(len(perm)):
+        out[s] = signs[s] * vec[perm[s]]
+    return field.reduce(out)
 
 
 def cochain_pullback_matrix(action: GroupAction, degree: int, field) -> np.ndarray:
     """Matrix of the pullback sigma^# on C^degree in the simplex basis."""
-    X = action.complex
     perm, signs = pullback_permutation(action, degree)
     n = len(perm)
-    dtype = np.int64 if isinstance(field, PrimeField) else object
-    M = np.zeros((n, n), dtype=dtype)
-    for i in range(n):
-        # (sigma^# a)(s) = sign * a(sigma(s)); column perm[i] feeds row i.
-        M[i, perm[i]] = signs[i] if dtype is object else signs[i] % field.p
-    return M
+    M = field.zeros((n, n))
+    # (sigma^# a)(s) = sign * a(sigma(s)); column perm[i] feeds row i.
+    M[range(n), perm] = signs
+    return field.reduce(M)
 
 
 def _permutation_sign(order: list[int]) -> int:
@@ -260,8 +256,7 @@ def induced_cohomology_action(action: GroupAction, field) -> list[np.ndarray]:
     for d in range(X.dim + 1):
         basis = X.cohomology_basis(field, d)
         b = len(basis)
-        dtype = np.int64 if isinstance(field, PrimeField) else object
-        M = np.zeros((b, b), dtype=dtype)
+        M = field.zeros((b, b))
         for j in range(b):
             image = apply_pullback(action, d, basis.basis[j], field)
             M[:, j] = basis.express(image)

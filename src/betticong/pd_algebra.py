@@ -15,24 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import exactalg
-from .exactalg import PrimeField
 
 BiDegree = tuple[int, int]  # (eps in Z/2, j in N)
-
-
-def _zeros(n: int, field) -> np.ndarray:
-    if isinstance(field, PrimeField):
-        return np.zeros(n, dtype=np.int64)
-    return np.zeros(n, dtype=object)
-
-
-def _one(field):
-    return 1 if isinstance(field, PrimeField) else Fraction(1)
 
 
 class BigradedAlgebra:
@@ -62,24 +50,15 @@ class BigradedAlgebra:
         return (e + j) % 2
 
     def unit_vector(self) -> np.ndarray:
-        v = _zeros(self.dim, self.field)
-        v[self.unit_index] = _one(self.field)
-        return v
+        return _basis_vec(self, self.unit_index)
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = _zeros(self.dim, self.field)
-        for a in range(self.dim):
-            if not x[a]:
-                continue
-            for b in range(self.dim):
-                if y[b]:
-                    out = out + x[a] * y[b] * self.table[a, b]
-        if isinstance(self.field, PrimeField):
-            out = out % self.field.p
-        return out
-
-    def basis_product(self, a: int, b: int) -> np.ndarray:
-        return self.table[a, b]
+        """x * y: the coefficients x[a] y[b] applied to the rows table[a, b]."""
+        pairs = [(a, b) for a in x.nonzero()[0] for b in y.nonzero()[0]]
+        if not pairs:
+            return self.field.zeros(self.dim)
+        return exactalg.matmul([x[a] * y[b] for a, b in pairs],
+                               [self.table[a, b] for a, b in pairs], self.field)
 
     def max_second_grading(self) -> int:
         return max((j for _, j in self.bidegrees), default=0)
@@ -93,8 +72,7 @@ class BigradedAlgebra:
         for a in range(self.dim):
             ua = self.table[self.unit_index, a]
             au = self.table[a, self.unit_index]
-            expect = _zeros(self.dim, self.field)
-            expect[a] = _one(self.field)
+            expect = _basis_vec(self, a)
             if any(ua != expect) or any(au != expect):
                 problems.append(f"unit law fails at basis {a}")
                 break
@@ -110,31 +88,27 @@ class BigradedAlgebra:
         for a in range(self.dim):
             for b in range(a, self.dim):
                 sign = (-1) ** (self.total_degree(a) * self.total_degree(b))
-                diff = self.table[a, b] - sign * self.table[b, a]
-                if isinstance(self.field, PrimeField):
-                    diff = diff % self.field.p
+                diff = self.field.reduce(self.table[a, b] - sign * self.table[b, a])
                 if any(diff):
                     problems.append(f"graded commutativity fails at ({a}, {b})")
         if problems:
             return problems
+        basis = [_basis_vec(self, i) for i in range(self.dim)]
         for a in range(self.dim):
             for b in range(self.dim):
                 ab = self.table[a, b]
                 for c in range(self.dim):
-                    left = self.multiply(ab, _basis_vec(self, c))
-                    right = self.multiply(_basis_vec(self, a), self.table[b, c])
-                    diff = left - right
-                    if isinstance(self.field, PrimeField):
-                        diff = diff % self.field.p
-                    if any(diff):
+                    left = self.multiply(ab, basis[c])
+                    right = self.multiply(basis[a], self.table[b, c])
+                    if any(self.field.reduce(left - right)):
                         problems.append(f"associativity fails at ({a}, {b}, {c})")
                         return problems
         return problems
 
 
 def _basis_vec(A: BigradedAlgebra, i: int) -> np.ndarray:
-    v = _zeros(A.dim, A.field)
-    v[i] = _one(A.field)
+    v = A.field.zeros(A.dim)
+    v[i] = A.field.one
     return v
 
 
@@ -146,7 +120,8 @@ class Orientation:
     formal_dim: int
 
     def __call__(self, v: np.ndarray):
-        return sum(a * b for a, b in zip(self.values, v))
+        # tolist() turns int64 residues into Python ints: the sum is exact.
+        return sum(a * b for a, b in zip(self.values, np.asarray(v).tolist()))
 
 
 def make_orientation(A: BigradedAlgebra, values) -> Orientation:
@@ -173,20 +148,11 @@ class Differential:
         return (self.shift[0] + self.shift[1]) % 2
 
     def apply(self, A: BigradedAlgebra, v: np.ndarray) -> np.ndarray:
-        out = self.matrix @ v
-        if isinstance(A.field, PrimeField):
-            out = out % A.field.p
-        return out
+        return exactalg.matmul(self.matrix, v, A.field)
 
 
 def zero_differential(A: BigradedAlgebra, shift: BiDegree = (0, -1)) -> Differential:
-    return Differential(matrix=_field_zero_matrix(A), shift=shift)
-
-
-def _field_zero_matrix(A: BigradedAlgebra) -> np.ndarray:
-    if isinstance(A.field, PrimeField):
-        return np.zeros((A.dim, A.dim), dtype=np.int64)
-    return np.zeros((A.dim, A.dim), dtype=object)
+    return Differential(matrix=A.field.zeros((A.dim, A.dim)), shift=shift)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +189,10 @@ def _check_orientation_support(A: BigradedAlgebra, phi: Orientation):
 
 
 def _gram_matrix(A: BigradedAlgebra, phi: Orientation) -> np.ndarray:
-    G = _field_zero_matrix(A)
+    G = A.field.zeros((A.dim, A.dim))
     for a in range(A.dim):
         for b in range(A.dim):
-            G[a, b] = phi(A.table[a, b])
-    if isinstance(A.field, PrimeField):
-        G = G % A.field.p
+            G[a, b] = A.field.reduce(phi(A.table[a, b]))
     return G
 
 
@@ -288,21 +252,16 @@ def check_derivation(A: BigradedAlgebra, delta: Differential) -> DerivationRepor
                 break
     if problems:
         return DerivationReport(False, tuple(problems))
-    sq = D @ D
-    if isinstance(A.field, PrimeField):
-        sq = sq % A.field.p
-    if np.any(sq != 0):
+    if np.any(exactalg.matmul(D, D, A.field) != 0):
         problems.append("delta^2 != 0")
+    basis = [_basis_vec(A, i) for i in range(A.dim)]
+    image = [delta.apply(A, e) for e in basis]
     for a in range(A.dim):
         sign = -1 if A.total_degree(a) else 1
         for b in range(A.dim):
             lhs = delta.apply(A, A.table[a, b])
-            rhs = A.multiply(delta.apply(A, _basis_vec(A, a)), _basis_vec(A, b)) \
-                + sign * A.multiply(_basis_vec(A, a), delta.apply(A, _basis_vec(A, b)))
-            diff = lhs - rhs
-            if isinstance(A.field, PrimeField):
-                diff = diff % A.field.p
-            if any(diff):
+            rhs = A.multiply(image[a], basis[b]) + sign * A.multiply(basis[a], image[b])
+            if any(A.field.reduce(lhs - rhs)):
                 problems.append(f"Leibniz fails at pair ({a}, {b})")
                 return DerivationReport(False, tuple(problems))
     return DerivationReport(not problems, tuple(problems))
@@ -324,30 +283,19 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
     de, dj = delta.shift
     D = delta.matrix
     subq: dict[BiDegree, exactalg.Subquotient] = {}
+    offset: dict[BiDegree, int] = {}  # index of the bidegree's first class in H
     h_reps: list[np.ndarray] = []
     h_bidegrees: list[BiDegree] = []
     for bd, indices in sorted(A._components.items()):
         e, j = bd
-        src = A.component(e - de, j - dj)
-        image = []
-        for s in src:
-            col = D[:, s]
-            vec = [col[i] for i in indices]
-            if any(vec):
-                image.append(vec)
+        image = [v for v in (D[indices, s] for s in A.component(e - de, j - dj)) if any(v)]
         # Kernel of delta restricted to the component.
-        comp_matrix = [[D[t, i] for i in indices] for t in range(A.dim)]
-        _, kern = exactalg.rank_and_kernel(
-            np.array(comp_matrix, dtype=object) if not isinstance(field, PrimeField)
-            else np.array(comp_matrix, dtype=np.int64),
-            field,
-        )
-        sq = exactalg.Subquotient(kern, image, field, len(indices))
-        subq[bd] = sq
-        for row in range(len(sq.pivots)):
-            rep = _zeros(A.dim, field)
-            for pos, amb in enumerate(indices):
-                rep[amb] = sq.basis[row][pos]
+        _, kern = exactalg.rank_and_kernel(D[:, indices], field)
+        sq = subq[bd] = exactalg.Subquotient(kern, image, field, len(indices))
+        offset[bd] = len(h_reps)
+        for row in sq.basis[: len(sq.pivots)]:
+            rep = field.zeros(A.dim)
+            rep[indices] = row
             h_reps.append(rep)
             h_bidegrees.append(bd)
     if not h_reps:
@@ -361,33 +309,17 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
                 (h_bidegrees[a][0] + h_bidegrees[b][0]) % 2,
                 h_bidegrees[a][1] + h_bidegrees[b][1],
             )
-            coeffs = _zeros(hdim, field)
+            coeffs = field.zeros(hdim)
             if bd in subq and any(prod):
-                local = [prod[i] for i in A._components[bd]]
-                expressed = subq[bd].express(np.array(local))
-                offset = 0
-                for bd2, _ in sorted(A._components.items()):
-                    cnt = len(subq[bd2].pivots)
-                    if bd2 == bd:
-                        for k in range(cnt):
-                            coeffs[offset + k] = expressed[k]
-                        break
-                    offset += cnt
+                expressed = subq[bd].express(prod[A._components[bd]])
+                coeffs[offset[bd]: offset[bd] + len(expressed)] = expressed
             table[a, b] = coeffs
-    unit_bd = (0, 0)
     unit_index = None
-    for i, bd in enumerate(h_bidegrees):
-        if bd == unit_bd:
-            unit_vec = [A.unit_vector()[k] for k in A._components[unit_bd]]
-            coeffs = subq[unit_bd].express(np.array(unit_vec))
-            offset = sum(
-                len(subq[b2].pivots) for b2, _ in sorted(A._components.items()) if b2 < unit_bd
-            )
-            for k, c in enumerate(coeffs):
-                if c:
-                    unit_index = offset + int(np.nonzero(coeffs)[0][0])
-                    break
-            break
+    if (0, 0) in h_bidegrees:
+        coeffs = subq[(0, 0)].express(A.unit_vector()[A._components[(0, 0)]])
+        nonzero = np.nonzero(coeffs)[0]
+        if len(nonzero):
+            unit_index = offset[(0, 0)] + int(nonzero[0])
     if unit_index is None:
         # The unit died, which forces H = 0; reaching here with classes left
         # would contradict the derivation structure.
@@ -456,28 +388,16 @@ def odd_congruence(A: BigradedAlgebra, delta: Differential, phi: Orientation) ->
         failures.append("H(A, delta) = 0")
         return OddCongruenceReport(False, tuple(failures))
     even_idx = [i for i in range(A.dim) if A.total_degree(i) == 0]
-    D = delta.matrix
-    dtype = np.int64 if isinstance(A.field, PrimeField) else object
-    cols = [[D[t, i] for t in range(A.dim)] for i in even_idx]
-    restr = np.array(cols, dtype=dtype).T if even_idx else np.zeros((A.dim, 0), dtype=dtype)
     # Pivot columns of delta|even span a complement of the even cycles.
-    _, piv = exactalg.rref(restr, A.field)
+    _, piv = exactalg.rref(delta.matrix[:, even_idx], A.field)
     complement = [even_idx[c] for c in piv]
     s = len(complement)
     gram = np.zeros((s, s), dtype=object)
     for a, ia in enumerate(complement):
         for b, ib in enumerate(complement):
             gram[a, b] = phi(A.multiply(_basis_vec(A, ia), delta.apply(A, _basis_vec(A, ib))))
-    if isinstance(A.field, PrimeField):
-        gram = gram % A.field.p
-    skew = True
-    for a in range(s):
-        for b in range(s):
-            tot = gram[a, b] + gram[b, a]
-            if isinstance(A.field, PrimeField):
-                tot = tot % A.field.p
-            if tot != 0:
-                skew = False
+    gram = A.field.reduce(gram)
+    skew = not np.any(A.field.reduce(gram + gram.T))
     nondeg = exactalg.rank(gram, A.field) == s
     return OddCongruenceReport(
         applicable=True,
@@ -505,9 +425,9 @@ def _single_generator_model(field, eps: int, j: int, height: int):
     table = np.empty((n, n), dtype=object)
     for a in range(n):
         for b in range(n):
-            v = _zeros(n, field)
+            v = field.zeros(n)
             if a + b < n:
-                v[a + b] = _one(field)
+                v[a + b] = field.one
             table[a, b] = v
     A = BigradedAlgebra(field, bidegrees, table)
     A._monomials = [(0,) * k for k in range(n)]  # generator id 0, multiplicity k
@@ -535,13 +455,10 @@ def tensor(A: BigradedAlgebra, B: BigradedAlgebra) -> BigradedAlgebra:
                 for k2 in range(B.dim):
                     c = i2 * B.dim + k2
                     pb = B.table[k1, k2]
-                    v = _zeros(dim, field)
+                    v = field.zeros(dim)
                     for ia in np.nonzero(pa)[0]:
                         for ib in np.nonzero(pb)[0]:
-                            val = sign * pa[ia] * pb[ib]
-                            if isinstance(field, PrimeField):
-                                val %= field.p
-                            v[int(ia) * B.dim + int(ib)] = val
+                            v[int(ia) * B.dim + int(ib)] = field.reduce(sign * pa[ia] * pb[ib])
                     table[r, c] = v
     out = BigradedAlgebra(field, bidegrees, table,
                           unit_index=A.unit_index * B.dim + B.unit_index)
@@ -562,9 +479,7 @@ def _tensor_orientation(A: BigradedAlgebra) -> Orientation:
     top = [i for i in range(A.dim) if A.bidegrees[i] == (0, top_j)]
     if len(top) != 1:
         raise ValueError("tensor model has no unique top class")
-    vals = _zeros(A.dim, A.field).astype(object)
-    vals[top[0]] = _one(A.field)
-    return make_orientation(A, vals)
+    return make_orientation(A, _basis_vec(A, top[0]))
 
 
 def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
@@ -574,24 +489,18 @@ def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
     (A', phi', delta'); associativity and all congruence data are invariant.
     """
     field = A.field
-    N = _field_zero_matrix(A)
+    N = field.zeros((A.dim, A.dim))
     for bd, idxs in A._components.items():
         k = len(idxs)
         if bd == (0, 0):
-            for i in idxs:
-                N[i, i] = _one(field)
+            N[idxs, idxs] = field.one
             continue
         while True:
-            if isinstance(field, PrimeField):
-                block = np.array(
-                    [[rng.randrange(field.p) for _ in range(k)] for _ in range(k)],
-                    dtype=np.int64,
-                )
-            else:
-                block = np.array(
-                    [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)],
-                    dtype=object,
-                )
+            # Uniform residues over F_p, small integers over Q.
+            block = np.array([
+                [field.coerce(rng.randrange(field.char) if field.char else rng.randint(-3, 3))
+                 for _ in range(k)] for _ in range(k)
+            ], dtype=field.dtype)
             try:
                 exactalg.invert(block, field)
                 break
@@ -602,21 +511,18 @@ def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
                 N[ia, ib] = block[a, b]
     Ninv = exactalg.invert(N, field)
     dim = A.dim
+    # Row a*dim + b is Ninv (N e_a * N e_b), the new product e_a * e_b.
+    prods = [A.multiply(N[:, a], N[:, b]) for a in range(dim) for b in range(dim)]
+    rows = exactalg.matmul(np.array(prods), Ninv.T, field)
     table = np.empty((dim, dim), dtype=object)
     for a in range(dim):
         for b in range(dim):
-            prod = A.multiply(N[:, a], N[:, b])
-            v = Ninv @ prod
-            if isinstance(field, PrimeField):
-                v = v % field.p
-            table[a, b] = v
+            table[a, b] = rows[a * dim + b]
     A2 = BigradedAlgebra(field, A.bidegrees, table, unit_index=A.unit_index)
-    phi2 = make_orientation(A2, np.array([phi(N[:, a]) for a in range(dim)], dtype=object))
+    phi2 = make_orientation(A2, [phi(N[:, a]) for a in range(dim)])
     delta2 = None
     if delta is not None:
-        D2 = Ninv @ (delta.matrix @ N)
-        if isinstance(field, PrimeField):
-            D2 = D2 % field.p
+        D2 = exactalg.matmul(Ninv, exactalg.matmul(delta.matrix, N, field), field)
         delta2 = Differential(matrix=D2, shift=delta.shift)
     return A2, phi2, delta2
 
@@ -698,17 +604,17 @@ def _sample_differential(A: BigradedAlgebra, rng: random.Random, max_tries: int)
         de, dj = rng.choice(shifts)
         if rng.random() < 0.8 and (de + dj) % 2 == 0:
             continue  # favour odd total shifts, where delta^2 = 0 is generic
-        D = _field_zero_matrix(A)
+        D = field.zeros((A.dim, A.dim))
         assigned = {}
         for g, gi in zip(range(len(A._generators)), gen_idx):
             e, j = A.bidegrees[gi]
             targets = A.component(e + de, j + dj)
-            vec = _zeros(A.dim, field)
+            vec = field.zeros(A.dim)
             for t in targets:
                 if rng.random() < 0.5:
-                    c = rng.randrange(1, field.p) if isinstance(field, PrimeField) \
-                        else Fraction(rng.randint(-2, 2))
-                    vec[t] = c
+                    # A nonzero residue over F_p, a small integer over Q.
+                    vec[t] = field.coerce(
+                        rng.randrange(1, field.char) if field.char else rng.randint(-2, 2))
             assigned[g] = vec
         # Extend to monomials by the Leibniz recursion.
         order = sorted(range(A.dim), key=lambda i: len(A._monomials[i]))
@@ -725,11 +631,8 @@ def _sample_differential(A: BigradedAlgebra, rng: random.Random, max_tries: int)
             gi = mono_index[(g,)]
             ri = mono_index[rest]
             sign = -1 if A.total_degree(gi) else 1
-            v = A.multiply(D[:, gi], _basis_vec(A, ri)) \
-                + sign * A.multiply(_basis_vec(A, gi), D[:, ri])
-            if isinstance(field, PrimeField):
-                v = v % field.p
-            D[:, i] = v
+            D[:, i] = field.reduce(A.multiply(D[:, gi], _basis_vec(A, ri))
+                                   + sign * A.multiply(_basis_vec(A, gi), D[:, ri]))
         delta = Differential(matrix=D, shift=(de, dj))
         if check_derivation(A, delta).is_valid:
             return delta
@@ -744,41 +647,35 @@ def odd_model(field, m: int, r: int, pairing=None):
     surgered S^1 x S^2m example (rank 2 in degrees 1 and 2m for r = 2).
     """
     dim = 2 * r + 2
-    one = _one(field)
     if pairing is None:
         C = np.zeros((r, r), dtype=object)
         for i in range(r):
-            C[i, i] = one
+            C[i, i] = field.one
     else:
         C = np.array(pairing, dtype=object)
     bidegrees = [(0, 0)] + [(0, 1)] * r + [(0, 2 * m)] * r + [(0, 2 * m + 1)]
     a0, u0, w = 1, 1 + r, 2 * r + 1
 
     def basis_vector(i):
-        v = _zeros(dim, field)
-        v[i] = one
+        v = field.zeros(dim)
+        v[i] = field.one
         return v
 
     table = np.empty((dim, dim), dtype=object)
     for x in range(dim):
         for y in range(dim):
-            table[x, y] = _zeros(dim, field)
+            table[x, y] = field.zeros(dim)
     for x in range(dim):
         table[0, x] = basis_vector(x)
         table[x, 0] = basis_vector(x)
     for i in range(r):
         for j in range(r):
-            v = _zeros(dim, field)
-            val = C[i, j]
-            if isinstance(field, PrimeField):
-                val = int(val) % field.p
-            v[w] = val
+            v = field.zeros(dim)
+            v[w] = field.reduce(C[i, j])
             table[a0 + i, u0 + j] = v
             table[u0 + j, a0 + i] = v.copy()  # |u| even: commutes
     A = BigradedAlgebra(field, bidegrees, table)
-    phi_vals = _zeros(dim, field).astype(object)
-    phi_vals[w] = one
-    phi = make_orientation(A, phi_vals)
+    phi = make_orientation(A, basis_vector(w))
     return A, phi, C
 
 
@@ -790,15 +687,8 @@ def odd_model_differential(A: BigradedAlgebra, C, skew) -> Differential:
     """
     field = A.field
     r = (A.dim - 2) // 2
-    S = np.array(skew, dtype=object)
     Cinv_t = exactalg.invert(np.array(C, dtype=object).T, field)
-    D_small = Cinv_t.astype(object) @ S
     m = (max(j for _, j in A.bidegrees) - 1) // 2
-    D = _field_zero_matrix(A)
-    for j in range(r):
-        for i in range(r):
-            val = D_small[i, j]
-            if isinstance(field, PrimeField):
-                val = int(val) % field.p
-            D[1 + i, 1 + r + j] = val
+    D = field.zeros((A.dim, A.dim))
+    D[1: 1 + r, 1 + r: 1 + 2 * r] = exactalg.matmul(Cinv_t, np.array(skew, dtype=object), field)
     return Differential(matrix=D, shift=(0, 1 - 2 * m))

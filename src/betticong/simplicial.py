@@ -17,7 +17,6 @@ from itertools import combinations
 import numpy as np
 
 from . import exactalg
-from .exactalg import PrimeField
 
 Simplex = tuple[int, ...]  # strictly increasing vertex indices
 
@@ -211,10 +210,8 @@ class SimplicialComplex:
         key = ("cobrank", k, field.name)
         if key not in self._cache:
             rows = self.coboundary_rows(k)
-            if isinstance(field, PrimeField):
-                self._cache[key] = exactalg.sparse_rank_modp(rows, field.p)
-            else:
-                self._cache[key] = exactalg.sparse_rank_q(rows)
+            self._cache[key] = (exactalg.sparse_rank_modp(rows, field.char) if field.char
+                                else exactalg.sparse_rank_q(rows))
         return self._cache[key]
 
     # -- cohomology ------------------------------------------------------
@@ -280,21 +277,12 @@ class SimplicialComplex:
         idx_i = self._simplex_index.get(i, {})
         idx_j = self._simplex_index.get(j, {})
         target = self.simplices(i + j)
-        if isinstance(field, PrimeField):
-            out = np.zeros(len(target), dtype=np.int64)
-            for t, s in enumerate(target):
-                av = a[idx_i[s[: i + 1]]]
-                if av:
-                    bv = b[idx_j[s[i:]]]
-                    if bv:
-                        out[t] = int(av) * int(bv) % field.p
-        else:
-            out = np.zeros(len(target), dtype=object)
-            for t, s in enumerate(target):
-                av = a[idx_i[s[: i + 1]]]
-                if av:
-                    out[t] = av * b[idx_j[s[i:]]]
-        return out
+        out = field.zeros(len(target))
+        for t, s in enumerate(target):
+            av = a[idx_i[s[: i + 1]]]
+            if av:
+                out[t] = av * b[idx_j[s[i:]]]
+        return field.reduce(out)
 
 
 class _DegreeBasis:
@@ -306,9 +294,9 @@ class _DegreeBasis:
     cached sparse ranks) is zero is short-circuited: the basis is empty, no
     kernel or image is computed, and ``express`` only checks that delta^i
     kills the cochain, since there ker delta^i = im delta^{i-1}.  Otherwise
-    the prime-field backend is a dense int64 ``exactalg.Subquotient`` and
-    the rational backend works on sparse rows throughout, which is what
-    makes cocycle bases affordable on the product complexes.
+    a prime field (``field.char`` > 0) uses a dense ``exactalg.Subquotient``
+    and the rationals work on sparse rows throughout, which is what makes
+    cocycle bases affordable on the product complexes.
     """
 
     def __init__(self, X: SimplicialComplex, field, degree: int):
@@ -317,13 +305,12 @@ class _DegreeBasis:
         self.degree = degree
         n = X.n_simplices(degree)
         self.ncochains = n
-        self._p = field.p if isinstance(field, PrimeField) else None
         self._dense = None
         self._zero = X.cohomology(field).betti[degree] == 0
         if self._zero:
-            self.basis = exactalg.field_matrix([], field, n) if self._p else []
+            self.basis = exactalg.field_matrix([], field, n) if field.char else []
             self.basis_rows_s, self.pivots = [], []
-        elif self._p:
+        elif field.char:
             kernel = exactalg.kernel_basis(X.coboundary_matrix(degree), field)
             # Image of delta^{i-1} in C^i: columns of the coboundary matrix.
             image = np.ascontiguousarray(X.coboundary_matrix(degree - 1).T) if degree else []
@@ -353,7 +340,7 @@ class _DegreeBasis:
             self.basis_rows_s, self.pivots = [], []
         self.basis = []
         for row in self.basis_rows_s:
-            dense = np.zeros(n, dtype=object)
+            dense = self.field.zeros(n)
             for c, val in row.items():
                 dense[c] = val
             self.basis.append(dense)
@@ -390,7 +377,7 @@ class _DegreeBasis:
         else:
             sparse = {c: cochain[c] for c in range(len(cochain)) if cochain[c]}
         w = self._reduce_sparse(sparse)
-        coeffs = np.zeros(len(self.basis), dtype=object)
+        coeffs = self.field.zeros(len(self.basis))
         for r, pc in enumerate(self.pivots):
             f = w.get(pc)
             if f:
@@ -410,12 +397,9 @@ class _DegreeBasis:
         if not isinstance(cochain, dict):
             cochain = {c: x for c, x in enumerate(cochain) if x}
         for row in self.complex.coboundary_rows(self.degree):
-            s = sum(val * cochain.get(c, 0) for c, val in row.items())
-            if self._p:
-                s %= self._p
-            if s:
+            if self.field.reduce(sum(val * cochain.get(c, 0) for c, val in row.items())):
                 raise ValueError("cochain is not a cocycle modulo coboundaries")
-        return np.zeros(0, dtype=np.int64 if self._p else object)
+        return self.field.zeros(0)
 
 
 def _clear_denominators(row: dict) -> dict[int, int]:
@@ -467,14 +451,12 @@ class CohomologyRing:
         n = self.top_degree
         bi, bj = self.betti[i], self.betti[n - i]
         M = np.zeros((bi, bj), dtype=object)
+        if self.orientation is None:
+            return M
         for a in range(bi):
             for b in range(bj):
                 coeffs = self.structure[(i, n - i)][a][b]
-                M[a, b] = sum(
-                    c * o for c, o in zip(coeffs, self.orientation)
-                ) if self.orientation is not None else 0
-                if isinstance(self.field, PrimeField):
-                    M[a, b] = int(M[a, b]) % self.field.p
+                M[a, b] = self.field.coerce(sum(c * o for c, o in zip(coeffs, self.orientation)))
         return M
 
 
@@ -508,12 +490,7 @@ def cup_pairing(X: SimplicialComplex, field) -> CohomologyRing:
                     row.append(target.express(cochain))
                 tbl.append(row)
             structure[(i, j)] = tbl
-    orientation = None
-    if betti[top] == 1:
-        if isinstance(field, PrimeField):
-            orientation = np.array([1], dtype=np.int64)
-        else:
-            orientation = np.array([Fraction(1)], dtype=object)
+    orientation = np.array([field.one], dtype=field.dtype) if betti[top] == 1 else None
     ring = CohomologyRing(field, betti, top, structure, orientation)
     X._cache[key] = ring
     return ring

@@ -342,3 +342,59 @@ def test_bad_p_exit_3(s2_file, capsys):
 def test_nonexistent_file_exit_3(capsys):
     assert main(["cohomology", "/no/such/file.bc"]) == 3
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# field and prime input: bounded before primality, errors without traceback
+# ---------------------------------------------------------------------------
+
+HUGE_PRIME = "1000000000000000000000000000057"
+
+
+def _timed_main(argv):
+    import time
+
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 0.5
+    return code
+
+
+def test_huge_p_option_rejected_fast(s2_file, capsys):
+    assert _timed_main(["bockstein", s2_file, "--p", HUGE_PRIME]) == 3
+    assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [HUGE_PRIME, "4", "9", "2147483659"])
+def test_bad_field_option_exit_3(s2_file, capsys, field):
+    assert _timed_main(["cohomology", s2_file, "--field", "F" + field]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --field") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, line", [
+    (f"algebra A field F{HUGE_PRIME}\nbasis one bidegree 0 0\nend\n", 1),
+    (S2_DOC.replace("action rot on S2 p 3", f"action rot on S2 p {HUGE_PRIME}"), 11),
+])
+def test_huge_prime_in_document_rejected_with_its_line(tmp_path, capsys, doc, line):
+    path = tmp_path / "huge.bc"
+    path.write_text(doc)
+    assert _timed_main(["cohomology", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err and "too large" in err
+
+
+def test_algebra_check_over_the_largest_prime_field(tmp_path, capsys):
+    doc = (
+        "algebra A field F2147483647\n"
+        "basis one bidegree 0 0\nbasis x bidegree 0 1\nbasis y bidegree 0 1\n"
+        "basis w bidegree 0 2\n"
+        "mult x y = 2147483646 w\nmult y x = 1 w\nphi w = 2147483646\nend\n"
+    )
+    path = tmp_path / "big.bc"
+    path.write_text(doc)
+    assert main(["algebra-check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "CHECK algebra-structure: PASS" in out
+    assert "CHECK algebra-pd: PASS" in out
+    assert "CHECK even-congruence: PASS — 4 vs 0 (mod 4)" in out

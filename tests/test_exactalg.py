@@ -489,3 +489,72 @@ def test_sparse_smith_divisors_keep_the_row_content():
     assert sparse_smith_divisors([{0: 2, 1: 3}], 2) == (1,)
     assert sparse_smith_divisors([], 3) == ()
     assert sparse_smith_divisors([{}, {}], 3) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the dense carrier: one per field, owned by the field objects
+# ---------------------------------------------------------------------------
+
+BIG_PRIME = 2147483647  # 2**31 - 1, the largest prime GF accepts
+
+
+def test_field_carrier_surface():
+    assert QQ.zeros((2, 3)).dtype == object and QQ.zeros(2)[0] == 0
+    assert QQ.one == Fraction(1) and type(QQ.one) is Fraction
+    assert QQ.reduce(Fraction(7, 3)) == Fraction(7, 3)
+    F = GF(5)
+    assert F.zeros((2, 3)).dtype == np.int64 and F.one == 1
+    assert list(F.reduce(np.array([-1, 5, 7]))) == [4, 0, 2]
+    assert not hasattr(QQ, "p")  # spans are labelled F_p or Q by this attribute
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(1, 4), st.integers(0, 10**6),
+       st.booleans())
+def test_matmul_exact_for_the_largest_prime(m, k, n, seed, vector):
+    p = BIG_PRIME
+    rng = random.Random(seed)
+    # Entries from the edges of the range, where int64 products overflow.
+    pick = lambda: rng.choice([0, 1, p - 1, p - 2, rng.randrange(p), -rng.randrange(p)])
+    A = [[pick() for _ in range(k)] for _ in range(m)]
+    B = [[pick() for _ in range(n)] for _ in range(k)]
+    expect = [[sum(A[i][t] * B[t][j] for t in range(k)) % p for j in range(n)]
+              for i in range(m)]
+    left = np.array(A, dtype=np.int64).reshape(m, k)
+    if vector:
+        left, expect = left[0], expect[0]
+    got = matmul(left, np.array(B, dtype=np.int64).reshape(k, n), GF(p))
+    assert got.dtype == np.int64
+    assert got.tolist() == expect
+
+
+def test_prime_bound_checked_before_primality():
+    import time
+
+    from betticong.exactalg import checked_prime
+
+    start = time.perf_counter()
+    for p in (10**30 + 57, 2**31, 2**61 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            GF(p)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="not prime"):
+        checked_prime(4)
+    assert checked_prime(BIG_PRIME) == BIG_PRIME
+
+
+def test_only_exactalg_tests_the_field_type():
+    import re
+    from pathlib import Path
+
+    import betticong
+
+    pattern = re.compile(r"isinstance\([^)]*\b(PrimeField|RationalField)\b")
+    offenders = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(betticong.__file__).parent.glob("*.py"))
+        if path.name != "exactalg.py"
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []

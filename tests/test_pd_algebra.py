@@ -339,3 +339,30 @@ def _random_skew(rng, field, r):
             S[i, j] = c
             S[j, i] = -c
     return S
+
+
+# ---------------------------------------------------------------------------
+# the largest prime field: every dense product must stay exact
+# ---------------------------------------------------------------------------
+
+def test_seeded_algebras_over_the_largest_prime_field():
+    F = GF(2147483647)
+    for seed in range(10):
+        A, phi = random_pd_algebra(random.Random(seed), F)
+        assert A.validate() == [], seed
+        assert check_pd(A, phi).is_pd, seed
+        A, phi, delta = random_differential_algebra(random.Random(seed), F)
+        assert A.validate() == [], seed
+        assert check_pd(A, phi).is_pd, seed
+        assert check_derivation(A, delta).is_valid, seed
+        H, phi_H = homology(A, delta, phi)
+        assert H is None or check_pd(H, phi_H).is_pd, seed
+
+
+def test_orientation_sum_is_exact_over_the_largest_prime_field():
+    from betticong.pd_algebra import Orientation
+
+    p = 2147483647
+    phi = Orientation(np.array([0, p - 1, p - 1, p - 1], dtype=object), 2)
+    # Three products of (p-1)^2 each: their sum passes 2**63.
+    assert GF(p).coerce(phi(np.array([0, p - 1, p - 1, p - 1], dtype=np.int64))) == 3
