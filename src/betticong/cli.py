@@ -249,12 +249,13 @@ def _parse_algebra_line(block, tok, labels, lineno):
     for lab in lhs:
         if lab not in labels:
             raise InputError(f"unknown basis label {lab!r}", lineno)
+    field = _field_named(block.field_name)
     if tok[0] == "phi":
         if len(lhs) != 1 or len(rhs) != 1:
             raise InputError("expected: phi <b> = <coeff>", lineno)
-        block.phi[lhs[0]] = _check_scalar(rhs[0], lineno)
+        block.phi[lhs[0]] = _check_scalar(rhs[0], lineno, field)
         return
-    terms = _parse_terms(rhs, labels, lineno)
+    terms = _parse_terms(rhs, labels, lineno, field)
     if tok[0] == "mult":
         if len(lhs) != 2:
             raise InputError("expected: mult <a> <b> = <coeff> <c> [+ ...]", lineno)
@@ -265,15 +266,18 @@ def _parse_algebra_line(block, tok, labels, lineno):
         block.delta[lhs[0]] = terms
 
 
-def _check_scalar(s: str, lineno: int) -> str:
+def _check_scalar(s: str, lineno: int, field) -> str:
     try:
-        Fraction(s)
+        x = Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"bad coefficient {s!r}", lineno)
+    if field.char and x.denominator % field.char == 0:
+        raise InputError(f"coefficient {s!r} has no value in {field.name}: "
+                         f"its denominator is divisible by {field.char}", lineno)
     return s
 
 
-def _parse_terms(rhs, labels, lineno):
+def _parse_terms(rhs, labels, lineno, field):
     if list(rhs) == ["0"]:
         return []
     terms = []
@@ -284,7 +288,7 @@ def _parse_terms(rhs, labels, lineno):
                 raise InputError("each term must be '<coeff> <label>'", lineno)
             if chunk[1] not in labels:
                 raise InputError(f"unknown basis label {chunk[1]!r}", lineno)
-            terms.append((_check_scalar(chunk[0], lineno), chunk[1]))
+            terms.append((_check_scalar(chunk[0], lineno, field), chunk[1]))
             chunk = []
         else:
             chunk.append(t)

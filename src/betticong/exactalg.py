@@ -89,6 +89,9 @@ class PrimeField:
         self.name = f"F{p}"
 
     def coerce(self, x):
+        """Residue of an int or a ``Fraction`` (its denominator inverted mod p)."""
+        if isinstance(x, Fraction):
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return int(x) % self.p
 
     def zeros(self, shape) -> np.ndarray:
@@ -97,9 +100,6 @@ class PrimeField:
     def reduce(self, a):
         """Canonical residues of an element or array (``% p``)."""
         return a % self.p
-
-    def inv(self, a: int) -> int:
-        return pow(int(a) % self.p, -1, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -352,7 +352,8 @@ def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, local: b
                 other[c] //= g
 
 
-def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = False, unit=False):
+def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = False, unit=False,
+               leftmost=False):
     """Sparse Gaussian elimination shared by every sparse rank and echelon form.
 
     Rows are dicts {column: nonzero int}; they are copied, not modified.
@@ -363,7 +364,9 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = F
     rescaling, so every step is unimodular and keeps the Smith form.  Pivot
     choice: sparsest active row first, then the admissible column that hits
     the fewest active rows (classic fill-in heuristic); ties break on
-    indices so the elimination is deterministic.
+    indices so the elimination is deterministic.  With ``leftmost`` a row
+    pivots on its leftmost entry instead: each pivot row is then zero left
+    of its pivot, so the pivot columns are those of the canonical rref.
 
     Returns ``(work, pivots, rest)``: the reduced rows, the (row, column)
     pivots in elimination order, and the nonzero rows left without a pivot
@@ -398,7 +401,7 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = F
             cols = row
         if not cols:
             continue  # no admissible entry; stays active until an update gives one
-        pc = min(cols, key=lambda c: (len(col_rows[c] & active), c))
+        pc = min(cols) if leftmost else min(cols, key=lambda c: (len(col_rows[c] & active), c))
         active.discard(i)
         pivots.append((i, pc))
         if modp:
@@ -476,6 +479,19 @@ def sparse_kernel_q(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[d
             if v is not None:
                 v[pc] = -val
     return len(pivots), list(free.values())
+
+
+def back_substitute(rows, x: dict, field) -> dict:
+    """Extend sparse x so that row . x = 0 for each ``(pivot, row)`` in turn.
+
+    Each row is 1 at its pivot, where x is unset; the other columns it uses
+    must be fixed in x from the start or be pivots of earlier rows.
+    """
+    for pc, row in rows:
+        s = field.reduce(-sum(v * x[c] for c, v in row.items() if c in x))
+        if s:
+            x[pc] = s
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -489,11 +489,11 @@ def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
     (A', phi', delta'); associativity and all congruence data are invariant.
     """
     field = A.field
-    N = field.zeros((A.dim, A.dim))
+    N, Ninv = field.zeros((A.dim, A.dim)), field.zeros((A.dim, A.dim))
     for bd, idxs in A._components.items():
         k = len(idxs)
         if bd == (0, 0):
-            N[idxs, idxs] = field.one
+            N[idxs, idxs] = Ninv[idxs, idxs] = field.one
             continue
         while True:
             # Uniform residues over F_p, small integers over Q.
@@ -502,14 +502,11 @@ def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
                  for _ in range(k)] for _ in range(k)
             ], dtype=field.dtype)
             try:
-                exactalg.invert(block, field)
+                inverse = exactalg.invert(block, field)
                 break
             except ValueError:
                 continue
-        for a, ia in enumerate(idxs):
-            for b, ib in enumerate(idxs):
-                N[ia, ib] = block[a, b]
-    Ninv = exactalg.invert(N, field)
+        N[np.ix_(idxs, idxs)], Ninv[np.ix_(idxs, idxs)] = block, inverse
     dim = A.dim
     # Row a*dim + b is Ninv (N e_a * N e_b), the new product e_a * e_b.
     prods = [A.multiply(N[:, a], N[:, b]) for a in range(dim) for b in range(dim)]

@@ -288,15 +288,17 @@ class SimplicialComplex:
 class _DegreeBasis:
     """Reduced-echelon cocycle representatives of H^i plus a class reducer.
 
-    The basis is deterministic: the rref of im(delta^{i-1}) is removed from
-    the kernel of delta^i and the residues are put in reduced echelon form
-    against the fixed simplex order.  A degree whose Betti number (from the
-    cached sparse ranks) is zero is short-circuited: the basis is empty, no
-    kernel or image is computed, and ``express`` only checks that delta^i
-    kills the cochain, since there ker delta^i = im delta^{i-1}.  Otherwise
-    a prime field (``field.char`` > 0) uses a dense ``exactalg.Subquotient``
-    and the rationals work on sparse rows throughout, which is what makes
-    cocycle bases affordable on the product complexes.
+    With P the pivot columns of an echelon form of im(delta^{i-1}), the
+    basis spans the cocycles that vanish on P (a complement of the
+    coboundaries) and is reduced at its own pivots.  Both fields work on
+    sparse rows, which makes bases affordable on the product complexes.
+    Over F_p, P comes from leftmost pivots, so it is canonical; the kernel
+    of delta^i off P, by back substitution, has exactly b_i vectors, and
+    their dense rref is the basis.  Over Q, P comes from the fill-in rref
+    of the image, which reduces the kernel vectors.  Where b_i = 0 (from the
+    cached sparse ranks) nothing is built.  ``express`` checks delta^i v = 0,
+    then pairs v with dual cycles z_j: 1 at the j-th basis pivot, solved on
+    P to be orthogonal to the coboundaries, so z_j . basis[k] = [j == k].
     """
 
     def __init__(self, X: SimplicialComplex, field, degree: int):
@@ -304,40 +306,41 @@ class _DegreeBasis:
         self.field = field
         self.degree = degree
         n = X.n_simplices(degree)
-        self.ncochains = n
-        self._dense = None
-        self._zero = X.cohomology(field).betti[degree] == 0
-        if self._zero:
-            self.basis = exactalg.field_matrix([], field, n) if field.char else []
-            self.basis_rows_s, self.pivots = [], []
-        elif field.char:
-            kernel = exactalg.kernel_basis(X.coboundary_matrix(degree), field)
-            # Image of delta^{i-1} in C^i: columns of the coboundary matrix.
-            image = np.ascontiguousarray(X.coboundary_matrix(degree - 1).T) if degree else []
-            self._dense = exactalg.Subquotient(kernel, image, field, n)
-            self.basis, self.pivots = self._dense.basis, self._dense.pivots
-        else:
-            self._init_sparse_q(X, degree, n)
+        self.basis = exactalg.field_matrix([], field, n) if field.char else []
+        self.basis_rows_s, self.pivots, self._im_rows = [], [], {}
+        if X.cohomology(field).betti[degree]:
+            # Image of delta^{i-1} in C^i: the columns of its coboundary rows.
+            image = (_transpose_rows(X.coboundary_rows(degree - 1), X.n_simplices(degree - 1))
+                     if degree else [])
+            (self._init_fp if field.char else self._init_q)(image, n)
+        # The image rows have distinct pivots, each row 0 left of its pivot
+        # (over Q also at every other pivot): solve them right to left.
+        solve = sorted(self._im_rows.items(), reverse=True)
+        self._duals = [exactalg.back_substitute(solve, {q: 1}, field) for q in self.pivots]
 
-    def _init_sparse_q(self, X, degree, n):
-        if degree > 0 and X.n_simplices(degree - 1):
-            im_rows = _transpose_rows(
-                X.coboundary_rows(degree - 1), X.n_simplices(degree - 1)
-            )
-            rows_s, pivots = exactalg.sparse_rref_q(im_rows)
-            self._im_rows = dict(zip(pivots, rows_s))
-        else:
-            self._im_rows = {}
-        _, kern = exactalg.sparse_kernel_q(X.coboundary_rows(degree), n)
-        reduced = []
-        for v in kern:
-            w = self._reduce_sparse(v)
-            if w:
-                reduced.append(_clear_denominators(w))
-        if reduced:
-            self.basis_rows_s, self.pivots = exactalg.sparse_rref_q(reduced)
-        else:
-            self.basis_rows_s, self.pivots = [], []
+    def _init_fp(self, image, n):
+        work, pivots, _ = exactalg._eliminate(image, self.field.char, leftmost=True)
+        self._im_rows = {pc: work[i] for i, pc in pivots}
+        rows = [{c: v for c, v in row.items() if c not in self._im_rows}
+                for row in self.complex.coboundary_rows(self.degree)]
+        work, pivots, _ = exactalg._eliminate(rows, self.field.char)
+        # A pivot row is 0 at the earlier pivots: solve in reverse order.
+        solve = [(pc, work[i]) for i, pc in reversed(pivots)]
+        bound = self._im_rows.keys() | {pc for _, pc in pivots}
+        free = [f for f in range(n) if f not in bound]
+        kernel = self.field.zeros((len(free), n))
+        for r, f in enumerate(free):
+            for c, x in exactalg.back_substitute(solve, {f: 1}, self.field).items():
+                kernel[r, c] = x
+        R, self.pivots = exactalg.rref(kernel, self.field)
+        self.basis = R[: len(self.pivots)]
+
+    def _init_q(self, image, n):
+        rows_s, pivots = exactalg.sparse_rref_q(image)
+        self._im_rows = dict(zip(pivots, rows_s))
+        _, kern = exactalg.sparse_kernel_q(self.complex.coboundary_rows(self.degree), n)
+        reduced = [_clear_denominators(w) for w in map(self._reduce_sparse, kern) if w]
+        self.basis_rows_s, self.pivots = exactalg.sparse_rref_q(reduced)
         self.basis = []
         for row in self.basis_rows_s:
             dense = self.field.zeros(n)
@@ -349,7 +352,7 @@ class _DegreeBasis:
         return len(self.basis)
 
     def _reduce_sparse(self, v: dict) -> dict:
-        """v minus the image rows at the image pivots in its support.
+        """v minus the image rows at the image pivots in its support (over Q).
 
         The image rref is fully reduced, so subtracting one row leaves v
         unchanged at every other image pivot: the rows to subtract are
@@ -367,39 +370,18 @@ class _DegreeBasis:
         return v
 
     def express(self, cochain) -> np.ndarray:
-        """Coefficients of a cocycle's class in the basis; errors otherwise."""
-        if self._zero:
-            return self._express_coboundary(cochain)
-        if self._dense is not None:
-            return self._dense.express(cochain)
-        if isinstance(cochain, dict):
-            sparse = cochain
-        else:
-            sparse = {c: cochain[c] for c in range(len(cochain)) if cochain[c]}
-        w = self._reduce_sparse(sparse)
-        coeffs = self.field.zeros(len(self.basis))
-        for r, pc in enumerate(self.pivots):
-            f = w.get(pc)
-            if f:
-                coeffs[r] = f
-                for c, val in self.basis_rows_s[r].items():
-                    nv = w.get(c, 0) - f * val
-                    if nv:
-                        w[c] = nv
-                    else:
-                        w.pop(c, None)
-        if w:
-            raise ValueError("cochain is not a cocycle modulo coboundaries")
-        return coeffs
-
-    def _express_coboundary(self, cochain) -> np.ndarray:
-        """Empty coefficients for a cocycle (H^i = 0); ValueError unless delta^i v = 0."""
-        if not isinstance(cochain, dict):
-            cochain = {c: x for c, x in enumerate(cochain) if x}
+        """Coefficients of a cocycle's class in the basis; ValueError otherwise."""
+        # Python ints (and Fractions over Q): the sums below cannot overflow.
+        v = {c: x for c, x in enumerate(np.asarray(cochain).tolist()) if x}
         for row in self.complex.coboundary_rows(self.degree):
-            if self.field.reduce(sum(val * cochain.get(c, 0) for c, val in row.items())):
+            if self.field.reduce(sum(val * v[c] for c, val in row.items() if c in v)):
                 raise ValueError("cochain is not a cocycle modulo coboundaries")
-        return self.field.zeros(0)
+        coeffs = self.field.zeros(len(self._duals))
+        for j, z in enumerate(self._duals):
+            s = self.field.coerce(sum(x * v[c] for c, x in z.items() if c in v))
+            if s:
+                coeffs[j] = s
+        return coeffs
 
 
 def _clear_denominators(row: dict) -> dict[int, int]:

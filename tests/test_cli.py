@@ -398,3 +398,39 @@ def test_algebra_check_over_the_largest_prime_field(tmp_path, capsys):
     assert "CHECK algebra-structure: PASS" in out
     assert "CHECK algebra-pd: PASS" in out
     assert "CHECK even-congruence: PASS — 4 vs 0 (mod 4)" in out
+
+
+# ---------------------------------------------------------------------------
+# fractional coefficients over F_p: the denominator is inverted mod p
+# ---------------------------------------------------------------------------
+
+def _f3_algebra(mult: str, phi: str) -> str:
+    return (
+        "algebra A field F3\n"
+        "basis one bidegree 0 0\nbasis x bidegree 0 2\nbasis v bidegree 0 4\n"
+        f"mult x x = {mult} v\nphi v = {phi}\nend\n"
+    )
+
+
+@pytest.mark.parametrize("mult, phi", [("1/2", "1"), ("1", "1/2")])
+def test_fractional_coefficient_over_f3_is_inverted(tmp_path, capsys, mult, phi):
+    # 1/2 = 2 in F3, so both documents match their "2" versions and are PD.
+    path = tmp_path / "half.bc"
+    path.write_text(_f3_algebra(mult, phi))
+    assert main(["algebra-check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "nondegenerate yes" in out
+    assert "CHECK algebra-pd: PASS" in out
+    doc = parse(_f3_algebra(mult, phi))
+    A, orientation, _ = doc.algebras["A"]
+    two = parse(_f3_algebra(mult.replace("1/2", "2"), phi.replace("1/2", "2"))).algebras["A"]
+    assert repr(A.table) == repr(two[0].table)
+    assert repr(orientation.values) == repr(two[1].values)
+
+
+def test_denominator_divisible_by_p_rejected_with_its_line(tmp_path, capsys):
+    path = tmp_path / "third.bc"
+    path.write_text(_f3_algebra("1", "1/3"))
+    assert main(["algebra-check", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "line 6:" in err and "divisible by 3" in err and "Traceback" not in err

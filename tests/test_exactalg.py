@@ -21,6 +21,8 @@ from betticong.exactalg import (
     GF,
     QQ,
     Subquotient,
+    _eliminate,
+    back_substitute,
     kernel_basis,
     matmul,
     nilpotent_block_sizes,
@@ -378,6 +380,35 @@ def test_engine_modes_agree(m, n, seed):
         rows_p = [{j: v % p for j, v in row.items() if v % p} for row in rows]
         assert p_valuation_profile(rows, p).count(0) == sparse_rank_modp(rows_p, p)
     assert len(sparse_rref_q(rows)[1]) == sparse_rank_q(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 8), st.integers(0, 10**6), st.sampled_from([2, 3, 5]))
+def test_leftmost_pivots_are_the_rref_pivots(m, n, seed, p):
+    """Leftmost pivots: each pivot row is 0 left of its pivot, and the pivot
+    set is that of the dense rref; back substitution then solves the rows."""
+    rng = random.Random(seed)
+    M = [[rng.choice([0, 0, rng.randrange(p)]) for _ in range(n)] for _ in range(m)]
+    work, pivots, rest = _eliminate([{j: v for j, v in enumerate(r) if v} for r in M], p,
+                                    leftmost=True)
+    assert rest == []
+    assert sorted(pc for _, pc in pivots) == rref(M, GF(p))[1]
+    for i, pc in pivots:
+        assert min(work[i]) == pc and work[i][pc] == 1
+    # Solve right to left from each non-pivot column: a kernel vector of M.
+    solve = sorted(((pc, work[i]) for i, pc in pivots), reverse=True)
+    for f in sorted(set(range(n)) - {pc for _, pc in pivots}):
+        x = back_substitute(solve, {f: 1}, GF(p))
+        assert x[f] == 1
+        assert all(sum(v * x.get(j, 0) for j, v in enumerate(r)) % p == 0 for r in M)
+
+
+def test_prime_field_inverts_fraction_denominators():
+    F = GF(7)
+    assert F.coerce(Fraction(1, 2)) == 4 and F.coerce(Fraction(-3, 5)) == 5
+    assert F.coerce(Fraction(14, 3)) == 0 and F.coerce(5) == 5
+    with pytest.raises(ValueError):
+        F.coerce(Fraction(1, 7))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from betticong import corpus
+from betticong import corpus, exactalg
 from betticong.corpus import (
     full_triangle,
     polygon,
@@ -28,11 +28,14 @@ from betticong.corpus import (
 from betticong.exactalg import (
     GF,
     QQ,
+    Subquotient,
+    kernel_basis,
     smith_normal_form,
     sparse_kernel_q,
     sparse_rref_q,
     sparse_smith_divisors,
 )
+from betticong.group_action import GroupAction, induced_cohomology_action, trivial_action
 from betticong.simplicial import (
     SimplicialComplex,
     _clear_denominators,
@@ -593,3 +596,120 @@ def test_link_matches_all_facets_definition(X):
             got = link(X, tuple(X.vertices[v] for v in s))
             want = _link_all_facets(X, s)
             assert (got.vertices, got.facets) == (want.vertices, want.facets)
+
+
+# ---------------------------------------------------------------------------
+# cocycle bases over F_p: the sparse route against the dense oracle, express
+# ---------------------------------------------------------------------------
+
+def _dense_fp_basis(X: SimplicialComplex, field, d: int) -> Subquotient:
+    """The dense route that F_p cocycle bases used to take, kept as the oracle."""
+    image = X.coboundary_matrix(d - 1).T if d else []
+    return Subquotient(kernel_basis(X.coboundary_matrix(d), field), image, field, X.n_simplices(d))
+
+
+def _check_fp_bases_against_dense(X: SimplicialComplex):
+    for p in (2, 3, 5):
+        for d in range(X.dim + 1):
+            B, dense = X.cohomology_basis(GF(p), d), _dense_fp_basis(X, GF(p), d)
+            assert B.basis.dtype == dense.basis.dtype == np.int64
+            assert B.basis.shape == dense.basis.shape
+            assert B.basis.tolist() == dense.basis.tolist()
+            assert B.pivots == dense.pivots
+
+
+def _coboundary(X: SimplicialComplex, k: int, c: list, field) -> np.ndarray:
+    out = field.zeros(X.n_simplices(k + 1))
+    for t, row in enumerate(X.coboundary_rows(k)):
+        out[t] = sum(v * c[j] for j, v in row.items())
+    return field.reduce(out)
+
+
+def _check_express(X: SimplicialComplex, field, rng: random.Random):
+    """express(a . basis + delta c) = a; a cochain with delta v != 0 raises."""
+    for d in range(X.dim + 1):
+        B, n = X.cohomology_basis(field, d), X.n_simplices(d)
+        for _ in range(3):
+            a = [field.coerce(rng.randint(-4, 4)) for _ in range(len(B))]
+            v = field.zeros(n)
+            for coeff, row in zip(a, B.basis):
+                v = field.reduce(v + coeff * row)
+            if d:
+                c = [field.coerce(rng.randint(-3, 3)) for _ in range(X.n_simplices(d - 1))]
+                v = field.reduce(v + _coboundary(X, d - 1, c, field))
+            assert list(B.express(v)) == a
+        if len(B):
+            for j in range(n):
+                if _coboundary_of_simplex(X, d, j):
+                    e = field.zeros(n)
+                    e[j] = 1
+                    with pytest.raises(ValueError):
+                        B.express(field.reduce(B.basis[0] + e))
+                    break
+
+
+def test_fp_bases_match_the_dense_route_on_the_corpus():
+    for X in _small_corpus_complexes():
+        _check_fp_bases_against_dense(X)
+
+
+def test_express_recovers_coefficients_on_the_corpus():
+    rng = random.Random(7)
+    for X in _small_corpus_complexes():
+        for field in (QQ, GF(2), GF(3), GF(5)):
+            _check_express(X, field, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_complexes(), st.integers(0, 10**6))
+def test_random_complex_fp_bases_and_express(X, seed):
+    _check_fp_bases_against_dense(X)
+    rng = random.Random(seed)
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        _check_express(X, field, rng)
+
+
+# ---------------------------------------------------------------------------
+# cross-route checks: Q, F_p and Z agree
+# ---------------------------------------------------------------------------
+
+def test_lens_space_is_pd_over_f3():
+    result = pd_check(corpus.lens_space(), GF(3))
+    assert result.is_pd and result.formal_dim == 3
+
+
+def test_trivial_lens_action_induces_the_identity_over_f3():
+    mats = induced_cohomology_action(trivial_action(corpus.lens_space(), 3), GF(3))
+    assert [M.tolist() for M in mats] == [np.eye(len(M), dtype=int).tolist() for M in mats]
+    assert [len(M) for M in mats] == [1, 1, 1, 1]
+
+
+def test_universal_coefficients_over_the_corpus_and_the_lens():
+    """b_i(F_p) = b_i(Q) + t_i(p) + t_{i+1}(p), t_i(p) the p-divisible torsion of H^i."""
+    complexes = [a.complex for a in corpus.corpus_actions().values()] + [corpus.lens_space()]
+    for X in complexes:
+        torsion = X.integral_cohomology().torsion
+        bq = X.cohomology(QQ).betti
+        for p in (2, 3, 5, 7):
+            t = [sum(1 for d in tor if d % p == 0) for tor in torsion] + [0]
+            assert X.cohomology(GF(p)).betti == tuple(
+                b + t[i] + t[i + 1] for i, b in enumerate(bq))
+
+
+def test_cocycle_bases_take_no_dense_route(monkeypatch):
+    """Bases, g* and cup products over F_p never build a dense coboundary."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense cocycle-basis route")
+
+    monkeypatch.setattr(SimplicialComplex, "coboundary_matrix", dense)
+    monkeypatch.setattr(exactalg, "Subquotient", dense)
+    monkeypatch.setattr(exactalg, "kernel_basis", dense)
+    for a in corpus.corpus_actions().values():
+        # A fresh complex: nothing cached by other tests.
+        X = SimplicialComplex(a.complex.vertices, a.complex.facets)
+        action = GroupAction(X, a.p, a.vertex_map)
+        for field in dict.fromkeys([GF(2), GF(3), GF(a.p)]):
+            for d in range(X.dim + 1):
+                X.cohomology_basis(field, d)
+            induced_cohomology_action(action, field)
+            cup_pairing(X, field)
