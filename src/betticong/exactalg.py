@@ -367,6 +367,11 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = F
     indices so the elimination is deterministic.  With ``leftmost`` a row
     pivots on its leftmost entry instead: each pivot row is then zero left
     of its pivot, so the pivot columns are those of the canonical rref.
+    Rows are then taken rightmost leading entry first.  The order leaves
+    the pivot set alone but not the work: sparsest first, the rows cleared
+    at one pivot pick up entries that later pivots clear again, over and
+    over (on the image of delta^2 of the lens space, 259k row subtractions
+    against 5.3k this way).
 
     Returns ``(work, pivots, rest)``: the reduced rows, the (row, column)
     pivots in elimination order, and the nonzero rows left without a pivot
@@ -381,17 +386,18 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = F
     for i, row in enumerate(work):
         for c in row:
             col_rows.setdefault(c, set()).add(i)
-    heap = [(len(row), i) for i, row in enumerate(work) if row]
+    key = (lambda row: -min(row)) if leftmost else len
+    heap = [(key(row), i) for i, row in enumerate(work) if row]
     heapq.heapify(heap)
     active = {i for i, row in enumerate(work) if row}
     pivots: list[tuple[int, int]] = []
     while heap:
-        nnz, i = heapq.heappop(heap)
+        k, i = heapq.heappop(heap)
         if i not in active:
             continue
         row = work[i]
-        if len(row) != nnz:  # stale heap entry
-            heapq.heappush(heap, (len(row), i))
+        if key(row) != k:  # stale heap entry
+            heapq.heappush(heap, (key(row), i))
             continue
         if local:
             cols = [c for c, v in row.items() if v % p]
@@ -414,7 +420,7 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = F
             if not work[j]:
                 active.discard(j)
             else:
-                heapq.heappush(heap, (len(work[j]), j))
+                heapq.heappush(heap, (key(work[j]), j))
         for c in row:
             col_rows[c].discard(i)
     return work, pivots, [work[i] for i in sorted(active)]
@@ -437,7 +443,7 @@ def sparse_rref_q(rows: list[dict[int, int]]) -> tuple[list[dict[int, Fraction]]
     pivot columns, sorted).  Pivot columns follow the fill-in heuristic,
     not the leftmost-column rule, so the basis differs from the canonical
     dense rref while spanning the same row space; each pivot column is 1 in
-    its own row and 0 in every other, which is all the reducers need.
+    its own row and 0 in every other.
     Fraction-free elimination with gcd row normalisation keeps the
     arithmetic integral until the final scaling, so large sparse coboundary
     matrices reduce in near-linear time.  Deterministic for fixed input.
@@ -460,25 +466,6 @@ def sparse_rref_q(rows: list[dict[int, int]]) -> tuple[list[dict[int, Fraction]]
         out_rows.append({c: Fraction(v, pv) for c, v in row.items()})
         out_pivots.append(pc)
     return out_rows, out_pivots
-
-
-def sparse_kernel_q(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[dict[int, Fraction]]]:
-    """(rank, sparse kernel basis) over Q: one vector per free column.
-
-    The vector of free column f is 1 at f and -row[f] at each pivot row's
-    column; one pass over the rref rows fills every vector.
-    """
-    rref_rows, pivots = sparse_rref_q(rows)
-    piv_set = set(pivots)
-    free: dict[int, dict[int, Fraction]] = {
-        f: {f: Fraction(1)} for f in range(ncols) if f not in piv_set
-    }
-    for row, pc in zip(rref_rows, pivots):
-        for c, val in row.items():
-            v = free.get(c)
-            if v is not None:
-                v[pc] = -val
-    return len(pivots), list(free.values())
 
 
 def back_substitute(rows, x: dict, field) -> dict:

@@ -10,6 +10,7 @@ bases) is cached on the instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -288,17 +289,16 @@ class SimplicialComplex:
 class _DegreeBasis:
     """Reduced-echelon cocycle representatives of H^i plus a class reducer.
 
-    With P the pivot columns of an echelon form of im(delta^{i-1}), the
-    basis spans the cocycles that vanish on P (a complement of the
-    coboundaries) and is reduced at its own pivots.  Both fields work on
-    sparse rows, which makes bases affordable on the product complexes.
-    Over F_p, P comes from leftmost pivots, so it is canonical; the kernel
-    of delta^i off P, by back substitution, has exactly b_i vectors, and
-    their dense rref is the basis.  Over Q, P comes from the fill-in rref
-    of the image, which reduces the kernel vectors.  Where b_i = 0 (from the
-    cached sparse ranks) nothing is built.  ``express`` checks delta^i v = 0,
-    then pairs v with dual cycles z_j: 1 at the j-th basis pivot, solved on
-    P to be orthogonal to the coboundaries, so z_j . basis[k] = [j == k].
+    One sparse route for both fields.  The rows of (delta^{i-1})^T are
+    eliminated with leftmost pivots, so their pivot set P is that of the
+    canonical rref of the coboundaries.  The kernel of delta^i off P, by
+    back substitution from each free column, has exactly b_i vectors: a
+    complement of the coboundaries.  Their dense rref is the basis, the
+    canonical one over Q and over F_p alike.  Where b_i = 0 (from the
+    cached sparse ranks) nothing is built.  ``express`` checks
+    delta^i v = 0, then pairs v with dual cycles z_j: 1 at the j-th basis
+    pivot, solved on P to be orthogonal to the coboundaries, so
+    z_j . basis[k] = [j == k].
     """
 
     def __init__(self, X: SimplicialComplex, field, degree: int):
@@ -306,75 +306,41 @@ class _DegreeBasis:
         self.field = field
         self.degree = degree
         n = X.n_simplices(degree)
-        self.basis = exactalg.field_matrix([], field, n) if field.char else []
-        self.basis_rows_s, self.pivots, self._im_rows = [], [], {}
+        self.basis, self.pivots, im_rows = exactalg.field_matrix([], field, n), [], []
         if X.cohomology(field).betti[degree]:
             # Image of delta^{i-1} in C^i: the columns of its coboundary rows.
             image = (_transpose_rows(X.coboundary_rows(degree - 1), X.n_simplices(degree - 1))
                      if degree else [])
-            (self._init_fp if field.char else self._init_q)(image, n)
-        # The image rows have distinct pivots, each row 0 left of its pivot
-        # (over Q also at every other pivot): solve them right to left.
-        solve = sorted(self._im_rows.items(), reverse=True)
+            im_rows = _unit_echelon(image, field, leftmost=True)
+            P = {pc for pc, _ in im_rows}
+            rows = [{c: v for c, v in row.items() if c not in P}
+                    for row in X.coboundary_rows(degree)]
+            # A pivot row is 0 at the earlier pivots: solve in reverse order.
+            solve = _unit_echelon(rows, field)[::-1]
+            bound = P | {pc for pc, _ in solve}
+            free = [f for f in range(n) if f not in bound]
+            kernel = field.zeros((len(free), n))
+            for r, f in enumerate(free):
+                for c, x in exactalg.back_substitute(solve, {f: 1}, field).items():
+                    kernel[r, c] = x
+            R, self.pivots = exactalg.rref(kernel, field)
+            self.basis = R[: len(self.pivots)]
+        # An image row is 0 left of its pivot: solve right to left.
+        solve = sorted(im_rows, reverse=True)
         self._duals = [exactalg.back_substitute(solve, {q: 1}, field) for q in self.pivots]
-
-    def _init_fp(self, image, n):
-        work, pivots, _ = exactalg._eliminate(image, self.field.char, leftmost=True)
-        self._im_rows = {pc: work[i] for i, pc in pivots}
-        rows = [{c: v for c, v in row.items() if c not in self._im_rows}
-                for row in self.complex.coboundary_rows(self.degree)]
-        work, pivots, _ = exactalg._eliminate(rows, self.field.char)
-        # A pivot row is 0 at the earlier pivots: solve in reverse order.
-        solve = [(pc, work[i]) for i, pc in reversed(pivots)]
-        bound = self._im_rows.keys() | {pc for _, pc in pivots}
-        free = [f for f in range(n) if f not in bound]
-        kernel = self.field.zeros((len(free), n))
-        for r, f in enumerate(free):
-            for c, x in exactalg.back_substitute(solve, {f: 1}, self.field).items():
-                kernel[r, c] = x
-        R, self.pivots = exactalg.rref(kernel, self.field)
-        self.basis = R[: len(self.pivots)]
-
-    def _init_q(self, image, n):
-        rows_s, pivots = exactalg.sparse_rref_q(image)
-        self._im_rows = dict(zip(pivots, rows_s))
-        _, kern = exactalg.sparse_kernel_q(self.complex.coboundary_rows(self.degree), n)
-        reduced = [_clear_denominators(w) for w in map(self._reduce_sparse, kern) if w]
-        self.basis_rows_s, self.pivots = exactalg.sparse_rref_q(reduced)
-        self.basis = []
-        for row in self.basis_rows_s:
-            dense = self.field.zeros(n)
-            for c, val in row.items():
-                dense[c] = val
-            self.basis.append(dense)
 
     def __len__(self):
         return len(self.basis)
 
-    def _reduce_sparse(self, v: dict) -> dict:
-        """v minus the image rows at the image pivots in its support (over Q).
-
-        The image rref is fully reduced, so subtracting one row leaves v
-        unchanged at every other image pivot: the rows to subtract are
-        known from v's support up front, and are taken in pivot order.
-        """
-        v = {c: Fraction(x) for c, x in v.items() if x}
-        for pc in sorted(c for c in v if c in self._im_rows):
-            f = v[pc]
-            for c, val in self._im_rows[pc].items():
-                nv = v.get(c, 0) - f * val
-                if nv:
-                    v[c] = nv
-                else:
-                    v.pop(c, None)
-        return v
-
     def express(self, cochain) -> np.ndarray:
         """Coefficients of a cocycle's class in the basis; ValueError otherwise."""
-        # Python ints (and Fractions over Q): the sums below cannot overflow.
+        # Python ints and Fractions: the sums below cannot overflow.
         v = {c: x for c, x in enumerate(np.asarray(cochain).tolist()) if x}
+        # delta^i v = 0 is checked on the integer multiple of v.
+        m = math.lcm(*(x.denominator for x in v.values()))
+        w = {c: int(x * m) for c, x in v.items()}
         for row in self.complex.coboundary_rows(self.degree):
-            if self.field.reduce(sum(val * v[c] for c, val in row.items() if c in v)):
+            if self.field.reduce(sum(val * w[c] for c, val in row.items() if c in w)):
                 raise ValueError("cochain is not a cocycle modulo coboundaries")
         coeffs = self.field.zeros(len(self._duals))
         for j, z in enumerate(self._duals):
@@ -384,20 +350,18 @@ class _DegreeBasis:
         return coeffs
 
 
-def _clear_denominators(row: dict) -> dict[int, int]:
-    from math import gcd, lcm
+def _unit_echelon(rows, field, leftmost=False) -> list[tuple[int, dict]]:
+    """(pivot, row) pairs of a sparse echelon form, each row 1 at its pivot.
 
-    denoms = [Fraction(v).denominator for v in row.values()]
-    mult = 1
-    for d in denoms:
-        mult = lcm(mult, d)
-    ints = {c: int(Fraction(v) * mult) for c, v in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+    Over F_p the engine already scales pivots to 1; over Q its rows are
+    fraction-free and are divided by their pivot entry here.
+    """
+    work, pivots, _ = exactalg._eliminate(rows, field.char or None, leftmost=leftmost)
+    out = []
+    for i, pc in pivots:
+        row, pv = work[i], work[i][pc]
+        out.append((pc, row if pv == 1 else {c: Fraction(v, pv) for c, v in row.items()}))
+    return out
 
 
 def _transpose_rows(rows: list[dict[int, int]], ncols_in: int) -> list[dict[int, int]]:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from betticong import corpus, exactalg
 from betticong.exactalg import (
     GF,
     QQ,
@@ -32,11 +33,11 @@ from betticong.exactalg import (
     rref,
     smith_normal_form,
     sparse_rank_modp,
-    sparse_kernel_q,
     sparse_rank_q,
     sparse_rref_q,
     sparse_smith_divisors,
 )
+from betticong.simplicial import _transpose_rows
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +323,6 @@ def test_rref_modp_canonical():
 # sparse rational echelon bases
 # ---------------------------------------------------------------------------
 
-from betticong.exactalg import sparse_kernel_q, sparse_rref_q
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10**6))
 def test_sparse_rref_q_properties(m, n, seed):
@@ -350,16 +348,6 @@ def test_sparse_rref_q_properties(m, n, seed):
             dense[c] = v
         stacked.append(dense)
     assert rank(np.array(stacked, dtype=object), QQ) == dense_rank
-    # Kernel basis: annihilated, independent, correct count.
-    r2, kernel = sparse_kernel_q(rows, n)
-    assert r2 == dense_rank
-    assert len(kernel) == n - dense_rank
-    for vec in kernel:
-        dense = [Fraction(0)] * n
-        for c, v in vec.items():
-            dense[c] = v
-        prod = matmul(M, np.array(dense, dtype=object).reshape(-1, 1), QQ)
-        assert not any(prod.flatten())
     # Determinism.
     again = sparse_rref_q(rows)
     assert again == (out_rows, pivots)
@@ -401,6 +389,44 @@ def test_leftmost_pivots_are_the_rref_pivots(m, n, seed, p):
         x = back_substitute(solve, {f: 1}, GF(p))
         assert x[f] == 1
         assert all(sum(v * x.get(j, 0) for j, v in enumerate(r)) % p == 0 for r in M)
+
+
+def _assert_rref_pivots(rows, pivots, rank_of):
+    """pivots are the rref pivots: the columns that raise the rank of the
+    columns to their left.  Checked with sparse ranks alone: the pivot
+    columns are independent and span, and every other column depends on
+    the pivot columns left of it."""
+    def restricted(cols):
+        return [{c: v for c, v in row.items() if c in cols} for row in rows]
+
+    P = set(pivots)
+    assert rank_of(restricted(P)) == len(P) == rank_of(rows)
+    for f in sorted({c for row in rows for c in row} - P):
+        left = {c for c in P if c < f}
+        assert rank_of(restricted(left | {f})) == len(left)
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_leftmost_elimination_takes_rightmost_rows_first(monkeypatch, p):
+    """On the image of delta^2 of the lens space, taking rows sparsest first
+    costs 259k row subtractions; rightmost leading entry first, about 5k."""
+    L = corpus.lens_space()
+    image = _transpose_rows(L.coboundary_rows(2), L.n_simplices(2))
+    calls = [0]
+    subtract = exactalg._subtract_pivot_row
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return subtract(*args, **kwargs)
+
+    monkeypatch.setattr(exactalg, "_subtract_pivot_row", counting)
+    work, pivots, _ = _eliminate(image, p, leftmost=True)
+    monkeypatch.undo()
+    assert calls[0] < 20_000
+    for i, pc in pivots:
+        assert min(work[i]) == pc
+    rank_of = (lambda rows: sparse_rank_modp(rows, p)) if p else sparse_rank_q
+    _assert_rref_pivots(image, [pc for _, pc in pivots], rank_of)
 
 
 def test_prime_field_inverts_fraction_denominators():
@@ -445,39 +471,6 @@ def test_subquotient_depends_only_on_the_spans(n, k, m, seed, field_name):
     if rank([*span, outside], field) > rank(span, field):
         with pytest.raises(ValueError):
             sq.express(outside)
-
-
-def _kernel_per_free_column(rows, ncols):
-    """The per-free-column kernel loop that sparse_kernel_q replaced."""
-    rref_rows, pivots = sparse_rref_q(rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = {f: Fraction(1)}
-        for row, pc in zip(rref_rows, pivots):
-            if f in row:
-                v[pc] = -row[f]
-        basis.append(v)
-    return len(pivots), basis
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 8), st.integers(0, 9), st.integers(0, 10**6), st.floats(0.1, 0.9))
-def test_sparse_kernel_q_matches_per_column_loop(m, n, seed, density):
-    rng = random.Random(seed)
-    rows = [
-        {j: rng.choice([1, -1, 2, -3, 5]) for j in range(n) if rng.random() < density}
-        for _ in range(m)
-    ]
-    r, kern = sparse_kernel_q(rows, n)
-    r_old, kern_old = _kernel_per_free_column(rows, n)
-    assert r == r_old
-    # Same vectors with the same key order.
-    assert [list(v.items()) for v in kern] == [list(v.items()) for v in kern_old]
-    assert len(kern) == n - r
-    for v in kern:
-        assert all(sum(val * v.get(c, 0) for c, val in row.items()) == 0 for row in rows)
 
 
 def test_sparse_rank_modp_reduces_entries():

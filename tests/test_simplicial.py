@@ -31,16 +31,19 @@ from betticong.exactalg import (
     Subquotient,
     kernel_basis,
     smith_normal_form,
-    sparse_kernel_q,
-    sparse_rref_q,
     sparse_smith_divisors,
 )
-from betticong.group_action import GroupAction, induced_cohomology_action, trivial_action
+from betticong.group_action import (
+    GroupAction,
+    bockstein_condition,
+    induced_cohomology_action,
+    quotient_complex,
+    trivial_action,
+    validate_action,
+)
 from betticong.simplicial import (
     SimplicialComplex,
-    _clear_denominators,
     _maximal,
-    _transpose_rows,
     barycentric_subdivision,
     cup_pairing,
     join,
@@ -232,7 +235,7 @@ def test_uct_equality_iff_no_torsion():
 
 
 # ---------------------------------------------------------------------------
-# cocycle bases: zero degrees and the rational residue reduction
+# cocycle bases: zero degrees
 # ---------------------------------------------------------------------------
 
 def _coboundary_of_simplex(X: SimplicialComplex, k: int, j: int) -> dict[int, int]:
@@ -263,48 +266,6 @@ def test_zero_degrees_have_empty_bases_and_check_coboundaries():
                         e[j] = 1
                         with pytest.raises(ValueError):
                             B.express(e)
-
-
-def _residue_full_scan(im_rows, im_pivots, v):
-    """Reduce v by every image row in pivot order: the scan the basis replaced."""
-    v = {c: Fraction(x) for c, x in v.items() if x}
-    for row, pc in zip(im_rows, im_pivots):
-        f = v.get(pc)
-        if f:
-            for c, val in row.items():
-                nv = v.get(c, 0) - f * val
-                if nv:
-                    v[c] = nv
-                else:
-                    v.pop(c, None)
-    return v
-
-
-def _check_q_bases_against_full_scan(X: SimplicialComplex):
-    for d in range(X.dim + 1):
-        n = X.n_simplices(d)
-        if d:
-            im_rows, im_pivots = sparse_rref_q(
-                _transpose_rows(X.coboundary_rows(d - 1), X.n_simplices(d - 1))
-            )
-        else:
-            im_rows, im_pivots = [], []
-        _, kern = sparse_kernel_q(X.coboundary_rows(d), n)
-        B = X.cohomology_basis(QQ, d)
-        residues = [_residue_full_scan(im_rows, im_pivots, v) for v in kern]
-        if len(B):
-            for v, w in zip(kern, residues):
-                assert list(B._reduce_sparse(v).items()) == list(w.items())
-        reduced = [_clear_denominators(w) for w in residues if w]
-        rows, pivots = sparse_rref_q(reduced) if reduced else ([], [])
-        assert B.pivots == pivots
-        assert B.basis_rows_s == rows
-        assert len(B) == X.cohomology(QQ).betti[d]
-
-
-def test_q_bases_match_the_full_scan_route_on_the_corpus():
-    for X in _small_corpus_complexes():
-        _check_q_bases_against_full_scan(X)
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +535,6 @@ def test_maximal_does_not_enumerate_faces_of_a_wide_simplex():
     assert time.perf_counter() - start < 0.5
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_complexes())
-def test_random_complex_q_bases_match_the_full_scan_route(X):
-    _check_q_bases_against_full_scan(X)
-
-
 def _link_all_facets(X: SimplicialComplex, s):
     """The link by its definition, scanning every facet of X."""
     sset = set(s)
@@ -599,20 +554,21 @@ def test_link_matches_all_facets_definition(X):
 
 
 # ---------------------------------------------------------------------------
-# cocycle bases over F_p: the sparse route against the dense oracle, express
+# cocycle bases over Q and F_p: the sparse route against the dense oracle, express
 # ---------------------------------------------------------------------------
 
-def _dense_fp_basis(X: SimplicialComplex, field, d: int) -> Subquotient:
-    """The dense route that F_p cocycle bases used to take, kept as the oracle."""
+def _dense_basis(X: SimplicialComplex, field, d: int) -> Subquotient:
+    """The dense kernel-mod-image route, kept as the oracle: its basis is the
+    canonical rref of the cocycles vanishing on the image pivots."""
     image = X.coboundary_matrix(d - 1).T if d else []
     return Subquotient(kernel_basis(X.coboundary_matrix(d), field), image, field, X.n_simplices(d))
 
 
-def _check_fp_bases_against_dense(X: SimplicialComplex):
-    for p in (2, 3, 5):
+def _check_bases_against_dense(X: SimplicialComplex):
+    for field in (QQ, GF(2), GF(3), GF(5)):
         for d in range(X.dim + 1):
-            B, dense = X.cohomology_basis(GF(p), d), _dense_fp_basis(X, GF(p), d)
-            assert B.basis.dtype == dense.basis.dtype == np.int64
+            B, dense = X.cohomology_basis(field, d), _dense_basis(X, field, d)
+            assert B.basis.dtype == dense.basis.dtype == field.dtype
             assert B.basis.shape == dense.basis.shape
             assert B.basis.tolist() == dense.basis.tolist()
             assert B.pivots == dense.pivots
@@ -626,16 +582,23 @@ def _coboundary(X: SimplicialComplex, k: int, c: list, field) -> np.ndarray:
 
 
 def _check_express(X: SimplicialComplex, field, rng: random.Random):
-    """express(a . basis + delta c) = a; a cochain with delta v != 0 raises."""
+    """express(a . basis + delta c) = a; a cochain with delta v != 0 raises.
+
+    a and c have denominators 1 or 7: fractions over Q, residues over F_2,
+    F_3 and F_5.
+    """
+    def scalar(k):
+        return field.coerce(Fraction(rng.randint(-k, k), rng.choice((1, 7))))
+
     for d in range(X.dim + 1):
         B, n = X.cohomology_basis(field, d), X.n_simplices(d)
         for _ in range(3):
-            a = [field.coerce(rng.randint(-4, 4)) for _ in range(len(B))]
+            a = [scalar(4) for _ in range(len(B))]
             v = field.zeros(n)
             for coeff, row in zip(a, B.basis):
                 v = field.reduce(v + coeff * row)
             if d:
-                c = [field.coerce(rng.randint(-3, 3)) for _ in range(X.n_simplices(d - 1))]
+                c = [scalar(3) for _ in range(X.n_simplices(d - 1))]
                 v = field.reduce(v + _coboundary(X, d - 1, c, field))
             assert list(B.express(v)) == a
         if len(B):
@@ -650,7 +613,7 @@ def _check_express(X: SimplicialComplex, field, rng: random.Random):
 
 def test_fp_bases_match_the_dense_route_on_the_corpus():
     for X in _small_corpus_complexes():
-        _check_fp_bases_against_dense(X)
+        _check_bases_against_dense(X)
 
 
 def test_express_recovers_coefficients_on_the_corpus():
@@ -663,7 +626,7 @@ def test_express_recovers_coefficients_on_the_corpus():
 @settings(max_examples=60, deadline=None)
 @given(random_complexes(), st.integers(0, 10**6))
 def test_random_complex_fp_bases_and_express(X, seed):
-    _check_fp_bases_against_dense(X)
+    _check_bases_against_dense(X)
     rng = random.Random(seed)
     for field in (QQ, GF(2), GF(3), GF(5)):
         _check_express(X, field, rng)
@@ -684,20 +647,47 @@ def test_trivial_lens_action_induces_the_identity_over_f3():
     assert [len(M) for M in mats] == [1, 1, 1, 1]
 
 
-def test_universal_coefficients_over_the_corpus_and_the_lens():
+def _assert_universal_coefficients(X: SimplicialComplex):
     """b_i(F_p) = b_i(Q) + t_i(p) + t_{i+1}(p), t_i(p) the p-divisible torsion of H^i."""
-    complexes = [a.complex for a in corpus.corpus_actions().values()] + [corpus.lens_space()]
-    for X in complexes:
-        torsion = X.integral_cohomology().torsion
-        bq = X.cohomology(QQ).betti
-        for p in (2, 3, 5, 7):
-            t = [sum(1 for d in tor if d % p == 0) for tor in torsion] + [0]
-            assert X.cohomology(GF(p)).betti == tuple(
-                b + t[i] + t[i + 1] for i, b in enumerate(bq))
+    torsion = X.integral_cohomology().torsion
+    bq = X.cohomology(QQ).betti
+    for p in (2, 3, 5, 7):
+        t = [sum(1 for d in tor if d % p == 0) for tor in torsion] + [0]
+        assert X.cohomology(GF(p)).betti == tuple(b + t[i] + t[i + 1] for i, b in enumerate(bq))
+
+
+def test_universal_coefficients_over_the_corpus_and_the_lens():
+    for a in corpus.corpus_actions().values():
+        _assert_universal_coefficients(a.complex)
+    _assert_universal_coefficients(corpus.lens_space())
+
+
+def _lens_space(p: int) -> SimplicialComplex:
+    """L(p,1): the quotient of the diagonal rotation on the join of two p-gons."""
+    rotation = {f"{x}{i}": f"{x}{(i + 1) % p}" for x in "ab" for i in range(p)}
+    S3 = join(polygon(p, "a"), polygon(p, "b"))
+    return quotient_complex(validate_action(S3, rotation, p))[0]
+
+
+@pytest.mark.parametrize("p, f_vector", [
+    (5, (528, 3408, 5760, 2880)),
+    (7, (736, 4768, 8064, 4032)),
+])
+def test_larger_lens_spaces(p, f_vector):
+    L = _lens_space(p)
+    assert L.f_vector == f_vector
+    integral = L.integral_cohomology()
+    assert integral.betti == (1, 0, 0, 1)
+    assert integral.torsion == ((), (), (p,), ())
+    _assert_universal_coefficients(L)
+    assert not bockstein_condition(L, p)
+    for field in (GF(p), QQ):
+        result = pd_check(L, field)
+        assert result.is_pd and result.formal_dim == 3
 
 
 def test_cocycle_bases_take_no_dense_route(monkeypatch):
-    """Bases, g* and cup products over F_p never build a dense coboundary."""
+    """Bases, g* and cup products over Q and F_p never build a dense coboundary."""
     def dense(*args, **kwargs):
         raise AssertionError("dense cocycle-basis route")
 
@@ -708,7 +698,7 @@ def test_cocycle_bases_take_no_dense_route(monkeypatch):
         # A fresh complex: nothing cached by other tests.
         X = SimplicialComplex(a.complex.vertices, a.complex.facets)
         action = GroupAction(X, a.p, a.vertex_map)
-        for field in dict.fromkeys([GF(2), GF(3), GF(a.p)]):
+        for field in dict.fromkeys([QQ, GF(2), GF(3), GF(a.p)]):
             for d in range(X.dim + 1):
                 X.cohomology_basis(field, d)
             induced_cohomology_action(action, field)
