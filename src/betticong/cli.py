@@ -504,6 +504,13 @@ def _pick(doc: InputDocument, kind: str, name: str | None, flag: str):
     return name, table[name]
 
 
+def _action_prime(args, action) -> int:
+    """The action's p; a different --p is an input error naming both."""
+    if args.p is not None and args.p != action.p:
+        raise InputError(f"--p {args.p} does not match the action's p {action.p}")
+    return action.p
+
+
 def _field_of(args):
     try:
         return _field_named(args.field or "Q")
@@ -569,8 +576,8 @@ def cmd_lefschetz(doc, args, rep: Report):
 
 def cmd_tfr(doc, args, rep: Report):
     name, action = _pick(doc, "actions", args.action, "action")
-    p = args.p or action.p
-    d = tfr_decomposition(action, p)
+    p = _action_prime(args, action)
+    d = tfr_decomposition(action)
     rep.say(f"ACTION {name} p {p}")
     rep.say(f"bockstein {'holds' if d.bockstein_ok else 'fails'}")
     for i in range(len(d.t)):
@@ -595,20 +602,22 @@ def cmd_bockstein(doc, args, rep: Report):
 
 def cmd_equivariant_betti(doc, args, rep: Report):
     name, action = _pick(doc, "actions", args.action, "action")
+    p = _action_prime(args, action)
     if args.degrees:
         lo, hi = args.degrees
     else:
         lo, hi = 0, action.complex.dim + 2
-    dims = equivariant_betti(action, range(lo, hi + 1), args.p)
-    rep.say(f"ACTION {name} p {args.p or action.p}")
+    dims = equivariant_betti(action, range(lo, hi + 1))
+    rep.say(f"ACTION {name} p {p}")
     for n, d in zip(range(lo, hi + 1), dims):
         rep.say(f"H^{n}_G {d}")
 
 
 def cmd_localization(doc, args, rep: Report):
     name, action = _pick(doc, "actions", args.action, "action")
-    res = localization_check(action, args.p)
-    rep.say(f"ACTION {name} p {args.p or action.p}")
+    p = _action_prime(args, action)
+    res = localization_check(action)
+    rep.say(f"ACTION {name} p {p}")
     rep.say(f"stable dims {res['stable_dims']} fixed total {res['fixed_total']}")
     for i, d in enumerate(res["stable_dims"]):
         rep.check(
@@ -622,7 +631,8 @@ def cmd_localization(doc, args, rep: Report):
 def _report_theorem(rep: Report, tr):
     for line in tr.lines():
         if line.startswith("CHECK"):
-            rep.check(f"theorem{tr.theorem}", tr.verdict, tr.lhs, tr.rhs)
+            rhs = "-" if tr.rhs is None else tr.rhs
+            rep.check(f"theorem{tr.theorem}", tr.verdict, tr.lhs, rhs)
         else:
             rep.say(line)
 
@@ -631,13 +641,15 @@ def cmd_theorem2(doc, args, rep: Report):
     name, action = _pick(doc, "actions", args.action, "action")
     if args.complex and args.complex not in doc.complexes:
         raise InputError(f"unknown complex {args.complex!r}")
-    tr = check_theorem2(action, args.p, subject=name)
+    _action_prime(args, action)
+    tr = check_theorem2(action, subject=name)
     _report_theorem(rep, tr)
 
 
 def cmd_theorem4(doc, args, rep: Report):
     name, action = _pick(doc, "actions", args.action, "action")
-    tr = check_theorem4(action, args.p, subject=name)
+    _action_prime(args, action)
+    tr = check_theorem4(action, subject=name)
     _report_theorem(rep, tr)
 
 
@@ -856,7 +868,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--complex", help="complex name within the document")
     ap.add_argument("--action", help="action name within the document")
     ap.add_argument("--algebra", help="algebra name within the document")
-    ap.add_argument("--p", type=int, help="prime for mod-p checks")
+    ap.add_argument("--p", type=int,
+                    help="coefficient prime of fixed-set and bockstein; elsewhere the action's p")
     ap.add_argument("--field", help="coefficient field: Q or Fp (e.g. F3)")
     ap.add_argument("--degrees", help="degree window lo..hi")
     ap.add_argument("--strict", action="store_true",

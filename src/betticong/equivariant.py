@@ -31,9 +31,9 @@ class BorelComplex:
     = 0 because (sigma^#)^p = 1.
     """
 
-    def __init__(self, action: GroupAction, p: int | None = None):
+    def __init__(self, action: GroupAction):
         self.action = action
-        self.p = p or action.p
+        self.p = action.p
         self.X = action.complex
         self.field = GF(self.p)
         self._horizontal: dict[tuple[int, int], list[dict[int, int]]] = {}
@@ -126,27 +126,26 @@ class BorelComplex:
         return self.total_dim(n) - self.differential_rank(n) - self.differential_rank(n - 1)
 
 
-def equivariant_betti(action: GroupAction, degrees, p: int | None = None) -> list[int]:
+def equivariant_betti(action: GroupAction, degrees) -> list[int]:
     """dim H^n_G(X; F_p) for each n in *degrees*, exactly.
 
     For the one-point trivial action this reproduces the classifying-space
     answer: one dimension in every degree.
     """
-    K = BorelComplex(action, p)
+    K = BorelComplex(action)
     return [K.cohomology_dim(n) for n in degrees]
 
 
-def localization_check(action: GroupAction, p: int | None = None) -> dict:
+def localization_check(action: GroupAction) -> dict:
     """Stabilized equivariant Betti numbers against the fixed-set total Betti.
 
     The evaluation/localization theorem's numerical shadow: for n above
     dim X, dim H^n_G equals dim H^*(X^G; F_p).  Checks n = dim X + 1 and
     dim X + 2.
     """
-    p = p or action.p
     reg = make_regular(action)
-    fixed_total = fixed_set_cohomology(action, GF(p)).total
-    K = BorelComplex(reg, p)
+    fixed_total = fixed_set_cohomology(action, GF(action.p)).total
+    K = BorelComplex(reg)
     d = reg.complex.dim
     dims = [K.cohomology_dim(d + 1), K.cohomology_dim(d + 2)]
     return {
@@ -181,8 +180,9 @@ def group_cohomology_dims(g_matrix, p: int) -> tuple[int, int]:
 
     # Tate representatives: even classes in ker(g-1)/im(norm), odd classes
     # in ker(norm)/im(g-1).
-    even = exactalg.Subquotient(exactalg.kernel_basis(gm1, field), norm.T, field, n)
-    odd = exactalg.Subquotient(exactalg.kernel_basis(norm, field), gm1.T, field, n)
+    rows = exactalg.sparse_rows
+    even = exactalg.Subquotient(rows(gm1), rows(norm.T), field, n)
+    odd = exactalg.Subquotient(rows(norm), rows(gm1.T), field, n)
 
     # V (x) J_2 with g acting as  [g  g] (one unipotent Jordan step on J_2):
     #                             [0  g]
@@ -225,13 +225,8 @@ def _norm(g: np.ndarray, field) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dim_modulo(sq: exactalg.Subquotient, incoming):
-    """dim of the subquotient after killing the incoming s-image."""
-    if not sq.pivots:
-        return 0
-    extra = [v for v in (sq.reduce(v) for v in incoming) if v.any()]
-    if not extra:
-        return len(sq.pivots)
-    stacked = np.array(list(sq.basis) + extra)
-    total_rank = len(exactalg.rref(stacked, sq.field)[1])
-    extra_rank = len(exactalg.rref(np.array(extra), sq.field)[1])
-    return total_rank - extra_rank
+    """dim of the subquotient after killing the classes of the incoming s-image.
+
+    The s-images are cocycles (D^2 = 0 on V (x) J_2), so ``express`` takes them.
+    """
+    return len(sq) - exactalg.rank([sq.express(v) for v in incoming], sq.field)

@@ -2,10 +2,11 @@
 
 Everything downstream (cohomology, group actions, the Borel complex) reduces
 to the primitives in this module: reduced row echelon forms with kernel
-bases, integer Smith normal form, p-local valuation profiles and the Jordan
-block partition of a nilpotent operator.  All arithmetic is exact: Python
-ints, ``fractions.Fraction`` for the rationals, canonical residues in
-``[0, p)`` for prime fields.  The two field objects own the dense carrier:
+bases, the one kernel-modulo-image engine ``Subquotient``, integer Smith
+normal form, p-local valuation profiles and the Jordan block partition of a
+nilpotent operator.  All arithmetic is exact: Python ints,
+``fractions.Fraction`` for the rationals, canonical residues in ``[0, p)``
+for prime fields.  The two field objects own the dense carrier:
 ``dtype`` (``object`` over Q, ``int64`` over F_p), ``one``, ``zeros`` and
 ``reduce`` (the identity over Q, ``% p`` over F_p), so no other module tests
 which field it holds.  The sparse routines work on dict-of-rows and exist
@@ -230,55 +231,6 @@ def rank(matrix, field) -> int:
     return len(rref(matrix, field)[1])
 
 
-class Subquotient:
-    """Reduced-echelon basis of span(kernel) modulo span(image), plus a reducer.
-
-    ``kernel`` is any spanning set of the subspace and ``image`` a 2-D
-    array-like whose rows span the part divided out; vectors have length
-    ``n``.  Kernel vectors are reduced against the rref of the image and the
-    nonzero residues are put in reduced echelon form, so ``basis`` (one row
-    per class) and ``pivots`` depend only on the two spans, not on the
-    spanning sets chosen.
-    """
-
-    def __init__(self, kernel, image, field, n: int):
-        self.field = field
-        if len(image):
-            self._im_rref, self._im_pivots = rref(image, field)
-        else:
-            self._im_rref, self._im_pivots = None, []
-        reduced = [w for w in (self.reduce(v) for v in kernel) if any(w)]
-        if reduced:
-            R, self.pivots = rref(np.array(reduced), field)
-            self.basis = R[: len(self.pivots)]
-        else:
-            self.basis, self.pivots = field_matrix([], field, n), []
-
-    def _clear(self, v: np.ndarray, R, pivots) -> tuple[np.ndarray, np.ndarray]:
-        """Clear v at each pivot column with the matching row of R.
-
-        Returns the residue and the multiple of each row taken out.
-        """
-        coeffs = self.field.zeros(len(pivots))
-        for r, pc in enumerate(pivots):
-            if v[pc]:
-                coeffs[r] = v[pc]
-                v = self.field.reduce(v - coeffs[r] * R[r])
-        return v, coeffs
-
-    def reduce(self, v) -> np.ndarray:
-        """The representative of v modulo the image: zero at image pivots."""
-        v = self.field.reduce(np.array(v, dtype=self.field.dtype))
-        return self._clear(v, self._im_rref, self._im_pivots)[0]
-
-    def express(self, v) -> np.ndarray:
-        """Coefficients of v's class in ``basis``; ValueError outside the span."""
-        w, coeffs = self._clear(self.reduce(v), self.basis, self.pivots)
-        if any(w):
-            raise ValueError("vector is not in the kernel modulo the image")
-        return coeffs
-
-
 def matmul(A, B, field):
     """Exact product of matrices or vectors in the canonical carrier of *field*.
 
@@ -482,6 +434,102 @@ def back_substitute(rows, x: dict, field) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Kernel modulo image: one sparse engine for both fields
+# ---------------------------------------------------------------------------
+
+def _unit_echelon(rows, field, leftmost=False) -> list[tuple[int, dict]]:
+    """(pivot, row) pairs of a sparse echelon form, each row 1 at its pivot.
+
+    Over F_p the engine already scales pivots to 1; over Q its rows are
+    fraction-free and are divided by their pivot entry here.
+    """
+    work, pivots, _ = _eliminate(rows, field.char or None, leftmost=leftmost)
+    out = []
+    for i, pc in pivots:
+        row, pv = work[i], work[i][pc]
+        out.append((pc, row if pv == 1 else {c: Fraction(v, pv) for c, v in row.items()}))
+    return out
+
+
+def _int_row(values) -> dict[int, int]:
+    """Sparse int multiple of a vector: scaled by the lcm of its denominators."""
+    m = math.lcm(*(x.denominator for x in values if x))
+    return {c: int(x * m) for c, x in enumerate(values) if x}
+
+
+def sparse_rows(matrix) -> list[dict[int, int]]:
+    """The nonzero rows of a dense matrix as the sparse int rows ``Subquotient`` takes.
+
+    Residues pass unchanged; a row over Q is scaled by the lcm of its
+    denominators, which keeps the spans the engine depends on.
+    """
+    return [r for r in map(_int_row, np.asarray(matrix).tolist()) if r]
+
+
+class Subquotient:
+    """Reduced-echelon basis of ker A modulo a subspace B of it, with ``express``.
+
+    ``kernel_of`` holds the sparse int rows of A and ``image`` sparse int
+    rows spanning B, on ``n`` columns (``sparse_rows`` makes both).  The
+    image rows are eliminated with leftmost pivots, so their pivot set P is
+    that of the canonical rref of B.  The kernel of A off P, by back
+    substitution from each free column, is a complement of B in ker A.  Its
+    dense rref is ``basis`` (one row per class, pivot columns ``pivots``):
+    the canonical one over Q as over F_p, fixed by the two spans alone.
+    ``express`` checks A v = 0 on the kept (not copied) rows of A, then
+    pairs v with dual vectors z_j: 1 at the j-th basis pivot, solved on P
+    to be orthogonal to B, so z_j . basis[k] = [j == k].
+    """
+
+    def __init__(self, kernel_of, image, field, n: int):
+        im_rows = _unit_echelon(image, field, leftmost=True)
+        P = {pc for pc, _ in im_rows}
+        rows = [{c: v for c, v in row.items() if c not in P} for row in kernel_of]
+        # A pivot row is 0 at the earlier pivots: solve in reverse order.
+        solve = _unit_echelon(rows, field)[::-1]
+        bound = P | {pc for pc, _ in solve}
+        free = [f for f in range(n) if f not in bound]
+        kernel = field.zeros((len(free), n))
+        for r, f in enumerate(free):
+            for c, x in back_substitute(solve, {f: 1}, field).items():
+                kernel[r, c] = x
+        R, pivots = rref(kernel, field)
+        self._publish(kernel_of, field, R[: len(pivots)], pivots, im_rows)
+
+    @classmethod
+    def zero(cls, kernel_of, field, n: int) -> "Subquotient":
+        """The subquotient known to be 0 (B = ker A): nothing is eliminated."""
+        sq = cls.__new__(cls)
+        sq._publish(kernel_of, field, field_matrix([], field, n), [], [])
+        return sq
+
+    def _publish(self, kernel_of, field, basis, pivots, im_rows):
+        self._rows, self.field, self.basis, self.pivots = kernel_of, field, basis, pivots
+        # An image row is 0 left of its pivot: solve right to left.
+        solve = sorted(im_rows, reverse=True)
+        self._duals = [back_substitute(solve, {q: 1}, field) for q in pivots]
+
+    def __len__(self):
+        return len(self.basis)
+
+    def express(self, v) -> np.ndarray:
+        """Coefficients of v's class in ``basis``; ValueError unless A v = 0."""
+        # Python ints and Fractions: the sums below cannot overflow.
+        values = np.asarray(v).tolist()
+        # A v = 0 is checked on the integer multiple of v.
+        w = _int_row(values)
+        for row in self._rows:
+            if self.field.reduce(sum(val * w[c] for c, val in row.items() if c in w)):
+                raise ValueError("vector is not in the kernel modulo the image")
+        coeffs = self.field.zeros(len(self._duals))
+        for j, z in enumerate(self._duals):
+            s = self.field.coerce(sum(x * values[c] for c, x in z.items() if c in w))
+            if s:
+                coeffs[j] = s
+        return coeffs
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
 
@@ -490,18 +538,15 @@ class SmithForm:
     """Divisor chain of an integer matrix: d_1 | d_2 | ... , zeros last.
 
     ``divisors`` has length min(rows, cols); ``rank`` counts the nonzero
-    entries.  When transforms are requested, ``left @ m @ right`` equals the
-    diagonal matrix of ``divisors``.
+    entries.
     """
 
     divisors: tuple[int, ...]
     rank: int
-    left: np.ndarray | None = None
-    right: np.ndarray | None = None
 
 
-def smith_normal_form(matrix, want_transforms: bool = False) -> SmithForm:
-    """Smith normal form of an integer matrix, optionally with transforms.
+def smith_normal_form(matrix) -> SmithForm:
+    """Smith normal form (the divisor chain) of an integer matrix.
 
     Pivot selection: smallest absolute value among the remaining nonzero
     entries, ties broken by lowest (row, col); this bounds entry growth and
@@ -511,13 +556,7 @@ def smith_normal_form(matrix, want_transforms: bool = False) -> SmithForm:
     """
     M = np.array(matrix, dtype=object)
     if M.size == 0:
-        if M.ndim == 1:
-            shape = (0, 0)
-        else:
-            shape = M.shape
-        L = np.identity(shape[0], dtype=object) if want_transforms else None
-        R = np.identity(shape[1] if len(shape) > 1 else 0, dtype=object) if want_transforms else None
-        return SmithForm(divisors=(), rank=0, left=L, right=R)
+        return SmithForm(divisors=(), rank=0)
     if M.ndim == 1:
         M = M.reshape((1, -1))
     m, n = M.shape
@@ -533,9 +572,6 @@ def smith_normal_form(matrix, want_transforms: bool = False) -> SmithForm:
                 rows.setdefault(i, {})[j] = int(M[i, j])
                 col_rows.setdefault(j, set()).add(i)
 
-    L = np.identity(m, dtype=object) if want_transforms else None
-    R = np.identity(n, dtype=object) if want_transforms else None
-
     def row_sub(dst: int, src: int, q: int):
         src_row = rows.get(src, {})
         d = rows.setdefault(dst, {})
@@ -549,8 +585,6 @@ def smith_normal_form(matrix, want_transforms: bool = False) -> SmithForm:
                 col_rows[c].discard(dst)
         if not d:
             rows.pop(dst, None)
-        if want_transforms:
-            L[dst, :] -= q * L[src, :]
 
     def col_sub(dst: int, src: int, q: int):
         for i in list(col_rows.get(src, ())):
@@ -563,18 +597,13 @@ def smith_normal_form(matrix, want_transforms: bool = False) -> SmithForm:
             elif dst in row:
                 del row[dst]
                 col_rows[dst].discard(i)
-        if want_transforms:
-            R[:, dst] -= q * R[:, src]
 
     def negate_row(i: int):
         row = rows.get(i)
         if row:
             for c in row:
                 row[c] = -row[c]
-        if want_transforms:
-            L[i, :] = -L[i, :]
 
-    pivot_positions: list[tuple[int, int]] = []
     divisors: list[int] = []
 
     while rows:
@@ -592,12 +621,10 @@ def smith_normal_form(matrix, want_transforms: bool = False) -> SmithForm:
             pv = rows[pi][pc]
             # Clear the pivot column with floor-division row operations, then
             # re-select if a smaller remainder appeared.
-            progress = False
             for j in sorted(col_rows.get(pc, set()) - {pi}):
                 q = rows[j][pc] // pv
                 if q:
                     row_sub(j, pi, q)
-                    progress = True
             residual = sorted(col_rows.get(pc, set()) - {pi})
             if residual:
                 # Remainders in [0, pv) became new, smaller pivot candidates.
@@ -614,8 +641,6 @@ def smith_normal_form(matrix, want_transforms: bool = False) -> SmithForm:
             if rest:
                 c = min(rest, key=lambda cc: (abs(rows[pi][cc]), cc))
                 # Move the smaller entry into the pivot column.
-                if want_transforms:
-                    R[:, pc], R[:, c] = R[:, c].copy(), R[:, pc].copy()
                 for i in set(col_rows.get(pc, set())) | set(col_rows.get(c, set())):
                     row = rows[i]
                     a, b = row.get(pc), row.get(c)
@@ -651,26 +676,11 @@ def smith_normal_form(matrix, want_transforms: bool = False) -> SmithForm:
             row_sub(pi, offender, -1)  # add offending row, restart reduction
 
         divisors.append(abs(rows[pi][pc]))
-        pivot_positions.append((pi, pc))
         col_rows[pc].discard(pi)
         del rows[pi]
 
-    if want_transforms:
-        # Permute recorded pivots onto the leading diagonal.
-        used_r = {pi for pi, _ in pivot_positions}
-        used_c = {pc for _, pc in pivot_positions}
-        row_order = [pi for pi, _ in pivot_positions] + [i for i in range(m) if i not in used_r]
-        col_order = [pc for _, pc in pivot_positions] + [c for c in range(n) if c not in used_c]
-        L = L[row_order, :]
-        R = R[:, col_order]
-
     divisors += [0] * (min(m, n) - len(divisors))
-    return SmithForm(
-        divisors=tuple(divisors),
-        rank=sum(1 for d in divisors if d),
-        left=L,
-        right=R,
-    )
+    return SmithForm(divisors=tuple(divisors), rank=sum(1 for d in divisors if d))
 
 
 def sparse_smith_divisors(rows: list[dict[int, int]], ncols: int) -> tuple[int, ...]:

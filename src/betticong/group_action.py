@@ -345,9 +345,9 @@ class TFRDecomposition:
         return sorted(sizes, reverse=True)
 
 
-def tfr_decomposition(action: GroupAction, p: int | None = None) -> TFRDecomposition:
+def tfr_decomposition(action: GroupAction) -> TFRDecomposition:
     """Classify H^i(X;F_p) into trivial/free/ker-epsilon summands per degree."""
-    p = p or action.p
+    p = action.p
     X = action.complex
     fieldp = GF(p)
     mats = induced_cohomology_action(action, fieldp)

@@ -277,7 +277,8 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
     The induced product multiplies representatives and reduces; the induced
     orientation evaluates phi on representatives, well defined because the
     differential strictly lowers the second grading so the top class is
-    never a boundary.
+    never a boundary.  delta must be a square-zero derivation
+    (``check_derivation``): its image is taken to lie in its kernel.
     """
     field = A.field
     de, dj = delta.shift
@@ -288,12 +289,12 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
     h_bidegrees: list[BiDegree] = []
     for bd, indices in sorted(A._components.items()):
         e, j = bd
-        image = [v for v in (D[indices, s] for s in A.component(e - de, j - dj)) if any(v)]
-        # Kernel of delta restricted to the component.
-        _, kern = exactalg.rank_and_kernel(D[:, indices], field)
-        sq = subq[bd] = exactalg.Subquotient(kern, image, field, len(indices))
+        # Kernel of delta on the component modulo the image of its source.
+        image = D[np.ix_(indices, A.component(e - de, j - dj))].T
+        sq = subq[bd] = exactalg.Subquotient(exactalg.sparse_rows(D[:, indices]),
+                                             exactalg.sparse_rows(image), field, len(indices))
         offset[bd] = len(h_reps)
-        for row in sq.basis[: len(sq.pivots)]:
+        for row in sq.basis:
             rep = field.zeros(A.dim)
             rep[indices] = row
             h_reps.append(rep)

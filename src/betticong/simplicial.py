@@ -10,9 +10,7 @@ bases) is cached on the instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -267,10 +265,23 @@ class SimplicialComplex:
 
     # -- cocycle bases and class arithmetic -------------------------------
 
-    def cohomology_basis(self, field, degree: int) -> "_DegreeBasis":
+    def cohomology_basis(self, field, degree: int) -> exactalg.Subquotient:
+        """Reduced-echelon cocycle representatives of H^i, with ``express``.
+
+        ker delta^i modulo the columns of delta^{i-1}, by the one sparse
+        engine.  Where b_i = 0 (from the cached sparse ranks) nothing is
+        eliminated; ``express`` still checks that its input is a cocycle.
+        """
         key = ("basis", field.name, degree)
         if key not in self._cache:
-            self._cache[key] = _DegreeBasis(self, field, degree)
+            rows, n = self.coboundary_rows(degree), self.n_simplices(degree)
+            if not self.cohomology(field).betti[degree]:
+                self._cache[key] = exactalg.Subquotient.zero(rows, field, n)
+            else:
+                # Image of delta^{i-1} in C^i: the columns of its coboundary rows.
+                image = (_transpose_rows(self.coboundary_rows(degree - 1),
+                                         self.n_simplices(degree - 1)) if degree else [])
+                self._cache[key] = exactalg.Subquotient(rows, image, field, n)
         return self._cache[key]
 
     def cup_cochain(self, field, i: int, j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -284,84 +295,6 @@ class SimplicialComplex:
             if av:
                 out[t] = av * b[idx_j[s[i:]]]
         return field.reduce(out)
-
-
-class _DegreeBasis:
-    """Reduced-echelon cocycle representatives of H^i plus a class reducer.
-
-    One sparse route for both fields.  The rows of (delta^{i-1})^T are
-    eliminated with leftmost pivots, so their pivot set P is that of the
-    canonical rref of the coboundaries.  The kernel of delta^i off P, by
-    back substitution from each free column, has exactly b_i vectors: a
-    complement of the coboundaries.  Their dense rref is the basis, the
-    canonical one over Q and over F_p alike.  Where b_i = 0 (from the
-    cached sparse ranks) nothing is built.  ``express`` checks
-    delta^i v = 0, then pairs v with dual cycles z_j: 1 at the j-th basis
-    pivot, solved on P to be orthogonal to the coboundaries, so
-    z_j . basis[k] = [j == k].
-    """
-
-    def __init__(self, X: SimplicialComplex, field, degree: int):
-        self.complex = X
-        self.field = field
-        self.degree = degree
-        n = X.n_simplices(degree)
-        self.basis, self.pivots, im_rows = exactalg.field_matrix([], field, n), [], []
-        if X.cohomology(field).betti[degree]:
-            # Image of delta^{i-1} in C^i: the columns of its coboundary rows.
-            image = (_transpose_rows(X.coboundary_rows(degree - 1), X.n_simplices(degree - 1))
-                     if degree else [])
-            im_rows = _unit_echelon(image, field, leftmost=True)
-            P = {pc for pc, _ in im_rows}
-            rows = [{c: v for c, v in row.items() if c not in P}
-                    for row in X.coboundary_rows(degree)]
-            # A pivot row is 0 at the earlier pivots: solve in reverse order.
-            solve = _unit_echelon(rows, field)[::-1]
-            bound = P | {pc for pc, _ in solve}
-            free = [f for f in range(n) if f not in bound]
-            kernel = field.zeros((len(free), n))
-            for r, f in enumerate(free):
-                for c, x in exactalg.back_substitute(solve, {f: 1}, field).items():
-                    kernel[r, c] = x
-            R, self.pivots = exactalg.rref(kernel, field)
-            self.basis = R[: len(self.pivots)]
-        # An image row is 0 left of its pivot: solve right to left.
-        solve = sorted(im_rows, reverse=True)
-        self._duals = [exactalg.back_substitute(solve, {q: 1}, field) for q in self.pivots]
-
-    def __len__(self):
-        return len(self.basis)
-
-    def express(self, cochain) -> np.ndarray:
-        """Coefficients of a cocycle's class in the basis; ValueError otherwise."""
-        # Python ints and Fractions: the sums below cannot overflow.
-        v = {c: x for c, x in enumerate(np.asarray(cochain).tolist()) if x}
-        # delta^i v = 0 is checked on the integer multiple of v.
-        m = math.lcm(*(x.denominator for x in v.values()))
-        w = {c: int(x * m) for c, x in v.items()}
-        for row in self.complex.coboundary_rows(self.degree):
-            if self.field.reduce(sum(val * w[c] for c, val in row.items() if c in w)):
-                raise ValueError("cochain is not a cocycle modulo coboundaries")
-        coeffs = self.field.zeros(len(self._duals))
-        for j, z in enumerate(self._duals):
-            s = self.field.coerce(sum(x * v[c] for c, x in z.items() if c in v))
-            if s:
-                coeffs[j] = s
-        return coeffs
-
-
-def _unit_echelon(rows, field, leftmost=False) -> list[tuple[int, dict]]:
-    """(pivot, row) pairs of a sparse echelon form, each row 1 at its pivot.
-
-    Over F_p the engine already scales pivots to 1; over Q its rows are
-    fraction-free and are divided by their pivot entry here.
-    """
-    work, pivots, _ = exactalg._eliminate(rows, field.char or None, leftmost=leftmost)
-    out = []
-    for i, pc in pivots:
-        row, pv = work[i], work[i][pc]
-        out.append((pc, row if pv == 1 else {c: Fraction(v, pv) for c, v in row.items()}))
-    return out
 
 
 def _transpose_rows(rows: list[dict[int, int]], ncols_in: int) -> list[dict[int, int]]:

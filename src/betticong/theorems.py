@@ -24,6 +24,7 @@ from .pd_algebra import (
     BigradedAlgebra,
     Differential,
     Orientation,
+    check_derivation,
     check_pd,
     euler_and_dim,
     homology,
@@ -83,10 +84,10 @@ class TheoremReport:
 # Theorem 2 (Z/p, F_p coefficients)
 # ---------------------------------------------------------------------------
 
-def check_theorem2(action: GroupAction, p: int | None = None, subject: str = "") -> TheoremReport:
+def check_theorem2(action: GroupAction, subject: str = "") -> TheoremReport:
     """F_p-PD + Bockstein + parity hypotheses, then
     dim H^*(X^G) = dim T^* + dim R^*/(p-1) mod 4."""
-    p = p or action.p
+    p = action.p
     X = action.complex
     field = GF(p)
     hyps: list[Hypothesis] = []
@@ -94,7 +95,7 @@ def check_theorem2(action: GroupAction, p: int | None = None, subject: str = "")
     ncomp = len(X.connected_components())
     hyps.append(Hypothesis("connected", ncomp == 1, f"{ncomp} component(s)"))
 
-    decomp = tfr_decomposition(action, p)
+    decomp = tfr_decomposition(action)
     lhs = fixed_set_cohomology(action, field).total
     rhs = decomp.dim_t + sum(decomp.r)
 
@@ -206,7 +207,7 @@ def check_theorem1_algebraic(
                             f"dim H(A, delta) = {rep.dim_homology} vs fixed set {fixed_set_dim}",
                         )
                     )
-            else:
+            elif check_derivation(A, delta).is_valid:  # else H(A, delta) is undefined: rhs "-"
                 H, _ = homology(A, delta, phi)
                 lhs, rhs = A.dim, (H.dim if H is not None else 0)
     return TheoremReport(
@@ -290,10 +291,10 @@ def _is_field_sphere(L: SimplicialComplex, n: int, field) -> bool:
     ) and len(reduced) > n
 
 
-def check_theorem4(action: GroupAction, p: int | None = None, subject: str = "") -> TheoremReport:
+def check_theorem4(action: GroupAction, subject: str = "") -> TheoremReport:
     """Even-dimensional orientable Z_(p)-homology manifold with large p:
     rational total Betti numbers of fixed set and ambient agree mod 4."""
-    p = p or action.p
+    p = action.p
     X = action.complex
     hyps: list[Hypothesis] = []
     ncomp = len(X.connected_components())
@@ -344,9 +345,8 @@ class EvenCodimReport:
         return all(c.ok for c in self.components)
 
 
-def check_even_codim(action: GroupAction, p: int | None = None) -> EvenCodimReport:
+def check_even_codim(action: GroupAction) -> EvenCodimReport:
     """Each fixed component is a homology manifold of even codimension."""
-    p = p or action.p
     reg = make_regular(action)
     F = fixed_subcomplex(reg)
     verdicts = []
@@ -359,7 +359,7 @@ def check_even_codim(action: GroupAction, p: int | None = None) -> EvenCodimRepo
                 if set(f) <= comp
             ]
             C = SimplicialComplex.from_simplices(F.vertices, simp)
-            hm = homology_manifold_check(C, p)
+            hm = homology_manifold_check(C, action.p)
             codim = reg.complex.dim - C.dim
             verdicts.append(
                 ComponentVerdict(
@@ -372,10 +372,9 @@ def check_even_codim(action: GroupAction, p: int | None = None) -> EvenCodimRepo
     return EvenCodimReport(tuple(verdicts))
 
 
-def smith_inequality_check(action: GroupAction, p: int | None = None) -> dict:
+def smith_inequality_check(action: GroupAction) -> dict:
     """dim H^*(X^G; F_p) <= dim H^*(X; F_p)."""
-    p = p or action.p
-    field = GF(p)
+    field = GF(action.p)
     fixed_total = fixed_set_cohomology(action, field).total
     ambient_total = action.complex.cohomology(field).total
     return {

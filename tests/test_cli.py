@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from betticong.cli import InputError, main, parse, serialize
+from betticong.cli import COMMANDS, InputError, main, parse, serialize
 
 S2_DOC = """\
 # suspended triangle with its rotation
@@ -434,3 +434,66 @@ def test_denominator_divisible_by_p_rejected_with_its_line(tmp_path, capsys):
     assert main(["algebra-check", str(path)]) == 3
     err = capsys.readouterr().err
     assert "line 6:" in err and "divisible by 3" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the action's prime, non-derivations, and a sweep over every command
+# ---------------------------------------------------------------------------
+
+# The example document of the README: the Z/3 rotation of S^2 and an
+# algebra whose delta is not a derivation.
+README_DOC = S2_DOC + """\
+algebra odd_example field Q
+basis one bidegree 0 0
+basis a1 bidegree 0 1
+basis u1 bidegree 0 2
+basis w bidegree 0 3
+mult a1 u1 = 1 w
+mult u1 a1 = 1 w
+phi w = 1
+delta u1 = 1 a1
+end
+"""
+
+# The same algebra with delta w = 1 (Leibniz fails on a1 * u1 = w).
+BAD_DELTA_DOC = README_DOC.replace("delta u1 = 1 a1", "delta w = 1 one")
+
+
+@pytest.mark.parametrize("command", ["tfr", "equivariant-betti", "localization",
+                                     "theorem2", "theorem4"])
+def test_p_other_than_the_actions_is_an_input_error(s2_file, capsys, command):
+    # Before, --p 5 on the Z/3 rotation gave H^2_G = -6, a FAIL with -10,
+    # and an applicable Theorem 2 PASS: a norm of the wrong length.
+    assert main([command, s2_file, "--p", "5"]) == 3
+    captured = capsys.readouterr()
+    assert "--p 5" in captured.err and "p 3" in captured.err and not captured.out
+    assert main([command, s2_file, "--p", "3"]) == 0
+    capsys.readouterr()
+
+
+def test_fixed_set_keeps_p_as_its_coefficient_prime(s2_file, capsys):
+    assert main(["fixed-set", s2_file, "--p", "5"]) == 0
+    assert "total betti F5 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", [README_DOC, BAD_DELTA_DOC], ids=["readme", "bad-delta"])
+def test_theorem1_alg_without_a_derivation_is_not_applicable(tmp_path, capsys, doc):
+    path = tmp_path / "alg.bc"
+    path.write_text(doc)
+    assert main(["theorem1-alg", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "differential is not a square-zero derivation" in out
+    assert "CHECK theorem1-algebraic: N/A — 4 vs - (mod 4)" in out
+
+
+@pytest.mark.parametrize("doc", [README_DOC, BAD_DELTA_DOC], ids=["readme", "bad-delta"])
+@pytest.mark.parametrize("flags", [[], ["--p", "5"], ["--field", "F3"]], ids=str)
+def test_every_command_exits_0_to_3_without_a_traceback(tmp_path, capsys, doc, flags):
+    path = tmp_path / "doc.bc"
+    path.write_text(doc)
+    for command in sorted(COMMANDS):
+        if command == "suite":
+            continue  # needs no document; test_suite_command runs it
+        code = main([command, str(path), *flags])
+        err = capsys.readouterr().err
+        assert 0 <= code <= 3 and "Traceback" not in err, (command, code, err)

@@ -35,6 +35,7 @@ from betticong.exactalg import (
     sparse_rank_modp,
     sparse_rank_q,
     sparse_rref_q,
+    sparse_rows,
     sparse_smith_divisors,
 )
 from betticong.simplicial import _transpose_rows
@@ -117,16 +118,6 @@ def test_snf_empty():
     assert smith_normal_form(np.zeros((0, 3), dtype=int)).divisors == ()
 
 
-def test_snf_transforms_diagonalise():
-    M = np.array([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], dtype=object)
-    f = smith_normal_form(M, want_transforms=True)
-    D = f.left @ M @ f.right
-    for i in range(3):
-        for j in range(3):
-            expected = f.divisors[i] if i == j else 0
-            assert D[i, j] == expected
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 4),
@@ -137,18 +128,13 @@ def test_snf_matches_minor_oracle(m, n, seed):
     rng = random.Random(seed)
     M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
     expected = snf_divisors_oracle(M)
-    f = smith_normal_form(M, want_transforms=True)
+    f = smith_normal_form(M)
     assert list(f.divisors) == expected
     # Divisibility chain, zeros last.
     nz = [d for d in f.divisors if d]
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
     assert all(d == 0 for d in f.divisors[len(nz):])
-    # Transforms diagonalise.
-    D = f.left @ np.array(M, dtype=object) @ f.right
-    for i in range(m):
-        for j in range(n):
-            assert D[i, j] == (f.divisors[i] if i == j and i < len(f.divisors) else 0)
     # Rank over Q equals the count of nonzero divisors.
     assert f.rank == rank(np.array(M, dtype=object), QQ)
 
@@ -438,39 +424,70 @@ def test_prime_field_inverts_fraction_denominators():
 
 
 # ---------------------------------------------------------------------------
-# dense kernel-modulo-image bases
+# the kernel-modulo-image engine
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 3), st.integers(1, 4), st.integers(0, 10**6),
-       st.sampled_from(["Q", "F3"]))
-def test_subquotient_depends_only_on_the_spans(n, k, m, seed, field_name):
+@given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 3), st.integers(0, 10**6),
+       st.sampled_from(["Q", "F3", "F5"]))
+def test_subquotient_depends_only_on_the_spans(n, a, k, seed, field_name):
+    """Shuffled, unit-scaled and padded spanning rows give the same basis."""
     rng = random.Random(seed)
-    field = QQ if field_name == "Q" else GF(3)
+    field = QQ if field_name == "Q" else GF(int(field_name[1:]))
     units = [1, -1, 2, Fraction(-1, 3), Fraction(5, 2)] if field is QQ else [1, 2]
 
     def vec():
         return [field.coerce(rng.randint(-2, 2)) for _ in range(n)]
 
-    image = [vec() for _ in range(k)]
-    kernel = [vec() for _ in range(m)]
-    sq = Subquotient(kernel, np.array(image).reshape(k, n), field, n)
-    # Shuffle, scale by units and pad with image vectors: same basis.
-    respan = []
-    for v in kernel + image:
-        u = rng.choice(units)
-        respan.append([field.coerce(u * x) for x in v])
-    rng.shuffle(respan)
-    sq2 = Subquotient(respan, image, field, n)
+    def combo(vectors):
+        out = [field.coerce(0)] * n
+        for v in vectors:
+            c = field.coerce(rng.randint(-2, 2))
+            out = [field.reduce(x + c * y) for x, y in zip(out, v)]
+        return out
+
+    A = [vec() for _ in range(a)]
+    kernel = kernel_basis(np.array(A, dtype=field.dtype).reshape(a, n), field)
+    B = [combo(kernel) for _ in range(k)]
+    sq = Subquotient(sparse_rows(np.array(A, dtype=field.dtype).reshape(a, n)),
+                     sparse_rows(np.array(B, dtype=field.dtype).reshape(k, n)), field, n)
+    assert sq.basis.dtype == field.dtype and sq.basis.shape == (len(sq), n)
+    assert len(sq) == len(kernel) - (rank(B, field) if B else 0)
+
+    def respan(rows, pad):
+        out = [[field.coerce(u * x) for x in v] for v, u in
+               zip(rows + pad, (rng.choice(units) for _ in rows + pad))]
+        rng.shuffle(out)
+        return sparse_rows(np.array(out, dtype=field.dtype).reshape(len(out), n))
+
+    sq2 = Subquotient(respan(A, []), respan(B, [combo(B) for _ in range(2)]), field, n)
     assert sq2.pivots == sq.pivots
-    assert [list(r) for r in sq2.basis] == [list(r) for r in sq.basis]
-    for r, row in enumerate(sq.basis):
-        assert list(sq.express(row)) == [int(c == r) for c in range(len(sq.pivots))]
+    assert sq2.basis.tolist() == sq.basis.tolist()
+    # express round-trips: a . basis + (an element of B) has coefficients a.
+    coeffs = [field.coerce(rng.randint(-3, 3)) for _ in range(len(sq))]
+    v = combo(B)
+    for c, row in zip(coeffs, sq.basis):
+        v = [field.reduce(x + c * y) for x, y in zip(v, row)]
+    assert list(sq2.express(np.array(v, dtype=field.dtype))) == coeffs
     outside = vec()
-    span = kernel + image
-    if rank([*span, outside], field) > rank(span, field):
+    if A and matmul(A, np.array(outside, dtype=field.dtype), field).any():
         with pytest.raises(ValueError):
-            sq.express(outside)
+            sq.express(np.array(outside, dtype=field.dtype))
+
+
+def test_subquotient_zero_runs_only_the_kernel_check():
+    rows = sparse_rows(np.array([[1, -1, 0], [0, 1, -1]]))
+    sq = Subquotient.zero(rows, QQ, 3)
+    assert len(sq) == 0 and sq.basis.shape == (0, 3) and sq.pivots == []
+    assert list(sq.express(np.array([2, 2, 2], dtype=object))) == []
+    with pytest.raises(ValueError):
+        sq.express(np.array([1, 0, 0], dtype=object))
+
+
+def test_sparse_rows_clear_denominators_row_by_row():
+    M = np.array([[Fraction(1, 2), Fraction(-2, 3), 0], [0, 0, 0], [4, 0, 6]], dtype=object)
+    assert sparse_rows(M) == [{0: 3, 1: -4}, {0: 4, 2: 6}]
+    assert sparse_rows(np.array([[2, 0, 1]], dtype=np.int64)) == [{0: 2, 2: 1}]
 
 
 def test_sparse_rank_modp_reduces_entries():

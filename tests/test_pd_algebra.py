@@ -11,8 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from betticong.exactalg import GF, QQ, rank
+from betticong import exactalg
+from betticong.exactalg import GF, QQ, field_matrix, kernel_basis, rank, rref
 from betticong.pd_algebra import (
     Differential,
     check_derivation,
@@ -250,6 +252,51 @@ def test_homology_random_pd_or_zero():
         _, chi_a = euler_and_dim(A)
         _, chi_h = euler_and_dim(H)
         assert chi_a == chi_h
+
+
+def _dense_homology_bases(A, delta) -> list[tuple[list, list[int]]]:
+    """Per bidegree, the canonical rref basis of ker delta mod im delta from
+    dense kernels: the rows of rref([image; cycles]) whose pivots are not
+    pivots of the image."""
+    field, D = A.field, delta.matrix
+    de, dj = delta.shift
+    out = []
+    for (e, j), indices in sorted(A._components.items()):
+        image = D[np.ix_(indices, A.component(e - de, j - dj))].T
+        image = list(field_matrix(image, field))
+        R, pivots = rref(image + kernel_basis(D[:, indices], field), field)
+        P = set(rref(image, field)[1]) if image else set()
+        keep = [r for r, c in enumerate(pivots) if c not in P]
+        out.append((R[keep].tolist(), [pivots[r] for r in keep]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F3", "F5"]), st.booleans())
+def test_homology_bases_match_the_dense_oracle(seed, field_name, odd_family):
+    """Random algebras, and odd models with a random skew delta in a random basis."""
+    field = QQ if field_name == "Q" else GF(int(field_name[1:]))
+    rng = random.Random(seed)
+    if odd_family:
+        r = rng.choice([1, 2, 3])
+        A, phi, C = odd_model(field, m=rng.choice([1, 2]), r=r,
+                              pairing=_random_invertible(rng, field, r))
+        delta = odd_model_differential(A, C, _random_skew(rng, field, r))
+        A, phi, delta = random_base_change(A, phi, delta, rng)
+    else:
+        A, phi, delta = random_differential_algebra(rng, field)
+    built = []
+
+    class Recording(exactalg.Subquotient):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append((self.basis.tolist(), self.pivots))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "Subquotient", Recording)
+        H, _ = homology(A, delta, phi)
+    assert built == _dense_homology_bases(A, delta)
+    assert sum(len(b) for b, _ in built) == (H.dim if H is not None else 0)
 
 
 # ---------------------------------------------------------------------------
