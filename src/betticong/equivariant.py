@@ -1,29 +1,157 @@
 """Borel equivariant cohomology of a simplicial Z/p action.
 
 Instead of triangulating EG x_G X (combinatorially hopeless), the standard
-2-periodic free resolution of F_p over F_p[Z/p] is tensored with the
-simplicial cochains: a first-quadrant double complex K^{i,j} = C^j(X;F_p)
-with horizontal maps alternating (sigma^# - 1) and the norm, and total
-differential d_h + (-1)^i d_v.  Total-complex ranks are computed exactly
-with the sparse mod-p engine; for degrees above dim X the matrices repeat
-with period two, which the rank cache exploits.
+2-periodic free resolution of F_p over F_p[Z/p] is tensored with a cochain
+model of X: a first-quadrant double complex K^{i,j} = C^j with horizontal
+maps alternating (sigma^# - 1) and the norm, and total differential
+d_h + (-1)^i d_v.  Total-complex ranks are computed exactly with the sparse
+mod-p engine; for degrees above dim X the matrices repeat with period two,
+which the rank cache exploits.
+
+The model is a ``PermutationComplex``, the simplicial cochains of the action
+as given, reduced.  No subdivision is needed: C^*(X) -> C^*(sd X) is an
+equivariant quasi-isomorphism of bounded complexes, which Hom over F_p[G]
+out of the resolution keeps.  The reduction (Kaczynski-Mischaikow-Mrozek,
+Computational Homology, 2004) cancels G-stable pairs of cells by Schur
+complements on delta, so the result is an F_p[G]-complex chain homotopy
+equivalent to the cochains.  The unreduced model is the test oracle.
 """
 
 from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import exactalg
 from .exactalg import GF
-from .group_action import (
-    GroupAction,
-    fixed_set_cohomology,
-    make_regular,
-    pullback_permutation,
-)
+from .group_action import GroupAction, fixed_set_cohomology, pullback_permutation
+
+
+@dataclass(frozen=True)
+class PermutationComplex:
+    """A cochain complex C^0..C^dim of signed permutation F_p[Z/p]-modules.
+
+    ``sizes[j]`` counts the cells of C^j, ``rows[j]`` holds the sparse rows
+    of delta^j: C^j -> C^{j+1} (one per cell of C^{j+1}) and
+    ``pullbacks[j] = (perm, signs)`` gives sigma^# on C^j as
+    (sigma^# a)[s] = signs[s] * a[perm[s]].
+    """
+
+    p: int
+    sizes: tuple[int, ...]
+    rows: tuple[list[dict[int, int]], ...]
+    pullbacks: tuple[tuple[list[int], list[int]], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.sizes) - 1
+
+    @classmethod
+    def of_action(cls, action: GroupAction) -> "PermutationComplex":
+        """The simplicial cochains of *action*'s complex, unsubdivided."""
+        X = action.complex
+        degrees = range(X.dim + 1)
+        return cls(action.p, X.f_vector, tuple(X.coboundary_rows(j) for j in degrees[:-1]),
+                   tuple(pullback_permutation(action, j) for j in degrees))
+
+    def reduced(self) -> "PermutationComplex":
+        """Cancel G-stable pairs (tau in C^{j+1}, s in C^j) with delta^j[tau, s] != 0.
+
+        A cancellation is the Schur complement on delta^j at the pivots of
+        one G-stable block: two fixed cells, or two free orbits where row
+        tau meets orbit(s) only at s (the p pivots (sigma^k tau, sigma^k s)
+        are then independent); never a fixed cell against a free orbit.
+        Pairs go cheapest Markowitz cost (row length - 1) * (column length
+        - 1) first, so collapses and coreductions (no fill-in) lead.
+        """
+        p, top = self.p, self.dim
+        rows = [[{c: v % p for c, v in r.items() if v % p} for r in R] for R in self.rows]
+        cols = [[set() for _ in range(n)] for n in self.sizes[:-1]]
+        for R, C in zip(rows, cols):
+            for t, r in enumerate(R):
+                for c in r:
+                    C[c].add(t)
+        alive = [[True] * n for n in self.sizes]
+
+        def cost(j: int, t: int, c: int) -> int:
+            return (len(rows[j][t]) - 1) * (len(cols[j][c]) - 1)
+
+        def push_free(j: int, entries):  # pairs a cancellation made fill-free
+            for t, c in entries:
+                if not cost(j, t, c):
+                    heapq.heappush(heap, (0, j, t, c))
+
+        def orbit(j: int, s: int) -> list[int]:
+            perm, out = self.pullbacks[j][0], [s]
+            while perm[out[-1]] != s:
+                out.append(perm[out[-1]])
+            return out
+
+        def cancel(j: int, t: int, s: int):
+            R, C = rows[j], cols[j]
+            pivot, inv = R[t], pow(R[t][s], -1, p)
+            others = C[s] - {t}
+            for r in others:
+                f = R[r][s] * inv % p
+                for c, v in pivot.items():
+                    R[r][c] = (R[r].get(c, 0) - f * v) % p
+                    C[c].add(r)
+                    if not R[r][c]:
+                        del R[r][c]
+                        C[c].discard(r)
+            for c in pivot:
+                C[c].discard(t)
+            R[t] = {}
+            push_free(j, [(r, c) for r in others for c in R[r]])
+            if j > 0:  # s leaves C^j: drop row s of delta^{j-1}
+                gone, rows[j - 1][s] = rows[j - 1][s], {}
+                for c in gone:
+                    cols[j - 1][c].discard(s)
+                push_free(j - 1, [(r, c) for c in gone for r in cols[j - 1][c]])
+            if j + 1 < top:  # t leaves C^{j+1}: drop column t of delta^{j+1}
+                for r in cols[j + 1][t]:
+                    del rows[j + 1][r][t]
+                push_free(j + 1, [(r, c) for r in cols[j + 1][t] for c in rows[j + 1][r]])
+                cols[j + 1][t] = set()
+            alive[j + 1][t] = alive[j][s] = False
+
+        progress = True
+        while progress:  # until a full sweep cancels nothing
+            progress = False
+            heap = [(cost(j, t, c), j, t, c) for j, R in enumerate(rows)
+                    for t, r in enumerate(R) for c in r]
+            heapq.heapify(heap)
+            while heap:
+                old, j, t, s = heapq.heappop(heap)
+                if s not in rows[j][t]:
+                    continue
+                if cost(j, t, s) > old:
+                    heapq.heappush(heap, (cost(j, t, s), j, t, s))
+                    continue
+                taus, cells = orbit(j + 1, t), orbit(j, s)
+                if len(taus) != len(cells) or any(c in rows[j][t] for c in cells[1:]):
+                    continue
+                progress = True
+                for tau, cell in zip(taus, cells):
+                    cancel(j, tau, cell)
+
+        keep = [[s for s, a in enumerate(A) if a] for A in alive]
+        new = [{s: k for k, s in enumerate(K)} for K in keep]
+        return PermutationComplex(
+            p,
+            tuple(map(len, keep)),
+            tuple([{new[j][c]: v for c, v in rows[j][t].items()} for t in keep[j + 1]]
+                  for j in range(top)),
+            tuple(([new[j][perm[s]] for s in keep[j]], [signs[s] for s in keep[j]])
+                  for j, (perm, signs) in enumerate(self.pullbacks)),
+        )
+
 
 class BorelComplex:
-    """The double complex K^{i,j} = C^j(X; F_p) for a Z/p action.
+    """The double complex K^{i,j} = C^j of a permutation cochain complex.
 
     Horizontal maps out of column i are (sigma^# - 1) for even i and
     Norm = 1 + sigma^# + ... + (sigma^#)^{p-1} for odd i; both commute with
@@ -31,11 +159,9 @@ class BorelComplex:
     = 0 because (sigma^#)^p = 1.
     """
 
-    def __init__(self, action: GroupAction):
-        self.action = action
-        self.p = action.p
-        self.X = action.complex
-        self.field = GF(self.p)
+    def __init__(self, cochains: PermutationComplex):
+        self.C = cochains
+        self.p = cochains.p
         self._horizontal: dict[tuple[int, int], list[dict[int, int]]] = {}
         self._rank_cache: dict = {}
 
@@ -47,33 +173,23 @@ class BorelComplex:
         """
         key = (i % 2, j)
         if key not in self._horizontal:
-            perm, signs = pullback_permutation(self.action, j)
-            n = len(perm)
-            p = self.p
+            perm, signs = self.C.pullbacks[j]
             rows: list[dict[int, int]] = []
-            if i % 2 == 0:
-                for s in range(n):
-                    row: dict[int, int] = {s: -1 % p}
-                    row[perm[s]] = (row.get(perm[s], 0) + signs[s]) % p
-                    rows.append({c: v for c, v in row.items() if v % p})
-            else:
-                for s in range(n):
-                    row = {s: 1}
-                    cur, sgn = s, 1
-                    for _ in range(p - 1):
-                        sgn = sgn * signs[cur]
-                        cur = perm[cur]
-                        row[cur] = (row.get(cur, 0) + sgn) % p
-                    rows.append({c: v % p for c, v in row.items() if v % p})
+            for s in range(len(perm)):
+                row, cur, sgn = {s: 1 if i % 2 else -1}, s, 1
+                for _ in range(self.p - 1 if i % 2 else 1):
+                    sgn, cur = sgn * signs[cur], perm[cur]
+                    row[cur] = row.get(cur, 0) + sgn
+                rows.append({c: v % self.p for c, v in row.items() if v % self.p})
             self._horizontal[key] = rows
         return self._horizontal[key]
 
     def slice_dims(self, n: int) -> list[tuple[int, int]]:
         """Blocks (i, j) of total degree n, ordered by j."""
-        return [(n - j, j) for j in range(min(n, self.X.dim) + 1) if n - j >= 0]
+        return [(n - j, j) for j in range(min(n, self.C.dim) + 1) if n - j >= 0]
 
     def total_dim(self, n: int) -> int:
-        return sum(self.X.n_simplices(j) for _, j in self.slice_dims(n))
+        return sum(self.C.sizes[j] for _, j in self.slice_dims(n))
 
     def total_differential_rows(self, n: int) -> list[dict[int, int]]:
         """Sparse rows of D_n: total degree n -> n + 1.
@@ -82,16 +198,11 @@ class BorelComplex:
         order, columns over the degree-n slice.
         """
         src = self.slice_dims(n)
-        dst = self.slice_dims(n + 1)
-        src_offset = {}
-        off = 0
-        for (i, j) in src:
-            src_offset[(i, j)] = off
-            off += self.X.n_simplices(j)
+        src_offset = dict(zip(src, accumulate((self.C.sizes[j] for _, j in src), initial=0)))
         rows: list[dict[int, int]] = []
         p = self.p
-        for (i, j) in dst:
-            block_rows: list[dict[int, int]] = [dict() for _ in range(self.X.n_simplices(j))]
+        for (i, j) in self.slice_dims(n + 1):
+            block_rows: list[dict[int, int]] = [dict() for _ in range(self.C.sizes[j])]
             # Horizontal: from K^{i-1, j}.
             if (i - 1, j) in src_offset:
                 base = src_offset[(i - 1, j)]
@@ -101,20 +212,18 @@ class BorelComplex:
             if (i, j - 1) in src_offset:
                 sign = -1 if i % 2 else 1
                 base = src_offset[(i, j - 1)]
-                for r, row in enumerate(self.X.coboundary_rows(j - 1)):
+                for r, row in enumerate(self.C.rows[j - 1]):
                     tgt = block_rows[r]
                     for c, v in row.items():
                         tgt[base + int(c)] = (tgt.get(base + int(c), 0) + sign * v) % p
             rows.extend(block_rows)
-        return [
-            {c: v for c, v in row.items() if v % p} for row in rows
-        ]
+        return [{c: v for c, v in row.items() if v % p} for row in rows]
 
     def differential_rank(self, n: int) -> int:
         """rank of D_n; cached, and stable degrees share one computation."""
         if n < 0:
             return 0
-        key = ("stable", n % 2) if n >= self.X.dim else ("deg", n)
+        key = ("stable", n % 2) if n >= self.C.dim else ("deg", n)
         if key not in self._rank_cache:
             rows = self.total_differential_rows(n)
             self._rank_cache[key] = exactalg.sparse_rank_modp(rows, self.p)
@@ -130,9 +239,10 @@ def equivariant_betti(action: GroupAction, degrees) -> list[int]:
     """dim H^n_G(X; F_p) for each n in *degrees*, exactly.
 
     For the one-point trivial action this reproduces the classifying-space
-    answer: one dimension in every degree.
+    answer: one dimension in every degree.  The Borel complex is built on
+    the reduced cochains of the action as given.
     """
-    K = BorelComplex(action)
+    K = BorelComplex(PermutationComplex.of_action(action).reduced())
     return [K.cohomology_dim(n) for n in degrees]
 
 
@@ -141,12 +251,12 @@ def localization_check(action: GroupAction) -> dict:
 
     The evaluation/localization theorem's numerical shadow: for n above
     dim X, dim H^n_G equals dim H^*(X^G; F_p).  Checks n = dim X + 1 and
-    dim X + 2.
+    dim X + 2.  Only the fixed set needs a regular subdivision; the Borel
+    complex is built on the reduced cochains of the action as given.
     """
-    reg = make_regular(action)
     fixed_total = fixed_set_cohomology(action, GF(action.p)).total
-    K = BorelComplex(reg)
-    d = reg.complex.dim
+    K = BorelComplex(PermutationComplex.of_action(action).reduced())
+    d = action.complex.dim
     dims = [K.cohomology_dim(d + 1), K.cohomology_dim(d + 2)]
     return {
         "stable_dims": dims,

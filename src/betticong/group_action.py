@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -133,9 +134,11 @@ def is_regular(action: GroupAction) -> bool:
 
 
 def subdivide_action(action: GroupAction) -> GroupAction:
-    """Barycentric subdivision with the induced action on barycenters."""
+    """Barycentric subdivision (built once per complex) with the induced action."""
     X = action.complex
-    S = barycentric_subdivision(X)
+    if "sd" not in X._cache:
+        X._cache["sd"] = barycentric_subdivision(X)
+    S = X._cache["sd"]
     m = action.mapping
     idx = X._vertex_index
     new_map = {}
@@ -147,17 +150,22 @@ def subdivide_action(action: GroupAction) -> GroupAction:
 
 
 def make_regular(action: GroupAction) -> GroupAction:
-    """Subdivide until setwise-invariant simplices are pointwise fixed.
+    """Subdivide so that setwise-invariant simplices are pointwise fixed.
 
-    Betti data is unchanged (subdivision is a homeomorphism); at most two
-    rounds are ever needed.
+    Betti data is unchanged (subdivision is a homeomorphism).  One round
+    suffices: a simplex of sd X is a chain of simplices of distinct
+    dimensions, so a chain fixed setwise is fixed link by link.  The result
+    is kept in the complex's cache; a regular action is returned as it is.
     """
-    current = action
-    for _ in range(3):
-        if is_regular(current):
-            return current
-        current = subdivide_action(current)
-    raise AssertionError("regularity not reached after 3 subdivisions")
+    if is_regular(action):
+        return action
+    key = ("regular", action.vertex_map)
+    cache = action.complex._cache
+    if key not in cache:
+        cache[key] = subdivide_action(action)
+        if not is_regular(cache[key]):  # pragma: no cover
+            raise AssertionError("regularity not reached after one subdivision")
+    return cache[key]
 
 
 def fixed_subcomplex(action: GroupAction) -> SimplicialComplex:
@@ -203,20 +211,10 @@ def pullback_permutation(action: GroupAction, degree: int) -> tuple[list[int], l
     perm, signs = [], []
     for s in simps:
         img = [perm_v[v] for v in s]
-        order = sorted(range(len(img)), key=lambda k: img[k])
         perm.append(index[tuple(sorted(img))])
-        signs.append(_permutation_sign(order))
+        signs.append(-1 if sum(a > b for a, b in combinations(img, 2)) % 2 else 1)
     X._cache[key] = (perm, signs)
     return perm, signs
-
-
-def apply_pullback(action: GroupAction, degree: int, vec, field):
-    """Apply sigma^# to a cochain vector in O(n)."""
-    perm, signs = pullback_permutation(action, degree)
-    out = field.zeros(len(perm))
-    for s in range(len(perm)):
-        out[s] = signs[s] * vec[perm[s]]
-    return field.reduce(out)
 
 
 def cochain_pullback_matrix(action: GroupAction, degree: int, field) -> np.ndarray:
@@ -229,23 +227,6 @@ def cochain_pullback_matrix(action: GroupAction, degree: int, field) -> np.ndarr
     return field.reduce(M)
 
 
-def _permutation_sign(order: list[int]) -> int:
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def induced_cohomology_action(action: GroupAction, field) -> list[np.ndarray]:
     """Per-degree matrices of sigma^* on H^*(X; field) in the echelon bases."""
     X = action.complex
@@ -255,11 +236,11 @@ def induced_cohomology_action(action: GroupAction, field) -> list[np.ndarray]:
     out = []
     for d in range(X.dim + 1):
         basis = X.cohomology_basis(field, d)
+        perm, signs = pullback_permutation(action, d)
         b = len(basis)
         M = field.zeros((b, b))
         for j in range(b):
-            image = apply_pullback(action, d, basis.basis[j], field)
-            M[:, j] = basis.express(image)
+            M[:, j] = basis.express(field.reduce(basis.basis[j][perm] * np.array(signs)))
         out.append(M)
     X._cache[key] = out
     return out

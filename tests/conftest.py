@@ -1,0 +1,38 @@
+"""Shared test documents."""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import pytest
+
+
+def _s4_document(n: int) -> str:
+    """A non-regular Z/3 action on S^4 = boundary(3-simplex) * n-gon, 3 | n.
+
+    t1 -> t2 -> t3 fixes t0, so the face t1t2t3 is invariant but not
+    pointwise fixed; the n-gon turns by a third.  With n = 9 this is the
+    S^4 document of the benchmark's ``large_documents`` workload.
+    """
+    tet = [f"t{i}" for i in range(4)]
+    gon = [f"c{i}" for i in range(n)]
+    lines = ["complex s4", "vertices " + " ".join(tet + gon)]
+    lines += [f"facet {' '.join(tri)} {gon[i]} {gon[(i + 1) % n]}"
+              for tri in combinations(tet, 3) for i in range(n)]
+    lines += ["end", "action rot on s4 p 3", "map t1 -> t2", "map t2 -> t3", "map t3 -> t1"]
+    lines += [f"map c{i} -> c{(i + n // 3) % n}" for i in range(n)]
+    return "\n".join(lines + ["end"]) + "\n"
+
+
+@pytest.fixture
+def s4_document():
+    """The builder of the S^4 document text, called with the n-gon's n."""
+    return _s4_document
+
+
+@pytest.fixture
+def s4_file(tmp_path):
+    """Path of the S^4 document on a 3-gon (the smallest one)."""
+    path = tmp_path / "s4.bc"
+    path.write_text(_s4_document(3), encoding="utf-8")
+    return str(path)

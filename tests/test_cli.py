@@ -497,3 +497,29 @@ def test_every_command_exits_0_to_3_without_a_traceback(tmp_path, capsys, doc, f
         code = main([command, str(path), *flags])
         err = capsys.readouterr().err
         assert 0 <= code <= 3 and "Traceback" not in err, (command, code, err)
+
+
+# ---------------------------------------------------------------------------
+# a non-regular action: one Borel model, one subdivision per command
+# ---------------------------------------------------------------------------
+
+def test_equivariant_betti_and_localization_agree_on_non_regular_action(s4_file, capsys):
+    assert main(["equivariant-betti", s4_file]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    betti = {int(l.split()[0][2:-2]): int(l.split()[1]) for l in lines if l.startswith("H^")}
+    assert main(["localization", s4_file]) == 0
+    out = capsys.readouterr().out
+    assert f"stable dims [{betti[5]}, {betti[6]}] fixed total 2" in out
+    assert betti[5] == betti[6] == 2
+
+
+@pytest.mark.parametrize("command", ["fixed-set", "lefschetz", "theorem2"])
+def test_each_command_subdivides_once(s4_file, monkeypatch, capsys, command):
+    from betticong import group_action
+
+    calls = []
+    real = group_action.barycentric_subdivision
+    monkeypatch.setattr(group_action, "barycentric_subdivision",
+                        lambda X: calls.append(X) or real(X))
+    assert main([command, s4_file]) == 0
+    assert len(calls) == 1

@@ -4,16 +4,25 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betticong import corpus
+from betticong.cli import parse
 from betticong.equivariant import (
     BorelComplex,
+    PermutationComplex,
     equivariant_betti,
     group_cohomology_dims,
     localization_check,
 )
 from betticong.exactalg import GF
-from betticong.group_action import induced_cohomology_action, tfr_decomposition
+from betticong.group_action import (
+    induced_cohomology_action,
+    make_regular,
+    tfr_decomposition,
+    validate_action,
+)
+from betticong.simplicial import SimplicialComplex
 
 
 def total_matrix_dense(K: BorelComplex, n: int) -> np.ndarray:
@@ -31,7 +40,7 @@ def total_matrix_dense(K: BorelComplex, n: int) -> np.ndarray:
 
 def test_total_differential_squares_to_zero():
     for a in (corpus.sphere_rotation(3), corpus.free_polygon_action(5)):
-        K = BorelComplex(a)
+        K = BorelComplex(PermutationComplex.of_action(a))
         for n in range(a.complex.dim + 3):
             D1 = total_matrix_dense(K, n)
             D2 = total_matrix_dense(K, n + 1)
@@ -49,7 +58,7 @@ def rows_to_dense(rows, ncols, p):
 
 def test_norm_composes_to_zero_with_shift():
     a = corpus.sphere_rotation(3)
-    K = BorelComplex(a)
+    K = BorelComplex(PermutationComplex.of_action(a))
     for j in range(3):
         n = a.complex.n_simplices(j)
         gm1 = rows_to_dense(K.horizontal_rows(0, j), n, 3)
@@ -65,7 +74,7 @@ def test_norm_composes_to_zero_with_shift():
 
 def test_stable_degree_matrices_coincide():
     a = corpus.sphere_rotation(3)
-    K = BorelComplex(a)
+    K = BorelComplex(PermutationComplex.of_action(a))
     d = a.complex.dim
     assert K.total_differential_rows(d) == K.total_differential_rows(d + 2)
     assert K.total_differential_rows(d + 1) == K.total_differential_rows(d + 3)
@@ -173,3 +182,114 @@ def test_e2bar_matches_tfr_on_samples():
             even, odd = group_cohomology_dims(M, p) if M.shape[0] else (0, 0)
             assert even == decomp.t[mu], (mu, a)
             assert odd == decomp.r[mu], (mu, a)
+
+
+# ---------------------------------------------------------------------------
+# the reduced model against the unreduced and the subdivided ones
+# ---------------------------------------------------------------------------
+
+def _borel_dims(C: PermutationComplex, degrees) -> list[int]:
+    K = BorelComplex(C)
+    return [K.cohomology_dim(n) for n in degrees]
+
+
+def _pullback_dense(C: PermutationComplex, j: int) -> np.ndarray:
+    perm, signs = C.pullbacks[j]
+    P = np.zeros((len(perm), len(perm)), dtype=np.int64)
+    P[range(len(perm)), perm] = signs
+    return P % C.p
+
+
+def _assert_permutation_complex(C: PermutationComplex):
+    """delta^2 = 0, delta commutes with sigma^#, and (sigma^#)^p = 1."""
+    p = C.p
+    D = [rows_to_dense(C.rows[j], C.sizes[j], p).astype(object) for j in range(C.dim)]
+    P = [_pullback_dense(C, j).astype(object) for j in range(C.dim + 1)]
+    for j, Pj in enumerate(P):
+        assert sorted(C.pullbacks[j][0]) == list(range(C.sizes[j]))
+        assert not np.any((np.linalg.matrix_power(Pj, p) - np.eye(len(Pj), dtype=int)) % p)
+    for j, Dj in enumerate(D):
+        assert not np.any((P[j + 1] @ Dj - Dj @ P[j]) % p)
+        if j + 1 < C.dim:
+            assert not np.any((D[j + 1] @ Dj) % p)
+
+
+def _check_reduction(action) -> PermutationComplex:
+    """The reduced model is a permutation complex with the unreduced H^*_G."""
+    C = PermutationComplex.of_action(action)
+    R = C.reduced()
+    assert R.p == C.p and R.dim == C.dim
+    assert all(r <= c for r, c in zip(R.sizes, C.sizes))
+    _assert_permutation_complex(R)
+    degrees = range(C.dim + 3)
+    assert _borel_dims(R, degrees) == _borel_dims(C, degrees)
+    return R
+
+
+def test_reduction_keeps_borel_dims_on_the_corpus():
+    for a in corpus.corpus_actions().values():
+        _check_reduction(a)
+    # The reduction is not the identity: the S^2 x S^2 rotation keeps 32
+    # of its 4396 cells.
+    R = PermutationComplex.of_action(corpus.s2xs2_rotation(7)).reduced()
+    assert sum(R.sizes) < 50
+
+
+def test_fixed_cells_never_cancel_against_free_orbits():
+    # The rotated triangle: sigma^# fixes the 2-cell (invariant, not
+    # pointwise fixed) and moves vertices and edges in free orbits, whose
+    # block is not monomial.  No G-stable pair exists, so nothing cancels.
+    a = corpus.disc_rotation()
+    C = PermutationComplex.of_action(a)
+    assert C.reduced().sizes == C.sizes
+
+
+@st.composite
+def small_actions(draw):
+    """Z/3 or Z/5 actions: random facets closed under a product of p-cycles.
+
+    A facet holding a whole p-cycle is invariant but not pointwise fixed,
+    so some of these actions are not regular.
+    """
+    p = draw(st.sampled_from([3, 5]))
+    cycles, fixed = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    verts = [f"x{k}" for k in range(cycles * p + fixed)]
+    sigma = {verts[c * p + i]: verts[c * p + (i + 1) % p] for c in range(cycles) for i in range(p)}
+    facets = draw(st.lists(st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True),
+                           min_size=1, max_size=3))
+    if draw(st.booleans()):  # a whole p-cycle, with a fixed vertex when p = 3
+        facets.append(verts[:p] + verts[cycles * p:][:p == 3])
+    closed = set()
+    for f in facets:
+        for _ in range(p):
+            closed.add(frozenset(f))
+            f = [sigma.get(v, v) for v in f]
+    X = SimplicialComplex.from_facets(closed, vertex_order=verts)
+    return validate_action(X, sigma, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_actions())
+def test_reduced_and_subdivided_models_agree(a):
+    R = _check_reduction(a)
+    degrees = range(a.complex.dim + 3)
+    reg = make_regular(a)
+    R_sd = PermutationComplex.of_action(reg).reduced()
+    _assert_permutation_complex(R_sd)
+    assert _borel_dims(R_sd, degrees) == _borel_dims(R, degrees)
+
+
+def test_s4_document_models_agree(s4_document):
+    """The benchmark's non-regular S^4: 284 cells unsubdivided, 27,614 after."""
+    a = parse(s4_document(9)).actions["rot"]
+    d = a.complex.dim
+    R = _check_reduction(a)
+    assert _borel_dims(R, range(d + 3)) == [1, 1, 1, 1, 2, 2, 2]
+    C_sd = PermutationComplex.of_action(make_regular(a))
+    assert sum(C_sd.sizes) == 27614
+    R_sd = C_sd.reduced()
+    _assert_permutation_complex(R_sd)
+    # The unreduced subdivided model only in the stable degrees.
+    stable = [d + 1, d + 2]
+    assert _borel_dims(C_sd, stable) == _borel_dims(R_sd, stable) == [2, 2]
+    assert localization_check(a) == {"stable_dims": [2, 2], "fixed_total": 2, "ok": True}

@@ -360,3 +360,14 @@ def test_quotient_chi_divides():
 def test_quotient_rejects_nonfree():
     with pytest.raises(ValueError, match="free"):
         quotient_complex(corpus.sphere_rotation(3))
+
+
+def test_make_regular_is_memoised_on_the_complex():
+    a = corpus.disc_rotation()
+    reg = make_regular(a)
+    assert not is_regular(a) and is_regular(reg)
+    assert make_regular(a) is reg
+    # Every power of the generator is regularised on the one subdivision.
+    square = make_regular(a.power(2))
+    assert square.complex is reg.complex and is_regular(square)
+    assert square.mapping != reg.mapping
