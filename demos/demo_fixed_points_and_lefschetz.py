@@ -19,19 +19,19 @@ for name, action in [
     ("shift of the grid torus (p=3)", torus_rotation(3)),
     ("free diagonal rotation of S^3 (p=3)", s3_free_action()),
 ]:
-    reg = make_regular(action)
-    F = fixed_subcomplex(reg)
+    F = fixed_subcomplex(action)
     chi = F.euler_characteristic()
     lam = lefschetz_number(action)
     print(f"{name}")
     print(f"  fixed set f-vector {F.f_vector if F.dim >= 0 else '(empty)'}")
     print(f"  Lefschetz number {lam} = chi(fixed set) {chi}")
 
-# The disc rotation is the one corpus action that needs regularising: the
-# solid triangle is mapped to itself setwise, and one barycentric
-# subdivision exposes its center as the fixed point.
+# The disc rotation is the one corpus action that is not regular: the solid
+# triangle is mapped to itself setwise.  Its fixed set is read off the
+# invariant simplices as the barycenter (a0|a1|a2), the vertex that one
+# barycentric subdivision (make_regular) would expose, without building it.
 disc = disc_rotation()
-reg = make_regular(disc)
-print("disc rotation regularised:", reg.complex.f_vector, "fixed:",
-      fixed_subcomplex(reg).f_vector)
+F = fixed_subcomplex(disc)
+print("disc rotation regularised:", make_regular(disc).complex.f_vector,
+      "fixed:", F.f_vector, F.vertices)
 print("Lefschetz number of the disc rotation:", lefschetz_number(disc))

@@ -29,7 +29,6 @@ from .group_action import (
     fixed_set_cohomology,
     fixed_subcomplex,
     lefschetz_number,
-    make_regular,
     tfr_decomposition,
     validate_action,
 )
@@ -549,8 +548,7 @@ def cmd_pd_check(doc, args, rep: Report):
 
 def cmd_fixed_set(doc, args, rep: Report):
     name, action = _pick(doc, "actions", args.action, "action")
-    reg = make_regular(action)
-    F = fixed_subcomplex(reg)
+    F = fixed_subcomplex(action)
     rep.say(f"ACTION {name} p {action.p}")
     if F.dim < 0:
         rep.say("fixed set: empty")
@@ -559,8 +557,8 @@ def cmd_fixed_set(doc, args, rep: Report):
         for f in sorted(F.facets):
             rep.say("facet " + " ".join(F.vertices[v] for v in f))
     p = args.p or action.p
-    rep.say(f"total betti F{p} {fixed_set_cohomology(action, GF(p)).total}")
-    rep.say(f"total betti Q {fixed_set_cohomology(action, QQ).total}")
+    rep.say(f"total betti F{p} {F.cohomology(GF(p)).total}")
+    rep.say(f"total betti Q {F.cohomology(QQ).total}")
 
 
 def cmd_lefschetz(doc, args, rep: Report):

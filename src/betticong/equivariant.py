@@ -251,8 +251,9 @@ def localization_check(action: GroupAction) -> dict:
 
     The evaluation/localization theorem's numerical shadow: for n above
     dim X, dim H^n_G equals dim H^*(X^G; F_p).  Checks n = dim X + 1 and
-    dim X + 2.  Only the fixed set needs a regular subdivision; the Borel
-    complex is built on the reduced cochains of the action as given.
+    dim X + 2.  Neither side is subdivided: the fixed set is read off the
+    invariant simplices, and the Borel complex is built on the reduced
+    cochains of the action as given.
     """
     fixed_total = fixed_set_cohomology(action, GF(action.p)).total
     K = BorelComplex(PermutationComplex.of_action(action).reduced())

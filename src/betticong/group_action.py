@@ -1,18 +1,18 @@
 """Simplicial Z/p actions and their cohomological invariants.
 
 An action is a vertex permutation of order dividing p (p an odd prime) that
-sends simplices to simplices.  Regularity (setwise-invariant implies
-pointwise-fixed) is enforced by barycentric subdivision so that the fixed
-subcomplex genuinely computes the fixed set's cohomology; quotients demand
-the stronger condition that simplex orbits embed, which may need one more
-subdivision.
+sends simplices to simplices.  The fixed set is read off the setwise-invariant
+simplices: they are X^G when the action is regular (every invariant simplex
+is pointwise fixed), and their chains are X^G in sd X otherwise, so nothing
+is subdivided to find it.  Quotients of free actions demand that simplex
+orbits embed, which may need barycentric subdivision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from . import exactalg
 from .exactalg import GF, QQ
 from .simplicial import (
     GradedBetti,
+    Simplex,
     SimplicialComplex,
     barycentric_subdivision,
     bary_label,
@@ -114,31 +115,40 @@ def trivial_action(X: SimplicialComplex, p: int) -> GroupAction:
 # Regularity and fixed sets
 # ---------------------------------------------------------------------------
 
-def _invariant_offender(action: GroupAction) -> tuple | None:
-    """First setwise-invariant simplex that is not pointwise fixed."""
+def _vertex_orbit_reps(action: GroupAction) -> dict[str, str]:
+    m = action.mapping
+    reps = {}
+    for v in action.complex.vertices:
+        orbit = [v]
+        w = m[v]
+        while w != v:
+            orbit.append(w)
+            w = m[w]
+        rep = min(orbit)
+        for u in orbit:
+            reps[u] = rep
+    return reps
+
+
+def _invariant_simplices(action: GroupAction) -> list[Simplex]:
+    """The setwise-invariant simplices, by dimension, then by index."""
     X = action.complex
     perm = action.perm()
-    for d in range(X.dim + 1):
-        index = X._simplex_index[d]
-        for s in X.simplices(d):
-            img = tuple(sorted(perm[v] for v in s))
-            if img == s and any(perm[v] != v for v in s):
-                return s
-            if img != s and index.get(img) is None:  # pragma: no cover
-                raise AssertionError("action stopped being simplicial")
-    return None
+    return [
+        s for d in range(X.dim + 1) for s in X.simplices(d)
+        if tuple(sorted(perm[v] for v in s)) == s
+    ]
 
 
 def is_regular(action: GroupAction) -> bool:
-    return _invariant_offender(action) is None
+    """Whether every setwise-invariant simplex is pointwise fixed."""
+    perm = action.perm()
+    return all(perm[v] == v for s in _invariant_simplices(action) for v in s)
 
 
 def subdivide_action(action: GroupAction) -> GroupAction:
-    """Barycentric subdivision (built once per complex) with the induced action."""
+    """Barycentric subdivision with the induced action."""
     X = action.complex
-    if "sd" not in X._cache:
-        X._cache["sd"] = barycentric_subdivision(X)
-    S = X._cache["sd"]
     m = action.mapping
     idx = X._vertex_index
     new_map = {}
@@ -146,7 +156,7 @@ def subdivide_action(action: GroupAction) -> GroupAction:
         for s in X.simplex_labels(d):
             image = tuple(sorted((m[v] for v in s), key=idx.get))
             new_map[bary_label(s)] = bary_label(image)
-    return validate_action(S, new_map, action.p)
+    return validate_action(barycentric_subdivision(X), new_map, action.p)
 
 
 def make_regular(action: GroupAction) -> GroupAction:
@@ -154,40 +164,42 @@ def make_regular(action: GroupAction) -> GroupAction:
 
     Betti data is unchanged (subdivision is a homeomorphism).  One round
     suffices: a simplex of sd X is a chain of simplices of distinct
-    dimensions, so a chain fixed setwise is fixed link by link.  The result
-    is kept in the complex's cache; a regular action is returned as it is.
+    dimensions, so a chain fixed setwise is fixed link by link.  A regular
+    action is returned as it is.
     """
     if is_regular(action):
         return action
-    key = ("regular", action.vertex_map)
-    cache = action.complex._cache
-    if key not in cache:
-        cache[key] = subdivide_action(action)
-        if not is_regular(cache[key]):  # pragma: no cover
-            raise AssertionError("regularity not reached after one subdivision")
-    return cache[key]
+    reg = subdivide_action(action)
+    if not is_regular(reg):  # pragma: no cover
+        raise AssertionError("regularity not reached after one subdivision")
+    return reg
 
 
 def fixed_subcomplex(action: GroupAction) -> SimplicialComplex:
-    """Subcomplex of pointwise-fixed simplices; requires a regular action."""
-    if not is_regular(action):
-        raise ValueError(
-            "action is not regular; apply make_regular before taking fixed sets"
-        )
+    """The fixed set X^G as a simplicial complex, for any action.
+
+    If the action is regular, X^G is its invariant simplices under their own
+    labels.  Otherwise it is the part of sd X that the induced action fixes
+    pointwise: the chains of invariant simplices of X (Bredon, Introduction
+    to Compact Transformation Groups, III.1).  An invariant simplex is a
+    union of vertex orbits, and each maximal chain below it adds one orbit
+    at a time, so it gives one chain per ordering of its orbits.  Vertices
+    are labelled by ``bary_label`` and ordered by (size, index) as in
+    ``barycentric_subdivision``, so the result equals the fixed subcomplex
+    of ``make_regular(action)`` without building sd X.
+    """
     X = action.complex
-    m = action.mapping
-    fixed_vertices = {v for v in X.vertices if m[v] == v}
-    if not fixed_vertices:
-        return SimplicialComplex.empty()
-    candidates = []
-    for f in X.facets:
-        labels = [X.vertices[v] for v in f]
-        kept = tuple(l for l in labels if l in fixed_vertices)
-        if kept:
-            candidates.append(kept)
-    if not candidates:
-        return SimplicialComplex.empty()
-    return SimplicialComplex.from_simplices(X.vertices, candidates)
+    perm = action.perm()
+    invariant = _invariant_simplices(action)
+    labels = [tuple(X.vertices[v] for v in s) for s in invariant]
+    if all(perm[v] == v for s in invariant for v in s):
+        return SimplicialComplex.from_simplices(X.vertices, labels)
+    reps = _vertex_orbit_reps(action)
+    chains = [
+        [bary_label(tuple(v for v in s if reps[v] in order[:k])) for k in range(1, len(order) + 1)]
+        for s in labels for order in permutations(sorted({reps[v] for v in s}))
+    ]
+    return SimplicialComplex.from_simplices(tuple(map(bary_label, labels)), chains)
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +367,6 @@ def tfr_decomposition(action: GroupAction) -> TFRDecomposition:
 # Quotients of free actions
 # ---------------------------------------------------------------------------
 
-def _vertex_orbit_reps(action: GroupAction) -> dict[str, str]:
-    m = action.mapping
-    reps = {}
-    for v in action.complex.vertices:
-        orbit = [v]
-        w = m[v]
-        while w != v:
-            orbit.append(w)
-            w = m[w]
-        rep = min(orbit)
-        for u in orbit:
-            reps[u] = rep
-    return reps
-
-
 def _quotient_obstruction(action: GroupAction) -> str | None:
     """Why simplex orbits do not yet form a simplicial complex, if they don't."""
     X = action.complex
@@ -396,19 +393,22 @@ def _quotient_obstruction(action: GroupAction) -> str | None:
     return None
 
 
-def quotient_complex(action: GroupAction, max_subdivisions: int = 3):
+_QUOTIENT_ROUNDS = 3  # subdivisions allowed before orbits must embed
+
+
+def quotient_complex(action: GroupAction):
     """Quotient of a free action: simplices are orbits, lex-least representative.
 
-    Rejects non-free actions.  Subdivides barycentrically (preserving the
+    Rejects non-free actions: for p prime, an action is free exactly when no
+    simplex is invariant.  Subdivides barycentrically (preserving the
     action) until simplex orbits embed in the vertex-orbit set, which the
     classical regularity theorem guarantees after at most two rounds.
     Returns ``(quotient, regularized_action)``.
     """
-    current = action
-    offender = _invariant_offender(current)
-    if offender is not None or any(a == b for a, b in current.vertex_map):
+    if _invariant_simplices(action):
         raise ValueError("quotient_complex requires a free action")
-    for _ in range(max_subdivisions + 1):
+    current = action
+    for _ in range(_QUOTIENT_ROUNDS + 1):
         if _quotient_obstruction(current) is None:
             break
         current = subdivide_action(current)
@@ -431,9 +431,5 @@ def quotient_complex(action: GroupAction, max_subdivisions: int = 3):
 # ---------------------------------------------------------------------------
 
 def fixed_set_cohomology(action: GroupAction, field) -> GradedBetti:
-    """Betti data of the fixed set, regularizing first when necessary."""
-    reg = make_regular(action)
-    F = fixed_subcomplex(reg)
-    if F.dim < 0:
-        return GradedBetti(field.name, ())
-    return F.cohomology(field)
+    """Betti data of the fixed set."""
+    return fixed_subcomplex(action).cohomology(field)

@@ -16,7 +16,6 @@ from .group_action import (
     GroupAction,
     fixed_set_cohomology,
     fixed_subcomplex,
-    make_regular,
     tfr_decomposition,
 )
 from .simplicial import SimplicialComplex, link, pd_check
@@ -347,8 +346,7 @@ class EvenCodimReport:
 
 def check_even_codim(action: GroupAction) -> EvenCodimReport:
     """Each fixed component is a homology manifold of even codimension."""
-    reg = make_regular(action)
-    F = fixed_subcomplex(reg)
+    F = fixed_subcomplex(action)
     verdicts = []
     if F.dim >= 0:
         comps = F.connected_components()
@@ -360,7 +358,7 @@ def check_even_codim(action: GroupAction) -> EvenCodimReport:
             ]
             C = SimplicialComplex.from_simplices(F.vertices, simp)
             hm = homology_manifold_check(C, action.p)
-            codim = reg.complex.dim - C.dim
+            codim = action.complex.dim - C.dim
             verdicts.append(
                 ComponentVerdict(
                     component_dim=C.dim,

@@ -1,10 +1,14 @@
-"""Shared test documents."""
+"""Shared test documents and action strategies."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
+
+from betticong.group_action import validate_action
+from betticong.simplicial import SimplicialComplex
 
 
 def _s4_document(n: int) -> str:
@@ -36,3 +40,27 @@ def s4_file(tmp_path):
     path = tmp_path / "s4.bc"
     path.write_text(_s4_document(3), encoding="utf-8")
     return str(path)
+
+
+@st.composite
+def small_actions(draw):
+    """Z/3 or Z/5 actions: random facets closed under a product of p-cycles.
+
+    A facet holding a whole p-cycle is invariant but not pointwise fixed,
+    so some of these actions are not regular.
+    """
+    p = draw(st.sampled_from([3, 5]))
+    cycles, fixed = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    verts = [f"x{k}" for k in range(cycles * p + fixed)]
+    sigma = {verts[c * p + i]: verts[c * p + (i + 1) % p] for c in range(cycles) for i in range(p)}
+    facets = draw(st.lists(st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True),
+                           min_size=1, max_size=3))
+    if draw(st.booleans()):  # a whole p-cycle, with a fixed vertex when p = 3
+        facets.append(verts[:p] + verts[cycles * p:][:p == 3])
+    closed = set()
+    for f in facets:
+        for _ in range(p):
+            closed.add(frozenset(f))
+            f = [sigma.get(v, v) for v in f]
+    X = SimplicialComplex.from_facets(closed, vertex_order=verts)
+    return validate_action(X, sigma, p)

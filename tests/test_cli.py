@@ -500,7 +500,7 @@ def test_every_command_exits_0_to_3_without_a_traceback(tmp_path, capsys, doc, f
 
 
 # ---------------------------------------------------------------------------
-# a non-regular action: one Borel model, one subdivision per command
+# a non-regular action: one Borel model, no subdivision in any command
 # ---------------------------------------------------------------------------
 
 def test_equivariant_betti_and_localization_agree_on_non_regular_action(s4_file, capsys):
@@ -513,8 +513,9 @@ def test_equivariant_betti_and_localization_agree_on_non_regular_action(s4_file,
     assert betti[5] == betti[6] == 2
 
 
-@pytest.mark.parametrize("command", ["fixed-set", "lefschetz", "theorem2"])
-def test_each_command_subdivides_once(s4_file, monkeypatch, capsys, command):
+@pytest.mark.parametrize("command", ["fixed-set", "lefschetz", "theorem2", "theorem4",
+                                     "localization", "equivariant-betti", "tfr"])
+def test_no_command_subdivides(s4_file, monkeypatch, capsys, command):
     from betticong import group_action
 
     calls = []
@@ -522,4 +523,4 @@ def test_each_command_subdivides_once(s4_file, monkeypatch, capsys, command):
     monkeypatch.setattr(group_action, "barycentric_subdivision",
                         lambda X: calls.append(X) or real(X))
     assert main([command, s4_file]) == 0
-    assert len(calls) == 1
+    assert calls == []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from betticong import corpus
 from betticong.cli import parse
@@ -20,9 +20,9 @@ from betticong.group_action import (
     induced_cohomology_action,
     make_regular,
     tfr_decomposition,
-    validate_action,
 )
-from betticong.simplicial import SimplicialComplex
+
+from conftest import small_actions
 
 
 def total_matrix_dense(K: BorelComplex, n: int) -> np.ndarray:
@@ -242,30 +242,6 @@ def test_fixed_cells_never_cancel_against_free_orbits():
     a = corpus.disc_rotation()
     C = PermutationComplex.of_action(a)
     assert C.reduced().sizes == C.sizes
-
-
-@st.composite
-def small_actions(draw):
-    """Z/3 or Z/5 actions: random facets closed under a product of p-cycles.
-
-    A facet holding a whole p-cycle is invariant but not pointwise fixed,
-    so some of these actions are not regular.
-    """
-    p = draw(st.sampled_from([3, 5]))
-    cycles, fixed = draw(st.integers(1, 2)), draw(st.integers(0, 2))
-    verts = [f"x{k}" for k in range(cycles * p + fixed)]
-    sigma = {verts[c * p + i]: verts[c * p + (i + 1) % p] for c in range(cycles) for i in range(p)}
-    facets = draw(st.lists(st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True),
-                           min_size=1, max_size=3))
-    if draw(st.booleans()):  # a whole p-cycle, with a fixed vertex when p = 3
-        facets.append(verts[:p] + verts[cycles * p:][:p == 3])
-    closed = set()
-    for f in facets:
-        for _ in range(p):
-            closed.add(frozenset(f))
-            f = [sigma.get(v, v) for v in f]
-    X = SimplicialComplex.from_facets(closed, vertex_order=verts)
-    return validate_action(X, sigma, p)
 
 
 @settings(max_examples=60, deadline=None)

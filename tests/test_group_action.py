@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from betticong import corpus
+from betticong.cli import parse
 from betticong.exactalg import GF, QQ
 from betticong.group_action import (
     bockstein_condition,
@@ -25,6 +27,9 @@ from betticong.group_action import (
     validate_action,
 )
 from betticong.simplicial import SimplicialComplex
+from betticong.theorems import check_even_codim
+
+from conftest import small_actions
 
 
 def rot(prefix, n):
@@ -155,10 +160,53 @@ def test_fixed_second_factor_action_two_circles():
     assert len(F.connected_components()) == 2
 
 
-def test_fixed_not_regular_rejected():
-    a = corpus.disc_rotation()
-    with pytest.raises(ValueError, match="make_regular"):
-        fixed_subcomplex(a)
+def scan_fixed(action):
+    """Oracle: direct scan for pointwise-fixed simplices, as label tuples."""
+    X = action.complex
+    m = action.mapping
+    return {s for d in range(X.dim + 1) for s in X.simplex_labels(d)
+            if all(m[v] == v for v in s)}
+
+
+def assert_fixed_subcomplex_matches_oracle(a):
+    """Regular: the pointwise-fixed scan.  Otherwise: the fixed subcomplex
+    of the subdivided action, with the same theorem verdict, on every power."""
+    for k in range(1, a.p):
+        b = a.power(k)
+        F = fixed_subcomplex(b)
+        regular = not scan_offenders(b)
+        assert is_regular(b) == regular
+        if regular:
+            fixed = scan_fixed(b)
+            assert {s for d in range(F.dim + 1) for s in F.simplex_labels(d)} == fixed
+            assert F.vertices == tuple(v for v in b.complex.vertices if (v,) in fixed)
+        else:
+            sd = subdivide_action(b)
+            F_sd = fixed_subcomplex(sd)
+            assert (F.vertices, F.facets) == (F_sd.vertices, F_sd.facets)
+            assert check_even_codim(b) == check_even_codim(sd)
+
+
+def test_fixed_subcomplex_of_non_regular_actions_without_subdivision(s4_document):
+    actions = [corpus.disc_rotation()]
+    actions += [parse(s4_document(n)).actions["rot"] for n in (3, 9)]
+    for a in actions:
+        assert not is_regular(a)
+        assert_fixed_subcomplex_matches_oracle(a)
+    assert fixed_subcomplex(corpus.disc_rotation()).vertices == ("(a0|a1|a2)",)
+
+
+def test_fixed_subcomplex_matches_oracle_on_the_corpora():
+    actions = [*corpus.corpus_actions().values(), *corpus.lefschetz_corpus().values()]
+    actions.append(make_regular(corpus.disc_rotation()))
+    for a in actions:
+        assert_fixed_subcomplex_matches_oracle(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_actions())
+def test_fixed_subcomplex_matches_oracle_on_small_actions(a):
+    assert_fixed_subcomplex_matches_oracle(a)
 
 
 def test_fixed_subcomplex_same_for_powers():
@@ -360,14 +408,3 @@ def test_quotient_chi_divides():
 def test_quotient_rejects_nonfree():
     with pytest.raises(ValueError, match="free"):
         quotient_complex(corpus.sphere_rotation(3))
-
-
-def test_make_regular_is_memoised_on_the_complex():
-    a = corpus.disc_rotation()
-    reg = make_regular(a)
-    assert not is_regular(a) and is_regular(reg)
-    assert make_regular(a) is reg
-    # Every power of the generator is regularised on the one subdivision.
-    square = make_regular(a.power(2))
-    assert square.complex is reg.complex and is_regular(square)
-    assert square.mapping != reg.mapping
