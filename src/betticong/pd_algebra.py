@@ -9,10 +9,16 @@ with its skew form) operate on these, and seeded random generators produce
 the property-test populations: twisted tensor products of exterior and
 truncated polynomial models, with differentials sampled on generators and
 extended by the Leibniz rule.
+
+Structure constants are one sparse table, ``{(a, b): {c: coeff}}`` with no
+entry for a zero product; products and the law checks run on sparse vectors
+``{index: coeff}``.  Orientations and differentials stay dense.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -26,16 +32,17 @@ BiDegree = tuple[int, int]  # (eps in Z/2, j in N)
 class BigradedAlgebra:
     """Finite-dimensional bigraded graded-commutative algebra with unit.
 
-    ``table[a, b]`` is the coefficient vector of e_a * e_b.  Total degree of
-    e_a is (eps + j) mod 2; graded commutativity and associativity are
-    checked by :meth:`validate`, not assumed.
+    ``table[(a, b)]`` maps c to the nonzero coefficient of e_c in e_a * e_b;
+    a pair whose product is 0 has no entry.  Total degree of e_a is
+    (eps + j) mod 2; graded commutativity and associativity are checked by
+    :meth:`validate`, not assumed.
     """
 
     def __init__(self, field, bidegrees, table, unit_index=0, labels=None):
         self.field = field
         self.bidegrees: tuple[BiDegree, ...] = tuple((int(e) % 2, int(j)) for e, j in bidegrees)
         self.dim = len(self.bidegrees)
-        self.table = table
+        self.table: dict[tuple[int, int], dict[int, object]] = table
         self.unit_index = unit_index
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(self.dim))
         self._components: dict[BiDegree, list[int]] = {}
@@ -49,16 +56,17 @@ class BigradedAlgebra:
         e, j = self.bidegrees[i]
         return (e + j) % 2
 
-    def unit_vector(self) -> np.ndarray:
-        return _basis_vec(self, self.unit_index)
+    def product(self, x: dict, y: dict) -> dict:
+        """x * y for sparse vectors ``{index: coeff}``."""
+        return accumulate(self.field, ((c, xa * yb * t) for a, xa in x.items() for b, yb in y.items()
+                                       for c, t in self.table.get((a, b), {}).items()))
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x * y: the coefficients x[a] y[b] applied to the rows table[a, b]."""
-        pairs = [(a, b) for a in x.nonzero()[0] for b in y.nonzero()[0]]
-        if not pairs:
-            return self.field.zeros(self.dim)
-        return exactalg.matmul([x[a] * y[b] for a, b in pairs],
-                               [self.table[a, b] for a, b in pairs], self.field)
+        """x * y for dense vectors: :meth:`product` on their nonzero entries."""
+        out = self.field.zeros(self.dim)
+        for c, v in self.product(_sparse(x), _sparse(y)).items():
+            out[c] = v
+        return out
 
     def max_second_grading(self) -> int:
         return max((j for _, j in self.bidegrees), default=0)
@@ -66,50 +74,56 @@ class BigradedAlgebra:
     def validate(self) -> list[str]:
         """Unit law, bidegree additivity, graded commutativity, associativity."""
         problems = []
-        e0 = self.bidegrees[self.unit_index]
+        T, u = self.table, self.unit_index
+        e0 = self.bidegrees[u]
         if e0 != (0, 0):
             problems.append(f"unit has bidegree {e0}, not (0, 0)")
         for a in range(self.dim):
-            ua = self.table[self.unit_index, a]
-            au = self.table[a, self.unit_index]
-            expect = _basis_vec(self, a)
-            if any(ua != expect) or any(au != expect):
+            if not T.get((u, a)) == T.get((a, u)) == {a: 1}:
                 problems.append(f"unit law fails at basis {a}")
                 break
-        for a in range(self.dim):
+        for a, b in sorted(T):
             ea, ja = self.bidegrees[a]
-            for b in range(self.dim):
-                eb, jb = self.bidegrees[b]
-                prod = self.table[a, b]
-                for c in np.nonzero(prod)[0]:
-                    ec, jc = self.bidegrees[int(c)]
-                    if (ec - ea - eb) % 2 or jc != ja + jb:
-                        problems.append(f"product e{a}*e{b} not homogeneous")
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                sign = (-1) ** (self.total_degree(a) * self.total_degree(b))
-                diff = self.field.reduce(self.table[a, b] - sign * self.table[b, a])
-                if any(diff):
-                    problems.append(f"graded commutativity fails at ({a}, {b})")
+            eb, jb = self.bidegrees[b]
+            for c in T[a, b]:
+                ec, jc = self.bidegrees[c]
+                if (ec - ea - eb) % 2 or jc != ja + jb:
+                    problems.append(f"product e{a}*e{b} not homogeneous")
+        for a, b in sorted({(min(k), max(k)) for k in T}):
+            sign = (-1) ** (self.total_degree(a) * self.total_degree(b))
+            if self.product({a: 1}, {b: 1}) != self.product({b: sign}, {a: 1}):
+                problems.append(f"graded commutativity fails at ({a}, {b})")
         if problems:
             return problems
-        basis = [_basis_vec(self, i) for i in range(self.dim)]
-        for a in range(self.dim):
-            for b in range(self.dim):
-                ab = self.table[a, b]
-                for c in range(self.dim):
-                    left = self.multiply(ab, basis[c])
-                    right = self.multiply(basis[a], self.table[b, c])
-                    if any(self.field.reduce(left - right)):
-                        problems.append(f"associativity fails at ({a}, {b}, {c})")
-                        return problems
+        for a, b, c in itertools.product(range(self.dim), repeat=3):
+            if (a, b) not in T and (b, c) not in T:
+                continue  # both sides are 0
+            if self.product(T.get((a, b), {}), {c: 1}) != self.product({a: 1}, T.get((b, c), {})):
+                problems.append(f"associativity fails at ({a}, {b}, {c})")
+                return problems
         return problems
 
 
-def _basis_vec(A: BigradedAlgebra, i: int) -> np.ndarray:
-    v = A.field.zeros(A.dim)
-    v[i] = A.field.one
-    return v
+def accumulate(field, terms) -> dict:
+    """Sum (index, coefficient) terms into ``{index: coeff}``, dropping zeros."""
+    out: dict = {}
+    for c, x in terms:
+        out[c] = out.get(c, 0) + x
+    return {c: r for c, x in out.items() if (r := field.reduce(x))}
+
+
+def _sparse(v) -> dict:
+    """The nonzero entries of a dense vector, as Python ints or Fractions."""
+    return {i: x for i, x in enumerate(np.asarray(v).tolist()) if x}
+
+
+def _columns(M: np.ndarray) -> list[dict]:
+    return [_sparse(col) for col in np.asarray(M).T]
+
+
+def _apply(field, columns: list[dict], x: dict) -> dict:
+    """M x for the matrix M with the given sparse columns."""
+    return accumulate(field, ((k, xi * m) for i, xi in x.items() for k, m in columns[i].items()))
 
 
 @dataclass(frozen=True)
@@ -119,9 +133,10 @@ class Orientation:
     values: np.ndarray
     formal_dim: int
 
-    def __call__(self, v: np.ndarray):
-        # tolist() turns int64 residues into Python ints: the sum is exact.
-        return sum(a * b for a, b in zip(self.values, np.asarray(v).tolist()))
+    def __call__(self, v):
+        """phi(v) for a sparse vector ``{index: coeff}`` or a dense one."""
+        # Python ints, not int64 residues: the sum is exact.
+        return sum(self.values[i] * x for i, x in (v if isinstance(v, dict) else _sparse(v)).items())
 
 
 def make_orientation(A: BigradedAlgebra, values) -> Orientation:
@@ -146,9 +161,6 @@ class Differential:
     @property
     def total_degree(self) -> int:
         return (self.shift[0] + self.shift[1]) % 2
-
-    def apply(self, A: BigradedAlgebra, v: np.ndarray) -> np.ndarray:
-        return exactalg.matmul(self.matrix, v, A.field)
 
 
 def zero_differential(A: BigradedAlgebra, shift: BiDegree = (0, -1)) -> Differential:
@@ -190,9 +202,8 @@ def _check_orientation_support(A: BigradedAlgebra, phi: Orientation):
 
 def _gram_matrix(A: BigradedAlgebra, phi: Orientation) -> np.ndarray:
     G = A.field.zeros((A.dim, A.dim))
-    for a in range(A.dim):
-        for b in range(A.dim):
-            G[a, b] = A.field.reduce(phi(A.table[a, b]))
+    for (a, b), prod in A.table.items():
+        G[a, b] = A.field.reduce(phi(prod))
     return G
 
 
@@ -242,29 +253,30 @@ def check_derivation(A: BigradedAlgebra, delta: Differential) -> DerivationRepor
     de, dj = delta.shift
     if dj >= 0:
         problems.append("differential must lower the second grading")
-    D = delta.matrix
-    for j in range(A.dim):
+    cols = _columns(delta.matrix)
+    for j, col in enumerate(cols):
         ej, jj = A.bidegrees[j]
-        for i in np.nonzero(D[:, j])[0]:
-            ei, ji = A.bidegrees[int(i)]
+        for i in col:
+            ei, ji = A.bidegrees[i]
             if (ei - ej - de) % 2 or ji != jj + dj:
                 problems.append(f"delta(e{j}) not homogeneous of shift {delta.shift}")
                 break
     if problems:
         return DerivationReport(False, tuple(problems))
-    if np.any(exactalg.matmul(D, D, A.field) != 0):
+    if any(_apply(A.field, cols, col) for col in cols):
         problems.append("delta^2 != 0")
-    basis = [_basis_vec(A, i) for i in range(A.dim)]
-    image = [delta.apply(A, e) for e in basis]
-    for a in range(A.dim):
-        sign = -1 if A.total_degree(a) else 1
-        for b in range(A.dim):
-            lhs = delta.apply(A, A.table[a, b])
-            rhs = A.multiply(image[a], basis[b]) + sign * A.multiply(basis[a], image[b])
-            if any(A.field.reduce(lhs - rhs)):
-                problems.append(f"Leibniz fails at pair ({a}, {b})")
-                return DerivationReport(False, tuple(problems))
+    for a, b in itertools.product(range(A.dim), repeat=2):
+        if _apply(A.field, cols, A.table.get((a, b), {})) != _leibniz(A, cols, a, b):
+            problems.append(f"Leibniz fails at pair ({a}, {b})")
+            return DerivationReport(False, tuple(problems))
     return DerivationReport(not problems, tuple(problems))
+
+
+def _leibniz(A: BigradedAlgebra, cols: list[dict], a: int, b: int) -> dict:
+    """delta(e_a) e_b + (-1)^|a| e_a delta(e_b), from the sparse columns of delta."""
+    sign = -1 if A.total_degree(a) else 1
+    return accumulate(A.field, itertools.chain(A.product(cols[a], {b: 1}).items(),
+                                               A.product({a: sign}, cols[b]).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +289,18 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
     The induced product multiplies representatives and reduces; the induced
     orientation evaluates phi on representatives, well defined because the
     differential strictly lowers the second grading so the top class is
-    never a boundary.  delta must be a square-zero derivation
-    (``check_derivation``): its image is taken to lie in its kernel.
+    never a boundary.  ValueError, naming the first violation, unless delta
+    is a square-zero derivation (``check_derivation``).
     """
+    report = check_derivation(A, delta)
+    if not report.is_valid:
+        raise ValueError(f"delta is not a square-zero derivation: {report.violations[0]}")
     field = A.field
     de, dj = delta.shift
     D = delta.matrix
     subq: dict[BiDegree, exactalg.Subquotient] = {}
     offset: dict[BiDegree, int] = {}  # index of the bidegree's first class in H
-    h_reps: list[np.ndarray] = []
+    h_reps: list[dict] = []
     h_bidegrees: list[BiDegree] = []
     for bd, indices in sorted(A._components.items()):
         e, j = bd
@@ -295,37 +310,28 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
                                              exactalg.sparse_rows(image), field, len(indices))
         offset[bd] = len(h_reps)
         for row in sq.basis:
-            rep = field.zeros(A.dim)
-            rep[indices] = row
-            h_reps.append(rep)
+            h_reps.append({indices[k]: x for k, x in _sparse(row).items()})
             h_bidegrees.append(bd)
     if not h_reps:
         return None, None
-    hdim = len(h_reps)
-    table = np.empty((hdim, hdim), dtype=object)
-    for a in range(hdim):
-        for b in range(hdim):
-            prod = A.multiply(h_reps[a], h_reps[b])
-            bd = (
-                (h_bidegrees[a][0] + h_bidegrees[b][0]) % 2,
-                h_bidegrees[a][1] + h_bidegrees[b][1],
-            )
-            coeffs = field.zeros(hdim)
-            if bd in subq and any(prod):
-                expressed = subq[bd].express(prod[A._components[bd]])
-                coeffs[offset[bd]: offset[bd] + len(expressed)] = expressed
+
+    def classes(v: dict, bd: BiDegree) -> dict:
+        """The classes of H(A, delta) in the bidegree-bd cycle v."""
+        coeffs = subq[bd].express([v.get(i, 0) for i in A._components[bd]])
+        return {offset[bd] + k: x for k, x in _sparse(coeffs).items()}
+
+    table = {}
+    for (a, ra), (b, rb) in itertools.product(enumerate(h_reps), repeat=2):
+        prod = A.product(ra, rb)
+        bd = ((h_bidegrees[a][0] + h_bidegrees[b][0]) % 2, h_bidegrees[a][1] + h_bidegrees[b][1])
+        if bd in subq and prod and (coeffs := classes(prod, bd)):
             table[a, b] = coeffs
-    unit_index = None
-    if (0, 0) in h_bidegrees:
-        coeffs = subq[(0, 0)].express(A.unit_vector()[A._components[(0, 0)]])
-        nonzero = np.nonzero(coeffs)[0]
-        if len(nonzero):
-            unit_index = offset[(0, 0)] + int(nonzero[0])
-    if unit_index is None:
+    unit = classes({A.unit_index: field.one}, (0, 0)) if (0, 0) in h_bidegrees else {}
+    if not unit:
         # The unit died, which forces H = 0; reaching here with classes left
         # would contradict the derivation structure.
         raise AssertionError("unit exact but homology nonzero")
-    H = BigradedAlgebra(field, h_bidegrees, table, unit_index=unit_index)
+    H = BigradedAlgebra(field, h_bidegrees, table, unit_index=min(unit))
     phi_values = np.array([field.coerce(phi(rep)) for rep in h_reps], dtype=object)
     if not any(phi_values):
         return H, None
@@ -393,10 +399,11 @@ def odd_congruence(A: BigradedAlgebra, delta: Differential, phi: Orientation) ->
     _, piv = exactalg.rref(delta.matrix[:, even_idx], A.field)
     complement = [even_idx[c] for c in piv]
     s = len(complement)
+    cols = _columns(delta.matrix)
     gram = np.zeros((s, s), dtype=object)
     for a, ia in enumerate(complement):
         for b, ib in enumerate(complement):
-            gram[a, b] = phi(A.multiply(_basis_vec(A, ia), delta.apply(A, _basis_vec(A, ib))))
+            gram[a, b] = phi(A.product({ia: 1}, cols[ib]))
     gram = A.field.reduce(gram)
     skew = not np.any(A.field.reduce(gram + gram.T))
     nondeg = exactalg.rank(gram, A.field) == s
@@ -423,13 +430,7 @@ def _single_generator_model(field, eps: int, j: int, height: int):
     """
     n = height
     bidegrees = [((eps * k) % 2, j * k) for k in range(n)]
-    table = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            v = field.zeros(n)
-            if a + b < n:
-                v[a + b] = field.one
-            table[a, b] = v
+    table = {(a, b): {a + b: field.one} for a in range(n) for b in range(n - a)}
     A = BigradedAlgebra(field, bidegrees, table)
     A._monomials = [(0,) * k for k in range(n)]  # generator id 0, multiplicity k
     A._generators = [(eps, j)]
@@ -446,21 +447,12 @@ def tensor(A: BigradedAlgebra, B: BigradedAlgebra) -> BigradedAlgebra:
             ea, ja = A.bidegrees[i]
             eb, jb = B.bidegrees[k]
             bidegrees.append(((ea + eb) % 2, ja + jb))
-    table = np.empty((dim, dim), dtype=object)
-    for i1 in range(A.dim):
-        for k1 in range(B.dim):
-            r = i1 * B.dim + k1
-            for i2 in range(A.dim):
-                sign = (-1) ** (B.total_degree(k1) * A.total_degree(i2))
-                pa = A.table[i1, i2]
-                for k2 in range(B.dim):
-                    c = i2 * B.dim + k2
-                    pb = B.table[k1, k2]
-                    v = field.zeros(dim)
-                    for ia in np.nonzero(pa)[0]:
-                        for ib in np.nonzero(pb)[0]:
-                            v[int(ia) * B.dim + int(ib)] = field.reduce(sign * pa[ia] * pb[ib])
-                    table[r, c] = v
+    table = {}
+    for (i1, i2), pa in A.table.items():
+        for (k1, k2), pb in B.table.items():
+            sign = (-1) ** (B.total_degree(k1) * A.total_degree(i2))
+            table[i1 * B.dim + k1, i2 * B.dim + k2] = {
+                ia * B.dim + ib: field.reduce(sign * x * y) for ia, x in pa.items() for ib, y in pb.items()}
     out = BigradedAlgebra(field, bidegrees, table,
                           unit_index=A.unit_index * B.dim + B.unit_index)
     if hasattr(A, "_monomials") and hasattr(B, "_monomials"):
@@ -480,7 +472,7 @@ def _tensor_orientation(A: BigradedAlgebra) -> Orientation:
     top = [i for i in range(A.dim) if A.bidegrees[i] == (0, top_j)]
     if len(top) != 1:
         raise ValueError("tensor model has no unique top class")
-    return make_orientation(A, _basis_vec(A, top[0]))
+    return make_orientation(A, [int(i == top[0]) for i in range(A.dim)])
 
 
 def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
@@ -508,16 +500,12 @@ def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
             except ValueError:
                 continue
         N[np.ix_(idxs, idxs)], Ninv[np.ix_(idxs, idxs)] = block, inverse
-    dim = A.dim
-    # Row a*dim + b is Ninv (N e_a * N e_b), the new product e_a * e_b.
-    prods = [A.multiply(N[:, a], N[:, b]) for a in range(dim) for b in range(dim)]
-    rows = exactalg.matmul(np.array(prods), Ninv.T, field)
-    table = np.empty((dim, dim), dtype=object)
-    for a in range(dim):
-        for b in range(dim):
-            table[a, b] = rows[a * dim + b]
+    # The new product e_a * e_b is Ninv (N e_a * N e_b).
+    ncols, ninv_cols = _columns(N), _columns(Ninv)
+    table = {(a, b): v for a, na in enumerate(ncols) for b, nb in enumerate(ncols)
+             if (v := _apply(field, ninv_cols, A.product(na, nb)))}
     A2 = BigradedAlgebra(field, A.bidegrees, table, unit_index=A.unit_index)
-    phi2 = make_orientation(A2, [phi(N[:, a]) for a in range(dim)])
+    phi2 = make_orientation(A2, [phi(na) for na in ncols])
     delta2 = None
     if delta is not None:
         D2 = exactalg.matmul(Ninv, exactalg.matmul(delta.matrix, N, field), field)
@@ -539,25 +527,9 @@ def random_pd_algebra(rng: random.Random, field, even_dim: bool | None = True):
     construction, and a random bidegree-preserving base change makes the
     Gram matrices generic.  ``even_dim`` constrains the formal dimension.
     """
-    while True:
-        k = rng.randint(1, 3)
-        factors = [rng.choice(_EVEN_FACTORS) for _ in range(k)]
-        eps_sum = sum(f[0] for f in factors) % 2
-        if eps_sum:
-            continue  # top class must land at eps = 0
-        n = sum(j * (h - 1) for _, j, h in factors)
-        if even_dim is True and n % 2:
-            continue
-        if even_dim is False and n % 2 == 0:
-            continue
-        A = _single_generator_model(field, *factors[0])
-        for f in factors[1:]:
-            A = tensor(A, _single_generator_model(field, *f))
-        if A.dim > 40:
-            continue
-        phi = _tensor_orientation(A)
-        A2, phi2, _ = random_base_change(A, phi, None, rng)
-        return A2, phi2
+    A, phi = _random_tensor_model(rng, field, 40, even_dim)
+    A2, phi2, _ = random_base_change(A, phi, None, rng)
+    return A2, phi2
 
 
 def random_differential_algebra(rng: random.Random, field, max_tries: int = 60):
@@ -569,21 +541,29 @@ def random_differential_algebra(rng: random.Random, field, max_tries: int = 60):
     base change is applied last.
     """
     while True:
+        A, phi = _random_tensor_model(rng, field, 36)
+        delta = _sample_differential(A, rng, max_tries)
+        if delta is not None:
+            return random_base_change(A, phi, delta, rng)
+
+
+def _random_tensor_model(rng: random.Random, field, max_dim: int, even_dim: bool | None = None):
+    """(A, phi): 1-3 random factors, redrawn until the top class lies at
+    eps = 0, the formal dimension has the asked parity and dim A <= max_dim."""
+    while True:
         k = rng.randint(1, 3)
         factors = [rng.choice(_EVEN_FACTORS) for _ in range(k)]
         if sum(f[0] for f in factors) % 2:
+            continue  # top class must land at eps = 0
+        n = sum(j * (h - 1) for _, j, h in factors)
+        if even_dim is not None and n % 2 == even_dim:
+            continue
+        if math.prod(h for _, _, h in factors) > max_dim:
             continue
         A = _single_generator_model(field, *factors[0])
         for f in factors[1:]:
             A = tensor(A, _single_generator_model(field, *f))
-        if A.dim > 36:
-            continue
-        phi = _tensor_orientation(A)
-        delta = _sample_differential(A, rng, max_tries)
-        if delta is None:
-            continue
-        A2, phi2, delta2 = random_base_change(A, phi, delta, rng)
-        return A2, phi2, delta2
+        return A, _tensor_orientation(A)
 
 
 def _generator_indices(A: BigradedAlgebra) -> list[int]:
@@ -598,39 +578,31 @@ def _sample_differential(A: BigradedAlgebra, rng: random.Random, max_tries: int)
     field = A.field
     gen_idx = _generator_indices(A)
     shifts = [(e, -j) for e in (0, 1) for j in range(1, A.max_second_grading() + 1)]
+    # Monomials by length: the Leibniz recursion below needs the shorter first.
+    order = sorted(range(A.dim), key=lambda i: len(A._monomials[i]))
+    mono_index = {m: i for i, m in enumerate(A._monomials)}
     for _ in range(max_tries):
         de, dj = rng.choice(shifts)
         if rng.random() < 0.8 and (de + dj) % 2 == 0:
             continue  # favour odd total shifts, where delta^2 = 0 is generic
-        D = field.zeros((A.dim, A.dim))
-        assigned = {}
-        for g, gi in zip(range(len(A._generators)), gen_idx):
+        cols: list[dict] = [{} for _ in range(A.dim)]
+        for gi in gen_idx:
             e, j = A.bidegrees[gi]
-            targets = A.component(e + de, j + dj)
-            vec = field.zeros(A.dim)
-            for t in targets:
+            for t in A.component(e + de, j + dj):
                 if rng.random() < 0.5:
                     # A nonzero residue over F_p, a small integer over Q.
-                    vec[t] = field.coerce(
-                        rng.randrange(1, field.char) if field.char else rng.randint(-2, 2))
-            assigned[g] = vec
+                    x = field.coerce(rng.randrange(1, field.char) if field.char else rng.randint(-2, 2))
+                    if x:
+                        cols[gi][t] = x
         # Extend to monomials by the Leibniz recursion.
-        order = sorted(range(A.dim), key=lambda i: len(A._monomials[i]))
-        mono_index = {m: i for i, m in enumerate(A._monomials)}
         for i in order:
             mono = A._monomials[i]
-            if len(mono) == 0:
-                continue
-            if len(mono) == 1:
-                D[:, i] = assigned[mono[0]]
-                continue
-            g = mono[0]
-            rest = mono[1:]
-            gi = mono_index[(g,)]
-            ri = mono_index[rest]
-            sign = -1 if A.total_degree(gi) else 1
-            D[:, i] = field.reduce(A.multiply(D[:, gi], _basis_vec(A, ri))
-                                   + sign * A.multiply(_basis_vec(A, gi), D[:, ri]))
+            if len(mono) > 1:
+                cols[i] = _leibniz(A, cols, mono_index[mono[:1]], mono_index[mono[1:]])
+        D = field.zeros((A.dim, A.dim))
+        for i, col in enumerate(cols):
+            for t, x in col.items():
+                D[t, i] = x
         delta = Differential(matrix=D, shift=(de, dj))
         if check_derivation(A, delta).is_valid:
             return delta
@@ -653,27 +625,13 @@ def odd_model(field, m: int, r: int, pairing=None):
         C = np.array(pairing, dtype=object)
     bidegrees = [(0, 0)] + [(0, 1)] * r + [(0, 2 * m)] * r + [(0, 2 * m + 1)]
     a0, u0, w = 1, 1 + r, 2 * r + 1
-
-    def basis_vector(i):
-        v = field.zeros(dim)
-        v[i] = field.one
-        return v
-
-    table = np.empty((dim, dim), dtype=object)
-    for x in range(dim):
-        for y in range(dim):
-            table[x, y] = field.zeros(dim)
-    for x in range(dim):
-        table[0, x] = basis_vector(x)
-        table[x, 0] = basis_vector(x)
-    for i in range(r):
-        for j in range(r):
-            v = field.zeros(dim)
-            v[w] = field.reduce(C[i, j])
-            table[a0 + i, u0 + j] = v
-            table[u0 + j, a0 + i] = v.copy()  # |u| even: commutes
+    table = {key: {x: field.one} for x in range(dim) for key in ((0, x), (x, 0))}
+    for i, j in itertools.product(range(r), repeat=2):
+        if c := field.reduce(C[i, j]):
+            table[a0 + i, u0 + j] = {w: c}
+            table[u0 + j, a0 + i] = {w: c}  # |u| even: commutes
     A = BigradedAlgebra(field, bidegrees, table)
-    phi = make_orientation(A, basis_vector(w))
+    phi = make_orientation(A, [int(i == w) for i in range(dim)])
     return A, phi, C
 
 

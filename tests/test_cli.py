@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from betticong.cli import COMMANDS, InputError, main, parse, serialize
+from betticong.pd_algebra import check_derivation, homology
 
 S2_DOC = """\
 # suspended triangle with its rotation
@@ -401,6 +404,45 @@ def test_algebra_check_over_the_largest_prime_field(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# algebra-check: one document per broken law of the structure constants
+# ---------------------------------------------------------------------------
+
+_XYV = ("basis one bidegree 0 0\nbasis x bidegree 0 1\nbasis y bidegree 0 1\n"
+        "basis v bidegree 0 2\n")
+_XYV_LAWFUL = "mult x y = 1 v\nmult y x = -1 v\nphi v = 1\n"
+
+BROKEN_LAWS = {
+    "unit": ("Q", _XYV + "mult one x = 2 x\nmult x one = 2 x\n" + _XYV_LAWFUL,
+             ["unit law fails at basis 1"]),
+    # Terms that sum to 0 leave no product at all, unit pairs included.
+    "unit-terms-sum-to-0": ("F3", _XYV + "mult one x = 1 x + 2 x\nmult x one = 0\n" + _XYV_LAWFUL,
+                            ["unit law fails at basis 1"]),
+    "homogeneity": ("Q", _XYV + "mult x y = 1 v + 1 x\nmult y x = -1 v + -1 x\nphi v = 1\n",
+                    ["product e1*e2 not homogeneous", "product e2*e1 not homogeneous"]),
+    "commutativity": ("F5", _XYV + "mult x y = 1 v\nmult y x = 1 v\nphi v = 1\n",
+                      ["graded commutativity fails at (1, 2)"]),
+    # (x x) y = v y = 0, but x (x y) = x v = z.
+    "associativity": ("Q", "basis one bidegree 0 0\nbasis x bidegree 0 2\nbasis y bidegree 0 2\n"
+                           "basis v bidegree 0 4\nbasis z bidegree 0 6\n"
+                           "mult x x = 1 v\nmult x v = 1 z\nmult v x = 1 z\n"
+                           "mult x y = 1 v\nmult y x = 1 v\nphi z = 1\n",
+                      ["associativity fails at (1, 1, 2)"]),
+}
+
+
+@pytest.mark.parametrize("law", sorted(BROKEN_LAWS))
+def test_algebra_check_reports_each_broken_law(tmp_path, capsys, law):
+    field, body, expected = BROKEN_LAWS[law]
+    path = tmp_path / "broken.bc"
+    path.write_text(f"algebra B field {field}\n{body}end\n")
+    assert main(["algebra-check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert [l for l in out.splitlines() if l.startswith("structure:")] == [
+        f"structure: {problem}" for problem in expected]
+    assert f"CHECK algebra-structure: FAIL — {len(expected)} vs 0 (mod 4)" in out
+
+
+# ---------------------------------------------------------------------------
 # fractional coefficients over F_p: the denominator is inverted mod p
 # ---------------------------------------------------------------------------
 
@@ -484,6 +526,18 @@ def test_theorem1_alg_without_a_derivation_is_not_applicable(tmp_path, capsys, d
     out = capsys.readouterr().out
     assert "differential is not a square-zero derivation" in out
     assert "CHECK theorem1-algebraic: N/A — 4 vs - (mod 4)" in out
+
+
+@pytest.mark.parametrize("doc, violation", [(README_DOC, "Leibniz fails at pair (2, 2)"),
+                                              (BAD_DELTA_DOC, "Leibniz fails at pair (1, 2)")],
+                         ids=["readme", "bad-delta"])
+def test_homology_of_a_non_derivation_names_the_first_violation(doc, violation):
+    # Before, the README algebra gave an H of dimension 2 and the other
+    # raised from deep inside the subquotient.
+    A, phi, delta = parse(doc).algebras["odd_example"]
+    assert check_derivation(A, delta).violations[0] == violation
+    with pytest.raises(ValueError, match=re.escape(f"square-zero derivation: {violation}")):
+        homology(A, delta, phi)
 
 
 @pytest.mark.parametrize("doc", [README_DOC, BAD_DELTA_DOC], ids=["readme", "bad-delta"])

@@ -79,7 +79,7 @@ def test_torus_model_pd_with_gram_oracle():
     G = np.zeros((4, 4), dtype=object)
     for i in range(4):
         for j in range(4):
-            G[i, j] = phi(A.table[i, j])
+            G[i, j] = phi(A.table.get((i, j), {}))
     assert (G == expected).all()
     assert rank(G, QQ) == 4
     res = check_pd(A, phi)
@@ -149,6 +149,28 @@ def test_pd_symmetry_of_component_dims():
         n = phi.formal_dim
         for (e, j), idxs in A._components.items():
             assert len(idxs) == len(A.component(e, n - j)), (e, j, n)
+
+
+# ---------------------------------------------------------------------------
+# the sparse structure constants
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_sparse_table_and_multiply_match_the_bilinear_oracle(field):
+    """Each stored product is a nonzero {c: coeff} in canonical form, and
+    multiply(x, y)_c = sum over (a, b) of x_a y_b t_ab^c."""
+    rng = random.Random(37)
+    for _ in range(3):
+        for A in (random_pd_algebra(rng, field)[0], random_differential_algebra(rng, field)[0]):
+            n = A.dim
+            for (a, b), prod in A.table.items():
+                assert 0 <= a < n and 0 <= b < n and isinstance(prod, dict) and prod
+                assert all(0 <= c < n and x and field.reduce(x) == x for c, x in prod.items())
+            x, y = field_matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)], field)
+            oracle = [field.reduce(sum(x[a] * y[b] * A.table.get((a, b), {}).get(c, 0)
+                                       for a in range(n) for b in range(n)))
+                      for c in range(n)]
+            assert A.multiply(x, y).tolist() == oracle
 
 
 # ---------------------------------------------------------------------------
