@@ -47,14 +47,13 @@ from .pd_algebra import (
 from .simplicial import SimplicialComplex, pd_check
 from .theorems import (
     check_even_codim,
+    check_line,
     check_theorem1_algebraic,
     check_theorem2,
     check_theorem4,
     euler_route_congruence,
     smith_inequality_check,
 )
-
-CHECK_SEP = "—"  # em dash pinned by the report contract
 
 
 class InputError(Exception):
@@ -365,30 +364,21 @@ def _build_algebra(b: AlgebraBlock):
                         labels=[lab for lab, _, _ in b.basis])
     phi = None
     if b.phi:
-        values = field_obj.zeros(n)
-        for lab, coeff in b.phi.items():
-            values[index[lab]] = _scalar(field_obj, coeff)
-        phi = make_orientation(A, values)
+        phi = make_orientation(A, {index[lab]: _scalar(field_obj, c) for lab, c in b.phi.items()})
     delta = None
     if b.delta:
-        D = field_obj.zeros((n, n))
+        columns = [{} for _ in range(n)]
         shift = None
         for lab, terms in b.delta.items():
             src = index[lab]
-            for coeff, tlab in terms:
-                tgt = index[tlab]
-                D[tgt, src] = field_obj.reduce(D[tgt, src] + _scalar(field_obj, coeff))
-                se = (bidegrees[tgt][0] - bidegrees[src][0]) % 2
-                sj = bidegrees[tgt][1] - bidegrees[src][1]
-                if shift is None:
-                    shift = (se, sj)
-                elif shift != (se, sj):
-                    raise ValueError(
-                        f"delta is not homogeneous: shifts {shift} and {(se, sj)}"
-                    )
-        if shift is None:
-            shift = (0, -1)
-        delta = Differential(matrix=D, shift=shift)
+            columns[src] = accumulate(field_obj, ((index[t], _scalar(field_obj, c)) for c, t in terms))
+            for _, tlab in terms:
+                (et, jt), (es, js) = bidegrees[index[tlab]], bidegrees[src]
+                term_shift = ((et - es) % 2, jt - js)
+                if shift not in (None, term_shift):
+                    raise ValueError(f"delta is not homogeneous: shifts {shift} and {term_shift}")
+                shift = term_shift
+        delta = Differential(tuple(columns), shift or (0, -1))
     return A, phi, delta
 
 
@@ -423,13 +413,12 @@ def serialize(doc: InputDocument) -> str:
                 if A.unit_index not in (a, c):
                     out.append(f"mult {A.labels[a]} {A.labels[c]} = " + _terms_str(A, A.table[a, c]))
             if phi is not None:
-                for i in range(A.dim):
-                    if phi.values[i]:
-                        out.append(f"phi {A.labels[i]} = {_coeff_str(phi.values[i])}")
+                for i, x in sorted(phi.values.items()):
+                    out.append(f"phi {A.labels[i]} = {_coeff_str(x)}")
             if delta is not None:
-                for src, col in enumerate(delta.matrix.T.tolist()):
-                    if any(col):
-                        out.append(f"delta {A.labels[src]} = " + _terms_str(A, dict(enumerate(col))))
+                for src, col in enumerate(delta.columns):
+                    if col:
+                        out.append(f"delta {A.labels[src]} = " + _terms_str(A, col))
             out.append("end")
     return "\n".join(out) + "\n"
 
@@ -440,7 +429,7 @@ def _coeff_str(x) -> str:
 
 
 def _terms_str(A: BigradedAlgebra, v: dict) -> str:
-    return " + ".join(f"{_coeff_str(x)} {A.labels[i]}" for i, x in sorted(v.items()) if x)
+    return " + ".join(f"{_coeff_str(x)} {A.labels[i]}" for i, x in sorted(v.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +445,12 @@ class Report:
     def say(self, line: str):
         self.lines.append(line)
 
-    def check(self, name: str, verdict: str, lhs, rhs, modulus: int = 4):
-        self.lines.append(
-            f"CHECK {name}: {verdict} {CHECK_SEP} {lhs} vs {rhs} (mod {modulus})"
-        )
+    def check(self, name: str, verdict: str, lhs, rhs):
+        self.say(check_line(name, verdict, lhs, rhs))
+        self.tally(verdict)
+
+    def tally(self, verdict: str):
+        """Count an asserted verdict towards the exit code."""
         if verdict == "FAIL":
             self.fail = True
         elif verdict == "N/A":
@@ -615,12 +606,8 @@ def cmd_localization(doc, args, rep: Report):
 
 
 def _report_theorem(rep: Report, tr):
-    for line in tr.lines():
-        if line.startswith("CHECK"):
-            rhs = "-" if tr.rhs is None else tr.rhs
-            rep.check(f"theorem{tr.theorem}", tr.verdict, tr.lhs, rhs)
-        else:
-            rep.say(line)
+    rep.lines.extend(tr.lines())
+    rep.tally(tr.verdict)
 
 
 def cmd_theorem2(doc, args, rep: Report):

@@ -451,26 +451,45 @@ def _unit_echelon(rows, field, leftmost=False) -> list[tuple[int, dict]]:
     return out
 
 
-def _int_row(values) -> dict[int, int]:
-    """Sparse int multiple of a vector: scaled by the lcm of its denominators."""
-    m = math.lcm(*(x.denominator for x in values if x))
-    return {c: int(x * m) for c, x in enumerate(values) if x}
+def _int_row(values: dict) -> dict[int, int]:
+    """Sparse int multiple of a sparse vector: scaled by the lcm of its denominators."""
+    m = math.lcm(*(x.denominator for x in values.values()))
+    return {c: int(x * m) for c, x in values.items() if x}
 
 
-def sparse_rows(matrix) -> list[dict[int, int]]:
-    """The nonzero rows of a dense matrix as the sparse int rows ``Subquotient`` takes.
+def int_rows(rows) -> list[dict[int, int]]:
+    """The nonzero sparse rows ``{column: coeff}`` as the sparse int rows ``Subquotient`` takes.
 
     Residues pass unchanged; a row over Q is scaled by the lcm of its
     denominators, which keeps the spans the engine depends on.
     """
-    return [r for r in map(_int_row, np.asarray(matrix).tolist()) if r]
+    return [r for r in map(_int_row, rows) if r]
+
+
+def sparse_rows(matrix) -> list[dict[int, int]]:
+    """``int_rows`` of the rows of a dense matrix."""
+    return int_rows(dict(enumerate(row)) for row in np.asarray(matrix).tolist())
+
+
+def transpose_rows(rows: list[dict], ncols: int) -> list[dict]:
+    """The sparse rows of the transpose of a matrix given by its sparse rows."""
+    out: list[dict] = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][r] = v
+    return out
+
+
+def pivot_columns(rows, field) -> list[int]:
+    """The pivot columns of the canonical rref of sparse int rows over *field*."""
+    return sorted(pc for _, pc in _eliminate(rows, field.char or None, leftmost=True)[1])
 
 
 class Subquotient:
     """Reduced-echelon basis of ker A modulo a subspace B of it, with ``express``.
 
     ``kernel_of`` holds the sparse int rows of A and ``image`` sparse int
-    rows spanning B, on ``n`` columns (``sparse_rows`` makes both).  The
+    rows spanning B, on ``n`` columns (``int_rows`` makes both).  The
     image rows are eliminated with leftmost pivots, so their pivot set P is
     that of the canonical rref of B.  The kernel of A off P, by back
     substitution from each free column, is a complement of B in ker A.  Its
@@ -517,7 +536,7 @@ class Subquotient:
         # Python ints and Fractions: the sums below cannot overflow.
         values = np.asarray(v).tolist()
         # A v = 0 is checked on the integer multiple of v.
-        w = _int_row(values)
+        w = _int_row(dict(enumerate(values)))
         for row in self._rows:
             if self.field.reduce(sum(val * w[c] for c, val in row.items() if c in w)):
                 raise ValueError("vector is not in the kernel modulo the image")

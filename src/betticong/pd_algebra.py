@@ -10,9 +10,13 @@ the property-test populations: twisted tensor products of exterior and
 truncated polynomial models, with differentials sampled on generators and
 extended by the Leibniz rule.
 
-Structure constants are one sparse table, ``{(a, b): {c: coeff}}`` with no
-entry for a zero product; products and the law checks run on sparse vectors
-``{index: coeff}``.  Orientations and differentials stay dense.
+All algebra data is sparse, with no zero entries: the structure constants
+are one table ``{(a, b): {c: coeff}}`` with no entry for a zero product, an
+orientation is ``{i: phi(e_i)}`` and a differential is the tuple of its
+columns delta(e_j) = ``{i: coeff}``.  Products, the law checks, base changes
+and homology run on sparse vectors ``{index: coeff}``; dense arrays remain
+only where a dense rank or inverse runs (Gram matrices, base-change blocks,
+the odd-model pairing).
 """
 
 from __future__ import annotations
@@ -60,13 +64,6 @@ class BigradedAlgebra:
         """x * y for sparse vectors ``{index: coeff}``."""
         return accumulate(self.field, ((c, xa * yb * t) for a, xa in x.items() for b, yb in y.items()
                                        for c, t in self.table.get((a, b), {}).items()))
-
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x * y for dense vectors: :meth:`product` on their nonzero entries."""
-        out = self.field.zeros(self.dim)
-        for c, v in self.product(_sparse(x), _sparse(y)).items():
-            out[c] = v
-        return out
 
     def max_second_grading(self) -> int:
         return max((j for _, j in self.bidegrees), default=0)
@@ -118,33 +115,34 @@ def _sparse(v) -> dict:
 
 
 def _columns(M: np.ndarray) -> list[dict]:
+    """The sparse columns of a dense matrix."""
     return [_sparse(col) for col in np.asarray(M).T]
 
 
-def _apply(field, columns: list[dict], x: dict) -> dict:
+def _apply(field, columns, x: dict) -> dict:
     """M x for the matrix M with the given sparse columns."""
     return accumulate(field, ((k, xi * m) for i, xi in x.items() for k, m in columns[i].items()))
 
 
 @dataclass(frozen=True)
 class Orientation:
-    """Linear functional supported on bidegree (0, n); phi(top) normalised."""
+    """Linear functional supported on bidegree (0, n): ``values[i]`` = phi(e_i), nonzero only."""
 
-    values: np.ndarray
+    values: dict[int, object]
     formal_dim: int
 
-    def __call__(self, v):
-        """phi(v) for a sparse vector ``{index: coeff}`` or a dense one."""
+    def __call__(self, v: dict):
+        """phi(v) for a sparse vector ``{index: coeff}``."""
         # Python ints, not int64 residues: the sum is exact.
-        return sum(self.values[i] * x for i, x in (v if isinstance(v, dict) else _sparse(v)).items())
+        return sum(self.values[i] * x for i, x in v.items() if i in self.values)
 
 
-def make_orientation(A: BigradedAlgebra, values) -> Orientation:
-    vals = np.array([A.field.coerce(x) for x in values], dtype=object)
-    support = [i for i in range(A.dim) if vals[i]]
-    if not support:
+def make_orientation(A: BigradedAlgebra, values: dict) -> Orientation:
+    """The orientation with phi(e_i) = values[i] (``{i: coeff}``; zeros are dropped)."""
+    vals = {i: y for i, x in sorted(values.items()) if (y := A.field.coerce(x))}
+    if not vals:
         raise ValueError("orientation must be surjective (some nonzero value)")
-    degrees = {A.bidegrees[i] for i in support}
+    degrees = {A.bidegrees[i] for i in vals}
     if len(degrees) != 1 or next(iter(degrees))[0] != 0:
         raise ValueError(f"orientation supported off a single bidegree (0, n): {degrees}")
     n = next(iter(degrees))[1]
@@ -155,8 +153,8 @@ def make_orientation(A: BigradedAlgebra, values) -> Orientation:
 class Differential:
     """Homogeneous square-zero derivation lowering the second grading."""
 
-    matrix: np.ndarray  # column j = delta(e_j)
-    shift: BiDegree     # (delta_eps, delta_j), delta_j < 0
+    columns: tuple[dict, ...]  # columns[j] = delta(e_j) as {i: coeff}, nonzero only
+    shift: BiDegree            # (delta_eps, delta_j), delta_j < 0
 
     @property
     def total_degree(self) -> int:
@@ -164,7 +162,7 @@ class Differential:
 
 
 def zero_differential(A: BigradedAlgebra, shift: BiDegree = (0, -1)) -> Differential:
-    return Differential(matrix=A.field.zeros((A.dim, A.dim)), shift=shift)
+    return Differential(tuple({} for _ in range(A.dim)), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +191,9 @@ def check_pd(A: BigradedAlgebra, phi: Orientation) -> PDAlgebraResult:
 
 
 def _check_orientation_support(A: BigradedAlgebra, phi: Orientation):
-    for i in range(A.dim):
-        if phi.values[i] and A.bidegrees[i] != (0, phi.formal_dim):
-            raise ValueError("orientation supported outside bidegree (0, n)")
-    if not any(phi.values):
+    if any(A.bidegrees[i] != (0, phi.formal_dim) for i in phi.values):
+        raise ValueError("orientation supported outside bidegree (0, n)")
+    if not phi.values:
         raise ValueError("orientation is zero")
 
 
@@ -253,7 +250,7 @@ def check_derivation(A: BigradedAlgebra, delta: Differential) -> DerivationRepor
     de, dj = delta.shift
     if dj >= 0:
         problems.append("differential must lower the second grading")
-    cols = _columns(delta.matrix)
+    cols = delta.columns
     for j, col in enumerate(cols):
         ej, jj = A.bidegrees[j]
         for i in col:
@@ -295,19 +292,26 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
     report = check_derivation(A, delta)
     if not report.is_valid:
         raise ValueError(f"delta is not a square-zero derivation: {report.violations[0]}")
+    return _homology(A, delta, phi)
+
+
+def _homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
+    """``homology`` for a delta already known to be a square-zero derivation."""
     field = A.field
     de, dj = delta.shift
-    D = delta.matrix
+    cols = delta.columns
     subq: dict[BiDegree, exactalg.Subquotient] = {}
     offset: dict[BiDegree, int] = {}  # index of the bidegree's first class in H
     h_reps: list[dict] = []
     h_bidegrees: list[BiDegree] = []
     for bd, indices in sorted(A._components.items()):
         e, j = bd
+        position = {i: k for k, i in enumerate(indices)}
         # Kernel of delta on the component modulo the image of its source.
-        image = D[np.ix_(indices, A.component(e - de, j - dj))].T
-        sq = subq[bd] = exactalg.Subquotient(exactalg.sparse_rows(D[:, indices]),
-                                             exactalg.sparse_rows(image), field, len(indices))
+        kernel_of = exactalg.transpose_rows([cols[i] for i in indices], A.dim)
+        image = [{position[i]: x for i, x in cols[s].items()} for s in A.component(e - de, j - dj)]
+        sq = subq[bd] = exactalg.Subquotient(exactalg.int_rows(kernel_of),
+                                             exactalg.int_rows(image), field, len(indices))
         offset[bd] = len(h_reps)
         for row in sq.basis:
             h_reps.append({indices[k]: x for k, x in _sparse(row).items()})
@@ -332,11 +336,10 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
         # would contradict the derivation structure.
         raise AssertionError("unit exact but homology nonzero")
     H = BigradedAlgebra(field, h_bidegrees, table, unit_index=min(unit))
-    phi_values = np.array([field.coerce(phi(rep)) for rep in h_reps], dtype=object)
-    if not any(phi_values):
+    phi_values = {k: x for k, rep in enumerate(h_reps) if (x := field.coerce(phi(rep)))}
+    if not phi_values:
         return H, None
-    phi_H = make_orientation(H, phi_values)
-    return H, phi_H
+    return H, make_orientation(H, phi_values)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +368,8 @@ def odd_congruence(A: BigradedAlgebra, delta: Differential, phi: Orientation) ->
 
     Also exhibits the proof mechanism: the form gamma(x, y) = phi(x delta y)
     on the even part modulo cycles must be skew and nondegenerate, forcing
-    that quotient to have even dimension.
+    that quotient to have even dimension.  The dimensions are reported
+    whenever H(A, delta) is defined, the form only when the hypotheses hold.
     """
     failures = []
     if A.field.char == 2:
@@ -387,19 +391,20 @@ def odd_congruence(A: BigradedAlgebra, delta: Differential, phi: Orientation) ->
             failures.append(f"A^(0,{i}) nonzero with {i} even <= m={m}")
         if i % 2 == 1 and A.component(1, i):
             failures.append(f"A^(1,{i}) nonzero with {i} odd <= m={m}")
-    if failures:
+    if not der.is_valid:
         return OddCongruenceReport(False, tuple(failures))
-    H, _ = homology(A, delta, phi)
+    H, _ = _homology(A, delta, phi)
     dim_h = H.dim if H is not None else 0
-    if dim_h == 0:
+    if dim_h == 0 and not failures:
         failures.append("H(A, delta) = 0")
-        return OddCongruenceReport(False, tuple(failures))
+    if failures:
+        return OddCongruenceReport(False, tuple(failures), A.dim, dim_h)
+    cols = delta.columns
     even_idx = [i for i in range(A.dim) if A.total_degree(i) == 0]
     # Pivot columns of delta|even span a complement of the even cycles.
-    _, piv = exactalg.rref(delta.matrix[:, even_idx], A.field)
-    complement = [even_idx[c] for c in piv]
+    rows = exactalg.transpose_rows([cols[i] for i in even_idx], A.dim)
+    complement = [even_idx[c] for c in exactalg.pivot_columns(exactalg.int_rows(rows), A.field)]
     s = len(complement)
-    cols = _columns(delta.matrix)
     gram = np.zeros((s, s), dtype=object)
     for a, ia in enumerate(complement):
         for b, ib in enumerate(complement):
@@ -472,7 +477,7 @@ def _tensor_orientation(A: BigradedAlgebra) -> Orientation:
     top = [i for i in range(A.dim) if A.bidegrees[i] == (0, top_j)]
     if len(top) != 1:
         raise ValueError("tensor model has no unique top class")
-    return make_orientation(A, [int(i == top[0]) for i in range(A.dim)])
+    return make_orientation(A, {top[0]: 1})
 
 
 def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
@@ -482,12 +487,12 @@ def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
     (A', phi', delta'); associativity and all congruence data are invariant.
     """
     field = A.field
-    N, Ninv = field.zeros((A.dim, A.dim)), field.zeros((A.dim, A.dim))
+    ncols = [{i: field.one} for i in range(A.dim)]  # the sparse columns of N
+    ninv_cols = list(ncols)                          # and of N^-1
     for bd, idxs in A._components.items():
-        k = len(idxs)
         if bd == (0, 0):
-            N[idxs, idxs] = Ninv[idxs, idxs] = field.one
             continue
+        k = len(idxs)
         while True:
             # Uniform residues over F_p, small integers over Q.
             block = np.array([
@@ -499,17 +504,18 @@ def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
                 break
             except ValueError:
                 continue
-        N[np.ix_(idxs, idxs)], Ninv[np.ix_(idxs, idxs)] = block, inverse
-    # The new product e_a * e_b is Ninv (N e_a * N e_b).
-    ncols, ninv_cols = _columns(N), _columns(Ninv)
+        for i, col, inv_col in zip(idxs, _columns(block), _columns(inverse)):
+            ncols[i] = {idxs[r]: x for r, x in col.items()}
+            ninv_cols[i] = {idxs[r]: x for r, x in inv_col.items()}
+    # The new product e_a * e_b is Ninv (N e_a * N e_b), and delta(e_j) is Ninv delta(N e_j).
     table = {(a, b): v for a, na in enumerate(ncols) for b, nb in enumerate(ncols)
              if (v := _apply(field, ninv_cols, A.product(na, nb)))}
     A2 = BigradedAlgebra(field, A.bidegrees, table, unit_index=A.unit_index)
-    phi2 = make_orientation(A2, [phi(na) for na in ncols])
+    phi2 = make_orientation(A2, {i: phi(na) for i, na in enumerate(ncols)})
     delta2 = None
     if delta is not None:
-        D2 = exactalg.matmul(Ninv, exactalg.matmul(delta.matrix, N, field), field)
-        delta2 = Differential(matrix=D2, shift=delta.shift)
+        delta2 = Differential(tuple(_apply(field, ninv_cols, _apply(field, delta.columns, na))
+                                    for na in ncols), delta.shift)
     return A2, phi2, delta2
 
 
@@ -599,11 +605,7 @@ def _sample_differential(A: BigradedAlgebra, rng: random.Random, max_tries: int)
             mono = A._monomials[i]
             if len(mono) > 1:
                 cols[i] = _leibniz(A, cols, mono_index[mono[:1]], mono_index[mono[1:]])
-        D = field.zeros((A.dim, A.dim))
-        for i, col in enumerate(cols):
-            for t, x in col.items():
-                D[t, i] = x
-        delta = Differential(matrix=D, shift=(de, dj))
+        delta = Differential(tuple(cols), (de, dj))
         if check_derivation(A, delta).is_valid:
             return delta
     return None
@@ -631,7 +633,7 @@ def odd_model(field, m: int, r: int, pairing=None):
             table[a0 + i, u0 + j] = {w: c}
             table[u0 + j, a0 + i] = {w: c}  # |u| even: commutes
     A = BigradedAlgebra(field, bidegrees, table)
-    phi = make_orientation(A, [int(i == w) for i in range(dim)])
+    phi = make_orientation(A, {w: 1})
     return A, phi, C
 
 
@@ -645,6 +647,8 @@ def odd_model_differential(A: BigradedAlgebra, C, skew) -> Differential:
     r = (A.dim - 2) // 2
     Cinv_t = exactalg.invert(np.array(C, dtype=object).T, field)
     m = (max(j for _, j in A.bidegrees) - 1) // 2
-    D = field.zeros((A.dim, A.dim))
-    D[1: 1 + r, 1 + r: 1 + 2 * r] = exactalg.matmul(Cinv_t, np.array(skew, dtype=object), field)
-    return Differential(matrix=D, shift=(0, 1 - 2 * m))
+    cinv_cols, cols = _columns(Cinv_t), [{} for _ in range(A.dim)]
+    for j, s in enumerate(_columns(np.array(skew, dtype=object))):
+        # delta(u_j) = sum_i (C^{-T} S)_ij a_i
+        cols[1 + r + j] = {1 + i: x for i, x in _apply(field, cinv_cols, s).items()}
+    return Differential(tuple(cols), (0, 1 - 2 * m))

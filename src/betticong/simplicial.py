@@ -279,8 +279,8 @@ class SimplicialComplex:
                 self._cache[key] = exactalg.Subquotient.zero(rows, field, n)
             else:
                 # Image of delta^{i-1} in C^i: the columns of its coboundary rows.
-                image = (_transpose_rows(self.coboundary_rows(degree - 1),
-                                         self.n_simplices(degree - 1)) if degree else [])
+                image = (exactalg.transpose_rows(self.coboundary_rows(degree - 1),
+                                                 self.n_simplices(degree - 1)) if degree else [])
                 self._cache[key] = exactalg.Subquotient(rows, image, field, n)
         return self._cache[key]
 
@@ -295,14 +295,6 @@ class SimplicialComplex:
             if av:
                 out[t] = av * b[idx_j[s[i:]]]
         return field.reduce(out)
-
-
-def _transpose_rows(rows: list[dict[int, int]], ncols_in: int) -> list[dict[int, int]]:
-    out: list[dict[int, int]] = [dict() for _ in range(ncols_in)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            out[c][r] = v
-    return out
 
 
 # ---------------------------------------------------------------------------

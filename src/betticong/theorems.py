@@ -23,12 +23,16 @@ from .pd_algebra import (
     BigradedAlgebra,
     Differential,
     Orientation,
-    check_derivation,
     check_pd,
     euler_and_dim,
-    homology,
     odd_congruence,
 )
+
+
+def check_line(name: str, verdict: str, lhs, rhs) -> str:
+    """One asserted check's report line: verdict, then lhs vs rhs mod 4 ("-" for None)."""
+    lhs, rhs = ("-" if x is None else x for x in (lhs, rhs))
+    return f"CHECK {name}: {verdict} — {lhs} vs {rhs} (mod 4)"
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,6 @@ class TheoremReport:
     hypotheses: tuple[Hypothesis, ...]
     lhs: int | None
     rhs: int | None
-    modulus: int = 4
 
     @property
     def applicable(self) -> bool:
@@ -56,7 +59,7 @@ class TheoremReport:
         """Informational congruence value; only a claim when applicable."""
         if self.lhs is None or self.rhs is None:
             return None
-        return (self.lhs - self.rhs) % self.modulus == 0
+        return (self.lhs - self.rhs) % 4 == 0
 
     @property
     def verdict(self) -> str:
@@ -71,11 +74,7 @@ class TheoremReport:
             ev = f" ({h.evidence})" if h.evidence else ""
             out.append(f"  hypothesis {h.name}: {state}{ev}")
         out.append(f"  applicable: {'yes' if self.applicable else 'no'}")
-        lhs = "-" if self.lhs is None else self.lhs
-        rhs = "-" if self.rhs is None else self.rhs
-        out.append(
-            f"CHECK theorem{self.theorem}: {self.verdict} — {lhs} vs {rhs} (mod {self.modulus})"
-        )
+        out.append(check_line(f"theorem{self.theorem}", self.verdict, self.lhs, self.rhs))
         return out
 
 
@@ -196,19 +195,16 @@ def check_theorem1_algebraic(
                     f"skew form nondegenerate on a {rep.quotient_dim}-dimensional quotient",
                 )
             )
-            if rep.applicable:
-                lhs, rhs = rep.dim_total, rep.dim_homology
-                if fixed_set_dim is not None:
-                    hyps.append(
-                        Hypothesis(
-                            "fixed_set_dimension_matches",
-                            rep.dim_homology == fixed_set_dim,
-                            f"dim H(A, delta) = {rep.dim_homology} vs fixed set {fixed_set_dim}",
-                        )
+            # Both None when H(A, delta) is undefined: rhs "-".
+            lhs, rhs = rep.dim_total, rep.dim_homology
+            if rep.applicable and fixed_set_dim is not None:
+                hyps.append(
+                    Hypothesis(
+                        "fixed_set_dimension_matches",
+                        rep.dim_homology == fixed_set_dim,
+                        f"dim H(A, delta) = {rep.dim_homology} vs fixed set {fixed_set_dim}",
                     )
-            elif check_derivation(A, delta).is_valid:  # else H(A, delta) is undefined: rhs "-"
-                H, _ = homology(A, delta, phi)
-                lhs, rhs = A.dim, (H.dim if H is not None else 0)
+                )
     return TheoremReport(
         theorem="1-algebraic",
         subject=subject or "rational PD algebra",

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import io
+import random
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from betticong import cli, pd_algebra
 from betticong.cli import COMMANDS, InputError, main, parse, serialize
-from betticong.pd_algebra import check_derivation, homology
+from betticong.exactalg import GF, QQ
+from betticong.pd_algebra import (
+    check_derivation,
+    homology,
+    random_differential_algebra,
+    random_pd_algebra,
+)
 
 S2_DOC = """\
 # suspended triangle with its rotation
@@ -578,3 +590,200 @@ def test_no_command_subdivides(s4_file, monkeypatch, capsys, command):
                         lambda X: calls.append(X) or real(X))
     assert main([command, s4_file]) == 0
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# one derivation check per verdict
+# ---------------------------------------------------------------------------
+
+# A class at bidegree (1, 1) breaks the odd-case hypotheses (m = 1), but the
+# zero delta is a square-zero derivation, so H(A, delta) = A is defined.
+NOT_APPLICABLE_DOC = """\
+algebra na field Q
+basis one bidegree 0 0
+basis x bidegree 1 1
+basis y bidegree 1 2
+basis w bidegree 0 3
+mult x y = 1 w
+mult y x = 1 w
+phi w = 1
+delta x = 0
+end
+"""
+
+
+@pytest.mark.parametrize("doc, command, calls, check", [
+    (ODD_ALGEBRA_DOC, "theorem1-alg", 1, "CHECK theorem1-algebraic: PASS — 6 vs 2 (mod 4)"),
+    (ODD_ALGEBRA_DOC, "algebra-check", 2, "CHECK odd-congruence: PASS — 6 vs 2 (mod 4)"),
+    (NOT_APPLICABLE_DOC, "theorem1-alg", 1, "CHECK theorem1-algebraic: N/A — 4 vs 4 (mod 4)"),
+    (NOT_APPLICABLE_DOC, "algebra-check", 2, "CHECK odd-congruence: N/A — - vs - (mod 4)"),
+    (BAD_DELTA_DOC, "theorem1-alg", 1, "CHECK theorem1-algebraic: N/A — 4 vs - (mod 4)"),
+    (BAD_DELTA_DOC, "algebra-check", 1, "CHECK algebra-derivation: FAIL — 1 vs 0 (mod 4)"),
+], ids=["odd-theorem1", "odd-check", "na-theorem1", "na-check", "bad-theorem1", "bad-check"])
+def test_one_derivation_check_per_verdict(tmp_path, monkeypatch, capsys, doc, command, calls, check):
+    """theorem1-alg checks delta once; algebra-check once for its own report
+    and once inside odd_congruence, which then reuses the verdict for H."""
+    seen = []
+    real = pd_algebra.check_derivation
+
+    def counting(A, delta):
+        seen.append(delta)
+        return real(A, delta)
+
+    monkeypatch.setattr(pd_algebra, "check_derivation", counting)
+    monkeypatch.setattr(cli, "check_derivation", counting)
+    path = tmp_path / "alg.bc"
+    path.write_text(doc)
+    main([command, str(path)])
+    assert check in capsys.readouterr().out
+    assert len(seen) == calls
+
+
+# ---------------------------------------------------------------------------
+# the algebra-document grammar
+# ---------------------------------------------------------------------------
+
+# The canonical form of a document whose mult and delta terms cancel: a sum
+# of 0 leaves no line, and fractions and residues print reduced mod 5.
+CANCELLING_DOC = """\
+algebra cancel field F5
+basis one bidegree 0 0
+basis a1 bidegree 0 1
+basis a2 bidegree 0 1
+basis u1 bidegree 0 2
+basis u2 bidegree 0 2
+basis w bidegree 0 3
+mult a1 u1 = 1 w
+mult u1 a1 = 1 w
+mult a2 u2 = 1/2 w + 1/2 w
+mult u2 a2 = 1 w
+mult a1 a2 = 1 w + -1 w
+phi w = 6
+delta u1 = -1 a2 + 1 a1 + -1 a1
+delta u2 = 1/3 a1 + 2/3 a1
+delta a1 = 2 one + 3 one
+end
+"""
+
+CANCELLING_SERIALIZED = """\
+algebra cancel field F5
+basis one bidegree 0 0
+basis a1 bidegree 0 1
+basis a2 bidegree 0 1
+basis u1 bidegree 0 2
+basis u2 bidegree 0 2
+basis w bidegree 0 3
+mult a1 u1 = 1 w
+mult a2 u2 = 1 w
+mult u1 a1 = 1 w
+mult u2 a2 = 1 w
+phi w = 1
+delta u1 = 4 a2
+delta u2 = 1 a1
+end
+"""
+
+
+def test_serialize_drops_cancelled_terms():
+    assert serialize(parse(CANCELLING_DOC)) == CANCELLING_SERIALIZED
+    assert serialize(parse(CANCELLING_SERIALIZED)) == CANCELLING_SERIALIZED
+
+
+_coefficients = st.builds(lambda a, b: f"{a}/{b}" if b > 1 else str(a),
+                          st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 2, 3, 4]))
+
+
+def _terms(draw, terms: list) -> str:
+    """The right-hand side of a mult or delta line, sometimes with an extra
+    pair of terms that cancel."""
+    if terms and draw(st.booleans()):
+        c, lab = draw(st.sampled_from(terms))
+        terms = terms + [(c, lab), (c[1:] if c.startswith("-") else "-" + c, lab)]
+    return " + ".join(f"{c} {lab}" for c, lab in terms) or "0"
+
+
+@st.composite
+def _random_algebra_lines(draw, field):
+    """Random bidegrees and lines: most break a law or do not parse (a
+    denominator divisible by p, a delta of two shifts, phi off one bidegree)."""
+    bidegrees = [(0, 0)] + draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)),
+                                         min_size=1, max_size=5))
+    labels = ["one"] + [f"b{i}" for i in range(1, len(bidegrees))]
+    lines = [f"basis {lab} bidegree {e} {j}" for lab, (e, j) in zip(labels, bidegrees)]
+    term = st.tuples(_coefficients, st.sampled_from(labels))
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+        lines.append(f"mult {a} {b} = {_terms(draw, draw(st.lists(term, max_size=3)))}")
+    for lab in draw(st.lists(st.sampled_from(labels), max_size=2)):
+        lines.append(f"phi {lab} = {draw(_coefficients)}")
+    de, dj = draw(st.integers(0, 1)), draw(st.integers(-3, -1))
+    for src in draw(st.lists(st.sampled_from(range(len(labels))), max_size=3)):
+        e, j = bidegrees[src]
+        targets = [lab for lab, bd in zip(labels, bidegrees) if bd == ((e + de) % 2, j + dj)]
+        terms = draw(st.lists(st.tuples(_coefficients, st.sampled_from(targets or labels)), max_size=3))
+        lines.append(f"delta {labels[src]} = {_terms(draw, terms)}")
+    return lines
+
+
+@st.composite
+def _generated_algebra_lines(draw, field):
+    """A seeded PD algebra (with a delta, or the odd example's) written with
+    equal fractions, cancelling terms and phi values that are 0 mod p."""
+    F = QQ if field == "Q" else GF(int(field[1:]))
+    source = draw(st.sampled_from(["pd", "differential", "odd example"]))
+    if source == "odd example":
+        doc = parse(ODD_ALGEBRA_DOC.replace("field Q", f"field {field}"))
+        A, phi, delta = doc.algebras["odd_example"]
+    elif source == "pd":
+        A, phi = random_pd_algebra(random.Random(draw(st.integers(0, 999))), F, even_dim=None)
+        delta = None
+    else:
+        A, phi, delta = random_differential_algebra(random.Random(draw(st.integers(0, 999))), F)
+
+    def coeff(x) -> str:  # x, as a fraction with a denominator invertible mod 3 and 5
+        x, k = Fraction(x) + F.char * draw(st.integers(-1, 1)), draw(st.sampled_from([1, 2, 4]))
+        return f"{x.numerator * k}/{x.denominator * k}"
+
+    def rhs(v: dict) -> str:
+        return _terms(draw, [(coeff(x), A.labels[c]) for c, x in sorted(v.items())])
+
+    lines = [f"basis {lab} bidegree {e} {j}" for lab, (e, j) in zip(A.labels, A.bidegrees)]
+    lines += [f"mult {A.labels[a]} {A.labels[b]} = {rhs(v)}" for (a, b), v in sorted(A.table.items())
+              if A.unit_index not in (a, b)]
+    lines += [f"phi {A.labels[i]} = {coeff(x)}" for i, x in phi.values.items()]
+    lines.append(f"phi {draw(st.sampled_from(A.labels))} = {F.char}")  # 0 in the field
+    if delta is not None:
+        lines += [f"delta {A.labels[j]} = {rhs(col)}" for j, col in enumerate(delta.columns)
+                  if col or draw(st.booleans())]
+    return lines
+
+
+@st.composite
+def algebra_documents(draw):
+    """Algebra blocks over Q, F3 and F5 with mult, phi and delta lines."""
+    field = draw(st.sampled_from(["Q", "F3", "F5"]))
+    lines = draw(st.one_of(_random_algebra_lines(field), _generated_algebra_lines(field)))
+    return "\n".join([f"algebra fz field {field}", *lines, "end"]) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_documents())
+def test_algebra_document_grammar_fuzz(tmp_path_factory, text):
+    """serialize(parse(.)) is a fixed point, and both algebra commands exit
+    0-3 without a traceback (3 whenever the document does not parse)."""
+    try:
+        doc = parse(text)
+    except InputError:
+        doc = None
+    if doc is not None:
+        once = serialize(doc)
+        assert serialize(parse(once)) == once
+    path = tmp_path_factory.getbasetemp() / "fuzz.bc"
+    path.write_text(text)
+    for command in ("algebra-check", "theorem1-alg"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(path)])
+        assert 0 <= code <= 3 and "Traceback" not in err.getvalue(), (command, text)
+        if doc is None:
+            assert code == 3

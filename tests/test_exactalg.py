@@ -37,8 +37,8 @@ from betticong.exactalg import (
     sparse_rref_q,
     sparse_rows,
     sparse_smith_divisors,
+    transpose_rows,
 )
-from betticong.simplicial import _transpose_rows
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def test_leftmost_elimination_takes_rightmost_rows_first(monkeypatch, p):
     """On the image of delta^2 of the lens space, taking rows sparsest first
     costs 259k row subtractions; rightmost leading entry first, about 5k."""
     L = corpus.lens_space()
-    image = _transpose_rows(L.coboundary_rows(2), L.n_simplices(2))
+    image = transpose_rows(L.coboundary_rows(2), L.n_simplices(2))
     calls = [0]
     subtract = exactalg._subtract_pivot_row
 

@@ -89,11 +89,11 @@ def test_torus_model_pd_with_gram_oracle():
 def test_orientation_must_be_supported_on_top():
     A, _ = sphere_model()
     with pytest.raises(ValueError):
-        make_orientation(A, [1, 1])  # support spread over two bidegrees
+        make_orientation(A, {0: 1, 1: 1})  # support spread over two bidegrees
     with pytest.raises(ValueError):
-        make_orientation(A, [0, 0])  # zero functional
+        make_orientation(A, {0: 0, 1: 0})  # zero functional
     # Supported on (0,0) alone: a legal functional, but duality fails.
-    phi0 = make_orientation(A, [1, 0])
+    phi0 = make_orientation(A, {0: 1})
     assert phi0.formal_dim == 0
     assert not check_pd(A, phi0).nondegenerate
 
@@ -103,7 +103,7 @@ def test_truncated_unit_only_algebra_has_no_orientation():
     # no functional供 at a positive (0,n), and phi = 0 is rejected.
     A = _single_generator_model(QQ, 0, 2, 1)
     with pytest.raises(ValueError):
-        make_orientation(A, [0])
+        make_orientation(A, {0: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +156,9 @@ def test_pd_symmetry_of_component_dims():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
-def test_sparse_table_and_multiply_match_the_bilinear_oracle(field):
+def test_sparse_table_and_product_match_the_bilinear_oracle(field):
     """Each stored product is a nonzero {c: coeff} in canonical form, and
-    multiply(x, y)_c = sum over (a, b) of x_a y_b t_ab^c."""
+    product(x, y)_c = sum over (a, b) of x_a y_b t_ab^c."""
     rng = random.Random(37)
     for _ in range(3):
         for A in (random_pd_algebra(rng, field)[0], random_differential_algebra(rng, field)[0]):
@@ -166,11 +166,14 @@ def test_sparse_table_and_multiply_match_the_bilinear_oracle(field):
             for (a, b), prod in A.table.items():
                 assert 0 <= a < n and 0 <= b < n and isinstance(prod, dict) and prod
                 assert all(0 <= c < n and x and field.reduce(x) == x for c, x in prod.items())
-            x, y = field_matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)], field)
-            oracle = [field.reduce(sum(x[a] * y[b] * A.table.get((a, b), {}).get(c, 0)
-                                       for a in range(n) for b in range(n)))
-                      for c in range(n)]
-            assert A.multiply(x, y).tolist() == oracle
+            x, y = ({a: v for a in range(n) if (v := field.coerce(rng.randint(-3, 3)))}
+                    for _ in range(2))
+
+            def oracle(c):
+                return field.reduce(sum(x.get(a, 0) * y.get(b, 0) * A.table.get((a, b), {}).get(c, 0)
+                                        for a in range(n) for b in range(n)))
+
+            assert A.product(x, y) == {c: v for c in range(n) if (v := oracle(c))}
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +191,14 @@ def test_sphere_delta_v_equals_one():
     # signed Leibniz rule at (v, v) forces 2 delta(v) v = 0, so only the zero
     # derivation exists; checked below.)
     A, _ = sphere_model(n=3)
-    D = np.zeros((2, 2), dtype=object)
-    D[0, 1] = Fraction(1)
-    assert check_derivation(A, Differential(matrix=D, shift=(0, -3))).is_valid
+    columns = ({}, {0: Fraction(1)})  # delta(v) = 1
+    assert check_derivation(A, Differential(columns, shift=(0, -3))).is_valid
     # Same with the odd generator carried by the first grading.
     B = _single_generator_model(QQ, 1, 2, 2)
-    D2 = np.zeros((2, 2), dtype=object)
-    D2[0, 1] = Fraction(1)
-    assert check_derivation(B, Differential(matrix=D2, shift=(1, -2))).is_valid
+    assert check_derivation(B, Differential(columns, shift=(1, -2))).is_valid
     # Even-total generator: delta(v) = 1 violates Leibniz at (v, v).
     A2, _ = sphere_model(n=2)
-    rep = check_derivation(A2, Differential(matrix=D, shift=(0, -2)))
+    rep = check_derivation(A2, Differential(columns, shift=(0, -2)))
     assert not rep.is_valid and any("Leibniz" in v for v in rep.violations)
 
 
@@ -206,9 +206,8 @@ def test_broken_leibniz_reported():
     # Torus model with delta(a) = 1, delta(b) = 0 but delta(ab) forced 0:
     # Leibniz demands delta(ab) = b, so the pair is reported.
     A, _ = torus_model()
-    D = np.zeros((4, 4), dtype=object)
-    D[0, 2] = Fraction(1)  # delta(a) = 1 (basis order 1, b, a, ab)
-    delta = Differential(matrix=D, shift=(0, -1))
+    # delta(a) = 1 (basis order 1, b, a, ab)
+    delta = Differential(({}, {}, {0: Fraction(1)}, {}), shift=(0, -1))
     rep = check_derivation(A, delta)
     assert not rep.is_valid
     assert any("Leibniz" in v for v in rep.violations)
@@ -216,7 +215,7 @@ def test_broken_leibniz_reported():
 
 def test_derivation_must_lower_grading():
     A, _ = sphere_model()
-    delta = Differential(matrix=np.zeros((2, 2), dtype=object), shift=(0, 0))
+    delta = Differential(({}, {}), shift=(0, 0))
     rep = check_derivation(A, delta)
     assert not rep.is_valid
 
@@ -234,9 +233,7 @@ def test_homology_zero_differential_is_identity():
 
 def test_homology_sphere_collapses():
     A, phi = sphere_model(n=3)
-    D = np.zeros((2, 2), dtype=object)
-    D[0, 1] = Fraction(1)
-    H, phi_H = homology(A, Differential(matrix=D, shift=(0, -3)), phi)
+    H, phi_H = homology(A, Differential(({}, {0: Fraction(1)}), shift=(0, -3)), phi)
     assert H is None and phi_H is None
 
 
@@ -248,11 +245,10 @@ def test_homology_s3s5s9_model():
     A = tensor(A, _single_generator_model(QQ, 0, 9, 2))
     phi = _tensor_orientation(A)
     mono = {m: i for i, m in enumerate(A._monomials)}
-    D = np.zeros((8, 8), dtype=object)
-    D[mono[(0, 1)], mono[(2,)]] = Fraction(1)  # delta(x9) = x3 x5
-    delta = Differential(matrix=D, shift=(0, 1))
+    columns = [{} for _ in range(8)]
+    columns[mono[(2,)]] = {mono[(0, 1)]: Fraction(1)}  # delta(x9) = x3 x5
     # shift: from (0,9) to (0,8): delta_j = -1
-    delta = Differential(matrix=D, shift=(0, -1))
+    delta = Differential(tuple(columns), shift=(0, -1))
     assert check_derivation(A, delta).is_valid
     H, phi_H = homology(A, delta, phi)
     assert H.dim == 6
@@ -280,7 +276,11 @@ def _dense_homology_bases(A, delta) -> list[tuple[list, list[int]]]:
     """Per bidegree, the canonical rref basis of ker delta mod im delta from
     dense kernels: the rows of rref([image; cycles]) whose pivots are not
     pivots of the image."""
-    field, D = A.field, delta.matrix
+    field = A.field
+    D = field.zeros((A.dim, A.dim))
+    for j, col in enumerate(delta.columns):
+        for i, x in col.items():
+            D[i, j] = x
     de, dj = delta.shift
     out = []
     for (e, j), indices in sorted(A._components.items()):
@@ -410,6 +410,30 @@ def _random_skew(rng, field, r):
     return S
 
 
+def test_algebra_data_takes_no_dense_product(monkeypatch):
+    """Generating algebras, checking delta, homology and the odd congruence
+    run on the sparse table, phi and delta: no ``exactalg.matmul``."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense matmul")
+
+    monkeypatch.setattr(exactalg, "matmul", dense)
+    for field in (QQ, GF(3), GF(5)):
+        for seed in range(8):
+            rng = random.Random(seed)
+            A, phi = random_pd_algebra(rng, field, even_dim=None)
+            assert check_pd(A, phi).is_pd
+            A, phi, delta = random_differential_algebra(rng, field)
+            assert check_derivation(A, delta).is_valid
+            homology(A, delta, phi)
+            odd_congruence(A, delta, phi)
+            # The odd family in a random basis reaches the skew form.
+            A, phi, C = odd_model(field, m=rng.choice([1, 2]), r=2,
+                                  pairing=_random_invertible(rng, field, 2))
+            delta = odd_model_differential(A, C, _random_skew(rng, field, 2))
+            A, phi, delta = random_base_change(A, phi, delta, rng)
+            assert odd_congruence(A, delta, phi).applicable
+
+
 # ---------------------------------------------------------------------------
 # the largest prime field: every dense product must stay exact
 # ---------------------------------------------------------------------------
@@ -429,9 +453,14 @@ def test_seeded_algebras_over_the_largest_prime_field():
 
 
 def test_orientation_sum_is_exact_over_the_largest_prime_field():
-    from betticong.pd_algebra import Orientation
+    from betticong.pd_algebra import BigradedAlgebra
 
     p = 2147483647
-    phi = Orientation(np.array([0, p - 1, p - 1, p - 1], dtype=object), 2)
-    # Three products of (p-1)^2 each: their sum passes 2**63.
-    assert GF(p).coerce(phi(np.array([0, p - 1, p - 1, p - 1], dtype=np.int64))) == 3
+    F = GF(p)
+    # Three top classes, each with phi = p - 1; products with the unit only.
+    A = BigradedAlgebra(F, [(0, 0)] + [(0, 2)] * 3,
+                        {key: {i: 1} for i in range(4) for key in ((0, i), (i, 0))})
+    phi = make_orientation(A, {i: p - 1 for i in (1, 2, 3)})
+    # Three products of (p-1)^2 each: their sum passes 2**63, so an int64
+    # sum wraps around.
+    assert F.coerce(phi({i: p - 1 for i in (1, 2, 3)})) == 3

@@ -122,9 +122,9 @@ def test_theorem1_s3s5s9_necessity():
     A = tensor(A, _single_generator_model(QQ, 0, 9, 2))
     phi = _tensor_orientation(A)
     mono = {m: i for i, m in enumerate(A._monomials)}
-    D = np.zeros((8, 8), dtype=object)
-    D[mono[(0, 1)], mono[(2,)]] = Fraction(1)
-    delta = Differential(matrix=D, shift=(0, -1))
+    columns = [{} for _ in range(8)]
+    columns[mono[(2,)]] = {mono[(0, 1)]: Fraction(1)}
+    delta = Differential(tuple(columns), shift=(0, -1))
     rep = check_theorem1_algebraic(A, delta, phi)
     assert not rep.applicable
     assert rep.lhs == 8 and rep.rhs == 6
