@@ -508,8 +508,11 @@ def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
             ncols[i] = {idxs[r]: x for r, x in col.items()}
             ninv_cols[i] = {idxs[r]: x for r, x in inv_col.items()}
     # The new product e_a * e_b is Ninv (N e_a * N e_b), and delta(e_j) is Ninv delta(N e_j).
+    # A product is homogeneous, so it is 0 where no basis element has its bidegree.
+    bd = A.bidegrees
     table = {(a, b): v for a, na in enumerate(ncols) for b, nb in enumerate(ncols)
-             if (v := _apply(field, ninv_cols, A.product(na, nb)))}
+             if A.component(bd[a][0] + bd[b][0], bd[a][1] + bd[b][1])
+             and (v := _apply(field, ninv_cols, A.product(na, nb)))}
     A2 = BigradedAlgebra(field, A.bidegrees, table, unit_index=A.unit_index)
     phi2 = make_orientation(A2, {i: phi(na) for i, na in enumerate(ncols)})
     delta2 = None

@@ -10,7 +10,9 @@ homology-manifold scan) are skipped, and marked so, once a cheap one fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
+from . import exactalg
 from .exactalg import GF, QQ
 from .group_action import (
     GroupAction,
@@ -18,7 +20,7 @@ from .group_action import (
     fixed_subcomplex,
     tfr_decomposition,
 )
-from .simplicial import SimplicialComplex, link, pd_check
+from .simplicial import SimplicialComplex, pd_check
 from .pd_algebra import (
     BigradedAlgebra,
     Differential,
@@ -165,12 +167,16 @@ def check_theorem1_algebraic(
 ) -> TheoremReport:
     """Theorem 1 on user-supplied rational cohomology algebras.
 
+    A document that breaks a law of ``BigradedAlgebra.validate`` is not an
+    algebra, and its first violation makes the report not applicable.
     Even formal dimension runs the dim = chi route; odd dimension runs the
     odd-dimension congruence route on (A, delta) and optionally pins the
     homology dimension to a
     supplied fixed-set total Betti number.
     """
     hyps: list[Hypothesis] = []
+    problems = A.validate()
+    hyps.append(Hypothesis("algebra_laws", not problems, problems[0] if problems else ""))
     hyps.append(Hypothesis("rational_coefficients", A.field is QQ or A.field.char == 0))
     pd = check_pd(A, phi)
     hyps.append(Hypothesis("connected_pd_algebra", pd.is_pd, f"formal dimension {pd.formal_dim}"))
@@ -232,27 +238,44 @@ class HomologyManifoldReport:
 
 
 def homology_manifold_check(X: SimplicialComplex, p: int) -> HomologyManifoldReport:
-    """Every link must look like a sphere of complementary dimension over Z_(p).
+    """Every link must be a sphere of complementary dimension over Z_(p).
 
-    A link passes when its reduced Betti numbers over Q and over F_p both
-    match the (d - k - 1)-sphere pattern; matching both fields certifies
-    there is no p-torsion (universal coefficients).  Orientability: top
-    rational Betti number one and no p-torsion in the top integral degree.
+    X must be pure of some dimension d; then the link of a k-simplex s has
+    the facets f - s for the facets f that contain s, and is pure of
+    dimension c - 1, where c = d - k.  It passes when its reduced Betti
+    numbers over F_p are those of S^(c-1).  That makes it a sphere over Q
+    as well: by universal coefficients b_i(Q) <= b_i(F_p) in every degree,
+    and both alternating sums are chi, so no p-torsion is left to detect.
+    Links are decided by codimension c, low to high, so that when s is
+    reached the links of all its cofaces are known.  Each certificate below
+    is exact over F_p for every odd p:
+
+    - c = 0: the link is empty, S^(-1); it passes.
+    - c = 1: a set of points; it passes iff two facets contain s.
+    - c = 2: a graph; it passes iff it is connected with E = V (b_1 = 1).
+    - c = 3, every coface passed: the link is a closed surface (each edge
+      in two triangles, each vertex link a circle).  A connected closed
+      surface has b_2 <= 1, so it passes iff it is connected and
+      V - E + F = 2.
+    - c = 4, every coface passed: the link L is a closed F_p-homology
+      3-manifold.  Odd dimension gives chi(L) = 0 (Klee's combinatorial
+      duality), and b_3 <= 1 with Poincare duality over F_p (p odd) leaves
+      b_1 = b_2 if L is orientable over F_p and b_1 = b_2 + 1 otherwise.
+      So it passes iff it is connected and rank delta^1 = E - V + 1 over
+      F_p (b_1 = 0); Munkres, Elements of Algebraic Topology, sections 63-65.
+    - Every other link (c >= 5, or a coface failed) passes iff its F_p
+      Betti numbers are (1, 0, ..., 0, 1), from the coboundary ranks.
+
+    ``failures`` lists the simplices whose link fails, by dimension, then
+    in the complex's simplex order.  Orientability: top rational Betti
+    number one and no p-torsion in the top integral degree.
     """
     key = ("hm", p)
     if key in X._cache:
         return X._cache[key]
     d = X.dim
     pure = X.is_pure()
-    failures: list[tuple[str, ...]] = []
-    if pure:
-        fieldp = GF(p)
-        for k in range(d + 1):
-            want_dim = d - k - 1
-            for s in X.simplex_labels(k):
-                L = link(X, s)
-                if not _is_field_sphere(L, want_dim, QQ) or not _is_field_sphere(L, want_dim, fieldp):
-                    failures.append(s)
+    failures = _link_failures(X, p) if pure else []
     betti_q = X.cohomology(QQ).betti
     orientable = bool(betti_q) and betti_q[-1] == 1 if d >= 0 else False
     if orientable and d >= 1:
@@ -269,21 +292,53 @@ def homology_manifold_check(X: SimplicialComplex, p: int) -> HomologyManifoldRep
     return report
 
 
-def _is_field_sphere(L: SimplicialComplex, n: int, field) -> bool:
-    """Does L have the reduced cohomology of S^n over the field?
+def _link_failures(X: SimplicialComplex, p: int) -> list[tuple[str, ...]]:
+    """The simplices of the pure complex X whose link is not an F_p-sphere."""
+    d = X.dim
+    links: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for f in X.facets:
+        for r in range(1, len(f) + 1):
+            for s in combinations(f, r):
+                links.setdefault(s, []).append(tuple(v for v in f if v not in s))
+    failed: set[tuple[int, ...]] = set()
+    below_failure: set[tuple[int, ...]] = set()  # simplices with a failed coface
+    for k in range(d, -1, -1):
+        for s in X.simplices(k):
+            if not _link_passes(X, links[s], d - k, s in below_failure, p):
+                failed.add(s)
+            if k and (s in failed or s in below_failure):
+                below_failure.update(s[:i] + s[i + 1:] for i in range(len(s)))
+    return [tuple(X.vertices[v] for v in s)
+            for k in range(d + 1) for s in X.simplices(k) if s in failed]
 
-    S^(-1) is the empty complex; its reduced cohomology is trivial in
-    non-negative degrees.
-    """
-    if n < 0:
-        return L.dim < 0
-    if L.dim < 0:
-        return False
-    betti = L.cohomology(field).betti
-    reduced = [b - (1 if i == 0 else 0) for i, b in enumerate(betti)]
-    return all(
-        r == (1 if i == n else 0) for i, r in enumerate(reduced)
-    ) and len(reduced) > n
+
+def _link_passes(X: SimplicialComplex, lk: list, c: int, coface_failed: bool, p: int) -> bool:
+    """Is the link with facets ``lk``, of codimension c, an F_p-sphere?"""
+    if c <= 1:
+        return c == 0 or len(lk) == 2
+    vertices = {v for f in lk for v in f}
+    if c == 2:
+        return len(lk) == len(vertices) and _is_connected(lk)
+    if c == 3 and not coface_failed:
+        edges = {e for f in lk for e in combinations(f, 2)}
+        return len(vertices) - len(edges) + len(lk) == 2 and _is_connected(lk)
+    L = SimplicialComplex(X.vertices, tuple(sorted(lk)))
+    if c == 4 and not coface_failed:  # b_1 = 0: on a connected L, rank delta^1 = E - V + 1
+        rank = exactalg.sparse_rank_modp(L.coboundary_rows(1), p)
+        return _is_connected(lk) and rank == L.n_simplices(1) - len(vertices) + 1
+    return L.cohomology(GF(p)).betti == (1,) + (0,) * (c - 2) + (1,)
+
+
+def _is_connected(facets: list) -> bool:
+    """Is the complex with these facets connected?  Grows the first one's component."""
+    reached, rest = set(facets[0]), facets[1:]
+    while rest:
+        left = [f for f in rest if reached.isdisjoint(f)]
+        if len(left) == len(rest):
+            return False
+        reached.update(v for f in rest if not reached.isdisjoint(f) for v in f)
+        rest = left
+    return True
 
 
 def check_theorem4(action: GroupAction, subject: str = "") -> TheoremReport:

@@ -640,6 +640,36 @@ def test_one_derivation_check_per_verdict(tmp_path, monkeypatch, capsys, doc, co
 
 
 # ---------------------------------------------------------------------------
+# theorem1-alg on a document that is not an algebra
+# ---------------------------------------------------------------------------
+
+# One of the grammar fuzz's documents: the unit law, homogeneity and graded
+# commutativity all fail, yet the odd-case data (dim 2 vs dim H = 2) is
+# congruent, so a report that skips the law check prints PASS.
+NOT_AN_ALGEBRA_DOC = """\
+algebra fz field Q
+basis one bidegree 0 0
+basis b1 bidegree 0 1
+mult one one = 5/2 one + -5/2 b1
+mult b1 one = -3/4 b1 + 5/6 one
+phi b1 = 5
+delta b1 = 0
+end
+"""
+
+
+def test_theorem1_alg_is_not_applicable_to_a_broken_algebra(tmp_path, capsys):
+    path = tmp_path / "fz.bc"
+    path.write_text(NOT_AN_ALGEBRA_DOC)
+    assert main(["algebra-check", str(path)]) == 1
+    assert "CHECK algebra-structure: FAIL — 4 vs 0 (mod 4)" in capsys.readouterr().out
+    assert main(["theorem1-alg", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "  hypothesis algebra_laws: no (unit law fails at basis 0)" in out
+    assert "CHECK theorem1-algebraic: N/A — 2 vs 2 (mod 4)" in out
+
+
+# ---------------------------------------------------------------------------
 # the algebra-document grammar
 # ---------------------------------------------------------------------------
 
@@ -770,7 +800,8 @@ def algebra_documents(draw):
 @given(algebra_documents())
 def test_algebra_document_grammar_fuzz(tmp_path_factory, text):
     """serialize(parse(.)) is a fixed point, and both algebra commands exit
-    0-3 without a traceback (3 whenever the document does not parse)."""
+    0-3 without a traceback (3 whenever the document does not parse).
+    Where algebra-check finds a broken law, theorem1-alg asserts no verdict."""
     try:
         doc = parse(text)
     except InputError:
@@ -780,6 +811,7 @@ def test_algebra_document_grammar_fuzz(tmp_path_factory, text):
         assert serialize(parse(once)) == once
     path = tmp_path_factory.getbasetemp() / "fuzz.bc"
     path.write_text(text)
+    outputs = {}
     for command in ("algebra-check", "theorem1-alg"):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -787,3 +819,6 @@ def test_algebra_document_grammar_fuzz(tmp_path_factory, text):
         assert 0 <= code <= 3 and "Traceback" not in err.getvalue(), (command, text)
         if doc is None:
             assert code == 3
+        outputs[command] = out.getvalue()
+    if "CHECK algebra-structure: FAIL" in outputs["algebra-check"]:
+        assert not re.search(r"theorem1-algebraic: (PASS|FAIL)", outputs["theorem1-alg"]), text

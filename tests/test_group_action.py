@@ -19,6 +19,7 @@ from betticong.group_action import (
     is_regular,
     lefschetz_number,
     make_regular,
+    pullback_permutation,
     quotient_complex,
     subdivide_action,
     tfr_decomposition,
@@ -408,3 +409,24 @@ def test_quotient_chi_divides():
 def test_quotient_rejects_nonfree():
     with pytest.raises(ValueError, match="free"):
         quotient_complex(corpus.sphere_rotation(3))
+
+
+def hopf_trace(action) -> int:
+    """L(g) = sum_i (-1)^i tr(g^# on C^i) (Munkres, section 22): the signed
+    count of the simplices that g maps to themselves."""
+    total = 0
+    for i in range(action.complex.dim + 1):
+        perm, signs = pullback_permutation(action, i)
+        total += (-1) ** i * sum(sign for s, (image, sign) in enumerate(zip(perm, signs))
+                                 if image == s)
+    return total
+
+
+def test_hopf_trace_is_a_third_lefschetz_route():
+    """Chain-level trace = cohomology trace = chi(X^(g^k)), every power."""
+    pairs = [(name, k, action.power(k)) for name, action in corpus.lefschetz_corpus().items()
+             for k in range(1, action.p)]
+    assert len(pairs) == 32
+    for name, k, g in pairs:
+        chi = sum((-1) ** i * b for i, b in enumerate(fixed_set_cohomology(g, QQ).betti))
+        assert hopf_trace(g) == lefschetz_number(g) == chi, (name, k)

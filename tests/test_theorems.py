@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
-from betticong import corpus
-from betticong.exactalg import QQ
+from betticong import corpus, simplicial, theorems
+from betticong.exactalg import GF, QQ
 from betticong.group_action import lefschetz_number, fixed_set_cohomology, trivial_action
 from betticong.pd_algebra import (
     Differential,
@@ -25,6 +28,7 @@ from betticong.theorems import (
     homology_manifold_check,
     smith_inequality_check,
 )
+from betticong.simplicial import SimplicialComplex, join, link, product, suspension
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +155,177 @@ def test_hm_rp2_not_orientable():
     rep = homology_manifold_check(corpus.rp2_six_vertex(), 3)
     assert rep.is_hm  # links are circles
     assert not rep.orientable  # b_2(Q) = 0
+
+
+# The rank oracle: build every link and compare its Betti numbers over Q and
+# over F_p with those of the sphere.
+
+def _is_field_sphere(L: SimplicialComplex, n: int, field) -> bool:
+    """Does L have the reduced cohomology of S^n over the field?
+
+    S^(-1) is the empty complex; its reduced cohomology is trivial in
+    non-negative degrees.
+    """
+    if n < 0:
+        return L.dim < 0
+    if L.dim < 0:
+        return False
+    betti = L.cohomology(field).betti
+    reduced = [b - (1 if i == 0 else 0) for i, b in enumerate(betti)]
+    return all(r == (1 if i == n else 0) for i, r in enumerate(reduced)) and len(reduced) > n
+
+
+def rank_oracle_failures(X: SimplicialComplex, p: int) -> tuple:
+    """The simplices whose link is not a sphere over both Q and F_p."""
+    if not X.is_pure():
+        return ()
+    failures = []
+    for k in range(X.dim + 1):
+        for s in X.simplex_labels(k):
+            L = link(X, s)
+            n = X.dim - k - 1
+            if not _is_field_sphere(L, n, QQ) or not _is_field_sphere(L, n, GF(p)):
+                failures.append(s)
+    return tuple(failures)
+
+
+def assert_hm_matches_oracle(X: SimplicialComplex, p: int) -> tuple:
+    fresh = SimplicialComplex(X.vertices, X.facets)  # no cached report
+    failures = homology_manifold_check(fresh, p).failures
+    assert failures == rank_oracle_failures(X, p)
+    return failures
+
+
+def _wedge_of_spheres() -> SimplicialComplex:
+    """Two tetrahedron boundaries sharing the vertex a0."""
+    b = corpus.tetrahedron_boundary("b").simplex_labels(2)
+    return SimplicialComplex.from_facets([*corpus.tetrahedron_boundary("a").simplex_labels(2),
+                                          *(["a0" if v == "b0" else v for v in f] for f in b)])
+
+
+def _pinched_torus() -> SimplicialComplex:
+    """The 4 x 4 grid torus with g0_0 and g2_2 made one vertex."""
+    return SimplicialComplex.from_facets(
+        [["g0_0" if v == "g2_2" else v for v in f] for f in corpus.grid_torus(4, 4).simplex_labels(2)])
+
+
+def _moore_space_and_sphere() -> SimplicialComplex:
+    """A mod-3 Moore space (a disc whose boundary wraps three times round
+    the triangle 0 1 2) with a 2-sphere on the vertex 0: the rational
+    homology of S^2, but b_1 = 1 and b_2 = 2 over F_3."""
+    b = [str(i % 3) for i in range(9)]
+    m = [f"m{i}" for i in range(9)]
+    disc = [tri for i in range(9) for tri in (
+        (b[i], b[(i + 1) % 9], m[i]), (b[(i + 1) % 9], m[i], m[(i + 1) % 9]), (m[i], m[(i + 1) % 9], "c"))]
+    sphere = [["0" if v == "t0" else v for v in f]
+              for f in corpus.tetrahedron_boundary().simplex_labels(2)]
+    return SimplicialComplex.from_facets(disc + sphere)
+
+
+def _disjoint(X: SimplicialComplex, Y: SimplicialComplex) -> SimplicialComplex:
+    return SimplicialComplex.from_facets(
+        [*(("x" + v for v in f) for f in X.simplex_labels(X.dim)),
+         *(("y" + v for v in f) for f in Y.simplex_labels(Y.dim))])
+
+
+def _non_manifolds() -> dict[str, SimplicialComplex]:
+    wedge, torus = _wedge_of_spheres(), corpus.torus()
+    s1xs2 = product(corpus.polygon(3, "c"), corpus.tetrahedron_boundary())
+    # A 2-sphere with a triangle hung on one vertex: the homology of S^2,
+    # not a manifold, so its suspensions pass the fallback at their poles.
+    flap = SimplicialComplex.from_facets(
+        [*(corpus.tetrahedron_boundary().simplex_labels(2)), ("t0", "f1", "f2")])
+    # Two spheres sharing both poles: connected, chi = 2, not a sphere.
+    two_spheres = suspension(SimplicialComplex.from_facets(
+        [*corpus.polygon(4, "a").simplex_labels(1), *corpus.polygon(4, "b").simplex_labels(1)]))
+    return {
+        "wedge": wedge,
+        "pinched torus": _pinched_torus(),
+        "cone on torus": join(torus, corpus.one_point()),
+        "suspended wedge": suspension(wedge),
+        "double suspended wedge": suspension(suspension(wedge)),
+        "suspended torus": suspension(torus),
+        "double suspended torus": suspension(suspension(torus)),
+        "suspended S1xS2": suspension(s1xs2),
+        "suspended sphere with a flap": suspension(flap),
+        "double suspended sphere with a flap": suspension(suspension(flap)),
+        # Disconnected links that pass every count: S^2 beside T^2 (chi 2), and
+        # S^3 beside S^1 x S^2 (rank delta^1 = E - V + 1).
+        "suspended sphere and torus": suspension(_disjoint(corpus.tetrahedron_boundary(), torus)),
+        "suspended 3-sphere and S1xS2": suspension(_disjoint(join(*[corpus.polygon(3)] * 2), s1xs2)),
+        # A non-manifold link that is a sphere over Q but not over F_3.
+        "suspended Moore space": suspension(_moore_space_and_sphere()),
+        "double suspended Moore space": suspension(suspension(_moore_space_and_sphere())),
+        "suspended two spheres on two poles": suspension(two_spheres),
+        "double suspended two spheres on two poles": suspension(suspension(two_spheres)),
+        "two triangles on a vertex": corpus.wedge_fixture(),
+    }
+
+
+def test_hm_certificates_match_rank_oracle_on_the_corpus():
+    for name, action in corpus.corpus_actions().items():
+        assert_hm_matches_oracle(action.complex, action.p)
+    assert assert_hm_matches_oracle(corpus.lens_space(), 3) == ()
+
+
+def test_hm_certificates_match_rank_oracle_on_non_manifolds():
+    """The codimension 3 and 4 certificates fail on the suspended torus and
+    S^1 x S^2 at their poles; below a failed link the fallback decides, and
+    the two spheres on two poles fail there although their chi is 2."""
+    cases = _non_manifolds()
+    for p in (3, 5):
+        for name, X in cases.items():
+            assert assert_hm_matches_oracle(X, p), name
+    for name in ("suspended torus", "suspended S1xS2"):
+        X = cases[name]
+        assert homology_manifold_check(X, 3).failures == tuple((v,) for v in X.vertices[-2:])
+
+
+def test_hm_sees_p_torsion_in_a_codimension_4_link():
+    """L(3,1) is a sphere over Q and F_5, not over F_3: its suspension fails
+    at the two poles for p = 3 only."""
+    X = suspension(corpus.lens_space())
+    assert homology_manifold_check(X, 3).failures == tuple((v,) for v in X.vertices[-2:])
+    assert homology_manifold_check(X, 5).failures == ()
+
+
+@st.composite
+def pure_complexes(draw):
+    """Pure complexes of dimension 0-2 on at most 6 vertices, often a simplex
+    boundary with facets added or removed, suspended up to twice, so that
+    links of every codimension up to 4 occur, spheres and non-spheres."""
+    d = draw(st.integers(0, 2))
+    n = draw(st.integers(d + 2, 6))
+    faces = list(combinations(range(n), d + 1))
+    base = set(combinations(range(d + 2), d + 1)) if draw(st.booleans()) else set()
+    facets = base ^ set(draw(st.lists(st.sampled_from(faces), max_size=6)))
+    X = SimplicialComplex.from_facets([[f"v{v}" for v in f] for f in facets or faces[:1]])
+    for _ in range(draw(st.integers(0, 2))):
+        X = suspension(X)
+    return X
+
+
+@settings(max_examples=80, deadline=None)
+@given(pure_complexes(), st.sampled_from([3, 5]))
+def test_hm_certificates_match_rank_oracle_on_pure_complexes(X, p):
+    assert_hm_matches_oracle(X, p)
+
+
+def test_hm_check_decides_all_but_the_vertex_links_by_counting(monkeypatch):
+    """On S^2 x S^2 (Z/7) only the 64 vertex links (codimension 4) are built
+    and eliminated; the other 4332 links are counted off the facets."""
+    X = corpus.s2xs2_rotation(7).complex
+    X = SimplicialComplex(X.vertices, X.facets)
+    links, built = [], []
+    real_link, real_init = simplicial.link, SimplicialComplex.__init__
+    for module in (simplicial, theorems):
+        monkeypatch.setattr(module, "link", lambda *a: links.append(a) or real_link(*a),
+                            raising=False)
+    monkeypatch.setattr(SimplicialComplex, "__init__",
+                        lambda self, *a: built.append(a) or real_init(self, *a))
+    assert homology_manifold_check(X, 7).orientable_hm
+    assert len(links) <= X.n_simplices(0) == 64
+    assert len(built) <= 64
 
 
 def test_theorem4_sphere_rotations():
