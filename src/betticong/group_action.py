@@ -343,6 +343,8 @@ def tfr_decomposition(action: GroupAction) -> TFRDecomposition:
     p = action.p
     X = action.complex
     fieldp = GF(p)
+    # First, so that its p-local profile also supplies the F_p ranks of g*'s bases.
+    bockstein_ok = bockstein_condition(X, p)
     mats = induced_cohomology_action(action, fieldp)
     t, f, r, other = [], [], [], []
     for M in mats:
@@ -359,7 +361,7 @@ def tfr_decomposition(action: GroupAction) -> TFRDecomposition:
         f=tuple(f),
         r=tuple(r),
         other=tuple(other),
-        bockstein_ok=bockstein_condition(X, p),
+        bockstein_ok=bockstein_ok,
     )
 
 
@@ -367,30 +369,21 @@ def tfr_decomposition(action: GroupAction) -> TFRDecomposition:
 # Quotients of free actions
 # ---------------------------------------------------------------------------
 
-def _quotient_obstruction(action: GroupAction) -> str | None:
-    """Why simplex orbits do not yet form a simplicial complex, if they don't."""
+def _orbits_embed(action: GroupAction) -> bool:
+    """Whether the simplex orbits of a free action form a simplicial complex.
+
+    Each d-simplex must meet d + 1 vertex orbits, and distinct orbits distinct
+    sets of them.  The n_d d-simplices fall into n_d / p orbits, the action
+    being free of prime order, so that holds iff there are n_d / p such sets.
+    """
     X = action.complex
-    m = action.mapping
     reps = _vertex_orbit_reps(action)
-    image_owner: dict[tuple, tuple] = {}
+    rep = [reps[v] for v in X.vertices]
     for d in range(X.dim + 1):
-        for s in X.simplex_labels(d):
-            rep_set = tuple(sorted({reps[v] for v in s}))
-            if len(rep_set) != len(s):
-                return f"simplex {s} meets a vertex orbit twice"
-            orbit = [tuple(sorted(s))]
-            cur = s
-            for _ in range(action.p - 1):
-                cur = tuple(m[v] for v in cur)
-                orbit.append(tuple(sorted(cur)))
-            canon = min(orbit)
-            owner = image_owner.setdefault(rep_set, canon)
-            if owner != canon:
-                return (
-                    f"distinct simplex orbits {owner} and {canon} share the "
-                    f"vertex-orbit image {rep_set}"
-                )
-    return None
+        images = {frozenset(rep[v] for v in s) for s in X.simplices(d)}
+        if len(images) * action.p != X.n_simplices(d) or any(len(i) != d + 1 for i in images):
+            return False
+    return True
 
 
 _QUOTIENT_ROUNDS = 3  # subdivisions allowed before orbits must embed
@@ -409,7 +402,7 @@ def quotient_complex(action: GroupAction):
         raise ValueError("quotient_complex requires a free action")
     current = action
     for _ in range(_QUOTIENT_ROUNDS + 1):
-        if _quotient_obstruction(current) is None:
+        if _orbits_embed(current):
             break
         current = subdivide_action(current)
     else:

@@ -68,6 +68,10 @@ def _maximal(simplices: list[Simplex]) -> list[Simplex]:
     ]
 
 
+def _rank_key(k: int, field) -> tuple:  # the cache key of rank delta^k
+    return ("cobrank", k, field.name)
+
+
 class SimplicialComplex:
     """Finite simplicial complex on an ordered vertex set."""
 
@@ -206,7 +210,7 @@ class SimplicialComplex:
         return M
 
     def _coboundary_rank(self, k: int, field) -> int:
-        key = ("cobrank", k, field.name)
+        key = _rank_key(k, field)
         if key not in self._cache:
             rows = self.coboundary_rows(k)
             self._cache[key] = (exactalg.sparse_rank_modp(rows, field.char) if field.char
@@ -253,13 +257,16 @@ class SimplicialComplex:
 
         Degree i torsion of H^i(X;Z) lives in the divisors of delta^{i-1};
         this p-local route avoids full Smith reduction on large complexes.
+        Its divisors prime to p count rank delta^{i-1} over F_p, and all of
+        them the rank over Q: both are cached for ``cohomology`` to reuse.
         """
         key = ("pval", p)
         if key not in self._cache:
             out = {}
             for i in range(1, self.dim + 1):
-                rows = [dict(r) for r in self.coboundary_rows(i - 1)]
-                out[i] = exactalg.p_valuation_profile(rows, p)
+                vals = out[i] = exactalg.p_valuation_profile(self.coboundary_rows(i - 1), p)
+                self._cache[_rank_key(i - 1, exactalg.GF(p))] = vals.count(0)
+                self._cache[_rank_key(i - 1, exactalg.QQ)] = len(vals)
             self._cache[key] = out
         return self._cache[key]
 

@@ -267,8 +267,10 @@ def homology_manifold_check(X: SimplicialComplex, p: int) -> HomologyManifoldRep
       Betti numbers are (1, 0, ..., 0, 1), from the coboundary ranks.
 
     ``failures`` lists the simplices whose link fails, by dimension, then
-    in the complex's simplex order.  Orientability: top rational Betti
-    number one and no p-torsion in the top integral degree.
+    in the complex's simplex order.  Orientability: b_d = 1 over Q, and no
+    p-torsion in H^d(X;Z), that is no divisor of delta^(d-1) divisible by p:
+    its divisors prime to p count its F_p rank and all of them its Q rank,
+    so this holds iff b_d = 1 over F_p too.
     """
     key = ("hm", p)
     if key in X._cache:
@@ -276,11 +278,7 @@ def homology_manifold_check(X: SimplicialComplex, p: int) -> HomologyManifoldRep
     d = X.dim
     pure = X.is_pure()
     failures = _link_failures(X, p) if pure else []
-    betti_q = X.cohomology(QQ).betti
-    orientable = bool(betti_q) and betti_q[-1] == 1 if d >= 0 else False
-    if orientable and d >= 1:
-        top_vals = X.torsion_valuation_profile(p).get(d, [])
-        orientable = all(v == 0 for v in top_vals)
+    orientable = d >= 0 and X.cohomology(QQ).betti[-1] == 1 == X.cohomology(GF(p)).betti[-1]
     report = HomologyManifoldReport(
         is_hm=pure and not failures,
         pure=pure,

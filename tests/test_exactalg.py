@@ -346,13 +346,15 @@ def test_sparse_rref_q_properties(m, n, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
 def test_engine_modes_agree(m, n, seed):
-    """Valuation-0 divisors count the rank mod p; rref rank is the Q rank."""
+    """Valuation-0 divisors count the rank mod p, and all divisors the Q
+    rank; rref rank is the Q rank."""
     rng = random.Random(seed)
     M = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(m)]
     rows = [{j: v for j, v in enumerate(row) if v} for row in M]
     for p in (2, 3, 5):
         rows_p = [{j: v % p for j, v in row.items() if v % p} for row in rows]
         assert p_valuation_profile(rows, p).count(0) == sparse_rank_modp(rows_p, p)
+        assert len(p_valuation_profile(rows, p)) == sparse_rank_q(rows)
     assert len(sparse_rref_q(rows)[1]) == sparse_rank_q(rows)
 
 

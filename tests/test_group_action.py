@@ -11,6 +11,8 @@ from betticong import corpus
 from betticong.cli import parse
 from betticong.exactalg import GF, QQ
 from betticong.group_action import (
+    _orbits_embed,
+    _vertex_orbit_reps,
     bockstein_condition,
     cochain_pullback_matrix,
     fixed_set_cohomology,
@@ -404,6 +406,49 @@ def test_quotient_chi_divides():
     for a in (corpus.free_polygon_action(3), corpus.free_polygon_action(5)):
         Q, reg = quotient_complex(a)
         assert Q.euler_characteristic() * a.p == reg.complex.euler_characteristic()
+
+
+def quotient_obstruction(action) -> str | None:
+    """Why the simplex orbits do not yet form a simplicial complex, if they
+    don't: orbit by orbit, the p images of every simplex compared."""
+    X, m = action.complex, action.mapping
+    reps = _vertex_orbit_reps(action)
+    image_owner: dict[tuple, tuple] = {}
+    for d in range(X.dim + 1):
+        for s in X.simplex_labels(d):
+            rep_set = tuple(sorted({reps[v] for v in s}))
+            if len(rep_set) != len(s):
+                return f"simplex {s} meets a vertex orbit twice"
+            orbit = [tuple(sorted(s))]
+            cur = s
+            for _ in range(action.p - 1):
+                cur = tuple(m[v] for v in cur)
+                orbit.append(tuple(sorted(cur)))
+            canon = min(orbit)
+            owner = image_owner.setdefault(rep_set, canon)
+            if owner != canon:
+                return f"distinct simplex orbits {owner} and {canon} share the image {rep_set}"
+    return None
+
+
+def test_orbits_embed_by_counting_matches_the_orbit_oracle():
+    """Counting vertex-orbit images decides what comparing orbits does: the
+    hexagon turned by two steps has edge orbits {0,1} and {1,2} on one image."""
+    s3 = corpus.s3_free_action()
+    hexagon = validate_action(corpus.polygon(6), {f"v{i}": f"v{(i + 2) % 6}" for i in range(6)}, 3)
+    cases = {
+        "triangle": corpus.free_polygon_action(3),
+        "pentagon": corpus.free_polygon_action(5),
+        "s3": s3,
+        "sd s3": subdivide_action(s3),
+        "sd2 s3": subdivide_action(subdivide_action(s3)),
+        "hexagon": hexagon,
+    }
+    verdicts = {name: _orbits_embed(a) for name, a in cases.items()}
+    assert verdicts == {name: quotient_obstruction(a) is None for name, a in cases.items()}
+    assert verdicts == {"triangle": False, "pentagon": False, "s3": False, "sd s3": False,
+                        "sd2 s3": True, "hexagon": False}
+    assert "share" in quotient_obstruction(hexagon)
 
 
 def test_quotient_rejects_nonfree():

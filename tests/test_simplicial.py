@@ -230,6 +230,32 @@ def test_integral_lens_space_agrees_with_other_routes():
     assert L.cohomology(GF(3)).betti == tuple(b + t3[i] + t3[i + 1] for i, b in enumerate(g.betti))
 
 
+def _recorded_ranks(X, p, monkeypatch) -> list[tuple[int, int]]:
+    """The (F_p, Q) ranks of delta^0..delta^(d-1) that the p-local profile
+    of a fresh copy of X leaves in its cache; a rank not recorded fails."""
+    X = SimplicialComplex(X.vertices, X.facets)
+    X.torsion_valuation_profile(p)
+    with monkeypatch.context() as m:
+        for name in ("sparse_rank_q", "sparse_rank_modp"):
+            m.setattr(exactalg, name, lambda *a: pytest.fail("rank not recorded"))
+        return [(X._coboundary_rank(k, GF(p)), X._coboundary_rank(k, QQ)) for k in range(X.dim)]
+
+
+def test_torsion_profile_records_the_fp_and_q_ranks(monkeypatch):
+    """The profile's divisors prime to p count rank delta^k over F_p, and all
+    of them its rank over Q: they agree with fresh eliminations."""
+    lens = corpus.lens_space()
+    cases = [(a.complex, a.p) for a in corpus.corpus_actions().values()] + [(lens, 3), (lens, 5)]
+    for X, p in cases:
+        recorded = _recorded_ranks(X, p, monkeypatch)
+        rows = [X.coboundary_rows(k) for k in range(X.dim)]
+        assert recorded == [(exactalg.sparse_rank_modp(r, p), exactalg.sparse_rank_q(r))
+                            for r in rows]
+        if X is lens:  # the Z/3 in H^2 is a divisor 3 of delta^1
+            q = recorded[1][1]
+            assert recorded[1] == ((q - 1, q) if p == 3 else (q, q))
+
+
 def test_uct_equality_iff_no_torsion():
     X = rp2_six_vertex()
     bq = X.cohomology(QQ).betti

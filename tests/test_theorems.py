@@ -8,9 +8,14 @@ import numpy as np
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from betticong import corpus, simplicial, theorems
+from betticong import corpus, exactalg, simplicial, theorems
 from betticong.exactalg import GF, QQ
-from betticong.group_action import lefschetz_number, fixed_set_cohomology, trivial_action
+from betticong.group_action import (
+    GroupAction,
+    fixed_set_cohomology,
+    lefschetz_number,
+    trivial_action,
+)
 from betticong.pd_algebra import (
     Differential,
     _single_generator_model,
@@ -155,6 +160,17 @@ def test_hm_rp2_not_orientable():
     rep = homology_manifold_check(corpus.rp2_six_vertex(), 3)
     assert rep.is_hm  # links are circles
     assert not rep.orientable  # b_2(Q) = 0
+
+
+def test_hm_orientability_sees_p_torsion_in_the_top_degree():
+    """A mod-3 Moore space beside a 2-sphere has H^2(;Z) = Z + Z/3, so b_2 = 1
+    over Q: it is orientable for p = 5 only, as the p-local profile of
+    delta^1 says."""
+    for p in (3, 5):
+        X = _moore_space_and_sphere()
+        no_top_torsion = all(v == 0 for v in X.torsion_valuation_profile(p)[2])
+        assert homology_manifold_check(_moore_space_and_sphere(), p).orientable == no_top_torsion
+        assert no_top_torsion == (p == 5)
 
 
 # The rank oracle: build every link and compare its Betti numbers over Q and
@@ -326,6 +342,25 @@ def test_hm_check_decides_all_but_the_vertex_links_by_counting(monkeypatch):
     assert homology_manifold_check(X, 7).orientable_hm
     assert len(links) <= X.n_simplices(0) == 64
     assert len(built) <= 64
+
+
+def test_theorems_2_and_4_eliminate_no_coboundary_twice(monkeypatch):
+    """On S^2 x S^2 (Z/7) the p-local profile that theorem 2's Bockstein
+    condition builds gives every F_p and Q rank of delta^0..delta^3 that the
+    two theorems ask for later, orientability included: no rank elimination
+    runs again on one of the complex's own nonzero coboundaries."""
+    action = corpus.s2xs2_rotation(7)
+    X = SimplicialComplex(action.complex.vertices, action.complex.facets)
+    fresh = GroupAction(X, 7, action.vertex_map)
+    own = [X.coboundary_rows(k) for k in range(X.dim + 1)]
+    assert [k for k, rows in enumerate(own) if rows] == [0, 1, 2, 3]
+    calls = []
+    for name in ("sparse_rank_q", "sparse_rank_modp"):
+        real = getattr(exactalg, name)
+        monkeypatch.setattr(exactalg, name,
+                            lambda rows, *a, real=real: calls.append(rows) or real(rows, *a))
+    assert check_theorem2(fresh).verdict == check_theorem4(fresh).verdict == "PASS"
+    assert not [rows for rows in calls if rows and any(rows is r for r in own)]
 
 
 def test_theorem4_sphere_rotations():
