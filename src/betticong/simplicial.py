@@ -72,6 +72,10 @@ def _rank_key(k: int, field) -> tuple:  # the cache key of rank delta^k
     return ("cobrank", k, field.name)
 
 
+def _pivots_key(k: int) -> tuple:  # the cache key of delta^k's pivot columns, {route: columns}
+    return ("pivots", k)
+
+
 class SimplicialComplex:
     """Finite simplicial complex on an ordered vertex set."""
 
@@ -209,42 +213,82 @@ class SimplicialComplex:
                 M[i, c] = v
         return M
 
+    def _cleared_rows(self, k: int, ring: str) -> list[dict[int, int]]:
+        """The rows of delta^k less those at a pivot set of delta^{k+1} valid over *ring*.
+
+        *ring* is a field name ("Q", "F3", ...) or "Z"; pivot sets are
+        recorded under the same names, the p-local profile's under F_p.  The
+        largest valid set found is used, none if delta^{k+1} has not been
+        eliminated: see ``cohomology`` for which sets are valid where.
+        """
+        rows = self.coboundary_rows(k)
+        found = self._cache.get(_pivots_key(k + 1), {})
+        valid = [cols for route, cols in found.items() if route in (ring, "Z") or ring == "Q"]
+        if not valid:
+            return rows
+        drop = set(max(valid, key=len))
+        return [row for q, row in enumerate(rows) if q not in drop]
+
     def _coboundary_rank(self, k: int, field) -> int:
         key = _rank_key(k, field)
         if key not in self._cache:
-            rows = self.coboundary_rows(k)
-            self._cache[key] = (exactalg.sparse_rank_modp(rows, field.char) if field.char
-                                else exactalg.sparse_rank_q(rows))
+            cols = exactalg.rank_pivots(self._cleared_rows(k, field.name), field.char or None)
+            self._cache.setdefault(_pivots_key(k), {})[field.name] = cols
+            self._cache[key] = len(cols)
         return self._cache[key]
 
     # -- cohomology ------------------------------------------------------
 
     def cohomology(self, field) -> GradedBetti:
-        """Betti numbers over Q or F_p from coboundary ranks."""
+        """Betti numbers over Q or F_p from coboundary ranks, taken top-down.
+
+        Each delta^k is eliminated without the rows at the pivot columns P
+        that the elimination of delta^{k+1} found (the clearing of
+        persistent homology: Chen and Kerber, EuroCG 2011; Bauer, Kerber
+        and Reininghaus, 2014).  Those rows lie in the span of the others.
+        ``exactalg._eliminate`` makes each later pivot row zero at every
+        earlier pivot column, so the pivot rows R of delta^{k+1}, taken on
+        P, form a triangular minor T whose diagonal is invertible in the
+        elimination's ring.  R is a combination of rows of delta^{k+1} and
+        delta^{k+1} delta^k = 0, so T (rows P of delta^k) = -(R off P) (rows
+        outside P): for each q in P, row q of delta^k is a combination of the
+        rows outside P over that ring.  The row space, the p-local row module
+        and the integral row module are kept, and with them the rank, the
+        p-adic profile and the nonzero Smith divisors.  A pivot set clears
+        rows over these rings:
+
+        - found over F_p, or at stage 0 of the p-local profile: over F_p,
+          Z_(p) and Q (some |P| rows of delta^{k+1} have a minor on P whose
+          determinant is prime to p);
+        - found over Q: over Q only;
+        - the +-1 pivots of the unit pass (det T = +-1): over every ring.
+        """
         key = ("betti", field.name)
         if key not in self._cache:
-            betti = []
-            for i in range(self.dim + 1):
-                dim_ci = self.n_simplices(i)
-                r_i = self._coboundary_rank(i, field)
-                r_prev = self._coboundary_rank(i - 1, field) if i > 0 else 0
-                betti.append(dim_ci - r_i - r_prev)
-            self._cache[key] = GradedBetti(field.name, tuple(betti))
+            # r[i] is rank delta^{i-1}; delta^{-1} and delta^dim are zero.
+            r = [0] * (self.dim + 2)
+            for i in range(self.dim, 0, -1):
+                r[i] = self._coboundary_rank(i - 1, field)
+            self._cache[key] = GradedBetti(field.name, tuple(
+                self.n_simplices(i) - r[i] - r[i + 1] for i in range(self.dim + 1)))
         return self._cache[key]
 
     def integral_cohomology(self) -> GradedBetti:
         """Free ranks and torsion divisors of H^*(X;Z) via sparse Smith divisors.
 
         The rank of delta^i is its number of nonzero divisors; the torsion
-        of H^i is the divisors > 1 of delta^{i-1}.
+        of H^i is the divisors > 1 of delta^{i-1}.  The coboundaries are
+        eliminated top-down, each cleared by the +-1 pivots of the one
+        above, which are valid over Z (the lemma in ``cohomology``): the
+        integral row module, so the nonzero divisors, is kept.
         """
         if "integral" not in self._cache:
-            # divisors[i] belongs to delta^{i-1}; delta^{-1} and delta^dim are zero.
-            divisors = [()] + [
-                exactalg.sparse_smith_divisors(self.coboundary_rows(k), self.n_simplices(k))
-                for k in range(self.dim)
-            ] + [()]
-            r = [sum(1 for d in ds if d) for ds in divisors]
+            # divisors[i]: the nonzero divisors of delta^{i-1}; delta^{-1} and delta^dim are zero.
+            divisors = [[] for _ in range(self.dim + 2)]
+            for i in range(self.dim, 0, -1):
+                divisors[i], cols = exactalg.smith_pivots(self._cleared_rows(i - 1, "Z"))
+                self._cache.setdefault(_pivots_key(i - 1), {})["Z"] = cols
+            r = [len(ds) for ds in divisors]
             self._cache["integral"] = GradedBetti(
                 "Z",
                 tuple(self.n_simplices(i) - r[i] - r[i + 1] for i in range(self.dim + 1)),
@@ -259,15 +303,23 @@ class SimplicialComplex:
         this p-local route avoids full Smith reduction on large complexes.
         Its divisors prime to p count rank delta^{i-1} over F_p, and all of
         them the rank over Q: both are cached for ``cohomology`` to reuse.
+        The coboundaries are eliminated top-down, each cleared by pivots of
+        the one above found over F_p, at stage 0 of this profile, or by the
+        unit pass, all valid over Z_(p) (the lemma in ``cohomology``): the
+        p-local row module, so the profile, is kept.  The stage-0 pivots are
+        recorded as F_p pivots, for the F_p and Q routes too.
         """
         key = ("pval", p)
         if key not in self._cache:
+            F = exactalg.GF(p)
             out = {}
-            for i in range(1, self.dim + 1):
-                vals = out[i] = exactalg.p_valuation_profile(self.coboundary_rows(i - 1), p)
-                self._cache[_rank_key(i - 1, exactalg.GF(p))] = vals.count(0)
+            for i in range(self.dim, 0, -1):
+                vals, cols = exactalg.valuation_pivots(self._cleared_rows(i - 1, F.name), p)
+                out[i] = vals
+                self._cache.setdefault(_pivots_key(i - 1), {})[F.name] = cols
+                self._cache[_rank_key(i - 1, F)] = vals.count(0)
                 self._cache[_rank_key(i - 1, exactalg.QQ)] = len(vals)
-            self._cache[key] = out
+            self._cache[key] = dict(sorted(out.items()))
         return self._cache[key]
 
     # -- cocycle bases and class arithmetic -------------------------------
@@ -281,8 +333,10 @@ class SimplicialComplex:
         """
         key = ("basis", field.name, degree)
         if key not in self._cache:
-            rows, n = self.coboundary_rows(degree), self.n_simplices(degree)
-            if not self.cohomology(field).betti[degree]:
+            betti = self.cohomology(field).betti
+            # ker delta^i is that of its cleared rows: the others lie in their span.
+            rows, n = self._cleared_rows(degree, field.name), self.n_simplices(degree)
+            if not betti[degree]:
                 self._cache[key] = exactalg.Subquotient.zero(rows, field, n)
             else:
                 # Image of delta^{i-1} in C^i: the columns of its coboundary rows.

@@ -25,8 +25,10 @@ from .pd_algebra import (
     BigradedAlgebra,
     Differential,
     Orientation,
+    check_derivation,
     check_pd,
     euler_and_dim,
+    homology,
     odd_congruence,
 )
 
@@ -168,7 +170,10 @@ def check_theorem1_algebraic(
     """Theorem 1 on user-supplied rational cohomology algebras.
 
     A document that breaks a law of ``BigradedAlgebra.validate`` is not an
-    algebra, and its first violation makes the report not applicable.
+    algebra, and its first violation makes the report not applicable.  The
+    hypotheses read off its product table (PD algebra, odd case) are then
+    skipped; the CHECK line keeps its dimensions, dim A and, in odd
+    dimension, dim H(A, delta) where delta is a square-zero derivation.
     Even formal dimension runs the dim = chi route; odd dimension runs the
     odd-dimension congruence route on (A, delta) and optionally pins the
     homology dimension to a
@@ -178,8 +183,11 @@ def check_theorem1_algebraic(
     problems = A.validate()
     hyps.append(Hypothesis("algebra_laws", not problems, problems[0] if problems else ""))
     hyps.append(Hypothesis("rational_coefficients", A.field is QQ or A.field.char == 0))
-    pd = check_pd(A, phi)
-    hyps.append(Hypothesis("connected_pd_algebra", pd.is_pd, f"formal dimension {pd.formal_dim}"))
+    if problems:
+        hyps.append(Hypothesis("connected_pd_algebra", None))
+    else:
+        pd = check_pd(A, phi)
+        hyps.append(Hypothesis("connected_pd_algebra", pd.is_pd, f"formal dimension {pd.formal_dim}"))
     concentrated = all(e == 0 for e, _ in A.bidegrees)
     hyps.append(Hypothesis("concentrated_in_second_grading", concentrated))
     n = phi.formal_dim
@@ -191,6 +199,11 @@ def check_theorem1_algebraic(
     else:
         if delta is None:
             hyps.append(Hypothesis("parity", False, f"n = {n} odd but no differential supplied"))
+        elif problems:
+            hyps.append(Hypothesis("odd_case_hypotheses", None))
+            if check_derivation(A, delta).is_valid:
+                H, _ = homology(A, delta, phi)
+                rhs = H.dim if H is not None else 0
         else:
             rep = odd_congruence(A, delta, phi)
             hyps.append(

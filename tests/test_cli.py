@@ -666,6 +666,9 @@ def test_theorem1_alg_is_not_applicable_to_a_broken_algebra(tmp_path, capsys):
     assert main(["theorem1-alg", str(path)]) == 0
     out = capsys.readouterr().out
     assert "  hypothesis algebra_laws: no (unit law fails at basis 0)" in out
+    # Nothing is read off a product table that is not an algebra's.
+    assert "  hypothesis connected_pd_algebra: skipped\n" in out
+    assert "  hypothesis odd_case_hypotheses: skipped\n" in out
     assert "CHECK theorem1-algebraic: N/A — 2 vs 2 (mod 4)" in out
 
 

@@ -47,6 +47,7 @@ from betticong.pd_algebra import homology, random_differential_algebra
 from betticong.simplicial import (
     SimplicialComplex,
     _maximal,
+    _pivots_key,
     barycentric_subdivision,
     cup_pairing,
     join,
@@ -236,8 +237,7 @@ def _recorded_ranks(X, p, monkeypatch) -> list[tuple[int, int]]:
     X = SimplicialComplex(X.vertices, X.facets)
     X.torsion_valuation_profile(p)
     with monkeypatch.context() as m:
-        for name in ("sparse_rank_q", "sparse_rank_modp"):
-            m.setattr(exactalg, name, lambda *a: pytest.fail("rank not recorded"))
+        m.setattr(exactalg, "rank_pivots", lambda *a: pytest.fail("rank not recorded"))
         return [(X._coboundary_rank(k, GF(p)), X._coboundary_rank(k, QQ)) for k in range(X.dim)]
 
 
@@ -254,6 +254,45 @@ def test_torsion_profile_records_the_fp_and_q_ranks(monkeypatch):
         if X is lens:  # the Z/3 in H^2 is a divisor 3 of delta^1
             q = recorded[1][1]
             assert recorded[1] == ((q - 1, q) if p == 3 else (q, q))
+
+
+@pytest.mark.parametrize("field, rows", [(QQ, [1728, 1729, 319]), (GF(3), [1728, 1729, 320])])
+def test_lens_coboundaries_are_eliminated_on_the_rows_that_can_be_independent(
+        monkeypatch, field, rows):
+    """Top-down, delta^1 of L(3,1) is eliminated without the rows at the pivots
+    of delta^2: on n_2 - rank delta^2 = 3456 - 1727 = 1729 rows, not 3456;
+    delta^0 on n_1 - rank delta^1 rows (1729 over Q, 1728 over F_3)."""
+    L = corpus.lens_space()
+    L = SimplicialComplex(L.vertices, L.facets)
+    sizes = []
+    real = exactalg.rank_pivots
+    monkeypatch.setattr(exactalg, "rank_pivots",
+                        lambda r, p: sizes.append(len(r)) or real(r, p))
+    betti = L.cohomology(field).betti
+    assert sizes == rows
+    assert betti == ((1, 0, 0, 1) if field is QQ else (1, 1, 1, 1))
+
+
+def test_a_pivot_set_clears_rows_only_over_the_rings_where_it_is_valid():
+    """On the cone over RP^2, cone triangles over edges F of RP^2 on which
+    the boundary of RP^2 is nonsingular are a Q pivot set of delta^2.  Every
+    such minor is even (H_1(RP^2;Z) = Z/2), and dropping those rows of
+    delta^1 loses F_2 rank: a Q pivot set clears rows over Q alone, an F_p
+    one over F_p and Q, and a +-1 one over every ring."""
+    X = join(rp2_six_vertex(), corpus.one_point())
+    up, rows = X.coboundary_rows(2), X.coboundary_rows(1)
+    cone = {q for q, s in enumerate(X.simplex_labels(2)) if "pt" in s}
+    P = exactalg.rank_pivots([{c: v for c, v in r.items() if c in cone} for r in up], None)
+    assert len(P) == exactalg.sparse_rank_q(up)
+    kept = [r for q, r in enumerate(rows) if q not in set(P)]
+    assert exactalg.sparse_rank_q(kept) == exactalg.sparse_rank_q(rows)
+    assert exactalg.sparse_rank_modp(kept, 2) < exactalg.sparse_rank_modp(rows, 2)
+    clears = {"Q": {"Q"}, "F2": {"F2", "Q"}, "F3": {"F3", "Q"}, "Z": {"Q", "F2", "F3", "Z"}}
+    for route, rings in clears.items():
+        for ring in ("Q", "F2", "F3", "Z"):
+            Y = SimplicialComplex(X.vertices, X.facets)
+            Y._cache[_pivots_key(2)] = {route: P}
+            assert Y._cleared_rows(1, ring) == (kept if ring in rings else rows), (route, ring)
 
 
 def test_uct_equality_iff_no_torsion():

@@ -327,6 +327,86 @@ def test_hm_certificates_match_rank_oracle_on_pure_complexes(X, p):
     assert_hm_matches_oracle(X, p)
 
 
+# ---------------------------------------------------------------------------
+# Clearing: every route eliminates delta^k only on rows that can be independent
+# ---------------------------------------------------------------------------
+
+# Each order runs the four routes on a fresh complex, so that every route
+# finds pivot sets of the others recorded: valid ones clear rows, the
+# others (Q pivots for F_p, Z_(p) or Z; F_p pivots for Z) must be ignored.
+_ROUTE_ORDERS = (("Q", "Fp", "pval", "Z"), ("Z", "pval", "Fp", "Q"), ("Fp", "Q", "Z", "pval"))
+
+
+def _express_or_reject(sq, v):
+    try:
+        return sq.express(v).tolist()
+    except ValueError:
+        return "not a cocycle"
+
+
+def _assert_cleared_routes_agree(X: SimplicialComplex, p: int):
+    """Ranks over Q and F_p, the p-local profile, the nonzero Smith divisors
+    and the cocycle bases of the cleared routes equal those of the full rows."""
+    rows = [X.coboundary_rows(k) for k in range(X.dim + 1)]
+    n = [X.n_simplices(k) for k in range(X.dim + 1)]
+    smith = [exactalg.sparse_smith_divisors(r, n[k]) for k, r in enumerate(rows[:-1])]
+    profile = [exactalg.p_valuation_profile(r, p) for r in rows[:-1]]
+    ranks = {QQ: [exactalg.sparse_rank_q(r) for r in rows] + [0],
+             GF(p): [exactalg.sparse_rank_modp(r, p) for r in rows] + [0]}
+    oracles = {}
+    for field, rank in ranks.items():
+        for d in range(X.dim + 1):
+            image = exactalg.transpose_rows(rows[d - 1], n[d - 1]) if d else []
+            oracles[field, d] = (exactalg.Subquotient(rows[d], image, field, n[d])
+                                 if n[d] - rank[d] - rank[d - 1] else
+                                 exactalg.Subquotient.zero(rows[d], field, n[d]))
+    for order in _ROUTE_ORDERS:
+        Y = SimplicialComplex(X.vertices, X.facets)
+        run = {"Q": lambda: Y.cohomology(QQ), "Fp": lambda: Y.cohomology(GF(p)),
+               "pval": lambda: Y.torsion_valuation_profile(p), "Z": Y.integral_cohomology}
+        for route in order:
+            run[route]()
+        for k, r in enumerate(rows[:-1]):
+            for field, rank in ranks.items():
+                assert Y._coboundary_rank(k, field) == rank[k], (order, field, k)
+            assert Y.torsion_valuation_profile(p)[k + 1] == profile[k], (order, k)
+            # The divisor chain is padded by the rows of delta^k, not the rows kept.
+            kept = exactalg.smith_pivots(Y._cleared_rows(k, "Z"))[0]
+            assert smith[k] == tuple(kept) + (0,) * (min(len(r), n[k]) - len(kept)), (order, k)
+        r_z = [0] + [sum(1 for d in ds if d) for ds in smith] + [0]
+        assert Y.integral_cohomology().betti == tuple(
+            n[i] - r_z[i] - r_z[i + 1] for i in range(X.dim + 1))
+        assert Y.integral_cohomology().torsion == tuple(
+            tuple(d for d in ds if d > 1) for ds in [()] + smith)
+        for (field, d), oracle in oracles.items():
+            sq = Y.cohomology_basis(field, d)
+            assert np.array_equal(sq.basis, oracle.basis) and sq.pivots == oracle.pivots
+            vectors = [field.zeros(n[d])] + list(sq.basis)
+            vectors[0][0] = 1  # a cocycle only where delta^d e_0 = 0
+            for j, b in enumerate(sq.basis):  # a class plus a coboundary
+                v = b.copy()
+                for t, row in enumerate(rows[d - 1] if d else []):
+                    v[t] += row.get(j % n[d - 1], 0)
+                vectors.append(field.reduce(v))
+            for v in vectors:
+                assert _express_or_reject(sq, v) == _express_or_reject(oracle, v)
+
+
+def test_cleared_routes_agree_with_the_full_rows():
+    for action in corpus.corpus_actions().values():
+        _assert_cleared_routes_agree(action.complex, action.p)
+    _assert_cleared_routes_agree(corpus.lens_space(), 3)
+    for p in (2, 3):
+        _assert_cleared_routes_agree(corpus.rp2_six_vertex(), p)
+    _assert_cleared_routes_agree(_moore_space_and_sphere(), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pure_complexes(), st.sampled_from([2, 3]))
+def test_cleared_routes_agree_on_pure_complexes(X, p):
+    _assert_cleared_routes_agree(X, p)
+
+
 def test_hm_check_decides_all_but_the_vertex_links_by_counting(monkeypatch):
     """On S^2 x S^2 (Z/7) only the 64 vertex links (codimension 4) are built
     and eliminated; the other 4332 links are counted off the facets."""
@@ -354,13 +434,13 @@ def test_theorems_2_and_4_eliminate_no_coboundary_twice(monkeypatch):
     fresh = GroupAction(X, 7, action.vertex_map)
     own = [X.coboundary_rows(k) for k in range(X.dim + 1)]
     assert [k for k, rows in enumerate(own) if rows] == [0, 1, 2, 3]
+    own_rows = {id(row) for rows in own for row in rows}
     calls = []
-    for name in ("sparse_rank_q", "sparse_rank_modp"):
-        real = getattr(exactalg, name)
-        monkeypatch.setattr(exactalg, name,
-                            lambda rows, *a, real=real: calls.append(rows) or real(rows, *a))
+    real = exactalg.rank_pivots
+    monkeypatch.setattr(exactalg, "rank_pivots", lambda rows, p: calls.append(rows) or real(rows, p))
     assert check_theorem2(fresh).verdict == check_theorem4(fresh).verdict == "PASS"
-    assert not [rows for rows in calls if rows and any(rows is r for r in own)]
+    # Cleared rows are new lists of the complex's own row dicts.
+    assert not [rows for rows in calls if any(id(row) in own_rows for row in rows)]
 
 
 def test_theorem4_sphere_rotations():
