@@ -378,24 +378,26 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = F
     return work, pivots, [work[i] for i in sorted(active)]
 
 
-def rank_pivots(rows: list[dict[int, int]], p: int | None) -> list[int]:
-    """Pivot columns of the sparse elimination over F_p, or over Q where *p* is None.
+def sparse_rank_modp(rows: list[dict[int, int]], p: int, pivots: list[int] | None = None) -> int:
+    """Exact rank over F_p of a dict-of-rows matrix.
 
-    Their number is the rank.  Each pivot row is zero at every earlier
-    pivot column, so the pivot rows on these columns form a triangular
-    minor whose diagonal is invertible in the field.
+    If *pivots* is a list, the pivot columns are appended to it.  Each pivot
+    row is zero at every earlier pivot column, so the pivot rows on these
+    columns form a triangular minor with a diagonal prime to p.
     """
-    return [pc for _, pc in _eliminate(rows, p)[1]]
+    return _rank(rows, p, pivots)
 
 
-def sparse_rank_modp(rows: list[dict[int, int]], p: int) -> int:
-    """Exact rank over F_p of a dict-of-rows matrix."""
-    return len(rank_pivots(rows, p))
+def sparse_rank_q(rows: list[dict[int, int]], pivots: list[int] | None = None) -> int:
+    """Exact rank over Q of an integer dict-of-rows matrix (*pivots* as over F_p)."""
+    return _rank(rows, None, pivots)
 
 
-def sparse_rank_q(rows: list[dict[int, int]]) -> int:
-    """Exact rank over Q of an integer dict-of-rows matrix."""
-    return len(rank_pivots(rows, None))
+def _rank(rows, p, pivots) -> int:
+    found = _eliminate(rows, p)[1]
+    if pivots is not None:
+        pivots.extend(pc for _, pc in found)
+    return len(found)
 
 
 def sparse_rref_q(rows: list[dict[int, int]]) -> tuple[list[dict[int, Fraction]], list[int]]:
@@ -712,61 +714,54 @@ def smith_normal_form(matrix) -> SmithForm:
     return SmithForm(divisors=tuple(divisors), rank=sum(1 for d in divisors if d))
 
 
-def smith_pivots(rows: list[dict[int, int]]) -> tuple[list[int], list[int]]:
-    """The nonzero Smith divisors of a dict-of-rows integer matrix, ascending,
-    and the columns of its +-1 pivots.
+def sparse_smith_divisors(rows: list[dict[int, int]], ncols: int,
+                          pivots: list[int] | None = None) -> tuple[int, ...]:
+    """``smith_normal_form(matrix).divisors`` of a dict-of-rows integer matrix.
 
     The +-1 pivots are eliminated sparsely first; that is unimodular and
     each one gives a divisor 1.  The rows left, on the columns without a
     pivot, form a small core whose divisors come from the dense Smith form
-    (Dumas-Saunders-Villard, J. Symb. Comp. 2001).  The pivot rows on the
-    pivot columns form a triangular minor with a +-1 diagonal.
+    (Dumas-Saunders-Villard, J. Symb. Comp. 2001).  If *pivots* is a list,
+    the columns of the +-1 pivots are appended to it: the pivot rows on
+    them form a triangular minor with a +-1 diagonal.
     """
-    _, pivots, rest = _eliminate(rows, unit=True)
+    _, found, rest = _eliminate(rows, unit=True)
     cols = {c: j for j, c in enumerate(sorted({c for row in rest for c in row}))}
     core = np.zeros((len(rest), len(cols)), dtype=object)
     for i, row in enumerate(rest):
         for c, v in row.items():
             core[i, cols[c]] = v
-    divisors = [1] * len(pivots) + [d for d in smith_normal_form(core).divisors if d]
-    return divisors, [pc for _, pc in pivots]
-
-
-def sparse_smith_divisors(rows: list[dict[int, int]], ncols: int) -> tuple[int, ...]:
-    """``smith_normal_form(matrix).divisors`` of a dict-of-rows integer matrix."""
-    divisors = smith_pivots(rows)[0]
+    divisors = [1] * len(found) + [d for d in smith_normal_form(core).divisors if d]
+    if pivots is not None:
+        pivots.extend(pc for _, pc in found)
     return tuple(divisors + [0] * (min(len(rows), ncols) - len(divisors)))
 
 
-def valuation_pivots(rows: list[dict[int, int]], p: int) -> tuple[list[int], list[int]]:
-    """``p_valuation_profile`` and the pivot columns of its stage 0.
+def p_valuation_profile(rows: list[dict[int, int]], p: int,
+                        pivots: list[int] | None = None) -> list[int]:
+    """p-adic valuations of the nonzero Smith divisors, ascending.
 
     Works p-locally: eliminate with p-unit pivots (fraction-free, rows
     renormalised by the prime-to-p part of their gcd), then divide the fully
     p-divisible remainder by p and recurse.  The number of pivots found at
     stage k equals the number of divisors with valuation exactly k.  Much
-    cheaper than a full Smith reduction on large matrices and exact.  The
-    stage-0 pivot rows on their pivot columns form a triangular minor whose
-    diagonal is prime to p.
+    cheaper than a full Smith reduction on large matrices and exact.  If
+    *pivots* is a list, the pivot columns of stage 0 are appended to it:
+    the pivot rows on them form a triangular minor with a diagonal prime
+    to p.
     """
     work = [r for r in rows if r]
     vals: list[int] = []
-    units: list[int] = []
     stage = 0
     while work:
-        _, pivots, rest = _eliminate(work, p, local=True)
-        vals.extend([stage] * len(pivots))
-        if not stage:
-            units = [pc for _, pc in pivots]
+        _, found, rest = _eliminate(work, p, local=True)
+        vals.extend([stage] * len(found))
+        if pivots is not None and not stage:
+            pivots.extend(pc for _, pc in found)
         # Everything left is divisible by p: strip one factor and recurse.
         work = [{c: v // p for c, v in row.items()} for row in rest]
         stage += 1
-    return vals, units
-
-
-def p_valuation_profile(rows: list[dict[int, int]], p: int) -> list[int]:
-    """p-adic valuations of the nonzero Smith divisors, ascending (``valuation_pivots``)."""
-    return valuation_pivots(rows, p)[0]
+    return vals
 
 
 # ---------------------------------------------------------------------------

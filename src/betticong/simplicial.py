@@ -72,8 +72,8 @@ def _rank_key(k: int, field) -> tuple:  # the cache key of rank delta^k
     return ("cobrank", k, field.name)
 
 
-def _pivots_key(k: int) -> tuple:  # the cache key of delta^k's pivot columns, {route: columns}
-    return ("pivots", k)
+def _pivots_key(k: int, ring: str) -> tuple:  # the cache key of delta^k's pivot columns
+    return ("pivots", k, ring)
 
 
 class SimplicialComplex:
@@ -214,27 +214,25 @@ class SimplicialComplex:
         return M
 
     def _cleared_rows(self, k: int, ring: str) -> list[dict[int, int]]:
-        """The rows of delta^k less those at a pivot set of delta^{k+1} valid over *ring*.
+        """delta^k with the rows at the pivot columns of delta^{k+1} over *ring* zeroed.
 
-        *ring* is a field name ("Q", "F3", ...) or "Z"; pivot sets are
-        recorded under the same names, the p-local profile's under F_p.  The
-        largest valid set found is used, none if delta^{k+1} has not been
-        eliminated: see ``cohomology`` for which sets are valid where.
+        *ring* is a field name ("Q", "F3", ...) or "Z"; the p-local profile
+        records its pivots under F_p.  The rows are those of delta^k if
+        delta^{k+1} has not been eliminated over *ring*.  Zeroed rows keep
+        the row count and indices: see ``cohomology`` for why the row space
+        is kept.
         """
         rows = self.coboundary_rows(k)
-        found = self._cache.get(_pivots_key(k + 1), {})
-        valid = [cols for route, cols in found.items() if route in (ring, "Z") or ring == "Q"]
-        if not valid:
-            return rows
-        drop = set(max(valid, key=len))
-        return [row for q, row in enumerate(rows) if q not in drop]
+        drop = set(self._cache.get(_pivots_key(k + 1, ring), ()))
+        return [{} if q in drop else row for q, row in enumerate(rows)] if drop else rows
 
     def _coboundary_rank(self, k: int, field) -> int:
         key = _rank_key(k, field)
         if key not in self._cache:
-            cols = exactalg.rank_pivots(self._cleared_rows(k, field.name), field.char or None)
-            self._cache.setdefault(_pivots_key(k), {})[field.name] = cols
-            self._cache[key] = len(cols)
+            rows, cols = self._cleared_rows(k, field.name), []
+            self._cache[key] = (exactalg.sparse_rank_modp(rows, field.char, cols) if field.char
+                                else exactalg.sparse_rank_q(rows, cols))
+            self._cache[_pivots_key(k, field.name)] = cols
         return self._cache[key]
 
     # -- cohomology ------------------------------------------------------
@@ -242,9 +240,9 @@ class SimplicialComplex:
     def cohomology(self, field) -> GradedBetti:
         """Betti numbers over Q or F_p from coboundary ranks, taken top-down.
 
-        Each delta^k is eliminated without the rows at the pivot columns P
-        that the elimination of delta^{k+1} found (the clearing of
-        persistent homology: Chen and Kerber, EuroCG 2011; Bauer, Kerber
+        Each delta^k is eliminated with its rows at P zeroed, where P are the
+        pivot columns that the elimination of delta^{k+1} found (the clearing
+        of persistent homology: Chen and Kerber, EuroCG 2011; Bauer, Kerber
         and Reininghaus, 2014).  Those rows lie in the span of the others.
         ``exactalg._eliminate`` makes each later pivot row zero at every
         earlier pivot column, so the pivot rows R of delta^{k+1}, taken on
@@ -255,19 +253,16 @@ class SimplicialComplex:
         rows outside P over that ring.  The row space, the p-local row module
         and the integral row module are kept, and with them the rank, the
         p-adic profile and the nonzero Smith divisors.  A pivot set clears
-        rows over these rings:
-
-        - found over F_p, or at stage 0 of the p-local profile: over F_p,
-          Z_(p) and Q (some |P| rows of delta^{k+1} have a minor on P whose
-          determinant is prime to p);
-        - found over Q: over Q only;
-        - the +-1 pivots of the unit pass (det T = +-1): over every ring.
+        rows over the ring it was found over: Q, F_p, or Z for the +-1
+        pivots of ``integral_cohomology``.  The F_p pivots and those of
+        stage 0 of ``torsion_valuation_profile`` share one set: either
+        minor has a determinant prime to p, invertible over F_p and Z_(p).
         """
         key = ("betti", field.name)
         if key not in self._cache:
-            # r[i] is rank delta^{i-1}; delta^{-1} and delta^dim are zero.
+            # r[i] is rank delta^{i-1}; delta^{-1} is zero.
             r = [0] * (self.dim + 2)
-            for i in range(self.dim, 0, -1):
+            for i in range(self.dim + 1, 0, -1):
                 r[i] = self._coboundary_rank(i - 1, field)
             self._cache[key] = GradedBetti(field.name, tuple(
                 self.n_simplices(i) - r[i] - r[i + 1] for i in range(self.dim + 1)))
@@ -283,12 +278,14 @@ class SimplicialComplex:
         integral row module, so the nonzero divisors, is kept.
         """
         if "integral" not in self._cache:
-            # divisors[i]: the nonzero divisors of delta^{i-1}; delta^{-1} and delta^dim are zero.
-            divisors = [[] for _ in range(self.dim + 2)]
+            # divisors[i] belongs to delta^{i-1}; delta^{-1} and delta^dim are zero.
+            divisors = [()] * (self.dim + 2)
             for i in range(self.dim, 0, -1):
-                divisors[i], cols = exactalg.smith_pivots(self._cleared_rows(i - 1, "Z"))
-                self._cache.setdefault(_pivots_key(i - 1), {})["Z"] = cols
-            r = [len(ds) for ds in divisors]
+                cols = []
+                divisors[i] = exactalg.sparse_smith_divisors(
+                    self._cleared_rows(i - 1, "Z"), self.n_simplices(i - 1), cols)
+                self._cache[_pivots_key(i - 1, "Z")] = cols
+            r = [sum(1 for d in ds if d) for ds in divisors]
             self._cache["integral"] = GradedBetti(
                 "Z",
                 tuple(self.n_simplices(i) - r[i] - r[i + 1] for i in range(self.dim + 1)),
@@ -303,20 +300,20 @@ class SimplicialComplex:
         this p-local route avoids full Smith reduction on large complexes.
         Its divisors prime to p count rank delta^{i-1} over F_p, and all of
         them the rank over Q: both are cached for ``cohomology`` to reuse.
-        The coboundaries are eliminated top-down, each cleared by pivots of
-        the one above found over F_p, at stage 0 of this profile, or by the
-        unit pass, all valid over Z_(p) (the lemma in ``cohomology``): the
-        p-local row module, so the profile, is kept.  The stage-0 pivots are
-        recorded as F_p pivots, for the F_p and Q routes too.
+        The coboundaries are eliminated top-down, each cleared by the F_p
+        pivots of the one above, from this profile's stage 0 or from the F_p
+        ranks, which are valid over Z_(p) (the lemma in ``cohomology``): the
+        p-local row module, so the profile, is kept.
         """
         key = ("pval", p)
         if key not in self._cache:
             F = exactalg.GF(p)
             out = {}
             for i in range(self.dim, 0, -1):
-                vals, cols = exactalg.valuation_pivots(self._cleared_rows(i - 1, F.name), p)
-                out[i] = vals
-                self._cache.setdefault(_pivots_key(i - 1), {})[F.name] = cols
+                cols = []
+                vals = out[i] = exactalg.p_valuation_profile(self._cleared_rows(i - 1, F.name),
+                                                             p, cols)
+                self._cache[_pivots_key(i - 1, F.name)] = cols
                 self._cache[_rank_key(i - 1, F)] = vals.count(0)
                 self._cache[_rank_key(i - 1, exactalg.QQ)] = len(vals)
             self._cache[key] = dict(sorted(out.items()))

@@ -237,7 +237,8 @@ def _recorded_ranks(X, p, monkeypatch) -> list[tuple[int, int]]:
     X = SimplicialComplex(X.vertices, X.facets)
     X.torsion_valuation_profile(p)
     with monkeypatch.context() as m:
-        m.setattr(exactalg, "rank_pivots", lambda *a: pytest.fail("rank not recorded"))
+        for name in ("sparse_rank_q", "sparse_rank_modp"):
+            m.setattr(exactalg, name, lambda *a: pytest.fail("rank not recorded"))
         return [(X._coboundary_rank(k, GF(p)), X._coboundary_rank(k, QQ)) for k in range(X.dim)]
 
 
@@ -256,43 +257,53 @@ def test_torsion_profile_records_the_fp_and_q_ranks(monkeypatch):
             assert recorded[1] == ((q - 1, q) if p == 3 else (q, q))
 
 
-@pytest.mark.parametrize("field, rows", [(QQ, [1728, 1729, 319]), (GF(3), [1728, 1729, 320])])
+@pytest.mark.parametrize("field, kept", [(QQ, [0, 1728, 1729, 319]),
+                                         (GF(3), [0, 1728, 1729, 320])])
 def test_lens_coboundaries_are_eliminated_on_the_rows_that_can_be_independent(
-        monkeypatch, field, rows):
-    """Top-down, delta^1 of L(3,1) is eliminated without the rows at the pivots
-    of delta^2: on n_2 - rank delta^2 = 3456 - 1727 = 1729 rows, not 3456;
-    delta^0 on n_1 - rank delta^1 rows (1729 over Q, 1728 over F_3)."""
+        monkeypatch, field, kept):
+    """Top-down, delta^1 of L(3,1) is eliminated with the rows at the pivots
+    of delta^2 zeroed: on n_2 - rank delta^2 = 3456 - 1727 = 1729 rows, not
+    3456; delta^0 on n_1 - rank delta^1 rows (1729 over Q, 1728 over F_3).
+    The zeroed rows stay, so each delta^k keeps its n_{k+1} rows."""
     L = corpus.lens_space()
     L = SimplicialComplex(L.vertices, L.facets)
-    sizes = []
-    real = exactalg.rank_pivots
-    monkeypatch.setattr(exactalg, "rank_pivots",
-                        lambda r, p: sizes.append(len(r)) or real(r, p))
+    calls = []
+    for name in ("sparse_rank_q", "sparse_rank_modp"):
+        real = getattr(exactalg, name)
+        monkeypatch.setattr(exactalg, name,
+                            lambda rows, *a, real=real: calls.append(rows) or real(rows, *a))
     betti = L.cohomology(field).betti
-    assert sizes == rows
+    assert [len(rows) for rows in calls] == [L.n_simplices(k + 1) for k in (3, 2, 1, 0)]
+    assert [sum(1 for row in rows if row) for rows in calls] == kept
     assert betti == ((1, 0, 0, 1) if field is QQ else (1, 1, 1, 1))
 
 
-def test_a_pivot_set_clears_rows_only_over_the_rings_where_it_is_valid():
+def test_a_pivot_set_clears_rows_only_over_the_ring_it_was_found_over():
     """On the cone over RP^2, cone triangles over edges F of RP^2 on which
     the boundary of RP^2 is nonsingular are a Q pivot set of delta^2.  Every
-    such minor is even (H_1(RP^2;Z) = Z/2), and dropping those rows of
-    delta^1 loses F_2 rank: a Q pivot set clears rows over Q alone, an F_p
-    one over F_p and Q, and a +-1 one over every ring."""
+    such minor is even (H_1(RP^2;Z) = Z/2), and zeroing those rows of
+    delta^1 loses F_2 rank.  Pivot sets are recorded per ring: a Q pivot set
+    clears rows over Q alone, and the F_2, p-local and integral routes
+    ignore it."""
     X = join(rp2_six_vertex(), corpus.one_point())
     up, rows = X.coboundary_rows(2), X.coboundary_rows(1)
     cone = {q for q, s in enumerate(X.simplex_labels(2)) if "pt" in s}
-    P = exactalg.rank_pivots([{c: v for c, v in r.items() if c in cone} for r in up], None)
+    P = []
+    exactalg.sparse_rank_q([{c: v for c, v in r.items() if c in cone} for r in up], P)
     assert len(P) == exactalg.sparse_rank_q(up)
-    kept = [r for q, r in enumerate(rows) if q not in set(P)]
+    kept = [{} if q in set(P) else r for q, r in enumerate(rows)]
     assert exactalg.sparse_rank_q(kept) == exactalg.sparse_rank_q(rows)
     assert exactalg.sparse_rank_modp(kept, 2) < exactalg.sparse_rank_modp(rows, 2)
-    clears = {"Q": {"Q"}, "F2": {"F2", "Q"}, "F3": {"F3", "Q"}, "Z": {"Q", "F2", "F3", "Z"}}
-    for route, rings in clears.items():
-        for ring in ("Q", "F2", "F3", "Z"):
-            Y = SimplicialComplex(X.vertices, X.facets)
-            Y._cache[_pivots_key(2)] = {route: P}
-            assert Y._cleared_rows(1, ring) == (kept if ring in rings else rows), (route, ring)
+    for ring in ("Q", "F2", "F3", "Z"):
+        Y = SimplicialComplex(X.vertices, X.facets)
+        Y._cache[_pivots_key(2, "Q")] = P
+        assert Y._cleared_rows(1, ring) == (kept if ring == "Q" else rows), ring
+    routes = {"F2": lambda Z: Z.cohomology(GF(2)), "pval": lambda Z: Z.torsion_valuation_profile(2),
+              "Z": lambda Z: Z.integral_cohomology()}
+    for name, route in routes.items():
+        Y = SimplicialComplex(X.vertices, X.facets)
+        Y._cache[_pivots_key(2, "Q")] = P
+        assert route(Y) == route(X), name
 
 
 def test_uct_equality_iff_no_torsion():

@@ -332,8 +332,8 @@ def test_hm_certificates_match_rank_oracle_on_pure_complexes(X, p):
 # ---------------------------------------------------------------------------
 
 # Each order runs the four routes on a fresh complex, so that every route
-# finds pivot sets of the others recorded: valid ones clear rows, the
-# others (Q pivots for F_p, Z_(p) or Z; F_p pivots for Z) must be ignored.
+# finds pivot sets of the others recorded: it must clear rows with those of
+# its own ring only (the profile's and the F_p ranks' are one set).
 _ROUTE_ORDERS = (("Q", "Fp", "pval", "Z"), ("Z", "pval", "Fp", "Q"), ("Fp", "Q", "Z", "pval"))
 
 
@@ -371,8 +371,7 @@ def _assert_cleared_routes_agree(X: SimplicialComplex, p: int):
                 assert Y._coboundary_rank(k, field) == rank[k], (order, field, k)
             assert Y.torsion_valuation_profile(p)[k + 1] == profile[k], (order, k)
             # The divisor chain is padded by the rows of delta^k, not the rows kept.
-            kept = exactalg.smith_pivots(Y._cleared_rows(k, "Z"))[0]
-            assert smith[k] == tuple(kept) + (0,) * (min(len(r), n[k]) - len(kept)), (order, k)
+            assert exactalg.sparse_smith_divisors(Y._cleared_rows(k, "Z"), n[k]) == smith[k]
         r_z = [0] + [sum(1 for d in ds if d) for ds in smith] + [0]
         assert Y.integral_cohomology().betti == tuple(
             n[i] - r_z[i] - r_z[i + 1] for i in range(X.dim + 1))
@@ -436,8 +435,10 @@ def test_theorems_2_and_4_eliminate_no_coboundary_twice(monkeypatch):
     assert [k for k, rows in enumerate(own) if rows] == [0, 1, 2, 3]
     own_rows = {id(row) for rows in own for row in rows}
     calls = []
-    real = exactalg.rank_pivots
-    monkeypatch.setattr(exactalg, "rank_pivots", lambda rows, p: calls.append(rows) or real(rows, p))
+    for name in ("sparse_rank_q", "sparse_rank_modp"):
+        real = getattr(exactalg, name)
+        monkeypatch.setattr(exactalg, name,
+                            lambda rows, *a, real=real: calls.append(rows) or real(rows, *a))
     assert check_theorem2(fresh).verdict == check_theorem4(fresh).verdict == "PASS"
     # Cleared rows are new lists of the complex's own row dicts.
     assert not [rows for rows in calls if any(id(row) in own_rows for row in rows)]
