@@ -27,7 +27,8 @@ print("RP^2 over Z :", rp2.integral_cohomology())
 # skew 2x2 matrix, and duality forces b_i = b_{2-i}.
 ring = cup_pairing(torus, QQ)
 print("torus degree-1 pairing matrix:")
-print(ring.pairing_matrix(1))
+for row in ring.pairing_matrix(1):
+    print("  ", *row)
 result = pd_check(torus, QQ)
 print("torus is PD:", result.is_pd, "of formal dimension", result.formal_dim)
 

@@ -6,8 +6,6 @@ Betti number of the fixed set.  The evaluated E_2 row dimensions recover
 the trivial and augmentation-kernel block counts of H^*(X;F_p).
 """
 
-import numpy as np
-
 from betticong import GF, equivariant_betti, group_cohomology_dims, localization_check
 from betticong.corpus import (
     free_polygon_action,
@@ -37,17 +35,15 @@ for name, action in [
 
 print()
 print("Evaluated group cohomology of Z/3 modules (even, odd):")
-print("  trivial F_3      :", group_cohomology_dims(np.eye(1, dtype=np.int64), 3))
-perm = np.zeros((3, 3), dtype=np.int64)
-for i in range(3):
-    perm[(i + 1) % 3, i] = 1
+print("  trivial F_3      :", group_cohomology_dims([[1]], 3))
+perm = [[1 if i == (j + 1) % 3 else 0 for j in range(3)] for i in range(3)]
 print("  free F_3[Z/3]    :", group_cohomology_dims(perm, 3))
-print("  ker(augmentation):", group_cohomology_dims(np.array([[2, 2], [1, 0]]), 3))
+print("  ker(augmentation):", group_cohomology_dims([[2, 2], [1, 0]], 3))
 
 print()
 print("Degreewise match with the T/F/R decomposition (wedge of 3 spheres):")
 a = wedge_spheres_action()
 d = tfr_decomposition(a)
 for mu, M in enumerate(induced_cohomology_action(a, GF(3))):
-    dims = group_cohomology_dims(M, 3) if M.shape[0] else (0, 0)
+    dims = group_cohomology_dims(M, 3) if M else (0, 0)
     print(f"  H^{mu}: blocks t={d.t[mu]} f={d.f[mu]} r={d.r[mu]}  evaluated E2 row {dims}")

@@ -7,8 +7,6 @@ the even part modulo cycles.
 """
 
 import random
-
-import numpy as np
 from fractions import Fraction
 
 from betticong import QQ, GF, check_pd, euler_and_dim, homology, lemma_even_congruence, odd_congruence
@@ -41,7 +39,7 @@ for k in range(6):
 print()
 print("The surgered S^1 x S^2 example: Betti profile (1,2,2,1), fixed set a circle.")
 A, phi, C = odd_model(QQ, m=1, r=2)
-S = np.array([[0, Fraction(1)], [Fraction(-1), 0]], dtype=object)
+S = [[0, Fraction(1)], [Fraction(-1), 0]]
 delta = odd_model_differential(A, C, S)
 rep = odd_congruence(A, delta, phi)
 print(f"  total dimension {rep.dim_total}, homology dimension {rep.dim_homology}")

@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import corpus
 from .exactalg import GF, QQ, checked_prime
 from .group_action import (
@@ -147,6 +145,7 @@ def parse(text: str) -> InputDocument:
 def _parse_complex(lines, i):
     lineno, tok = lines[i]
     block = ComplexBlock(name=tok[1], vertices=[], facets=[], line=lineno)
+    declared: set[str] = set()
     i += 1
     while i < len(lines):
         lineno, tok = lines[i]
@@ -161,11 +160,12 @@ def _parse_complex(lines, i):
             if dup is not None:
                 raise InputError(f"vertices line repeats label {dup!r}", lineno)
             block.vertices = tok[1:]
+            declared = set(block.vertices)
         elif tok[0] == "facet":
             if len(tok) < 2:
                 raise InputError("facet line needs at least one vertex", lineno)
             for v in tok[1:]:
-                if v not in block.vertices:
+                if v not in declared:
                     raise InputError(f"facet references undeclared vertex {v!r}", lineno)
             dup = _first_repeat(tok[1:])
             if dup is not None:
@@ -652,20 +652,21 @@ def cmd_algebra_check(doc, args, rep: Report):
     rep.check("algebra-pd", "PASS" if pd.is_pd else "FAIL", int(pd.is_pd), 1)
     if not pd.is_pd:
         return
+    n = phi.formal_dim
+    # In odd formal dimension odd_congruence checks delta itself and reports its verdict.
+    orep = odd_congruence(A, delta, phi) if n % 2 and delta is not None else None
     if delta is not None:
-        der = check_derivation(A, delta)
+        der = orep.derivation if orep is not None else check_derivation(A, delta)
         for v in der.violations:
             rep.say(f"derivation: {v}")
         rep.check("algebra-derivation", "PASS" if der.is_valid else "FAIL",
                   len(der.violations), 0)
         if not der.is_valid:
             return
-    n = phi.formal_dim
     if n % 2 == 0:
         v = lemma_even_congruence(A, phi)
         rep.check("even-congruence", "PASS" if v.holds else "FAIL", v.lhs, v.rhs)
-    elif delta is not None:
-        orep = odd_congruence(A, delta, phi)
+    elif orep is not None:
         if not orep.applicable:
             for f in orep.failures:
                 rep.say(f"odd-case hypothesis: {f}")
@@ -806,7 +807,7 @@ def run_suite(rep: Report):
     from betticong.pd_algebra import odd_model, odd_model_differential
 
     A, phi, C = odd_model(QQ, m=1, r=2)
-    S = np.array([[0, Fraction(1)], [Fraction(-1), 0]], dtype=object)
+    S = [[0, Fraction(1)], [Fraction(-1), 0]]
     tr1 = check_theorem1_algebraic(A, odd_model_differential(A, C, S), phi,
                                    fixed_set_dim=2, subject="surgered S1xS2 profile")
     rep.check("theorem1-alg[(1,2,2,1)]", tr1.verdict, tr1.lhs, tr1.rhs)

@@ -23,8 +23,6 @@ import heapq
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
 from . import exactalg
 from .exactalg import GF
 from .group_action import GroupAction, fixed_set_cohomology, pullback_permutation
@@ -281,38 +279,33 @@ def group_cohomology_dims(g_matrix, p: int) -> tuple[int, int]:
     """
     field = GF(p)
     g = exactalg.field_matrix(g_matrix, field)
-    n = g.shape[0]
+    n = len(g)
     if n == 0:
         return 0, 0
     norm, g_p = _norm(g, field)
-    if np.any(g_p != np.eye(n, dtype=np.int64)):
+    if g_p != exactalg.identity(n):
         raise ValueError("operator does not have order dividing p")
-    gm1 = field.reduce(g - np.eye(n, dtype=np.int64))
+    gm1 = _minus_identity(g, field)
 
     # Tate representatives: even classes in ker(g-1)/im(norm), odd classes
     # in ker(norm)/im(g-1).
     rows = exactalg.sparse_rows
-    even = exactalg.Subquotient(rows(gm1), rows(norm.T), field, n)
-    odd = exactalg.Subquotient(rows(norm), rows(gm1.T), field, n)
+    even = exactalg.Subquotient(rows(gm1), rows(zip(*norm)), field, n)
+    odd = exactalg.Subquotient(rows(norm), rows(zip(*gm1)), field, n)
 
     # V (x) J_2 with g acting as  [g  g] (one unipotent Jordan step on J_2):
     #                             [0  g]
-    big = field.zeros((2 * n, 2 * n))
-    big[:n, :n] = g
-    big[n:, n:] = g
-    big[:n, n:] = g
-    bgm1 = field.reduce(big - np.eye(2 * n, dtype=np.int64))
+    big = [row + row for row in g] + [[0] * n + row for row in g]
+    bgm1 = _minus_identity(big, field)
     bnorm, _ = _norm(big, field)
 
     # Connecting map: lift a class rep z to (z, 0)... the extension is
     # 0 -> V -i-> V(x)J2 -pi-> V -> 0 with i(v) = (v, 0), pi(v, w) = w.
     # Lift z in the quotient copy to (0, z), apply the relevant periodic
     # differential of V(x)J2, land in the image of i, pull back.
-    def connecting(z: np.ndarray, diff_big: np.ndarray) -> np.ndarray:
-        lifted = field.zeros(2 * n)
-        lifted[n:] = z
-        out = exactalg.matmul(diff_big, lifted, field)
-        assert not out[n:].any(), "connecting image must lie in the subrepresentation"
+    def connecting(z: list, diff_big: list[list]) -> list:
+        out = exactalg.matmul(diff_big, [0] * n + z, field)
+        assert not any(out[n:]), "connecting image must lie in the subrepresentation"
         return out[:n]
 
     # s: even -> odd uses the differential (g-1) on the big module; the
@@ -326,12 +319,16 @@ def group_cohomology_dims(g_matrix, p: int) -> tuple[int, int]:
     return even_dim, odd_dim
 
 
-def _norm(g: np.ndarray, field) -> tuple[np.ndarray, np.ndarray]:
+def _minus_identity(g: list[list], field) -> list[list]:
+    return [[field.reduce(x - (i == j)) for j, x in enumerate(row)] for i, row in enumerate(g)]
+
+
+def _norm(g: list[list], field) -> tuple[list[list], list[list]]:
     """The norm 1 + g + ... + g^(p-1) and g^p, over F_p."""
-    power = norm = np.eye(g.shape[0], dtype=np.int64)
+    power = norm = exactalg.identity(len(g))
     for _ in range(field.p - 1):
         power = exactalg.matmul(power, g, field)
-        norm = field.reduce(norm + power)
+        norm = [[field.reduce(x + y) for x, y in zip(r, s)] for r, s in zip(norm, power)]
     return norm, exactalg.matmul(power, g, field)
 
 

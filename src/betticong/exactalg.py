@@ -6,12 +6,12 @@ bases, the one kernel-modulo-image engine ``Subquotient``, integer Smith
 normal form, p-local valuation profiles and the Jordan block partition of a
 nilpotent operator.  All arithmetic is exact: Python ints,
 ``fractions.Fraction`` for the rationals, canonical residues in ``[0, p)``
-for prime fields.  The two field objects own the dense carrier:
-``dtype`` (``object`` over Q, ``int64`` over F_p), ``one``, ``zeros`` and
-``reduce`` (the identity over Q, ``% p`` over F_p), so no other module tests
-which field it holds.  The sparse routines work on dict-of-rows and exist
-because the corpus coboundary matrices are large but eliminate with tiny
-fill-in.
+for prime fields.  A dense matrix is a list of rows, a dense vector a
+list, of such elements.  The two field objects own that carrier: ``one``,
+``zeros``, ``coerce`` and ``reduce`` (the identity over Q, ``% p`` over
+F_p), so no other module tests which field it holds.  The sparse routines
+work on dict-of-rows and exist because the corpus coboundary matrices are
+large but eliminate with tiny fill-in.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-# int64 products of two residues must not overflow: p*p < 2**63.
+# Primality is decided by trial division, which a huge input would make
+# run for hours; the bound turns that into an immediate error.
 _MAX_FIELD_PRIME = 2**31
 
 
@@ -54,24 +53,29 @@ def checked_prime(p: int) -> int:
     return p
 
 
+def _zeros(shape):
+    """A vector (``shape`` an int) or a matrix (``shape`` (rows, cols)) of 0s."""
+    if isinstance(shape, int):
+        return [0] * shape
+    m, n = shape
+    return [[0] * n for _ in range(m)]
+
+
 class RationalField:
     """The field Q; elements are ints or ``Fraction`` in lowest terms."""
 
     char = 0
     name = "Q"
-    dtype = object
     one = Fraction(1)
+    zeros = staticmethod(_zeros)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
             return x
         return Fraction(x)
 
-    def zeros(self, shape) -> np.ndarray:
-        return np.zeros(shape, dtype=object)
-
     def reduce(self, a):
-        """Canonical form of an element or array: nothing to do over Q."""
+        """Canonical form of an element: nothing to do over Q."""
         return a
 
     def __repr__(self):
@@ -81,8 +85,8 @@ class RationalField:
 class PrimeField:
     """The field F_p; elements are canonical residues in ``[0, p)``."""
 
-    dtype = np.int64
     one = 1
+    zeros = staticmethod(_zeros)
 
     def __init__(self, p: int):
         self.p = checked_prime(p)
@@ -95,11 +99,8 @@ class PrimeField:
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return int(x) % self.p
 
-    def zeros(self, shape) -> np.ndarray:
-        return np.zeros(shape, dtype=np.int64)
-
     def reduce(self, a):
-        """Canonical residues of an element or array (``% p``)."""
+        """Canonical residue of an integer element (``% p``)."""
         return a % self.p
 
     def __repr__(self):
@@ -114,116 +115,75 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def field_matrix(rows, field, ncols: int | None = None) -> np.ndarray:
-    """Coerce a 2-D array-like into the canonical dense carrier for *field*."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        m = rows.astype(field.dtype)
-    elif len(rows):
-        m = np.array(rows, dtype=field.dtype)
-        if m.ndim == 1:
-            m = m.reshape((1, -1))
-    else:
-        m = field.zeros((0, ncols or 0))
-    return field.reduce(m)
+def field_matrix(rows, field) -> list[list]:
+    """A fresh copy of a matrix (a sequence of rows) in the dense carrier of *field*."""
+    return [[field.reduce(x) for x in row] for row in rows]
+
+
+def identity(n: int) -> list[list[int]]:
+    """The n x n identity matrix."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # Dense reduced row echelon form and kernels
 # ---------------------------------------------------------------------------
 
-def rref(matrix, field) -> tuple[np.ndarray, list[int]]:
+def rref(matrix, field) -> tuple[list[list], list[int]]:
     """Reduced row echelon form over *field*; returns ``(R, pivot_columns)``.
 
     Deterministic: pivots are the first nonzero entry scanning down each
-    column in input row order.
+    column in input row order.  *matrix* is not modified.
     """
-    if isinstance(field, PrimeField):
-        return _rref_modp(matrix, field.p)
-    return _rref_exact(matrix)
-
-
-def _rref_modp(matrix, p: int) -> tuple[np.ndarray, list[int]]:
-    M = field_matrix(matrix, GF(p))
-    m, n = M.shape
+    M = field_matrix(matrix, field)
     pivots: list[int] = []
     r = 0
-    for c in range(n):
-        if r >= m:
+    for c in range(len(M[0]) if M else 0):
+        if r == len(M):
             break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = int(nz[0]) + r
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]].copy()
-        inv = pow(int(M[r, c]), -1, p)
-        if inv != 1:
-            M[r, c:] = (M[r, c:] * inv) % p
-        hit = np.nonzero(M[:, c])[0]
-        hit = hit[hit != r]
-        if hit.size:
-            f = M[hit, c]
-            M[np.ix_(hit, range(c, n))] = (
-                M[np.ix_(hit, range(c, n))] - np.outer(f, M[r, c:])
-            ) % p
-        pivots.append(c)
-        r += 1
-    return M, pivots
-
-
-def _rref_exact(matrix) -> tuple[np.ndarray, list[int]]:
-    M = field_matrix(matrix, QQ).copy()
-    m, n = M.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        piv = None
-        for i in range(r, m):
-            if M[i, c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]].copy()
-        pv = M[r, c]
-        if pv != 1:
-            M[r, c:] = [Fraction(x) / pv if x else x for x in M[r, c:]]
-        for i in range(m):
-            if i != r and M[i, c]:
-                M[i, c:] = M[i, c:] - M[i, c] * M[r, c:]
+        M[r], M[piv] = M[piv], M[r]
+        row = M[r]
+        # The pivot inverse, in either field.
+        inv = field.coerce(Fraction(1, row[c]))
+        if inv != 1:
+            row[c:] = [field.reduce(x * inv) for x in row[c:]]
+        for other in M:
+            f = other[c]
+            if f and other is not row:
+                other[c:] = [field.reduce(x - f * y) for x, y in zip(other[c:], row[c:])]
         pivots.append(c)
         r += 1
     return M, pivots
 
 
-def _kernel_from_rref(R: np.ndarray, pivots: list[int], n: int, field) -> list[np.ndarray]:
+def _kernel_from_rref(R, pivots: list[int], n: int, field) -> list[list]:
     piv_set = set(pivots)
-    free = [j for j in range(n) if j not in piv_set]
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in piv_set:
+            continue
         v = field.zeros(n)
         v[f] = 1
-        v[pivots] = -R[: len(pivots), f]
-        basis.append(field.reduce(v))
+        for row, c in zip(R, pivots):
+            v[c] = field.reduce(-row[f])
+        basis.append(v)
     return basis
 
 
-def rank_and_kernel(matrix, field) -> tuple[int, list[np.ndarray]]:
+def rank_and_kernel(matrix, field) -> tuple[int, list[list]]:
     """Rank and a deterministic kernel basis; rank + len(kernel) = ncols.
 
     One kernel vector per free column: entry 1 at the free column, pivot
     entries back-substituted from the rref.
     """
-    M = field_matrix(matrix, field)
-    n = M.shape[1]
-    R, pivots = rref(M, field)
-    return len(pivots), _kernel_from_rref(R, pivots, n, field)
+    R, pivots = rref(matrix, field)
+    return len(pivots), _kernel_from_rref(R, pivots, len(R[0]) if R else 0, field)
 
 
-def kernel_basis(matrix, field) -> list[np.ndarray]:
+def kernel_basis(matrix, field) -> list[list]:
     return rank_and_kernel(matrix, field)[1]
 
 
@@ -232,29 +192,22 @@ def rank(matrix, field) -> int:
 
 
 def matmul(A, B, field):
-    """Exact product of matrices or vectors in the canonical carrier of *field*.
-
-    Over F_p the inputs are reduced first; the int64 product is used when
-    no sum of products can reach 2**63, else the product runs on Python ints.
-    """
-    A = field.reduce(np.asarray(A, dtype=field.dtype))
-    B = field.reduce(np.asarray(B, dtype=field.dtype))
-    if isinstance(field, PrimeField) and (field.p - 1) ** 2 * A.shape[-1] >= 2**63:
-        return (A.astype(object) @ B.astype(object) % field.p).astype(np.int64)
-    return field.reduce(A @ B)
+    """Exact product over *field* of a matrix A with a matrix or a vector B."""
+    if B and isinstance(B[0], (list, tuple)):
+        cols = list(zip(*B))
+        return [[field.reduce(sum(a * b for a, b in zip(row, col))) for col in cols] for row in A]
+    return [field.reduce(sum(a * b for a, b in zip(row, B))) for row in A]
 
 
-def invert(M, field) -> np.ndarray:
+def invert(M, field) -> list[list]:
     """Exact inverse of a square matrix over *field*; raises if singular."""
-    M = field_matrix(M, field)
-    n = M.shape[0]
-    if n != M.shape[1]:
+    n = len(M)
+    if any(len(row) != n for row in M):
         raise ValueError("invert needs a square matrix")
-    aug = np.concatenate([M, np.eye(n, dtype=field.dtype)], axis=1)
-    R, piv = rref(aug, field)
+    R, piv = rref([list(row) + e for row, e in zip(M, identity(n))], field)
     if piv != list(range(n)):
         raise ValueError("matrix is singular")
-    return R[:, n:]
+    return [row[n:] for row in R]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +433,7 @@ def int_rows(rows) -> list[dict[int, int]]:
 
 def sparse_rows(matrix) -> list[dict[int, int]]:
     """``int_rows`` of the rows of a dense matrix."""
-    return int_rows(dict(enumerate(row)) for row in np.asarray(matrix).tolist())
+    return int_rows(dict(enumerate(row)) for row in matrix)
 
 
 def transpose_rows(rows: list[dict], ncols: int) -> list[dict]:
@@ -521,9 +474,9 @@ class Subquotient:
         bound = P | {pc for pc, _ in solve}
         free = [f for f in range(n) if f not in bound]
         kernel = field.zeros((len(free), n))
-        for r, f in enumerate(free):
+        for row, f in zip(kernel, free):
             for c, x in back_substitute(solve, {f: 1}, field).items():
-                kernel[r, c] = x
+                row[c] = x
         R, pivots = rref(kernel, field)
         self._publish(kernel_of, field, R[: len(pivots)], pivots, im_rows)
 
@@ -531,7 +484,7 @@ class Subquotient:
     def zero(cls, kernel_of, field, n: int) -> "Subquotient":
         """The subquotient known to be 0 (B = ker A): nothing is eliminated."""
         sq = cls.__new__(cls)
-        sq._publish(kernel_of, field, field_matrix([], field, n), [], [])
+        sq._publish(kernel_of, field, [], [], [])
         return sq
 
     def _publish(self, kernel_of, field, basis, pivots, im_rows):
@@ -543,18 +496,16 @@ class Subquotient:
     def __len__(self):
         return len(self.basis)
 
-    def express(self, v) -> np.ndarray:
+    def express(self, v) -> list:
         """Coefficients of v's class in ``basis``; ValueError unless A v = 0."""
-        # Python ints and Fractions: the sums below cannot overflow.
-        values = np.asarray(v).tolist()
         # A v = 0 is checked on the integer multiple of v.
-        w = _int_row(dict(enumerate(values)))
+        w = _int_row(dict(enumerate(v)))
         for row in self._rows:
             if self.field.reduce(sum(val * w[c] for c, val in row.items() if c in w)):
                 raise ValueError("vector is not in the kernel modulo the image")
         coeffs = self.field.zeros(len(self._duals))
         for j, z in enumerate(self._duals):
-            s = self.field.coerce(sum(x * values[c] for c, x in z.items() if c in w))
+            s = self.field.coerce(sum(x * v[c] for c, x in z.items() if c in w))
             if s:
                 coeffs[j] = s
         return coeffs
@@ -585,22 +536,15 @@ def smith_normal_form(matrix) -> SmithForm:
     each pivot choice scans every remaining entry: large matrices belong to
     ``sparse_smith_divisors``, which uses this on its small core.
     """
-    M = np.array(matrix, dtype=object)
-    if M.size == 0:
-        return SmithForm(divisors=(), rank=0)
-    if M.ndim == 1:
-        M = M.reshape((1, -1))
-    m, n = M.shape
-    for i in range(m):
-        for j in range(n):
-            M[i, j] = int(M[i, j])
+    M = [[int(x) for x in row] for row in matrix]
+    m, n = len(M), len(M[0]) if M else 0
 
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
-    for i in range(m):
-        for j in range(n):
-            if M[i, j]:
-                rows.setdefault(i, {})[j] = int(M[i, j])
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
+            if x:
+                rows.setdefault(i, {})[j] = x
                 col_rows.setdefault(j, set()).add(i)
 
     def row_sub(dst: int, src: int, q: int):
@@ -727,10 +671,10 @@ def sparse_smith_divisors(rows: list[dict[int, int]], ncols: int,
     """
     _, found, rest = _eliminate(rows, unit=True)
     cols = {c: j for j, c in enumerate(sorted({c for row in rest for c in row}))}
-    core = np.zeros((len(rest), len(cols)), dtype=object)
-    for i, row in enumerate(rest):
+    core = _zeros((len(rest), len(cols)))
+    for core_row, row in zip(core, rest):
         for c, v in row.items():
-            core[i, cols[c]] = v
+            core_row[cols[c]] = v
     divisors = [1] * len(found) + [d for d in smith_normal_form(core).divisors if d]
     if pivots is not None:
         pivots.extend(pc for _, pc in found)
@@ -774,10 +718,10 @@ def nilpotent_block_sizes(matrix, field, bound: int) -> list[int]:
     Derived from the kernel-dimension profile: dim ker(n^k) = sum over
     blocks of min(k, size).  Rejects input with ``n**bound != 0``.
     """
-    N = field.reduce(np.array(matrix, dtype=field.dtype))
-    if N.ndim != 2 or N.shape[0] != N.shape[1]:
+    N = field_matrix(matrix, field)
+    dim = len(N)
+    if any(len(row) != dim for row in N):
         raise ValueError("nilpotent_block_sizes needs a square matrix")
-    dim = N.shape[0]
     if dim == 0:
         return []
     power = N

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 
-import numpy as np
-
 from . import exactalg
 from .exactalg import GF, QQ
 from .simplicial import (
@@ -229,17 +227,17 @@ def pullback_permutation(action: GroupAction, degree: int) -> tuple[list[int], l
     return perm, signs
 
 
-def cochain_pullback_matrix(action: GroupAction, degree: int, field) -> np.ndarray:
+def cochain_pullback_matrix(action: GroupAction, degree: int, field) -> list[list]:
     """Matrix of the pullback sigma^# on C^degree in the simplex basis."""
     perm, signs = pullback_permutation(action, degree)
-    n = len(perm)
-    M = field.zeros((n, n))
+    M = field.zeros((len(perm), len(perm)))
     # (sigma^# a)(s) = sign * a(sigma(s)); column perm[i] feeds row i.
-    M[range(n), perm] = signs
-    return field.reduce(M)
+    for row, q, sign in zip(M, perm, signs):
+        row[q] = field.reduce(sign)
+    return M
 
 
-def induced_cohomology_action(action: GroupAction, field) -> list[np.ndarray]:
+def induced_cohomology_action(action: GroupAction, field) -> list[list[list]]:
     """Per-degree matrices of sigma^* on H^*(X; field) in the echelon bases."""
     X = action.complex
     key = ("gstar", field.name, action.vertex_map)
@@ -249,11 +247,10 @@ def induced_cohomology_action(action: GroupAction, field) -> list[np.ndarray]:
     for d in range(X.dim + 1):
         basis = X.cohomology_basis(field, d)
         perm, signs = pullback_permutation(action, d)
-        b = len(basis)
-        M = field.zeros((b, b))
-        for j in range(b):
-            M[:, j] = basis.express(field.reduce(basis.basis[j][perm] * np.array(signs)))
-        out.append(M)
+        # Column j is the class of sigma^# applied to basis vector j.
+        cols = [basis.express([field.reduce(sign * v[q]) for q, sign in zip(perm, signs)])
+                for v in basis.basis]
+        out.append([list(row) for row in zip(*cols)])
     X._cache[key] = out
     return out
 
@@ -263,7 +260,7 @@ def lefschetz_number(action: GroupAction) -> int:
     mats = induced_cohomology_action(action, QQ)
     total = Fraction(0)
     for d, M in enumerate(mats):
-        tr = sum((M[i, i] for i in range(M.shape[0])), Fraction(0))
+        tr = sum((M[i][i] for i in range(len(M))), Fraction(0))
         total += (-1) ** d * tr
     assert total.denominator == 1
     return int(total)
@@ -276,13 +273,7 @@ def trivial_rational_action_check(action: GroupAction) -> bool:
     has minimal polynomial x - 1, so this must hold whenever the total
     rational Betti number is smaller than p; the property tests pin that.
     """
-    for M in induced_cohomology_action(action, QQ):
-        n = M.shape[0]
-        for i in range(n):
-            for j in range(n):
-                if M[i, j] != (1 if i == j else 0):
-                    return False
-    return True
+    return all(M == exactalg.identity(len(M)) for M in induced_cohomology_action(action, QQ))
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +339,8 @@ def tfr_decomposition(action: GroupAction) -> TFRDecomposition:
     mats = induced_cohomology_action(action, fieldp)
     t, f, r, other = [], [], [], []
     for M in mats:
-        b = M.shape[0]
-        N = (M - np.eye(b, dtype=np.int64)) % p
-        sizes = exactalg.nilpotent_block_sizes(N, fieldp, p) if b else []
+        N = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(M)]
+        sizes = exactalg.nilpotent_block_sizes(N, fieldp, p)
         t.append(sum(1 for s in sizes if s == 1))
         f.append(sum(1 for s in sizes if s == p))
         r.append(sum(1 for s in sizes if s == p - 1 and p - 1 != 1))

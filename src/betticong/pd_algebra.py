@@ -14,7 +14,7 @@ All algebra data is sparse, with no zero entries: the structure constants
 are one table ``{(a, b): {c: coeff}}`` with no entry for a zero product, an
 orientation is ``{i: phi(e_i)}`` and a differential is the tuple of its
 columns delta(e_j) = ``{i: coeff}``.  Products, the law checks, base changes
-and homology run on sparse vectors ``{index: coeff}``; dense arrays remain
+and homology run on sparse vectors ``{index: coeff}``; dense matrices remain
 only where a dense rank or inverse runs (Gram matrices, base-change blocks,
 the odd-model pairing).
 """
@@ -25,8 +25,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import exactalg
 
@@ -110,13 +108,13 @@ def accumulate(field, terms) -> dict:
 
 
 def _sparse(v) -> dict:
-    """The nonzero entries of a dense vector, as Python ints or Fractions."""
-    return {i: x for i, x in enumerate(np.asarray(v).tolist()) if x}
+    """The nonzero entries of a dense vector."""
+    return {i: x for i, x in enumerate(v) if x}
 
 
-def _columns(M: np.ndarray) -> list[dict]:
+def _columns(M) -> list[dict]:
     """The sparse columns of a dense matrix."""
-    return [_sparse(col) for col in np.asarray(M).T]
+    return [_sparse(col) for col in zip(*M)]
 
 
 def _apply(field, columns, x: dict) -> dict:
@@ -133,7 +131,6 @@ class Orientation:
 
     def __call__(self, v: dict):
         """phi(v) for a sparse vector ``{index: coeff}``."""
-        # Python ints, not int64 residues: the sum is exact.
         return sum(self.values[i] * x for i, x in v.items() if i in self.values)
 
 
@@ -197,10 +194,10 @@ def _check_orientation_support(A: BigradedAlgebra, phi: Orientation):
         raise ValueError("orientation is zero")
 
 
-def _gram_matrix(A: BigradedAlgebra, phi: Orientation) -> np.ndarray:
+def _gram_matrix(A: BigradedAlgebra, phi: Orientation) -> list[list]:
     G = A.field.zeros((A.dim, A.dim))
     for (a, b), prod in A.table.items():
-        G[a, b] = A.field.reduce(phi(prod))
+        G[a][b] = A.field.reduce(phi(prod))
     return G
 
 
@@ -287,7 +284,9 @@ def homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
     orientation evaluates phi on representatives, well defined because the
     differential strictly lowers the second grading so the top class is
     never a boundary.  ValueError, naming the first violation, unless delta
-    is a square-zero derivation (``check_derivation``).
+    is a square-zero derivation (``check_derivation``); ValueError too when
+    the unit is a boundary but H is not 0, which only a table that breaks
+    the unit law allows.
     """
     report = check_derivation(A, delta)
     if not report.is_valid:
@@ -332,9 +331,9 @@ def _homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
             table[a, b] = coeffs
     unit = classes({A.unit_index: field.one}, (0, 0)) if (0, 0) in h_bidegrees else {}
     if not unit:
-        # The unit died, which forces H = 0; reaching here with classes left
-        # would contradict the derivation structure.
-        raise AssertionError("unit exact but homology nonzero")
+        # In an algebra a boundary unit delta(x) makes every cycle
+        # z = delta(x) z = delta(x z) a boundary too.
+        raise ValueError("unit exact but homology nonzero: the unit law fails")
     H = BigradedAlgebra(field, h_bidegrees, table, unit_index=min(unit))
     phi_values = {k: x for k, rep in enumerate(h_reps) if (x := field.coerce(phi(rep)))}
     if not phi_values:
@@ -348,6 +347,8 @@ def _homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
 
 @dataclass(frozen=True)
 class OddCongruenceReport:
+    """``derivation`` is the verdict of the one ``check_derivation`` it ran."""
+
     applicable: bool
     failures: tuple[str, ...]
     dim_total: int | None = None
@@ -355,6 +356,7 @@ class OddCongruenceReport:
     quotient_dim: int | None = None
     gamma_skew: bool | None = None
     gamma_nondegenerate: bool | None = None
+    derivation: DerivationReport | None = None
 
     @property
     def congruent(self) -> bool | None:
@@ -392,25 +394,23 @@ def odd_congruence(A: BigradedAlgebra, delta: Differential, phi: Orientation) ->
         if i % 2 == 1 and A.component(1, i):
             failures.append(f"A^(1,{i}) nonzero with {i} odd <= m={m}")
     if not der.is_valid:
-        return OddCongruenceReport(False, tuple(failures))
+        return OddCongruenceReport(False, tuple(failures), derivation=der)
     H, _ = _homology(A, delta, phi)
     dim_h = H.dim if H is not None else 0
     if dim_h == 0 and not failures:
         failures.append("H(A, delta) = 0")
     if failures:
-        return OddCongruenceReport(False, tuple(failures), A.dim, dim_h)
+        return OddCongruenceReport(False, tuple(failures), A.dim, dim_h, derivation=der)
     cols = delta.columns
     even_idx = [i for i in range(A.dim) if A.total_degree(i) == 0]
     # Pivot columns of delta|even span a complement of the even cycles.
     rows = exactalg.transpose_rows([cols[i] for i in even_idx], A.dim)
     complement = [even_idx[c] for c in exactalg.pivot_columns(exactalg.int_rows(rows), A.field)]
     s = len(complement)
-    gram = np.zeros((s, s), dtype=object)
-    for a, ia in enumerate(complement):
-        for b, ib in enumerate(complement):
-            gram[a, b] = phi(A.product({ia: 1}, cols[ib]))
-    gram = A.field.reduce(gram)
-    skew = not np.any(A.field.reduce(gram + gram.T))
+    gram = [[A.field.reduce(phi(A.product({ia: 1}, cols[ib]))) for ib in complement]
+            for ia in complement]
+    skew = all(not A.field.reduce(x + y) for row, col in zip(gram, zip(*gram))
+               for x, y in zip(row, col))
     nondeg = exactalg.rank(gram, A.field) == s
     return OddCongruenceReport(
         applicable=True,
@@ -420,6 +420,7 @@ def odd_congruence(A: BigradedAlgebra, delta: Differential, phi: Orientation) ->
         quotient_dim=s,
         gamma_skew=skew,
         gamma_nondegenerate=nondeg,
+        derivation=der,
     )
 
 
@@ -495,10 +496,10 @@ def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
         k = len(idxs)
         while True:
             # Uniform residues over F_p, small integers over Q.
-            block = np.array([
+            block = [
                 [field.coerce(rng.randrange(field.char) if field.char else rng.randint(-3, 3))
                  for _ in range(k)] for _ in range(k)
-            ], dtype=field.dtype)
+            ]
             try:
                 inverse = exactalg.invert(block, field)
                 break
@@ -623,16 +624,14 @@ def odd_model(field, m: int, r: int, pairing=None):
     """
     dim = 2 * r + 2
     if pairing is None:
-        C = np.zeros((r, r), dtype=object)
-        for i in range(r):
-            C[i, i] = field.one
+        C = [[field.one if i == j else 0 for j in range(r)] for i in range(r)]
     else:
-        C = np.array(pairing, dtype=object)
+        C = [list(row) for row in pairing]
     bidegrees = [(0, 0)] + [(0, 1)] * r + [(0, 2 * m)] * r + [(0, 2 * m + 1)]
     a0, u0, w = 1, 1 + r, 2 * r + 1
     table = {key: {x: field.one} for x in range(dim) for key in ((0, x), (x, 0))}
     for i, j in itertools.product(range(r), repeat=2):
-        if c := field.reduce(C[i, j]):
+        if c := field.reduce(C[i][j]):
             table[a0 + i, u0 + j] = {w: c}
             table[u0 + j, a0 + i] = {w: c}  # |u| even: commutes
     A = BigradedAlgebra(field, bidegrees, table)
@@ -648,10 +647,10 @@ def odd_model_differential(A: BigradedAlgebra, C, skew) -> Differential:
     """
     field = A.field
     r = (A.dim - 2) // 2
-    Cinv_t = exactalg.invert(np.array(C, dtype=object).T, field)
+    Cinv_t = exactalg.invert(list(zip(*C)), field)
     m = (max(j for _, j in A.bidegrees) - 1) // 2
     cinv_cols, cols = _columns(Cinv_t), [{} for _ in range(A.dim)]
-    for j, s in enumerate(_columns(np.array(skew, dtype=object))):
+    for j, s in enumerate(_columns(skew)):
         # delta(u_j) = sum_i (C^{-T} S)_ij a_i
         cols[1 + r + j] = {1 + i: x for i, x in _apply(field, cinv_cols, s).items()}
     return Differential(tuple(cols), (0, 1 - 2 * m))

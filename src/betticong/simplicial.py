@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from . import exactalg
 
 Simplex = tuple[int, ...]  # strictly increasing vertex indices
@@ -205,12 +203,12 @@ class SimplicialComplex:
             self._cache[key] = rows
         return self._cache[key]
 
-    def coboundary_matrix(self, k: int) -> np.ndarray:
+    def coboundary_matrix(self, k: int) -> list[list[int]]:
         rows = self.coboundary_rows(k)
-        M = np.zeros((len(rows), self.n_simplices(k)), dtype=np.int64)
-        for i, row in enumerate(rows):
+        M = [[0] * self.n_simplices(k) for _ in rows]
+        for dense, row in zip(M, rows):
             for c, v in row.items():
-                M[i, c] = v
+                dense[c] = v
         return M
 
     def _cleared_rows(self, k: int, ring: str) -> list[dict[int, int]]:
@@ -342,7 +340,7 @@ class SimplicialComplex:
                 self._cache[key] = exactalg.Subquotient(rows, image, field, n)
         return self._cache[key]
 
-    def cup_cochain(self, field, i: int, j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def cup_cochain(self, field, i: int, j: int, a: list, b: list) -> list:
         """Front-face/back-face cup product of cochains a in C^i, b in C^j."""
         idx_i = self._simplex_index.get(i, {})
         idx_j = self._simplex_index.get(j, {})
@@ -351,8 +349,8 @@ class SimplicialComplex:
         for t, s in enumerate(target):
             av = a[idx_i[s[: i + 1]]]
             if av:
-                out[t] = av * b[idx_j[s[i:]]]
-        return field.reduce(out)
+                out[t] = field.reduce(av * b[idx_j[s[i:]]])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +371,19 @@ class CohomologyRing:
     betti: tuple[int, ...]
     top_degree: int
     structure: dict
-    orientation: np.ndarray | None
+    orientation: list | None
 
-    def pairing_matrix(self, i: int) -> np.ndarray:
+    def pairing_matrix(self, i: int) -> list[list]:
         """Gram matrix of H^i x H^{n-i} -> H^n composed with the orientation."""
         n = self.top_degree
         bi, bj = self.betti[i], self.betti[n - i]
-        M = np.zeros((bi, bj), dtype=object)
+        M = self.field.zeros((bi, bj))
         if self.orientation is None:
             return M
         for a in range(bi):
             for b in range(bj):
                 coeffs = self.structure[(i, n - i)][a][b]
-                M[a, b] = self.field.coerce(sum(c * o for c, o in zip(coeffs, self.orientation)))
+                M[a][b] = self.field.coerce(sum(c * o for c, o in zip(coeffs, self.orientation)))
         return M
 
 
@@ -393,7 +391,7 @@ class CohomologyRing:
 class PDResult:
     is_pd: bool
     formal_dim: int | None
-    orientation: np.ndarray | None
+    orientation: list | None
     failures: tuple[str, ...] = ()
 
 
@@ -419,7 +417,7 @@ def cup_pairing(X: SimplicialComplex, field) -> CohomologyRing:
                     row.append(target.express(cochain))
                 tbl.append(row)
             structure[(i, j)] = tbl
-    orientation = np.array([field.one], dtype=field.dtype) if betti[top] == 1 else None
+    orientation = [field.one] if betti[top] == 1 else None
     ring = CohomologyRing(field, betti, top, structure, orientation)
     X._cache[key] = ring
     return ring
@@ -442,12 +440,10 @@ def pd_check(X: SimplicialComplex, field) -> PDResult:
         failures.append(f"top Betti number b_{n} = {ring.betti[n]} != 1")
     else:
         for i in range(n + 1):
-            M = ring.pairing_matrix(i)
-            if M.shape[0] != M.shape[1]:
-                failures.append(
-                    f"pairing H^{i} x H^{n - i} not square: {M.shape[0]} vs {M.shape[1]}"
-                )
-            elif M.shape[0] and exactalg.rank(M, field) != M.shape[0]:
+            bi, bj = ring.betti[i], ring.betti[n - i]
+            if bi != bj:
+                failures.append(f"pairing H^{i} x H^{n - i} not square: {bi} vs {bj}")
+            elif bi and exactalg.rank(ring.pairing_matrix(i), field) != bi:
                 failures.append(f"pairing H^{i} x H^{n - i} is degenerate")
     ok = not failures
     return PDResult(

@@ -362,6 +362,9 @@ def check_theorem4(action: GroupAction, subject: str = "") -> TheoremReport:
     ncomp = len(X.connected_components())
     hyps.append(Hypothesis("connected", ncomp == 1, f"{ncomp} component(s)"))
     hyps.append(Hypothesis("even_dimension", X.dim % 2 == 0, f"dim X = {X.dim}"))
+    # One p-local elimination per coboundary caches its F_p rank, read here,
+    # and its Q rank, read by orientability and the rhs.
+    X.torsion_valuation_profile(p)
     total_fp = X.cohomology(GF(p)).total
     hyps.append(
         Hypothesis("p_exceeds_total_betti", p > total_fp, f"p = {p}, dim H^*(X;F_p) = {total_fp}")

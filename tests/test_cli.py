@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import io
+import os
 import random
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,6 +343,31 @@ def test_suite_command(capsys):
     assert "FAIL" not in out
 
 
+# Run as ``python -c``: the package is imported, the suite runs, and the
+# script reports on stderr whether numpy was loaded after each step.
+_NUMPY_PROBE = """
+import sys
+import betticong.cli
+after_import = "numpy" in sys.modules
+code = betticong.cli.main(["suite", "--strict"])
+print("numpy loaded:", after_import, "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_suite_runs_without_loading_numpy():
+    """The library is standard-library only: neither importing the CLI nor a
+    whole strict suite run loads numpy."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "CHECK theorem1-alg[(1,2,2,1)]: PASS" in proc.stdout
+    assert proc.stderr.splitlines()[-1] == "numpy loaded: False False"
+
+
 def test_missing_document_exit_3(capsys):
     assert main(["cohomology"]) == 3
     assert "error:" in capsys.readouterr().err
@@ -614,15 +643,16 @@ end
 
 @pytest.mark.parametrize("doc, command, calls, check", [
     (ODD_ALGEBRA_DOC, "theorem1-alg", 1, "CHECK theorem1-algebraic: PASS — 6 vs 2 (mod 4)"),
-    (ODD_ALGEBRA_DOC, "algebra-check", 2, "CHECK odd-congruence: PASS — 6 vs 2 (mod 4)"),
+    (ODD_ALGEBRA_DOC, "algebra-check", 1, "CHECK odd-congruence: PASS — 6 vs 2 (mod 4)"),
     (NOT_APPLICABLE_DOC, "theorem1-alg", 1, "CHECK theorem1-algebraic: N/A — 4 vs 4 (mod 4)"),
-    (NOT_APPLICABLE_DOC, "algebra-check", 2, "CHECK odd-congruence: N/A — - vs - (mod 4)"),
+    (NOT_APPLICABLE_DOC, "algebra-check", 1, "CHECK odd-congruence: N/A — - vs - (mod 4)"),
     (BAD_DELTA_DOC, "theorem1-alg", 1, "CHECK theorem1-algebraic: N/A — 4 vs - (mod 4)"),
     (BAD_DELTA_DOC, "algebra-check", 1, "CHECK algebra-derivation: FAIL — 1 vs 0 (mod 4)"),
 ], ids=["odd-theorem1", "odd-check", "na-theorem1", "na-check", "bad-theorem1", "bad-check"])
 def test_one_derivation_check_per_verdict(tmp_path, monkeypatch, capsys, doc, command, calls, check):
-    """theorem1-alg checks delta once; algebra-check once for its own report
-    and once inside odd_congruence, which then reuses the verdict for H."""
+    """theorem1-alg and algebra-check each check delta once.  In odd formal
+    dimension algebra-check reports the verdict of odd_congruence's own
+    check, which odd_congruence also reuses for H."""
     seen = []
     real = pd_algebra.check_derivation
 
@@ -670,6 +700,28 @@ def test_theorem1_alg_is_not_applicable_to_a_broken_algebra(tmp_path, capsys):
     assert "  hypothesis connected_pd_algebra: skipped\n" in out
     assert "  hypothesis odd_case_hypotheses: skipped\n" in out
     assert "CHECK theorem1-algebraic: N/A — 2 vs 2 (mod 4)" in out
+
+
+# One of the grammar fuzz's documents: one * b2 = 0 breaks the unit law, and
+# delta makes the unit a boundary while H(A, delta) is not 0.
+EXACT_UNIT_DOC = """\
+algebra fz field Q
+basis one bidegree 0 0
+basis b1 bidegree 0 1
+basis b2 bidegree 0 1
+mult one b2 = 0
+mult b2 one = 0
+phi b1 = 1
+delta b1 = 1 one
+end
+"""
+
+
+def test_theorem1_alg_reports_no_homology_where_the_unit_is_a_boundary(tmp_path, capsys):
+    path = tmp_path / "fz.bc"
+    path.write_text(EXACT_UNIT_DOC)
+    assert main(["theorem1-alg", str(path)]) == 0
+    assert "CHECK theorem1-algebraic: N/A — 3 vs - (mod 4)" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

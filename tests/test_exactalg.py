@@ -5,6 +5,8 @@ Independent oracles used here:
     a textbook characterisation computed by brute force on small matrices.
   * Jordan block sizes via the kernel-dimension profile identity
     dim ker(n^k) = sum(min(k, s) for s in blocks).
+  * The dense rref on numpy arrays (``int64`` residues over F_p, ``object``
+    arrays over Q) that the library used before its list carrier.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from betticong import corpus, exactalg
 from betticong.exactalg import (
@@ -24,6 +26,7 @@ from betticong.exactalg import (
     Subquotient,
     _eliminate,
     back_substitute,
+    invert,
     kernel_basis,
     matmul,
     nilpotent_block_sizes,
@@ -83,15 +86,69 @@ def block_profile_oracle(sizes: list[int], max_k: int) -> list[int]:
     return [sum(min(k, s) for s in sizes) for k in range(max_k + 1)]
 
 
-def jordan_block_matrix(sizes: list[int]) -> np.ndarray:
+def jordan_block_matrix(sizes: list[int]) -> list[list[int]]:
     dim = sum(sizes)
-    N = np.zeros((dim, dim), dtype=np.int64)
+    N = [[0] * dim for _ in range(dim)]
     off = 0
     for s in sizes:
         for i in range(s - 1):
-            N[off + i, off + i + 1] = 1
+            N[off + i][off + i + 1] = 1
         off += s
     return N
+
+
+def numpy_rref(matrix, n: int, field) -> tuple[list[list], list[int]]:
+    """Oracle: the numpy rref of the m x n *matrix*, as ``(rows as lists, pivots)``."""
+    if field.char:
+        p = field.char
+        M = np.array(matrix, dtype=np.int64).reshape(len(matrix), n) % p
+    else:
+        M = np.array(matrix, dtype=object).reshape(len(matrix), n)
+    m = M.shape[0]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        nz = [i for i in range(r, m) if M[i, c]]
+        if not nz:
+            continue
+        piv = nz[0]
+        if piv != r:
+            M[[r, piv]] = M[[piv, r]].copy()
+        if field.char:
+            inv = pow(int(M[r, c]), -1, p)
+            if inv != 1:
+                M[r, c:] = (M[r, c:] * inv) % p
+            hit = np.nonzero(M[:, c])[0]
+            hit = hit[hit != r]
+            if hit.size:
+                f = M[hit, c]
+                M[np.ix_(hit, range(c, n))] = (
+                    M[np.ix_(hit, range(c, n))] - np.outer(f, M[r, c:])
+                ) % p
+        else:
+            pv = M[r, c]
+            if pv != 1:
+                M[r, c:] = [Fraction(x) / pv if x else x for x in M[r, c:]]
+            for i in range(m):
+                if i != r and M[i, c]:
+                    M[i, c:] = M[i, c:] - M[i, c] * M[r, c:]
+        pivots.append(c)
+        r += 1
+    return M.tolist(), pivots
+
+
+def numpy_invert(matrix, field) -> list[list]:
+    """Oracle: the inverse from the numpy rref of [M | I]; ValueError if singular."""
+    n = len(matrix)
+    dtype = np.int64 if field.char else object
+    aug = np.concatenate([np.array(matrix, dtype=dtype).reshape(n, n),
+                          np.eye(n, dtype=dtype)], axis=1)
+    R, piv = numpy_rref(aug.tolist(), 2 * n, field)
+    if piv != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in R]
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +156,7 @@ def jordan_block_matrix(sizes: list[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def test_snf_identity():
-    assert smith_normal_form(np.eye(2, dtype=int)).divisors == (1, 1)
+    assert smith_normal_form([[1, 0], [0, 1]]).divisors == (1, 1)
 
 
 def test_snf_zero_1x1():
@@ -115,7 +172,8 @@ def test_snf_diag_2_3():
 
 
 def test_snf_empty():
-    assert smith_normal_form(np.zeros((0, 3), dtype=int)).divisors == ()
+    assert smith_normal_form([]).divisors == ()
+    assert smith_normal_form([[], []]).divisors == ()
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,7 +194,7 @@ def test_snf_matches_minor_oracle(m, n, seed):
         assert b % a == 0
     assert all(d == 0 for d in f.divisors[len(nz):])
     # Rank over Q equals the count of nonzero divisors.
-    assert f.rank == rank(np.array(M, dtype=object), QQ)
+    assert f.rank == rank(M, QQ)
 
 
 def test_snf_deterministic():
@@ -149,12 +207,12 @@ def test_snf_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_rank_kernel_identity_f3():
-    r, k = rank_and_kernel(np.eye(4, dtype=int), GF(3))
+    r, k = rank_and_kernel(exactalg.identity(4), GF(3))
     assert r == 4 and k == []
 
 
 def test_rank_kernel_zero_matrix():
-    r, k = rank_and_kernel(np.zeros((2, 3), dtype=int), GF(5))
+    r, k = rank_and_kernel([[0, 0, 0], [0, 0, 0]], GF(5))
     assert r == 0 and len(k) == 3
 
 
@@ -173,8 +231,7 @@ def test_kernel_vectors_annihilated():
         r, kb = rank_and_kernel(M, field)
         assert r + len(kb) == 3
         for v in kb:
-            prod = matmul(M, np.array(v).reshape(-1, 1), field)
-            assert not any(prod.flatten())
+            assert matmul(M, v, field) == [0, 0]
 
 
 def test_rank_kernel_deterministic():
@@ -182,7 +239,7 @@ def test_rank_kernel_deterministic():
     r1, k1 = rank_and_kernel(M, GF(3))
     r2, k2 = rank_and_kernel(M, GF(3))
     assert r1 == r2
-    assert all((a == b).all() for a, b in zip(k1, k2))
+    assert k1 == k2
 
 
 @settings(max_examples=50, deadline=None)
@@ -203,7 +260,7 @@ def test_rank_nullity_and_sparse_agreement(m, n, seed, p):
 # ---------------------------------------------------------------------------
 
 def test_blocks_zero_matrix():
-    assert nilpotent_block_sizes(np.zeros((4, 4), dtype=int), GF(3), 3) == [1, 1, 1, 1]
+    assert nilpotent_block_sizes([[0] * 4 for _ in range(4)], GF(3), 3) == [1, 1, 1, 1]
 
 
 def test_blocks_single_jordan():
@@ -220,7 +277,7 @@ def test_blocks_two_one_f5():
 
 def test_blocks_reject_non_nilpotent():
     with pytest.raises(ValueError):
-        nilpotent_block_sizes(np.eye(2, dtype=int), GF(3), 4)
+        nilpotent_block_sizes(exactalg.identity(2), GF(3), 4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,25 +293,25 @@ def test_blocks_conjugation_invariant(sizes, seed, p):
     dim = sum(sizes)
     N = jordan_block_matrix(sizes)
     for _ in range(20):
-        P = np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(dim)], dtype=np.int64)
+        P = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
         if rank(P, field) == dim:
             break
     else:
         pytest.skip("no invertible conjugator found")
     Pinv_cols = []
-    unit = np.eye(dim, dtype=np.int64)
     # Solve P X = I column by column via kernels of [P | -e_i].
     for i in range(dim):
-        aug = np.concatenate([P, -unit[:, i:i + 1]], axis=1) % p
+        aug = [row + [-(1 if r == i else 0) % p] for r, row in enumerate(P)]
         vecs = kernel_basis(aug, field)
         sol = next(v for v in vecs if v[dim] % p != 0)
         scale = pow(int(sol[dim]), -1, p)
         Pinv_cols.append([(int(x) * scale) % p for x in sol[:dim]])
-    Pinv = np.array(Pinv_cols, dtype=np.int64).T
+    Pinv = [list(row) for row in zip(*Pinv_cols)]
     conj = matmul(matmul(P, N, field), Pinv, field)
     bound = max(sizes)
     assert nilpotent_block_sizes(conj, field, bound) == sorted(sizes, reverse=True)
-    profile = [dim - rank(np.linalg.matrix_power(conj.astype(object), k) % p, field) for k in range(bound + 1)]
+    power = lambda k: (np.linalg.matrix_power(np.array(conj, dtype=object), k) % p).tolist()
+    profile = [dim - rank(power(k), field) for k in range(bound + 1)]
     assert profile == block_profile_oracle(sorted(sizes, reverse=True), bound)
 
 
@@ -294,15 +351,41 @@ def test_p_profile_detects_torsion():
 def test_rref_fraction_pivots():
     R, piv = rref([[2, 4], [1, 3]], QQ)
     assert piv == [0, 1]
-    assert R[0, 0] == 1 and R[0, 1] == 0
-    assert R[1, 1] == 1
+    assert R[0][0] == 1 and R[0][1] == 0
+    assert R[1][1] == 1
 
 
 def test_rref_modp_canonical():
     R, piv = rref([[2, 4], [1, 3]], GF(5))
     assert piv == [0, 1]
-    assert R[0, 0] == 1 and R[1, 1] == 1
-    assert R[0, 1] == 0 and R[1, 0] == 0
+    assert R[0][0] == 1 and R[1][1] == 1
+    assert R[0][1] == 0 and R[1][0] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 6), st.integers(0, 10**6),
+       st.sampled_from(["Q", "F3", "F7"]))
+def test_list_rref_and_invert_match_the_numpy_oracle(m, n, seed, field_name):
+    """Same R and pivots as the numpy rref, on every shape from 0 x n and
+    m x 0 to 1 x n, and the same inverse (or both singular) on the leading
+    square block; the input is left unchanged."""
+    rng = random.Random(seed)
+    field = QQ if field_name == "Q" else GF(int(field_name[1:]))
+    pick = lambda: rng.choice([0, 0, 1, -1, 2, rng.randint(-9, 9),
+                               Fraction(rng.randint(-5, 5), rng.choice([1, 2, 4]))])
+    M = [[field.coerce(pick()) for _ in range(n)] for _ in range(m)]
+    before = [list(row) for row in M]
+    assert rref(M, field) == numpy_rref(M, n, field)
+    assert M == before
+    k = min(m, n)
+    S = [row[:k] for row in M[:k]]
+    try:
+        expect = numpy_invert(S, field)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            invert(S, field)
+    else:
+        assert invert(S, field) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +416,7 @@ def test_sparse_rref_q_properties(m, n, seed):
         for c, v in row.items():
             dense[c] = v
         stacked.append(dense)
-    assert rank(np.array(stacked, dtype=object), QQ) == dense_rank
+    assert rank(stacked, QQ) == dense_rank
     # Determinism.
     again = sparse_rref_q(rows)
     assert again == (out_rows, pivots)
@@ -449,47 +532,50 @@ def test_subquotient_depends_only_on_the_spans(n, a, k, seed, field_name):
         return out
 
     A = [vec() for _ in range(a)]
-    kernel = kernel_basis(np.array(A, dtype=field.dtype).reshape(a, n), field)
+    # One zero row has the kernel of the 0 x n matrix, which lists cannot shape.
+    kernel = kernel_basis(A or [[0] * n], field)
     B = [combo(kernel) for _ in range(k)]
-    sq = Subquotient(sparse_rows(np.array(A, dtype=field.dtype).reshape(a, n)),
-                     sparse_rows(np.array(B, dtype=field.dtype).reshape(k, n)), field, n)
-    assert sq.basis.dtype == field.dtype and sq.basis.shape == (len(sq), n)
+    sq = Subquotient(sparse_rows(A), sparse_rows(B), field, n)
+    assert len(sq.basis) == len(sq)
+    # The dense carrier: rows of n canonical Python ints or Fractions.
+    assert all(len(row) == n and all(type(x) in (int, Fraction) and field.reduce(x) == x
+                                     for x in row) for row in sq.basis)
     assert len(sq) == len(kernel) - (rank(B, field) if B else 0)
 
     def respan(rows, pad):
         out = [[field.coerce(u * x) for x in v] for v, u in
                zip(rows + pad, (rng.choice(units) for _ in rows + pad))]
         rng.shuffle(out)
-        return sparse_rows(np.array(out, dtype=field.dtype).reshape(len(out), n))
+        return sparse_rows(out)
 
     sq2 = Subquotient(respan(A, []), respan(B, [combo(B) for _ in range(2)]), field, n)
     assert sq2.pivots == sq.pivots
-    assert sq2.basis.tolist() == sq.basis.tolist()
+    assert sq2.basis == sq.basis
     # express round-trips: a . basis + (an element of B) has coefficients a.
     coeffs = [field.coerce(rng.randint(-3, 3)) for _ in range(len(sq))]
     v = combo(B)
     for c, row in zip(coeffs, sq.basis):
         v = [field.reduce(x + c * y) for x, y in zip(v, row)]
-    assert list(sq2.express(np.array(v, dtype=field.dtype))) == coeffs
+    assert sq2.express(v) == coeffs
     outside = vec()
-    if A and matmul(A, np.array(outside, dtype=field.dtype), field).any():
+    if A and any(matmul(A, outside, field)):
         with pytest.raises(ValueError):
-            sq.express(np.array(outside, dtype=field.dtype))
+            sq.express(outside)
 
 
 def test_subquotient_zero_runs_only_the_kernel_check():
-    rows = sparse_rows(np.array([[1, -1, 0], [0, 1, -1]]))
+    rows = sparse_rows([[1, -1, 0], [0, 1, -1]])
     sq = Subquotient.zero(rows, QQ, 3)
-    assert len(sq) == 0 and sq.basis.shape == (0, 3) and sq.pivots == []
-    assert list(sq.express(np.array([2, 2, 2], dtype=object))) == []
+    assert len(sq) == 0 and sq.basis == [] and sq.pivots == []
+    assert sq.express([2, 2, 2]) == []
     with pytest.raises(ValueError):
-        sq.express(np.array([1, 0, 0], dtype=object))
+        sq.express([1, 0, 0])
 
 
 def test_sparse_rows_clear_denominators_row_by_row():
-    M = np.array([[Fraction(1, 2), Fraction(-2, 3), 0], [0, 0, 0], [4, 0, 6]], dtype=object)
+    M = [[Fraction(1, 2), Fraction(-2, 3), 0], [0, 0, 0], [4, 0, 6]]
     assert sparse_rows(M) == [{0: 3, 1: -4}, {0: 4, 2: 6}]
-    assert sparse_rows(np.array([[2, 0, 1]], dtype=np.int64)) == [{0: 2, 2: 1}]
+    assert sparse_rows([[2, 0, 1]]) == [{0: 2, 2: 1}]
 
 
 def test_sparse_rank_modp_reduces_entries():
@@ -520,8 +606,7 @@ def test_sparse_smith_divisors_match_dense(m, n, seed, kind, zero_lines):
         M = [[0 if i in dead_rows or j in dead_cols else v for j, v in enumerate(row)]
              for i, row in enumerate(M)]
     rows = [{j: v for j, v in enumerate(row) if v} for row in M]
-    dense = np.array(M, dtype=object).reshape(m, n)
-    assert sparse_smith_divisors(rows, n) == smith_normal_form(dense).divisors
+    assert sparse_smith_divisors(rows, n) == smith_normal_form(M).divisors
 
 
 def test_sparse_smith_divisors_keep_the_row_content():
@@ -542,12 +627,14 @@ BIG_PRIME = 2147483647  # 2**31 - 1, the largest prime GF accepts
 
 
 def test_field_carrier_surface():
-    assert QQ.zeros((2, 3)).dtype == object and QQ.zeros(2)[0] == 0
+    assert QQ.zeros((2, 3)) == [[0, 0, 0], [0, 0, 0]] and QQ.zeros(2) == [0, 0]
     assert QQ.one == Fraction(1) and type(QQ.one) is Fraction
     assert QQ.reduce(Fraction(7, 3)) == Fraction(7, 3)
     F = GF(5)
-    assert F.zeros((2, 3)).dtype == np.int64 and F.one == 1
-    assert list(F.reduce(np.array([-1, 5, 7]))) == [4, 0, 2]
+    Z = F.zeros((2, 3))
+    Z[0][0] = 1  # rows are distinct lists
+    assert Z == [[1, 0, 0], [0, 0, 0]] and F.one == 1
+    assert [F.reduce(x) for x in (-1, 5, 7)] == [4, 0, 2]
     assert not hasattr(QQ, "p")  # spans are labelled F_p or Q by this attribute
 
 
@@ -555,20 +642,21 @@ def test_field_carrier_surface():
 @given(st.integers(1, 4), st.integers(0, 6), st.integers(1, 4), st.integers(0, 10**6),
        st.booleans())
 def test_matmul_exact_for_the_largest_prime(m, k, n, seed, vector):
+    # A k x n matrix with k = 0 is an empty list: no column count to multiply by.
+    assume(vector or k)
     p = BIG_PRIME
     rng = random.Random(seed)
-    # Entries from the edges of the range, where int64 products overflow.
+    # Entries from the edges of the range, where int64 products would overflow.
     pick = lambda: rng.choice([0, 1, p - 1, p - 2, rng.randrange(p), -rng.randrange(p)])
     A = [[pick() for _ in range(k)] for _ in range(m)]
     B = [[pick() for _ in range(n)] for _ in range(k)]
-    expect = [[sum(A[i][t] * B[t][j] for t in range(k)) % p for j in range(n)]
-              for i in range(m)]
-    left = np.array(A, dtype=np.int64).reshape(m, k)
     if vector:
-        left, expect = left[0], expect[0]
-    got = matmul(left, np.array(B, dtype=np.int64).reshape(k, n), GF(p))
-    assert got.dtype == np.int64
-    assert got.tolist() == expect
+        B = [row[0] for row in B]
+        expect = [sum(A[i][t] * B[t] for t in range(k)) % p for i in range(m)]
+    else:
+        expect = [[sum(A[i][t] * B[t][j] for t in range(k)) % p for j in range(n)]
+                  for i in range(m)]
+    assert matmul(A, B, GF(p)) == expect
 
 
 def test_prime_bound_checked_before_primality():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
@@ -114,7 +113,7 @@ def test_theorem1_even_sphere_model():
 
 def test_theorem1_odd_1221_fixture():
     A, phi, C = odd_model(QQ, m=1, r=2)
-    S = np.array([[0, Fraction(1)], [Fraction(-1), 0]], dtype=object)
+    S = [[0, Fraction(1)], [Fraction(-1), 0]]
     delta = odd_model_differential(A, C, S)
     rep = check_theorem1_algebraic(A, delta, phi, fixed_set_dim=2)
     assert rep.applicable
@@ -339,7 +338,7 @@ _ROUTE_ORDERS = (("Q", "Fp", "pval", "Z"), ("Z", "pval", "Fp", "Q"), ("Fp", "Q",
 
 def _express_or_reject(sq, v):
     try:
-        return sq.express(v).tolist()
+        return sq.express(v)
     except ValueError:
         return "not a cocycle"
 
@@ -379,14 +378,14 @@ def _assert_cleared_routes_agree(X: SimplicialComplex, p: int):
             tuple(d for d in ds if d > 1) for ds in [()] + smith)
         for (field, d), oracle in oracles.items():
             sq = Y.cohomology_basis(field, d)
-            assert np.array_equal(sq.basis, oracle.basis) and sq.pivots == oracle.pivots
+            assert sq.basis == oracle.basis and sq.pivots == oracle.pivots
             vectors = [field.zeros(n[d])] + list(sq.basis)
             vectors[0][0] = 1  # a cocycle only where delta^d e_0 = 0
             for j, b in enumerate(sq.basis):  # a class plus a coboundary
                 v = b.copy()
                 for t, row in enumerate(rows[d - 1] if d else []):
                     v[t] += row.get(j % n[d - 1], 0)
-                vectors.append(field.reduce(v))
+                vectors.append([field.reduce(x) for x in v])
             for v in vectors:
                 assert _express_or_reject(sq, v) == _express_or_reject(oracle, v)
 
@@ -442,6 +441,31 @@ def test_theorems_2_and_4_eliminate_no_coboundary_twice(monkeypatch):
     assert check_theorem2(fresh).verdict == check_theorem4(fresh).verdict == "PASS"
     # Cleared rows are new lists of the complex's own row dicts.
     assert not [rows for rows in calls if any(id(row) in own_rows for row in rows)]
+
+
+def test_cold_theorem4_eliminates_each_coboundary_once(monkeypatch):
+    """A cold theorem 4 on S^2 x S^2 (Z/7) reads the F_p ranks (p exceeds the
+    total Betti number) and the Q ranks (orientability, the rhs) off one
+    p-local profile per coboundary: of the complex's own nonzero
+    coboundaries (delta^4 has no rows), none is eliminated over Q and none
+    twice.  Link ranks are not counted."""
+    action = corpus.s2xs2_rotation(7)
+    X = SimplicialComplex(action.complex.vertices, action.complex.facets)
+    degree_of = {id(row): k for k in range(X.dim + 1) for row in X.coboundary_rows(k)}
+    calls = []
+    for name in ("sparse_rank_q", "sparse_rank_modp", "p_valuation_profile",
+                 "sparse_smith_divisors"):
+        real = getattr(exactalg, name)
+        monkeypatch.setattr(exactalg, name, lambda rows, *a, name=name, real=real:
+                            calls.append((name, rows)) or real(rows, *a))
+    assert check_theorem4(GroupAction(X, 7, action.vertex_map)).verdict == "PASS"
+    # Cleared rows are new lists of the complex's own row dicts.
+    on_x = [(name, {degree_of[id(row)] for row in rows if id(row) in degree_of})
+            for name, rows in calls]
+    on_x = [(name, degrees) for name, degrees in on_x if degrees]
+    assert all(len(degrees) == 1 for _, degrees in on_x)
+    assert [name for name, _ in on_x] == ["p_valuation_profile"] * 4
+    assert sorted(min(degrees) for _, degrees in on_x) == [0, 1, 2, 3]
 
 
 def test_theorem4_sphere_rotations():
