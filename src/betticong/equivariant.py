@@ -304,7 +304,8 @@ def group_cohomology_dims(g_matrix, p: int) -> tuple[int, int]:
     # Lift z in the quotient copy to (0, z), apply the relevant periodic
     # differential of V(x)J2, land in the image of i, pull back.
     def connecting(z: list, diff_big: list[list]) -> list:
-        out = exactalg.matmul(diff_big, [0] * n + z, field)
+        lift = [0] * n + z
+        out = [field.reduce(sum(a * b for a, b in zip(row, lift))) for row in diff_big]
         assert not any(out[n:]), "connecting image must lie in the subrepresentation"
         return out[:n]
 

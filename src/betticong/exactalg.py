@@ -177,10 +177,13 @@ def rank_and_kernel(matrix, field) -> tuple[int, list[list]]:
     """Rank and a deterministic kernel basis; rank + len(kernel) = ncols.
 
     One kernel vector per free column: entry 1 at the free column, pivot
-    entries back-substituted from the rref.
+    entries back-substituted from the rref.  A matrix with no rows carries no
+    column count, so it is refused rather than given an empty kernel.
     """
+    if not matrix:
+        raise ValueError("rank_and_kernel needs at least one row to know the column count")
     R, pivots = rref(matrix, field)
-    return len(pivots), _kernel_from_rref(R, pivots, len(R[0]) if R else 0, field)
+    return len(pivots), _kernel_from_rref(R, pivots, len(R[0]), field)
 
 
 def kernel_basis(matrix, field) -> list[list]:
@@ -192,11 +195,15 @@ def rank(matrix, field) -> int:
 
 
 def matmul(A, B, field):
-    """Exact product over *field* of a matrix A with a matrix or a vector B."""
-    if B and isinstance(B[0], (list, tuple)):
-        cols = list(zip(*B))
-        return [[field.reduce(sum(a * b for a, b in zip(row, col))) for col in cols] for row in A]
-    return [field.reduce(sum(a * b for a, b in zip(row, B))) for row in A]
+    """Exact product over *field* of the matrices A and B (lists of rows).
+
+    A B with no rows carries no column count, so it is refused unless A has
+    no rows either.
+    """
+    if A and not B:
+        raise ValueError("matmul needs a right factor with at least one row")
+    cols = list(zip(*B))
+    return [[field.reduce(sum(a * b for a, b in zip(row, col))) for col in cols] for row in A]
 
 
 def invert(M, field) -> list[list]:

@@ -203,7 +203,7 @@ def check_theorem1_algebraic(
             try:
                 H, _ = homology(A, delta, phi)
                 rhs = H.dim if H is not None else 0
-            except ValueError:  # delta is not a square-zero derivation: rhs "-"
+            except ValueError:  # not a square-zero derivation, or the unit law fails: rhs "-"
                 pass
         else:
             rep = odd_congruence(A, delta, phi)

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from betticong import corpus, exactalg
 from betticong.exactalg import (
@@ -231,7 +231,19 @@ def test_kernel_vectors_annihilated():
         r, kb = rank_and_kernel(M, field)
         assert r + len(kb) == 3
         for v in kb:
-            assert matmul(M, v, field) == [0, 0]
+            assert matmul(M, [[x] for x in v], field) == [[0], [0]]
+
+
+def test_rank_kernel_refuses_a_matrix_without_rows():
+    # A list of no rows has no column count, so its kernel (all of k^n) has no n.
+    for field in (QQ, GF(3)):
+        with pytest.raises(ValueError):
+            rank_and_kernel([], field)
+        with pytest.raises(ValueError):
+            kernel_basis([], field)
+        assert rank([], field) == 0
+        # One zero row stands for the 0 x n matrix: the kernel is all of k^n.
+        assert rank_and_kernel([[0, 0, 0]], field) == (0, exactalg.identity(3))
 
 
 def test_rank_kernel_deterministic():
@@ -558,7 +570,7 @@ def test_subquotient_depends_only_on_the_spans(n, a, k, seed, field_name):
         v = [field.reduce(x + c * y) for x, y in zip(v, row)]
     assert sq2.express(v) == coeffs
     outside = vec()
-    if A and any(matmul(A, outside, field)):
+    if A and any(x for row in matmul(A, [[x] for x in outside], field) for x in row):
         with pytest.raises(ValueError):
             sq.express(outside)
 
@@ -639,23 +651,21 @@ def test_field_carrier_surface():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 6), st.integers(1, 4), st.integers(0, 10**6),
-       st.booleans())
-def test_matmul_exact_for_the_largest_prime(m, k, n, seed, vector):
-    # A k x n matrix with k = 0 is an empty list: no column count to multiply by.
-    assume(vector or k)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(1, 4), st.integers(0, 10**6))
+def test_matmul_exact_for_the_largest_prime(m, k, n, seed):
     p = BIG_PRIME
     rng = random.Random(seed)
     # Entries from the edges of the range, where int64 products would overflow.
     pick = lambda: rng.choice([0, 1, p - 1, p - 2, rng.randrange(p), -rng.randrange(p)])
     A = [[pick() for _ in range(k)] for _ in range(m)]
     B = [[pick() for _ in range(n)] for _ in range(k)]
-    if vector:
-        B = [row[0] for row in B]
-        expect = [sum(A[i][t] * B[t] for t in range(k)) % p for i in range(m)]
-    else:
-        expect = [[sum(A[i][t] * B[t][j] for t in range(k)) % p for j in range(n)]
-                  for i in range(m)]
+    if not k:
+        # The k x n factor with k = 0 is an empty list: it has no column count.
+        with pytest.raises(ValueError):
+            matmul(A, B, GF(p))
+        return
+    expect = [[sum(A[i][t] * B[t][j] for t in range(k)) % p for j in range(n)]
+              for i in range(m)]
     assert matmul(A, B, GF(p)) == expect
 
 
