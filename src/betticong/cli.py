@@ -646,15 +646,16 @@ def cmd_algebra_check(doc, args, rep: Report):
     if phi is None:
         rep.say("no orientation declared; stopping after structure checks")
         return
-    pd = check_pd(A, phi)
+    n = phi.formal_dim
+    # In odd formal dimension odd_congruence checks PD and delta itself and
+    # reports both verdicts.
+    orep = odd_congruence(A, delta, phi) if n % 2 and delta is not None else None
+    pd = orep.pd if orep is not None else check_pd(A, phi)
     rep.say(f"connected {'yes' if pd.connected else 'no'}; "
             f"nondegenerate {'yes' if pd.nondegenerate else 'no'}; formal_dim {pd.formal_dim}")
     rep.check("algebra-pd", "PASS" if pd.is_pd else "FAIL", int(pd.is_pd), 1)
     if not pd.is_pd:
         return
-    n = phi.formal_dim
-    # In odd formal dimension odd_congruence checks delta itself and reports its verdict.
-    orep = odd_congruence(A, delta, phi) if n % 2 and delta is not None else None
     if delta is not None:
         der = orep.derivation if orep is not None else check_derivation(A, delta)
         for v in der.violations:

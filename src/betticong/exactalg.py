@@ -3,8 +3,9 @@
 Everything downstream (cohomology, group actions, the Borel complex) reduces
 to the primitives in this module: reduced row echelon forms with kernel
 bases, the one kernel-modulo-image engine ``Subquotient``, integer Smith
-normal form, p-local valuation profiles and the Jordan block partition of a
-nilpotent operator.  All arithmetic is exact: Python ints,
+normal form (whose divisors give the ranks over every field and, through
+``p_valuation_profile``, the p-local torsion) and the Jordan block
+partition of a nilpotent operator.  All arithmetic is exact: Python ints,
 ``fractions.Fraction`` for the rationals, canonical residues in ``[0, p)``
 for prime fields.  A dense matrix is a list of rows, a dense vector a
 list, of such elements.  The two field objects own that carrier: ``one``,
@@ -218,21 +219,21 @@ def invert(M, field) -> list[list]:
 
 
 # ---------------------------------------------------------------------------
-# Sparse exact elimination: one loop for Q, F_p, the p-local ring and Z
+# Sparse exact elimination: one loop for Q, F_p and Z
 # ---------------------------------------------------------------------------
 
-def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, local: bool, unit=False):
+def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, unit=False):
     """Clear column *pc* of ``rows[dst]`` with ``rows[src]``, keeping the index.
 
     ``col_rows[c]`` is the set of rows with a nonzero entry in column c.
     Over F_p (the source pivot is 1): dst <- dst - f*src.  Otherwise
     fraction-free: dst <- pv*dst - f*src, then dst is divided by the gcd of
-    its entries (p-locally, by the prime-to-p part of that gcd; with a
-    ``unit`` pivot pv = +-1, not at all, as that division is not unimodular).
+    its entries (with a ``unit`` pivot pv = +-1, not at all, as that
+    division is not unimodular).
     """
     other, row = rows[dst], rows[src]
     f = other[pc]
-    modp = p is not None and not local
+    modp = p is not None
     if not modp:
         pv = row[pc]
         for c in list(other):
@@ -256,26 +257,21 @@ def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, local: b
             g = math.gcd(g, v)
             if g == 1:
                 break
-        if local:
-            while g % p == 0:
-                g //= p
         if g > 1:
             for c in other:
                 other[c] //= g
 
 
-def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = False, unit=False,
-               leftmost=False):
+def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False, leftmost=False):
     """Sparse Gaussian elimination shared by every sparse rank and echelon form.
 
     Rows are dicts {column: nonzero int}; they are copied, not modified.
-    Four modes: over Q (``p`` None) fraction-free on integer rows with gcd
+    Three modes: over Q (``p`` None) fraction-free on integer rows with gcd
     normalisation, so it is exact; over F_p (``p`` a prime) on residues mod
-    p with each pivot scaled to 1; p-locally (``local``) where only p-unit
-    entries may be pivots; over Z (``unit``) with +-1 pivots only and no
-    rescaling, so every step is unimodular and keeps the Smith form.  Pivot
-    choice: sparsest active row first, then the admissible column that hits
-    the fewest active rows (classic fill-in heuristic); ties break on
+    p with each pivot scaled to 1; over Z (``unit``) with +-1 pivots only
+    and no rescaling, so every step is unimodular and keeps the Smith form.
+    Pivot choice: sparsest active row first, then the admissible column that
+    hits the fewest active rows (classic fill-in heuristic); ties break on
     indices so the elimination is deterministic.  With ``leftmost`` a row
     pivots on its leftmost entry instead: each pivot row is then zero left
     of its pivot, so the pivot columns are those of the canonical rref.
@@ -287,11 +283,10 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = F
 
     Returns ``(work, pivots, rest)``: the reduced rows, the (row, column)
     pivots in elimination order, and the nonzero rows left without a pivot
-    (p-locally, rows whose entries are all divisible by p; with unit
-    pivots, rows without a +-1 entry; empty otherwise).  Rows in ``rest``
-    are zero in every pivot column.
+    (with unit pivots, rows without a +-1 entry; empty otherwise).  Rows in
+    ``rest`` are zero in every pivot column.
     """
-    modp = p is not None and not local
+    modp = p is not None
     work = ([{c: v % p for c, v in r.items() if v % p} for r in rows] if modp
             else [dict(r) for r in rows])
     col_rows: dict[int, set[int]] = {}
@@ -311,12 +306,7 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = F
         if key(row) != k:  # stale heap entry
             heapq.heappush(heap, (key(row), i))
             continue
-        if local:
-            cols = [c for c, v in row.items() if v % p]
-        elif unit:
-            cols = [c for c, v in row.items() if v in (1, -1)]
-        else:
-            cols = row
+        cols = [c for c, v in row.items() if v in (1, -1)] if unit else row
         if not cols:
             continue  # no admissible entry; stays active until an update gives one
         pc = min(cols) if leftmost else min(cols, key=lambda c: (len(col_rows[c] & active), c))
@@ -328,7 +318,7 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, local: bool = F
                 for c in row:
                     row[c] = row[c] * inv % p
         for j in [j for j in col_rows[pc] if j in active]:
-            _subtract_pivot_row(work, col_rows, j, i, pc, p, local, unit)
+            _subtract_pivot_row(work, col_rows, j, i, pc, p, unit)
             if not work[j]:
                 active.discard(j)
             else:
@@ -380,7 +370,7 @@ def sparse_rref_q(rows: list[dict[int, int]]) -> tuple[list[dict[int, Fraction]]
             col_rows.setdefault(c, set()).add(i)
     for i, pc in reversed(pivots):
         for j in [j for j in col_rows[pc] if j != i]:
-            _subtract_pivot_row(work, col_rows, j, i, pc, None, False)
+            _subtract_pivot_row(work, col_rows, j, i, pc, None)
     # Normalise pivots to 1 and sort by pivot column.
     out_rows: list[dict[int, Fraction]] = []
     out_pivots: list[int] = []
@@ -688,30 +678,21 @@ def sparse_smith_divisors(rows: list[dict[int, int]], ncols: int,
     return tuple(divisors + [0] * (min(len(rows), ncols) - len(divisors)))
 
 
-def p_valuation_profile(rows: list[dict[int, int]], p: int,
-                        pivots: list[int] | None = None) -> list[int]:
-    """p-adic valuations of the nonzero Smith divisors, ascending.
+def p_valuation_profile(divisors, p: int) -> list[int]:
+    """p-adic valuations of the nonzero divisors of a Smith divisor chain.
 
-    Works p-locally: eliminate with p-unit pivots (fraction-free, rows
-    renormalised by the prime-to-p part of their gcd), then divide the fully
-    p-divisible remainder by p and recurse.  The number of pivots found at
-    stage k equals the number of divisors with valuation exactly k.  Much
-    cheaper than a full Smith reduction on large matrices and exact.  If
-    *pivots* is a list, the pivot columns of stage 0 are appended to it:
-    the pivot rows on them form a triangular minor with a diagonal prime
-    to p.
+    In a chain d_1 | d_2 | ... the valuations ascend.  A divisor of
+    valuation k >= 1 is a summand Z/p^k of the p-local cokernel, so the
+    Bockstein hypothesis (no Z/p summand) is that no valuation is 1.
     """
-    work = [r for r in rows if r]
-    vals: list[int] = []
-    stage = 0
-    while work:
-        _, found, rest = _eliminate(work, p, local=True)
-        vals.extend([stage] * len(found))
-        if pivots is not None and not stage:
-            pivots.extend(pc for _, pc in found)
-        # Everything left is divisible by p: strip one factor and recurse.
-        work = [{c: v // p for c, v in row.items()} for row in rest]
-        stage += 1
+    vals = []
+    for d in divisors:
+        if d:
+            k = 0
+            while d % p == 0:
+                d //= p
+                k += 1
+            vals.append(k)
     return vals
 
 

@@ -334,7 +334,7 @@ def tfr_decomposition(action: GroupAction) -> TFRDecomposition:
     p = action.p
     X = action.complex
     fieldp = GF(p)
-    # First, so that its p-local profile also supplies the F_p ranks of g*'s bases.
+    # First, so that its Smith pass also supplies the F_p ranks of g*'s bases.
     bockstein_ok = bockstein_condition(X, p)
     mats = induced_cohomology_action(action, fieldp)
     t, f, r, other = [], [], [], []

@@ -347,7 +347,8 @@ def _homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
 
 @dataclass(frozen=True)
 class OddCongruenceReport:
-    """``derivation`` is the verdict of the one ``check_derivation`` it ran."""
+    """``pd`` and ``derivation`` are the verdicts of the one ``check_pd`` and
+    the one ``check_derivation`` it ran."""
 
     applicable: bool
     failures: tuple[str, ...]
@@ -357,6 +358,7 @@ class OddCongruenceReport:
     gamma_skew: bool | None = None
     gamma_nondegenerate: bool | None = None
     derivation: DerivationReport | None = None
+    pd: PDAlgebraResult | None = None
 
     @property
     def congruent(self) -> bool | None:
@@ -394,13 +396,13 @@ def odd_congruence(A: BigradedAlgebra, delta: Differential, phi: Orientation) ->
         if i % 2 == 1 and A.component(1, i):
             failures.append(f"A^(1,{i}) nonzero with {i} odd <= m={m}")
     if not der.is_valid:
-        return OddCongruenceReport(False, tuple(failures), derivation=der)
+        return OddCongruenceReport(False, tuple(failures), derivation=der, pd=pd)
     H, _ = _homology(A, delta, phi)
     dim_h = H.dim if H is not None else 0
     if dim_h == 0 and not failures:
         failures.append("H(A, delta) = 0")
     if failures:
-        return OddCongruenceReport(False, tuple(failures), A.dim, dim_h, derivation=der)
+        return OddCongruenceReport(False, tuple(failures), A.dim, dim_h, derivation=der, pd=pd)
     cols = delta.columns
     even_idx = [i for i in range(A.dim) if A.total_degree(i) == 0]
     # Pivot columns of delta|even span a complement of the even cycles.
@@ -421,6 +423,7 @@ def odd_congruence(A: BigradedAlgebra, delta: Differential, phi: Orientation) ->
         gamma_skew=skew,
         gamma_nondegenerate=nondeg,
         derivation=der,
+        pd=pd,
     )
 
 

@@ -66,10 +66,6 @@ def _maximal(simplices: list[Simplex]) -> list[Simplex]:
     ]
 
 
-def _rank_key(k: int, field) -> tuple:  # the cache key of rank delta^k
-    return ("cobrank", k, field.name)
-
-
 def _pivots_key(k: int, ring: str) -> tuple:  # the cache key of delta^k's pivot columns
     return ("pivots", k, ring)
 
@@ -212,26 +208,51 @@ class SimplicialComplex:
         return M
 
     def _cleared_rows(self, k: int, ring: str) -> list[dict[int, int]]:
-        """delta^k with the rows at the pivot columns of delta^{k+1} over *ring* zeroed.
+        """delta^k with the rows at the pivot columns of delta^{k+1} zeroed.
 
-        *ring* is a field name ("Q", "F3", ...) or "Z"; the p-local profile
-        records its pivots under F_p.  The rows are those of delta^k if
-        delta^{k+1} has not been eliminated over *ring*.  Zeroed rows keep
-        the row count and indices: see ``cohomology`` for why the row space
-        is kept.
+        *ring* is a field name ("Q", "F3", ...) or "Z".  The pivots are those
+        that delta^{k+1} was eliminated with over *ring*, else the +-1 pivots
+        of the Smith pass, which are valid over every ring; the rows are
+        those of delta^k if there are neither.  Zeroed rows keep the row
+        count and indices: see ``cohomology`` for why the row space is kept.
         """
         rows = self.coboundary_rows(k)
-        drop = set(self._cache.get(_pivots_key(k + 1, ring), ()))
+        # An empty pivot set means rank 0 over the ring, so none over Z either.
+        drop = set(self._cache.get(_pivots_key(k + 1, ring))
+                   or self._cache.get(_pivots_key(k + 1, "Z"), ()))
         return [{} if q in drop else row for q, row in enumerate(rows)] if drop else rows
 
     def _coboundary_rank(self, k: int, field) -> int:
-        key = _rank_key(k, field)
+        """rank delta^k over *field*: read off the Smith divisors once they exist."""
+        if "smith" in self._cache:
+            p = field.char
+            return sum(1 for d in self._cache["smith"][k] if (d % p if p else d))
+        key = ("cobrank", k, field.name)
         if key not in self._cache:
             rows, cols = self._cleared_rows(k, field.name), []
             self._cache[key] = (exactalg.sparse_rank_modp(rows, field.char, cols) if field.char
                                 else exactalg.sparse_rank_q(rows, cols))
             self._cache[_pivots_key(k, field.name)] = cols
         return self._cache[key]
+
+    def _smith_divisors(self) -> list[tuple[int, ...]]:
+        """The Smith divisors of delta^0..delta^dim (delta^dim is zero), in one pass.
+
+        The coboundaries are eliminated top-down, each cleared by the +-1
+        pivots of the one above (the lemma in ``cohomology``): the integral
+        row module, so the nonzero divisors, is kept.  Over Q the rank of
+        delta^k is its number of nonzero divisors, over F_p the number prime
+        to p; once this pass has run, ``cohomology`` eliminates nothing.
+        """
+        if "smith" not in self._cache:
+            divisors = [()] * (self.dim + 1)
+            for k in range(self.dim - 1, -1, -1):
+                cols = []
+                divisors[k] = exactalg.sparse_smith_divisors(
+                    self._cleared_rows(k, "Z"), self.n_simplices(k), cols)
+                self._cache[_pivots_key(k, "Z")] = cols
+            self._cache["smith"] = divisors
+        return self._cache["smith"]
 
     # -- cohomology ------------------------------------------------------
 
@@ -248,13 +269,12 @@ class SimplicialComplex:
         elimination's ring.  R is a combination of rows of delta^{k+1} and
         delta^{k+1} delta^k = 0, so T (rows P of delta^k) = -(R off P) (rows
         outside P): for each q in P, row q of delta^k is a combination of the
-        rows outside P over that ring.  The row space, the p-local row module
-        and the integral row module are kept, and with them the rank, the
-        p-adic profile and the nonzero Smith divisors.  A pivot set clears
-        rows over the ring it was found over: Q, F_p, or Z for the +-1
-        pivots of ``integral_cohomology``.  The F_p pivots and those of
-        stage 0 of ``torsion_valuation_profile`` share one set: either
-        minor has a determinant prime to p, invertible over F_p and Z_(p).
+        rows outside P over that ring.  The row space, and over Z the row
+        module, are kept, and with them the rank and the nonzero Smith
+        divisors.  A pivot set clears rows over the ring it was found over,
+        Q or F_p.  The +-1 pivots of the Smith pass clear rows over every
+        ring: their minor is triangular with a +-1 diagonal, so it is
+        unimodular, and its inverse is integral.
         """
         key = ("betti", field.name)
         if key not in self._cache:
@@ -267,55 +287,29 @@ class SimplicialComplex:
         return self._cache[key]
 
     def integral_cohomology(self) -> GradedBetti:
-        """Free ranks and torsion divisors of H^*(X;Z) via sparse Smith divisors.
+        """Free ranks and torsion divisors of H^*(X;Z) from the Smith pass.
 
         The rank of delta^i is its number of nonzero divisors; the torsion
-        of H^i is the divisors > 1 of delta^{i-1}.  The coboundaries are
-        eliminated top-down, each cleared by the +-1 pivots of the one
-        above, which are valid over Z (the lemma in ``cohomology``): the
-        integral row module, so the nonzero divisors, is kept.
+        of H^i is the divisors > 1 of delta^{i-1}.
         """
-        if "integral" not in self._cache:
-            # divisors[i] belongs to delta^{i-1}; delta^{-1} and delta^dim are zero.
-            divisors = [()] * (self.dim + 2)
-            for i in range(self.dim, 0, -1):
-                cols = []
-                divisors[i] = exactalg.sparse_smith_divisors(
-                    self._cleared_rows(i - 1, "Z"), self.n_simplices(i - 1), cols)
-                self._cache[_pivots_key(i - 1, "Z")] = cols
-            r = [sum(1 for d in ds if d) for ds in divisors]
-            self._cache["integral"] = GradedBetti(
-                "Z",
-                tuple(self.n_simplices(i) - r[i] - r[i + 1] for i in range(self.dim + 1)),
-                tuple(tuple(d for d in divisors[i] if d > 1) for i in range(self.dim + 1)),
-            )
-        return self._cache["integral"]
+        # divisors[i] belongs to delta^{i-1}; delta^{-1} is zero.
+        divisors = [()] + self._smith_divisors()
+        r = [sum(1 for d in ds if d) for ds in divisors]
+        return GradedBetti(
+            "Z",
+            tuple(self.n_simplices(i) - r[i] - r[i + 1] for i in range(self.dim + 1)),
+            tuple(tuple(d for d in divisors[i] if d > 1) for i in range(self.dim + 1)),
+        )
 
     def torsion_valuation_profile(self, p: int) -> dict[int, list[int]]:
-        """Per degree, p-adic valuations of the Smith divisors of delta^{i-1}.
+        """Per degree i >= 1, the p-adic valuations of the nonzero Smith
+        divisors of delta^{i-1}, where the torsion of H^i(X;Z) lives.
 
-        Degree i torsion of H^i(X;Z) lives in the divisors of delta^{i-1};
-        this p-local route avoids full Smith reduction on large complexes.
-        Its divisors prime to p count rank delta^{i-1} over F_p, and all of
-        them the rank over Q: both are cached for ``cohomology`` to reuse.
-        The coboundaries are eliminated top-down, each cleared by the F_p
-        pivots of the one above, from this profile's stage 0 or from the F_p
-        ranks, which are valid over Z_(p) (the lemma in ``cohomology``): the
-        p-local row module, so the profile, is kept.
+        Every prime reads the one cached Smith pass.
         """
-        key = ("pval", p)
-        if key not in self._cache:
-            F = exactalg.GF(p)
-            out = {}
-            for i in range(self.dim, 0, -1):
-                cols = []
-                vals = out[i] = exactalg.p_valuation_profile(self._cleared_rows(i - 1, F.name),
-                                                             p, cols)
-                self._cache[_pivots_key(i - 1, F.name)] = cols
-                self._cache[_rank_key(i - 1, F)] = vals.count(0)
-                self._cache[_rank_key(i - 1, exactalg.QQ)] = len(vals)
-            self._cache[key] = dict(sorted(out.items()))
-        return self._cache[key]
+        divisors = self._smith_divisors()
+        return {i: exactalg.p_valuation_profile(divisors[i - 1], p)
+                for i in range(1, self.dim + 1)}
 
     # -- cocycle bases and class arithmetic -------------------------------
 

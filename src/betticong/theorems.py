@@ -182,14 +182,16 @@ def check_theorem1_algebraic(
     problems = A.validate()
     hyps.append(Hypothesis("algebra_laws", not problems, problems[0] if problems else ""))
     hyps.append(Hypothesis("rational_coefficients", A.field is QQ or A.field.char == 0))
+    n = phi.formal_dim
+    # In odd formal dimension odd_congruence checks PD itself and reports its verdict.
+    orep = odd_congruence(A, delta, phi) if not problems and n % 2 and delta is not None else None
     if problems:
         hyps.append(Hypothesis("connected_pd_algebra", None))
     else:
-        pd = check_pd(A, phi)
+        pd = orep.pd if orep is not None else check_pd(A, phi)
         hyps.append(Hypothesis("connected_pd_algebra", pd.is_pd, f"formal dimension {pd.formal_dim}"))
     concentrated = all(e == 0 for e, _ in A.bidegrees)
     hyps.append(Hypothesis("concentrated_in_second_grading", concentrated))
-    n = phi.formal_dim
     lhs = rhs = None
     if n % 2 == 0:
         hyps.append(Hypothesis("parity", True, f"n = {n} even: Euler route"))
@@ -206,23 +208,22 @@ def check_theorem1_algebraic(
             except ValueError:  # not a square-zero derivation, or the unit law fails: rhs "-"
                 pass
         else:
-            rep = odd_congruence(A, delta, phi)
             hyps.append(
                 Hypothesis(
                     "odd_case_hypotheses",
-                    rep.applicable,
-                    "; ".join(rep.failures) if rep.failures else
-                    f"skew form nondegenerate on a {rep.quotient_dim}-dimensional quotient",
+                    orep.applicable,
+                    "; ".join(orep.failures) if orep.failures else
+                    f"skew form nondegenerate on a {orep.quotient_dim}-dimensional quotient",
                 )
             )
             # Both None when H(A, delta) is undefined: rhs "-".
-            lhs, rhs = rep.dim_total, rep.dim_homology
-            if rep.applicable and fixed_set_dim is not None:
+            lhs, rhs = orep.dim_total, orep.dim_homology
+            if orep.applicable and fixed_set_dim is not None:
                 hyps.append(
                     Hypothesis(
                         "fixed_set_dimension_matches",
-                        rep.dim_homology == fixed_set_dim,
-                        f"dim H(A, delta) = {rep.dim_homology} vs fixed set {fixed_set_dim}",
+                        orep.dim_homology == fixed_set_dim,
+                        f"dim H(A, delta) = {orep.dim_homology} vs fixed set {fixed_set_dim}",
                     )
                 )
     return TheoremReport(
@@ -362,8 +363,8 @@ def check_theorem4(action: GroupAction, subject: str = "") -> TheoremReport:
     ncomp = len(X.connected_components())
     hyps.append(Hypothesis("connected", ncomp == 1, f"{ncomp} component(s)"))
     hyps.append(Hypothesis("even_dimension", X.dim % 2 == 0, f"dim X = {X.dim}"))
-    # One p-local elimination per coboundary caches its F_p rank, read here,
-    # and its Q rank, read by orientability and the rhs.
+    # One Smith pass per coboundary gives its F_p rank, read here, and its
+    # Q rank, read by orientability and the rhs.
     X.torsion_valuation_profile(p)
     total_fp = X.cohomology(GF(p)).total
     hyps.append(

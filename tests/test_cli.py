@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betticong import cli, pd_algebra
+from betticong import cli, pd_algebra, theorems
 from betticong.cli import COMMANDS, InputError, main, parse, serialize
 from betticong.exactalg import GF, QQ
 from betticong.pd_algebra import (
@@ -641,6 +641,12 @@ end
 """
 
 
+# The odd example with one more class in degree 1 that pairs with nothing:
+# delta is still a derivation, but the pairing is degenerate.
+DEGENERATE_ODD_DOC = ODD_ALGEBRA_DOC.replace("basis w bidegree 0 3\n",
+                                             "basis w bidegree 0 3\nbasis x bidegree 0 1\n")
+
+
 @pytest.mark.parametrize("doc, command, calls, check", [
     (ODD_ALGEBRA_DOC, "theorem1-alg", 1, "CHECK theorem1-algebraic: PASS — 6 vs 2 (mod 4)"),
     (ODD_ALGEBRA_DOC, "algebra-check", 1, "CHECK odd-congruence: PASS — 6 vs 2 (mod 4)"),
@@ -648,25 +654,30 @@ end
     (NOT_APPLICABLE_DOC, "algebra-check", 1, "CHECK odd-congruence: N/A — - vs - (mod 4)"),
     (BAD_DELTA_DOC, "theorem1-alg", 1, "CHECK theorem1-algebraic: N/A — 4 vs - (mod 4)"),
     (BAD_DELTA_DOC, "algebra-check", 1, "CHECK algebra-derivation: FAIL — 1 vs 0 (mod 4)"),
-], ids=["odd-theorem1", "odd-check", "na-theorem1", "na-check", "bad-theorem1", "bad-check"])
+    (DEGENERATE_ODD_DOC, "theorem1-alg", 1, "CHECK theorem1-algebraic: N/A — 7 vs 3 (mod 4)"),
+    (DEGENERATE_ODD_DOC, "algebra-check", 1, "CHECK algebra-pd: FAIL — 0 vs 1 (mod 4)"),
+], ids=["odd-theorem1", "odd-check", "na-theorem1", "na-check", "bad-theorem1", "bad-check",
+        "degenerate-theorem1", "degenerate-check"])
 def test_one_derivation_check_per_verdict(tmp_path, monkeypatch, capsys, doc, command, calls, check):
-    """theorem1-alg and algebra-check each check delta once.  In odd formal
-    dimension algebra-check reports the verdict of odd_congruence's own
-    check, which odd_congruence also reuses for H."""
-    seen = []
-    real = pd_algebra.check_derivation
+    """theorem1-alg and algebra-check each check delta once, and PD once.
+    In odd formal dimension both report the verdicts of odd_congruence's own
+    checks, and odd_congruence reuses the derivation check for H."""
+    seen = {"check_derivation": [], "check_pd": []}
+    for name in seen:
+        real = getattr(pd_algebra, name)
 
-    def counting(A, delta):
-        seen.append(delta)
-        return real(A, delta)
+        def counting(*a, name=name, real=real):
+            seen[name].append(a)
+            return real(*a)
 
-    monkeypatch.setattr(pd_algebra, "check_derivation", counting)
-    monkeypatch.setattr(cli, "check_derivation", counting)
+        for module in (pd_algebra, cli, theorems):
+            monkeypatch.setattr(module, name, counting, raising=module is pd_algebra)
     path = tmp_path / "alg.bc"
     path.write_text(doc)
     main([command, str(path)])
     assert check in capsys.readouterr().out
-    assert len(seen) == calls
+    assert len(seen["check_derivation"]) == calls
+    assert len(seen["check_pd"]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -328,18 +328,19 @@ def test_blocks_conjugation_invariant(sizes, seed, p):
 
 
 # ---------------------------------------------------------------------------
-# p-local valuation profile
+# p-local valuation profile of the sparse Smith divisors
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6), st.sampled_from([2, 3, 5]))
 def test_p_profile_matches_snf(m, n, seed, p):
+    """The profile of the sparse Smith divisors is v_p of the determinantal
+    divisors, ascending."""
     rng = random.Random(seed)
     M = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-    divisors = [d for d in smith_normal_form(M).divisors if d]
-    expected = sorted(_val(d, p) for d in divisors)
+    expected = sorted(_val(d, p) for d in snf_divisors_oracle(M) if d)
     rows = [{j: v for j, v in enumerate(row) if v} for row in M]
-    assert p_valuation_profile(rows, p) == expected
+    assert p_valuation_profile(sparse_smith_divisors(rows, n), p) == expected
 
 
 def _val(d: int, p: int) -> int:
@@ -351,9 +352,13 @@ def _val(d: int, p: int) -> int:
 
 
 def test_p_profile_detects_torsion():
-    # diag(1, 3, 9, 5): valuations at 3 are 0, 1, 2, 0.
+    # diag(1, 3, 9, 5): divisors 1, 1, 3, 45, valuations at 3 are 0, 0, 1, 2.
+    M = [[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 9, 0], [0, 0, 0, 5]]
     rows = [{0: 1}, {1: 3}, {2: 9}, {3: 5}]
-    assert p_valuation_profile(rows, 3) == [0, 0, 1, 2]
+    divisors = sparse_smith_divisors(rows, 4)
+    assert list(divisors) == snf_divisors_oracle(M) == [1, 1, 3, 45]
+    assert p_valuation_profile(divisors, 3) == [0, 0, 1, 2]
+    assert p_valuation_profile((1, 2, 0), 3) == [0, 0]  # zero divisors are dropped
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +446,17 @@ def test_sparse_rref_q_properties(m, n, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
 def test_engine_modes_agree(m, n, seed):
-    """Valuation-0 divisors count the rank mod p, and all divisors the Q
-    rank; rref rank is the Q rank."""
+    """Over Z (+-1 pivots, then the dense core) the Smith divisors prime to
+    p count the rank mod p, and the nonzero ones the Q rank; rref rank is
+    the Q rank."""
     rng = random.Random(seed)
     M = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(m)]
     rows = [{j: v for j, v in enumerate(row) if v} for row in M]
+    divisors = sparse_smith_divisors(rows, n)
     for p in (2, 3, 5):
         rows_p = [{j: v % p for j, v in row.items() if v % p} for row in rows]
-        assert p_valuation_profile(rows, p).count(0) == sparse_rank_modp(rows_p, p)
-        assert len(p_valuation_profile(rows, p)) == sparse_rank_q(rows)
+        assert sum(1 for d in divisors if d % p) == sparse_rank_modp(rows_p, p)
+    assert sum(1 for d in divisors if d) == sparse_rank_q(rows)
     assert len(sparse_rref_q(rows)[1]) == sparse_rank_q(rows)
 
 

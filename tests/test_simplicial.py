@@ -222,7 +222,7 @@ def test_integral_lens_space_agrees_with_other_routes():
     g = L.integral_cohomology()
     assert g.torsion == ((), (), (3,), ())
     assert g.betti == L.cohomology(QQ).betti == (1, 0, 0, 1)
-    # The p-local profile sees the same 3-torsion: one divisor of valuation 1.
+    # The profile at 3 sees the same 3-torsion: one divisor of valuation 1.
     profile = L.torsion_valuation_profile(3)
     assert {i: [v for v in vals if v] for i, vals in profile.items()} == {1: [], 2: [1], 3: []}
     # Universal coefficients: b_i(F_3) = b_i(Q) + t_i(3) + t_{i+1}(3).
@@ -231,8 +231,9 @@ def test_integral_lens_space_agrees_with_other_routes():
 
 
 def _recorded_ranks(X, p, monkeypatch) -> list[tuple[int, int]]:
-    """The (F_p, Q) ranks of delta^0..delta^(d-1) that the p-local profile
-    of a fresh copy of X leaves in its cache; a rank not recorded fails."""
+    """The (F_p, Q) ranks of delta^0..delta^(d-1) of a fresh copy of X, read
+    off the Smith pass that its p-local profile ran; a rank that needs a
+    further elimination fails."""
     X = SimplicialComplex(X.vertices, X.facets)
     X.torsion_valuation_profile(p)
     with monkeypatch.context() as m:
@@ -242,8 +243,8 @@ def _recorded_ranks(X, p, monkeypatch) -> list[tuple[int, int]]:
 
 
 def test_torsion_profile_records_the_fp_and_q_ranks(monkeypatch):
-    """The profile's divisors prime to p count rank delta^k over F_p, and all
-    of them its rank over Q: they agree with fresh eliminations."""
+    """The Smith divisors prime to p count rank delta^k over F_p, and the
+    nonzero ones its rank over Q: they agree with fresh eliminations."""
     lens = corpus.lens_space()
     cases = [(a.complex, a.p) for a in corpus.corpus_actions().values()] + [(lens, 3), (lens, 5)]
     for X, p in cases:
@@ -277,13 +278,36 @@ def test_lens_coboundaries_are_eliminated_on_the_rows_that_can_be_independent(
     assert betti == ((1, 0, 0, 1) if field is QQ else (1, 1, 1, 1))
 
 
+def test_profiles_at_every_prime_share_one_smith_pass(monkeypatch):
+    """The profiles at 3 and 5, H^*(X;Z) and the Betti numbers over Q, F_3
+    and F_5 of L(3,1) come from one Smith pass: one elimination of each
+    nonzero coboundary and no rank elimination."""
+    L = corpus.lens_space()
+    L = SimplicialComplex(L.vertices, L.facets)
+    calls = []
+    real = exactalg.sparse_smith_divisors
+    monkeypatch.setattr(exactalg, "sparse_smith_divisors",
+                        lambda rows, *a: calls.append(rows) or real(rows, *a))
+    for name in ("sparse_rank_q", "sparse_rank_modp"):
+        monkeypatch.setattr(exactalg, name, lambda *a: pytest.fail("rank eliminated"))
+    assert {i: [v for v in vals if v] for i, vals in L.torsion_valuation_profile(3).items()} \
+        == {1: [], 2: [1], 3: []}
+    assert all(not any(vals) for vals in L.torsion_valuation_profile(5).values())
+    assert L.integral_cohomology().torsion == ((), (), (3,), ())
+    assert [L.cohomology(F).betti for F in (QQ, GF(3), GF(5))] == [
+        (1, 0, 0, 1), (1, 1, 1, 1), (1, 0, 0, 1)]
+    assert [len(rows) for rows in calls] == [L.n_simplices(k + 1) for k in (2, 1, 0)]
+
+
 def test_a_pivot_set_clears_rows_only_over_the_ring_it_was_found_over():
     """On the cone over RP^2, cone triangles over edges F of RP^2 on which
     the boundary of RP^2 is nonsingular are a Q pivot set of delta^2.  Every
     such minor is even (H_1(RP^2;Z) = Z/2), and zeroing those rows of
     delta^1 loses F_2 rank.  Pivot sets are recorded per ring: a Q pivot set
-    clears rows over Q alone, and the F_2, p-local and integral routes
-    ignore it."""
+    clears rows over Q alone, and the F_2, F_3 and integral routes ignore
+    it.  The +-1 pivots of the Smith pass, recorded under Z, have a
+    unimodular minor: every ring without pivots of its own clears with
+    them, and no route's answer changes."""
     X = join(rp2_six_vertex(), corpus.one_point())
     up, rows = X.coboundary_rows(2), X.coboundary_rows(1)
     cone = {q for q, s in enumerate(X.simplex_labels(2)) if "pt" in s}
@@ -302,6 +326,24 @@ def test_a_pivot_set_clears_rows_only_over_the_ring_it_was_found_over():
     for name, route in routes.items():
         Y = SimplicialComplex(X.vertices, X.facets)
         Y._cache[_pivots_key(2, "Q")] = P
+        assert route(Y) == route(X), name
+    U = []
+    exactalg.sparse_smith_divisors(up, X.n_simplices(2), U)
+    assert U and set(U) != set(P)
+    kept_u = [{} if q in set(U) else r for q, r in enumerate(rows)]
+    assert (exactalg.sparse_smith_divisors(kept_u, X.n_simplices(1))
+            == exactalg.sparse_smith_divisors(rows, X.n_simplices(1)))
+    for ring, rank in (("Q", exactalg.sparse_rank_q),
+                       ("F2", lambda r: exactalg.sparse_rank_modp(r, 2)),
+                       ("F3", lambda r: exactalg.sparse_rank_modp(r, 3))):
+        Y = SimplicialComplex(X.vertices, X.facets)
+        Y._cache[_pivots_key(2, "Z")] = U
+        assert Y._cleared_rows(1, ring) == kept_u, ring
+        assert rank(kept_u) == rank(rows), ring
+    routes |= {"Q": lambda Z: Z.cohomology(QQ), "F3": lambda Z: Z.cohomology(GF(3))}
+    for name, route in routes.items():
+        Y = SimplicialComplex(X.vertices, X.facets)
+        Y._cache[_pivots_key(2, "Z")] = U
         assert route(Y) == route(X), name
 
 

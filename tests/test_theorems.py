@@ -332,7 +332,8 @@ def test_hm_certificates_match_rank_oracle_on_pure_complexes(X, p):
 
 # Each order runs the four routes on a fresh complex, so that every route
 # finds pivot sets of the others recorded: it must clear rows with those of
-# its own ring only (the profile's and the F_p ranks' are one set).
+# its own ring or with the +-1 pivots of the Smith pass, which the profile
+# and H^*(X;Z) share and which are valid over every ring.
 _ROUTE_ORDERS = (("Q", "Fp", "pval", "Z"), ("Z", "pval", "Fp", "Q"), ("Fp", "Q", "Z", "pval"))
 
 
@@ -345,11 +346,12 @@ def _express_or_reject(sq, v):
 
 def _assert_cleared_routes_agree(X: SimplicialComplex, p: int):
     """Ranks over Q and F_p, the p-local profile, the nonzero Smith divisors
-    and the cocycle bases of the cleared routes equal those of the full rows."""
+    and the cocycle bases of the cleared routes equal those of the full rows
+    (the profile oracle is v_p of the Smith divisors of the full rows)."""
     rows = [X.coboundary_rows(k) for k in range(X.dim + 1)]
     n = [X.n_simplices(k) for k in range(X.dim + 1)]
     smith = [exactalg.sparse_smith_divisors(r, n[k]) for k, r in enumerate(rows[:-1])]
-    profile = [exactalg.p_valuation_profile(r, p) for r in rows[:-1]]
+    profile = [exactalg.p_valuation_profile(d, p) for d in smith]
     ranks = {QQ: [exactalg.sparse_rank_q(r) for r in rows] + [0],
              GF(p): [exactalg.sparse_rank_modp(r, p) for r in rows] + [0]}
     oracles = {}
@@ -423,8 +425,8 @@ def test_hm_check_decides_all_but_the_vertex_links_by_counting(monkeypatch):
 
 
 def test_theorems_2_and_4_eliminate_no_coboundary_twice(monkeypatch):
-    """On S^2 x S^2 (Z/7) the p-local profile that theorem 2's Bockstein
-    condition builds gives every F_p and Q rank of delta^0..delta^3 that the
+    """On S^2 x S^2 (Z/7) the Smith pass that theorem 2's Bockstein
+    condition runs gives every F_p and Q rank of delta^0..delta^3 that the
     two theorems ask for later, orientability included: no rank elimination
     runs again on one of the complex's own nonzero coboundaries."""
     action = corpus.s2xs2_rotation(7)
@@ -446,15 +448,14 @@ def test_theorems_2_and_4_eliminate_no_coboundary_twice(monkeypatch):
 def test_cold_theorem4_eliminates_each_coboundary_once(monkeypatch):
     """A cold theorem 4 on S^2 x S^2 (Z/7) reads the F_p ranks (p exceeds the
     total Betti number) and the Q ranks (orientability, the rhs) off one
-    p-local profile per coboundary: of the complex's own nonzero
+    Smith pass per coboundary: of the complex's own nonzero
     coboundaries (delta^4 has no rows), none is eliminated over Q and none
     twice.  Link ranks are not counted."""
     action = corpus.s2xs2_rotation(7)
     X = SimplicialComplex(action.complex.vertices, action.complex.facets)
     degree_of = {id(row): k for k in range(X.dim + 1) for row in X.coboundary_rows(k)}
     calls = []
-    for name in ("sparse_rank_q", "sparse_rank_modp", "p_valuation_profile",
-                 "sparse_smith_divisors"):
+    for name in ("sparse_rank_q", "sparse_rank_modp", "sparse_smith_divisors"):
         real = getattr(exactalg, name)
         monkeypatch.setattr(exactalg, name, lambda rows, *a, name=name, real=real:
                             calls.append((name, rows)) or real(rows, *a))
@@ -464,7 +465,7 @@ def test_cold_theorem4_eliminates_each_coboundary_once(monkeypatch):
             for name, rows in calls]
     on_x = [(name, degrees) for name, degrees in on_x if degrees]
     assert all(len(degrees) == 1 for _, degrees in on_x)
-    assert [name for name, _ in on_x] == ["p_valuation_profile"] * 4
+    assert [name for name, _ in on_x] == ["sparse_smith_divisors"] * 4
     assert sorted(min(degrees) for _, degrees in on_x) == [0, 1, 2, 3]
 
 
