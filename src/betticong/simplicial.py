@@ -10,6 +10,7 @@ bases) is cached on the instance.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -207,20 +208,118 @@ class SimplicialComplex:
                 dense[c] = v
         return M
 
+    def _coreduction(self) -> tuple[list[bytearray], list[dict[int, int]]]:
+        """Per degree, the live cells (flags) and the cells cancelled downward, with their partners.
+
+        Coreduction (Mrozek and Batko, Discrete Comput. Geom. 41, 2009;
+        Kaczynski, Mischaikow and Mrozek, *Computational Homology*, 2004):
+        vertex 0 is cancelled against the augmentation, then a FIFO queue
+        cancels a pair (tau, sigma), sigma a face of tau, when sigma is
+        tau's only live face or tau is sigma's only live coface.  A cell
+        joins the queue when either count falls to 1, or if it starts at 1.
+        Either way row tau or column sigma of the live part of delta is
+        that +-1 entry alone, so the unit pivot there changes no other
+        entry: the live cells (the core) carry the submatrices of the
+        coboundaries, a cochain complex with the reduced cohomology of X
+        over every ring.  Cells neither live nor cancelled downward were
+        cancelled upward.
+        """
+        if "core" not in self._cache:
+            top = self.dim
+            faces = [self.coboundary_rows(d - 1) if d else [] for d in range(top + 1)]
+            cofaces = [[[] for _ in self.simplices(d)] for d in range(top + 1)]
+            for d in range(1, top + 1):
+                for t, fs in enumerate(faces[d]):
+                    for s in fs:
+                        cofaces[d - 1][s].append(t)
+            # Vertices start with no live face: the augmentation goes with vertex 0.
+            n_faces = [[0] * self.n_simplices(0)] + [list(map(len, fs)) for fs in faces[1:]]
+            n_cofaces = [list(map(len, cs)) for cs in cofaces]
+            live = [bytearray(b"\x01") * self.n_simplices(d) for d in range(top + 1)]
+            down: list[dict[int, int]] = [{} for _ in range(top + 1)]
+            queue: deque[tuple[int, int]] = deque()
+
+            def cancel(d: int, q: int):
+                live[d][q] = 0
+                if d < top:
+                    counts = n_faces[d + 1]
+                    for t in cofaces[d][q]:
+                        counts[t] -= 1
+                        if counts[t] == 1:
+                            queue.append((d + 1, t))
+                if d:
+                    counts = n_cofaces[d - 1]
+                    for s in faces[d][q]:
+                        counts[s] -= 1
+                        if counts[s] == 1:
+                            queue.append((d - 1, s))
+
+            if top >= 0:
+                cancel(0, 0)
+            for d in range(top + 1):
+                queue.extend((d, q) for q, (f, c) in enumerate(zip(n_faces[d], n_cofaces[d]))
+                             if f == 1 or c == 1)
+            while queue:
+                d, q = queue.popleft()
+                if not live[d][q]:
+                    continue
+                if n_faces[d][q] == 1:
+                    tau, sigma = q, next(s for s in faces[d][q] if live[d - 1][s])
+                elif n_cofaces[d][q] == 1:
+                    d, tau, sigma = d + 1, next(t for t in cofaces[d][q] if live[d + 1][t]), q
+                else:
+                    continue
+                down[d][tau] = sigma
+                cancel(d, tau)
+                cancel(d - 1, sigma)
+            self._cache["core"] = (live, down)
+        return self._cache["core"]
+
+    def _drop(self, k: int, ring: str) -> set[int]:
+        """The pivot columns of delta^k over *ring*, else those of the Smith pass.
+
+        *ring* is a field name ("Q", "F3", ...) or "Z".  An empty pivot set
+        means rank 0 over the ring, so none over Z either.
+        """
+        return set(self._cache.get(_pivots_key(k, ring))
+                   or self._cache.get(_pivots_key(k, "Z"), ()))
+
     def _cleared_rows(self, k: int, ring: str) -> list[dict[int, int]]:
         """delta^k with the rows at the pivot columns of delta^{k+1} zeroed.
 
-        *ring* is a field name ("Q", "F3", ...) or "Z".  The pivots are those
-        that delta^{k+1} was eliminated with over *ring*, else the +-1 pivots
-        of the Smith pass, which are valid over every ring; the rows are
-        those of delta^k if there are neither.  Zeroed rows keep the row
-        count and indices: see ``cohomology`` for why the row space is kept.
+        The pivots are those of ``_drop``; the rows are those of delta^k if
+        there are none.  Zeroed rows keep the row count and indices: see
+        ``cohomology`` for why the row space is kept.
         """
         rows = self.coboundary_rows(k)
-        # An empty pivot set means rank 0 over the ring, so none over Z either.
-        drop = set(self._cache.get(_pivots_key(k + 1, ring))
-                   or self._cache.get(_pivots_key(k + 1, "Z"), ()))
+        drop = self._drop(k + 1, ring)
         return [{} if q in drop else row for q, row in enumerate(rows)] if drop else rows
+
+    def _reduced_rows(self, k: int, ring: str) -> list[dict[int, int]]:
+        """delta^k after the coreduction's unit pivots, cleared by the pivots of delta^{k+1}.
+
+        In X's own row and column indices: a row cancelled downward is its
+        +-1 entry at its partner, a row cancelled upward or at a pivot of
+        ``_drop(k + 1, ring)`` is empty, and a live row keeps its live
+        columns.  The partners are columns of no other row, so this matrix
+        has delta^k's rank over every field and its nonzero Smith divisors
+        (see ``cohomology``), and the partners are among its pivots.
+        """
+        rows = self.coboundary_rows(k)
+        if not rows:
+            return rows
+        live, down = self._coreduction()
+        drop = self._drop(k + 1, ring)
+        partner, live_rows, live_cols = down[k + 1], live[k + 1], live[k]
+        out = []
+        for q, row in enumerate(rows):
+            if q in partner:
+                out.append({partner[q]: row[partner[q]]})
+            elif live_rows[q] and q not in drop:
+                out.append({c: v for c, v in row.items() if live_cols[c]})
+            else:
+                out.append({})
+        return out
 
     def _coboundary_rank(self, k: int, field) -> int:
         """rank delta^k over *field*: read off the Smith divisors once they exist."""
@@ -229,7 +328,7 @@ class SimplicialComplex:
             return sum(1 for d in self._cache["smith"][k] if (d % p if p else d))
         key = ("cobrank", k, field.name)
         if key not in self._cache:
-            rows, cols = self._cleared_rows(k, field.name), []
+            rows, cols = self._reduced_rows(k, field.name), []
             self._cache[key] = (exactalg.sparse_rank_modp(rows, field.char, cols) if field.char
                                 else exactalg.sparse_rank_q(rows, cols))
             self._cache[_pivots_key(k, field.name)] = cols
@@ -249,7 +348,7 @@ class SimplicialComplex:
             for k in range(self.dim - 1, -1, -1):
                 cols = []
                 divisors[k] = exactalg.sparse_smith_divisors(
-                    self._cleared_rows(k, "Z"), self.n_simplices(k), cols)
+                    self._reduced_rows(k, "Z"), self.n_simplices(k), cols)
                 self._cache[_pivots_key(k, "Z")] = cols
             self._cache["smith"] = divisors
         return self._cache["smith"]
@@ -275,6 +374,29 @@ class SimplicialComplex:
         Q or F_p.  The +-1 pivots of the Smith pass clear rows over every
         ring: their minor is triangular with a +-1 diagonal, so it is
         unimodular, and its inverse is integral.
+
+        Every route eliminates ``_reduced_rows``, delta^k after the unit
+        pivots of the coreduction.  Its live rows are the core's delta^k,
+        cleared as above by the core's pivots of delta^{k+1} (the core is a
+        cochain complex), and its one-entry rows meet the other rows in no
+        column: it has the rank and nonzero Smith divisors of delta^k.  Its
+        pivot set P (the partners s_i of the cells rho_i of degree k+2
+        cancelled downward, and the core's pivot columns Q) also clears X's
+        full rows of delta^k for ``cohomology_basis``.  Take y_i the row
+        rho_i of delta^{k+1}, and for Q the combinations of X's full rows of
+        delta^{k+1} that the core's pivot rows were made of: on Q they are
+        the triangular minor T.  Draw u -> v when pivot row u is nonzero at
+        v's column.  Call pair i *downward* when s_i was rho_i's only live
+        face at its cancellation.  If rho_i has a face s_j (j != i), either
+        j was cancelled later, so rho_i had two live faces and i is not
+        downward, or earlier, while rho_i was a live coface of s_j, so j is
+        downward.  The earliest pair on a cycle of pairs would be both: there
+        is none.  A downward pair points only to earlier downward pairs and
+        never to Q (a column of Q was live throughout), and a core row
+        points to no pair that is not downward, so no cycle passes through Q
+        either.  Ordered along the arrows, the minor on P is block-triangular
+        with diagonal blocks +-1 and T, so it is invertible over the ring of
+        T, and the lemma above holds with these rows.
         """
         key = ("betti", field.name)
         if key not in self._cache:

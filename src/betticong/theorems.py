@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from . import exactalg
 from .exactalg import GF, QQ
 from .group_action import (
     GroupAction,
@@ -272,14 +271,10 @@ def homology_manifold_check(X: SimplicialComplex, p: int) -> HomologyManifoldRep
       in two triangles, each vertex link a circle).  A connected closed
       surface has b_2 <= 1, so it passes iff it is connected and
       V - E + F = 2.
-    - c = 4, every coface passed: the link L is a closed F_p-homology
-      3-manifold.  Odd dimension gives chi(L) = 0 (Klee's combinatorial
-      duality), and b_3 <= 1 with Poincare duality over F_p (p odd) leaves
-      b_1 = b_2 if L is orientable over F_p and b_1 = b_2 + 1 otherwise.
-      So it passes iff it is connected and rank delta^1 = E - V + 1 over
-      F_p (b_1 = 0); Munkres, Elements of Algebraic Topology, sections 63-65.
-    - Every other link (c >= 5, or a coface failed) passes iff its F_p
-      Betti numbers are (1, 0, ..., 0, 1), from the coboundary ranks.
+    - Every other link (c >= 4, or a coface failed) passes iff its F_p
+      Betti numbers are (1, 0, ..., 0, 1), from the coboundary ranks on its
+      coreduced rows: a vertex link of S^2 x S^2 (Z/7) coreduces to one
+      3-cell.
 
     ``failures`` lists the simplices whose link fails, by dimension, then
     in the complex's simplex order.  Orientability: b_d = 1 over Q, and no
@@ -336,9 +331,6 @@ def _link_passes(X: SimplicialComplex, lk: list, c: int, coface_failed: bool, p:
         edges = {e for f in lk for e in combinations(f, 2)}
         return len(vertices) - len(edges) + len(lk) == 2 and _is_connected(lk)
     L = SimplicialComplex(X.vertices, tuple(sorted(lk)))
-    if c == 4 and not coface_failed:  # b_1 = 0: on a connected L, rank delta^1 = E - V + 1
-        rank = exactalg.sparse_rank_modp(L.coboundary_rows(1), p)
-        return _is_connected(lk) and rank == L.n_simplices(1) - len(vertices) + 1
     return L.cohomology(GF(p)).betti == (1,) + (0,) * (c - 2) + (1,)
 
 

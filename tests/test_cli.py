@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from betticong import cli, pd_algebra, theorems
 from betticong.cli import COMMANDS, InputError, main, parse, serialize
@@ -824,7 +824,8 @@ def _random_algebra_lines(draw, field):
 @st.composite
 def _generated_algebra_lines(draw, field):
     """A seeded PD algebra (with a delta, or the odd example's) written with
-    equal fractions, cancelling terms and phi values that are 0 mod p."""
+    equal fractions, cancelling terms and phi values that are 0 mod p,
+    sometimes with a class in the top bidegree that pairs to 0 with all."""
     F = QQ if field == "Q" else GF(int(field[1:]))
     source = draw(st.sampled_from(["pd", "differential", "odd example"]))
     if source == "odd example":
@@ -844,6 +845,8 @@ def _generated_algebra_lines(draw, field):
         return _terms(draw, [(coeff(x), A.labels[c]) for c, x in sorted(v.items())])
 
     lines = [f"basis {lab} bidegree {e} {j}" for lab, (e, j) in zip(A.labels, A.bidegrees)]
+    if draw(st.booleans()):  # a top class that every other class kills: valid, not PD
+        lines.append(f"basis null bidegree 0 {phi.formal_dim}")
     lines += [f"mult {A.labels[a]} {A.labels[b]} = {rhs(v)}" for (a, b), v in sorted(A.table.items())
               if A.unit_index not in (a, b)]
     lines += [f"phi {A.labels[i]} = {coeff(x)}" for i, x in phi.values.items()]
@@ -855,10 +858,10 @@ def _generated_algebra_lines(draw, field):
 
 
 @st.composite
-def algebra_documents(draw):
+def algebra_documents(draw, families=(_random_algebra_lines, _generated_algebra_lines)):
     """Algebra blocks over Q, F3 and F5 with mult, phi and delta lines."""
     field = draw(st.sampled_from(["Q", "F3", "F5"]))
-    lines = draw(st.one_of(_random_algebra_lines(field), _generated_algebra_lines(field)))
+    lines = draw(st.one_of(*(family(field) for family in families)))
     return "\n".join([f"algebra fz field {field}", *lines, "end"]) + "\n"
 
 
@@ -888,3 +891,21 @@ def test_algebra_document_grammar_fuzz(tmp_path_factory, text):
         outputs[command] = out.getvalue()
     if "CHECK algebra-structure: FAIL" in outputs["algebra-check"]:
         assert not re.search(r"theorem1-algebraic: (PASS|FAIL)", outputs["theorem1-alg"]), text
+
+
+def test_algebra_document_grammar_fuzz_reaches_a_pd_failure(tmp_path):
+    """The seeded algebras of the fuzz include valid ones that fail Poincare
+    duality, so its draws reach the PD-failure branch of algebra-check (the
+    random lines reach it too, but rarely: no run of the fuzz drew one)."""
+    path = tmp_path / "fuzz.bc"
+
+    def check_output(text: str) -> str:
+        path.write_text(text)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            main(["algebra-check", str(path)])
+        return out.getvalue()
+
+    text = find(algebra_documents(families=(_generated_algebra_lines,)),
+                lambda t: "CHECK algebra-pd: FAIL" in check_output(t))
+    assert "CHECK algebra-structure: PASS" in check_output(text)

@@ -346,8 +346,9 @@ def _express_or_reject(sq, v):
 
 def _assert_cleared_routes_agree(X: SimplicialComplex, p: int):
     """Ranks over Q and F_p, the p-local profile, the nonzero Smith divisors
-    and the cocycle bases of the cleared routes equal those of the full rows
-    (the profile oracle is v_p of the Smith divisors of the full rows)."""
+    and the cocycle bases of the routes on the coreduced rows, and of X's
+    full rows cleared by their pivots, equal those of the full rows (the
+    profile oracle is v_p of the Smith divisors of the full rows)."""
     rows = [X.coboundary_rows(k) for k in range(X.dim + 1)]
     n = [X.n_simplices(k) for k in range(X.dim + 1)]
     smith = [exactalg.sparse_smith_divisors(r, n[k]) for k, r in enumerate(rows[:-1])]
@@ -373,6 +374,12 @@ def _assert_cleared_routes_agree(X: SimplicialComplex, p: int):
             assert Y.torsion_valuation_profile(p)[k + 1] == profile[k], (order, k)
             # The divisor chain is padded by the rows of delta^k, not the rows kept.
             assert exactalg.sparse_smith_divisors(Y._cleared_rows(k, "Z"), n[k]) == smith[k]
+            assert exactalg.sparse_smith_divisors(Y._reduced_rows(k, "Z"), n[k]) == smith[k]
+            for field, rank in ranks.items():
+                for route in (Y._cleared_rows, Y._reduced_rows):
+                    rows_k = route(k, field.name)
+                    assert (exactalg.sparse_rank_modp(rows_k, p) if field.char
+                            else exactalg.sparse_rank_q(rows_k)) == rank[k], (route, field, k)
         r_z = [0] + [sum(1 for d in ds if d) for ds in smith] + [0]
         assert Y.integral_cohomology().betti == tuple(
             n[i] - r_z[i] - r_z[i + 1] for i in range(X.dim + 1))
@@ -399,6 +406,9 @@ def test_cleared_routes_agree_with_the_full_rows():
     for p in (2, 3):
         _assert_cleared_routes_agree(corpus.rp2_six_vertex(), p)
     _assert_cleared_routes_agree(_moore_space_and_sphere(), 3)
+    # The torus is not connected to vertex 0, and no cell of it is free.
+    _assert_cleared_routes_agree(_disjoint(corpus.rp2_six_vertex(), corpus.torus()), 2)
+    _assert_cleared_routes_agree(corpus.one_point(), 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -424,25 +434,39 @@ def test_hm_check_decides_all_but_the_vertex_links_by_counting(monkeypatch):
     assert len(built) <= 64
 
 
+def _degrees_by_row_count(X: SimplicialComplex) -> dict[int, int]:
+    """k for each row count n_{k+1} of X's nonzero coboundaries delta^k.
+
+    Every route hands the engine delta^k with its n_{k+1} rows, as new row
+    dicts, so a call's row count names the degree.  The vertex links of
+    S^2 x S^2 have far fewer cells, so their calls match none.
+    """
+    degree_of = {X.n_simplices(k + 1): k for k in range(X.dim)}
+    assert len(degree_of) == X.dim
+    return degree_of
+
+
+def _record_engine_calls(monkeypatch, names) -> list:
+    calls = []
+    for name in names:
+        real = getattr(exactalg, name)
+        monkeypatch.setattr(exactalg, name, lambda rows, *a, name=name, real=real:
+                            calls.append((name, len(rows))) or real(rows, *a))
+    return calls
+
+
 def test_theorems_2_and_4_eliminate_no_coboundary_twice(monkeypatch):
     """On S^2 x S^2 (Z/7) the Smith pass that theorem 2's Bockstein
     condition runs gives every F_p and Q rank of delta^0..delta^3 that the
     two theorems ask for later, orientability included: no rank elimination
-    runs again on one of the complex's own nonzero coboundaries."""
+    runs on one of the complex's own nonzero coboundaries."""
     action = corpus.s2xs2_rotation(7)
     X = SimplicialComplex(action.complex.vertices, action.complex.facets)
     fresh = GroupAction(X, 7, action.vertex_map)
-    own = [X.coboundary_rows(k) for k in range(X.dim + 1)]
-    assert [k for k, rows in enumerate(own) if rows] == [0, 1, 2, 3]
-    own_rows = {id(row) for rows in own for row in rows}
-    calls = []
-    for name in ("sparse_rank_q", "sparse_rank_modp"):
-        real = getattr(exactalg, name)
-        monkeypatch.setattr(exactalg, name,
-                            lambda rows, *a, real=real: calls.append(rows) or real(rows, *a))
+    degree_of = _degrees_by_row_count(X)
+    calls = _record_engine_calls(monkeypatch, ("sparse_rank_q", "sparse_rank_modp"))
     assert check_theorem2(fresh).verdict == check_theorem4(fresh).verdict == "PASS"
-    # Cleared rows are new lists of the complex's own row dicts.
-    assert not [rows for rows in calls if any(id(row) in own_rows for row in rows)]
+    assert not [n for _, n in calls if n in degree_of]
 
 
 def test_cold_theorem4_eliminates_each_coboundary_once(monkeypatch):
@@ -453,20 +477,13 @@ def test_cold_theorem4_eliminates_each_coboundary_once(monkeypatch):
     twice.  Link ranks are not counted."""
     action = corpus.s2xs2_rotation(7)
     X = SimplicialComplex(action.complex.vertices, action.complex.facets)
-    degree_of = {id(row): k for k in range(X.dim + 1) for row in X.coboundary_rows(k)}
-    calls = []
-    for name in ("sparse_rank_q", "sparse_rank_modp", "sparse_smith_divisors"):
-        real = getattr(exactalg, name)
-        monkeypatch.setattr(exactalg, name, lambda rows, *a, name=name, real=real:
-                            calls.append((name, rows)) or real(rows, *a))
+    degree_of = _degrees_by_row_count(X)
+    calls = _record_engine_calls(
+        monkeypatch, ("sparse_rank_q", "sparse_rank_modp", "sparse_smith_divisors"))
     assert check_theorem4(GroupAction(X, 7, action.vertex_map)).verdict == "PASS"
-    # Cleared rows are new lists of the complex's own row dicts.
-    on_x = [(name, {degree_of[id(row)] for row in rows if id(row) in degree_of})
-            for name, rows in calls]
-    on_x = [(name, degrees) for name, degrees in on_x if degrees]
-    assert all(len(degrees) == 1 for _, degrees in on_x)
+    on_x = [(name, degree_of[n]) for name, n in calls if n in degree_of]
     assert [name for name, _ in on_x] == ["sparse_smith_divisors"] * 4
-    assert sorted(min(degrees) for _, degrees in on_x) == [0, 1, 2, 3]
+    assert sorted(k for _, k in on_x) == [0, 1, 2, 3]
 
 
 def test_theorem4_sphere_rotations():
