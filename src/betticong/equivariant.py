@@ -12,9 +12,12 @@ The model is a ``PermutationComplex``, the simplicial cochains of the action
 as given, reduced.  No subdivision is needed: C^*(X) -> C^*(sd X) is an
 equivariant quasi-isomorphism of bounded complexes, which Hom over F_p[G]
 out of the resolution keeps.  The reduction (Kaczynski-Mischaikow-Mrozek,
-Computational Homology, 2004) cancels G-stable pairs of cells by Schur
-complements on delta, so the result is an F_p[G]-complex chain homotopy
-equivalent to the cochains.  The unreduced model is the test oracle.
+Computational Homology, 2004) runs in three steps: the seed zeroes delta^0's
+column at a G-fixed vertex, the coreduction queue of ``simplicial`` cancels
+G-stable pairs of unit pivots that change no other entry, and a Markowitz
+heap cancels G-stable pairs of the cells left by Schur complements on delta.
+The result is an F_p[G]-complex chain homotopy equivalent to the cochains.
+The unreduced model is the test oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from itertools import accumulate
 from . import exactalg
 from .exactalg import GF
 from .group_action import GroupAction, fixed_set_cohomology, pullback_permutation
+from .simplicial import coreduce
 
 
 @dataclass(frozen=True)
@@ -56,30 +60,42 @@ class PermutationComplex:
                    tuple(pullback_permutation(action, j) for j in degrees))
 
     def reduced(self) -> "PermutationComplex":
-        """Cancel G-stable pairs (tau in C^{j+1}, s in C^j) with delta^j[tau, s] != 0.
+        """Seed, coreduce, then cancel G-stable pairs (tau in C^{j+1}, s in C^j) by Schur steps.
 
-        A cancellation is the Schur complement on delta^j at the pivots of
-        one G-stable block: two fixed cells, or two free orbits where row
-        tau meets orbit(s) only at s (the p pivots (sigma^k tau, sigma^k s)
-        are then independent); never a fixed cell against a free orbit.
-        Pairs go cheapest Markowitz cost (row length - 1) * (column length
-        - 1) first, so collapses and coreductions (no fill-in) lead.
+        ``simplicial.coreduce`` with G's permutations runs first.  It zeroes
+        delta^0's column at a G-fixed vertex, if there is one: the vertex's
+        basis vector becomes the indicator of its component (on a connected
+        X the constant cochain), which sigma^# fixes and delta kills.  Then
+        its queue cancels orbits of unit pivots that change no other entry,
+        so the live cells carry submatrices of delta.  The Markowitz heap
+        runs on those.  Its cancellation is the Schur complement on delta^j
+        at the pivots of one G-stable block with delta^j[tau, s] != 0: two
+        fixed cells, or two free orbits where row tau meets orbit(s) only at
+        s (the p pivots (sigma^k tau, sigma^k s) are then independent); never
+        a fixed cell against a free orbit.  Pairs go cheapest Markowitz cost
+        (row length - 1) * (column length - 1) first, so the pairs without
+        fill-in lead.
         """
         p, top = self.p, self.dim
         rows = [[{c: v % p for c, v in r.items() if v % p} for r in R] for R in self.rows]
+        rows, alive, _ = coreduce(rows, self.sizes, [perm for perm, _ in self.pullbacks])
+        for j, R in enumerate(rows):
+            live_rows, live_cols = alive[j + 1], alive[j]
+            for t, r in enumerate(R):
+                R[t] = {c: v for c, v in r.items() if live_cols[c]} if live_rows[t] else {}
         cols = [[set() for _ in range(n)] for n in self.sizes[:-1]]
         for R, C in zip(rows, cols):
             for t, r in enumerate(R):
                 for c in r:
                     C[c].add(t)
-        alive = [[True] * n for n in self.sizes]
 
         def cost(j: int, t: int, c: int) -> int:
             return (len(rows[j][t]) - 1) * (len(cols[j][c]) - 1)
 
         def push_free(j: int, entries):  # pairs a cancellation made fill-free
+            R, C = rows[j], cols[j]
             for t, c in entries:
-                if not cost(j, t, c):
+                if len(R[t]) == 1 or len(C[c]) == 1:
                     heapq.heappush(heap, (0, j, t, c))
 
         def orbit(j: int, s: int) -> list[int]:
@@ -114,7 +130,7 @@ class PermutationComplex:
                     del rows[j + 1][r][t]
                 push_free(j + 1, [(r, c) for r in cols[j + 1][t] for c in rows[j + 1][r]])
                 cols[j + 1][t] = set()
-            alive[j + 1][t] = alive[j][s] = False
+            alive[j + 1][t] = alive[j][s] = 0
 
         progress = True
         while progress:  # until a full sweep cancels nothing

@@ -265,7 +265,8 @@ def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, unit=Fal
 def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False, leftmost=False):
     """Sparse Gaussian elimination shared by every sparse rank and echelon form.
 
-    Rows are dicts {column: nonzero int}; they are copied, not modified.
+    Rows are dicts {column: nonzero int}; they are not modified, and every
+    row that a step can change is a copy.
     Three modes: over Q (``p`` None) fraction-free on integer rows with gcd
     normalisation, so it is exact; over F_p (``p`` a prime) on residues mod
     p with each pivot scaled to 1; over Z (``unit``) with +-1 pivots only
@@ -281,7 +282,8 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False, lef
     over (on the image of delta^2 of the lens space, 259k row subtractions
     against 5.3k this way).  A one-entry row alone in its column (+-1 with
     unit pivots) is a pivot under either rule and meets no other row, so it
-    is taken first and the pivot sets do not change.
+    is taken first, as given (over F_p scaled to 1), and the pivot sets do
+    not change.
 
     Returns ``(work, pivots, rest)``: the reduced rows, the (row, column)
     pivots in elimination order, and the nonzero rows left without a pivot
@@ -289,23 +291,38 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False, lef
     ``rest`` are zero in every pivot column.
     """
     modp = p is not None
-    work = ([{c: v % p for c, v in r.items() if v % p} for r in rows] if modp
-            else [dict(r) for r in rows])
+    work: list[dict[int, int]] = []
     col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(work):
-        for c in row:
-            col_rows.setdefault(c, set()).add(i)
-    # No step can give another row an entry in the column of such a row.
+    active: set[int] = set()
+    ones: list[tuple[int, int, int]] = []  # (row, column, entry) of the one-entry rows
+    single: dict[int, int] = {}  # their columns: the row, or -1 if several share it
+    for i, r in enumerate(rows):  # empty and one-entry rows are held uncopied for now
+        if len(r) == 1:
+            (c, v), = r.items()
+            if not modp or v % p:
+                ones.append((i, c, v))
+                single[c] = -1 if c in single else i
+                work.append(r)
+                continue
+        if r:
+            r = {c: v % p for c, v in r.items() if v % p} if modp else dict(r)
+            for c in r:
+                col_rows.setdefault(c, set()).add(i)
+            if r:
+                active.add(i)
+        work.append(r)
+    # No step can give another row an entry in the column of a one-entry
+    # row alone there, so it stays as given; the others are copied.
     pivots: list[tuple[int, int]] = []
-    for i, row in enumerate(work):
-        if len(row) == 1:
-            (c, v), = row.items()
-            if len(col_rows[c]) == 1 and (v in (1, -1) or not unit):
-                if modp:
-                    row[c] = 1
-                pivots.append((i, c))
-                del col_rows[c]
-    active = {i for i, row in enumerate(work) if row} - {i for i, _ in pivots}
+    for i, c, v in ones:
+        if single[c] == i and c not in col_rows and (v in (1, -1) or not unit):
+            if modp and v != 1:
+                work[i] = {c: 1}
+            pivots.append((i, c))
+        else:
+            work[i] = {c: v % p if modp else v}
+            col_rows.setdefault(c, set()).add(i)
+            active.add(i)
     key = (lambda row: -min(row)) if leftmost else len
     heap = [(key(work[i]), i) for i in active]
     heapq.heapify(heap)

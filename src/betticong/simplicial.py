@@ -71,6 +71,114 @@ def _pivots_key(k: int, ring: str) -> tuple:  # the cache key of delta^k's pivot
     return ("pivots", k, ring)
 
 
+def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
+    """Cancel cells in G-stable pairs of unit pivots that change no other entry of delta.
+
+    ``rows[d]`` are the sparse rows of delta^d (the faces of the (d+1)-cells,
+    with entries that are units), ``sizes[d]`` counts the d-cells and
+    ``perms[d]``, if given, is the permutation of the d-cells by a generator
+    of a group G acting simplicially (vertices unsigned); without it G is
+    trivial.  Coreduction (Mrozek and Batko, Discrete Comput. Geom. 41, 2009;
+    Kaczynski, Mischaikow and Mrozek, *Computational Homology*, 2004):
+
+    - Seed: delta^0's column at a live G-fixed vertex x is zeroed, a
+      change of basis from e_x to the indicator of x's component among the
+      live cells.  That indicator is a cocycle while no live edge has just
+      one live face, and sigma^# fixes it, as x is fixed; x stays live and
+      isolated.  The first fixed vertex is seeded before the queue runs,
+      and each time the queue empties, the next live fixed vertex, while no
+      live edge has one live face.  With the trivial group none has then,
+      and a seeded component keeps no other live vertex (its core's H^0 is
+      one dimension, the seed's), so each component is seeded once.
+    - Queue: a FIFO queue cancels orbit(tau) against orbit(sigma), sigma a
+      face of tau, when the orbits have equal size and sigma is tau's only
+      live face or tau is sigma's only live coface.  A cell joins the queue
+      when either count falls to 1, or if it starts at 1.
+
+    Either way row tau or column sigma of the live part of delta is that
+    unit entry alone, so the unit pivot there changes no other entry: the
+    live cells (the core) carry the submatrices of the seeded coboundaries,
+    a G-complex chain homotopy equivalent to the cochains.
+
+    Returns ``(rows, live, down)``: the coboundaries with the seeds' columns
+    of delta^0 zeroed (the input is not modified), per degree the live
+    flags, and the cells cancelled downward with their partners.
+    """
+    top = len(sizes) - 1
+    rows = [list(rows[0]), *rows[1:]] if rows else []
+    cofaces = [[[] for _ in range(n)] for n in sizes]
+    for R, C in zip(rows, cofaces):
+        for t, fs in enumerate(R):
+            for s in fs:
+                C[s].append(t)
+    n_faces = [[0] * n for n in sizes[:1]] + [list(map(len, R)) for R in rows]
+    n_cofaces = [list(map(len, cs)) for cs in cofaces]
+    live = [bytearray(b"\x01") * n for n in sizes]
+    down: list[dict[int, int]] = [{} for _ in sizes]
+    queue: deque[tuple[int, int]] = deque()
+
+    def cancel(d: int, q: int):
+        live[d][q] = 0
+        if d < top:
+            counts = n_faces[d + 1]
+            for t in cofaces[d][q]:
+                counts[t] -= 1
+                if counts[t] == 1:
+                    queue.append((d + 1, t))
+        if d:
+            counts = n_cofaces[d - 1]
+            for s in rows[d - 1][q]:
+                counts[s] -= 1
+                if counts[s] == 1:
+                    queue.append((d - 1, s))
+
+    def seed(x: int):
+        for t in cofaces[0][x]:
+            rows[0][t] = {c: v for c, v in rows[0][t].items() if c != x}
+            n_faces[1][t] -= 1
+            if n_faces[1][t] == 1:
+                queue.append((1, t))
+        cofaces[0][x], n_cofaces[0][x] = [], 0
+
+    def orbit(d: int, q: int) -> list[int]:
+        perm, out = perms[d], [q]
+        while perm[out[-1]] != q:
+            out.append(perm[out[-1]])
+        return out
+
+    fresh = (x for x in range(sizes[0] if sizes else 0)
+             if live[0][x] and (perms is None or perms[0][x] == x))
+    x = next(fresh, None)
+    if x is not None:
+        seed(x)
+    for d in range(top + 1):
+        queue.extend((d, q) for q, (f, c) in enumerate(zip(n_faces[d], n_cofaces[d]))
+                     if f == 1 or c == 1)
+    while True:
+        while queue:
+            d, q = queue.popleft()
+            if not live[d][q]:
+                continue
+            if n_faces[d][q] == 1:
+                tau, sigma = q, next(s for s in rows[d - 1][q] if live[d - 1][s])
+            elif n_cofaces[d][q] == 1:
+                d, tau, sigma = d + 1, next(t for t in cofaces[d][q] if live[d + 1][t]), q
+            else:
+                continue
+            if perms and len(orbit(d, tau)) != len(orbit(d - 1, sigma)):
+                continue
+            while live[d][tau]:  # tau's orbit against sigma's
+                down[d][tau] = sigma
+                cancel(d, tau)
+                cancel(d - 1, sigma)
+                if perms:
+                    tau, sigma = perms[d][tau], perms[d - 1][sigma]
+        x = next(fresh, None)
+        if x is None or top and any(f == 1 and a for f, a in zip(n_faces[1], live[1])):
+            return rows, live, down
+        seed(x)
+
+
 class SimplicialComplex:
     """Finite simplicial complex on an ordered vertex set."""
 
@@ -211,68 +319,18 @@ class SimplicialComplex:
     def _coreduction(self) -> tuple[list[bytearray], list[dict[int, int]]]:
         """Per degree, the live cells (flags) and the cells cancelled downward, with their partners.
 
-        Coreduction (Mrozek and Batko, Discrete Comput. Geom. 41, 2009;
-        Kaczynski, Mischaikow and Mrozek, *Computational Homology*, 2004):
-        vertex 0 is cancelled against the augmentation, then a FIFO queue
-        cancels a pair (tau, sigma), sigma a face of tau, when sigma is
-        tau's only live face or tau is sigma's only live coface.  A cell
-        joins the queue when either count falls to 1, or if it starts at 1.
-        Either way row tau or column sigma of the live part of delta is
-        that +-1 entry alone, so the unit pivot there changes no other
-        entry: the live cells (the core) carry the submatrices of the
-        coboundaries, a cochain complex with the reduced cohomology of X
-        over every ring.  Cells neither live nor cancelled downward were
-        cancelled upward.
+        ``coreduce`` with the trivial group, then vertex 0, the first seed,
+        goes against the augmentation: the live cells (the core) carry
+        submatrices of the coboundaries in the seeded basis, a cochain
+        complex with the reduced cohomology of X over every ring.  Cells
+        neither live nor cancelled downward were cancelled upward.
         """
         if "core" not in self._cache:
-            top = self.dim
-            faces = [self.coboundary_rows(d - 1) if d else [] for d in range(top + 1)]
-            cofaces = [[[] for _ in self.simplices(d)] for d in range(top + 1)]
-            for d in range(1, top + 1):
-                for t, fs in enumerate(faces[d]):
-                    for s in fs:
-                        cofaces[d - 1][s].append(t)
-            # Vertices start with no live face: the augmentation goes with vertex 0.
-            n_faces = [[0] * self.n_simplices(0)] + [list(map(len, fs)) for fs in faces[1:]]
-            n_cofaces = [list(map(len, cs)) for cs in cofaces]
-            live = [bytearray(b"\x01") * self.n_simplices(d) for d in range(top + 1)]
-            down: list[dict[int, int]] = [{} for _ in range(top + 1)]
-            queue: deque[tuple[int, int]] = deque()
-
-            def cancel(d: int, q: int):
-                live[d][q] = 0
-                if d < top:
-                    counts = n_faces[d + 1]
-                    for t in cofaces[d][q]:
-                        counts[t] -= 1
-                        if counts[t] == 1:
-                            queue.append((d + 1, t))
-                if d:
-                    counts = n_cofaces[d - 1]
-                    for s in faces[d][q]:
-                        counts[s] -= 1
-                        if counts[s] == 1:
-                            queue.append((d - 1, s))
-
-            if top >= 0:
-                cancel(0, 0)
-            for d in range(top + 1):
-                queue.extend((d, q) for q, (f, c) in enumerate(zip(n_faces[d], n_cofaces[d]))
-                             if f == 1 or c == 1)
-            while queue:
-                d, q = queue.popleft()
-                if not live[d][q]:
-                    continue
-                if n_faces[d][q] == 1:
-                    tau, sigma = q, next(s for s in faces[d][q] if live[d - 1][s])
-                elif n_cofaces[d][q] == 1:
-                    d, tau, sigma = d + 1, next(t for t in cofaces[d][q] if live[d + 1][t]), q
-                else:
-                    continue
-                down[d][tau] = sigma
-                cancel(d, tau)
-                cancel(d - 1, sigma)
-            self._cache["core"] = (live, down)
+            rows, live, down = coreduce([self.coboundary_rows(d) for d in range(self.dim)],
+                                        self.f_vector)
+            if live:
+                live[0][0] = 0
+            self._cache["core"], self._cache["core rows"] = (live, down), rows
         return self._cache["core"]
 
     def _drop(self, k: int, ring: str) -> set[int]:
@@ -301,14 +359,15 @@ class SimplicialComplex:
         In X's own row and column indices: a row cancelled downward is its
         +-1 entry at its partner, a row cancelled upward or at a pivot of
         ``_drop(k + 1, ring)`` is empty, and a live row keeps its live
-        columns.  The partners are columns of no other row, so this matrix
-        has delta^k's rank over every field and its nonzero Smith divisors
-        (see ``cohomology``), and the partners are among its pivots.
+        columns (of delta^0 in the seeded basis).  The partners are columns
+        of no other row, so this matrix has delta^k's rank over every field
+        and its nonzero Smith divisors (see ``cohomology``), and the
+        partners are among its pivots.
         """
-        rows = self.coboundary_rows(k)
-        if not rows:
-            return rows
+        if k >= self.dim:
+            return self.coboundary_rows(k)
         live, down = self._coreduction()
+        rows = self._cache["core rows"][k]
         drop = self._drop(k + 1, ring)
         partner, live_rows, live_cols = down[k + 1], live[k + 1], live[k]
         out = []
@@ -379,11 +438,16 @@ class SimplicialComplex:
         pivots of the coreduction.  Its live rows are the core's delta^k,
         cleared as above by the core's pivots of delta^{k+1} (the core is a
         cochain complex), and its one-entry rows meet the other rows in no
-        column: it has the rank and nonzero Smith divisors of delta^k.  Its
-        pivot set P (the partners s_i of the cells rho_i of degree k+2
-        cancelled downward, and the core's pivot columns Q) also clears X's
-        full rows of delta^k for ``cohomology_basis``.  Take y_i the row
-        rho_i of delta^{k+1}, and for Q the combinations of X's full rows of
+        column: it has the rank and nonzero Smith divisors of delta^k.  The
+        seed of each component after vertex 0's zeroes a column of delta^0,
+        a unimodular column operation (the seed's basis vector becomes its
+        component's indicator cocycle) that keeps the rank, the Smith
+        divisors and every linear relation among the rows, so the clearing
+        above is unchanged.  The pivot set P of these rows (the partners s_i
+        of the cells rho_i of degree k+2 cancelled downward, and the core's
+        pivot columns Q) also clears X's full rows of delta^k for
+        ``cohomology_basis``.  Take y_i the row rho_i of delta^{k+1}, and
+        for Q the combinations of X's full rows of
         delta^{k+1} that the core's pivot rows were made of: on Q they are
         the triangular minor T.  Draw u -> v when pivot row u is nonzero at
         v's column.  Call pair i *downward* when s_i was rho_i's only live

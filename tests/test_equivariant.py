@@ -20,7 +20,9 @@ from betticong.group_action import (
     induced_cohomology_action,
     make_regular,
     tfr_decomposition,
+    trivial_action,
 )
+from betticong.simplicial import SimplicialComplex
 
 from conftest import small_actions
 
@@ -230,10 +232,20 @@ def _check_reduction(action) -> PermutationComplex:
 def test_reduction_keeps_borel_dims_on_the_corpus():
     for a in corpus.corpus_actions().values():
         _check_reduction(a)
-    # The reduction is not the identity: the S^2 x S^2 rotation keeps 32
-    # of its 4396 cells.
-    R = PermutationComplex.of_action(corpus.s2xs2_rotation(7)).reduced()
-    assert sum(R.sizes) < 50
+    # The reduction is not the identity: the S^2 x S^2 rotations keep 16 of
+    # 2812 and 32 of 4396 cells.
+    for p, sizes in ((3, (2, 3, 5, 3, 3)), (7, (2, 7, 9, 7, 7))):
+        assert PermutationComplex.of_action(corpus.s2xs2_rotation(p)).reduced().sizes == sizes
+
+
+def test_reduction_seeds_a_fixed_vertex_in_each_component():
+    """RP^2 disjoint from a torus under the trivial Z/3 has fixed vertices in
+    both components; each component's indicator seeds the coreduction, and
+    the model keeps only the F_3 cohomology (2, 2, 1)."""
+    X = SimplicialComplex.from_facets(
+        [*(("x" + v for v in f) for f in corpus.rp2_six_vertex().simplex_labels(2)),
+         *(("y" + v for v in f) for f in corpus.torus().simplex_labels(2))])
+    assert _check_reduction(trivial_action(X, 3)).sizes == (2, 2, 1)
 
 
 def test_fixed_cells_never_cancel_against_free_orbits():
@@ -261,6 +273,7 @@ def test_s4_document_models_agree(s4_document):
     a = parse(s4_document(9)).actions["rot"]
     d = a.complex.dim
     R = _check_reduction(a)
+    assert R.sizes == (1, 0, 1, 3, 3)
     assert _borel_dims(R, range(d + 3)) == [1, 1, 1, 1, 2, 2, 2]
     C_sd = PermutationComplex.of_action(make_regular(a))
     assert sum(C_sd.sizes) == 27614

@@ -406,8 +406,11 @@ def test_cleared_routes_agree_with_the_full_rows():
     for p in (2, 3):
         _assert_cleared_routes_agree(corpus.rp2_six_vertex(), p)
     _assert_cleared_routes_agree(_moore_space_and_sphere(), 3)
-    # The torus is not connected to vertex 0, and no cell of it is free.
-    _assert_cleared_routes_agree(_disjoint(corpus.rp2_six_vertex(), corpus.torus()), 2)
+    # The torus is not connected to vertex 0, and no cell of it is free: its
+    # first vertex seeds it, which leaves a core of 1/16/15 of 15/42/28 cells.
+    X = _disjoint(corpus.rp2_six_vertex(), corpus.torus())
+    _assert_cleared_routes_agree(X, 2)
+    assert list(map(sum, X._coreduction()[0])) == [1, 16, 15]
     _assert_cleared_routes_agree(corpus.one_point(), 3)
 
 
@@ -432,6 +435,29 @@ def test_hm_check_decides_all_but_the_vertex_links_by_counting(monkeypatch):
     assert homology_manifold_check(X, 7).orientable_hm
     assert len(links) <= X.n_simplices(0) == 64
     assert len(built) <= 64
+
+
+def test_sphere_links_pass_on_their_core_with_no_rank(monkeypatch):
+    """On a fresh S^2 x S^2 (Z/7) each of the 64 vertex links coreduces to
+    one 3-cell and passes on that core: the only F_p ranks taken are the
+    five of X's own coboundaries (orientability; delta^4 has no rows)."""
+    X = corpus.s2xs2(7)
+    X = SimplicialComplex(X.vertices, X.facets)
+    calls = _record_engine_calls(monkeypatch, ("sparse_rank_modp",))
+    assert homology_manifold_check(X, 7).orientable_hm
+    assert sorted(n for _, n in calls) == sorted(X.n_simplices(k + 1) for k in range(X.dim + 1))
+
+
+def test_hm_core_certificate_reads_every_degree():
+    """S^3 beside a solid tetrahedron coreduces to one 3-cell and the
+    tetrahedron's seed vertex: one top cell is not enough, and this link
+    fails at both poles of the suspension."""
+    Y = SimplicialComplex.from_facets(
+        [*combinations(["a0", "a1", "a2", "a3", "a4"], 4), ("b0", "b1", "b2", "b3")])
+    assert list(map(sum, Y._coreduction()[0])) == [1, 0, 0, 1]
+    X = suspension(Y)
+    for p in (3, 5):
+        assert {("N*",), ("S*",)} <= set(assert_hm_matches_oracle(X, p))
 
 
 def _degrees_by_row_count(X: SimplicialComplex) -> dict[int, int]:
