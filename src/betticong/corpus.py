@@ -265,10 +265,12 @@ def point_action(p: int = 3) -> GroupAction:
 def lens_space() -> SimplicialComplex:
     """L(3,1) as the quotient of the free diagonal Z/3 action on S^3.
 
-    Carries 3-torsion in H^2, so it is the standard Bockstein-condition
-    failure fixture.
+    The action's simplex orbits do not embed, and its edges meet one vertex
+    orbit twice, so the quotient is sd^2(S^3)/G: the orbit poset of sd S^3,
+    7552 cells, read off without building sd^2(S^3).  Carries 3-torsion in
+    H^2, so it is the standard Bockstein-condition failure fixture.
     """
-    return quotient_complex(s3_free_action())[0]
+    return quotient_complex(s3_free_action())
 
 
 def corpus_actions() -> dict[str, GroupAction]:

@@ -4,8 +4,8 @@ An action is a vertex permutation of order dividing p (p an odd prime) that
 sends simplices to simplices.  The fixed set is read off the setwise-invariant
 simplices: they are X^G when the action is regular (every invariant simplex
 is pointwise fixed), and their chains are X^G in sd X otherwise, so nothing
-is subdivided to find it.  Quotients of free actions demand that simplex
-orbits embed, which may need barycentric subdivision.
+is subdivided to find it.  The quotient of a free action is X/G when the
+simplex orbits embed, and otherwise is read off an orbit poset.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .simplicial import (
     SimplicialComplex,
     barycentric_subdivision,
     bary_label,
+    maximal_chains,
 )
 
 
@@ -184,20 +185,27 @@ def fixed_subcomplex(action: GroupAction) -> SimplicialComplex:
     at a time, so it gives one chain per ordering of its orbits.  Vertices
     are labelled by ``bary_label`` and ordered by (size, index) as in
     ``barycentric_subdivision``, so the result equals the fixed subcomplex
-    of ``make_regular(action)`` without building sd X.
+    of ``make_regular(action)`` without building sd X.  It is cached on X
+    per vertex map, so every caller shares it and its Betti caches.
     """
     X = action.complex
+    key = ("fixed", action.vertex_map)
+    if key in X._cache:
+        return X._cache[key]
     perm = action.perm()
     invariant = _invariant_simplices(action)
     labels = [tuple(X.vertices[v] for v in s) for s in invariant]
     if all(perm[v] == v for s in invariant for v in s):
-        return SimplicialComplex.from_simplices(X.vertices, labels)
-    reps = _vertex_orbit_reps(action)
-    chains = [
-        [bary_label(tuple(v for v in s if reps[v] in order[:k])) for k in range(1, len(order) + 1)]
-        for s in labels for order in permutations(sorted({reps[v] for v in s}))
-    ]
-    return SimplicialComplex.from_simplices(tuple(map(bary_label, labels)), chains)
+        F = SimplicialComplex.from_simplices(X.vertices, labels)
+    else:
+        reps = _vertex_orbit_reps(action)
+        chains = [
+            [bary_label(tuple(v for v in s if reps[v] in order[:k])) for k in range(1, len(order) + 1)]
+            for s in labels for order in permutations(sorted({reps[v] for v in s}))
+        ]
+        F = SimplicialComplex.from_simplices(tuple(map(bary_label, labels)), chains)
+    X._cache[key] = F
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -376,37 +384,54 @@ def _orbits_embed(action: GroupAction) -> bool:
     return True
 
 
-_QUOTIENT_ROUNDS = 3  # subdivisions allowed before orbits must embed
-
-
-def quotient_complex(action: GroupAction):
-    """Quotient of a free action: simplices are orbits, lex-least representative.
+def quotient_complex(action: GroupAction) -> SimplicialComplex:
+    """Quotient of a free action, as a simplicial complex.
 
     Rejects non-free actions: for p prime, an action is free exactly when no
-    simplex is invariant.  Subdivides barycentrically (preserving the
-    action) until simplex orbits embed in the vertex-orbit set, which the
-    classical regularity theorem guarantees after at most two rounds.
-    Returns ``(quotient, regularized_action)``.
+    simplex is invariant.  If the simplex orbits of X embed, the quotient is
+    X/G, each vertex orbit labelled by its least vertex.
+
+    Otherwise it is sd(Y)/G, read off the orbit poset of Y without building
+    sd Y (Bredon, Introduction to Compact Transformation Groups, III.1).
+    Y is X if every simplex of X meets dim + 1 vertex orbits, else sd X,
+    whose simplices, chains of simplices of distinct dimensions, always do.
+    A vertex is a simplex orbit of Y, labelled by its least ``bary_label``
+    (its least vertex in sd Y), and a facet is the orbit image of a maximal
+    chain of Y.  This is sd(Y)/G because the simplex orbits of sd Y embed:
+
+    - the elements of a chain have distinct dimensions, so they lie in
+      distinct orbits;
+    - the faces of one simplex of Y meet distinct sets of vertex orbits, so
+      they lie in distinct orbits.  If chains c and c' have one orbit set and
+      their tops are s and g s, then g^-1 carries each element of c' to a
+      face of s in the orbit of an element of c, that element itself: c' = g c.
+
+    And sd X does not embed when a simplex s of X meets an orbit at u and
+    g u: the edges (u < s) and (g u < s) have one orbit set, in two orbits.
+    So sd Y is the first subdivision of X whose simplex orbits embed.
     """
     if _invariant_simplices(action):
         raise ValueError("quotient_complex requires a free action")
-    current = action
-    for _ in range(_QUOTIENT_ROUNDS + 1):
-        if _orbits_embed(current):
-            break
-        current = subdivide_action(current)
-    else:
-        raise AssertionError("quotient regularity not reached")
-    X = current.complex
-    reps = _vertex_orbit_reps(current)
-    order = sorted(set(reps.values()))
-    facet_images = {
-        tuple(sorted({reps[v] for v in f})) for f in (
-            tuple(X.vertices[v] for v in facet) for facet in X.facets
-        )
-    }
-    quotient = SimplicialComplex.from_facets(sorted(facet_images), vertex_order=order)
-    return quotient, current
+    X = action.complex
+    reps = _vertex_orbit_reps(action)
+    if _orbits_embed(action):
+        orbit_facets = [[reps[X.vertices[v]] for v in f] for f in X.facets]
+        return SimplicialComplex.from_facets(orbit_facets, vertex_order=sorted(set(reps.values())))
+    if any(len({reps[X.vertices[v]] for v in f}) < len(f) for f in X.facets):
+        action = subdivide_action(action)
+    Y, perm = action.complex, action.perm()
+    label: dict[Simplex, str] = {}
+    for d in range(Y.dim + 1):
+        for s in Y.simplices(d):
+            if s in label:
+                continue
+            orbit = [s]
+            for _ in range(action.p - 1):
+                orbit.append(tuple(sorted(perm[v] for v in orbit[-1])))
+            least = min(bary_label(tuple(Y.vertices[v] for v in t)) for t in orbit)
+            label.update(dict.fromkeys(orbit, least))
+    orbit_facets = {frozenset(label[s] for s in chain) for chain in maximal_chains(Y)}
+    return SimplicialComplex.from_facets(orbit_facets, vertex_order=sorted(set(label.values())))
 
 
 # ---------------------------------------------------------------------------

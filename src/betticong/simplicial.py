@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from . import exactalg
 
@@ -656,22 +656,21 @@ def barycentric_subdivision(X: SimplicialComplex) -> SimplicialComplex:
         bary_label(tuple(X.vertices[v] for v in s))
         for s in sorted(all_simps, key=lambda s: (len(s), s))
     )
-    facets = []
-
-    def chains(s: Simplex, chain: list[Simplex]):
-        if len(s) == 1:
-            facets.append(tuple(chain))
-            return
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1:]
-            chains(face, chain + [face])
-
-    for f in X.facets:
-        chains(f, [f])
     label_facets = [
-        [bary_label(tuple(X.vertices[v] for v in s)) for s in chain] for chain in facets
+        [bary_label(tuple(X.vertices[v] for v in s)) for s in chain] for chain in maximal_chains(X)
     ]
     return SimplicialComplex.from_facets(label_facets, vertex_order=order)
+
+
+def maximal_chains(X: SimplicialComplex):
+    """The maximal chains of X's face poset, each from a facet down to a vertex.
+
+    They are the facets of sd X: a facet heads one chain per order in which
+    its vertices are dropped.
+    """
+    for f in X.facets:
+        for order in permutations(f):
+            yield tuple(tuple(sorted(order[k:])) for k in range(len(f)))
 
 
 def _relabel_disjoint(X: SimplicialComplex, Y: SimplicialComplex):

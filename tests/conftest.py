@@ -7,8 +7,9 @@ from itertools import combinations
 import pytest
 from hypothesis import settings, strategies as st
 
+from betticong.corpus import polygon
 from betticong.group_action import validate_action
-from betticong.simplicial import SimplicialComplex
+from betticong.simplicial import SimplicialComplex, join
 
 # Every run draws the same examples and replays none from a database: a rare
 # draw cannot fail one run only, and a stored failure cannot fail every later
@@ -46,6 +47,13 @@ def s4_file(tmp_path):
     path = tmp_path / "s4.bc"
     path.write_text(_s4_document(3), encoding="utf-8")
     return str(path)
+
+
+def join_rotation(p: int):
+    """The free diagonal rotation of the join of two p-gons (S^3): its
+    quotient is the lens space L(p,1)."""
+    rotation = {f"{x}{i}": f"{x}{(i + 1) % p}" for x in "ab" for i in range(p)}
+    return validate_action(join(polygon(p, "a"), polygon(p, "b")), rotation, p)
 
 
 @st.composite

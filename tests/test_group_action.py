@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from betticong import corpus
+from betticong import corpus, group_action
 from betticong.cli import parse
 from betticong.exactalg import GF, QQ
 from betticong.group_action import (
@@ -32,7 +32,7 @@ from betticong.group_action import (
 from betticong.simplicial import SimplicialComplex
 from betticong.theorems import check_even_codim
 
-from conftest import small_actions
+from conftest import join_rotation, small_actions
 
 
 def rot(prefix, n):
@@ -394,9 +394,10 @@ def test_tfr_invariant_lines_count():
 # ---------------------------------------------------------------------------
 
 def test_quotient_pentagon_circle():
-    Q, reg = quotient_complex(corpus.free_polygon_action(5))
+    a = corpus.free_polygon_action(5)
+    Q = quotient_complex(a)
     assert Q.cohomology(QQ).betti == (1, 1)
-    assert Q.euler_characteristic() * 5 == reg.complex.euler_characteristic()
+    assert Q.euler_characteristic() * 5 == a.complex.euler_characteristic()
 
 
 def test_quotient_lens_space_betti():
@@ -406,9 +407,50 @@ def test_quotient_lens_space_betti():
 
 
 def test_quotient_chi_divides():
+    """chi(sd^k X) = chi(X), and the quotient of sd^k X is a p-fold cover."""
     for a in (corpus.free_polygon_action(3), corpus.free_polygon_action(5)):
-        Q, reg = quotient_complex(a)
-        assert Q.euler_characteristic() * a.p == reg.complex.euler_characteristic()
+        Q = quotient_complex(a)
+        assert Q.euler_characteristic() * a.p == a.complex.euler_characteristic()
+
+
+def quotient_by_subdivision(action) -> SimplicialComplex:
+    """The quotient by the direct route: subdivide until the simplex orbits
+    embed, then label each vertex orbit by its least vertex."""
+    while not _orbits_embed(action):
+        action = subdivide_action(action)
+    X = action.complex
+    reps = _vertex_orbit_reps(action)
+    facets = {tuple(sorted({reps[X.vertices[v]] for v in f})) for f in X.facets}
+    return SimplicialComplex.from_facets(sorted(facets), vertex_order=sorted(set(reps.values())))
+
+
+def turned_polygon(n: int, step: int, p: int):
+    return validate_action(corpus.polygon(n), {f"v{i}": f"v{(i + step) % n}" for i in range(n)}, p)
+
+
+def test_quotient_matches_the_subdivision_route():
+    """The orbit poset gives the complex that subdividing until the orbits
+    embed does: X/G when they embed (sd^2 S^3), sd(X)/G when X's simplices
+    meet distinct vertex orbits (the hexagon and 14-gon turned by two,
+    sd S^3), else sd^2(X)/G."""
+    s3 = corpus.s3_free_action()
+    sd_s3 = subdivide_action(s3)
+    cases = [corpus.free_polygon_action(3), corpus.free_polygon_action(5),
+             turned_polygon(6, 2, 3), turned_polygon(14, 2, 7),
+             s3, sd_s3, subdivide_action(sd_s3), join_rotation(5), join_rotation(7)]
+    for a in cases:
+        Q, oracle = quotient_complex(a), quotient_by_subdivision(a)
+        assert (Q.vertices, Q.facets) == (oracle.vertices, oracle.facets)
+
+
+def test_lens_quotient_subdivides_once(monkeypatch):
+    """L(3,1) is read off the orbit poset of sd S^3: sd^2(S^3) is never built."""
+    sizes = []
+    real = group_action.barycentric_subdivision
+    monkeypatch.setattr(group_action, "barycentric_subdivision",
+                        lambda X: sizes.append(len(X.vertices)) or real(X))
+    assert quotient_complex(corpus.s3_free_action()).f_vector == (320, 2048, 3456, 1728)
+    assert sizes == [6]
 
 
 def quotient_obstruction(action) -> str | None:
@@ -438,7 +480,7 @@ def test_orbits_embed_by_counting_matches_the_orbit_oracle():
     """Counting vertex-orbit images decides what comparing orbits does: the
     hexagon turned by two steps has edge orbits {0,1} and {1,2} on one image."""
     s3 = corpus.s3_free_action()
-    hexagon = validate_action(corpus.polygon(6), {f"v{i}": f"v{(i + 2) % 6}" for i in range(6)}, 3)
+    hexagon = turned_polygon(6, 2, 3)
     cases = {
         "triangle": corpus.free_polygon_action(3),
         "pentagon": corpus.free_polygon_action(5),

@@ -40,7 +40,6 @@ from betticong.group_action import (
     induced_cohomology_action,
     quotient_complex,
     trivial_action,
-    validate_action,
 )
 from betticong.pd_algebra import homology, random_differential_algebra
 from betticong.simplicial import (
@@ -55,6 +54,8 @@ from betticong.simplicial import (
     product,
     suspension,
 )
+
+from conftest import join_rotation
 
 
 # ---------------------------------------------------------------------------
@@ -820,19 +821,12 @@ def test_universal_coefficients_over_the_corpus_and_the_lens():
     _assert_universal_coefficients(corpus.lens_space())
 
 
-def _lens_space(p: int) -> SimplicialComplex:
-    """L(p,1): the quotient of the diagonal rotation on the join of two p-gons."""
-    rotation = {f"{x}{i}": f"{x}{(i + 1) % p}" for x in "ab" for i in range(p)}
-    S3 = join(polygon(p, "a"), polygon(p, "b"))
-    return quotient_complex(validate_action(S3, rotation, p))[0]
-
-
 @pytest.mark.parametrize("p, f_vector", [
     (5, (528, 3408, 5760, 2880)),
     (7, (736, 4768, 8064, 4032)),
 ])
 def test_larger_lens_spaces(p, f_vector):
-    L = _lens_space(p)
+    L = quotient_complex(join_rotation(p))
     assert L.f_vector == f_vector
     integral = L.integral_cohomology()
     assert integral.betti == (1, 0, 0, 1)
