@@ -7,7 +7,6 @@ from .exactalg import (
     QQ,
     SmithForm,
     nilpotent_block_sizes,
-    rank_and_kernel,
     smith_normal_form,
 )
 from .simplicial import (
@@ -32,7 +31,6 @@ from .group_action import (
     make_regular,
     quotient_complex,
     tfr_decomposition,
-    trivial_rational_action_check,
     validate_action,
 )
 from .pd_algebra import (

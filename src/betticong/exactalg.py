@@ -160,37 +160,6 @@ def rref(matrix, field) -> tuple[list[list], list[int]]:
     return M, pivots
 
 
-def _kernel_from_rref(R, pivots: list[int], n: int, field) -> list[list]:
-    piv_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in piv_set:
-            continue
-        v = field.zeros(n)
-        v[f] = 1
-        for row, c in zip(R, pivots):
-            v[c] = field.reduce(-row[f])
-        basis.append(v)
-    return basis
-
-
-def rank_and_kernel(matrix, field) -> tuple[int, list[list]]:
-    """Rank and a deterministic kernel basis; rank + len(kernel) = ncols.
-
-    One kernel vector per free column: entry 1 at the free column, pivot
-    entries back-substituted from the rref.  A matrix with no rows carries no
-    column count, so it is refused rather than given an empty kernel.
-    """
-    if not matrix:
-        raise ValueError("rank_and_kernel needs at least one row to know the column count")
-    R, pivots = rref(matrix, field)
-    return len(pivots), _kernel_from_rref(R, pivots, len(R[0]), field)
-
-
-def kernel_basis(matrix, field) -> list[list]:
-    return rank_and_kernel(matrix, field)[1]
-
-
 def rank(matrix, field) -> int:
     return len(rref(matrix, field)[1])
 
@@ -443,10 +412,10 @@ def _unit_echelon(rows, field, leftmost=False) -> list[tuple[int, dict]]:
     return out
 
 
-def _int_row(values: dict) -> dict[int, int]:
-    """Sparse int multiple of a sparse vector: scaled by the lcm of its denominators."""
+def int_multiple(values: dict) -> tuple[int, dict[int, int]]:
+    """``(m, w)``: w = m * values, a sparse int vector, m the lcm of the denominators."""
     m = math.lcm(*(x.denominator for x in values.values()))
-    return {c: int(x * m) for c, x in values.items() if x}
+    return m, {c: int(x * m) for c, x in values.items() if x}
 
 
 def int_rows(rows) -> list[dict[int, int]]:
@@ -455,7 +424,7 @@ def int_rows(rows) -> list[dict[int, int]]:
     Residues pass unchanged; a row over Q is scaled by the lcm of its
     denominators, which keeps the spans the engine depends on.
     """
-    return [r for r in map(_int_row, rows) if r]
+    return [r for _, r in map(int_multiple, rows) if r]
 
 
 def sparse_rows(matrix) -> list[dict[int, int]]:
@@ -488,8 +457,9 @@ class Subquotient:
     dense rref is ``basis`` (one row per class, pivot columns ``pivots``):
     the canonical one over Q as over F_p, fixed by the two spans alone.
     ``express`` checks A v = 0 on the kept (not copied) rows of A, then
-    pairs v with dual vectors z_j: 1 at the j-th basis pivot, solved on P
-    to be orthogonal to B, so z_j . basis[k] = [j == k].
+    pairs v with dual vectors ``duals``: z_j is 1 at the j-th basis pivot,
+    solved on P to be orthogonal to B, so z_j . basis[k] = [j == k].
+    ``from_duals`` publishes a basis and dual vectors found another way.
     """
 
     def __init__(self, kernel_of, image, field, n: int):
@@ -505,20 +475,31 @@ class Subquotient:
             for c, x in back_substitute(solve, {f: 1}, field).items():
                 row[c] = x
         R, pivots = rref(kernel, field)
-        self._publish(kernel_of, field, R[: len(pivots)], pivots, im_rows)
+        # An image row is 0 left of its pivot: solve right to left.
+        im_rows.sort(reverse=True)
+        self._publish(kernel_of, field, R[: len(pivots)], pivots,
+                      [back_substitute(im_rows, {q: 1}, field) for q in pivots])
 
     @classmethod
     def zero(cls, kernel_of, field, n: int) -> "Subquotient":
         """The subquotient known to be 0 (B = ker A): nothing is eliminated."""
+        return cls.from_duals(kernel_of, field, [], [])
+
+    @classmethod
+    def from_duals(cls, kernel_of, field, basis, duals) -> "Subquotient":
+        """A basis of a complement of B in ker A with its dual vectors.
+
+        Each z_j in *duals* (sparse) vanishes on B and z_j . basis[k] = [j ==
+        k].  Such a basis need not be an rref: ``pivots`` is then None,
+        except that a zero subquotient has pivots [].
+        """
         sq = cls.__new__(cls)
-        sq._publish(kernel_of, field, [], [], [])
+        sq._publish(kernel_of, field, basis, None if basis else [], duals)
         return sq
 
-    def _publish(self, kernel_of, field, basis, pivots, im_rows):
+    def _publish(self, kernel_of, field, basis, pivots, duals):
         self._rows, self.field, self.basis, self.pivots = kernel_of, field, basis, pivots
-        # An image row is 0 left of its pivot: solve right to left.
-        solve = sorted(im_rows, reverse=True)
-        self._duals = [back_substitute(solve, {q: 1}, field) for q in pivots]
+        self.duals = duals
 
     def __len__(self):
         return len(self.basis)
@@ -526,12 +507,12 @@ class Subquotient:
     def express(self, v) -> list:
         """Coefficients of v's class in ``basis``; ValueError unless A v = 0."""
         # A v = 0 is checked on the integer multiple of v.
-        w = _int_row(dict(enumerate(v)))
+        w = int_multiple(dict(enumerate(v)))[1]
         for row in self._rows:
             if self.field.reduce(sum(val * w[c] for c, val in row.items() if c in w)):
                 raise ValueError("vector is not in the kernel modulo the image")
-        coeffs = self.field.zeros(len(self._duals))
-        for j, z in enumerate(self._duals):
+        coeffs = self.field.zeros(len(self.duals))
+        for j, z in enumerate(self.duals):
             s = self.field.coerce(sum(x * v[c] for c, x in z.items() if c in w))
             if s:
                 coeffs[j] = s

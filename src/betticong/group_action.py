@@ -235,18 +235,8 @@ def pullback_permutation(action: GroupAction, degree: int) -> tuple[list[int], l
     return perm, signs
 
 
-def cochain_pullback_matrix(action: GroupAction, degree: int, field) -> list[list]:
-    """Matrix of the pullback sigma^# on C^degree in the simplex basis."""
-    perm, signs = pullback_permutation(action, degree)
-    M = field.zeros((len(perm), len(perm)))
-    # (sigma^# a)(s) = sign * a(sigma(s)); column perm[i] feeds row i.
-    for row, q, sign in zip(M, perm, signs):
-        row[q] = field.reduce(sign)
-    return M
-
-
 def induced_cohomology_action(action: GroupAction, field) -> list[list[list]]:
-    """Per-degree matrices of sigma^* on H^*(X; field) in the echelon bases."""
+    """Per-degree matrices of sigma^* on H^*(X; field) in the bases of ``cohomology_basis``."""
     X = action.complex
     key = ("gstar", field.name, action.vertex_map)
     if key in X._cache:
@@ -272,16 +262,6 @@ def lefschetz_number(action: GroupAction) -> int:
         total += (-1) ** d * tr
     assert total.denominator == 1
     return int(total)
-
-
-def trivial_rational_action_check(action: GroupAction) -> bool:
-    """Whether sigma^* = id on H^*(X;Q).
-
-    A linear map of order p on a rational space of dimension below p - 1
-    has minimal polynomial x - 1, so this must hold whenever the total
-    rational Betti number is smaller than p; the property tests pin that.
-    """
-    return all(M == exactalg.identity(len(M)) for M in induced_cohomology_action(action, QQ))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import exactalg
@@ -179,6 +180,50 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
         seed(x)
 
 
+def _lift(v: dict[int, int], pairs: dict[int, int], up, reduce) -> dict[int, int]:
+    """Extend a core cochain v (sparse, in X's indices) to X along the cells cancelled upward.
+
+    *pairs* are the cancelled pairs {tau: sigma} with sigma in v's degree
+    and *up* the rows of the coboundary out of it.  Walked last pair first,
+    each sets v(sigma) = -u sum_{b != sigma} delta[tau, b] v(b), u =
+    delta[tau, sigma] = +-1; v is extended in place.
+    """
+    for tau, sigma in reversed(pairs.items()):
+        row = up[tau]
+        s = reduce(sum(x * v[b] for b, x in row.items() if b in v))
+        if s:
+            v[sigma] = reduce(-row[sigma] * s)
+    return v
+
+
+def _pull_back(z: dict[int, int], pairs: dict[int, int], faces, reduce) -> dict[int, int]:
+    """The functional z o pi on X's cochains, for z (sparse) on the core's cells.
+
+    pi v = (v - delta c) on the core, c(sigma) = u (v - delta c)(tau) over
+    the earlier *pairs* {tau: sigma} (tau in z's degree, *faces* the rows of
+    the coboundary into it): c = (I + U A)^-1 U S v, with S v = (v(tau)),
+    U = diag(u) and A[k, j] = delta[tau_k, sigma_j] strictly lower
+    triangular.  So z . pi v = z . v - y . c with y = delta^T z, and y . c
+    = sum_k u_k g_k v(tau_k) with g = (I + A^T U)^-1 y solved last pair
+    first: g_k is y(sigma_k) once every later pair j has pushed -delta[tau_j,
+    b] u_j g_j onto each face b of tau_j.
+    """
+    y: dict[int, int] = {}
+    for a, x in z.items():
+        for b, e in faces[a].items():
+            y[b] = y.get(b, 0) + e * x
+    out = dict(z)
+    for tau, sigma in reversed(pairs.items()):
+        g = reduce(y.get(sigma, 0))
+        if g:
+            row = faces[tau]
+            t = row[sigma] * g
+            out[tau] = reduce(-t)
+            for b, e in row.items():
+                y[b] = y.get(b, 0) - e * t
+    return out
+
+
 class SimplicialComplex:
     """Finite simplicial complex on an ordered vertex set."""
 
@@ -307,14 +352,6 @@ class SimplicialComplex:
                 rows.append(row)
             self._cache[key] = rows
         return self._cache[key]
-
-    def coboundary_matrix(self, k: int) -> list[list[int]]:
-        rows = self.coboundary_rows(k)
-        M = [[0] * self.n_simplices(k) for _ in rows]
-        for dense, row in zip(M, rows):
-            for c, v in row.items():
-                dense[c] = v
-        return M
 
     def _coreduction(self) -> tuple[list[bytearray], list[dict[int, int]]]:
         """Per degree, the live cells (flags) and the cells cancelled downward, with their partners.
@@ -500,25 +537,94 @@ class SimplicialComplex:
     # -- cocycle bases and class arithmetic -------------------------------
 
     def cohomology_basis(self, field, degree: int) -> exactalg.Subquotient:
-        """Reduced-echelon cocycle representatives of H^i, with ``express``.
+        """Cocycle representatives of H^i, with ``express``, computed on the core.
 
-        ker delta^i modulo the columns of delta^{i-1}, by the one sparse
-        engine.  Where b_i = 0 (from the cached sparse ranks) nothing is
-        eliminated; ``express`` still checks that its input is a cocycle.
+        ``basis`` holds one cocycle of X per class; ``express(v)`` gives the
+        coefficients of v's class, raising ValueError unless delta^i v = 0
+        on X's rows of delta^i (cleared as in ``cohomology``).  Where b_i = 0
+        (from the cached ranks) nothing is eliminated.  Degree 0 is ker
+        delta^0 on X's rows: the core carries reduced cohomology.
+
+        For i >= 1 the one sparse engine, ``exactalg.Subquotient``, runs on
+        the core (see ``_coreduction``): ker delta^i modulo the columns of
+        delta^{i-1}, both live submatrices.  Its classes are lifted to X
+        (``_lift``), and its dual vectors composed with the projection to
+        the core (``_pull_back``), so ``express`` is the core's on pi v.
+        The coreduction is a sequence of elementary reductions: K' is K less
+        a pair (tau, sigma) of degrees (d, d-1), u = delta[tau, sigma] = +-1
+        = u^-1, where row tau or column sigma of K's delta is u alone, so
+        delta[a, sigma] delta[tau, b] = 0 for a != tau, b != sigma and K'
+        carries the submatrices of delta.  Let iota: C(K') -> C(K) be the
+        identity but at sigma, iota v (sigma) = -u sum_{b != sigma}
+        delta[tau, b] v(b), so that (delta iota v)(tau) = 0; and pi: C(K) ->
+        C(K') the restriction but in degree d, pi v = v - v(tau) u delta
+        e_sigma off tau.  Then pi iota = id: iota changes only sigma, which
+        pi drops, and iota v (tau) = 0.  Both are cochain maps:
+
+        - into sigma's degree: iota delta' w (sigma) = -u sum_{b != sigma}
+          delta[tau, b] (delta w)(b) = (delta w)(sigma), as (delta delta
+          w)(tau) = 0;
+        - out of it, off tau: (delta iota v)(a) - (delta' v)(a) = delta[a,
+          sigma] iota v (sigma) = 0 (a row tau that is u alone makes iota v
+          (sigma) = 0), and pi delta v (a) - delta' pi v (a) = delta[a,
+          sigma] (v(sigma) - u (delta v)(tau)) = 0 the same way;
+        - out of tau's degree: (delta' pi v)(c) = (delta v)(c) - delta[c,
+          tau] v(tau) - u v(tau) sum_{a != tau} delta[c, a] delta[a,
+          sigma], and delta^2 = 0 makes that sum -delta[c, tau] u.
+
+        X and the core have the same cohomology in degree i >= 1, so H(iota)
+        and H(pi) are inverse isomorphisms.  Composed, the lift walks the
+        pairs of degrees (i+1, i) last first: the cells not yet set, of
+        earlier pairs, are dead in that step's K, and their zeros keep its
+        sums.  The projection walks the pairs of degrees (i, i-1) first
+        first; X's full column delta e_sigma differs from K's only at dead
+        cells, which no later step reads.  A seed changes the basis of C^0
+        at no partner.
         """
         key = ("basis", field.name, degree)
         if key not in self._cache:
             betti = self.cohomology(field).betti
-            # ker delta^i is that of its cleared rows: the others lie in their span.
             rows, n = self._cleared_rows(degree, field.name), self.n_simplices(degree)
             if not betti[degree]:
                 self._cache[key] = exactalg.Subquotient.zero(rows, field, n)
+            elif not degree:
+                self._cache[key] = exactalg.Subquotient(rows, [], field, n)
             else:
-                # Image of delta^{i-1} in C^i: the columns of its coboundary rows.
-                image = (exactalg.transpose_rows(self.coboundary_rows(degree - 1),
-                                                 self.n_simplices(degree - 1)) if degree else [])
-                self._cache[key] = exactalg.Subquotient(rows, image, field, n)
+                self._cache[key] = self._core_basis(field, degree, rows)
         return self._cache[key]
+
+    def _core_basis(self, field, i: int, checked: list[dict[int, int]]) -> exactalg.Subquotient:
+        """H^i (i >= 1) by ``Subquotient`` on the core, carried to X (see ``cohomology_basis``)."""
+        live, down = self._coreduction()
+        rows = self._cache["core rows"]
+        cells = [[q for q, a in enumerate(flags) if a] for flags in live[i - 1: i + 1]]
+        index = [{c: j for j, c in enumerate(cs)} for cs in cells]
+        # Image of the core's delta^{i-1} in C^i: the columns of its rows.
+        image = exactalg.transpose_rows(
+            [{index[0][c]: v for c, v in rows[i - 1][a].items() if c in index[0]} for a in cells[1]],
+            len(cells[0]))
+        kernel, up = [], ({}, [])
+        if i < self.dim:
+            # ker delta^i is that of its rows off the core's pivots of delta^{i+1}.
+            drop, up = self._drop(i + 1, field.name), (down[i + 1], rows[i])
+            kernel = [{index[1][c]: v for c, v in row.items() if c in index[1]}
+                      for q, row in enumerate(rows[i]) if live[i + 1][q] and q not in drop]
+        core = exactalg.Subquotient(kernel, image, field, len(cells[1]))
+
+        def carry(move, values: dict, pairs, rows_of) -> dict:
+            # On the integer multiple; residues over F_p have m = 1.
+            m, v = exactalg.int_multiple({cells[1][j]: x for j, x in values.items()})
+            v = move(v, pairs, rows_of, field.reduce)
+            return v if m == 1 else {c: Fraction(x, m) for c, x in v.items()}
+
+        basis = []
+        for row in core.basis:
+            vec = field.zeros(self.n_simplices(i))
+            for c, x in carry(_lift, dict(enumerate(row)), *up).items():
+                vec[c] = x
+            basis.append(vec)
+        duals = [carry(_pull_back, z, down[i], rows[i - 1]) for z in core.duals]
+        return exactalg.Subquotient.from_duals(checked, field, basis, duals)
 
     def cup_cochain(self, field, i: int, j: int, a: list, b: list) -> list:
         """Front-face/back-face cup product of cochains a in C^i, b in C^j."""
@@ -576,7 +682,7 @@ class PDResult:
 
 
 def cup_pairing(X: SimplicialComplex, field) -> CohomologyRing:
-    """Cohomology ring with cup products on reduced-echelon cocycle bases."""
+    """Cohomology ring with cup products on the cocycle bases of ``cohomology_basis``."""
     key = ("ring", field.name)
     if key in X._cache:
         return X._cache[key]

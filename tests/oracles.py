@@ -1,0 +1,138 @@
+"""Dense and plain-loop routes the tests compare the library against.
+
+No library path calls these: the library computes kernels, cocycle bases,
+g* and cup pairings sparsely.  They stay here as independent references,
+with the checks that several test modules run against them.
+"""
+
+from __future__ import annotations
+
+import random
+
+from betticong import exactalg, simplicial
+from betticong.exactalg import QQ, rref
+from betticong.group_action import GroupAction, induced_cohomology_action, pullback_permutation
+from betticong.simplicial import SimplicialComplex
+
+
+def kernel_from_rref(R, pivots: list[int], n: int, field) -> list[list]:
+    """One kernel vector per free column of an rref: 1 there, pivots back-substituted."""
+    piv_set = set(pivots)
+    basis = []
+    for f in range(n):
+        if f in piv_set:
+            continue
+        v = field.zeros(n)
+        v[f] = 1
+        for row, c in zip(R, pivots):
+            v[c] = field.reduce(-row[f])
+        basis.append(v)
+    return basis
+
+
+def rank_and_kernel(matrix, field) -> tuple[int, list[list]]:
+    """Rank and a deterministic kernel basis; rank + len(kernel) = ncols.
+
+    One kernel vector per free column: entry 1 at the free column, pivot
+    entries back-substituted from the rref.  A matrix with no rows carries no
+    column count, so it is refused rather than given an empty kernel.
+    """
+    if not matrix:
+        raise ValueError("rank_and_kernel needs at least one row to know the column count")
+    R, pivots = rref(matrix, field)
+    return len(pivots), kernel_from_rref(R, pivots, len(R[0]), field)
+
+
+def kernel_basis(matrix, field) -> list[list]:
+    return rank_and_kernel(matrix, field)[1]
+
+
+def x_route_basis(X: SimplicialComplex, field, d: int) -> exactalg.Subquotient:
+    """H^d as ker delta^d modulo the columns of delta^{d-1} on X's full rows.
+
+    ``exactalg.Subquotient`` there publishes the canonical rref basis (the
+    dense route's, as the basis tests check) and its ``express``.
+    """
+    image = exactalg.transpose_rows(X.coboundary_rows(d - 1), X.n_simplices(d - 1)) if d else []
+    return exactalg.Subquotient(X.coboundary_rows(d), image, field, X.n_simplices(d))
+
+
+def coboundary_matrix(X: SimplicialComplex, k: int) -> list[list[int]]:
+    """delta^k as a dense integer matrix, rows indexed by the (k+1)-simplices."""
+    rows = X.coboundary_rows(k)
+    M = [[0] * X.n_simplices(k) for _ in rows]
+    for dense, row in zip(M, rows):
+        for c, v in row.items():
+            dense[c] = v
+    return M
+
+
+def cochain_pullback_matrix(action: GroupAction, degree: int, field) -> list[list]:
+    """Matrix of the pullback sigma^# on C^degree in the simplex basis."""
+    perm, signs = pullback_permutation(action, degree)
+    M = field.zeros((len(perm), len(perm)))
+    # (sigma^# a)(s) = sign * a(sigma(s)); column perm[i] feeds row i.
+    for row, q, sign in zip(M, perm, signs):
+        row[q] = field.reduce(sign)
+    return M
+
+
+def trivial_rational_action_check(action: GroupAction) -> bool:
+    """Whether sigma^* = id on H^*(X;Q).
+
+    A linear map of order p on a rational space of dimension below p - 1
+    has minimal polynomial x - 1, so this must hold whenever the total
+    rational Betti number is smaller than p; the property tests pin that.
+    """
+    return all(M == exactalg.identity(len(M)) for M in induced_cohomology_action(action, QQ))
+
+
+def assert_lift_and_projection(X: SimplicialComplex, forwards: bool = False):
+    """The lift and projection between X and its core in degrees d >= 1
+    are integral cochain maps with pi iota = id, and ``_pull_back`` gives
+    the functional z o pi.  pi is computed here as stated in
+    ``cohomology_basis``: walk the pairs cancelled downward first first,
+    subtracting v(tau) u delta e_sigma with X's full column of delta.  With
+    ``forwards`` the lift walks its pairs first first, a planted defect."""
+    live, down = X._coreduction()
+    rng = random.Random(sum(X.f_vector))
+
+    def lift(x, d):
+        pairs = down[d + 1] if d < X.dim else {}
+        if forwards:
+            pairs = dict(reversed(list(pairs.items())))
+        return simplicial._lift(dict(x), pairs, X.coboundary_rows(d), int)
+
+    def project(v, d):
+        v, rows = dict(v), X.coboundary_rows(d - 1)
+        cols = exactalg.transpose_rows(rows, X.n_simplices(d - 1))
+        for tau, sigma in down[d].items():
+            t = v.get(tau, 0) * rows[tau][sigma]
+            for a, e in cols[sigma].items():
+                v[a] = v.get(a, 0) - t * e
+        return {a: x for a, x in v.items() if live[d][a] and x}
+
+    def delta(v, d, core=False):
+        out = {}
+        for t, row in enumerate(X.coboundary_rows(d)):
+            if live[d + 1][t] or not core:
+                s = sum(e * v.get(c, 0) for c, e in row.items() if live[d][c] or not core)
+                if s:
+                    out[t] = s
+        return out
+
+    def random_cochain(cells):
+        return {c: x for c in cells if (x := rng.randint(-2, 2))}
+
+    for d in range(1, X.dim + 1):
+        cells = [q for q, a in enumerate(live[d]) if a]
+        for _ in range(3):
+            x, z = random_cochain(cells), random_cochain(cells)
+            v = random_cochain(range(X.n_simplices(d)))
+            assert project(lift(x, d), d) == x
+            pulled = simplicial._pull_back(z, down[d], X.coboundary_rows(d - 1), int)
+            assert (sum(z.get(a, 0) * y for a, y in project(v, d).items())
+                    == sum(y * v.get(c, 0) for c, y in pulled.items()))
+            if d < X.dim:
+                assert delta(lift(x, d), d) == lift(delta(x, d, core=True), d + 1), d
+                assert project(delta(v, d), d + 1) == delta(project(v, d), d, core=True), d

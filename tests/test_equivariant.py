@@ -25,6 +25,7 @@ from betticong.group_action import (
 from betticong.simplicial import SimplicialComplex
 
 from conftest import small_actions
+from oracles import cochain_pullback_matrix
 
 
 def total_matrix_dense(K: BorelComplex, n: int) -> np.ndarray:
@@ -68,7 +69,6 @@ def test_norm_composes_to_zero_with_shift():
         assert not np.any((nm.astype(object) @ gm1.astype(object)) % 3)
         assert not np.any((gm1.astype(object) @ nm.astype(object)) % 3)
         # The sparse rows agree with the dense pullback matrix.
-        from betticong.group_action import cochain_pullback_matrix
         from betticong.exactalg import GF
         P = cochain_pullback_matrix(a, j, GF(3))
         assert gm1.tolist() == [[(x - (i == k)) % 3 for k, x in enumerate(row)]

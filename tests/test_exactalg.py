@@ -27,12 +27,10 @@ from betticong.exactalg import (
     _eliminate,
     back_substitute,
     invert,
-    kernel_basis,
     matmul,
     nilpotent_block_sizes,
     p_valuation_profile,
     rank,
-    rank_and_kernel,
     rref,
     smith_normal_form,
     sparse_rank_modp,
@@ -42,6 +40,8 @@ from betticong.exactalg import (
     sparse_smith_divisors,
     transpose_rows,
 )
+
+from oracles import kernel_basis, rank_and_kernel
 
 
 # ---------------------------------------------------------------------------
