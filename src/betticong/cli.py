@@ -28,6 +28,7 @@ from .group_action import (
     fixed_subcomplex,
     lefschetz_number,
     tfr_decomposition,
+    trivial_action,
     validate_action,
 )
 from .equivariant import equivariant_betti, localization_check
@@ -41,6 +42,8 @@ from .pd_algebra import (
     lemma_even_congruence,
     make_orientation,
     odd_congruence,
+    odd_model,
+    odd_model_differential,
 )
 from .simplicial import SimplicialComplex, pd_check
 from .theorems import (
@@ -212,9 +215,10 @@ def _parse_algebra(lines, i):
     lineno, tok = lines[i]
     block = AlgebraBlock(name=tok[1], field_name=tok[3], basis=[], line=lineno)
     try:
-        _field_named(block.field_name)
+        if _field_named(block.field_name).char == 2:
+            raise ValueError("characteristic 2 is excluded")
     except ValueError as e:
-        raise InputError(f"field must be Q or Fp for a prime p, got {tok[3]!r}: {e}", lineno)
+        raise InputError(f"field must be Q or Fp for an odd prime p, got {tok[3]!r}: {e}", lineno)
     i += 1
     labels = set()
     while i < len(lines):
@@ -775,9 +779,7 @@ def run_suite(rep: Report):
         if tr.verdict != expected:
             rep.say(f"  unexpected verdict: wanted {expected}")
             rep.fail = True
-    from betticong.group_action import trivial_action as _ta
-
-    wr = check_theorem4(_ta(corpus.wedge_fixture(), 5), subject="wedge_fixture")
+    wr = check_theorem4(trivial_action(corpus.wedge_fixture(), 5), subject="wedge_fixture")
     rep.check("theorem4[wedge_fixture]", wr.verdict, wr.lhs, wr.rhs)
     if wr.verdict != "N/A":
         rep.say("  unexpected verdict: wanted N/A")
@@ -805,8 +807,6 @@ def run_suite(rep: Report):
     rp2_ok = bockstein_condition(corpus.rp2_six_vertex(), 3)
     rep.check("bockstein[rp2,p=3]", "PASS" if rp2_ok else "FAIL", int(rp2_ok), 1)
     # The (1,2,2,1) -> 2 odd fixture.
-    from betticong.pd_algebra import odd_model, odd_model_differential
-
     A, phi, C = odd_model(QQ, m=1, r=2)
     S = [[0, Fraction(1)], [Fraction(-1), 0]]
     tr1 = check_theorem1_algebraic(A, odd_model_differential(A, C, S), phi,

@@ -29,7 +29,7 @@ from itertools import accumulate
 from . import exactalg
 from .exactalg import GF
 from .group_action import GroupAction, fixed_set_cohomology, pullback_permutation
-from .simplicial import coreduce
+from .simplicial import coreduce, orbit
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ class PermutationComplex:
         """
         p, top = self.p, self.dim
         rows = [[{c: v % p for c, v in r.items() if v % p} for r in R] for R in self.rows]
-        rows, alive, _ = coreduce(rows, self.sizes, [perm for perm, _ in self.pullbacks])
+        perms = [perm for perm, _ in self.pullbacks]
+        rows, alive, _ = coreduce(rows, self.sizes, perms)
         for j, R in enumerate(rows):
             live_rows, live_cols = alive[j + 1], alive[j]
             for t, r in enumerate(R):
@@ -97,12 +98,6 @@ class PermutationComplex:
             for t, c in entries:
                 if len(R[t]) == 1 or len(C[c]) == 1:
                     heapq.heappush(heap, (0, j, t, c))
-
-        def orbit(j: int, s: int) -> list[int]:
-            perm, out = self.pullbacks[j][0], [s]
-            while perm[out[-1]] != s:
-                out.append(perm[out[-1]])
-            return out
 
         def cancel(j: int, t: int, s: int):
             R, C = rows[j], cols[j]
@@ -145,7 +140,7 @@ class PermutationComplex:
                 if cost(j, t, s) > old:
                     heapq.heappush(heap, (cost(j, t, s), j, t, s))
                     continue
-                taus, cells = orbit(j + 1, t), orbit(j, s)
+                taus, cells = orbit(perms[j + 1], t), orbit(perms[j], s)
                 if len(taus) != len(cells) or any(c in rows[j][t] for c in cells[1:]):
                     continue
                 progress = True

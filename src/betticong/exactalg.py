@@ -1,18 +1,18 @@
 """Exact linear algebra over the integers, the rationals, and prime fields.
 
 Everything downstream (cohomology, group actions, the Borel complex) reduces
-to the primitives in this module: reduced row echelon forms with kernel
-bases, the one kernel-modulo-image engine ``Subquotient``, integer Smith
-normal form (whose divisors give the ranks over every field and, through
-``p_valuation_profile``, the p-local torsion) and the Jordan block
-partition of a nilpotent operator.  All arithmetic is exact: Python ints,
-``fractions.Fraction`` for the rationals, canonical residues in ``[0, p)``
-for prime fields.  A dense matrix is a list of rows, a dense vector a
-list, of such elements.  The two field objects own that carrier: ``one``,
-``zeros``, ``coerce`` and ``reduce`` (the identity over Q, ``% p`` over
-F_p), so no other module tests which field it holds.  The sparse routines
-work on dict-of-rows and exist because the corpus coboundary matrices are
-large but eliminate with tiny fill-in.
+to the primitives in this module: the dense reduced row echelon form, the
+one sparse elimination loop, the one kernel-modulo-image engine
+``Subquotient``, integer Smith normal form (whose divisors give the ranks
+over every field and, through ``p_valuation_profile``, the p-local torsion)
+and the Jordan block partition of a nilpotent operator.  All arithmetic is
+exact: Python ints, ``fractions.Fraction`` for the rationals, canonical
+residues in ``[0, p)`` for prime fields.  A dense matrix is a list of rows,
+a dense vector a list, of such elements.  The two field objects own that
+carrier: ``one``, ``zeros``, ``coerce`` and ``reduce`` (the identity over Q,
+``% p`` over F_p), so no other module tests which field it holds.  The
+sparse routines work on dict-of-rows and exist because the corpus coboundary
+matrices are large but eliminate with tiny fill-in.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, unit=Fal
                 other[c] //= g
 
 
-def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False, leftmost=False):
+def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False):
     """Sparse Gaussian elimination shared by every sparse rank and echelon form.
 
     Rows are dicts {column: nonzero int}; they are not modified, and every
@@ -242,21 +242,14 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False, lef
     and no rescaling, so every step is unimodular and keeps the Smith form.
     Pivot choice: sparsest active row first, then the admissible column that
     hits the fewest active rows (classic fill-in heuristic); ties break on
-    indices so the elimination is deterministic.  With ``leftmost`` a row
-    pivots on its leftmost entry instead: each pivot row is then zero left
-    of its pivot, so the pivot columns are those of the canonical rref.
-    Rows are then taken rightmost leading entry first.  The order leaves
-    the pivot set alone but not the work: sparsest first, the rows cleared
-    at one pivot pick up entries that later pivots clear again, over and
-    over (on the image of delta^2 of the lens space, 259k row subtractions
-    against 5.3k this way).  A one-entry row alone in its column (+-1 with
-    unit pivots) is a pivot under either rule and meets no other row, so it
-    is taken first, as given (over F_p scaled to 1), and the pivot sets do
-    not change.
+    indices so the elimination is deterministic.  A one-entry row alone in
+    its column (+-1 with unit pivots) is a pivot under that rule and meets
+    no other row, so it is taken first, as given (over F_p scaled to 1).
 
     Returns ``(work, pivots, rest)``: the reduced rows, the (row, column)
     pivots in elimination order, and the nonzero rows left without a pivot
-    (with unit pivots, rows without a +-1 entry; empty otherwise).  Rows in
+    (with unit pivots, rows without a +-1 entry; empty otherwise).  Each
+    pivot row is zero at the column of every earlier pivot, and rows in
     ``rest`` are zero in every pivot column.
     """
     modp = p is not None
@@ -292,8 +285,7 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False, lef
             work[i] = {c: v % p if modp else v}
             col_rows.setdefault(c, set()).add(i)
             active.add(i)
-    key = (lambda row: -min(row)) if leftmost else len
-    heap = [(key(work[i]), i) for i in active]
+    heap = [(len(work[i]), i) for i in active]
     heapq.heapify(heap)
     # col_rows[c] holds active rows only: a pivot row leaves it at the end of
     # its step, and a row leaves active only as a pivot or once it is empty.
@@ -302,13 +294,13 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False, lef
         if i not in active:
             continue
         row = work[i]
-        if key(row) != k:  # stale heap entry
-            heapq.heappush(heap, (key(row), i))
+        if len(row) != k:  # stale heap entry
+            heapq.heappush(heap, (len(row), i))
             continue
         cols = [c for c, v in row.items() if v in (1, -1)] if unit else row
         if not cols:
             continue  # no admissible entry; stays active until an update gives one
-        pc = min(cols) if leftmost else min(cols, key=lambda c: (len(col_rows[c]), c))
+        pc = min(cols, key=lambda c: (len(col_rows[c]), c))
         active.discard(i)
         pivots.append((i, pc))
         if modp:
@@ -321,7 +313,7 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False, lef
             if not work[j]:
                 active.discard(j)
             else:
-                heapq.heappush(heap, (key(work[j]), j))
+                heapq.heappush(heap, (len(work[j]), j))
         for c in row:
             col_rows[c].discard(i)
     return work, pivots, [work[i] for i in sorted(active)]
@@ -353,10 +345,9 @@ def sparse_rref_q(rows: list[dict[int, int]]) -> tuple[list[dict[int, Fraction]]
     """Sparse reduced echelon basis of the row space over Q.
 
     Returns (pivot rows as dicts with the pivot entry normalised to 1,
-    pivot columns, sorted).  Pivot columns follow the fill-in heuristic,
-    not the leftmost-column rule, so the basis differs from the canonical
-    dense rref while spanning the same row space; each pivot column is 1 in
-    its own row and 0 in every other.
+    pivot columns, sorted).  Pivot columns follow the fill-in heuristic, so
+    the basis may differ from the dense rref's while spanning the same row
+    space; each pivot column is 1 in its own row and 0 in every other.
     Fraction-free elimination with gcd row normalisation keeps the
     arithmetic integral until the final scaling, so large sparse coboundary
     matrices reduce in near-linear time.  Deterministic for fixed input.
@@ -398,18 +389,20 @@ def back_substitute(rows, x: dict, field) -> dict:
 # Kernel modulo image: one sparse engine for both fields
 # ---------------------------------------------------------------------------
 
-def _unit_echelon(rows, field, leftmost=False) -> list[tuple[int, dict]]:
+def _unit_echelon(rows, field) -> list[tuple[int, dict]]:
     """(pivot, row) pairs of a sparse echelon form, each row 1 at its pivot.
 
-    Over F_p the engine already scales pivots to 1; over Q its rows are
-    fraction-free and are divided by their pivot entry here.
+    The pairs run last pivot first: each row is 0 at the pivots after it,
+    the order in which ``back_substitute`` solves them.  Over F_p the engine
+    already scales pivots to 1; over Q its rows are fraction-free and are
+    divided by their pivot entry here.
     """
-    work, pivots, _ = _eliminate(rows, field.char or None, leftmost=leftmost)
+    work, pivots, _ = _eliminate(rows, field.char or None)
     out = []
     for i, pc in pivots:
         row, pv = work[i], work[i][pc]
         out.append((pc, row if pv == 1 else {c: Fraction(v, pv) for c, v in row.items()}))
-    return out
+    return out[::-1]
 
 
 def int_multiple(values: dict) -> tuple[int, dict[int, int]]:
@@ -442,64 +435,49 @@ def transpose_rows(rows: list[dict], ncols: int) -> list[dict]:
 
 
 def pivot_columns(rows, field) -> list[int]:
-    """The pivot columns of the canonical rref of sparse int rows over *field*."""
-    return sorted(pc for _, pc in _eliminate(rows, field.char or None, leftmost=True)[1])
+    """Sorted pivot columns of an echelon form of sparse int rows over *field*: a column basis."""
+    return sorted(pc for _, pc in _eliminate(rows, field.char or None)[1])
 
 
 class Subquotient:
-    """Reduced-echelon basis of ker A modulo a subspace B of it, with ``express``.
+    """A basis of a complement of a subspace B in ker A, with ``express``.
 
     ``kernel_of`` holds the sparse int rows of A and ``image`` sparse int
-    rows spanning B, on ``n`` columns (``int_rows`` makes both).  The
-    image rows are eliminated with leftmost pivots, so their pivot set P is
-    that of the canonical rref of B.  The kernel of A off P, by back
-    substitution from each free column, is a complement of B in ker A.  Its
-    dense rref is ``basis`` (one row per class, pivot columns ``pivots``):
-    the canonical one over Q as over F_p, fixed by the two spans alone.
-    ``express`` checks A v = 0 on the kept (not copied) rows of A, then
-    pairs v with dual vectors ``duals``: z_j is 1 at the j-th basis pivot,
-    solved on P to be orthogonal to B, so z_j . basis[k] = [j == k].
-    ``from_duals`` publishes a basis and dual vectors found another way.
+    rows spanning B, on ``n`` columns (``int_rows`` makes both).  Let P be
+    the pivot set of the eliminated image rows.  Each pivot row is 0 at the
+    earlier pivots, so B meets {v : v|_P = 0} only in 0, and the kernel of
+    A off P is a complement of B in ker A.  ``basis`` holds its vectors by
+    back substitution from each free column f: 1 at f, 0 at the other free
+    columns and on P.  ``express`` checks A v = 0 on the kept (not copied)
+    rows of A, then pairs v with dual vectors ``duals``: z_f is 1 at f,
+    solved on P last pivot first to vanish on B, so z_j . basis[k] = [j ==
+    k].  ``from_duals`` publishes a basis and duals found another way.
     """
 
     def __init__(self, kernel_of, image, field, n: int):
-        im_rows = _unit_echelon(image, field, leftmost=True)
+        im_rows = _unit_echelon(image, field)
         P = {pc for pc, _ in im_rows}
         rows = [{c: v for c, v in row.items() if c not in P} for row in kernel_of]
-        # A pivot row is 0 at the earlier pivots: solve in reverse order.
-        solve = _unit_echelon(rows, field)[::-1]
+        solve = _unit_echelon(rows, field)
         bound = P | {pc for pc, _ in solve}
         free = [f for f in range(n) if f not in bound]
-        kernel = field.zeros((len(free), n))
-        for row, f in zip(kernel, free):
+        self._rows, self.field = kernel_of, field
+        self.basis = field.zeros((len(free), n))
+        for row, f in zip(self.basis, free):
             for c, x in back_substitute(solve, {f: 1}, field).items():
                 row[c] = x
-        R, pivots = rref(kernel, field)
-        # An image row is 0 left of its pivot: solve right to left.
-        im_rows.sort(reverse=True)
-        self._publish(kernel_of, field, R[: len(pivots)], pivots,
-                      [back_substitute(im_rows, {q: 1}, field) for q in pivots])
-
-    @classmethod
-    def zero(cls, kernel_of, field, n: int) -> "Subquotient":
-        """The subquotient known to be 0 (B = ker A): nothing is eliminated."""
-        return cls.from_duals(kernel_of, field, [], [])
+        self.duals = [back_substitute(im_rows, {f: 1}, field) for f in free]
 
     @classmethod
     def from_duals(cls, kernel_of, field, basis, duals) -> "Subquotient":
         """A basis of a complement of B in ker A with its dual vectors.
 
         Each z_j in *duals* (sparse) vanishes on B and z_j . basis[k] = [j ==
-        k].  Such a basis need not be an rref: ``pivots`` is then None,
-        except that a zero subquotient has pivots [].
+        k].  With no basis, B = ker A: only ``express``'s kernel check runs.
         """
         sq = cls.__new__(cls)
-        sq._publish(kernel_of, field, basis, None if basis else [], duals)
+        sq._rows, sq.field, sq.basis, sq.duals = kernel_of, field, basis, duals
         return sq
-
-    def _publish(self, kernel_of, field, basis, pivots, duals):
-        self._rows, self.field, self.basis, self.pivots = kernel_of, field, basis, pivots
-        self.duals = duals
 
     def __len__(self):
         return len(self.basis)

@@ -72,6 +72,14 @@ def _pivots_key(k: int, ring: str) -> tuple:  # the cache key of delta^k's pivot
     return ("pivots", k, ring)
 
 
+def orbit(perm: list[int], q: int) -> list[int]:
+    """The orbit of q under the permutation *perm*: q, perm[q], ... until q recurs."""
+    out = [q]
+    while perm[out[-1]] != q:
+        out.append(perm[out[-1]])
+    return out
+
+
 def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
     """Cancel cells in G-stable pairs of unit pivots that change no other entry of delta.
 
@@ -141,12 +149,6 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
                 queue.append((1, t))
         cofaces[0][x], n_cofaces[0][x] = [], 0
 
-    def orbit(d: int, q: int) -> list[int]:
-        perm, out = perms[d], [q]
-        while perm[out[-1]] != q:
-            out.append(perm[out[-1]])
-        return out
-
     fresh = (x for x in range(sizes[0] if sizes else 0)
              if live[0][x] and (perms is None or perms[0][x] == x))
     x = next(fresh, None)
@@ -166,7 +168,7 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
                 d, tau, sigma = d + 1, next(t for t in cofaces[d][q] if live[d + 1][t]), q
             else:
                 continue
-            if perms and len(orbit(d, tau)) != len(orbit(d - 1, sigma)):
+            if perms and len(orbit(perms[d], tau)) != len(orbit(perms[d - 1], sigma)):
                 continue
             while live[d][tau]:  # tau's orbit against sigma's
                 down[d][tau] = sigma
@@ -583,12 +585,12 @@ class SimplicialComplex:
         """
         key = ("basis", field.name, degree)
         if key not in self._cache:
-            betti = self.cohomology(field).betti
-            rows, n = self._cleared_rows(degree, field.name), self.n_simplices(degree)
+            betti = self.cohomology(field).betti  # first: its pivots clear the rows
+            rows = self._cleared_rows(degree, field.name)
             if not betti[degree]:
-                self._cache[key] = exactalg.Subquotient.zero(rows, field, n)
+                self._cache[key] = exactalg.Subquotient.from_duals(rows, field, [], [])
             elif not degree:
-                self._cache[key] = exactalg.Subquotient(rows, [], field, n)
+                self._cache[key] = exactalg.Subquotient(rows, [], field, self.n_simplices(0))
             else:
                 self._cache[key] = self._core_basis(field, degree, rows)
         return self._cache[key]

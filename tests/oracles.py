@@ -47,11 +47,38 @@ def kernel_basis(matrix, field) -> list[list]:
     return rank_and_kernel(matrix, field)[1]
 
 
+def assert_complements(subquotients, kernel_of, image: list[list], kernel: list[list]):
+    """Each ``Subquotient`` publishes a complement of B in ker A, with dual vectors.
+
+    A has the sparse rows *kernel_of*, B is spanned by the dense rows
+    *image*, and *kernel* is a dense oracle basis of ker A.  Every basis
+    vector is in ker A.  rank([image; basis]) = dim ker A for each engine,
+    and stays so with the oracle and every basis stacked together, so each
+    basis spans ker A modulo B.  Each dual z_j vanishes on the image rows
+    and z_j . basis[k] = [j == k], so the basis is independent modulo B.
+    """
+    field = subquotients[0].field
+
+    def dot(z: dict, v) -> int:
+        return field.reduce(sum(x * v[c] for c, x in z.items()))
+
+    stacked = image + kernel + [v for sq in subquotients for v in sq.basis]
+    assert exactalg.rank(stacked, field) == len(kernel)
+    for sq in subquotients:
+        assert not any(dot(row, v) for row in kernel_of for v in sq.basis)
+        assert exactalg.rank(image + sq.basis, field) == len(kernel)
+        assert len(sq.duals) == len(sq.basis) == len(sq)
+        for j, z in enumerate(sq.duals):
+            assert not any(dot(z, b) for b in image)
+            assert [dot(z, v) for v in sq.basis] == [int(j == k) for k in range(len(sq))]
+
+
 def x_route_basis(X: SimplicialComplex, field, d: int) -> exactalg.Subquotient:
     """H^d as ker delta^d modulo the columns of delta^{d-1} on X's full rows.
 
-    ``exactalg.Subquotient`` there publishes the canonical rref basis (the
-    dense route's, as the basis tests check) and its ``express``.
+    ``exactalg.Subquotient`` there publishes a basis of a complement of the
+    image and its ``express``; the basis tests check both against the dense
+    route with ``assert_complements``.
     """
     image = exactalg.transpose_rows(X.coboundary_rows(d - 1), X.n_simplices(d - 1)) if d else []
     return exactalg.Subquotient(X.coboundary_rows(d), image, field, X.n_simplices(d))

@@ -511,6 +511,18 @@ def test_fractional_coefficient_over_f3_is_inverted(tmp_path, capsys, mult, phi)
     assert repr(orientation.values) == repr(two[1].values)
 
 
+@pytest.mark.parametrize("command", ["algebra-check", "theorem1-alg"])
+def test_algebra_over_f2_rejected_with_its_line(tmp_path, capsys, command):
+    """The congruences exclude characteristic 2, so an algebra over F2 is an
+    input error at its algebra line, as --p 2 is."""
+    path = tmp_path / "f2.bc"
+    path.write_text("algebra A field F2\nbasis one bidegree 0 0\nbasis x bidegree 0 2\n"
+                    "mult x x = 0\nphi x = 1\nend\n")
+    assert main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "line 1:" in err and "characteristic 2" in err and "Traceback" not in err
+
+
 def test_denominator_divisible_by_p_rejected_with_its_line(tmp_path, capsys):
     path = tmp_path / "third.bc"
     path.write_text(_f3_algebra("1", "1/3"))
@@ -829,7 +841,9 @@ def _generated_algebra_lines(draw, field):
     F = QQ if field == "Q" else GF(int(field[1:]))
     source = draw(st.sampled_from(["pd", "differential", "odd example"]))
     if source == "odd example":
-        doc = parse(ODD_ALGEBRA_DOC.replace("field Q", f"field {field}"))
+        # No block over F2 parses: there the example's lines over Q serve.
+        doc = parse(ODD_ALGEBRA_DOC if F.char == 2 else
+                    ODD_ALGEBRA_DOC.replace("field Q", f"field {field}"))
         A, phi, delta = doc.algebras["odd_example"]
     elif source == "pd":
         A, phi = random_pd_algebra(random.Random(draw(st.integers(0, 999))), F, even_dim=None)
@@ -859,8 +873,9 @@ def _generated_algebra_lines(draw, field):
 
 @st.composite
 def algebra_documents(draw, families=(_random_algebra_lines, _generated_algebra_lines)):
-    """Algebra blocks over Q, F3 and F5 with mult, phi and delta lines."""
-    field = draw(st.sampled_from(["Q", "F3", "F5"]))
+    """Algebra blocks over Q, F2, F3 and F5 with mult, phi and delta lines
+    (over F2 none parses: the congruences exclude characteristic 2)."""
+    field = draw(st.sampled_from(["Q", "F2", "F3", "F5"]))
     lines = draw(st.one_of(*(family(field) for family in families)))
     return "\n".join([f"algebra fz field {field}", *lines, "end"]) + "\n"
 

@@ -19,13 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betticong import corpus, exactalg
+from betticong import exactalg
 from betticong.exactalg import (
     GF,
     QQ,
     Subquotient,
     _eliminate,
-    back_substitute,
     invert,
     matmul,
     nilpotent_block_sizes,
@@ -38,10 +37,9 @@ from betticong.exactalg import (
     sparse_rref_q,
     sparse_rows,
     sparse_smith_divisors,
-    transpose_rows,
 )
 
-from oracles import kernel_basis, rank_and_kernel
+from oracles import assert_complements, kernel_basis, rank_and_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -460,63 +458,27 @@ def test_engine_modes_agree(m, n, seed):
     assert len(sparse_rref_q(rows)[1]) == sparse_rank_q(rows)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 7), st.integers(1, 8), st.integers(0, 10**6), st.sampled_from([2, 3, 5]))
-def test_leftmost_pivots_are_the_rref_pivots(m, n, seed, p):
-    """Leftmost pivots: each pivot row is 0 left of its pivot, and the pivot
-    set is that of the dense rref; back substitution then solves the rows."""
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 10**6),
+       st.sampled_from(["Q", 2, 3, 5, "unit"]))
+def test_each_pivot_row_is_zero_at_the_earlier_pivots(m, n, seed, mode):
+    """The triangular form that Subquotient's two back substitutions, the
+    clearing in ``cohomology`` and the +-1 pivots of the Smith pass rely on:
+    each pivot row is zero at the pivot columns of every earlier pivot, and
+    the rows left without a pivot are zero at all of them."""
     rng = random.Random(seed)
-    M = [[rng.choice([0, 0, rng.randrange(p)]) for _ in range(n)] for _ in range(m)]
-    work, pivots, rest = _eliminate([{j: v for j, v in enumerate(r) if v} for r in M], p,
-                                    leftmost=True)
-    assert rest == []
-    assert sorted(pc for _, pc in pivots) == rref(M, GF(p))[1]
-    for i, pc in pivots:
-        assert min(work[i]) == pc and work[i][pc] == 1
-    # Solve right to left from each non-pivot column: a kernel vector of M.
-    solve = sorted(((pc, work[i]) for i, pc in pivots), reverse=True)
-    for f in sorted(set(range(n)) - {pc for _, pc in pivots}):
-        x = back_substitute(solve, {f: 1}, GF(p))
-        assert x[f] == 1
-        assert all(sum(v * x.get(j, 0) for j, v in enumerate(r)) % p == 0 for r in M)
-
-
-def _assert_rref_pivots(rows, pivots, rank_of):
-    """pivots are the rref pivots: the columns that raise the rank of the
-    columns to their left.  Checked with sparse ranks alone: the pivot
-    columns are independent and span, and every other column depends on
-    the pivot columns left of it."""
-    def restricted(cols):
-        return [{c: v for c, v in row.items() if c in cols} for row in rows]
-
-    P = set(pivots)
-    assert rank_of(restricted(P)) == len(P) == rank_of(rows)
-    for f in sorted({c for row in rows for c in row} - P):
-        left = {c for c in P if c < f}
-        assert rank_of(restricted(left | {f})) == len(left)
-
-
-@pytest.mark.parametrize("p", [None, 3])
-def test_leftmost_elimination_takes_rightmost_rows_first(monkeypatch, p):
-    """On the image of delta^2 of the lens space, taking rows sparsest first
-    costs 259k row subtractions; rightmost leading entry first, about 5k."""
-    L = corpus.lens_space()
-    image = transpose_rows(L.coboundary_rows(2), L.n_simplices(2))
-    calls = [0]
-    subtract = exactalg._subtract_pivot_row
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return subtract(*args, **kwargs)
-
-    monkeypatch.setattr(exactalg, "_subtract_pivot_row", counting)
-    work, pivots, _ = _eliminate(image, p, leftmost=True)
-    monkeypatch.undo()
-    assert calls[0] < 20_000
-    for i, pc in pivots:
-        assert min(work[i]) == pc
-    rank_of = (lambda rows: sparse_rank_modp(rows, p)) if p else sparse_rank_q
-    _assert_rref_pivots(image, [pc for _, pc in pivots], rank_of)
+    M = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 4]) for _ in range(n)] for _ in range(m)]
+    rows = [{j: v for j, v in enumerate(row) if v} for row in M]
+    p = mode if isinstance(mode, int) else None
+    work, pivots, rest = _eliminate(rows, p, mode == "unit")
+    assert rows == [{j: v for j, v in enumerate(row) if v} for row in M]  # inputs untouched
+    for k, (i, pc) in enumerate(pivots):
+        assert not any(c in work[i] for _, c in pivots[:k])
+        assert mode != "unit" or work[i][pc] in (1, -1)
+        assert not p or work[i][pc] == 1
+    assert not any(c in row for row in rest for _, c in pivots)
+    if mode != "unit":
+        assert rest == [] and len(pivots) == rank(M, GF(p) if p else QQ)
 
 
 def test_prime_field_inverts_fraction_denominators():
@@ -533,12 +495,16 @@ def test_prime_field_inverts_fraction_denominators():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 3), st.integers(0, 10**6),
-       st.sampled_from(["Q", "F3", "F5"]))
+       st.sampled_from(["Q", "F2", "F3", "F5"]))
 def test_subquotient_depends_only_on_the_spans(n, a, k, seed, field_name):
-    """Shuffled, unit-scaled and padded spanning rows give the same basis."""
+    """Shuffled, unit-scaled and padded spanning rows give a basis of a
+    complement of the same B in the same ker A, with dual vectors; each
+    ``express`` reads the classes of one in the other by an invertible
+    change of basis."""
     rng = random.Random(seed)
     field = QQ if field_name == "Q" else GF(int(field_name[1:]))
-    units = [1, -1, 2, Fraction(-1, 3), Fraction(5, 2)] if field is QQ else [1, 2]
+    units = [1, -1, 2, Fraction(-1, 3), Fraction(5, 2)] if field is QQ else [
+        u for u in (1, 2) if field.coerce(u)]
 
     def vec():
         return [field.coerce(rng.randint(-2, 2)) for _ in range(n)]
@@ -555,7 +521,6 @@ def test_subquotient_depends_only_on_the_spans(n, a, k, seed, field_name):
     kernel = kernel_basis(A or [[0] * n], field)
     B = [combo(kernel) for _ in range(k)]
     sq = Subquotient(sparse_rows(A), sparse_rows(B), field, n)
-    assert len(sq.basis) == len(sq)
     # The dense carrier: rows of n canonical Python ints or Fractions.
     assert all(len(row) == n and all(type(x) in (int, Fraction) and field.reduce(x) == x
                                      for x in row) for row in sq.basis)
@@ -568,24 +533,31 @@ def test_subquotient_depends_only_on_the_spans(n, a, k, seed, field_name):
         return sparse_rows(out)
 
     sq2 = Subquotient(respan(A, []), respan(B, [combo(B) for _ in range(2)]), field, n)
-    assert sq2.pivots == sq.pivots
-    assert sq2.basis == sq.basis
-    # express round-trips: a . basis + (an element of B) has coefficients a.
+    assert_complements([sq, sq2], sparse_rows(A), B, kernel)
+    # express round-trips: a . basis + (an element of B) has coefficients
+    # a, and C a in sq2's basis, C[k] the class of sq.basis[k] there.
+    change = [sq2.express(row) for row in sq.basis]
+    assert not change or rank(change, field) == len(sq)
     coeffs = [field.coerce(rng.randint(-3, 3)) for _ in range(len(sq))]
     v = combo(B)
     for c, row in zip(coeffs, sq.basis):
         v = [field.reduce(x + c * y) for x, y in zip(v, row)]
-    assert sq2.express(v) == coeffs
+    assert sq.express(v) == coeffs
+    assert sq2.express(v) == [field.reduce(sum(c * row[j] for c, row in zip(coeffs, change)))
+                              for j in range(len(sq2))]
     outside = vec()
     if A and any(x for row in matmul(A, [[x] for x in outside], field) for x in row):
         with pytest.raises(ValueError):
             sq.express(outside)
 
 
-def test_subquotient_zero_runs_only_the_kernel_check():
+def test_subquotient_zero_runs_only_the_kernel_check(monkeypatch):
+    """A subquotient known to be 0 is published with no basis: nothing is
+    eliminated and ``express`` only checks A v = 0."""
+    monkeypatch.setattr(exactalg, "_eliminate", None)
     rows = sparse_rows([[1, -1, 0], [0, 1, -1]])
-    sq = Subquotient.zero(rows, QQ, 3)
-    assert len(sq) == 0 and sq.basis == [] and sq.pivots == []
+    sq = Subquotient.from_duals(rows, QQ, [], [])
+    assert len(sq) == 0 and sq.basis == []
     assert sq.express([2, 2, 2]) == []
     with pytest.raises(ValueError):
         sq.express([1, 0, 0])

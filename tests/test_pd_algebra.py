@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from betticong import exactalg
-from betticong.exactalg import GF, QQ, field_matrix, rank, rref
+from betticong.exactalg import GF, QQ, field_matrix, rank
 from betticong.pd_algebra import (
     Differential,
     check_derivation,
@@ -35,7 +35,7 @@ from betticong.pd_algebra import (
     _tensor_orientation,
 )
 
-from oracles import kernel_basis
+from oracles import assert_complements, kernel_basis
 
 
 def sphere_model(field=QQ, n=2):
@@ -274,10 +274,9 @@ def test_homology_random_pd_or_zero():
         assert chi_a == chi_h
 
 
-def _dense_homology_bases(A, delta) -> list[tuple[list, list[int]]]:
-    """Per bidegree, the canonical rref basis of ker delta mod im delta from
-    dense kernels: the rows of rref([image; cycles]) whose pivots are not
-    pivots of the image."""
+def _dense_homology_oracle(A, delta) -> list[tuple[list[list], list[list]]]:
+    """Per bidegree, from dense kernels: the image of delta into the
+    component, one row per source basis element, and a basis of the cycles."""
     field = A.field
     D = field.zeros((A.dim, A.dim))
     for j, col in enumerate(delta.columns):
@@ -286,21 +285,18 @@ def _dense_homology_bases(A, delta) -> list[tuple[list, list[int]]]:
     de, dj = delta.shift
     out = []
     for (e, j), indices in sorted(A._components.items()):
-        # The image of delta into this component: one row per source basis element.
         image = field_matrix([[D[i][s] for i in indices] for s in A.component(e - de, j - dj)],
                              field)
-        cycles = kernel_basis([[row[i] for i in indices] for row in D], field)
-        R, pivots = rref(image + cycles, field)
-        P = set(rref(image, field)[1]) if image else set()
-        keep = [r for r, c in enumerate(pivots) if c not in P]
-        out.append(([R[r] for r in keep], [pivots[r] for r in keep]))
+        out.append((image, kernel_basis([[row[i] for i in indices] for row in D], field)))
     return out
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(["Q", "F3", "F5"]), st.booleans())
 def test_homology_bases_match_the_dense_oracle(seed, field_name, odd_family):
-    """Random algebras, and odd models with a random skew delta in a random basis."""
+    """Random algebras, and odd models with a random skew delta in a random
+    basis: per bidegree, a basis of ker delta modulo im delta with dual
+    vectors, checked against dense kernels by ``assert_complements``."""
     field = QQ if field_name == "Q" else GF(int(field_name[1:]))
     rng = random.Random(seed)
     if odd_family:
@@ -314,15 +310,18 @@ def test_homology_bases_match_the_dense_oracle(seed, field_name, odd_family):
     built = []
 
     class Recording(exactalg.Subquotient):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append((self.basis, self.pivots))
+        def __init__(self, kernel_of, *args):
+            super().__init__(kernel_of, *args)
+            built.append((self, kernel_of))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactalg, "Subquotient", Recording)
         H, _ = homology(A, delta, phi)
-    assert built == _dense_homology_bases(A, delta)
-    assert sum(len(b) for b, _ in built) == (H.dim if H is not None else 0)
+    oracle = _dense_homology_oracle(A, delta)
+    assert len(built) == len(oracle)
+    for (sq, kernel_of), (image, cycles) in zip(built, oracle):
+        assert_complements([sq], kernel_of, image, cycles)
+    assert sum(len(sq) for sq, _ in built) == (H.dim if H is not None else 0)
 
 
 # ---------------------------------------------------------------------------

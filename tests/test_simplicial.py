@@ -31,8 +31,6 @@ from betticong.exactalg import (
     GF,
     QQ,
     field_matrix,
-    rank,
-    rref,
     smith_normal_form,
     sparse_smith_divisors,
 )
@@ -59,7 +57,13 @@ from betticong.simplicial import (
 )
 
 from conftest import join_rotation
-from oracles import assert_lift_and_projection, coboundary_matrix, kernel_basis, x_route_basis
+from oracles import (
+    assert_complements,
+    assert_lift_and_projection,
+    coboundary_matrix,
+    kernel_basis,
+    x_route_basis,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -722,40 +726,29 @@ def test_link_matches_all_facets_definition(X):
 # cocycle bases over Q and F_p: the sparse route against the dense oracle, express
 # ---------------------------------------------------------------------------
 
-def _dense_basis(X: SimplicialComplex, field, d: int) -> tuple[list, list[int], list[list], set]:
-    """The dense route, kept as the oracle: the canonical rref of the cocycles
-    vanishing on the image pivots P.  Those are the rows of the rref of
-    [image; cocycles] whose pivots lie outside P.  Also returns the image,
-    the columns of delta^{d-1}, and P."""
+def _dense_cocycles(X: SimplicialComplex, field, d: int) -> tuple[list[list], list[list]]:
+    """The dense route, kept as the oracle: the image, the columns of
+    delta^{d-1}, and a basis of the cocycles ker delta^d from the dense rref."""
     image = field_matrix(zip(*coboundary_matrix(X, d - 1)), field) if d else []
     # delta^dim has no rows; one zero row has the same kernel, all of C^dim.
-    cocycles = kernel_basis(coboundary_matrix(X, d) or [[0] * X.n_simplices(d)], field)
-    R, pivots = rref(image + cocycles, field)
-    P = set(rref(image, field)[1]) if image else set()
-    keep = [r for r, c in enumerate(pivots) if c not in P]
-    return [R[r] for r in keep], [pivots[r] for r in keep], image, P
+    return image, kernel_basis(coboundary_matrix(X, d) or [[0] * X.n_simplices(d)], field)
 
 
 def _check_bases_against_dense(X: SimplicialComplex):
-    """Each basis vector is a cocycle of X, and with the image of delta^{d-1}
-    the basis spans ker delta^d: rank([image; basis]) = rank(image) + b_d,
-    b_d the size of the dense route's basis.  The published basis is lifted
-    from the core, so it is not the canonical rref that route gives; the
-    engine on X's full rows (``x_route_basis``) gives that rref."""
+    """The published basis, lifted from the core, and the engine's on X's
+    full rows (``x_route_basis``) are each a basis of ker delta^d modulo the
+    image of delta^{d-1} with dual vectors, checked against the dense
+    route's cocycles by ``assert_complements``."""
     for field in (QQ, GF(2), GF(3), GF(5)):
         for d in range(X.dim + 1):
             B = X.cohomology_basis(field, d)
-            assert len(B.basis) == len(B)
             # The dense carrier: rows of canonical Python ints or Fractions.
             assert all(len(row) == X.n_simplices(d) and all(
                 type(x) in (int, Fraction) and field.reduce(x) == x for x in row)
                 for row in B.basis)
-            basis, pivots, image, P = _dense_basis(X, field, d)
-            x_route = x_route_basis(X, field, d)
-            assert (x_route.basis, x_route.pivots) == (basis, pivots)
-            assert all(not any(field.reduce(sum(x * v[c] for c, x in row.items())) for row in
-                               X.coboundary_rows(d)) for v in B.basis)
-            assert rank(image + B.basis, field) == len(P) + len(basis)
+            image, cocycles = _dense_cocycles(X, field, d)
+            assert_complements([B, x_route_basis(X, field, d)], X.coboundary_rows(d), image,
+                               cocycles)
 
 
 def _coboundary(X: SimplicialComplex, k: int, c: list, field) -> list:
@@ -839,9 +832,9 @@ def test_a_lift_that_walks_its_pairs_forwards_is_caught():
 
 
 def _cocycle_bases_and_change(X: SimplicialComplex, field, d: int):
-    """The basis of ``cohomology_basis``, the route on X's full rows (its
-    canonical rref basis) and C, whose column j is the class of the j-th
-    published basis vector in the canonical basis."""
+    """The basis of ``cohomology_basis``, the route on X's full rows
+    (``x_route_basis``) and C, whose column j is the class of the j-th
+    published basis vector in that route's basis."""
     B, oracle = X.cohomology_basis(field, d), x_route_basis(X, field, d)
     C = [list(col) for col in zip(*map(oracle.express, B.basis))]
     assert len(B) == len(oracle) == exactalg.rank(C, field)
@@ -850,7 +843,7 @@ def _cocycle_bases_and_change(X: SimplicialComplex, field, d: int):
 
 def test_gstar_is_conjugate_to_the_canonical_basis_route_on_the_corpus():
     """C g*_new = g*_old C on every corpus action over Q, F_2, F_3 and F_p,
-    g*_old the matrix of sigma^* in the canonical basis."""
+    g*_old the matrix of sigma^* in the basis of the route on X's full rows."""
     for a in corpus.corpus_actions().values():
         X = a.complex
         for field in dict.fromkeys([QQ, GF(2), GF(3), GF(a.p)]):
@@ -866,9 +859,9 @@ def test_gstar_is_conjugate_to_the_canonical_basis_route_on_the_corpus():
 
 
 def _assert_pairings_congruent(X: SimplicialComplex, field):
-    """Each Gram matrix G of H^i x H^{n-i} -> H^n is congruent to the
-    canonical basis route's: c G = C_i^T G_old C_{n-i}, c the class of the
-    published top class in the canonical one; so the ranks agree."""
+    """Each Gram matrix G of H^i x H^{n-i} -> H^n is congruent to that of
+    the route on X's full rows: c G = C_i^T G_old C_{n-i}, c the class of
+    the published top class in that route's basis; so the ranks agree."""
     ring = cup_pairing(X, field)
     n = ring.top_degree
     if ring.orientation is None:

@@ -363,7 +363,7 @@ def _assert_cleared_routes_agree(X: SimplicialComplex, p: int):
             image = exactalg.transpose_rows(rows[d - 1], n[d - 1]) if d else []
             oracles[field, d] = (exactalg.Subquotient(rows[d], image, field, n[d])
                                  if n[d] - rank[d] - rank[d - 1] else
-                                 exactalg.Subquotient.zero(rows[d], field, n[d]))
+                                 exactalg.Subquotient.from_duals(rows[d], field, [], []))
     assert_lift_and_projection(X)
     for order in _ROUTE_ORDERS:
         Y = SimplicialComplex(X.vertices, X.facets)
