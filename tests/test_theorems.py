@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from fractions import Fraction
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from betticong import corpus, exactalg, simplicial, theorems
@@ -14,6 +15,7 @@ from betticong.group_action import (
     fixed_set_cohomology,
     lefschetz_number,
     trivial_action,
+    validate_action,
 )
 from betticong.pd_algebra import (
     Differential,
@@ -34,6 +36,7 @@ from betticong.theorems import (
 )
 from betticong.simplicial import SimplicialComplex, join, link, product, suspension
 
+from conftest import small_actions
 from oracles import assert_lift_and_projection
 
 
@@ -213,6 +216,15 @@ def assert_hm_matches_oracle(X: SimplicialComplex, p: int) -> tuple:
     return failures
 
 
+def assert_orbit_route_matches_oracle(action: GroupAction, p: int) -> tuple:
+    """With and without the action's permutation, the failures are the oracle's."""
+    X = action.complex
+    orbit_route = homology_manifold_check(SimplicialComplex(X.vertices, X.facets), p, action.perm())
+    assert orbit_route == homology_manifold_check(SimplicialComplex(X.vertices, X.facets), p)
+    assert orbit_route.failures == rank_oracle_failures(X, p)
+    return orbit_route.failures
+
+
 def _wedge_of_spheres() -> SimplicialComplex:
     """Two tetrahedron boundaries sharing the vertex a0."""
     b = corpus.tetrahedron_boundary("b").simplex_labels(2)
@@ -280,8 +292,10 @@ def _non_manifolds() -> dict[str, SimplicialComplex]:
 
 
 def test_hm_certificates_match_rank_oracle_on_the_corpus():
+    """Every corpus complex at p = 3, 5 and 7, with and without its action."""
     for name, action in corpus.corpus_actions().items():
-        assert_hm_matches_oracle(action.complex, action.p)
+        for p in (3, 5, 7):
+            assert_orbit_route_matches_oracle(action, p)
     assert assert_hm_matches_oracle(corpus.lens_space(), 3) == ()
 
 
@@ -468,6 +482,87 @@ def test_hm_core_certificate_reads_every_degree():
     X = suspension(Y)
     for p in (3, 5):
         assert {("N*",), ("S*",)} <= set(assert_hm_matches_oracle(X, p))
+
+
+# The orbit route: theorem 4 passes its action's permutation, and each orbit
+# of simplices is decided once.
+
+def _free_triangle_join_torus() -> GroupAction:
+    """The free Z/3 triangle joined with the torus, fixed: the triangle's
+    vertices (link S^0 * T^2) and edges (link T^2) fail in free orbits."""
+    X = join(corpus.polygon(3), corpus.torus())
+    return validate_action(X, corpus.free_polygon_action(3).mapping, 3)
+
+
+def _hexagon_join_two_squares() -> GroupAction:
+    """The hexagon turned by two steps, joined with two disjoint squares,
+    fixed.  A hexagon vertex has the link S^0 * (two squares): two spheres
+    on two poles, connected with chi 2, which passes the surface count and
+    fails only below its failed hexagon edges (link: the two squares).  In
+    this vertex order c3 is first in its orbit {c3, c5, c1}, but neither
+    hexagon edge at c3 is first in its own orbit."""
+    hexagon = [f"c{i}" for i in (0, 2, 3, 1, 4, 5)]
+    squares = [(f"{x}{i}", f"{x}{(i + 1) % 4}") for x in "ab" for i in range(4)]
+    X = SimplicialComplex.from_facets(
+        [(f"c{i}", f"c{(i + 1) % 6}", *e) for i in range(6) for e in squares],
+        vertex_order=hexagon + [v for x in "ab" for v in (f"{x}0", f"{x}1", f"{x}2", f"{x}3")])
+    return validate_action(X, {f"c{i}": f"c{(i + 2) % 6}" for i in range(6)}, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_actions(), st.sampled_from([3, 5, 7]))
+def test_hm_orbit_route_matches_rank_oracle_on_small_actions(action, p):
+    assert_orbit_route_matches_oracle(action, p)
+
+
+def test_hm_orbit_route_fails_whole_free_orbits():
+    """Deciding an orbit at its first simplex must fail every member, and put
+    the faces of every member below a failure."""
+    for p in (3, 5):
+        assert assert_orbit_route_matches_oracle(_free_triangle_join_torus(), p) == (
+            ("v0",), ("v1",), ("v2",), ("v0", "v1"), ("v0", "v2"), ("v1", "v2"))
+    action = _hexagon_join_two_squares()
+    for p in (3, 5):
+        assert assert_orbit_route_matches_oracle(action, p) == (
+            ("c0",), ("c2",), ("c3",), ("c1",), ("c4",), ("c5",),
+            ("c0", "c1"), ("c0", "c5"), ("c2", "c3"), ("c2", "c1"), ("c3", "c4"), ("c4", "c5"))
+
+
+def _fresh_action(action: GroupAction) -> GroupAction:
+    """The action on a copy of its complex, with no cached report."""
+    X = action.complex
+    return GroupAction(SimplicialComplex(X.vertices, X.facets), action.p, action.vertex_map)
+
+
+def test_cold_theorem4_builds_one_vertex_link_per_orbit(monkeypatch):
+    """A cold theorem 4 on S^2 x S^2 (Z/7) builds the links of the 8 fixed
+    vertices and of one vertex in each of the 8 free orbits: 16 of the 64
+    vertex links that the check without the permutation builds."""
+    action = _fresh_action(corpus.s2xs2_rotation(7))
+    X = action.complex
+    built, real_init = [], SimplicialComplex.__init__
+    monkeypatch.setattr(SimplicialComplex, "__init__",
+                        lambda self, *a: built.append(a[0] is X.vertices) or real_init(self, *a))
+    assert check_theorem4(action).verdict == "PASS"
+    assert built.count(True) == 16
+    assert sum(1 for v, w in action.vertex_map if v == w) == 8
+
+
+def test_hm_orbit_route_refuses_a_map_that_is_not_an_automorphism(monkeypatch):
+    """A vertex map that sends a simplex outside X, or is not a bijection,
+    raises before any link is decided; an automorphism gives the same report."""
+    X = corpus.wedge_fixture()  # w0 w1 w2 and w0 w3 w4
+    swap = [0, 3, 4, 1, 2]  # w1 <-> w3, w2 <-> w4
+    assert homology_manifold_check(SimplicialComplex(X.vertices, X.facets), 3, swap) \
+        == homology_manifold_check(SimplicialComplex(X.vertices, X.facets), 3)
+    decided = []
+    real = theorems._link_passes
+    monkeypatch.setattr(theorems, "_link_passes", lambda *a: decided.append(a) or real(*a))
+    for bad in ([0, 3, 2, 1, 4], [0, 1, 2, 3, 3], [0, 1, 2, 3]):
+        fresh = SimplicialComplex(X.vertices, X.facets)
+        with pytest.raises(ValueError):
+            homology_manifold_check(fresh, 3, bad)
+        assert not decided and ("hm", 3) not in fresh._cache
 
 
 def _degrees_by_row_count(X: SimplicialComplex) -> dict[int, int]:
