@@ -196,6 +196,7 @@ def _parse_action(lines, i):
     except ValueError:
         raise InputError(f"p must be an integer, got {tok[5]!r}", lineno)
     block = ActionBlock(name=tok[1], complex_name=tok[3], p=p, pairs=[], line=lineno)
+    sources = set()
     i += 1
     while i < len(lines):
         lineno, tok = lines[i]
@@ -204,6 +205,9 @@ def _parse_action(lines, i):
         if tok[0] == "map":
             if len(tok) != 4 or tok[2] != "->":
                 raise InputError("expected: map <v> -> <w>", lineno)
+            if tok[1] in sources:
+                raise InputError(f"map repeats source vertex {tok[1]!r}", lineno)
+            sources.add(tok[1])
             block.pairs.append((tok[1], tok[3]))
         else:
             raise InputError(f"unexpected {tok[0]!r} in action block", lineno)

@@ -23,6 +23,7 @@ from .simplicial import (
     barycentric_subdivision,
     bary_label,
     maximal_chains,
+    orbit,
 )
 
 
@@ -45,15 +46,9 @@ class GroupAction:
         return [idx[m[v]] for v in self.complex.vertices]
 
     def power(self, k: int) -> "GroupAction":
-        k %= self.p
-        m = self.mapping
-        out = {}
-        for v in self.complex.vertices:
-            w = v
-            for _ in range(k):
-                w = m[w]
-            out[v] = w
-        return GroupAction(self.complex, self.p, tuple(sorted(out.items())))
+        perm, vs = self.perm(), self.complex.vertices
+        image = ((v, vs[(o := orbit(perm, q))[k % len(o)]]) for q, v in enumerate(vs))
+        return GroupAction(self.complex, self.p, tuple(sorted(image)))
 
     def is_trivial(self) -> bool:
         return all(a == b for a, b in self.vertex_map)
@@ -81,25 +76,17 @@ def validate_action(X: SimplicialComplex, sigma: dict, p: int) -> GroupAction:
         mapping.setdefault(v, v)
     if set(mapping.values()) != vertices:
         raise ValueError("vertex map is not a permutation")
+    perm = [X._vertex_index[mapping[v]] for v in X.vertices]
     # Order must divide p: every cycle has length 1 or p.
-    seen = set()
-    for v in X.vertices:
-        if v in seen:
-            continue
-        cycle = [v]
-        w = mapping[v]
-        while w != v:
-            cycle.append(w)
-            w = mapping[w]
-        seen.update(cycle)
+    for q in range(len(perm)):
+        cycle = orbit(perm, q)
         if len(cycle) not in (1, p):
             raise ValueError(
-                f"permutation order mismatch: cycle {tuple(cycle)} has length "
-                f"{len(cycle)}, not 1 or {p}"
+                f"permutation order mismatch: cycle {tuple(X.vertices[v] for v in cycle)} "
+                f"has length {len(cycle)}, not 1 or {p}"
             )
-    idx = X._vertex_index
     for f in X.facets:
-        image = tuple(sorted(idx[mapping[X.vertices[v]]] for v in f))
+        image = tuple(sorted(perm[v] for v in f))
         if X._simplex_index.get(len(f) - 1, {}).get(image) is None:
             labels = tuple(X.vertices[v] for v in f)
             raise ValueError(f"image of simplex {labels} is not a simplex")
@@ -115,28 +102,16 @@ def trivial_action(X: SimplicialComplex, p: int) -> GroupAction:
 # ---------------------------------------------------------------------------
 
 def _vertex_orbit_reps(action: GroupAction) -> dict[str, str]:
-    m = action.mapping
-    reps = {}
-    for v in action.complex.vertices:
-        orbit = [v]
-        w = m[v]
-        while w != v:
-            orbit.append(w)
-            w = m[w]
-        rep = min(orbit)
-        for u in orbit:
-            reps[u] = rep
-    return reps
+    """Each vertex's least label in its orbit."""
+    perm, vs = action.perm(), action.complex.vertices
+    return {v: min(vs[u] for u in orbit(perm, q)) for q, v in enumerate(vs)}
 
 
 def _invariant_simplices(action: GroupAction) -> list[Simplex]:
     """The setwise-invariant simplices, by dimension, then by index."""
     X = action.complex
-    perm = action.perm()
-    return [
-        s for d in range(X.dim + 1) for s in X.simplices(d)
-        if tuple(sorted(perm[v] for v in s)) == s
-    ]
+    return [X.simplices(d)[q] for d in range(X.dim + 1)
+            for q, image in enumerate(pullback_permutation(action, d)[0]) if image == q]
 
 
 def is_regular(action: GroupAction) -> bool:
@@ -148,13 +123,10 @@ def is_regular(action: GroupAction) -> bool:
 def subdivide_action(action: GroupAction) -> GroupAction:
     """Barycentric subdivision with the induced action."""
     X = action.complex
-    m = action.mapping
-    idx = X._vertex_index
     new_map = {}
     for d in range(X.dim + 1):
-        for s in X.simplex_labels(d):
-            image = tuple(sorted((m[v] for v in s), key=idx.get))
-            new_map[bary_label(s)] = bary_label(image)
+        labels = [bary_label(s) for s in X.simplex_labels(d)]
+        new_map.update(zip(labels, (labels[q] for q in pullback_permutation(action, d)[0])))
     return validate_action(barycentric_subdivision(X), new_map, action.p)
 
 
@@ -399,17 +371,15 @@ def quotient_complex(action: GroupAction) -> SimplicialComplex:
         return SimplicialComplex.from_facets(orbit_facets, vertex_order=sorted(set(reps.values())))
     if any(len({reps[X.vertices[v]] for v in f}) < len(f) for f in X.facets):
         action = subdivide_action(action)
-    Y, perm = action.complex, action.perm()
+    Y = action.complex
     label: dict[Simplex, str] = {}
     for d in range(Y.dim + 1):
-        for s in Y.simplices(d):
-            if s in label:
-                continue
-            orbit = [s]
-            for _ in range(action.p - 1):
-                orbit.append(tuple(sorted(perm[v] for v in orbit[-1])))
-            least = min(bary_label(tuple(Y.vertices[v] for v in t)) for t in orbit)
-            label.update(dict.fromkeys(orbit, least))
+        simps, names = Y.simplices(d), [bary_label(s) for s in Y.simplex_labels(d)]
+        perm = pullback_permutation(action, d)[0]
+        for q, s in enumerate(simps):
+            if s not in label:
+                o = orbit(perm, q)
+                label.update(dict.fromkeys((simps[r] for r in o), min(names[r] for r in o)))
     orbit_facets = {frozenset(label[s] for s in chain) for chain in maximal_chains(Y)}
     return SimplicialComplex.from_facets(orbit_facets, vertex_order=sorted(set(label.values())))
 

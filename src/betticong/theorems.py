@@ -17,9 +17,10 @@ from .group_action import (
     GroupAction,
     fixed_set_cohomology,
     fixed_subcomplex,
+    pullback_permutation,
     tfr_decomposition,
 )
-from .simplicial import SimplicialComplex, pd_check
+from .simplicial import SimplicialComplex, orbit, pd_check
 from .pd_algebra import (
     BigradedAlgebra,
     Differential,
@@ -251,7 +252,8 @@ class HomologyManifoldReport:
         return self.is_hm and self.orientable
 
 
-def homology_manifold_check(X: SimplicialComplex, p: int, perm=None) -> HomologyManifoldReport:
+def homology_manifold_check(X: SimplicialComplex, p: int,
+                            action: GroupAction | None = None) -> HomologyManifoldReport:
     """Every link must be a sphere of complementary dimension over Z_(p).
 
     X must be pure of some dimension d; then the link of a k-simplex s has
@@ -278,9 +280,8 @@ def homology_manifold_check(X: SimplicialComplex, p: int, perm=None) -> Homology
       other core passes iff the F_p Betti numbers are (1, 0, ..., 0, 1),
       from the coboundary ranks on the coreduced rows.
 
-    ``perm``, if given, is a simplicial automorphism g of X as a
-    permutation of vertex indices (the generator of a group action, as
-    ``GroupAction.perm`` gives it); then only the first simplex of each
+    ``action``, if given, is a group action on X, whose generator g is a
+    simplicial automorphism of X; then only the first simplex of each
     orbit <g> s is decided, and its verdict is given to the whole orbit.
     The report is the same as without it.  A vertex bijection g maps the
     facets f of X that contain s onto those that contain gs, and f - s
@@ -292,10 +293,8 @@ def homology_manifold_check(X: SimplicialComplex, p: int, perm=None) -> Homology
     connectivity, and, on the last route, the sphere's F_p Betti numbers,
     which a one-cell core implies).  So s fails iff gs fails, and the
     faces of every member of a failed orbit, or of an orbit below a
-    failure, are below a failure.  Without ``perm`` each orbit is one
-    simplex.  ``ValueError`` if ``perm`` is not a vertex bijection that
-    maps every simplex of X to a simplex of X: a map that is not an
-    automorphism must not skip a link.
+    failure, are below a failure.  Without ``action`` each orbit is one
+    simplex.  ``ValueError`` if ``action`` acts on another complex.
 
     ``failures`` lists the simplices whose link fails, by dimension, then
     in the complex's simplex order.  Orientability: b_d = 1 over Q, and no
@@ -303,12 +302,14 @@ def homology_manifold_check(X: SimplicialComplex, p: int, perm=None) -> Homology
     its divisors prime to p count its F_p rank and all of them its Q rank,
     so this holds iff b_d = 1 over F_p too.
     """
+    if action is not None and action.complex is not X:
+        raise ValueError("the action is not on this complex")
     key = ("hm", p)
     if key in X._cache:
         return X._cache[key]
     d = X.dim
     pure = X.is_pure()
-    failures = _link_failures(X, p, perm) if pure else []
+    failures = _link_failures(X, p, action) if pure else []
     orientable = d >= 0 and X.cohomology(QQ).betti[-1] == 1 == X.cohomology(GF(p)).betti[-1]
     report = HomologyManifoldReport(
         is_hm=pure and not failures,
@@ -321,36 +322,20 @@ def homology_manifold_check(X: SimplicialComplex, p: int, perm=None) -> Homology
     return report
 
 
-def _simplex_orbits(X: SimplicialComplex, k: int, perm) -> list[list[tuple[int, ...]]]:
-    """The orbits of the k-simplices under the vertex permutation ``perm``,
-    each starting at its first simplex, in simplex order."""
-    index = X._simplex_index[k]
-    seen: set[tuple[int, ...]] = set()
-    orbits = []
-    for s in X.simplices(k):
-        if s in seen:
-            continue
-        orb, t = [s], tuple(sorted(perm[v] for v in s))
-        while t != s:
-            if t not in index:
-                raise ValueError(f"perm maps a {k}-simplex outside the complex: {t}")
-            orb.append(t)
-            t = tuple(sorted(perm[v] for v in t))
-        seen.update(orb)
-        orbits.append(orb)
-    return orbits
-
-
-def _link_failures(X: SimplicialComplex, p: int, perm=None) -> list[tuple[str, ...]]:
+def _link_failures(X: SimplicialComplex, p: int,
+                   action: GroupAction | None = None) -> list[tuple[str, ...]]:
     """The simplices of the pure complex X whose link is not an F_p-sphere,
-    deciding one simplex per orbit of ``perm`` (see homology_manifold_check)."""
-    d, n = X.dim, len(X.vertices)
-    if perm is None:
-        perm = range(n)
-    elif sorted(perm) != list(range(n)):
-        raise ValueError("perm is not a permutation of the vertex indices")
-    orbits = [_simplex_orbits(X, k, perm) for k in range(d + 1)]
-    firsts = {orb[0] for level in orbits for orb in level}
+    deciding one simplex per orbit of ``action`` (see homology_manifold_check)."""
+    d = X.dim
+    orbits = []  # as simplices from the first, by dimension, then in simplex order
+    for k in range(d + 1):
+        simps, seen = X.simplices(k), set()
+        perm = pullback_permutation(action, k)[0] if action else range(len(simps))
+        for q in range(len(simps)):
+            if q not in seen:
+                seen.update(o := orbit(perm, q))
+                orbits.append([simps[r] for r in o])
+    firsts = {orb[0] for orb in orbits}
     links: dict[tuple[int, ...], list[tuple[int, ...]]] = {s: [] for s in firsts}
     for f in X.facets:
         for r in range(1, len(f) + 1):
@@ -359,13 +344,12 @@ def _link_failures(X: SimplicialComplex, p: int, perm=None) -> list[tuple[str, .
                     links[s].append(tuple(v for v in f if v not in s))
     failed: set[tuple[int, ...]] = set()
     below_failure: set[tuple[int, ...]] = set()  # simplices with a failed coface
-    for k in range(d, -1, -1):
-        for orb in orbits[k]:
-            s = orb[0]
-            if not _link_passes(X, links[s], d - k, s in below_failure, p):
-                failed.update(orb)
-            if k and (s in failed or s in below_failure):
-                below_failure.update(t[:i] + t[i + 1:] for t in orb for i in range(len(t)))
+    for orb in reversed(orbits):
+        s = orb[0]
+        if not _link_passes(X, links[s], d + 1 - len(s), s in below_failure, p):
+            failed.update(orb)
+        if len(s) > 1 and (s in failed or s in below_failure):
+            below_failure.update(t[:i] + t[i + 1:] for t in orb for i in range(len(t)))
     return [tuple(X.vertices[v] for v in s)
             for k in range(d + 1) for s in X.simplices(k) if s in failed]
 
@@ -416,7 +400,7 @@ def check_theorem4(action: GroupAction, subject: str = "") -> TheoremReport:
     )
     cheap_ok = ncomp == 1 and X.dim % 2 == 0 and p > total_fp
     if cheap_ok:
-        hm = homology_manifold_check(X, p, action.perm())
+        hm = homology_manifold_check(X, p, action)
         ev = "links are spheres" if hm.is_hm else f"{len(hm.failures)} link failure(s)"
         if hm.is_hm and not hm.orientable:
             ev = "links pass but not orientable"

@@ -12,7 +12,7 @@ import random
 from betticong import exactalg, simplicial
 from betticong.exactalg import QQ, rref
 from betticong.group_action import GroupAction, induced_cohomology_action, pullback_permutation
-from betticong.simplicial import SimplicialComplex
+from betticong.simplicial import Simplex, SimplicialComplex, bary_label
 
 
 def kernel_from_rref(R, pivots: list[int], n: int, field) -> list[list]:
@@ -102,6 +102,60 @@ def cochain_pullback_matrix(action: GroupAction, degree: int, field) -> list[lis
     for row, q, sign in zip(M, perm, signs):
         row[q] = field.reduce(sign)
     return M
+
+
+def vertex_orbit_reps(action: GroupAction) -> dict[str, str]:
+    """Each vertex's least orbit-mate, walking the vertex map label by label."""
+    m = action.mapping
+    reps = {}
+    for v in action.complex.vertices:
+        orbit = [v]
+        w = m[v]
+        while w != v:
+            orbit.append(w)
+            w = m[w]
+        for u in orbit:
+            reps[u] = min(orbit)
+    return reps
+
+
+def power_map(action: GroupAction, k: int) -> tuple[tuple[str, str], ...]:
+    """The vertex map of g^k, sorted by source: g applied k mod p times."""
+    m = action.mapping
+    out = {}
+    for v in action.complex.vertices:
+        w = v
+        for _ in range(k % action.p):
+            w = m[w]
+        out[v] = w
+    return tuple(sorted(out.items()))
+
+
+def simplex_orbits(action: GroupAction, k: int) -> list[list[Simplex]]:
+    """The orbits of the k-simplices, each from its first simplex, in simplex
+    order, taking a simplex's image as its sorted vertex image."""
+    perm = action.perm()
+    seen: set[Simplex] = set()
+    orbits = []
+    for s in action.complex.simplices(k):
+        if s in seen:
+            continue
+        orb, t = [s], tuple(sorted(perm[v] for v in s))
+        while t != s:
+            orb.append(t)
+            t = tuple(sorted(perm[v] for v in t))
+        seen.update(orb)
+        orbits.append(orb)
+    return orbits
+
+
+def subdivided_map(action: GroupAction) -> tuple[tuple[str, str], ...]:
+    """The vertex map of the action on sd X, sorted by source: each
+    barycentre to that of its simplex's image, sorted by vertex index."""
+    X, m = action.complex, action.mapping
+    idx = X._vertex_index
+    return tuple(sorted((bary_label(s), bary_label(tuple(sorted((m[v] for v in s), key=idx.get))))
+                        for d in range(X.dim + 1) for s in X.simplex_labels(d)))
 
 
 def trivial_rational_action_check(action: GroupAction) -> bool:

@@ -131,6 +131,21 @@ def test_repeated_vertex_rejected_with_its_line(tmp_path, capsys, doc, line):
     assert f"line {line}:" in capsys.readouterr().err
 
 
+def test_repeated_map_source_rejected_with_its_line(tmp_path, capsys):
+    """A second map line for a source is an error, not a silent override:
+    here the rotation's three lines would be dropped for its inverse's."""
+    doc = ("complex T\nvertices a b c\nfacet a b\nfacet b c\nfacet a c\nend\n"
+           "action g on T p 3\nmap a -> b\nmap b -> c\nmap c -> a\n"
+           "map a -> c\nmap b -> a\nmap c -> b\nend\n")
+    with pytest.raises(InputError, match="line 11: map repeats source vertex 'a'"):
+        parse(doc)
+    path = tmp_path / "bad.bc"
+    path.write_text(doc)
+    assert main(["fixed-set", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "line 11:" in captured.err and not captured.out
+
+
 def test_parse_wrong_order_names_cycle():
     bad = PENTAGON_DOC.replace("p 5", "p 3")
     with pytest.raises(InputError, match="cycle.*length 5, not 1 or 3"):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from betticong import corpus, group_action
+from betticong import corpus, group_action, theorems
 from betticong.cli import parse
 from betticong.exactalg import GF, QQ
 from betticong.group_action import (
+    _invariant_simplices,
     _orbits_embed,
     _vertex_orbit_reps,
     bockstein_condition,
@@ -27,11 +28,19 @@ from betticong.group_action import (
     trivial_action,
     validate_action,
 )
-from betticong.simplicial import SimplicialComplex
+from betticong.simplicial import SimplicialComplex, orbit
 from betticong.theorems import check_even_codim
 
 from conftest import join_rotation, small_actions
-from oracles import coboundary_matrix, cochain_pullback_matrix, trivial_rational_action_check
+from oracles import (
+    coboundary_matrix,
+    cochain_pullback_matrix,
+    power_map,
+    simplex_orbits,
+    subdivided_map,
+    trivial_rational_action_check,
+    vertex_orbit_reps,
+)
 
 
 def rot(prefix, n):
@@ -89,6 +98,20 @@ def test_validate_non_simplicial_rejected():
     bad = {"a": "b", "b": "c", "c": "a"}  # d, e fixed; edge (d,e) ok, edge (c,d)->(a,d) missing
     with pytest.raises(ValueError, match="not a simplex"):
         validate_action(X, bad, 3)
+
+
+def test_validate_unknown_vertices_rejected():
+    with pytest.raises(ValueError, match=r"unknown vertices: \['w', 'x'\]"):
+        validate_action(corpus.polygon(3), {"v0": "x", "w": "v1"}, 3)
+
+
+def test_validate_non_bijection_rejected_before_any_orbit_walk():
+    """v0 -> v1 with v1 fixed is not a bijection; ``orbit`` would never
+    return from v0, so the bijection check must come first."""
+    with pytest.raises(ValueError, match="vertex map is not a permutation"):
+        validate_action(corpus.polygon(3), {"v0": "v1"}, 3)
+    with pytest.raises(ValueError, match="vertex map is not a permutation"):
+        validate_action(corpus.polygon(5), {"v0": "v1", "v1": "v2", "v2": "v1"}, 5)
 
 
 def test_validate_p2_rejected():
@@ -222,6 +245,50 @@ def test_fixed_subcomplex_same_for_powers():
         for k in range(2, a.p):
             Fk = fixed_subcomplex(a.power(k))
             assert F1.vertices == Fk.vertices and F1.facets == Fk.facets
+
+
+# ---------------------------------------------------------------------------
+# one orbit walk: the library's walks against the label-by-label loops
+# ---------------------------------------------------------------------------
+
+def decided_orbits(action) -> list[list[tuple[int, ...]]]:
+    """The simplex orbits that ``_link_failures`` walks, as simplices, with
+    every link passed unseen."""
+    X = action.complex
+    degree = {id(pullback_permutation(action, k)[0]): k for k in range(X.dim + 1)}
+    walked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theorems, "_link_passes", lambda *a: True)
+        mp.setattr(theorems, "orbit", lambda perm, q: walked.append((perm, orbit(perm, q))) or walked[-1][1])
+        theorems._link_failures(X, action.p, action)
+    return [[X.simplices(degree[id(perm)])[r] for r in o] for perm, o in walked]
+
+
+def assert_orbit_walks_match_oracles(action):
+    """Vertex orbits, invariant simplices, the orbits the manifold check
+    decides, every power and the subdivided action agree with the loops
+    that follow the vertex map label by label and sort simplex images."""
+    X = action.complex
+    assert _vertex_orbit_reps(action) == vertex_orbit_reps(action)
+    for k in range(action.p + 1):
+        g = action.power(k)
+        assert g.vertex_map == power_map(action, k), k
+        orbits = [orb for d in range(X.dim + 1) for orb in simplex_orbits(g, d)]
+        assert _invariant_simplices(g) == [orb[0] for orb in orbits if len(orb) == 1], k
+        assert decided_orbits(g) == orbits, k
+    if sum(X.f_vector) <= 1000:  # building sd(S^2 x S^2) alone takes seconds
+        assert subdivide_action(action).vertex_map == subdivided_map(action)
+
+
+def test_orbit_walks_match_oracles_on_the_corpus():
+    for action in corpus.corpus_actions().values():
+        assert_orbit_walks_match_oracles(action)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_actions())
+def test_orbit_walks_match_oracles_on_small_actions(a):
+    assert_orbit_walks_match_oracles(a)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +485,7 @@ def quotient_by_subdivision(action) -> SimplicialComplex:
     while not _orbits_embed(action):
         action = subdivide_action(action)
     X = action.complex
-    reps = _vertex_orbit_reps(action)
+    reps = vertex_orbit_reps(action)
     facets = {tuple(sorted({reps[X.vertices[v]] for v in f})) for f in X.facets}
     return SimplicialComplex.from_facets(sorted(facets), vertex_order=sorted(set(reps.values())))
 
@@ -456,7 +523,7 @@ def quotient_obstruction(action) -> str | None:
     """Why the simplex orbits do not yet form a simplicial complex, if they
     don't: orbit by orbit, the p images of every simplex compared."""
     X, m = action.complex, action.mapping
-    reps = _vertex_orbit_reps(action)
+    reps = vertex_orbit_reps(action)
     image_owner: dict[tuple, tuple] = {}
     for d in range(X.dim + 1):
         for s in X.simplex_labels(d):

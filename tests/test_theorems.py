@@ -195,34 +195,39 @@ def _is_field_sphere(L: SimplicialComplex, n: int, field) -> bool:
     return all(r == (1 if i == n else 0) for i, r in enumerate(reduced)) and len(reduced) > n
 
 
-def rank_oracle_failures(X: SimplicialComplex, p: int) -> tuple:
-    """The simplices whose link is not a sphere over both Q and F_p."""
+def rank_oracle_failures(X: SimplicialComplex, *primes: int) -> dict[int, tuple]:
+    """For each p, the simplices whose link is not a sphere over both Q and
+    F_p.  Each link, and its verdict over Q, is built once for all primes."""
     if not X.is_pure():
-        return ()
-    failures = []
+        return dict.fromkeys(primes, ())
+    failures = {p: [] for p in primes}
     for k in range(X.dim + 1):
         for s in X.simplex_labels(k):
             L = link(X, s)
             n = X.dim - k - 1
-            if not _is_field_sphere(L, n, QQ) or not _is_field_sphere(L, n, GF(p)):
-                failures.append(s)
-    return tuple(failures)
+            over_q = _is_field_sphere(L, n, QQ)
+            for p in primes:
+                if not over_q or not _is_field_sphere(L, n, GF(p)):
+                    failures[p].append(s)
+    return {p: tuple(f) for p, f in failures.items()}
 
 
 def assert_hm_matches_oracle(X: SimplicialComplex, p: int) -> tuple:
     fresh = SimplicialComplex(X.vertices, X.facets)  # no cached report
     failures = homology_manifold_check(fresh, p).failures
-    assert failures == rank_oracle_failures(X, p)
+    assert failures == rank_oracle_failures(X, p)[p]
     return failures
 
 
-def assert_orbit_route_matches_oracle(action: GroupAction, p: int) -> tuple:
-    """With and without the action's permutation, the failures are the oracle's."""
-    X = action.complex
-    orbit_route = homology_manifold_check(SimplicialComplex(X.vertices, X.facets), p, action.perm())
-    assert orbit_route == homology_manifold_check(SimplicialComplex(X.vertices, X.facets), p)
-    assert orbit_route.failures == rank_oracle_failures(X, p)
-    return orbit_route.failures
+def assert_orbit_route_matches_oracle(action: GroupAction, *primes: int) -> dict[int, tuple]:
+    """At each p, with and without the action, the failures are the oracle's."""
+    oracle = rank_oracle_failures(action.complex, *primes)
+    fresh, plain = _fresh_action(action), _fresh_action(action).complex  # no cached reports
+    for p in primes:
+        orbit_route = homology_manifold_check(fresh.complex, p, fresh)
+        assert orbit_route == homology_manifold_check(plain, p)
+        assert orbit_route.failures == oracle[p], p
+    return oracle
 
 
 def _wedge_of_spheres() -> SimplicialComplex:
@@ -293,9 +298,8 @@ def _non_manifolds() -> dict[str, SimplicialComplex]:
 
 def test_hm_certificates_match_rank_oracle_on_the_corpus():
     """Every corpus complex at p = 3, 5 and 7, with and without its action."""
-    for name, action in corpus.corpus_actions().items():
-        for p in (3, 5, 7):
-            assert_orbit_route_matches_oracle(action, p)
+    for action in corpus.corpus_actions().values():
+        assert_orbit_route_matches_oracle(action, 3, 5, 7)
     assert assert_hm_matches_oracle(corpus.lens_space(), 3) == ()
 
 
@@ -518,14 +522,11 @@ def test_hm_orbit_route_matches_rank_oracle_on_small_actions(action, p):
 def test_hm_orbit_route_fails_whole_free_orbits():
     """Deciding an orbit at its first simplex must fail every member, and put
     the faces of every member below a failure."""
-    for p in (3, 5):
-        assert assert_orbit_route_matches_oracle(_free_triangle_join_torus(), p) == (
-            ("v0",), ("v1",), ("v2",), ("v0", "v1"), ("v0", "v2"), ("v1", "v2"))
-    action = _hexagon_join_two_squares()
-    for p in (3, 5):
-        assert assert_orbit_route_matches_oracle(action, p) == (
-            ("c0",), ("c2",), ("c3",), ("c1",), ("c4",), ("c5",),
-            ("c0", "c1"), ("c0", "c5"), ("c2", "c3"), ("c2", "c1"), ("c3", "c4"), ("c4", "c5"))
+    assert assert_orbit_route_matches_oracle(_free_triangle_join_torus(), 3, 5) == dict.fromkeys(
+        (3, 5), (("v0",), ("v1",), ("v2",), ("v0", "v1"), ("v0", "v2"), ("v1", "v2")))
+    assert assert_orbit_route_matches_oracle(_hexagon_join_two_squares(), 3, 5) == dict.fromkeys(
+        (3, 5), (("c0",), ("c2",), ("c3",), ("c1",), ("c4",), ("c5",),
+                 ("c0", "c1"), ("c0", "c5"), ("c2", "c3"), ("c2", "c1"), ("c3", "c4"), ("c4", "c5")))
 
 
 def _fresh_action(action: GroupAction) -> GroupAction:
@@ -548,21 +549,47 @@ def test_cold_theorem4_builds_one_vertex_link_per_orbit(monkeypatch):
     assert sum(1 for v, w in action.vertex_map if v == w) == 8
 
 
-def test_hm_orbit_route_refuses_a_map_that_is_not_an_automorphism(monkeypatch):
-    """A vertex map that sends a simplex outside X, or is not a bijection,
-    raises before any link is decided; an automorphism gives the same report."""
-    X = corpus.wedge_fixture()  # w0 w1 w2 and w0 w3 w4
-    swap = [0, 3, 4, 1, 2]  # w1 <-> w3, w2 <-> w4
-    assert homology_manifold_check(SimplicialComplex(X.vertices, X.facets), 3, swap) \
-        == homology_manifold_check(SimplicialComplex(X.vertices, X.facets), 3)
+def test_hm_orbit_route_refuses_an_action_on_another_complex(monkeypatch):
+    """The orbits come from the action's own complex, so an action on a
+    copy of X, even an equal one, raises before any link is decided and
+    caches nothing on X, warm or cold.  That a vertex map is an automorphism
+    is ``validate_action``'s to check (tests/test_group_action.py)."""
+    action = _fresh_action(corpus.sphere_rotation(3))
     decided = []
     real = theorems._link_passes
     monkeypatch.setattr(theorems, "_link_passes", lambda *a: decided.append(a) or real(*a))
-    for bad in ([0, 3, 2, 1, 4], [0, 1, 2, 3, 3], [0, 1, 2, 3]):
-        fresh = SimplicialComplex(X.vertices, X.facets)
-        with pytest.raises(ValueError):
-            homology_manifold_check(fresh, 3, bad)
-        assert not decided and ("hm", 3) not in fresh._cache
+    copy = SimplicialComplex(action.complex.vertices, action.complex.facets)
+    with pytest.raises(ValueError, match="not on this complex"):
+        homology_manifold_check(copy, 3, action)
+    assert not decided and not copy._cache
+    assert homology_manifold_check(copy, 3).is_hm and decided
+    with pytest.raises(ValueError, match="not on this complex"):
+        homology_manifold_check(copy, 3, action)
+
+
+def _join_action(a: GroupAction, b: GroupAction) -> GroupAction:
+    """Both generators acting on A * B, under the labels that ``join`` gives."""
+    X = join(a.complex, b.complex)
+    left, right = ("L:", "R:") if set(a.complex.vertices) & set(b.complex.vertices) else ("", "")
+    sigma = {left + v: left + w for v, w in a.vertex_map} | {right + v: right + w for v, w in b.vertex_map}
+    return validate_action(X, sigma, a.p)
+
+
+def test_hm_passes_on_joins_of_spheres():
+    """A join of spheres is a sphere, so every link passes, with the
+    action's orbits and without them; links of codimension 4 and above
+    reach the core certificate."""
+    joins = [_join_action(corpus.s3_free_action(), corpus.sphere_rotation(3)),
+             _join_action(corpus.sphere_rotation(5), corpus.sphere_rotation(5)),
+             _join_action(corpus.sphere_rotation(3), corpus.free_polygon_action(3))]
+    assert [a.complex.f_vector for a in joins] == [(11, 54, 153, 270, 297, 189, 54),
+                                                   (14, 79, 230, 365, 300, 100),
+                                                   (8, 27, 48, 45, 18)]
+    for a in joins:
+        fresh = _fresh_action(a)
+        report = homology_manifold_check(fresh.complex, a.p, fresh)
+        assert report == homology_manifold_check(_fresh_action(a).complex, a.p)
+        assert report.orientable_hm and report.dim == a.complex.dim
 
 
 def _degrees_by_row_count(X: SimplicialComplex) -> dict[int, int]:
