@@ -35,6 +35,12 @@ class GroupAction:
     p: int
     vertex_map: tuple[tuple[str, str], ...]  # full map, sorted by source
 
+    def __post_init__(self):
+        # An orbit walk on a map that is not a bijection never ends.
+        vertices = sorted(self.complex.vertices)
+        if any(sorted(pair[i] for pair in self.vertex_map) != vertices for i in (0, 1)):
+            raise ValueError("vertex_map must map each vertex of the complex once, onto all of them")
+
     @property
     def mapping(self) -> dict[str, str]:
         return dict(self.vertex_map)
@@ -111,7 +117,7 @@ def _invariant_simplices(action: GroupAction) -> list[Simplex]:
     """The setwise-invariant simplices, by dimension, then by index."""
     X = action.complex
     return [X.simplices(d)[q] for d in range(X.dim + 1)
-            for q, image in enumerate(pullback_permutation(action, d)[0]) if image == q]
+            for q, image in enumerate(simplex_permutation(action, d)) if image == q]
 
 
 def is_regular(action: GroupAction) -> bool:
@@ -126,7 +132,7 @@ def subdivide_action(action: GroupAction) -> GroupAction:
     new_map = {}
     for d in range(X.dim + 1):
         labels = [bary_label(s) for s in X.simplex_labels(d)]
-        new_map.update(zip(labels, (labels[q] for q in pullback_permutation(action, d)[0])))
+        new_map.update(zip(labels, (labels[q] for q in simplex_permutation(action, d))))
     return validate_action(barycentric_subdivision(X), new_map, action.p)
 
 
@@ -184,27 +190,31 @@ def fixed_subcomplex(action: GroupAction) -> SimplicialComplex:
 # Induced maps on cochains and cohomology
 # ---------------------------------------------------------------------------
 
-def pullback_permutation(action: GroupAction, degree: int) -> tuple[list[int], list[int]]:
-    """sigma^# on C^degree as (simplex permutation, signs).
+def simplex_permutation(action: GroupAction, degree: int) -> list[int]:
+    """The generator on the degree-simplices: perm[q] is the index of the
+    sorted image of simplex q.  Cached on the complex per vertex map."""
+    X = action.complex
+    key = ("simplexperm", action.vertex_map, degree)
+    if key not in X._cache:
+        perm_v, index = action.perm(), X._simplex_index.get(degree, {})
+        X._cache[key] = [index[tuple(sorted(perm_v[v] for v in s))] for s in X.simplices(degree)]
+    return X._cache[key]
 
-    (sigma^# a)[s] = signs[s] * a[perm[s]], where perm sends the index of a
-    simplex to the index of its sorted image and the sign is the sorting
-    permutation's parity.
+
+def pullback_permutation(action: GroupAction, degree: int) -> tuple[list[int], list[int]]:
+    """sigma^# on C^degree as (``simplex_permutation``, signs).
+
+    (sigma^# a)[s] = signs[s] * a[perm[s]], the sign being the parity of
+    the permutation that sorts s's vertex image.
     """
     X = action.complex
     key = ("pullperm", action.vertex_map, degree)
-    if key in X._cache:
-        return X._cache[key]
-    perm_v = action.perm()
-    simps = X.simplices(degree)
-    index = X._simplex_index.get(degree, {})
-    perm, signs = [], []
-    for s in simps:
-        img = [perm_v[v] for v in s]
-        perm.append(index[tuple(sorted(img))])
-        signs.append(-1 if sum(a > b for a, b in combinations(img, 2)) % 2 else 1)
-    X._cache[key] = (perm, signs)
-    return perm, signs
+    if key not in X._cache:
+        perm_v = action.perm()
+        signs = [-1 if sum(perm_v[a] > perm_v[b] for a, b in combinations(s, 2)) % 2 else 1
+                 for s in X.simplices(degree)]
+        X._cache[key] = (simplex_permutation(action, degree), signs)
+    return X._cache[key]
 
 
 def induced_cohomology_action(action: GroupAction, field) -> list[list[list]]:
@@ -375,7 +385,7 @@ def quotient_complex(action: GroupAction) -> SimplicialComplex:
     label: dict[Simplex, str] = {}
     for d in range(Y.dim + 1):
         simps, names = Y.simplices(d), [bary_label(s) for s in Y.simplex_labels(d)]
-        perm = pullback_permutation(action, d)[0]
+        perm = simplex_permutation(action, d)
         for q, s in enumerate(simps):
             if s not in label:
                 o = orbit(perm, q)

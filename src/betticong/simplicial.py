@@ -80,6 +80,42 @@ def orbit(perm: list[int], q: int) -> list[int]:
     return out
 
 
+def _cofaces(rows, n: int) -> list[list[int]]:
+    """Per column of n, the rows with an entry there, in row order."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for t, fs in enumerate(rows):
+        for s in fs:
+            out[s].append(t)
+    return out
+
+
+def _orient(faces, cofaces, t0: int, eps: list) -> tuple[list[int], bool]:
+    """Walk t0's component of top cells across their shared faces, orienting it.
+
+    *faces* are the rows of delta^{d-1} (entries +-1), ``cofaces[s]`` the
+    top cells on the face s, and ``eps`` is 0 on the cells not yet walked.
+    The walk sets eps_t0 = 1 and eps_u = -eps_t delta[t, s] delta[u, s]
+    across each face s of a walked t.  Returns the component, t0 first, and
+    whether it is a closed orientable pseudomanifold: every face on exactly
+    two of its cells, with those signs consistent, so sum_t eps_t row_t = 0.
+    """
+    eps[t0], comp, closed = 1, [t0], True
+    for t in comp:
+        e = eps[t]
+        for s, a in faces[t].items():
+            cs = cofaces[s]
+            closed = closed and len(cs) == 2
+            for u in cs:
+                if u != t:
+                    want = -e * a * faces[u][s]
+                    if not eps[u]:
+                        eps[u] = want
+                        comp.append(u)
+                    elif eps[u] != want:
+                        closed = False
+    return comp, closed
+
+
 def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
     """Cancel cells in G-stable pairs of unit pivots that change no other entry of delta.
 
@@ -90,6 +126,18 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
     trivial.  Coreduction (Mrozek and Batko, Discrete Comput. Geom. 41, 2009;
     Kaczynski, Mischaikow and Mrozek, *Computational Homology*, 2004):
 
+    - Top seed, with the trivial group and d = dim >= 1: in each component
+      of d-cells (joined by shared faces) that ``_orient`` finds a closed
+      orientable pseudomanifold, the row of delta^{d-1} at its first cell
+      tau is replaced by sum_t eps_t eps_tau row_t, which is 0.  That is the
+      unimodular row operation M (M v)_tau = eps_tau sum_t eps_t v_t, the
+      identity off tau; delta^d = 0, so M delta^{d-1} is again a cochain
+      complex, and tau stays live and isolated.  It runs before the queue,
+      which then collapses the rest of the component from the top.  It is
+      the vertex seed's dual: a row operation by the component's
+      fundamental cycle, where that is a column operation by its indicator.
+      For d = 1 the component is a cycle, still connected without tau's
+      row, so the vertex seed below is unchanged.
     - Seed: delta^0's column at a live G-fixed vertex x is zeroed, a
       change of basis from e_x to the indicator of x's component among the
       live cells.  That indicator is a cocycle while no live edge has just
@@ -110,16 +158,22 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
     a G-complex chain homotopy equivalent to the cochains.
 
     Returns ``(rows, live, down)``: the coboundaries with the seeds' columns
-    of delta^0 zeroed (the input is not modified), per degree the live
-    flags, and the cells cancelled downward with their partners.
+    of delta^0 and top rows zeroed (the input is not modified), per degree
+    the live flags, and the cells cancelled downward with their partners.
     """
     top = len(sizes) - 1
     rows = [list(rows[0]), *rows[1:]] if rows else []
-    cofaces = [[[] for _ in range(n)] for n in sizes]
-    for R, C in zip(rows, cofaces):
-        for t, fs in enumerate(R):
-            for s in fs:
-                C[s].append(t)
+    cofaces = [_cofaces(R, n) for R, n in zip([*rows, []], sizes)]
+    if perms is None and top > 0:
+        eps = [0] * sizes[top]
+        seeds = [t for t in range(sizes[top])
+                 if not eps[t] and _orient(rows[top - 1], cofaces[top - 1], t, eps)[1]]
+        if seeds and top > 1:
+            rows[top - 1] = list(rows[top - 1])
+        for t in seeds:
+            for s in rows[top - 1][t]:
+                cofaces[top - 1][s].remove(t)
+            rows[top - 1][t] = {}
     n_faces = [[0] * n for n in sizes[:1]] + [list(map(len, R)) for R in rows]
     n_cofaces = [list(map(len, cs)) for cs in cofaces]
     live = [bytearray(b"\x01") * n for n in sizes]
@@ -360,9 +414,11 @@ class SimplicialComplex:
 
         ``coreduce`` with the trivial group, then vertex 0, the first seed,
         goes against the augmentation: the live cells (the core) carry
-        submatrices of the coboundaries in the seeded basis, a cochain
+        submatrices of the coboundaries in the seeded bases (M delta^{d-1}
+        in the top degree d, M the top seeds' row operation), a cochain
         complex with the reduced cohomology of X over every ring.  Cells
-        neither live nor cancelled downward were cancelled upward.
+        neither live nor cancelled downward were cancelled upward.  The top
+        seeds are the live d-cells whose seeded row is empty.
         """
         if "core" not in self._cache:
             rows, live, down = coreduce([self.coboundary_rows(d) for d in range(self.dim)],
@@ -381,15 +437,18 @@ class SimplicialComplex:
         return set(self._cache.get(_pivots_key(k, ring))
                    or self._cache.get(_pivots_key(k, "Z"), ()))
 
-    def _cleared_rows(self, k: int, ring: str) -> list[dict[int, int]]:
-        """delta^k with the rows at the pivot columns of delta^{k+1} zeroed.
+    def _cleared_rows(self, k: int, field) -> list[dict[int, int]]:
+        """delta^k with the rows at the pivot columns of delta^{k+1} over *field* zeroed.
 
-        The pivots are those of ``_drop``; the rows are those of delta^k if
-        there are none.  Zeroed rows keep the row count and indices: see
-        ``cohomology`` for why the row space is kept.
+        The pivots are those of ``_drop``; when neither *field*'s nor the
+        Smith pass's are cached, ``cohomology(field)`` runs to find them.
+        Zeroed rows keep the row count and indices: see ``cohomology`` for
+        why the row space is kept.
         """
+        if not any(_pivots_key(k + 1, r) in self._cache for r in (field.name, "Z")):
+            self.cohomology(field)
         rows = self.coboundary_rows(k)
-        drop = self._drop(k + 1, ring)
+        drop = self._drop(k + 1, field.name)
         return [{} if q in drop else row for q, row in enumerate(rows)] if drop else rows
 
     def _reduced_rows(self, k: int, ring: str) -> list[dict[int, int]]:
@@ -482,11 +541,16 @@ class SimplicialComplex:
         a unimodular column operation (the seed's basis vector becomes its
         component's indicator cocycle) that keeps the rank, the Smith
         divisors and every linear relation among the rows, so the clearing
-        above is unchanged.  The pivot set P of these rows (the partners s_i
-        of the cells rho_i of degree k+2 cancelled downward, and the core's
-        pivot columns Q) also clears X's full rows of delta^k for
-        ``cohomology_basis``.  Take y_i the row rho_i of delta^{k+1}, and
-        for Q the combinations of X's full rows of
+        above is unchanged.  The top seeds replace delta^{d-1} (d = dim) by
+        M delta^{d-1}, M unimodular: the rank and the Smith divisors over
+        every ring are kept, M delta^{d-1} delta^{d-2} = 0, and each row of
+        M delta^{d-1} is an integral combination of X's rows, so any pivot
+        row found on it is too.  A seed's row is 0 and never cancelled, so
+        every cancelled cell keeps X's row.  The pivot set P of these rows
+        (the partners s_i of the cells rho_i of degree k+2 cancelled
+        downward, and the core's pivot columns Q) also clears X's full rows
+        of delta^k for ``cohomology_basis``.  Take y_i the row rho_i of
+        delta^{k+1}, and for Q the combinations of X's full rows of
         delta^{k+1} that the core's pivot rows were made of: on Q they are
         the triangular minor T.  Draw u -> v when pivot row u is nonzero at
         v's column.  Call pair i *downward* when s_i was rho_i's only live
@@ -581,13 +645,18 @@ class SimplicialComplex:
         sums.  The projection walks the pairs of degrees (i, i-1) first
         first; X's full column delta e_sigma differs from K's only at dead
         cells, which no later step reads.  A seed changes the basis of C^0
-        at no partner.
+        at no partner.  In the top degree d the core is that of M
+        delta^{d-1}, and (id, ..., id, M) is a cochain isomorphism from X's
+        cochains to those: each class y lifted there is carried back by
+        M^-1, x_tau = y_tau - eps_tau sum_{t != tau} eps_t y_t at each top
+        seed tau, and each dual vector w becomes w o M, w_t + w_tau eps_tau
+        eps_t at the other cells t of tau's component.  ``_orient`` walks
+        X's rows again for eps, which is not cached.
         """
         key = ("basis", field.name, degree)
         if key not in self._cache:
-            betti = self.cohomology(field).betti  # first: its pivots clear the rows
-            rows = self._cleared_rows(degree, field.name)
-            if not betti[degree]:
+            rows = self._cleared_rows(degree, field)
+            if not self.cohomology(field).betti[degree]:
                 self._cache[key] = exactalg.Subquotient.from_duals(rows, field, [], [])
             elif not degree:
                 self._cache[key] = exactalg.Subquotient(rows, [], field, self.n_simplices(0))
@@ -626,6 +695,18 @@ class SimplicialComplex:
                 vec[c] = x
             basis.append(vec)
         duals = [carry(_pull_back, z, down[i], rows[i - 1]) for z in core.duals]
+        seeds = [t for t in cells[1] if not rows[i - 1][t]] if i == self.dim else []
+        if seeds:  # back through each top seed's M: x = M^-1 y, w o M
+            faces = self.coboundary_rows(i - 1)
+            cofaces, eps = _cofaces(faces, self.n_simplices(i - 1)), [0] * len(faces)
+            for tau in seeds:
+                others = _orient(faces, cofaces, tau, eps)[0][1:]
+                for vec in basis:
+                    vec[tau] = field.reduce(vec[tau] - sum(eps[t] * vec[t] for t in others))
+                for w in duals:
+                    if x := w.get(tau):
+                        for t in others:
+                            w[t] = field.reduce(w.get(t, 0) + x * eps[t])
         return exactalg.Subquotient.from_duals(checked, field, basis, duals)
 
     def cup_cochain(self, field, i: int, j: int, a: list, b: list) -> list:

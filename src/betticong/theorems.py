@@ -17,7 +17,7 @@ from .group_action import (
     GroupAction,
     fixed_set_cohomology,
     fixed_subcomplex,
-    pullback_permutation,
+    simplex_permutation,
     tfr_decomposition,
 )
 from .simplicial import SimplicialComplex, orbit, pd_check
@@ -330,7 +330,7 @@ def _link_failures(X: SimplicialComplex, p: int,
     orbits = []  # as simplices from the first, by dimension, then in simplex order
     for k in range(d + 1):
         simps, seen = X.simplices(k), set()
-        perm = pullback_permutation(action, k)[0] if action else range(len(simps))
+        perm = simplex_permutation(action, k) if action else range(len(simps))
         for q in range(len(simps)):
             if q not in seen:
                 seen.update(o := orbit(perm, q))

@@ -84,6 +84,54 @@ def x_route_basis(X: SimplicialComplex, field, d: int) -> exactalg.Subquotient:
     return exactalg.Subquotient(X.coboundary_rows(d), image, field, X.n_simplices(d))
 
 
+def cocycle_bases_and_change(X: SimplicialComplex, field, d: int):
+    """The basis of ``cohomology_basis``, the route on X's full rows
+    (``x_route_basis``) and C, whose column j is the class of the j-th
+    published basis vector in that route's basis."""
+    B, oracle = X.cohomology_basis(field, d), x_route_basis(X, field, d)
+    C = [list(col) for col in zip(*map(oracle.express, B.basis))]
+    assert len(B) == len(oracle) == exactalg.rank(C, field)
+    return B, oracle, C
+
+
+def assert_gstar_conjugate(action: GroupAction, field):
+    """C g*_new = g*_old C in every degree, g*_old the matrix of sigma^* in
+    the basis of the route on X's full rows."""
+    X = action.complex
+    for d, M in enumerate(induced_cohomology_action(action, field)):
+        B, oracle, C = cocycle_bases_and_change(X, field, d)
+        if not len(B):
+            continue
+        perm, signs = pullback_permutation(action, d)
+        old = [list(col) for col in zip(*(
+            oracle.express([field.reduce(sign * v[q]) for q, sign in zip(perm, signs)])
+            for v in oracle.basis))]
+        assert exactalg.matmul(C, M, field) == exactalg.matmul(old, C, field), (action, d)
+
+
+def assert_pairings_congruent(X: SimplicialComplex, field):
+    """Each Gram matrix G of H^i x H^{n-i} -> H^n is congruent to that of
+    the route on X's full rows: c G = C_i^T G_old C_{n-i}, c the class of
+    the published top class in that route's basis; so the ranks agree."""
+    ring = simplicial.cup_pairing(X, field)
+    n = ring.top_degree
+    if ring.orientation is None:
+        return
+    change = {i: cocycle_bases_and_change(X, field, i) for i in range(n + 1)}
+    top, ((c,),) = change[n][1:]
+    for i in range(n + 1):
+        (_, old_i, C_i), (_, old_j, C_j) = change[i], change[n - i]
+        if not (C_i and C_j):
+            continue
+        old = [[top.express(X.cup_cochain(field, i, n - i, a, b))[0] for b in old_j.basis]
+               for a in old_i.basis]
+        G = ring.pairing_matrix(i)
+        Ct = [list(col) for col in zip(*C_i)]
+        assert ([[field.reduce(c * x) for x in row] for row in G]
+                == exactalg.matmul(exactalg.matmul(Ct, old, field), C_j, field))
+        assert exactalg.rank(G, field) == exactalg.rank(old, field)
+
+
 def coboundary_matrix(X: SimplicialComplex, k: int) -> list[list[int]]:
     """delta^k as a dense integer matrix, rows indexed by the (k+1)-simplices."""
     rows = X.coboundary_rows(k)
@@ -168,38 +216,103 @@ def trivial_rational_action_check(action: GroupAction) -> bool:
     return all(M == exactalg.identity(len(M)) for M in induced_cohomology_action(action, QQ))
 
 
+def top_seeds(X: SimplicialComplex) -> dict[int, dict[int, int]]:
+    """Each closed orientable component of X's top cells (d = dim X >= 1), by
+    its first cell tau, with the orientation eps (eps_tau = 1) for which sum_t
+    eps_t row_t of delta^{d-1} is 0.  Found here by label: components grow
+    over the faces that top cells share, each face of a closed component is
+    on two of its cells, and a sign set on one of them is carried across
+    the face until nothing changes; the cycle condition is then checked."""
+    d = X.dim
+    if d < 1:
+        return {}
+    rows = X.coboundary_rows(d - 1)
+    on: dict[int, list[int]] = {}
+    for t, row in enumerate(rows):
+        for s in row:
+            on.setdefault(s, []).append(t)
+    seeds, seen = {}, set()
+    for tau in range(len(rows)):
+        if tau in seen:
+            continue
+        comp, grown = {tau}, True
+        while grown:
+            grown = False
+            for s, ts in on.items():
+                if comp.intersection(ts) and not comp.issuperset(ts):
+                    comp.update(ts)
+                    grown = True
+        seen |= comp
+        faces = {s for t in comp for s in rows[t]}
+        if any(len(on[s]) != 2 for s in faces):
+            continue
+        eps, grown = {tau: 1}, True
+        while grown:
+            grown = False
+            for s in faces:
+                t, u = on[s]
+                if (t in eps) != (u in eps):
+                    t, u = (t, u) if t in eps else (u, t)
+                    eps[u] = -eps[t] * rows[t][s] * rows[u][s]
+                    grown = True
+        cycle = {}
+        for t, e in eps.items():
+            for s, x in rows[t].items():
+                cycle[s] = cycle.get(s, 0) + e * x
+        if not any(cycle.values()):
+            seeds[tau] = eps
+    return seeds
+
+
 def assert_lift_and_projection(X: SimplicialComplex, forwards: bool = False):
     """The lift and projection between X and its core in degrees d >= 1
     are integral cochain maps with pi iota = id, and ``_pull_back`` gives
     the functional z o pi.  pi is computed here as stated in
     ``cohomology_basis``: walk the pairs cancelled downward first first,
-    subtracting v(tau) u delta e_sigma with X's full column of delta.  With
-    ``forwards`` the lift walks its pairs first first, a planted defect."""
+    subtracting v(tau) u delta e_sigma with X's full column of delta.  In the
+    top degree the core is that of M delta, M the row operation of the top
+    seeds (``top_seeds``): pi is composed with M, iota with M^-1, and the
+    seeds' rows are zero.  The coreduction's empty top rows are exactly the
+    seeds.  With ``forwards`` the lift walks its pairs first first, a
+    planted defect."""
     live, down = X._coreduction()
     rng = random.Random(sum(X.f_vector))
+    seeds = top_seeds(X)
+    if X.dim >= 1:
+        core_rows = X._cache["core rows"][X.dim - 1]
+        assert {t for t, row in enumerate(core_rows) if not row} == set(seeds)
+
+    def seeded(v, d, inverse=False):  # M v in the top degree; M^-1 v with *inverse*
+        if d == X.dim:
+            for tau, eps in seeds.items():
+                s = sum(e * v.get(t, 0) for t, e in eps.items() if t != tau)
+                v[tau] = v.get(tau, 0) + (-s if inverse else s)
+        return {a: x for a, x in v.items() if x}
 
     def lift(x, d):
         pairs = down[d + 1] if d < X.dim else {}
         if forwards:
             pairs = dict(reversed(list(pairs.items())))
-        return simplicial._lift(dict(x), pairs, X.coboundary_rows(d), int)
+        return seeded(simplicial._lift(dict(x), pairs, X.coboundary_rows(d), int), d, inverse=True)
 
     def project(v, d):
-        v, rows = dict(v), X.coboundary_rows(d - 1)
+        v, rows = seeded(dict(v), d), X.coboundary_rows(d - 1)
         cols = exactalg.transpose_rows(rows, X.n_simplices(d - 1))
         for tau, sigma in down[d].items():
             t = v.get(tau, 0) * rows[tau][sigma]
             for a, e in cols[sigma].items():
-                v[a] = v.get(a, 0) - t * e
+                if not (d == X.dim and a in seeds):
+                    v[a] = v.get(a, 0) - t * e
         return {a: x for a, x in v.items() if live[d][a] and x}
 
     def delta(v, d, core=False):
         out = {}
         for t, row in enumerate(X.coboundary_rows(d)):
-            if live[d + 1][t] or not core:
-                s = sum(e * v.get(c, 0) for c, e in row.items() if live[d][c] or not core)
-                if s:
-                    out[t] = s
+            if core and (not live[d + 1][t] or d + 1 == X.dim and t in seeds):
+                continue
+            s = sum(e * v.get(c, 0) for c, e in row.items() if live[d][c] or not core)
+            if s:
+                out[t] = s
         return out
 
     def random_cochain(cells):
@@ -207,11 +320,19 @@ def assert_lift_and_projection(X: SimplicialComplex, forwards: bool = False):
 
     for d in range(1, X.dim + 1):
         cells = [q for q, a in enumerate(live[d]) if a]
+        rows = X.coboundary_rows(d - 1)
+        if d == X.dim:
+            rows = [{} if t in seeds else row for t, row in enumerate(rows)]
         for _ in range(3):
             x, z = random_cochain(cells), random_cochain(cells)
             v = random_cochain(range(X.n_simplices(d)))
             assert project(lift(x, d), d) == x
-            pulled = simplicial._pull_back(z, down[d], X.coboundary_rows(d - 1), int)
+            pulled = simplicial._pull_back(z, down[d], rows, int)
+            if d == X.dim:  # w o M
+                for tau, eps in seeds.items():
+                    for t, e in eps.items():
+                        if t != tau:
+                            pulled[t] = pulled.get(t, 0) + pulled.get(tau, 0) * e
             assert (sum(z.get(a, 0) * y for a, y in project(v, d).items())
                     == sum(y * v.get(c, 0) for c, y in pulled.items()))
             if d < X.dim:

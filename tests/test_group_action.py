@@ -114,6 +114,47 @@ def test_validate_non_bijection_rejected_before_any_orbit_walk():
         validate_action(corpus.polygon(5), {"v0": "v1", "v1": "v2", "v2": "v1"}, 5)
 
 
+def test_an_action_built_directly_must_permute_the_vertices():
+    """``GroupAction`` itself refuses a vertex map that is not a bijection
+    of the complex's vertices, so no orbit walk can start on one: on this
+    map (v0 -> v1 with v1 fixed) ``_vertex_orbit_reps`` used to run until
+    memory ran out.  ``validate_action``'s own messages come first."""
+    X = corpus.polygon(3)
+    bad = [(("v0", "v1"), ("v1", "v1"), ("v2", "v2")),  # not onto
+           (("v0", "v1"), ("v1", "v2")),  # v2 has no image
+           (("v0", "v1"), ("v0", "v2"), ("v1", "v0"), ("v2", "v0")),  # v0 twice
+           (("v0", "v1"), ("v1", "v2"), ("v2", "w")),  # w is no vertex of X
+           ()]
+    for vertex_map in bad:
+        with pytest.raises(ValueError, match="must map each vertex of the complex once"):
+            group_action.GroupAction(X, 3, vertex_map)
+    assert group_action.GroupAction(X, 3, (("v0", "v1"), ("v1", "v2"), ("v2", "v0"))).p == 3
+    assert group_action.GroupAction(SimplicialComplex.empty(), 3, ()).is_trivial()
+    with pytest.raises(ValueError, match="vertex map is not a permutation"):
+        validate_action(X, {"v0": "v1"}, 3)
+    with pytest.raises(ValueError, match="unknown vertices"):
+        validate_action(X, {"v2": "w"}, 3)
+
+
+def test_orbit_walks_read_the_simplex_permutation_without_signs():
+    """The fixed set, the quotient, the subdivided action and the manifold
+    check read only ``simplex_permutation``; the signs of
+    ``pullback_permutation`` are computed for g* alone, on the same list."""
+    for a in (corpus.s2xs2_rotation(3), corpus.s3_free_action(), corpus.free_polygon_action(5)):
+        X = SimplicialComplex(a.complex.vertices, a.complex.facets)
+        action = group_action.GroupAction(X, a.p, a.vertex_map)
+        fixed_subcomplex(action)
+        theorems.homology_manifold_check(X, a.p, action)
+        if not _invariant_simplices(action):
+            quotient_complex(action)
+        if sum(X.f_vector) < 1000:
+            subdivide_action(action)
+        assert not [key for key in X._cache if key[0] == "pullperm"]
+        for d in range(X.dim + 1):
+            perm = group_action.simplex_permutation(action, d)
+            assert pullback_permutation(action, d)[0] is perm
+
+
 def test_validate_p2_rejected():
     with pytest.raises(ValueError, match="odd prime"):
         validate_action(corpus.polygon(4), rot("v", 4), 2)

@@ -38,7 +38,6 @@ from betticong.group_action import (
     GroupAction,
     bockstein_condition,
     induced_cohomology_action,
-    pullback_permutation,
     quotient_complex,
     trivial_action,
 )
@@ -59,7 +58,9 @@ from betticong.simplicial import (
 from conftest import join_rotation
 from oracles import (
     assert_complements,
+    assert_gstar_conjugate,
     assert_lift_and_projection,
+    assert_pairings_congruent,
     coboundary_matrix,
     kernel_basis,
     x_route_basis,
@@ -230,8 +231,9 @@ def test_coreduction_cancels_face_pairs_down_to_a_core():
     """Every cancelled pair is a simplex and a facet of it with a +-1 entry,
     each cell is cancelled at most once, and the core keeps the reduced
     Euler characteristic.  Vertex 0 goes against the augmentation, so a
-    connected complex has no live vertex; S^2 x S^2 (Z/7) keeps a core of
-    0/0/147/330/186 of its 64/516/1464/1680/672 cells."""
+    connected complex has no live vertex; S^2 x S^2 (Z/7), seeded at its
+    first 4-cell, keeps a core of 0/0/2/0/1 of its 64/516/1464/1680/672
+    cells, the rank of its cohomology."""
     s2xs2 = corpus.s2xs2_rotation(7).complex
     for X in _small_corpus_complexes() + [s2xs2, SimplicialComplex.empty()]:
         live, down = X._coreduction()
@@ -248,7 +250,7 @@ def test_coreduction_cancels_face_pairs_down_to_a_core():
             == X.euler_characteristic() - bool(X.f_vector)
         if X.is_connected():
             assert not sum(live[0])
-    assert list(map(sum, s2xs2._coreduction()[0])) == [0, 0, 147, 330, 186]
+    assert list(map(sum, s2xs2._coreduction()[0])) == [0, 0, 2, 0, 1]
 
 
 def test_integral_lens_space_agrees_with_other_routes():
@@ -291,7 +293,7 @@ def test_torsion_profile_records_the_fp_and_q_ranks(monkeypatch):
             assert recorded[1] == ((q - 1, q) if p == 3 else (q, q))
 
 
-_LENS_REDUCED_ROWS = [(0, 0), (1728, 1077), (1729, 1291), (319, 319)]
+_LENS_REDUCED_ROWS = [(0, 0), (1727, 1727), (1729, 1691), (319, 319)]
 
 
 @pytest.mark.parametrize("field, kept", [(QQ, _LENS_REDUCED_ROWS), (GF(3), _LENS_REDUCED_ROWS)])
@@ -299,12 +301,13 @@ def test_lens_coboundaries_are_eliminated_on_the_rows_that_can_be_independent(
         monkeypatch, field, kept):
     """Top-down, each delta^k of L(3,1) is eliminated on the rows its
     coreduction leaves, as (nonempty rows, one-entry rows): the core is
-    0/438/1088/651 cells.  delta^2: the 1077 tetrahedra cancelled downward
-    are one +-1 entry each, and the 651 live ones keep their live columns.
-    delta^1: 1291 one-entry rows and the 1088 - 650 live triangles off the
-    core's pivots of delta^2.  delta^0: the 319 edges cancelled downward
-    alone, as no vertex is live (rank 319 = n_0 - 1).  Every other row is
-    empty, so each delta^k keeps its n_{k+1} rows."""
+    0/38/38/1 cells.  delta^2: the top seed's row is the fundamental
+    cycle's, 0, and the other 1727 tetrahedra are cancelled downward, one
+    +-1 entry each.  delta^1: 1691 one-entry rows and the 38 live
+    triangles, none at a pivot, as the core's delta^2 is zero.  delta^0: the
+    319 edges cancelled downward alone, as no vertex is live (rank 319 =
+    n_0 - 1).  Every other row is empty, so each delta^k keeps its n_{k+1}
+    rows."""
     L = corpus.lens_space()
     L = SimplicialComplex(L.vertices, L.facets)
     calls = []
@@ -316,7 +319,7 @@ def test_lens_coboundaries_are_eliminated_on_the_rows_that_can_be_independent(
     assert [len(rows) for rows in calls] == [L.n_simplices(k + 1) for k in (3, 2, 1, 0)]
     assert [(sum(1 for row in rows if row), sum(1 for row in rows if len(row) == 1))
             for rows in calls] == kept
-    assert list(map(sum, L._coreduction()[0])) == [0, 438, 1088, 651]
+    assert list(map(sum, L._coreduction()[0])) == [0, 38, 38, 1]
     assert betti == ((1, 0, 0, 1) if field is QQ else (1, 1, 1, 1))
 
 
@@ -347,7 +350,8 @@ def test_a_pivot_set_clears_rows_only_over_the_ring_it_was_found_over():
     such minor is even (H_1(RP^2;Z) = Z/2), and zeroing those rows of
     delta^1 loses F_2 rank.  Pivot sets are recorded per ring: a Q pivot set
     clears rows over Q alone, and the F_2, F_3 and integral routes ignore
-    it.  The +-1 pivots of the Smith pass, recorded under Z, have a
+    it (F_2 and F_3 run their own rank pass and clear with its pivots,
+    keeping their rank).  The +-1 pivots of the Smith pass, recorded under Z, have a
     unimodular minor: every ring without pivots of its own clears with
     them, and no route's answer changes."""
     X = join(rp2_six_vertex(), corpus.one_point())
@@ -359,10 +363,20 @@ def test_a_pivot_set_clears_rows_only_over_the_ring_it_was_found_over():
     kept = [{} if q in set(P) else r for q, r in enumerate(rows)]
     assert exactalg.sparse_rank_q(kept) == exactalg.sparse_rank_q(rows)
     assert exactalg.sparse_rank_modp(kept, 2) < exactalg.sparse_rank_modp(rows, 2)
-    for ring in ("Q", "F2", "F3", "Z"):
+    for field in (QQ, GF(2), GF(3)):
         Y = SimplicialComplex(X.vertices, X.facets)
         Y._cache[_pivots_key(2, "Q")] = P
-        assert Y._cleared_rows(1, ring) == (kept if ring == "Q" else rows), ring
+        if field is QQ:
+            assert Y._cleared_rows(1, field) == kept
+            assert Y._drop(2, "Z") == set()
+            continue
+        # Without pivots of its own, the ring's rank pass runs and clears with them.
+        cleared = Y._cleared_rows(1, field)
+        own = set(Y._cache[_pivots_key(2, field.name)])
+        assert own != set(P)
+        assert cleared == [{} if q in own else r for q, r in enumerate(rows)], field
+        assert (exactalg.sparse_rank_modp(cleared, field.char)
+                == exactalg.sparse_rank_modp(rows, field.char)), field
     routes = {"F2": lambda Z: Z.cohomology(GF(2)), "pval": lambda Z: Z.torsion_valuation_profile(2),
               "Z": lambda Z: Z.integral_cohomology()}
     for name, route in routes.items():
@@ -375,18 +389,29 @@ def test_a_pivot_set_clears_rows_only_over_the_ring_it_was_found_over():
     kept_u = [{} if q in set(U) else r for q, r in enumerate(rows)]
     assert (exactalg.sparse_smith_divisors(kept_u, X.n_simplices(1))
             == exactalg.sparse_smith_divisors(rows, X.n_simplices(1)))
-    for ring, rank in (("Q", exactalg.sparse_rank_q),
-                       ("F2", lambda r: exactalg.sparse_rank_modp(r, 2)),
-                       ("F3", lambda r: exactalg.sparse_rank_modp(r, 3))):
+    for field, rank in ((QQ, exactalg.sparse_rank_q),
+                        (GF(2), lambda r: exactalg.sparse_rank_modp(r, 2)),
+                        (GF(3), lambda r: exactalg.sparse_rank_modp(r, 3))):
         Y = SimplicialComplex(X.vertices, X.facets)
         Y._cache[_pivots_key(2, "Z")] = U
-        assert Y._cleared_rows(1, ring) == kept_u, ring
-        assert rank(kept_u) == rank(rows), ring
+        assert Y._cleared_rows(1, field) == kept_u, field
+        assert rank(kept_u) == rank(rows), field
     routes |= {"Q": lambda Z: Z.cohomology(QQ), "F3": lambda Z: Z.cohomology(GF(3))}
     for name, route in routes.items():
         Y = SimplicialComplex(X.vertices, X.facets)
         Y._cache[_pivots_key(2, "Z")] = U
         assert route(Y) == route(X), name
+
+
+def test_cleared_rows_find_their_own_pivots_on_a_fresh_complex():
+    """With no pivots cached, ``_cleared_rows`` runs the rank pass over its
+    field first: delta^1 of a fresh L(3,1) over F_3 keeps 3456 - 1727 =
+    1729 nonempty rows, rank delta^2 = 1727 over F_3, and its rank."""
+    L = corpus.lens_space()
+    L = SimplicialComplex(L.vertices, L.facets)
+    rows = L._cleared_rows(1, GF(3))
+    assert len(rows) == 3456 and sum(1 for row in rows if row) == 1729
+    assert exactalg.sparse_rank_modp(rows, 3) == exactalg.sparse_rank_modp(L.coboundary_rows(1), 3)
 
 
 def test_uct_equality_iff_no_torsion():
@@ -831,61 +856,19 @@ def test_a_lift_that_walks_its_pairs_forwards_is_caught():
         assert_lift_and_projection(X, forwards=True)
 
 
-def _cocycle_bases_and_change(X: SimplicialComplex, field, d: int):
-    """The basis of ``cohomology_basis``, the route on X's full rows
-    (``x_route_basis``) and C, whose column j is the class of the j-th
-    published basis vector in that route's basis."""
-    B, oracle = X.cohomology_basis(field, d), x_route_basis(X, field, d)
-    C = [list(col) for col in zip(*map(oracle.express, B.basis))]
-    assert len(B) == len(oracle) == exactalg.rank(C, field)
-    return B, oracle, C
-
-
 def test_gstar_is_conjugate_to_the_canonical_basis_route_on_the_corpus():
     """C g*_new = g*_old C on every corpus action over Q, F_2, F_3 and F_p,
     g*_old the matrix of sigma^* in the basis of the route on X's full rows."""
     for a in corpus.corpus_actions().values():
-        X = a.complex
         for field in dict.fromkeys([QQ, GF(2), GF(3), GF(a.p)]):
-            for d, M in enumerate(induced_cohomology_action(a, field)):
-                B, oracle, C = _cocycle_bases_and_change(X, field, d)
-                if not len(B):
-                    continue
-                perm, signs = pullback_permutation(a, d)
-                old = [list(col) for col in zip(*(
-                    oracle.express([field.reduce(sign * v[q]) for q, sign in zip(perm, signs)])
-                    for v in oracle.basis))]
-                assert exactalg.matmul(C, M, field) == exactalg.matmul(old, C, field), (a, d)
-
-
-def _assert_pairings_congruent(X: SimplicialComplex, field):
-    """Each Gram matrix G of H^i x H^{n-i} -> H^n is congruent to that of
-    the route on X's full rows: c G = C_i^T G_old C_{n-i}, c the class of
-    the published top class in that route's basis; so the ranks agree."""
-    ring = cup_pairing(X, field)
-    n = ring.top_degree
-    if ring.orientation is None:
-        return
-    change = {i: _cocycle_bases_and_change(X, field, i) for i in range(n + 1)}
-    top, ((c,),) = change[n][1:]
-    for i in range(n + 1):
-        (_, old_i, C_i), (_, old_j, C_j) = change[i], change[n - i]
-        if not (C_i and C_j):
-            continue
-        old = [[top.express(X.cup_cochain(field, i, n - i, a, b))[0] for b in old_j.basis]
-               for a in old_i.basis]
-        G = ring.pairing_matrix(i)
-        Ct = [list(col) for col in zip(*C_i)]
-        assert ([[field.reduce(c * x) for x in row] for row in G]
-                == exactalg.matmul(exactalg.matmul(Ct, old, field), C_j, field))
-        assert exactalg.rank(G, field) == exactalg.rank(old, field)
+            assert_gstar_conjugate(a, field)
 
 
 def test_cup_pairings_are_congruent_to_the_canonical_basis_route():
     for a in corpus.corpus_actions().values():
         for field in dict.fromkeys([QQ, GF(3), GF(a.p)]):
-            _assert_pairings_congruent(a.complex, field)
-    _assert_pairings_congruent(corpus.lens_space(), GF(3))
+            assert_pairings_congruent(a.complex, field)
+    assert_pairings_congruent(corpus.lens_space(), GF(3))
 
 
 def test_cached_bases_keep_no_reference_cycle_through_the_complex():

@@ -37,7 +37,12 @@ from betticong.theorems import (
 from betticong.simplicial import SimplicialComplex, join, link, product, suspension
 
 from conftest import small_actions
-from oracles import assert_lift_and_projection
+from oracles import (
+    assert_gstar_conjugate,
+    assert_lift_and_projection,
+    assert_pairings_congruent,
+    top_seeds,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +399,14 @@ def _assert_cleared_routes_agree(X: SimplicialComplex, p: int):
                 assert Y._coboundary_rank(k, field) == rank[k], (order, field, k)
             assert Y.torsion_valuation_profile(p)[k + 1] == profile[k], (order, k)
             # The divisor chain is padded by the rows of delta^k, not the rows kept.
-            assert exactalg.sparse_smith_divisors(Y._cleared_rows(k, "Z"), n[k]) == smith[k]
+            unit = Y._drop(k + 1, "Z")
+            cleared = [{} if q in unit else row for q, row in enumerate(r)]
+            assert exactalg.sparse_smith_divisors(cleared, n[k]) == smith[k]
             assert exactalg.sparse_smith_divisors(Y._reduced_rows(k, "Z"), n[k]) == smith[k]
             for field, rank in ranks.items():
-                for route in (Y._cleared_rows, Y._reduced_rows):
-                    rows_k = route(k, field.name)
+                for rows_k in (Y._cleared_rows(k, field), Y._reduced_rows(k, field.name)):
                     assert (exactalg.sparse_rank_modp(rows_k, p) if field.char
-                            else exactalg.sparse_rank_q(rows_k)) == rank[k], (route, field, k)
+                            else exactalg.sparse_rank_q(rows_k)) == rank[k], (field, k)
         r_z = [0] + [sum(1 for d in ds if d) for ds in smith] + [0]
         assert Y.integral_cohomology().betti == tuple(
             n[i] - r_z[i] - r_z[i + 1] for i in range(X.dim + 1))
@@ -434,11 +440,13 @@ def test_cleared_routes_agree_with_the_full_rows():
     for p in (2, 3):
         _assert_cleared_routes_agree(corpus.rp2_six_vertex(), p)
     _assert_cleared_routes_agree(_moore_space_and_sphere(), 3)
-    # The torus is not connected to vertex 0, and no cell of it is free: its
-    # first vertex seeds it, which leaves a core of 1/16/15 of 15/42/28 cells.
+    # The torus is not connected to vertex 0: its first vertex seeds it, and
+    # its first triangle, as it is closed and orientable, while RP^2 is not
+    # top-seeded.  That leaves a core of 1/7/6 of 15/42/28 cells: RP^2's
+    # 0/5/5 and the torus's seed vertex and 2/1.
     X = _disjoint(corpus.rp2_six_vertex(), corpus.torus())
     _assert_cleared_routes_agree(X, 2)
-    assert list(map(sum, X._coreduction()[0])) == [1, 16, 15]
+    assert list(map(sum, X._coreduction()[0])) == [1, 7, 6]
     _assert_cleared_routes_agree(corpus.one_point(), 3)
 
 
@@ -446,6 +454,88 @@ def test_cleared_routes_agree_with_the_full_rows():
 @given(pure_complexes(), st.sampled_from([2, 3]))
 def test_cleared_routes_agree_on_pure_complexes(X, p):
     _assert_cleared_routes_agree(X, p)
+
+
+def _klein_bottle(n: int = 4) -> SimplicialComplex:
+    """The n x n grid of squares, each cut into two triangles, with its top
+    and bottom glued straight and its sides glued with a flip."""
+    def v(i, j):
+        if i == n:
+            i, j = 0, n - j
+        return f"k{i}_{j % n}"
+    return SimplicialComplex.from_facets(
+        [tri for i in range(n) for j in range(n)
+         for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1)))])
+
+
+def _top_seed_cases() -> dict[str, tuple[SimplicialComplex, int, list[int]]]:
+    """name -> (X, number of top seeds, core from ``_coreduction``)."""
+    rp2 = corpus.rp2_six_vertex()
+    return {
+        # Closed orientable components of top cells: each is seeded once.
+        "circle": (corpus.polygon(5), 1, [0, 1]),
+        "torus": (corpus.torus(), 1, [0, 2, 1]),
+        "S^2 x S^2 (Z/3)": (corpus.s2xs2(3), 1, [0, 0, 2, 0, 1]),
+        "S^2 x S^2 (Z/7)": (corpus.s2xs2(7), 1, [0, 0, 2, 0, 1]),
+        "L(3,1)": (corpus.lens_space(), 1, [0, 38, 38, 1]),
+        "S^2 * S^1": (_join_action(corpus.sphere_rotation(3), corpus.free_polygon_action(3)).complex,
+                      1, [0, 0, 0, 0, 1]),
+        # Components of top cells, not of X: spheres sharing a vertex, and
+        # spheres hung on edges (not pure).
+        "two spheres on a vertex": (_wedge_of_spheres(), 2, [0, 0, 2]),
+        "three spheres on edges": (corpus.three_sphere_wedge(), 3, [0, 0, 3]),
+        # Not seeded: non-orientable, a face on three top cells, faces on one.
+        "RP^2": (rp2, 0, [0, 5, 5]),
+        "Klein bottle": (_klein_bottle(), 0, [0, 15, 14]),
+        "three discs on a circle": (join(corpus.polygon(3, "c"), SimplicialComplex.from_facets(
+            [("x",), ("y",), ("z",)])), 0, [0, 0, 2]),
+        "two triangles on a vertex": (corpus.wedge_fixture(), 0, [0, 0, 0]),
+        # The orientable component alone is seeded.
+        "RP^2 beside the torus": (_disjoint(rp2, corpus.torus()), 1, [1, 7, 6]),
+    }
+
+
+def test_coreduction_seeds_each_closed_orientable_component_at_its_top():
+    """The rows of delta^{d-1} that the coreduction empties are the first
+    cells of the closed orientable components of top cells, found by label
+    in ``top_seeds``, and on every seeded complex here without torsion the
+    core is the rank of the reduced cohomology.  The lift and projection,
+    composed with the seeds' row operation in the top degree, are inverse
+    cochain maps."""
+    klein = _top_seed_cases()["Klein bottle"][0].integral_cohomology()
+    assert (klein.betti, klein.torsion) == ((1, 1, 0), ((), (), (2,)))
+    for name, (X, n_seeds, core) in _top_seed_cases().items():
+        X = SimplicialComplex(X.vertices, X.facets)
+        live, _ = X._coreduction()
+        assert [t for t, row in enumerate(X._cache["core rows"][X.dim - 1]) if not row] \
+            == sorted(top_seeds(X)), name
+        assert len(top_seeds(X)) == n_seeds, name
+        assert list(map(sum, live)) == core, name
+        integral = X.integral_cohomology()
+        if n_seeds and not any(integral.torsion):
+            assert core == [0, *integral.betti[1:]], name
+        if sum(X.f_vector) < 2000:
+            assert_lift_and_projection(X)
+
+
+def test_top_seeded_routes_agree_with_the_full_rows():
+    """Ranks over Q and F_p, Smith divisors, the p-local profile, cocycle
+    bases and ``express``, g* and the cup pairings on complexes that are
+    top-seeded and that are not, against the routes on X's full rows.  The
+    corpus actions (circles, spheres, tori, S^2 x S^2) and L(3,1) are
+    checked so by the corpus tests."""
+    join_action = _join_action(corpus.sphere_rotation(3), corpus.free_polygon_action(3))
+    cases = _top_seed_cases()
+    actions = [join_action] + [trivial_action(cases[name][0], 3) for name in (
+        "two spheres on a vertex", "three spheres on edges", "Klein bottle",
+        "three discs on a circle", "two triangles on a vertex")]
+    for action in actions:
+        X = action.complex
+        for p in (2, 3):
+            _assert_cleared_routes_agree(X, p)
+        for field in (QQ, GF(2), GF(3)):
+            assert_gstar_conjugate(action, field)
+            assert_pairings_congruent(X, field)
 
 
 def test_hm_check_decides_all_but_the_vertex_links_by_counting(monkeypatch):
