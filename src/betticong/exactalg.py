@@ -319,26 +319,14 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False):
     return work, pivots, [work[i] for i in sorted(active)]
 
 
-def sparse_rank_modp(rows: list[dict[int, int]], p: int, pivots: list[int] | None = None) -> int:
-    """Exact rank over F_p of a dict-of-rows matrix.
-
-    If *pivots* is a list, the pivot columns are appended to it.  Each pivot
-    row is zero at every earlier pivot column, so the pivot rows on these
-    columns form a triangular minor with a diagonal prime to p.
-    """
-    return _rank(rows, p, pivots)
+def sparse_rank_modp(rows: list[dict[int, int]], p: int) -> int:
+    """Exact rank over F_p of a dict-of-rows matrix."""
+    return len(_eliminate(rows, p)[1])
 
 
-def sparse_rank_q(rows: list[dict[int, int]], pivots: list[int] | None = None) -> int:
-    """Exact rank over Q of an integer dict-of-rows matrix (*pivots* as over F_p)."""
-    return _rank(rows, None, pivots)
-
-
-def _rank(rows, p, pivots) -> int:
-    found = _eliminate(rows, p)[1]
-    if pivots is not None:
-        pivots.extend(pc for _, pc in found)
-    return len(found)
+def sparse_rank_q(rows: list[dict[int, int]]) -> int:
+    """Exact rank over Q of an integer dict-of-rows matrix."""
+    return len(_eliminate(rows)[1])
 
 
 def sparse_rref_q(rows: list[dict[int, int]]) -> tuple[list[dict[int, Fraction]], list[int]]:
@@ -644,16 +632,13 @@ def smith_normal_form(matrix) -> SmithForm:
     return SmithForm(divisors=tuple(divisors), rank=sum(1 for d in divisors if d))
 
 
-def sparse_smith_divisors(rows: list[dict[int, int]], ncols: int,
-                          pivots: list[int] | None = None) -> tuple[int, ...]:
+def sparse_smith_divisors(rows: list[dict[int, int]], ncols: int) -> tuple[int, ...]:
     """``smith_normal_form(matrix).divisors`` of a dict-of-rows integer matrix.
 
     The +-1 pivots are eliminated sparsely first; that is unimodular and
     each one gives a divisor 1.  The rows left, on the columns without a
     pivot, form a small core whose divisors come from the dense Smith form
-    (Dumas-Saunders-Villard, J. Symb. Comp. 2001).  If *pivots* is a list,
-    the columns of the +-1 pivots are appended to it: the pivot rows on
-    them form a triangular minor with a +-1 diagonal.
+    (Dumas-Saunders-Villard, J. Symb. Comp. 2001).
     """
     _, found, rest = _eliminate(rows, unit=True)
     cols = {c: j for j, c in enumerate(sorted({c for row in rest for c in row}))}
@@ -662,8 +647,6 @@ def sparse_smith_divisors(rows: list[dict[int, int]], ncols: int,
         for c, v in row.items():
             core_row[cols[c]] = v
     divisors = [1] * len(found) + [d for d in smith_normal_form(core).divisors if d]
-    if pivots is not None:
-        pivots.extend(pc for _, pc in found)
     return tuple(divisors + [0] * (min(len(rows), ncols) - len(divisors)))
 
 

@@ -56,9 +56,6 @@ class GroupAction:
         image = ((v, vs[(o := orbit(perm, q))[k % len(o)]]) for q, v in enumerate(vs))
         return GroupAction(self.complex, self.p, tuple(sorted(image)))
 
-    def is_trivial(self) -> bool:
-        return all(a == b for a, b in self.vertex_map)
-
 
 def validate_action(X: SimplicialComplex, sigma: dict, p: int) -> GroupAction:
     """Check sigma generates a simplicial Z/p action; errors are specific.
@@ -292,11 +289,6 @@ class TFRDecomposition:
     @property
     def hypothesis_failing(self) -> bool:
         return not self.bockstein_ok or any(self.other)
-
-    def block_sizes(self, i: int) -> list[int]:
-        sizes = [1] * self.t[i] + [self.p] * self.f[i] + [self.p - 1] * self.r[i]
-        sizes += list(self.other[i])
-        return sorted(sizes, reverse=True)
 
 
 def tfr_decomposition(action: GroupAction) -> TFRDecomposition:

@@ -158,10 +158,6 @@ class Differential:
         return (self.shift[0] + self.shift[1]) % 2
 
 
-def zero_differential(A: BigradedAlgebra, shift: BiDegree = (0, -1)) -> Differential:
-    return Differential(tuple({} for _ in range(A.dim)), shift)
-
-
 # ---------------------------------------------------------------------------
 # Poincare duality / Euler characteristic
 # ---------------------------------------------------------------------------

@@ -68,10 +68,6 @@ def _maximal(simplices: list[Simplex]) -> list[Simplex]:
     ]
 
 
-def _pivots_key(k: int, ring: str) -> tuple:  # the cache key of delta^k's pivot columns
-    return ("pivots", k, ring)
-
-
 def orbit(perm: list[int], q: int) -> list[int]:
     """The orbit of q under the permutation *perm*: q, perm[q], ... until q recurs."""
     out = [q]
@@ -383,9 +379,6 @@ class SimplicialComplex:
             comps.setdefault(find(v), set()).add(v)
         return sorted(comps.values(), key=min)
 
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) == 1
-
     def is_pure(self) -> bool:
         return all(len(f) - 1 == self.dim for f in self.facets)
 
@@ -428,51 +421,24 @@ class SimplicialComplex:
             self._cache["core"], self._cache["core rows"] = (live, down), rows
         return self._cache["core"]
 
-    def _drop(self, k: int, ring: str) -> set[int]:
-        """The pivot columns of delta^k over *ring*, else those of the Smith pass.
+    def _reduced_rows(self, k: int) -> list[dict[int, int]]:
+        """delta^k after the coreduction's unit pivots, in X's own row and column indices.
 
-        *ring* is a field name ("Q", "F3", ...) or "Z".  An empty pivot set
-        means rank 0 over the ring, so none over Z either.
-        """
-        return set(self._cache.get(_pivots_key(k, ring))
-                   or self._cache.get(_pivots_key(k, "Z"), ()))
-
-    def _cleared_rows(self, k: int, field) -> list[dict[int, int]]:
-        """delta^k with the rows at the pivot columns of delta^{k+1} over *field* zeroed.
-
-        The pivots are those of ``_drop``; when neither *field*'s nor the
-        Smith pass's are cached, ``cohomology(field)`` runs to find them.
-        Zeroed rows keep the row count and indices: see ``cohomology`` for
-        why the row space is kept.
-        """
-        if not any(_pivots_key(k + 1, r) in self._cache for r in (field.name, "Z")):
-            self.cohomology(field)
-        rows = self.coboundary_rows(k)
-        drop = self._drop(k + 1, field.name)
-        return [{} if q in drop else row for q, row in enumerate(rows)] if drop else rows
-
-    def _reduced_rows(self, k: int, ring: str) -> list[dict[int, int]]:
-        """delta^k after the coreduction's unit pivots, cleared by the pivots of delta^{k+1}.
-
-        In X's own row and column indices: a row cancelled downward is its
-        +-1 entry at its partner, a row cancelled upward or at a pivot of
-        ``_drop(k + 1, ring)`` is empty, and a live row keeps its live
-        columns (of delta^0 in the seeded basis).  The partners are columns
-        of no other row, so this matrix has delta^k's rank over every field
-        and its nonzero Smith divisors (see ``cohomology``), and the
-        partners are among its pivots.
+        A row cancelled downward is its +-1 entry at its partner, a live row
+        keeps its live columns (of delta^0 in the seeded basis, of M
+        delta^{d-1} in the top degree), and every other row is empty.  This
+        matrix has delta^k's rank over every field and its nonzero Smith
+        divisors (see ``cohomology``), and the partners are among its pivots.
         """
         if k >= self.dim:
             return self.coboundary_rows(k)
         live, down = self._coreduction()
-        rows = self._cache["core rows"][k]
-        drop = self._drop(k + 1, ring)
         partner, live_rows, live_cols = down[k + 1], live[k + 1], live[k]
         out = []
-        for q, row in enumerate(rows):
+        for q, row in enumerate(self._cache["core rows"][k]):
             if q in partner:
                 out.append({partner[q]: row[partner[q]]})
-            elif live_rows[q] and q not in drop:
+            elif live_rows[q]:
                 out.append({c: v for c, v in row.items() if live_cols[c]})
             else:
                 out.append({})
@@ -485,85 +451,40 @@ class SimplicialComplex:
             return sum(1 for d in self._cache["smith"][k] if (d % p if p else d))
         key = ("cobrank", k, field.name)
         if key not in self._cache:
-            rows, cols = self._reduced_rows(k, field.name), []
-            self._cache[key] = (exactalg.sparse_rank_modp(rows, field.char, cols) if field.char
-                                else exactalg.sparse_rank_q(rows, cols))
-            self._cache[_pivots_key(k, field.name)] = cols
+            rows = self._reduced_rows(k)
+            self._cache[key] = (exactalg.sparse_rank_modp(rows, field.char) if field.char
+                                else exactalg.sparse_rank_q(rows))
         return self._cache[key]
 
     def _smith_divisors(self) -> list[tuple[int, ...]]:
         """The Smith divisors of delta^0..delta^dim (delta^dim is zero), in one pass.
 
-        The coboundaries are eliminated top-down, each cleared by the +-1
-        pivots of the one above (the lemma in ``cohomology``): the integral
-        row module, so the nonzero divisors, is kept.  Over Q the rank of
-        delta^k is its number of nonzero divisors, over F_p the number prime
-        to p; once this pass has run, ``cohomology`` eliminates nothing.
+        Each pass eliminates ``_reduced_rows``, whose nonzero divisors are
+        delta^k's (see ``cohomology``); the dense Smith form sees at most the
+        core's block of delta^k.  Over Q the rank of delta^k is its number of
+        nonzero divisors, over F_p the number prime to p; once this pass has
+        run, ``cohomology`` eliminates nothing.
         """
         if "smith" not in self._cache:
             divisors = [()] * (self.dim + 1)
             for k in range(self.dim - 1, -1, -1):
-                cols = []
-                divisors[k] = exactalg.sparse_smith_divisors(
-                    self._reduced_rows(k, "Z"), self.n_simplices(k), cols)
-                self._cache[_pivots_key(k, "Z")] = cols
+                divisors[k] = exactalg.sparse_smith_divisors(self._reduced_rows(k), self.n_simplices(k))
             self._cache["smith"] = divisors
         return self._cache["smith"]
 
     # -- cohomology ------------------------------------------------------
 
     def cohomology(self, field) -> GradedBetti:
-        """Betti numbers over Q or F_p from coboundary ranks, taken top-down.
-
-        Each delta^k is eliminated with its rows at P zeroed, where P are the
-        pivot columns that the elimination of delta^{k+1} found (the clearing
-        of persistent homology: Chen and Kerber, EuroCG 2011; Bauer, Kerber
-        and Reininghaus, 2014).  Those rows lie in the span of the others.
-        ``exactalg._eliminate`` makes each later pivot row zero at every
-        earlier pivot column, so the pivot rows R of delta^{k+1}, taken on
-        P, form a triangular minor T whose diagonal is invertible in the
-        elimination's ring.  R is a combination of rows of delta^{k+1} and
-        delta^{k+1} delta^k = 0, so T (rows P of delta^k) = -(R off P) (rows
-        outside P): for each q in P, row q of delta^k is a combination of the
-        rows outside P over that ring.  The row space, and over Z the row
-        module, are kept, and with them the rank and the nonzero Smith
-        divisors.  A pivot set clears rows over the ring it was found over,
-        Q or F_p.  The +-1 pivots of the Smith pass clear rows over every
-        ring: their minor is triangular with a +-1 diagonal, so it is
-        unimodular, and its inverse is integral.
+        """Betti numbers over Q or F_p from coboundary ranks.
 
         Every route eliminates ``_reduced_rows``, delta^k after the unit
-        pivots of the coreduction.  Its live rows are the core's delta^k,
-        cleared as above by the core's pivots of delta^{k+1} (the core is a
-        cochain complex), and its one-entry rows meet the other rows in no
-        column: it has the rank and nonzero Smith divisors of delta^k.  The
-        seed of each component after vertex 0's zeroes a column of delta^0,
-        a unimodular column operation (the seed's basis vector becomes its
-        component's indicator cocycle) that keeps the rank, the Smith
-        divisors and every linear relation among the rows, so the clearing
-        above is unchanged.  The top seeds replace delta^{d-1} (d = dim) by
-        M delta^{d-1}, M unimodular: the rank and the Smith divisors over
-        every ring are kept, M delta^{d-1} delta^{d-2} = 0, and each row of
-        M delta^{d-1} is an integral combination of X's rows, so any pivot
-        row found on it is too.  A seed's row is 0 and never cancelled, so
-        every cancelled cell keeps X's row.  The pivot set P of these rows
-        (the partners s_i of the cells rho_i of degree k+2 cancelled
-        downward, and the core's pivot columns Q) also clears X's full rows
-        of delta^k for ``cohomology_basis``.  Take y_i the row rho_i of
-        delta^{k+1}, and for Q the combinations of X's full rows of
-        delta^{k+1} that the core's pivot rows were made of: on Q they are
-        the triangular minor T.  Draw u -> v when pivot row u is nonzero at
-        v's column.  Call pair i *downward* when s_i was rho_i's only live
-        face at its cancellation.  If rho_i has a face s_j (j != i), either
-        j was cancelled later, so rho_i had two live faces and i is not
-        downward, or earlier, while rho_i was a live coface of s_j, so j is
-        downward.  The earliest pair on a cycle of pairs would be both: there
-        is none.  A downward pair points only to earlier downward pairs and
-        never to Q (a column of Q was live throughout), and a core row
-        points to no pair that is not downward, so no cycle passes through Q
-        either.  Ordered along the arrows, the minor on P is block-triangular
-        with diagonal blocks +-1 and T, so it is invertible over the ring of
-        T, and the lemma above holds with these rows.
+        pivots of the coreduction.  Its live rows are the core's delta^k, and
+        its one-entry rows (each cell cancelled downward, at its partner)
+        meet no other row's column.  The seeds are unimodular: each vertex
+        seed after vertex 0's zeroes a column of delta^0 (the seed's basis
+        vector becomes its component's indicator cocycle), and the top seeds
+        replace delta^{d-1} (d = dim) by M delta^{d-1}.  So it has the rank
+        of delta^k over every field and its nonzero Smith divisors.
         """
         key = ("betti", field.name)
         if key not in self._cache:
@@ -607,9 +528,11 @@ class SimplicialComplex:
 
         ``basis`` holds one cocycle of X per class; ``express(v)`` gives the
         coefficients of v's class, raising ValueError unless delta^i v = 0
-        on X's rows of delta^i (cleared as in ``cohomology``).  Where b_i = 0
-        (from the cached ranks) nothing is eliminated.  Degree 0 is ker
-        delta^0 on X's rows: the core carries reduced cohomology.
+        on X's rows of delta^i.  Where b_i = 0 (from the cached ranks)
+        nothing is eliminated.  The core carries reduced cohomology, so
+        degree 0 is read off the components: one indicator cocycle per entry
+        of ``connected_components``, in that order, whose dual vector is the
+        value at the component's least vertex.  No elimination runs.
 
         For i >= 1 the one sparse engine, ``exactalg.Subquotient``, runs on
         the core (see ``_coreduction``): ker delta^i modulo the columns of
@@ -655,11 +578,18 @@ class SimplicialComplex:
         """
         key = ("basis", field.name, degree)
         if key not in self._cache:
-            rows = self._cleared_rows(degree, field)
-            if not self.cohomology(field).betti[degree]:
+            rows = self.coboundary_rows(degree)
+            if not degree:
+                index, basis, duals = self._simplex_index.get(0, {}), [], []
+                for comp in self.connected_components():
+                    vec = field.zeros(len(index))
+                    for v in comp:
+                        vec[index[(v,)]] = 1
+                    basis.append(vec)
+                    duals.append({index[(min(comp),)]: 1})
+                self._cache[key] = exactalg.Subquotient.from_duals(rows, field, basis, duals)
+            elif not self.cohomology(field).betti[degree]:
                 self._cache[key] = exactalg.Subquotient.from_duals(rows, field, [], [])
-            elif not degree:
-                self._cache[key] = exactalg.Subquotient(rows, [], field, self.n_simplices(0))
             else:
                 self._cache[key] = self._core_basis(field, degree, rows)
         return self._cache[key]
@@ -676,10 +606,9 @@ class SimplicialComplex:
             len(cells[0]))
         kernel, up = [], ({}, [])
         if i < self.dim:
-            # ker delta^i is that of its rows off the core's pivots of delta^{i+1}.
-            drop, up = self._drop(i + 1, field.name), (down[i + 1], rows[i])
+            up = (down[i + 1], rows[i])
             kernel = [{index[1][c]: v for c, v in row.items() if c in index[1]}
-                      for q, row in enumerate(rows[i]) if live[i + 1][q] and q not in drop]
+                      for q, row in enumerate(rows[i]) if live[i + 1][q]]
         core = exactalg.Subquotient(kernel, image, field, len(cells[1]))
 
         def carry(move, values: dict, pairs, rows_of) -> dict:

@@ -153,10 +153,12 @@ def test_criterion_5_prop_4_1_block_structure():
     for name, action in corpus.corpus_actions().items():
         decomp = tfr_decomposition(action)
         assert decomp.bockstein_ok, name  # corpus complexes are torsion-clean
+        p = action.p
+        betti = action.complex.cohomology(GF(p)).betti
         for i in range(len(decomp.t)):
             assert not decomp.other[i], (name, i, decomp.other[i])
-            for s in decomp.block_sizes(i):
-                assert s in (1, action.p - 1, action.p), (name, i, s)
+            # Blocks of sizes 1, p and p - 1 fill H^i(X;F_p).
+            assert decomp.t[i] + p * decomp.f[i] + (p - 1) * decomp.r[i] == betti[i], (name, i)
     lens = corpus.lens_space()
     assert not bockstein_condition(lens, 3)
     lens_decomp = tfr_decomposition(trivial_action(lens, 3))

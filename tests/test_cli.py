@@ -184,7 +184,7 @@ def test_declared_but_unused_vertex_is_not_a_simplex():
     X = doc.complexes["X"]
     from betticong.exactalg import QQ
 
-    assert X.is_connected()
+    assert len(X.connected_components()) == 1
     assert X.cohomology(QQ).betti == (1, 0)
     assert X.euler_characteristic() == 1
 

@@ -462,10 +462,11 @@ def test_engine_modes_agree(m, n, seed):
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 10**6),
        st.sampled_from(["Q", 2, 3, 5, "unit"]))
 def test_each_pivot_row_is_zero_at_the_earlier_pivots(m, n, seed, mode):
-    """The triangular form that Subquotient's two back substitutions, the
-    clearing in ``cohomology`` and the +-1 pivots of the Smith pass rely on:
-    each pivot row is zero at the pivot columns of every earlier pivot, and
-    the rows left without a pivot are zero at all of them."""
+    """The triangular form that ``Subquotient`` relies on, through
+    ``back_substitute`` for its basis and its dual vectors, and that the
+    Smith pass relies on to read its dense core off the rows left after the
+    +-1 pivots: each pivot row is zero at the pivot columns of every earlier
+    pivot, and the rows left without a pivot are zero at all of them."""
     rng = random.Random(seed)
     M = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 4]) for _ in range(n)] for _ in range(m)]
     rows = [{j: v for j, v in enumerate(row) if v} for row in M]

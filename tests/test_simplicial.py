@@ -40,12 +40,12 @@ from betticong.group_action import (
     induced_cohomology_action,
     quotient_complex,
     trivial_action,
+    validate_action,
 )
 from betticong.pd_algebra import homology, random_differential_algebra
 from betticong.simplicial import (
     SimplicialComplex,
     _maximal,
-    _pivots_key,
     barycentric_subdivision,
     cup_pairing,
     join,
@@ -248,7 +248,7 @@ def test_coreduction_cancels_face_pairs_down_to_a_core():
         assert sum(map(sum, live)) + 2 * len(partners) + bool(X.f_vector) == sum(X.f_vector)
         assert sum((-1) ** d * sum(f) for d, f in enumerate(live)) \
             == X.euler_characteristic() - bool(X.f_vector)
-        if X.is_connected():
+        if len(X.connected_components()) == 1:
             assert not sum(live[0])
     assert list(map(sum, s2xs2._coreduction()[0])) == [0, 0, 2, 0, 1]
 
@@ -304,7 +304,7 @@ def test_lens_coboundaries_are_eliminated_on_the_rows_that_can_be_independent(
     0/38/38/1 cells.  delta^2: the top seed's row is the fundamental
     cycle's, 0, and the other 1727 tetrahedra are cancelled downward, one
     +-1 entry each.  delta^1: 1691 one-entry rows and the 38 live
-    triangles, none at a pivot, as the core's delta^2 is zero.  delta^0: the
+    triangles, whose rows keep their live columns.  delta^0: the
     319 edges cancelled downward alone, as no vertex is live (rank 319 =
     n_0 - 1).  Every other row is empty, so each delta^k keeps its n_{k+1}
     rows."""
@@ -342,76 +342,6 @@ def test_profiles_at_every_prime_share_one_smith_pass(monkeypatch):
     assert [L.cohomology(F).betti for F in (QQ, GF(3), GF(5))] == [
         (1, 0, 0, 1), (1, 1, 1, 1), (1, 0, 0, 1)]
     assert [len(rows) for rows in calls] == [L.n_simplices(k + 1) for k in (2, 1, 0)]
-
-
-def test_a_pivot_set_clears_rows_only_over_the_ring_it_was_found_over():
-    """On the cone over RP^2, cone triangles over edges F of RP^2 on which
-    the boundary of RP^2 is nonsingular are a Q pivot set of delta^2.  Every
-    such minor is even (H_1(RP^2;Z) = Z/2), and zeroing those rows of
-    delta^1 loses F_2 rank.  Pivot sets are recorded per ring: a Q pivot set
-    clears rows over Q alone, and the F_2, F_3 and integral routes ignore
-    it (F_2 and F_3 run their own rank pass and clear with its pivots,
-    keeping their rank).  The +-1 pivots of the Smith pass, recorded under Z, have a
-    unimodular minor: every ring without pivots of its own clears with
-    them, and no route's answer changes."""
-    X = join(rp2_six_vertex(), corpus.one_point())
-    up, rows = X.coboundary_rows(2), X.coboundary_rows(1)
-    cone = {q for q, s in enumerate(X.simplex_labels(2)) if "pt" in s}
-    P = []
-    exactalg.sparse_rank_q([{c: v for c, v in r.items() if c in cone} for r in up], P)
-    assert len(P) == exactalg.sparse_rank_q(up)
-    kept = [{} if q in set(P) else r for q, r in enumerate(rows)]
-    assert exactalg.sparse_rank_q(kept) == exactalg.sparse_rank_q(rows)
-    assert exactalg.sparse_rank_modp(kept, 2) < exactalg.sparse_rank_modp(rows, 2)
-    for field in (QQ, GF(2), GF(3)):
-        Y = SimplicialComplex(X.vertices, X.facets)
-        Y._cache[_pivots_key(2, "Q")] = P
-        if field is QQ:
-            assert Y._cleared_rows(1, field) == kept
-            assert Y._drop(2, "Z") == set()
-            continue
-        # Without pivots of its own, the ring's rank pass runs and clears with them.
-        cleared = Y._cleared_rows(1, field)
-        own = set(Y._cache[_pivots_key(2, field.name)])
-        assert own != set(P)
-        assert cleared == [{} if q in own else r for q, r in enumerate(rows)], field
-        assert (exactalg.sparse_rank_modp(cleared, field.char)
-                == exactalg.sparse_rank_modp(rows, field.char)), field
-    routes = {"F2": lambda Z: Z.cohomology(GF(2)), "pval": lambda Z: Z.torsion_valuation_profile(2),
-              "Z": lambda Z: Z.integral_cohomology()}
-    for name, route in routes.items():
-        Y = SimplicialComplex(X.vertices, X.facets)
-        Y._cache[_pivots_key(2, "Q")] = P
-        assert route(Y) == route(X), name
-    U = []
-    exactalg.sparse_smith_divisors(up, X.n_simplices(2), U)
-    assert U and set(U) != set(P)
-    kept_u = [{} if q in set(U) else r for q, r in enumerate(rows)]
-    assert (exactalg.sparse_smith_divisors(kept_u, X.n_simplices(1))
-            == exactalg.sparse_smith_divisors(rows, X.n_simplices(1)))
-    for field, rank in ((QQ, exactalg.sparse_rank_q),
-                        (GF(2), lambda r: exactalg.sparse_rank_modp(r, 2)),
-                        (GF(3), lambda r: exactalg.sparse_rank_modp(r, 3))):
-        Y = SimplicialComplex(X.vertices, X.facets)
-        Y._cache[_pivots_key(2, "Z")] = U
-        assert Y._cleared_rows(1, field) == kept_u, field
-        assert rank(kept_u) == rank(rows), field
-    routes |= {"Q": lambda Z: Z.cohomology(QQ), "F3": lambda Z: Z.cohomology(GF(3))}
-    for name, route in routes.items():
-        Y = SimplicialComplex(X.vertices, X.facets)
-        Y._cache[_pivots_key(2, "Z")] = U
-        assert route(Y) == route(X), name
-
-
-def test_cleared_rows_find_their_own_pivots_on_a_fresh_complex():
-    """With no pivots cached, ``_cleared_rows`` runs the rank pass over its
-    field first: delta^1 of a fresh L(3,1) over F_3 keeps 3456 - 1727 =
-    1729 nonempty rows, rank delta^2 = 1727 over F_3, and its rank."""
-    L = corpus.lens_space()
-    L = SimplicialComplex(L.vertices, L.facets)
-    rows = L._cleared_rows(1, GF(3))
-    assert len(rows) == 3456 and sum(1 for row in rows if row) == 1729
-    assert exactalg.sparse_rank_modp(rows, 3) == exactalg.sparse_rank_modp(L.coboundary_rows(1), 3)
 
 
 def test_uct_equality_iff_no_torsion():
@@ -453,6 +383,52 @@ def test_zero_degrees_have_empty_bases_and_check_coboundaries():
                         e[j] = 1
                         with pytest.raises(ValueError):
                             B.express(e)
+
+
+def _three_circles_and_a_fixed_one() -> GroupAction:
+    """Four triangle boundaries a, b, c, d, with an unused label first in the
+    vertex order, so each vertex's 0-simplex index is its vertex index less
+    one.  The order interleaves a, b and c, so that index names a vertex of
+    another component.  The generator sends a to b to c to a and turns d."""
+    order = ["u"] + [f"{x}{i}" for i in range(3) for x in "abc"] + ["d0", "d1", "d2"]
+    X = SimplicialComplex.from_facets(
+        [(f"{x}{i}", f"{x}{(i + 1) % 3}") for x in "abcd" for i in range(3)], vertex_order=order)
+    sigma = {f"{x}{i}": f"{y}{i}" for x, y in ("ab", "bc", "ca") for i in range(3)}
+    return validate_action(X, sigma | {f"d{i}": f"d{(i + 1) % 3}" for i in range(3)}, 3)
+
+
+def test_degree_zero_basis_is_read_off_the_components(monkeypatch):
+    """H^0 is one indicator cocycle per component, in the order of
+    ``connected_components``, with the value at the component's least vertex
+    as its dual: a complement of 0 in the dense kernel of delta^0, whose
+    ``express`` rejects a cochain that is not a cocycle, and whose g* on the
+    three permuted circles and the fixed one matches the route on X's full
+    rows.  No elimination runs."""
+    action = _three_circles_and_a_fixed_one()
+    X = action.complex
+    assert X.vertices[0] == "u" and X.n_simplices(0) == len(X.vertices) - 1
+    comps = X.connected_components()
+    labels = [{X.vertices[v] for v in comp} for comp in comps]
+    assert labels == [{f"{x}{i}" for i in range(3)} for x in "abcd"]
+    for field in (QQ, GF(3)):
+        with monkeypatch.context() as m:
+            m.setattr(exactalg, "_eliminate", lambda *a: pytest.fail("eliminated"))
+            B = X.cohomology_basis(field, 0)
+        kernel = kernel_basis(coboundary_matrix(X, 0), field)
+        assert_complements([B], X.coboundary_rows(0), [], kernel)
+        names = [v for (v,) in X.simplex_labels(0)]
+        assert [{names[q] for q, x in enumerate(b) if x} for b in B.basis] == labels
+        assert B.express([field.reduce(2 * x + y) for x, y in zip(B.basis[1], B.basis[3])]) \
+            == [0, field.reduce(2), 0, 1]
+        e = field.zeros(X.n_simplices(0))
+        e[1] = 1
+        with pytest.raises(ValueError, match="not in the kernel"):
+            B.express(e)
+        assert_gstar_conjugate(action, field)
+        g = induced_cohomology_action(action, field)[0]
+        # sigma^* sends the indicator of b to that of a: column j is the
+        # class of sigma^* of the j-th basis cocycle.
+        assert g == [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
 
 
 # ---------------------------------------------------------------------------
