@@ -159,21 +159,19 @@ def _parse_complex(lines, i):
                 raise InputError("duplicate vertices line", lineno)
             if len(tok) < 2:
                 raise InputError("vertices line needs at least one vertex", lineno)
-            dup = _first_repeat(tok[1:])
-            if dup is not None:
-                raise InputError(f"vertices line repeats label {dup!r}", lineno)
-            block.vertices = tok[1:]
-            declared = set(block.vertices)
+            block.vertices, declared = tok[1:], set(tok[1:])
+            if len(declared) != len(tok) - 1:
+                raise InputError(f"vertices line repeats label {_first_repeat(tok[1:])!r}", lineno)
         elif tok[0] == "facet":
             if len(tok) < 2:
                 raise InputError("facet line needs at least one vertex", lineno)
-            for v in tok[1:]:
-                if v not in declared:
-                    raise InputError(f"facet references undeclared vertex {v!r}", lineno)
-            dup = _first_repeat(tok[1:])
-            if dup is not None:
-                raise InputError(f"facet repeats vertex {dup!r}", lineno)
-            block.facets.append(tuple(tok[1:]))
+            facet = tuple(tok[1:])
+            if not declared.issuperset(facet):
+                v = next(v for v in facet if v not in declared)
+                raise InputError(f"facet references undeclared vertex {v!r}", lineno)
+            if len(set(facet)) != len(facet):
+                raise InputError(f"facet repeats vertex {_first_repeat(facet)!r}", lineno)
+            block.facets.append(facet)
         else:
             raise InputError(f"unexpected {tok[0]!r} in complex block", lineno)
         i += 1
@@ -181,12 +179,9 @@ def _parse_complex(lines, i):
 
 
 def _first_repeat(labels):
+    """The first label seen before in *labels*, which must repeat one."""
     seen = set()
-    for v in labels:
-        if v in seen:
-            return v
-        seen.add(v)
-    return None
+    return next(v for v in labels if v in seen or seen.add(v))
 
 
 def _parse_action(lines, i):

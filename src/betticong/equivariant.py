@@ -79,7 +79,7 @@ class PermutationComplex:
         p, top = self.p, self.dim
         rows = [[{c: v % p for c, v in r.items() if v % p} for r in R] for R in self.rows]
         perms = [perm for perm, _ in self.pullbacks]
-        rows, alive, _ = coreduce(rows, self.sizes, perms)
+        rows, alive, *_ = coreduce(rows, self.sizes, perms)
         for j, R in enumerate(rows):
             live_rows, live_cols = alive[j + 1], alive[j]
             for t, r in enumerate(R):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 
 from . import exactalg
 
@@ -76,24 +76,15 @@ def orbit(perm: list[int], q: int) -> list[int]:
     return out
 
 
-def _cofaces(rows, n: int) -> list[list[int]]:
-    """Per column of n, the rows with an entry there, in row order."""
-    out: list[list[int]] = [[] for _ in range(n)]
-    for t, fs in enumerate(rows):
-        for s in fs:
-            out[s].append(t)
-    return out
-
-
-def _orient(faces, cofaces, t0: int, eps: list) -> tuple[list[int], bool]:
+def _orient(faces, cofaces, t0: int, eps) -> list[int] | None:
     """Walk t0's component of top cells across their shared faces, orienting it.
 
     *faces* are the rows of delta^{d-1} (entries +-1), ``cofaces[s]`` the
     top cells on the face s, and ``eps`` is 0 on the cells not yet walked.
     The walk sets eps_t0 = 1 and eps_u = -eps_t delta[t, s] delta[u, s]
-    across each face s of a walked t.  Returns the component, t0 first, and
-    whether it is a closed orientable pseudomanifold: every face on exactly
-    two of its cells, with those signs consistent, so sum_t eps_t row_t = 0.
+    across each face s of a walked t.  Returns the component, t0 first, if
+    it is a closed orientable pseudomanifold: every face on exactly two of
+    its cells, with those signs consistent, so sum_t eps_t row_t = 0.
     """
     eps[t0], comp, closed = 1, [t0], True
     for t in comp:
@@ -109,7 +100,7 @@ def _orient(faces, cofaces, t0: int, eps: list) -> tuple[list[int], bool]:
                         comp.append(u)
                     elif eps[u] != want:
                         closed = False
-    return comp, closed
+    return comp if closed else None
 
 
 def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
@@ -146,59 +137,61 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
     - Queue: a FIFO queue cancels orbit(tau) against orbit(sigma), sigma a
       face of tau, when the orbits have equal size and sigma is tau's only
       live face or tau is sigma's only live coface.  A cell joins the queue
-      when either count falls to 1, or if it starts at 1.
+      when either count falls to 1, or if it starts at 1; a cancelled pair
+      pushes tau's cofaces, tau's faces, sigma's cofaces, then sigma's faces.
 
     Either way row tau or column sigma of the live part of delta is that
     unit entry alone, so the unit pivot there changes no other entry: the
     live cells (the core) carry the submatrices of the seeded coboundaries,
     a G-complex chain homotopy equivalent to the cochains.
 
-    Returns ``(rows, live, down)``: the coboundaries with the seeds' columns
-    of delta^0 and top rows zeroed (the input is not modified), per degree
-    the live flags, and the cells cancelled downward with their partners.
+    Returns ``(rows, live, down, (eps, seeds))``: the coboundaries with
+    the seeds' columns of delta^0 and top rows zeroed (the input is not
+    modified); per degree the live flags and ``(cells, partner)``, the
+    cells cancelled downward in order and each cell's partner or -1; the
+    walk's orientation of the top cells and each top seed's component.
     """
+    from array import array  # here, so that importing betticong does not load it
     top = len(sizes) - 1
     rows = [list(rows[0]), *rows[1:]] if rows else []
-    cofaces = [_cofaces(R, n) for R, n in zip([*rows, []], sizes)]
+    cofaces = [[[] for _ in range(n)] for n in sizes]  # in row order
+    for R, cs in zip(rows, cofaces):
+        for t, fs in enumerate(R):
+            for s in fs:
+                cs[s].append(t)
+    eps, seeds = array("b"), {}
     if perms is None and top > 0:
-        eps = [0] * sizes[top]
-        seeds = [t for t in range(sizes[top])
-                 if not eps[t] and _orient(rows[top - 1], cofaces[top - 1], t, eps)[1]]
+        eps = array("b", bytes(sizes[top]))
+        seeds = {t: array("i", comp) for t in range(sizes[top]) if not eps[t]
+                 and (comp := _orient(rows[top - 1], cofaces[top - 1], t, eps)) is not None}
         if seeds and top > 1:
             rows[top - 1] = list(rows[top - 1])
         for t in seeds:
             for s in rows[top - 1][t]:
                 cofaces[top - 1][s].remove(t)
             rows[top - 1][t] = {}
-    n_faces = [[0] * n for n in sizes[:1]] + [list(map(len, R)) for R in rows]
+    # faces[d][q]: the (d-1)-cells of q; vertices have none.
+    faces = [[()] * n for n in sizes[:1]] + rows
+    n_faces = [list(map(len, F)) for F in faces] + [[]]  # no (top+1)-cells
     n_cofaces = [list(map(len, cs)) for cs in cofaces]
     live = [bytearray(b"\x01") * n for n in sizes]
-    down: list[dict[int, int]] = [{} for _ in sizes]
+    down = [(array("i"), array("i", [-1]) * n) for n in sizes]
     queue: deque[tuple[int, int]] = deque()
-
-    def cancel(d: int, q: int):
-        live[d][q] = 0
-        if d < top:
-            counts = n_faces[d + 1]
-            for t in cofaces[d][q]:
-                counts[t] -= 1
-                if counts[t] == 1:
-                    queue.append((d + 1, t))
-        if d:
-            counts = n_cofaces[d - 1]
-            for s in rows[d - 1][q]:
-                counts[s] -= 1
-                if counts[s] == 1:
-                    queue.append((d - 1, s))
+    push, pop = queue.append, queue.popleft
 
     def seed(x: int):
         for t in cofaces[0][x]:
             rows[0][t] = {c: v for c, v in rows[0][t].items() if c != x}
             n_faces[1][t] -= 1
             if n_faces[1][t] == 1:
-                queue.append((1, t))
+                push((1, t))
         cofaces[0][x], n_cofaces[0][x] = [], 0
 
+    # steps[d - 1]: what a pair of degrees (d, d - 1) reads and updates; n_cofaces[-1]
+    # (d = 1, as vertices have no faces) and n_faces[top + 1] go unread.
+    steps = [(live[d], live[d - 1], *down[d], cofaces[d], faces[d], cofaces[d - 1], faces[d - 1],
+              n_faces[d + 1], n_cofaces[d - 1], n_faces[d], n_cofaces[d - 2])
+             for d in range(1, top + 1)]
     fresh = (x for x in range(sizes[0] if sizes else 0)
              if live[0][x] and (perms is None or perms[0][x] == x))
     x = next(fresh, None)
@@ -209,51 +202,75 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
                      if f == 1 or c == 1)
     while True:
         while queue:
-            d, q = queue.popleft()
+            d, q = pop()
             if not live[d][q]:
                 continue
             if n_faces[d][q] == 1:
-                tau, sigma = q, next(s for s in rows[d - 1][q] if live[d - 1][s])
+                tau, lv = q, live[d - 1]
+                for sigma in faces[d][q]:
+                    if lv[sigma]:
+                        break
             elif n_cofaces[d][q] == 1:
-                d, tau, sigma = d + 1, next(t for t in cofaces[d][q] if live[d + 1][t]), q
+                sigma, d, lv = q, d + 1, live[d + 1]
+                for tau in cofaces[d - 1][q]:
+                    if lv[tau]:
+                        break
             else:
                 continue
             if perms and len(orbit(perms[d], tau)) != len(orbit(perms[d - 1], sigma)):
                 continue
-            while live[d][tau]:  # tau's orbit against sigma's
-                down[d][tau] = sigma
-                cancel(d, tau)
-                cancel(d - 1, sigma)
+            lt, ls, cells, partner, up_t, dn_t, up_s, dn_s, f_up, c_dn, f_s, c_s = steps[d - 1]
+            while lt[tau]:  # tau's orbit against sigma's; a zero count pushes neither again
+                lt[tau] = ls[sigma] = c_dn[sigma] = f_s[tau] = 0
+                cells.append(tau)
+                partner[tau] = sigma
+                for t in up_t[tau]:
+                    f_up[t] -= 1
+                    if f_up[t] == 1:
+                        push((d + 1, t))
+                for s in dn_t[tau]:
+                    c_dn[s] -= 1
+                    if c_dn[s] == 1:
+                        push((d - 1, s))
+                for t in up_s[sigma]:
+                    f_s[t] -= 1
+                    if f_s[t] == 1:
+                        push((d, t))
+                for s in dn_s[sigma]:
+                    c_s[s] -= 1
+                    if c_s[s] == 1:
+                        push((d - 2, s))
                 if perms:
                     tau, sigma = perms[d][tau], perms[d - 1][sigma]
         x = next(fresh, None)
         if x is None or top and any(f == 1 and a for f, a in zip(n_faces[1], live[1])):
-            return rows, live, down
+            return rows, live, down, (eps, seeds)
         seed(x)
 
 
-def _lift(v: dict[int, int], pairs: dict[int, int], up, reduce) -> dict[int, int]:
+def _lift(v: dict[int, int], pairs, up, reduce) -> dict[int, int]:
     """Extend a core cochain v (sparse, in X's indices) to X along the cells cancelled upward.
 
-    *pairs* are the cancelled pairs {tau: sigma} with sigma in v's degree
-    and *up* the rows of the coboundary out of it.  Walked last pair first,
-    each sets v(sigma) = -u sum_{b != sigma} delta[tau, b] v(b), u =
-    delta[tau, sigma] = +-1; v is extended in place.
+    *pairs* are ``(cells, partner)`` from ``coreduce``, tau in cells against
+    sigma = partner[tau] in v's degree, and *up* the rows of delta out of
+    it.  Walked last pair first, each sets v(sigma) = -u sum_{b != sigma}
+    delta[tau, b] v(b), u = delta[tau, sigma] = +-1; v is extended in place.
     """
-    for tau, sigma in reversed(pairs.items()):
-        row = up[tau]
+    cells, partner = pairs
+    for tau in reversed(cells):
+        row, sigma = up[tau], partner[tau]
         s = reduce(sum(x * v[b] for b, x in row.items() if b in v))
         if s:
             v[sigma] = reduce(-row[sigma] * s)
     return v
 
 
-def _pull_back(z: dict[int, int], pairs: dict[int, int], faces, reduce) -> dict[int, int]:
+def _pull_back(z: dict[int, int], pairs, faces, reduce) -> dict[int, int]:
     """The functional z o pi on X's cochains, for z (sparse) on the core's cells.
 
     pi v = (v - delta c) on the core, c(sigma) = u (v - delta c)(tau) over
-    the earlier *pairs* {tau: sigma} (tau in z's degree, *faces* the rows of
-    the coboundary into it): c = (I + U A)^-1 U S v, with S v = (v(tau)),
+    the earlier *pairs* (as in ``_lift``, tau in z's degree, *faces* the
+    rows of the coboundary into it): c = (I + U A)^-1 U S v, S v = (v(tau)),
     U = diag(u) and A[k, j] = delta[tau_k, sigma_j] strictly lower
     triangular.  So z . pi v = z . v - y . c with y = delta^T z, and y . c
     = sum_k u_k g_k v(tau_k) with g = (I + A^T U)^-1 y solved last pair
@@ -264,8 +281,9 @@ def _pull_back(z: dict[int, int], pairs: dict[int, int], faces, reduce) -> dict[
     for a, x in z.items():
         for b, e in faces[a].items():
             y[b] = y.get(b, 0) + e * x
-    out = dict(z)
-    for tau, sigma in reversed(pairs.items()):
+    out, (cells, partner) = dict(z), pairs
+    for tau in reversed(cells):
+        sigma = partner[tau]
         g = reduce(y.get(sigma, 0))
         if g:
             row = faces[tau]
@@ -284,16 +302,14 @@ class SimplicialComplex:
         # redundancy.  Use from_facets for validated construction.
         self.vertices = vertices
         self.facets = facets
-        self._vertex_index = {v: i for i, v in enumerate(vertices)}
-        simplices: dict[int, set[Simplex]] = {}
-        for f in facets:
-            for k in range(1, len(f) + 1):
-                simplices.setdefault(k - 1, set()).update(combinations(f, k))
+        self._vertex_index = dict(zip(vertices, range(len(vertices))))
+        # A facet with fewer than k vertices has no k-subsets.
         self._simplices: dict[int, list[Simplex]] = {
-            d: sorted(simplices[d]) for d in simplices
+            k - 1: sorted(set(chain.from_iterable(map(combinations, facets, repeat(k)))))
+            for k in range(1, max(map(len, facets), default=0) + 1)
         }
         self._simplex_index: dict[int, dict[Simplex, int]] = {
-            d: {s: i for i, s in enumerate(lst)} for d, lst in self._simplices.items()
+            d: dict(zip(lst, range(len(lst)))) for d, lst in self._simplices.items()
         }
         self.dim = max(self._simplices) if self._simplices else -1
         self._cache: dict = {}
@@ -307,7 +323,7 @@ class SimplicialComplex:
         Redundant (contained) facets are dropped.  ``vertex_order`` fixes
         the total vertex order; by default labels sort lexicographically.
         """
-        facet_sets = [frozenset(str(v) for v in f) for f in facets]
+        facet_sets = [frozenset(map(str, f)) for f in facets]
         if not facet_sets:
             raise ValueError("empty facet list")
         if any(not f for f in facet_sets):
@@ -322,8 +338,8 @@ class SimplicialComplex:
             unknown = labels - set(order)
             if unknown:
                 raise ValueError(f"facet references unknown vertex: {sorted(unknown)}")
-        index = {v: i for i, v in enumerate(order)}
-        idx_facets = sorted({tuple(sorted(index[v] for v in f)) for f in facet_sets})
+        index = dict(zip(order, range(len(order))))
+        idx_facets = sorted({tuple(sorted(map(index.__getitem__, f))) for f in facet_sets})
         return cls(order, tuple(_maximal(idx_facets)))
 
     @classmethod
@@ -402,7 +418,7 @@ class SimplicialComplex:
             self._cache[key] = rows
         return self._cache[key]
 
-    def _coreduction(self) -> tuple[list[bytearray], list[dict[int, int]]]:
+    def _coreduction(self) -> tuple[list[bytearray], list[tuple]]:
         """Per degree, the live cells (flags) and the cells cancelled downward, with their partners.
 
         ``coreduce`` with the trivial group, then vertex 0, the first seed,
@@ -411,11 +427,12 @@ class SimplicialComplex:
         in the top degree d, M the top seeds' row operation), a cochain
         complex with the reduced cohomology of X over every ring.  Cells
         neither live nor cancelled downward were cancelled upward.  The top
-        seeds are the live d-cells whose seeded row is empty.
+        seeds are the live d-cells whose seeded row is empty; the walk's
+        orientation and their components are kept as ``"orientation"``.
         """
         if "core" not in self._cache:
-            rows, live, down = coreduce([self.coboundary_rows(d) for d in range(self.dim)],
-                                        self.f_vector)
+            rows, live, down, self._cache["orientation"] = coreduce(
+                [self.coboundary_rows(d) for d in range(self.dim)], self.f_vector)
             if live:
                 live[0][0] = 0
             self._cache["core"], self._cache["core rows"] = (live, down), rows
@@ -433,16 +450,10 @@ class SimplicialComplex:
         if k >= self.dim:
             return self.coboundary_rows(k)
         live, down = self._coreduction()
-        partner, live_rows, live_cols = down[k + 1], live[k + 1], live[k]
-        out = []
-        for q, row in enumerate(self._cache["core rows"][k]):
-            if q in partner:
-                out.append({partner[q]: row[partner[q]]})
-            elif live_rows[q]:
-                out.append({c: v for c, v in row.items() if live_cols[c]})
-            else:
-                out.append({})
-        return out
+        partner, live_rows, live_cols = down[k + 1][1], live[k + 1], live[k]
+        return [{s: row[s]} if (s := partner[q]) >= 0
+                else {c: v for c, v in row.items() if live_cols[c]} if live_rows[q] else {}
+                for q, row in enumerate(self._cache["core rows"][k])]
 
     def _coboundary_rank(self, k: int, field) -> int:
         """rank delta^k over *field*: read off the Smith divisors once they exist."""
@@ -466,10 +477,9 @@ class SimplicialComplex:
         run, ``cohomology`` eliminates nothing.
         """
         if "smith" not in self._cache:
-            divisors = [()] * (self.dim + 1)
-            for k in range(self.dim - 1, -1, -1):
-                divisors[k] = exactalg.sparse_smith_divisors(self._reduced_rows(k), self.n_simplices(k))
-            self._cache["smith"] = divisors
+            self._cache["smith"] = [
+                exactalg.sparse_smith_divisors(self._reduced_rows(k), self.n_simplices(k))
+                if k < self.dim else () for k in range(self.dim + 1)]
         return self._cache["smith"]
 
     # -- cohomology ------------------------------------------------------
@@ -489,9 +499,7 @@ class SimplicialComplex:
         key = ("betti", field.name)
         if key not in self._cache:
             # r[i] is rank delta^{i-1}; delta^{-1} is zero.
-            r = [0] * (self.dim + 2)
-            for i in range(self.dim + 1, 0, -1):
-                r[i] = self._coboundary_rank(i - 1, field)
+            r = [0] + [self._coboundary_rank(k, field) for k in range(self.dim + 1)]
             self._cache[key] = GradedBetti(field.name, tuple(
                 self.n_simplices(i) - r[i] - r[i + 1] for i in range(self.dim + 1)))
         return self._cache[key]
@@ -573,8 +581,7 @@ class SimplicialComplex:
         cochains to those: each class y lifted there is carried back by
         M^-1, x_tau = y_tau - eps_tau sum_{t != tau} eps_t y_t at each top
         seed tau, and each dual vector w becomes w o M, w_t + w_tau eps_tau
-        eps_t at the other cells t of tau's component.  ``_orient`` walks
-        X's rows again for eps, which is not cached.
+        eps_t at the other cells t of tau's component (kept from the walk).
         """
         key = ("basis", field.name, degree)
         if key not in self._cache:
@@ -604,7 +611,7 @@ class SimplicialComplex:
         image = exactalg.transpose_rows(
             [{index[0][c]: v for c, v in rows[i - 1][a].items() if c in index[0]} for a in cells[1]],
             len(cells[0]))
-        kernel, up = [], ({}, [])
+        kernel, up = [], (((), ()), [])  # no pairs above the top degree
         if i < self.dim:
             up = (down[i + 1], rows[i])
             kernel = [{index[1][c]: v for c, v in row.items() if c in index[1]}
@@ -624,12 +631,10 @@ class SimplicialComplex:
                 vec[c] = x
             basis.append(vec)
         duals = [carry(_pull_back, z, down[i], rows[i - 1]) for z in core.duals]
-        seeds = [t for t in cells[1] if not rows[i - 1][t]] if i == self.dim else []
-        if seeds:  # back through each top seed's M: x = M^-1 y, w o M
-            faces = self.coboundary_rows(i - 1)
-            cofaces, eps = _cofaces(faces, self.n_simplices(i - 1)), [0] * len(faces)
-            for tau in seeds:
-                others = _orient(faces, cofaces, tau, eps)[0][1:]
+        if i == self.dim:  # back through each top seed's M: x = M^-1 y, w o M
+            eps, seeds = self._cache["orientation"]
+            for tau, comp in seeds.items():
+                others = comp[1:]
                 for vec in basis:
                     vec[tau] = field.reduce(vec[tau] - sum(eps[t] * vec[t] for t in others))
                 for w in duals:

@@ -8,11 +8,13 @@ with the checks that several test modules run against them.
 from __future__ import annotations
 
 import random
+from collections import deque
+from itertools import combinations
 
 from betticong import exactalg, simplicial
 from betticong.exactalg import QQ, rref
 from betticong.group_action import GroupAction, induced_cohomology_action, pullback_permutation
-from betticong.simplicial import Simplex, SimplicialComplex, bary_label
+from betticong.simplicial import Simplex, SimplicialComplex, bary_label, orbit
 
 
 def kernel_from_rref(R, pivots: list[int], n: int, field) -> list[list]:
@@ -264,6 +266,121 @@ def top_seeds(X: SimplicialComplex) -> dict[int, dict[int, int]]:
     return seeds
 
 
+def simplices_by_facet_loop(facets) -> dict[int, list[Simplex]]:
+    """Each degree's simplices, sorted: every k-subset of every facet,
+    gathered by one ``set.update`` per facet and k."""
+    simplices: dict[int, set[Simplex]] = {}
+    for f in facets:
+        for k in range(1, len(f) + 1):
+            simplices.setdefault(k - 1, set()).update(combinations(f, k))
+    return {d: sorted(simplices[d]) for d in simplices}
+
+
+def coreduce_with_cancel(rows: list[list[dict[int, int]]], sizes, perms=None):
+    """``simplicial.coreduce`` written plainly, with the pairs in dicts.
+
+    The same seeds and the same FIFO queue, with each cell cancelled by a
+    nested ``cancel`` that pushes its cofaces, then its faces (tau's, then
+    sigma's).  Returns ``(rows, live, down)``, ``down[d]`` the dict {tau:
+    sigma} of the cells cancelled downward in that order.
+    """
+    top = len(sizes) - 1
+    rows = [list(rows[0]), *rows[1:]] if rows else []
+    cofaces = [[[] for _ in range(n)] for n in sizes]
+    for R, cs in zip(rows, cofaces):
+        for t, fs in enumerate(R):
+            for s in fs:
+                cs[s].append(t)
+    if perms is None and top > 0:
+        eps = [0] * sizes[top]
+        seeds = [t for t in range(sizes[top]) if not eps[t]
+                 and simplicial._orient(rows[top - 1], cofaces[top - 1], t, eps) is not None]
+        if seeds and top > 1:
+            rows[top - 1] = list(rows[top - 1])
+        for t in seeds:
+            for s in rows[top - 1][t]:
+                cofaces[top - 1][s].remove(t)
+            rows[top - 1][t] = {}
+    n_faces = [[0] * n for n in sizes[:1]] + [list(map(len, R)) for R in rows]
+    n_cofaces = [list(map(len, cs)) for cs in cofaces]
+    live = [bytearray(b"\x01") * n for n in sizes]
+    down: list[dict[int, int]] = [{} for _ in sizes]
+    queue: deque[tuple[int, int]] = deque()
+
+    def cancel(d: int, q: int):
+        live[d][q] = 0
+        if d < top:
+            counts = n_faces[d + 1]
+            for t in cofaces[d][q]:
+                counts[t] -= 1
+                if counts[t] == 1:
+                    queue.append((d + 1, t))
+        if d:
+            counts = n_cofaces[d - 1]
+            for s in rows[d - 1][q]:
+                counts[s] -= 1
+                if counts[s] == 1:
+                    queue.append((d - 1, s))
+
+    def seed(x: int):
+        for t in cofaces[0][x]:
+            rows[0][t] = {c: v for c, v in rows[0][t].items() if c != x}
+            n_faces[1][t] -= 1
+            if n_faces[1][t] == 1:
+                queue.append((1, t))
+        cofaces[0][x], n_cofaces[0][x] = [], 0
+
+    fresh = (x for x in range(sizes[0] if sizes else 0)
+             if live[0][x] and (perms is None or perms[0][x] == x))
+    x = next(fresh, None)
+    if x is not None:
+        seed(x)
+    for d in range(top + 1):
+        queue.extend((d, q) for q, (f, c) in enumerate(zip(n_faces[d], n_cofaces[d]))
+                     if f == 1 or c == 1)
+    while True:
+        while queue:
+            d, q = queue.popleft()
+            if not live[d][q]:
+                continue
+            if n_faces[d][q] == 1:
+                tau, sigma = q, next(s for s in rows[d - 1][q] if live[d - 1][s])
+            elif n_cofaces[d][q] == 1:
+                d, tau, sigma = d + 1, next(t for t in cofaces[d][q] if live[d + 1][t]), q
+            else:
+                continue
+            if perms and len(orbit(perms[d], tau)) != len(orbit(perms[d - 1], sigma)):
+                continue
+            while live[d][tau]:  # tau's orbit against sigma's
+                down[d][tau] = sigma
+                cancel(d, tau)
+                cancel(d - 1, sigma)
+                if perms:
+                    tau, sigma = perms[d][tau], perms[d - 1][sigma]
+        x = next(fresh, None)
+        if x is None or top and any(f == 1 and a for f, a in zip(n_faces[1], live[1])):
+            return rows, live, down
+        seed(x)
+
+
+def assert_coreduce_matches_oracle(rows, sizes, perms=None):
+    """``simplicial.coreduce`` cancels the pairs of ``coreduce_with_cancel``,
+    in the same order, and leaves the same rows and live cells; its top
+    seeds are the rows it emptied, each first in its component."""
+    got_rows, live, down, (eps, seeds) = simplicial.coreduce(rows, sizes, perms)
+    want_rows, want_live, want_down = coreduce_with_cancel(rows, sizes, perms)
+    assert [[list(r.items()) for r in R] for R in got_rows] \
+        == [[list(r.items()) for r in R] for R in want_rows]
+    assert live == want_live
+    for d, ((cells, partner), pairs) in enumerate(zip(down, want_down, strict=True)):
+        assert list(cells) == list(pairs)
+        assert [partner[t] for t in cells] == list(pairs.values())
+        assert len(partner) == sizes[d] and sum(1 for s in partner if s >= 0) == len(cells)
+    top = len(sizes) - 1
+    emptied = [] if perms or top < 1 else [t for t, r in enumerate(got_rows[top - 1]) if not r]
+    assert list(seeds) == emptied and all(comp[0] == t and eps[t] == 1 for t, comp in seeds.items())
+
+
 def assert_lift_and_projection(X: SimplicialComplex, forwards: bool = False):
     """The lift and projection between X and its core in degrees d >= 1
     are integral cochain maps with pi iota = id, and ``_pull_back`` gives
@@ -290,15 +407,18 @@ def assert_lift_and_projection(X: SimplicialComplex, forwards: bool = False):
         return {a: x for a, x in v.items() if x}
 
     def lift(x, d):
-        pairs = down[d + 1] if d < X.dim else {}
+        cells, partner = down[d + 1] if d < X.dim else ((), ())
         if forwards:
-            pairs = dict(reversed(list(pairs.items())))
-        return seeded(simplicial._lift(dict(x), pairs, X.coboundary_rows(d), int), d, inverse=True)
+            cells = cells[::-1]
+        return seeded(simplicial._lift(dict(x), (cells, partner), X.coboundary_rows(d), int), d,
+                      inverse=True)
 
     def project(v, d):
         v, rows = seeded(dict(v), d), X.coboundary_rows(d - 1)
         cols = exactalg.transpose_rows(rows, X.n_simplices(d - 1))
-        for tau, sigma in down[d].items():
+        cells, partner = down[d]
+        for tau in cells:
+            sigma = partner[tau]
             t = v.get(tau, 0) * rows[tau][sigma]
             for a, e in cols[sigma].items():
                 if not (d == X.dim and a in seeds):

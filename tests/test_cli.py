@@ -118,6 +118,20 @@ def test_parse_unknown_vertex_has_line_number():
         parse(bad)
 
 
+@pytest.mark.parametrize("vertices, facet, message", [
+    ("a", "a c d", "facet references undeclared vertex 'c'"),
+    ("a b", "b b c", "facet references undeclared vertex 'c'"),  # before the repeat
+    ("a b", "a b a", "facet repeats vertex 'a'"),
+])
+def test_facet_errors_name_the_first_bad_label(vertices, facet, message):
+    """An undeclared label is reported before a repeated one, each the
+    first such label of the facet."""
+    doc = f"complex X\nvertices {vertices}\nfacet a\nfacet {facet}\nend\n"
+    with pytest.raises(InputError) as err:
+        parse(doc)
+    assert str(err.value) == f"line 4: {message}"
+
+
 @pytest.mark.parametrize("doc, line", [
     ("complex X\nvertices a b\nfacet a a\nend\n", 3),
     ("complex X\nvertices a a b\nfacet a b\nend\n", 2),

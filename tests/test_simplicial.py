@@ -63,6 +63,7 @@ from oracles import (
     assert_pairings_congruent,
     coboundary_matrix,
     kernel_basis,
+    simplices_by_facet_loop,
     x_route_basis,
 )
 
@@ -219,6 +220,20 @@ def _small_corpus_complexes():
     return [X for X in fixtures + actions if sum(X.f_vector) <= 500]
 
 
+def test_faces_are_enumerated_as_by_the_per_facet_loop():
+    """Each degree's simplices and their index, on a complex with facets of
+    four, three and two vertices, a lone vertex and the empty complex."""
+    mixed = SimplicialComplex.from_facets([("a", "b", "c", "d"), ("c", "e", "f"), ("f", "g"),
+                                           ("e", "g"), ("b", "e")])
+    assert sorted(map(len, mixed.facets)) == [2, 2, 2, 3, 4]
+    for X in (mixed, SimplicialComplex.from_facets([("v",)]), SimplicialComplex.empty()):
+        want = simplices_by_facet_loop(X.facets)
+        assert list(X._simplices.items()) == list(want.items())
+        assert X._simplex_index == {d: {s: i for i, s in enumerate(lst)} for d, lst in want.items()}
+        assert X.dim == max(want, default=-1)
+    assert mixed.f_vector == (7, 12, 5, 1)
+
+
 def test_integral_divisors_match_dense_snf_on_the_corpus():
     for X in _small_corpus_complexes():
         for k in range(X.dim):
@@ -237,10 +252,12 @@ def test_coreduction_cancels_face_pairs_down_to_a_core():
     s2xs2 = corpus.s2xs2_rotation(7).complex
     for X in _small_corpus_complexes() + [s2xs2, SimplicialComplex.empty()]:
         live, down = X._coreduction()
-        partners = {(d - 1, s) for d, pairs in enumerate(down) for s in pairs.values()}
-        assert len(partners) == sum(map(len, down))
-        for d, pairs in enumerate(down):
-            for t, s in pairs.items():
+        partners = {(d - 1, partner[t]) for d, (cells, partner) in enumerate(down) for t in cells}
+        assert len(partners) == sum(len(cells) for cells, _ in down)
+        for d, (cells, partner) in enumerate(down):
+            assert [t for t, s in enumerate(partner) if s >= 0] == sorted(cells)
+            for t in cells:
+                s = partner[t]
                 assert not live[d][t] and not live[d - 1][s]
                 assert X.coboundary_rows(d - 1)[t][s] in (1, -1)
                 assert (d, t) not in partners
@@ -293,21 +310,21 @@ def test_torsion_profile_records_the_fp_and_q_ranks(monkeypatch):
             assert recorded[1] == ((q - 1, q) if p == 3 else (q, q))
 
 
-_LENS_REDUCED_ROWS = [(0, 0), (1727, 1727), (1729, 1691), (319, 319)]
+_LENS_REDUCED_ROWS = [(319, 319), (1729, 1691), (1727, 1727), (0, 0)]
 
 
 @pytest.mark.parametrize("field, kept", [(QQ, _LENS_REDUCED_ROWS), (GF(3), _LENS_REDUCED_ROWS)])
 def test_lens_coboundaries_are_eliminated_on_the_rows_that_can_be_independent(
         monkeypatch, field, kept):
-    """Top-down, each delta^k of L(3,1) is eliminated on the rows its
+    """Bottom-up, each delta^k of L(3,1) is eliminated on the rows its
     coreduction leaves, as (nonempty rows, one-entry rows): the core is
-    0/38/38/1 cells.  delta^2: the top seed's row is the fundamental
-    cycle's, 0, and the other 1727 tetrahedra are cancelled downward, one
-    +-1 entry each.  delta^1: 1691 one-entry rows and the 38 live
-    triangles, whose rows keep their live columns.  delta^0: the
-    319 edges cancelled downward alone, as no vertex is live (rank 319 =
-    n_0 - 1).  Every other row is empty, so each delta^k keeps its n_{k+1}
-    rows."""
+    0/38/38/1 cells.  delta^0: the 319 edges cancelled downward alone, as
+    no vertex is live (rank 319 = n_0 - 1).  delta^1: 1691 one-entry rows
+    and the 38 live triangles, whose rows keep their live columns.
+    delta^2: the top seed's row is the fundamental cycle's, 0, and the
+    other 1727 tetrahedra are cancelled downward, one +-1 entry each.
+    delta^3 has no rows.  Every other row is empty, so each delta^k keeps
+    its n_{k+1} rows."""
     L = corpus.lens_space()
     L = SimplicialComplex(L.vertices, L.facets)
     calls = []
@@ -316,7 +333,7 @@ def test_lens_coboundaries_are_eliminated_on_the_rows_that_can_be_independent(
         monkeypatch.setattr(exactalg, name,
                             lambda rows, *a, real=real: calls.append(rows) or real(rows, *a))
     betti = L.cohomology(field).betti
-    assert [len(rows) for rows in calls] == [L.n_simplices(k + 1) for k in (3, 2, 1, 0)]
+    assert [len(rows) for rows in calls] == [L.n_simplices(k + 1) for k in (0, 1, 2, 3)]
     assert [(sum(1 for row in rows if row), sum(1 for row in rows if len(row) == 1))
             for rows in calls] == kept
     assert list(map(sum, L._coreduction()[0])) == [0, 38, 38, 1]
@@ -341,7 +358,7 @@ def test_profiles_at_every_prime_share_one_smith_pass(monkeypatch):
     assert L.integral_cohomology().torsion == ((), (), (3,), ())
     assert [L.cohomology(F).betti for F in (QQ, GF(3), GF(5))] == [
         (1, 0, 0, 1), (1, 1, 1, 1), (1, 0, 0, 1)]
-    assert [len(rows) for rows in calls] == [L.n_simplices(k + 1) for k in (2, 1, 0)]
+    assert [len(rows) for rows in calls] == [L.n_simplices(k + 1) for k in (0, 1, 2)]
 
 
 def test_uct_equality_iff_no_torsion():

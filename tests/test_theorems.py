@@ -17,6 +17,7 @@ from betticong.group_action import (
     trivial_action,
     validate_action,
 )
+from betticong.equivariant import PermutationComplex
 from betticong.pd_algebra import (
     Differential,
     _single_generator_model,
@@ -38,6 +39,7 @@ from betticong.simplicial import SimplicialComplex, join, link, product, suspens
 
 from conftest import small_actions
 from oracles import (
+    assert_coreduce_matches_oracle,
     assert_gstar_conjugate,
     assert_lift_and_projection,
     assert_pairings_congruent,
@@ -516,6 +518,47 @@ def test_coreduction_seeds_each_closed_orientable_component_at_its_top():
             assert core == [0, *integral.betti[1:]], name
         if sum(X.f_vector) < 2000:
             assert_lift_and_projection(X)
+
+
+def _assert_coreduce_matches_oracle(X: SimplicialComplex):
+    assert_coreduce_matches_oracle([X.coboundary_rows(d) for d in range(X.dim)], X.f_vector)
+
+
+def _assert_borel_coreduce_matches_oracle(action):
+    """The same with G's permutations, on the rows that the Borel model
+    (``PermutationComplex.reduced``) hands to ``coreduce``."""
+    K = PermutationComplex.of_action(action)
+    rows = [[{c: v % K.p for c, v in r.items() if v % K.p} for r in R] for R in K.rows]
+    assert_coreduce_matches_oracle(rows, K.sizes, [perm for perm, _ in K.pullbacks])
+
+
+def test_coreduce_cancels_the_pairs_of_the_plain_queue():
+    """The inlined queue of ``simplicial.coreduce`` cancels the pairs of the
+    plain one with a nested ``cancel`` (``oracles.coreduce_with_cancel``),
+    in the same order, and leaves the same rows and live cells: on every
+    corpus complex, L(3,1), the top-seed cases and the empty complex, and
+    with G's permutations on the Borel model of every corpus action."""
+    actions = list(corpus.corpus_actions().values())
+    fixtures = [corpus.full_triangle(), suspension(corpus.rp2_six_vertex()), corpus.one_point(),
+                SimplicialComplex.empty()]
+    fixtures += [X for X, _, _ in _top_seed_cases().values()]
+    for X in [a.complex for a in actions] + fixtures:
+        _assert_coreduce_matches_oracle(X)
+    for action in actions:
+        _assert_borel_coreduce_matches_oracle(action)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pure_complexes())
+def test_coreduce_cancels_the_pairs_of_the_plain_queue_on_pure_complexes(X):
+    _assert_coreduce_matches_oracle(X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_actions())
+def test_coreduce_cancels_the_pairs_of_the_plain_queue_on_small_actions(action):
+    _assert_coreduce_matches_oracle(action.complex)
+    _assert_borel_coreduce_matches_oracle(action)
 
 
 def test_top_seeded_routes_agree_with_the_full_rows():
