@@ -513,7 +513,10 @@ def cmd_cohomology(doc, args, rep: Report):
 def cmd_pd_check(doc, args, rep: Report):
     name, X = _pick(doc, "complexes", args.complex, "complex")
     field_obj = _field_of(args)
-    res = pd_check(X, field_obj)
+    try:
+        res = pd_check(X, field_obj)
+    except ValueError as e:  # a disconnected complex
+        raise InputError(str(e))
     rep.say(f"COMPLEX {name} field {field_obj.name}")
     for f in res.failures:
         rep.say(f"failure: {f}")

@@ -314,11 +314,11 @@ def group_cohomology_dims(g_matrix, p: int) -> tuple[int, int]:
     # 0 -> V -i-> V(x)J2 -pi-> V -> 0 with i(v) = (v, 0), pi(v, w) = w.
     # Lift z in the quotient copy to (0, z), apply the relevant periodic
     # differential of V(x)J2, land in the image of i, pull back.
-    def connecting(z: list, diff_big: list[list]) -> list:
-        lift = [0] * n + z
-        out = [field.reduce(sum(a * b for a, b in zip(row, lift))) for row in diff_big]
-        assert not any(out[n:]), "connecting image must lie in the subrepresentation"
-        return out[:n]
+    def connecting(z: dict, diff_big: list[list]) -> dict:
+        out = {i: x for i, row in enumerate(diff_big)
+               if (x := field.reduce(sum(row[n + k] * v for k, v in z.items())))}
+        assert all(i < n for i in out), "connecting image must lie in the subrepresentation"
+        return out
 
     # s: even -> odd uses the differential (g-1) on the big module; the
     # boundary of an even rep is the odd-position obstruction.  s: odd ->

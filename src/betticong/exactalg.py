@@ -8,11 +8,13 @@ over every field and, through ``p_valuation_profile``, the p-local torsion)
 and the Jordan block partition of a nilpotent operator.  All arithmetic is
 exact: Python ints, ``fractions.Fraction`` for the rationals, canonical
 residues in ``[0, p)`` for prime fields.  A dense matrix is a list of rows,
-a dense vector a list, of such elements.  The two field objects own that
-carrier: ``one``, ``zeros``, ``coerce`` and ``reduce`` (the identity over Q,
-``% p`` over F_p), so no other module tests which field it holds.  The
-sparse routines work on dict-of-rows and exist because the corpus coboundary
-matrices are large but eliminate with tiny fill-in.
+a short coefficient vector a list, of such elements.  The two field
+objects own that carrier: ``one``, ``zeros``, ``coerce`` and ``reduce`` (the
+identity over Q, ``% p`` over F_p), so no other module tests which field it
+holds.  The sparse routines work on dict-of-rows and exist because the
+corpus coboundary matrices are large but eliminate with tiny fill-in.  A
+cochain, and every vector ``Subquotient`` takes or publishes, is sparse too:
+``{index: value}``, 0 wherever an index is absent.
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ def checked_prime(p: int) -> int:
 
 
 def _zeros(shape):
-    """A vector (``shape`` an int) or a matrix (``shape`` (rows, cols)) of 0s."""
-    if isinstance(shape, int):
-        return [0] * shape
+    """A matrix of 0s, ``shape`` (rows, cols)."""
     m, n = shape
     return [[0] * n for _ in range(m)]
 
@@ -434,8 +434,10 @@ class Subquotient:
     rows spanning B, on ``n`` columns (``int_rows`` makes both).  Let P be
     the pivot set of the eliminated image rows.  Each pivot row is 0 at the
     earlier pivots, so B meets {v : v|_P = 0} only in 0, and the kernel of
-    A off P is a complement of B in ker A.  ``basis`` holds its vectors by
-    back substitution from each free column f: 1 at f, 0 at the other free
+    A off P is a complement of B in ker A.  Every vector here is sparse,
+    ``{column: value}``.  ``basis`` holds the complement's vectors by back
+    substitution from each free column f: the sparse vector {f: 1} extended
+    to the kernel's pivot columns, so it is absent at the other free
     columns and on P.  ``express`` checks A v = 0 on the kept (not copied)
     rows of A, then pairs v with dual vectors ``duals``: z_f is 1 at f,
     solved on P last pivot first to vanish on B, so z_j . basis[k] = [j ==
@@ -450,18 +452,16 @@ class Subquotient:
         bound = P | {pc for pc, _ in solve}
         free = [f for f in range(n) if f not in bound]
         self._rows, self.field = kernel_of, field
-        self.basis = field.zeros((len(free), n))
-        for row, f in zip(self.basis, free):
-            for c, x in back_substitute(solve, {f: 1}, field).items():
-                row[c] = x
+        self.basis = [back_substitute(solve, {f: 1}, field) for f in free]
         self.duals = [back_substitute(im_rows, {f: 1}, field) for f in free]
 
     @classmethod
     def from_duals(cls, kernel_of, field, basis, duals) -> "Subquotient":
         """A basis of a complement of B in ker A with its dual vectors.
 
-        Each z_j in *duals* (sparse) vanishes on B and z_j . basis[k] = [j ==
-        k].  With no basis, B = ker A: only ``express``'s kernel check runs.
+        Both are sparse.  Each z_j in *duals* vanishes on B and z_j .
+        basis[k] = [j == k].  With no basis, B = ker A: only ``express``'s
+        kernel check runs.
         """
         sq = cls.__new__(cls)
         sq._rows, sq.field, sq.basis, sq.duals = kernel_of, field, basis, duals
@@ -470,14 +470,14 @@ class Subquotient:
     def __len__(self):
         return len(self.basis)
 
-    def express(self, v) -> list:
-        """Coefficients of v's class in ``basis``; ValueError unless A v = 0."""
+    def express(self, v: dict) -> list:
+        """Coefficients (a list) of sparse v's class in ``basis``; ValueError unless A v = 0."""
         # A v = 0 is checked on the integer multiple of v.
-        w = int_multiple(dict(enumerate(v)))[1]
+        w = int_multiple(v)[1]
         for row in self._rows:
             if self.field.reduce(sum(val * w[c] for c, val in row.items() if c in w)):
                 raise ValueError("vector is not in the kernel modulo the image")
-        coeffs = self.field.zeros(len(self.duals))
+        coeffs = [0] * len(self.duals)
         for j, z in enumerate(self.duals):
             s = self.field.coerce(sum(x * v[c] for c, x in z.items() if c in w))
             if s:

@@ -214,8 +214,16 @@ def pullback_permutation(action: GroupAction, degree: int) -> tuple[list[int], l
     return X._cache[key]
 
 
+def pullback_cochain(action: GroupAction, degree: int, v: dict, field) -> dict:
+    """sigma^# of the sparse cochain v in C^degree, sparse too: (sigma^# v)[s]
+    = signs[s] * v[perm[s]] at each s whose image perm[s] is in v's support."""
+    perm, signs = pullback_permutation(action, degree)
+    return {s: field.reduce(signs[s] * v[q]) for s, q in enumerate(perm) if q in v}
+
+
 def induced_cohomology_action(action: GroupAction, field) -> list[list[list]]:
-    """Per-degree matrices of sigma^* on H^*(X; field) in the bases of ``cohomology_basis``."""
+    """Per-degree matrices of sigma^* on H^*(X; field) in the bases of ``cohomology_basis``:
+    column j is the class of ``pullback_cochain`` of the j-th basis cocycle."""
     X = action.complex
     key = ("gstar", field.name, action.vertex_map)
     if key in X._cache:
@@ -223,10 +231,7 @@ def induced_cohomology_action(action: GroupAction, field) -> list[list[list]]:
     out = []
     for d in range(X.dim + 1):
         basis = X.cohomology_basis(field, d)
-        perm, signs = pullback_permutation(action, d)
-        # Column j is the class of sigma^# applied to basis vector j.
-        cols = [basis.express([field.reduce(sign * v[q]) for q, sign in zip(perm, signs)])
-                for v in basis.basis]
+        cols = [basis.express(pullback_cochain(action, d, v, field)) for v in basis.basis]
         out.append([list(row) for row in zip(*cols)])
     X._cache[key] = out
     return out

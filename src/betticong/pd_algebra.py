@@ -107,14 +107,9 @@ def accumulate(field, terms) -> dict:
     return {c: r for c, x in out.items() if (r := field.reduce(x))}
 
 
-def _sparse(v) -> dict:
-    """The nonzero entries of a dense vector."""
-    return {i: x for i, x in enumerate(v) if x}
-
-
 def _columns(M) -> list[dict]:
-    """The sparse columns of a dense matrix."""
-    return [_sparse(col) for col in zip(*M)]
+    """The sparse columns (their nonzero entries) of a dense matrix."""
+    return [{i: x for i, x in enumerate(col) if x} for col in zip(*M)]
 
 
 def _apply(field, columns, x: dict) -> dict:
@@ -296,12 +291,13 @@ def _homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
     de, dj = delta.shift
     cols = delta.columns
     subq: dict[BiDegree, exactalg.Subquotient] = {}
+    # Each basis element's index within its bidegree's component.
+    position = {i: k for indices in A._components.values() for k, i in enumerate(indices)}
     offset: dict[BiDegree, int] = {}  # index of the bidegree's first class in H
     h_reps: list[dict] = []
     h_bidegrees: list[BiDegree] = []
     for bd, indices in sorted(A._components.items()):
         e, j = bd
-        position = {i: k for k, i in enumerate(indices)}
         # Kernel of delta on the component modulo the image of its source.
         kernel_of = exactalg.transpose_rows([cols[i] for i in indices], A.dim)
         image = [{position[i]: x for i, x in cols[s].items()} for s in A.component(e - de, j - dj)]
@@ -309,15 +305,15 @@ def _homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
                                              exactalg.int_rows(image), field, len(indices))
         offset[bd] = len(h_reps)
         for row in sq.basis:
-            h_reps.append({indices[k]: x for k, x in _sparse(row).items()})
+            h_reps.append({indices[k]: x for k, x in row.items()})
             h_bidegrees.append(bd)
     if not h_reps:
         return None, None
 
     def classes(v: dict, bd: BiDegree) -> dict:
         """The classes of H(A, delta) in the bidegree-bd cycle v."""
-        coeffs = subq[bd].express([v.get(i, 0) for i in A._components[bd]])
-        return {offset[bd] + k: x for k, x in _sparse(coeffs).items()}
+        coeffs = subq[bd].express({position[i]: x for i, x in v.items() if A.bidegrees[i] == bd})
+        return {offset[bd] + k: x for k, x in enumerate(coeffs) if x}
 
     table = {}
     for (a, ra), (b, rb) in itertools.product(enumerate(h_reps), repeat=2):

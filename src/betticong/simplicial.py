@@ -534,9 +534,10 @@ class SimplicialComplex:
     def cohomology_basis(self, field, degree: int) -> exactalg.Subquotient:
         """Cocycle representatives of H^i, with ``express``, computed on the core.
 
-        ``basis`` holds one cocycle of X per class; ``express(v)`` gives the
-        coefficients of v's class, raising ValueError unless delta^i v = 0
-        on X's rows of delta^i.  Where b_i = 0 (from the cached ranks)
+        Cochains are sparse, ``{simplex index: value}``.  ``basis`` holds
+        one cocycle of X per class; ``express(v)`` gives the coefficients
+        (a list) of v's class, raising ValueError unless delta^i v = 0 on
+        X's rows of delta^i.  Where b_i = 0 (from the cached ranks)
         nothing is eliminated.  The core carries reduced cohomology, so
         degree 0 is read off the components: one indicator cocycle per entry
         of ``connected_components``, in that order, whose dual vector is the
@@ -589,10 +590,7 @@ class SimplicialComplex:
             if not degree:
                 index, basis, duals = self._simplex_index.get(0, {}), [], []
                 for comp in self.connected_components():
-                    vec = field.zeros(len(index))
-                    for v in comp:
-                        vec[index[(v,)]] = 1
-                    basis.append(vec)
+                    basis.append({index[(v,)]: 1 for v in comp})
                     duals.append({index[(min(comp),)]: 1})
                 self._cache[key] = exactalg.Subquotient.from_duals(rows, field, basis, duals)
             elif not self.cohomology(field).betti[degree]:
@@ -624,35 +622,31 @@ class SimplicialComplex:
             v = move(v, pairs, rows_of, field.reduce)
             return v if m == 1 else {c: Fraction(x, m) for c, x in v.items()}
 
-        basis = []
-        for row in core.basis:
-            vec = field.zeros(self.n_simplices(i))
-            for c, x in carry(_lift, dict(enumerate(row)), *up).items():
-                vec[c] = x
-            basis.append(vec)
+        basis = [carry(_lift, row, *up) for row in core.basis]
         duals = [carry(_pull_back, z, down[i], rows[i - 1]) for z in core.duals]
         if i == self.dim:  # back through each top seed's M: x = M^-1 y, w o M
             eps, seeds = self._cache["orientation"]
             for tau, comp in seeds.items():
                 others = comp[1:]
                 for vec in basis:
-                    vec[tau] = field.reduce(vec[tau] - sum(eps[t] * vec[t] for t in others))
+                    y = vec.pop(tau, 0) - sum(eps[t] * vec[t] for t in others if t in vec)
+                    if y := field.reduce(y):
+                        vec[tau] = y
                 for w in duals:
                     if x := w.get(tau):
                         for t in others:
                             w[t] = field.reduce(w.get(t, 0) + x * eps[t])
         return exactalg.Subquotient.from_duals(checked, field, basis, duals)
 
-    def cup_cochain(self, field, i: int, j: int, a: list, b: list) -> list:
-        """Front-face/back-face cup product of cochains a in C^i, b in C^j."""
+    def cup_cochain(self, field, i: int, j: int, a: dict, b: dict) -> dict:
+        """Front-face/back-face cup product of sparse cochains a in C^i, b in C^j: sparse
+        too, nonzero only where the front i-face is in a's support and the back j-face in b's."""
         idx_i = self._simplex_index.get(i, {})
         idx_j = self._simplex_index.get(j, {})
-        target = self.simplices(i + j)
-        out = field.zeros(len(target))
-        for t, s in enumerate(target):
-            av = a[idx_i[s[: i + 1]]]
-            if av:
-                out[t] = field.reduce(av * b[idx_j[s[i:]]])
+        out = {}
+        for t, s in enumerate(self.simplices(i + j)):
+            if (av := a.get(idx_i[s[: i + 1]])) and (bv := b.get(idx_j[s[i:]])):
+                out[t] = field.reduce(av * bv)
         return out
 
 

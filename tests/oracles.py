@@ -17,6 +17,42 @@ from betticong.group_action import GroupAction, induced_cohomology_action, pullb
 from betticong.simplicial import Simplex, SimplicialComplex, bary_label, orbit
 
 
+def dense(v: dict, n: int) -> list:
+    """The sparse vector v as a list of n entries, 0 where v has none.
+
+    Every index of v must lie in range(n).
+    """
+    assert all(0 <= i < n for i in v), (sorted(v), n)
+    out = [0] * n
+    for i, x in v.items():
+        out[i] = x
+    return out
+
+
+def sparse(v: list) -> dict:
+    """The nonzero entries of a list, as the sparse vector ``{index: value}``."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def dense_pullback(action: GroupAction, degree: int, v: list, field) -> list:
+    """sigma^# on a dense cochain: (sigma^# v)[s] = signs[s] * v[perm[s]]."""
+    perm, signs = pullback_permutation(action, degree)
+    return [field.reduce(sign * v[q]) for q, sign in zip(perm, signs)]
+
+
+def dense_cup(X: SimplicialComplex, field, i: int, j: int, a: list, b: list) -> list:
+    """Front-face/back-face cup product of dense cochains a in C^i, b in C^j."""
+    idx_i = X._simplex_index.get(i, {})
+    idx_j = X._simplex_index.get(j, {})
+    target = X.simplices(i + j)
+    out = [0] * len(target)
+    for t, s in enumerate(target):
+        av = a[idx_i[s[: i + 1]]]
+        if av:
+            out[t] = field.reduce(av * b[idx_j[s[i:]]])
+    return out
+
+
 def kernel_from_rref(R, pivots: list[int], n: int, field) -> list[list]:
     """One kernel vector per free column of an rref: 1 there, pivots back-substituted."""
     piv_set = set(pivots)
@@ -24,7 +60,7 @@ def kernel_from_rref(R, pivots: list[int], n: int, field) -> list[list]:
     for f in range(n):
         if f in piv_set:
             continue
-        v = field.zeros(n)
+        v = [0] * n
         v[f] = 1
         for row, c in zip(R, pivots):
             v[c] = field.reduce(-row[f])
@@ -59,20 +95,21 @@ def assert_complements(subquotients, kernel_of, image: list[list], kernel: list[
     basis spans ker A modulo B.  Each dual z_j vanishes on the image rows
     and z_j . basis[k] = [j == k], so the basis is independent modulo B.
     """
-    field = subquotients[0].field
+    field, n = subquotients[0].field, len(kernel[0]) if kernel else 0
 
     def dot(z: dict, v) -> int:
         return field.reduce(sum(x * v[c] for c, x in z.items()))
 
-    stacked = image + kernel + [v for sq in subquotients for v in sq.basis]
+    bases = [[dense(v, n) for v in sq.basis] for sq in subquotients]
+    stacked = image + kernel + [v for basis in bases for v in basis]
     assert exactalg.rank(stacked, field) == len(kernel)
-    for sq in subquotients:
-        assert not any(dot(row, v) for row in kernel_of for v in sq.basis)
-        assert exactalg.rank(image + sq.basis, field) == len(kernel)
-        assert len(sq.duals) == len(sq.basis) == len(sq)
+    for sq, basis in zip(subquotients, bases):
+        assert not any(dot(row, v) for row in kernel_of for v in basis)
+        assert exactalg.rank(image + basis, field) == len(kernel)
+        assert len(sq.duals) == len(basis) == len(sq)
         for j, z in enumerate(sq.duals):
             assert not any(dot(z, b) for b in image)
-            assert [dot(z, v) for v in sq.basis] == [int(j == k) for k in range(len(sq))]
+            assert [dot(z, v) for v in basis] == [int(j == k) for k in range(len(sq))]
 
 
 def x_route_basis(X: SimplicialComplex, field, d: int) -> exactalg.Subquotient:
@@ -104,9 +141,9 @@ def assert_gstar_conjugate(action: GroupAction, field):
         B, oracle, C = cocycle_bases_and_change(X, field, d)
         if not len(B):
             continue
-        perm, signs = pullback_permutation(action, d)
+        n = X.n_simplices(d)
         old = [list(col) for col in zip(*(
-            oracle.express([field.reduce(sign * v[q]) for q, sign in zip(perm, signs)])
+            oracle.express(sparse(dense_pullback(action, d, dense(v, n), field)))
             for v in oracle.basis))]
         assert exactalg.matmul(C, M, field) == exactalg.matmul(old, C, field), (action, d)
 
@@ -138,9 +175,9 @@ def coboundary_matrix(X: SimplicialComplex, k: int) -> list[list[int]]:
     """delta^k as a dense integer matrix, rows indexed by the (k+1)-simplices."""
     rows = X.coboundary_rows(k)
     M = [[0] * X.n_simplices(k) for _ in rows]
-    for dense, row in zip(M, rows):
+    for out, row in zip(M, rows):
         for c, v in row.items():
-            dense[c] = v
+            out[c] = v
     return M
 
 

@@ -361,6 +361,17 @@ def test_pd_check_failure_exit_1(tmp_path, capsys):
     assert "CHECK pd-top-class: FAIL" in out
 
 
+def test_pd_check_on_a_disconnected_complex_is_an_input_error(tmp_path, capsys):
+    """Poincare duality is checked on connected complexes only: two disjoint
+    triangles exit 3 with one error line, not a failed check or a traceback."""
+    path = tmp_path / "two.bc"
+    path.write_text("complex two\nvertices a b c d e f\nfacet a b c\nfacet d e f\nend\n")
+    assert main(["pd-check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pd_check requires a connected complex (2 components)\n"
+
+
 def test_suite_command(capsys):
     code = main(["suite"])
     out = capsys.readouterr().out

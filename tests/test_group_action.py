@@ -3,6 +3,8 @@ Lefschetz numbers, Bockstein condition, T/F/R decomposition, quotients."""
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from betticong.group_action import (
     is_regular,
     lefschetz_number,
     make_regular,
+    pullback_cochain,
     pullback_permutation,
     quotient_complex,
     subdivide_action,
@@ -35,6 +38,9 @@ from conftest import join_rotation, small_actions
 from oracles import (
     coboundary_matrix,
     cochain_pullback_matrix,
+    dense as dense_vector,
+    dense_cup,
+    dense_pullback,
     power_map,
     simplex_orbits,
     subdivided_map,
@@ -335,6 +341,46 @@ def test_orbit_walks_match_oracles_on_small_actions(a):
 # ---------------------------------------------------------------------------
 # induced maps on cohomology
 # ---------------------------------------------------------------------------
+
+def assert_sparse_cochains_match_the_dense_formulas(action, field):
+    """sigma^# (``pullback_cochain``) of every basis cocycle and the cup
+    product (``cup_cochain``) of every pair of basis cocycles equal, once
+    densified, the dense formulas of the oracles; every basis vector, dual
+    vector, pullback and product is sparse, with nonzero values at indices
+    in range(n) only (``dense_vector`` refuses any other index)."""
+    X = action.complex
+    n = [X.n_simplices(d) for d in range(X.dim + 1)]
+    bases = [X.cohomology_basis(field, d) for d in range(X.dim + 1)]
+    for d, sq in enumerate(bases):
+        for z in sq.duals:
+            dense_vector(z, n[d])
+        for v in sq.basis:
+            pulled = pullback_cochain(action, d, v, field)
+            assert all(v.values()) and all(pulled.values())
+            assert dense_vector(pulled, n[d]) == dense_pullback(
+                action, d, dense_vector(v, n[d]), field), (d, v)
+    for i, j in product(range(X.dim + 1), repeat=2):
+        if i + j > X.dim:
+            continue
+        for a, b in product(bases[i].basis, bases[j].basis):
+            cup = X.cup_cochain(field, i, j, a, b)
+            assert all(cup.values())
+            assert dense_vector(cup, n[i + j]) == dense_cup(
+                X, field, i, j, dense_vector(a, n[i]), dense_vector(b, n[j])), (i, j)
+
+
+def test_sparse_pullback_and_cup_match_the_dense_formulas_on_the_corpus():
+    for a in corpus.corpus_actions().values():
+        for field in dict.fromkeys([QQ, GF(3), GF(a.p)]):
+            assert_sparse_cochains_match_the_dense_formulas(a, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_actions())
+def test_sparse_pullback_and_cup_match_the_dense_formulas_on_small_actions(a):
+    for field in (QQ, GF(a.p)):
+        assert_sparse_cochains_match_the_dense_formulas(a, field)
+
 
 def test_rotation_trivial_on_circle_cohomology():
     a = corpus.free_polygon_action(5)

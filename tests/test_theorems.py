@@ -43,6 +43,8 @@ from oracles import (
     assert_gstar_conjugate,
     assert_lift_and_projection,
     assert_pairings_congruent,
+    dense,
+    sparse,
     top_seeds,
 )
 
@@ -417,13 +419,12 @@ def _assert_reduced_routes_agree(X: SimplicialComplex, p: int):
             # invertible iff rank([image; basis]) = rank(image) + b_d.
             C = [list(col) for col in zip(*map(oracle.express, sq.basis))]
             assert len(sq) == len(oracle) == exactalg.rank(C, field)
-            vectors = [field.zeros(n[d])] + list(sq.basis)
-            vectors[0][0] = 1  # a cocycle only where delta^d e_0 = 0
+            vectors = [{0: 1}] + list(sq.basis)  # e_0: a cocycle only where delta^d e_0 = 0
             for j, b in enumerate(sq.basis):  # a class plus a coboundary
-                v = b.copy()
+                v = dense(b, n[d])
                 for t, row in enumerate(rows[d - 1] if d else []):
                     v[t] += row.get(j % n[d - 1], 0)
-                vectors.append([field.reduce(x) for x in v])
+                vectors.append(sparse([field.reduce(x) for x in v]))
             for v in vectors:
                 got = _express_or_reject(sq, v)
                 if got != "not a cocycle" and got:
