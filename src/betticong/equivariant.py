@@ -74,7 +74,11 @@ class PermutationComplex:
         s (the p pivots (sigma^k tau, sigma^k s) are then independent); never
         a fixed cell against a free orbit.  Pairs go cheapest Markowitz cost
         (row length - 1) * (column length - 1) first, so the pairs without
-        fill-in lead.
+        fill-in lead.  Each orbit of entries has one heap entry, the one whose
+        row tau is the least cell of its orbit: the live part of delta is
+        G-stable, so its G-images have the same cost.  The orbits are walked
+        once per degree; G has prime order, so tau and s have orbits of one
+        size exactly when both are fixed or both move.
         """
         p, top = self.p, self.dim
         rows = [[{c: v % p for c, v in r.items() if v % p} for r in R] for R in self.rows]
@@ -84,6 +88,12 @@ class PermutationComplex:
             live_rows, live_cols = alive[j + 1], alive[j]
             for t, r in enumerate(R):
                 R[t] = {c: v for c, v in r.items() if live_cols[c]} if live_rows[t] else {}
+        orbits = []  # per degree, each cell's orbit, listed from its least cell
+        for perm in perms:
+            orbits.append(O := [None] * len(perm))
+            for o in (orbit(perm, q) for q in range(len(perm)) if O[q] is None):
+                for x in o:
+                    O[x] = o
         cols = [[set() for _ in range(n)] for n in self.sizes[:-1]]
         for R, C in zip(rows, cols):
             for t, r in enumerate(R):
@@ -94,9 +104,9 @@ class PermutationComplex:
             return (len(rows[j][t]) - 1) * (len(cols[j][c]) - 1)
 
         def push_free(j: int, entries):  # pairs a cancellation made fill-free
-            R, C = rows[j], cols[j]
+            R, C, O = rows[j], cols[j], orbits[j + 1]
             for t, c in entries:
-                if len(R[t]) == 1 or len(C[c]) == 1:
+                if O[t][0] == t and (len(R[t]) == 1 or len(C[c]) == 1):
                     heapq.heappush(heap, (0, j, t, c))
 
         def cancel(j: int, t: int, s: int):
@@ -131,7 +141,7 @@ class PermutationComplex:
         while progress:  # until a full sweep cancels nothing
             progress = False
             heap = [(cost(j, t, c), j, t, c) for j, R in enumerate(rows)
-                    for t, r in enumerate(R) for c in r]
+                    for t, r in enumerate(R) if orbits[j + 1][t][0] == t for c in r]
             heapq.heapify(heap)
             while heap:
                 old, j, t, s = heapq.heappop(heap)
@@ -140,11 +150,14 @@ class PermutationComplex:
                 if cost(j, t, s) > old:
                     heapq.heappush(heap, (cost(j, t, s), j, t, s))
                     continue
-                taus, cells = orbit(perms[j + 1], t), orbit(perms[j], s)
-                if len(taus) != len(cells) or any(c in rows[j][t] for c in cells[1:]):
+                if (perms[j + 1][t] == t) != (perms[j][s] == s):
+                    continue
+                o = orbits[j][s]
+                cells = o[o.index(s):] + o[:o.index(s)]  # from s, in step with t's orbit
+                if any(c in rows[j][t] for c in cells[1:]):
                     continue
                 progress = True
-                for tau, cell in zip(taus, cells):
+                for tau, cell in zip(orbits[j + 1][t], cells):
                     cancel(j, tau, cell)
 
         keep = [[s for s, a in enumerate(A) if a] for A in alive]
@@ -317,7 +330,8 @@ def group_cohomology_dims(g_matrix, p: int) -> tuple[int, int]:
     def connecting(z: dict, diff_big: list[list]) -> dict:
         out = {i: x for i, row in enumerate(diff_big)
                if (x := field.reduce(sum(row[n + k] * v for k, v in z.items())))}
-        assert all(i < n for i in out), "connecting image must lie in the subrepresentation"
+        if any(i >= n for i in out):
+            raise ArithmeticError("connecting image must lie in the subrepresentation")
         return out
 
     # s: even -> odd uses the differential (g-1) on the big module; the

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain
 
 # Primality is decided by trial division, which a huge input would make
 # run for hours; the bound turns that into an immediate error.
@@ -427,6 +429,21 @@ def pivot_columns(rows, field) -> list[int]:
     return sorted(pc for _, pc in _eliminate(rows, field.char or None)[1])
 
 
+def _column_index(rows: list[dict]):
+    """``(starts, at)``: the rows of sparse *rows* with an entry in column c are
+    ``at[starts[c]:starts[c + 1]]``, in order; ``array``s, 2 bytes an entry where all fit."""
+    from array import array  # here, so that importing betticong does not load it
+    counts = Counter(chain.from_iterable(rows))
+    starts = list(accumulate(map(counts.__getitem__, range(max(counts, default=-1) + 2))))
+    at = [0] * starts[-1]
+    for i in reversed(range(len(rows))):  # column c ends at starts[c] until it is filled
+        for c in rows[i]:
+            starts[c] -= 1
+            at[starts[c]] = i
+    code = "H" if max(len(at), len(rows)) < 1 << 16 else "I"
+    return array(code, starts), array(code, at)
+
+
 class Subquotient:
     """A basis of a complement of a subspace B in ker A, with ``express``.
 
@@ -441,7 +458,10 @@ class Subquotient:
     columns and on P.  ``express`` checks A v = 0 on the kept (not copied)
     rows of A, then pairs v with dual vectors ``duals``: z_f is 1 at f,
     solved on P last pivot first to vanish on B, so z_j . basis[k] = [j ==
-    k].  ``from_duals`` publishes a basis and duals found another way.
+    k].  ``from_duals`` publishes a basis and duals found another way.  The
+    check reads the rows that meet v's support through a column index of A
+    (``array('H')`` column starts and row numbers, ``'I'`` where they do not
+    fit), built at the first ``express`` if A has rows.
     """
 
     def __init__(self, kernel_of, image, field, n: int):
@@ -451,31 +471,41 @@ class Subquotient:
         solve = _unit_echelon(rows, field)
         bound = P | {pc for pc, _ in solve}
         free = [f for f in range(n) if f not in bound]
-        self._rows, self.field = kernel_of, field
+        self._rows, self._index, self.field = kernel_of, [], field
         self.basis = [back_substitute(solve, {f: 1}, field) for f in free]
         self.duals = [back_substitute(im_rows, {f: 1}, field) for f in free]
 
     @classmethod
-    def from_duals(cls, kernel_of, field, basis, duals) -> "Subquotient":
+    def from_duals(cls, kernel_of, field, basis, duals, index=None) -> "Subquotient":
         """A basis of a complement of B in ker A with its dual vectors.
 
         Both are sparse.  Each z_j in *duals* vanishes on B and z_j .
         basis[k] = [j == k].  With no basis, B = ker A: only ``express``'s
-        kernel check runs.
+        kernel check runs.  *index*, a list, receives A's column index when
+        it is built; Subquotients on the same rows may share one.
         """
         sq = cls.__new__(cls)
-        sq._rows, sq.field, sq.basis, sq.duals = kernel_of, field, basis, duals
+        sq._rows, sq._index = kernel_of, [] if index is None else index
+        sq.field, sq.basis, sq.duals = field, basis, duals
         return sq
 
     def __len__(self):
         return len(self.basis)
 
     def express(self, v: dict) -> list:
-        """Coefficients (a list) of sparse v's class in ``basis``; ValueError unless A v = 0."""
-        # A v = 0 is checked on the integer multiple of v.
+        """Coefficients (a list) of sparse v's class in ``basis``; ValueError unless A v = 0.
+
+        A v = 0 is checked on v's integer multiple, in the rows of A that meet its support."""
         w = int_multiple(v)[1]
-        for row in self._rows:
-            if self.field.reduce(sum(val * w[c] for c, val in row.items() if c in w)):
+        if self._rows:
+            if not self._index:
+                self._index += _column_index(self._rows)
+            (starts, at), rows, sums = self._index, self._rows, {}
+            for c, x in w.items():
+                if 0 <= c < len(starts) - 1:
+                    for r in at[starts[c]:starts[c + 1]]:
+                        sums[r] = sums.get(r, 0) + rows[r][c] * x
+            if any(map(self.field.reduce, sums.values())):
                 raise ValueError("vector is not in the kernel modulo the image")
         coeffs = [0] * len(self.duals)
         for j, z in enumerate(self.duals):

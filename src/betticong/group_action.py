@@ -238,13 +238,14 @@ def induced_cohomology_action(action: GroupAction, field) -> list[list[list]]:
 
 
 def lefschetz_number(action: GroupAction) -> int:
-    """Lefschetz number: alternating trace of sigma^* on rational cohomology."""
+    """Lefschetz number: alternating trace of sigma^* on rational cohomology, an integer."""
     mats = induced_cohomology_action(action, QQ)
     total = Fraction(0)
     for d, M in enumerate(mats):
         tr = sum((M[i][i] for i in range(len(M))), Fraction(0))
         total += (-1) ** d * tr
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ArithmeticError(f"the Lefschetz number {total} is not an integer")
     return int(total)
 
 

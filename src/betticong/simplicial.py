@@ -109,9 +109,10 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
     ``rows[d]`` are the sparse rows of delta^d (the faces of the (d+1)-cells,
     with entries that are units), ``sizes[d]`` counts the d-cells and
     ``perms[d]``, if given, is the permutation of the d-cells by a generator
-    of a group G acting simplicially (vertices unsigned); without it G is
-    trivial.  Coreduction (Mrozek and Batko, Discrete Comput. Geom. 41, 2009;
-    Kaczynski, Mischaikow and Mrozek, *Computational Homology*, 2004):
+    of a group G of prime order acting simplicially (vertices unsigned), so
+    an orbit has 1 or |G| cells; without it G is trivial.  Coreduction
+    (Mrozek and Batko, Discrete Comput. Geom. 41, 2009; Kaczynski,
+    Mischaikow and Mrozek, *Computational Homology*, 2004):
 
     - Top seed, with the trivial group and d = dim >= 1: in each component
       of d-cells (joined by shared faces) that ``_orient`` finds a closed
@@ -135,9 +136,10 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
       and a seeded component keeps no other live vertex (its core's H^0 is
       one dimension, the seed's), so each component is seeded once.
     - Queue: a FIFO queue cancels orbit(tau) against orbit(sigma), sigma a
-      face of tau, when the orbits have equal size and sigma is tau's only
-      live face or tau is sigma's only live coface.  A cell joins the queue
-      when either count falls to 1, or if it starts at 1; a cancelled pair
+      face of tau, when the orbits have equal size (both cells fixed or
+      both moved, as G has prime order) and sigma is tau's only live face
+      or tau is sigma's only live coface.  A cell joins the queue when
+      either count falls to 1, or if it starts at 1; a cancelled pair
       pushes tau's cofaces, tau's faces, sigma's cofaces, then sigma's faces.
 
     Either way row tau or column sigma of the live part of delta is that
@@ -217,7 +219,7 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
                         break
             else:
                 continue
-            if perms and len(orbit(perms[d], tau)) != len(orbit(perms[d - 1], sigma)):
+            if perms and (perms[d][tau] == tau) != (perms[d - 1][sigma] == sigma):
                 continue
             lt, ls, cells, partner, up_t, dn_t, up_s, dn_s, f_up, c_dn, f_s, c_s = steps[d - 1]
             while lt[tau]:  # tau's orbit against sigma's; a zero count pushes neither again
@@ -586,21 +588,21 @@ class SimplicialComplex:
         """
         key = ("basis", field.name, degree)
         if key not in self._cache:
-            rows = self.coboundary_rows(degree)
+            basis, duals = [], []
             if not degree:
-                index, basis, duals = self._simplex_index.get(0, {}), [], []
+                index = self._simplex_index.get(0, {})
                 for comp in self.connected_components():
                     basis.append({index[(v,)]: 1 for v in comp})
                     duals.append({index[(min(comp),)]: 1})
-                self._cache[key] = exactalg.Subquotient.from_duals(rows, field, basis, duals)
-            elif not self.cohomology(field).betti[degree]:
-                self._cache[key] = exactalg.Subquotient.from_duals(rows, field, [], [])
-            else:
-                self._cache[key] = self._core_basis(field, degree, rows)
+            elif self.cohomology(field).betti[degree]:
+                basis, duals = self._core_basis(field, degree)
+            self._cache[key] = exactalg.Subquotient.from_duals(
+                self.coboundary_rows(degree), field, basis, duals,
+                self._cache.setdefault(("cob index", degree), []))
         return self._cache[key]
 
-    def _core_basis(self, field, i: int, checked: list[dict[int, int]]) -> exactalg.Subquotient:
-        """H^i (i >= 1) by ``Subquotient`` on the core, carried to X (see ``cohomology_basis``)."""
+    def _core_basis(self, field, i: int) -> tuple[list[dict], list[dict]]:
+        """(basis, duals) of H^i (i >= 1) on the core, carried to X (see ``cohomology_basis``)."""
         live, down = self._coreduction()
         rows = self._cache["core rows"]
         cells = [[q for q, a in enumerate(flags) if a] for flags in live[i - 1: i + 1]]
@@ -636,7 +638,7 @@ class SimplicialComplex:
                     if x := w.get(tau):
                         for t in others:
                             w[t] = field.reduce(w.get(t, 0) + x * eps[t])
-        return exactalg.Subquotient.from_duals(checked, field, basis, duals)
+        return basis, duals
 
     def cup_cochain(self, field, i: int, j: int, a: dict, b: dict) -> dict:
         """Front-face/back-face cup product of sparse cochains a in C^i, b in C^j: sparse

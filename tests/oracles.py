@@ -7,11 +7,14 @@ with the checks that several test modules run against them.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 from betticong import exactalg, simplicial
+from betticong.equivariant import PermutationComplex
 from betticong.exactalg import QQ, rref
 from betticong.group_action import GroupAction, induced_cohomology_action, pullback_permutation
 from betticong.simplicial import Simplex, SimplicialComplex, bary_label, orbit
@@ -495,3 +498,154 @@ def assert_lift_and_projection(X: SimplicialComplex, forwards: bool = False):
             if d < X.dim:
                 assert delta(lift(x, d), d) == lift(delta(x, d, core=True), d + 1), d
                 assert project(delta(v, d), d + 1) == delta(project(v, d), d, core=True), d
+
+
+def in_kernel(rows: list[dict[int, int]], v: dict, field) -> bool:
+    """A v = 0, checked row by row over every row of A on the integer multiple of v
+    (``Subquotient.express``'s check before it read a column index)."""
+    w = exactalg.int_multiple(v)[1]
+    return not any(field.reduce(sum(val * w[c] for c, val in row.items() if c in w))
+                   for row in rows)
+
+
+def one_row_defects(rows: list[dict[int, int]], n: int, field) -> list[dict]:
+    """Sparse u with A u = e_r, for each row r of A (on n columns) where one exists.
+
+    A u is then nonzero in row r alone.  The dense rref of [A | I] is
+    [E A | E]; A u = e_r is solvable iff E e_r is 0 on the zero rows of E A,
+    and then u is E e_r at the pivot columns of E A.
+    """
+    m = len(rows)
+    if not m:
+        return []
+    R, pivots = rref([dense(row, n) + [int(i == k) for k in range(m)]
+                      for i, row in enumerate(rows)], field)
+    out = []
+    for r in range(m):
+        if not any(R[i][n + r] for i, pc in enumerate(pivots) if pc >= n):
+            u = {pc: x for i, pc in enumerate(pivots) if pc < n and (x := R[i][n + r])}
+            assert [field.reduce(sum(x * u.get(c, 0) for c, x in row.items())) for row in rows] \
+                == [int(i == r) for i in range(m)]
+            out.append(u)
+    return out
+
+
+def assert_kernel_check_as_oracle(sq: exactalg.Subquotient, rows, n: int, field, rng,
+                                  defects=()) -> int:
+    """``sq.express`` accepts exactly the vectors ``in_kernel`` accepts.
+
+    The vectors are sq's basis, the *defects*, random sparse vectors on n
+    columns, and some of these with an entry beyond every row's last column
+    or at -1.
+    Returns the number of vectors rejected.
+    """
+    def scalar():
+        x = rng.choice((-2, -1, 1, 2, 3))
+        return field.coerce(x if field.char else Fraction(x, rng.choice((1, 7))))
+
+    beyond = max((max(r) for r in rows if r), default=-1) + 1
+    vectors = [*sq.basis, *defects]
+    vectors += [{c: scalar() for c in rng.sample(range(n), rng.randint(1, min(n, 3)))}
+                for _ in range(5 if n else 0)]
+    vectors += [{**v, c: scalar()} for c in (beyond, beyond + 4, -1) for v in vectors[-3:]]
+    vectors.append({beyond: field.one})
+    rejected = 0
+    for v in vectors:
+        try:
+            sq.express(v)
+        except ValueError:
+            rejected += 1
+            assert not in_kernel(rows, v, field), v
+        else:
+            assert in_kernel(rows, v, field), v
+    return rejected
+
+
+def reduced_per_cell(C: PermutationComplex) -> PermutationComplex:
+    """``PermutationComplex.reduced`` with a heap entry per nonzero entry of delta.
+
+    The same coreduction, then the same Markowitz heap, but every entry of
+    an orbit of entries is held (p of them for a free orbit), and each pop
+    finds the orbits of its row and column cells afresh.
+    """
+    p, top = C.p, C.dim
+    rows = [[{c: v % p for c, v in r.items() if v % p} for r in R] for R in C.rows]
+    perms = [perm for perm, _ in C.pullbacks]
+    rows, alive, *_ = simplicial.coreduce(rows, C.sizes, perms)
+    for j, R in enumerate(rows):
+        live_rows, live_cols = alive[j + 1], alive[j]
+        for t, r in enumerate(R):
+            R[t] = {c: v for c, v in r.items() if live_cols[c]} if live_rows[t] else {}
+    cols = [[set() for _ in range(n)] for n in C.sizes[:-1]]
+    for R, K in zip(rows, cols):
+        for t, r in enumerate(R):
+            for c in r:
+                K[c].add(t)
+
+    def cost(j: int, t: int, c: int) -> int:
+        return (len(rows[j][t]) - 1) * (len(cols[j][c]) - 1)
+
+    def push_free(j: int, entries):
+        R, K = rows[j], cols[j]
+        for t, c in entries:
+            if len(R[t]) == 1 or len(K[c]) == 1:
+                heapq.heappush(heap, (0, j, t, c))
+
+    def cancel(j: int, t: int, s: int):
+        R, K = rows[j], cols[j]
+        pivot, inv = R[t], pow(R[t][s], -1, p)
+        others = K[s] - {t}
+        for r in others:
+            f = R[r][s] * inv % p
+            for c, v in pivot.items():
+                R[r][c] = (R[r].get(c, 0) - f * v) % p
+                K[c].add(r)
+                if not R[r][c]:
+                    del R[r][c]
+                    K[c].discard(r)
+        for c in pivot:
+            K[c].discard(t)
+        R[t] = {}
+        push_free(j, [(r, c) for r in others for c in R[r]])
+        if j > 0:
+            gone, rows[j - 1][s] = rows[j - 1][s], {}
+            for c in gone:
+                cols[j - 1][c].discard(s)
+            push_free(j - 1, [(r, c) for c in gone for r in cols[j - 1][c]])
+        if j + 1 < top:
+            for r in cols[j + 1][t]:
+                del rows[j + 1][r][t]
+            push_free(j + 1, [(r, c) for r in cols[j + 1][t] for c in rows[j + 1][r]])
+            cols[j + 1][t] = set()
+        alive[j + 1][t] = alive[j][s] = 0
+
+    progress = True
+    while progress:
+        progress = False
+        heap = [(cost(j, t, c), j, t, c) for j, R in enumerate(rows)
+                for t, r in enumerate(R) for c in r]
+        heapq.heapify(heap)
+        while heap:
+            old, j, t, s = heapq.heappop(heap)
+            if s not in rows[j][t]:
+                continue
+            if cost(j, t, s) > old:
+                heapq.heappush(heap, (cost(j, t, s), j, t, s))
+                continue
+            taus, cells = orbit(perms[j + 1], t), orbit(perms[j], s)
+            if len(taus) != len(cells) or any(c in rows[j][t] for c in cells[1:]):
+                continue
+            progress = True
+            for tau, cell in zip(taus, cells):
+                cancel(j, tau, cell)
+
+    keep = [[s for s, a in enumerate(A) if a] for A in alive]
+    new = [{s: k for k, s in enumerate(K)} for K in keep]
+    return PermutationComplex(
+        p,
+        tuple(map(len, keep)),
+        tuple([{new[j][c]: v for c, v in rows[j][t].items()} for t in keep[j + 1]]
+              for j in range(top)),
+        tuple(([new[j][perm[s]] for s in keep[j]], [signs[s] for s in keep[j]])
+              for j, (perm, signs) in enumerate(C.pullbacks)),
+    )

@@ -25,7 +25,7 @@ from betticong.group_action import (
 from betticong.simplicial import SimplicialComplex
 
 from conftest import small_actions
-from oracles import cochain_pullback_matrix
+from oracles import cochain_pullback_matrix, reduced_per_cell
 
 
 def total_matrix_dense(K: BorelComplex, n: int) -> np.ndarray:
@@ -266,6 +266,44 @@ def test_reduced_and_subdivided_models_agree(a):
     R_sd = PermutationComplex.of_action(reg).reduced()
     _assert_permutation_complex(R_sd)
     assert _borel_dims(R_sd, degrees) == _borel_dims(R, degrees)
+
+
+def test_orbit_heap_pivots_off_the_least_cell_of_a_column_orbit():
+    """Z/3 on C^1 = A + E and C^2 = B + D, four free orbits, with delta(b_i) =
+    a_{i+1} + e_{i+1} and delta(d_i) = a_{i+1} + 2 e_{i+1}: acyclic, yet no
+    count is 1, so the coreduction stops at once.  Every entry of a row
+    b_0 or d_0 lies off the least cell of its column's orbit; the heap
+    still cancels both pairs of orbits."""
+    shift = [1, 2, 0, 4, 5, 3]  # a_i -> a_{i+1}, e_i -> e_{i+1}; likewise b, d
+    delta = [{(i + 1) % 3: 1, 3 + (i + 1) % 3: c} for c in (1, 2) for i in range(3)]
+    C = PermutationComplex(3, (0, 6, 6), ([{}] * 6, delta),
+                           (([], []), (shift, [1] * 6), (shift, [1] * 6)))
+    _assert_permutation_complex(C)
+    assert C.reduced().sizes == reduced_per_cell(C).sizes == (0, 0, 0)
+
+
+def _assert_reduced_as_per_cell(C: PermutationComplex):
+    """The heap with one entry per orbit reduces C to the sizes and the Borel
+    dimensions of the heap with one entry per nonzero entry."""
+    R, want = C.reduced(), reduced_per_cell(C)
+    assert R.sizes == want.sizes
+    degrees = range(C.dim + 3)
+    assert _borel_dims(R, degrees) == _borel_dims(want, degrees)
+
+
+def test_orbit_heap_matches_the_per_cell_heap_on_the_corpus(s4_document):
+    for a in corpus.corpus_actions().values():
+        _assert_reduced_as_per_cell(PermutationComplex.of_action(a))
+    s4 = parse(s4_document(9)).actions["rot"]
+    for a in (s4, make_regular(s4)):
+        _assert_reduced_as_per_cell(PermutationComplex.of_action(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_actions())
+def test_orbit_heap_matches_the_per_cell_heap_on_small_actions(a):
+    _assert_reduced_as_per_cell(PermutationComplex.of_action(a))
+    _assert_reduced_as_per_cell(PermutationComplex.of_action(make_regular(a)))
 
 
 def test_s4_document_models_agree(s4_document):

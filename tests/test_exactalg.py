@@ -39,7 +39,15 @@ from betticong.exactalg import (
     sparse_smith_divisors,
 )
 
-from oracles import assert_complements, dense, kernel_basis, rank_and_kernel, sparse
+from oracles import (
+    assert_complements,
+    assert_kernel_check_as_oracle,
+    dense,
+    kernel_basis,
+    one_row_defects,
+    rank_and_kernel,
+    sparse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +572,46 @@ def test_subquotient_zero_runs_only_the_kernel_check(monkeypatch):
     assert sq.express({0: 2, 1: 2, 2: 2}) == []
     with pytest.raises(ValueError):
         sq.express({0: 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_express_kernel_check_matches_the_row_by_row_oracle(seed):
+    """On random sparse A over Q, F_3 and F_7, ``express`` accepts exactly the
+    vectors with A v = 0 row by row: the kernel, random sparse vectors,
+    vectors whose A v is nonzero in one row only, and vectors with an
+    entry beyond every row's last column."""
+    rng = random.Random(seed)
+    for field in (QQ, GF(3), GF(7)):
+        m, n = rng.randint(0, 6), rng.randint(1, 8)
+        rows = [r for r in ({c: field.reduce(rng.choice((-2, -1, 1, 2)))
+                             for c in rng.sample(range(n), rng.randint(0, min(n, 4)))}
+                            for _ in range(m)) if r]
+        sq = Subquotient(rows, [], field, n)
+        defects = one_row_defects(rows, n, field)
+        assert assert_kernel_check_as_oracle(sq, rows, n, field, rng, defects) >= len(defects)
+
+
+def test_express_builds_a_column_index_only_for_rows():
+    """A Subquotient whose A has no rows never builds an index; one with rows
+    builds it at its first ``express``, into the list it was given."""
+    for field in (QQ, GF(3)):
+        for sq in (Subquotient(sparse_rows([[0, 0, 0]]), sparse_rows([[1, 2, 0]]), field, 3),
+                   Subquotient.from_duals([], field, [], [])):
+            for v in ({0: 1, 2: 5}, {7: 1}, {}):
+                sq.express(v)
+            assert sq._index == []
+        shared = []
+        sq = Subquotient.from_duals(sparse_rows([[1, -1, 0]]), field, [], [], shared)
+        assert sq._index is shared and shared == []
+        sq.express({0: 1, 1: 1})
+        assert [(a.itemsize, list(a)) for a in shared] == [(2, [0, 1, 2]), (2, [0, 0])]
+    # Row numbers from 2**16 on take 4-byte entries.
+    sq = Subquotient.from_duals([{}] * (1 << 16) + [{0: 1, 3: 2}], QQ, [], [])
+    sq.express({0: 2, 3: -1})
+    with pytest.raises(ValueError):
+        sq.express({0: 1})
+    assert [(a.itemsize, list(a)[-2:]) for a in sq._index] == [(4, [1, 2]), (4, [1 << 16] * 2)]
 
 
 def test_sparse_rows_clear_denominators_row_by_row():

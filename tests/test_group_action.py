@@ -3,6 +3,7 @@ Lefschetz numbers, Bockstein condition, T/F/R decomposition, quotients."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -437,6 +438,15 @@ def test_lefschetz_sphere_rotation_two():
 
 def test_lefschetz_trivial_torus():
     assert lefschetz_number(corpus.trivial_torus_action()) == 0
+
+
+def test_lefschetz_number_refuses_a_trace_that_is_not_an_integer(monkeypatch):
+    """A non-integral trace raises, also under ``python -O``, instead of
+    being truncated by int()."""
+    monkeypatch.setattr(group_action, "induced_cohomology_action",
+                        lambda action, field: [[[Fraction(1, 2)]]])
+    with pytest.raises(ArithmeticError, match="1/2"):
+        lefschetz_number(corpus.free_polygon_action(5))
 
 
 # ---------------------------------------------------------------------------

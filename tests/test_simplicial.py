@@ -59,11 +59,13 @@ from conftest import join_rotation
 from oracles import (
     assert_complements,
     assert_gstar_conjugate,
+    assert_kernel_check_as_oracle,
     assert_lift_and_projection,
     assert_pairings_congruent,
     coboundary_matrix,
     dense,
     kernel_basis,
+    one_row_defects,
     simplices_by_facet_loop,
     sparse,
     x_route_basis,
@@ -829,6 +831,41 @@ def test_lift_and_projection_on_wider_random_complexes(X):
     face of an earlier pair's cell, so the order of the lift's walk matters."""
     assert_lift_and_projection(X)
     _check_express(X, GF(3), random.Random(sum(X.f_vector)))
+
+
+def _check_kernel_check(X: SimplicialComplex, fields, rng, defect_cells=150) -> tuple[int, int]:
+    """Every basis's ``express`` accepts exactly what ``in_kernel`` accepts on
+    delta^d (``assert_kernel_check_as_oracle``), with one-row defects where
+    delta^d has at most *defect_cells* rows and columns together.  Every
+    field's basis of a degree shares one column index.  Returns the numbers
+    of defects and of rejected vectors."""
+    found = rejected = 0
+    for field in fields:
+        for d in range(X.dim + 1):
+            B, rows, n = X.cohomology_basis(field, d), X.coboundary_rows(d), X.n_simplices(d)
+            assert B._index is X.cohomology_basis(fields[0], d)._index
+            defects = one_row_defects(rows, n, field) if len(rows) + n <= defect_cells else []
+            found += len(defects)
+            rejected += assert_kernel_check_as_oracle(B, rows, n, field, rng, defects)
+    return found, rejected
+
+
+def test_express_kernel_check_matches_the_oracle_on_the_corpus():
+    """Over Q, F_3 and the action's F_p (F_5 for the fixtures)."""
+    rng, found, rejected = random.Random(11), 0, 0
+    fixtures = [full_triangle(), rp2_six_vertex(), suspension(rp2_six_vertex()),
+                wedge_fixture(), corpus.three_sphere_wedge(), corpus.one_point()]
+    for X, p in [*((X, 5) for X in fixtures),
+                 *((a.complex, a.p) for a in corpus.corpus_actions().values())]:
+        f, r = _check_kernel_check(X, (QQ, GF(3), GF(p)) if p != 3 else (QQ, GF(3)), rng)
+        found, rejected = found + f, rejected + r
+    assert found > 20 and rejected > found
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_complexes(), st.integers(0, 10**6))
+def test_express_kernel_check_matches_the_oracle_on_random_complexes(X, seed):
+    _check_kernel_check(X, (QQ, GF(3), GF(5)), random.Random(seed))
 
 
 def test_a_lift_that_walks_its_pairs_forwards_is_caught():
