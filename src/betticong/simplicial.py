@@ -429,8 +429,8 @@ class SimplicialComplex:
         in the top degree d, M the top seeds' row operation), a cochain
         complex with the reduced cohomology of X over every ring.  Cells
         neither live nor cancelled downward were cancelled upward.  The top
-        seeds are the live d-cells whose seeded row is empty; the walk's
-        orientation and their components are kept as ``"orientation"``.
+        seeds are the live d-cells whose seeded row is empty; their components
+        and the walk's orientation, kept as ``"orientation"``, give their H^d.
         """
         if "core" not in self._cache:
             rows, live, down, self._cache["orientation"] = coreduce(
@@ -458,16 +458,12 @@ class SimplicialComplex:
                 for q, row in enumerate(self._cache["core rows"][k])]
 
     def _coboundary_rank(self, k: int, field) -> int:
-        """rank delta^k over *field*: read off the Smith divisors once they exist."""
+        """rank delta^k over *field*, read off the Smith divisors once they exist; uncached."""
+        p = field.char
         if "smith" in self._cache:
-            p = field.char
             return sum(1 for d in self._cache["smith"][k] if (d % p if p else d))
-        key = ("cobrank", k, field.name)
-        if key not in self._cache:
-            rows = self._reduced_rows(k)
-            self._cache[key] = (exactalg.sparse_rank_modp(rows, field.char) if field.char
-                                else exactalg.sparse_rank_q(rows))
-        return self._cache[key]
+        rows = self._reduced_rows(k)
+        return exactalg.sparse_rank_modp(rows, p) if p else exactalg.sparse_rank_q(rows)
 
     def _smith_divisors(self) -> list[tuple[int, ...]]:
         """The Smith divisors of delta^0..delta^dim (delta^dim is zero), in one pass.
@@ -579,12 +575,18 @@ class SimplicialComplex:
         sums.  The projection walks the pairs of degrees (i, i-1) first
         first; X's full column delta e_sigma differs from K's only at dead
         cells, which no later step reads.  A seed changes the basis of C^0
-        at no partner.  In the top degree d the core is that of M
-        delta^{d-1}, and (id, ..., id, M) is a cochain isomorphism from X's
-        cochains to those: each class y lifted there is carried back by
-        M^-1, x_tau = y_tau - eps_tau sum_{t != tau} eps_t y_t at each top
-        seed tau, and each dual vector w becomes w o M, w_t + w_tau eps_tau
-        eps_t at the other cells t of tau's component (kept from the walk).
+        at no partner.
+
+        In the top degree d, delta^{d-1} is block diagonal over the
+        components of d-cells, and so is the core's.  A top seed tau's
+        component (walked with eps, eps_tau = 1) has H^d spanned by e_tau:
+        each face s there lies on two cells t, u with eps_t delta[t, s] +
+        eps_u delta[u, s] = 0, so the fundamental cycle w(v) = sum_t eps_t
+        v(t) vanishes on delta e_s, and a functional on the block that does
+        is a multiple of w.  So w is e_tau's dual.  The other components take
+        the route above on their live d-cells alone: an elementary reduction
+        keeps H^d and changes one block, so it keeps each block's H^d, and
+        the lifts and projections there stay off the seeded components.
         """
         key = ("basis", field.name, degree)
         if key not in self._cache:
@@ -602,10 +604,18 @@ class SimplicialComplex:
         return self._cache[key]
 
     def _core_basis(self, field, i: int) -> tuple[list[dict], list[dict]]:
-        """(basis, duals) of H^i (i >= 1) on the core, carried to X (see ``cohomology_basis``)."""
+        """(basis, duals) of H^i (i >= 1): the top seeds', then the core's carried to X."""
         live, down = self._coreduction()
         rows = self._cache["core rows"]
         cells = [[q for q, a in enumerate(flags) if a] for flags in live[i - 1: i + 1]]
+        # Top degree: e_tau at each top seed, dual to its component's fundamental cycle.
+        eps, seeds = self._cache["orientation"] if i == self.dim else ((), {})
+        basis = [{tau: 1} for tau in seeds]
+        duals = [{t: field.reduce(eps[t]) for t in comp} for comp in seeds.values()]
+        seeded = set().union(*seeds.values())
+        cells[1] = [t for t in cells[1] if t not in seeded]
+        if not cells[1]:
+            return basis, duals
         index = [{c: j for j, c in enumerate(cs)} for cs in cells]
         # Image of the core's delta^{i-1} in C^i: the columns of its rows.
         image = exactalg.transpose_rows(
@@ -624,20 +634,8 @@ class SimplicialComplex:
             v = move(v, pairs, rows_of, field.reduce)
             return v if m == 1 else {c: Fraction(x, m) for c, x in v.items()}
 
-        basis = [carry(_lift, row, *up) for row in core.basis]
-        duals = [carry(_pull_back, z, down[i], rows[i - 1]) for z in core.duals]
-        if i == self.dim:  # back through each top seed's M: x = M^-1 y, w o M
-            eps, seeds = self._cache["orientation"]
-            for tau, comp in seeds.items():
-                others = comp[1:]
-                for vec in basis:
-                    y = vec.pop(tau, 0) - sum(eps[t] * vec[t] for t in others if t in vec)
-                    if y := field.reduce(y):
-                        vec[tau] = y
-                for w in duals:
-                    if x := w.get(tau):
-                        for t in others:
-                            w[t] = field.reduce(w.get(t, 0) + x * eps[t])
+        basis += [carry(_lift, row, *up) for row in core.basis]
+        duals += [carry(_pull_back, z, down[i], rows[i - 1]) for z in core.duals]
         return basis, duals
 
     def cup_cochain(self, field, i: int, j: int, a: dict, b: dict) -> dict:

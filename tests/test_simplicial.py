@@ -63,6 +63,7 @@ from oracles import (
     assert_lift_and_projection,
     assert_pairings_congruent,
     coboundary_matrix,
+    cocycle_bases_and_change,
     dense,
     kernel_basis,
     one_row_defects,
@@ -881,6 +882,43 @@ def test_a_lift_that_walks_its_pairs_forwards_is_caught():
     assert_lift_and_projection(X)
     with pytest.raises(AssertionError):
         assert_lift_and_projection(X, forwards=True)
+
+
+def _sphere_beside_three_discs(sphere_first: bool) -> SimplicialComplex:
+    """The octahedral S^2 disjoint from three discs glued along one boundary
+    circle (cones from x, y and z on the triangle boundary c0 c1 c2), so H^2
+    is 1 + 2 dimensions over every field.  Each circle edge lies on three
+    triangles, so only the sphere's component of triangles is top-seeded.
+    *sphere_first* puts the sphere's vertices first in the vertex order."""
+    octahedron = [(f"p{i}", f"q{j}", f"r{k}") for i in range(2) for j in range(2) for k in range(2)]
+    discs = [(apex, f"c{i}", f"c{(i + 1) % 3}") for apex in "xyz" for i in range(3)]
+    sphere, rest = sorted({v for f in octahedron for v in f}), sorted({v for f in discs for v in f})
+    return SimplicialComplex.from_facets(
+        octahedron + discs, vertex_order=sphere + rest if sphere_first else rest + sphere)
+
+
+@pytest.mark.parametrize("sphere_first", [True, False])
+def test_top_degree_splits_seeded_and_unseeded_components(sphere_first):
+    """The top seed's class, with its component's fundamental cycle as its
+    dual, sits beside the core route's classes of a component that is not
+    seeded, which keeps live triangles: b_2 classes whose duals are
+    biorthogonal to them and vanish on every delta e_s, spanning what the
+    route on X's full rows spans."""
+    X = _sphere_beside_three_discs(sphere_first)
+    d, (live, _) = X.dim, X._coreduction()
+    (tau, comp), = X._cache["orientation"][1].items()
+    assert len(comp) == 8 and any(live[d][t] for t in set(range(X.n_simplices(d))) - set(comp))
+    for field in (QQ, GF(3)):
+        assert X.cohomology(field).betti == (2, 0, 3)
+        B = X.cohomology_basis(field, d)
+        assert len(B) == 3
+        assert [[field.coerce(sum(x * v.get(c, 0) for c, x in z.items())) for v in B.basis]
+                for z in B.duals] == exactalg.identity(3)
+        for s in range(X.n_simplices(d - 1)):
+            col = _coboundary_of_simplex(X, d - 1, s)
+            assert not any(field.reduce(sum(x * col.get(t, 0) for t, x in z.items()))
+                           for z in B.duals), s
+        cocycle_bases_and_change(X, field, d)
 
 
 def test_gstar_is_conjugate_to_the_canonical_basis_route_on_the_corpus():
