@@ -1,210 +1,208 @@
 """Borel equivariant cohomology of a simplicial Z/p action.
 
-Instead of triangulating EG x_G X (combinatorially hopeless), the standard
-2-periodic free resolution of F_p over F_p[Z/p] is tensored with a cochain
-model of X: a first-quadrant double complex K^{i,j} = C^j with horizontal
-maps alternating (sigma^# - 1) and the norm, and total differential
-d_h + (-1)^i d_v.  Total-complex ranks are computed exactly with the sparse
-mod-p engine; for degrees above dim X the matrices repeat with period two,
-which the rank cache exploits.
+Instead of triangulating EG x_G X, the 2-periodic free resolution W of F_p
+over F_p[Z/p] is tensored with the cochains of X: a double complex K^{i,j}
+= C^j with horizontal maps epsilon, (sigma^# - 1) out of even columns i and
+the norm out of odd ones, and total differential epsilon + (-1)^i delta.
+No subdivision is needed: C^*(X) -> C^*(sd X) is an equivariant
+quasi-isomorphism of bounded complexes, which Hom over F_p[G] out of W keeps.
 
-The model is a ``PermutationComplex``, the simplicial cochains of the action
-as given, reduced.  No subdivision is needed: C^*(X) -> C^*(sd X) is an
-equivariant quasi-isomorphism of bounded complexes, which Hom over F_p[G]
-out of the resolution keeps.  The reduction (Kaczynski-Mischaikow-Mrozek,
-Computational Homology, 2004) runs in three steps: the seed zeroes delta^0's
-column at a G-fixed vertex, the coreduction queue of ``simplicial`` cancels
-G-stable pairs of unit pivots that change no other entry, and a Markowitz
-heap cancels G-stable pairs of the cells left by Schur complements on delta.
-The result is an F_p[G]-complex chain homotopy equivalent to the cochains.
-The unreduced model is the test oracle.
+The model runs on X's own core, by the basic perturbation lemma (R. Brown,
+"The twisted Eilenberg-Zilber theorem", 1965; M. Crainic, "On the
+perturbation lemma, and deformations", arXiv:math/0403266).  X's cached
+coreduction is a strong deformation retraction (iota, pi, h) of C^*(X; F_p)
+onto the core (``Retraction``): pi iota = 1 and 1 - iota pi = delta h + h
+delta, with the side conditions h h = 0, h iota = 0 and pi h = 0.  On
+column i the vertical differential is (-1)^i delta, retracted by h_tot =
+(-1)^i h, and epsilon perturbs it; the lemma transfers the total
+differential to
+
+    D' = (-1)^i delta_core + sum_{k >= 0} (-1)^k pi epsilon (h_tot epsilon)^k iota
+
+on core (x) W, a complex homotopy equivalent to the total complex.  h
+epsilon lowers the cochain degree, so k <= dim X.  For degrees above dim X
+the matrices repeat with period two, which the rank cache exploits.  The
+unreduced double complex is the test oracle.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import accumulate
 
 from . import exactalg
 from .exactalg import GF
 from .group_action import GroupAction, fixed_set_cohomology, pullback_permutation
-from .simplicial import coreduce, orbit
+from .simplicial import _lift
+
+
+# A block is a set of cochains held row-major, {cell: {label: value}}: each
+# walk below carries every cochain of a block in one pass over the pairs.
+
+def _axpy(y: dict, a: int, x: dict):
+    """y += a x, for sparse rows."""
+    get = y.get
+    for m, v in x.items():
+        y[m] = get(m, 0) + a * v
+
+
+def _reduced(y: dict, p: int) -> dict:
+    return {m: r for m, v in y.items() if (r := v % p)}
+
+
+def horizontal(B: dict, signs: list[int], inverse: list[int], odd: bool, p: int) -> dict:
+    """epsilon on the block B of C^j: the norm if *odd*, else sigma^# - 1.
+    (sigma^# v)[s] = signs[s] v[perm[s]] moves v(t) to s = inverse[t] (perm's
+    inverse) times signs[s]; the norm walks t's orbit that way."""
+    out = {}
+    for t, col in B.items():
+        s, f = t, 1
+        for m in range(p if odd else 2):
+            _axpy(out.setdefault(s, {}), f if odd or m else -1, col)
+            s = inverse[s]
+            f *= signs[s]
+    return {t: r for t, col in out.items() if (r := _reduced(col, p))}
+
+
+class Retraction:
+    """X's coreduction as a strong deformation retraction of C^*(X; F_p) onto its core.
+
+    The core is the live cells, and in degree 0 every seed vertex, vertex 0
+    included (``_coreduction`` drops it for reduced cohomology only).  A
+    pair (tau, sigma) of degrees (d, d-1), u = delta[tau, sigma] = +-1, is
+    the elimination with iota v (sigma) = -u sum_{b != sigma} delta[tau, b]
+    v(b), pi v = v - u v(tau) delta e_sigma off tau, and h v = u v(tau)
+    e_sigma, an SDR; so is the composite, h = sum_k iota_{<k} h_k pi_{<k}.
+    A vertex seed x changes basis in degree 0: iota e_x is x's component's
+    indicator (a later seed has zeroed x's column in the rows cancelled
+    before it) and pi v (x) = v(x).  The top seeds' row operation M comes
+    first: pi and h read M v, and iota is M^-1 on the top core cells.
+    """
+
+    def __init__(self, X, p: int):
+        live, self.down = X._coreduction()
+        self.p, self.top, self.rows = p, X.dim, X._cache["core rows"]
+        self.eps, self.seeds = X._cache["orientation"]
+        self.core = [[q for q, a in enumerate(flags) if a or (d, q) == (0, 0)]
+                     for d, flags in enumerate(live)]
+        index = X._simplex_index.get(0, {})
+        comps = [[index[(v,)] for v in comp] for comp in X.connected_components()]
+        self.components = {x: cells for cells in comps for x in cells if x in self.core[0]}
+        # cols[d][sigma]: column sigma of delta^{d-1}, for each sigma cancelled
+        # upward by a d-cell, at the d-cells that a walk reads or keeps.
+        self.cols = [{}]
+        for d in range(1, self.top + 1):
+            (cells, partner), rows = self.down[d], self.rows[d - 1]
+            self.cols.append(cols := {partner[t]: {} for t in cells})
+            for a in (*self.core[d], *cells):
+                for s, e in rows[a].items():
+                    if s in cols:
+                        cols[s][a] = e
+
+    def lift(self, B: dict, j: int) -> dict:
+        """iota on a block of core cochains of degree j."""
+        if not j:
+            return {y: col for x, col in B.items() for y in self.components[x]}
+        if j < self.top:
+            return _lift(dict(B), self.down[j + 1], self.rows[j], self.p.__rmod__)
+        return self._seeded(dict(B), -1)
+
+    def project(self, B: dict, j: int) -> tuple[dict, dict]:
+        """(pi B, h B) for a block B of X's cochains of degree j.
+
+        One walk of the pairs (tau, sigma) of degrees (j, j-1), first first,
+        gives pi B and h's coefficients c(sigma) = u (pi_{<k} B)(tau); h B =
+        sum_k c(sigma_k) iota_{<k} e_sigma_k is their ``_lift`` along the
+        same pairs, last first.
+        """
+        p, W, c = self.p, {t: dict(col) for t, col in B.items()}, {}
+        if j == self.top:
+            self._seeded(W, 1)
+        if j:
+            (cells, partner), rows, cols = self.down[j], self.rows[j - 1], self.cols[j]
+            for tau in cells:
+                if (w := W.pop(tau, None)) and (w := _reduced(w, p)):
+                    sigma = partner[tau]
+                    u = rows[tau][sigma]
+                    c[sigma] = {m: u * x for m, x in w.items()}
+                    for a, e in cols[sigma].items():
+                        if a != tau:
+                            _axpy(W.setdefault(a, {}), -e * u, w)
+        h = _lift({}, self.down[j], self.rows[j - 1], p.__rmod__, c) if c else {}
+        return {q: r for q in self.core[j] if q in W and (r := _reduced(W[q], p))}, h
+
+    def _seeded(self, W: dict, f: int):
+        """M W for f = 1, M^-1 W for f = -1: W(tau) += f sum_{t != tau} eps_t W(t)
+        over each top seed tau's component."""
+        for tau, comp in self.seeds.items():
+            acc = dict(W.get(tau, {}))
+            for t in comp:
+                if t != tau and t in W:
+                    _axpy(acc, f * self.eps[t], W[t])
+            if acc := _reduced(acc, self.p):
+                W[tau] = acc
+            else:
+                W.pop(tau, None)
+        return W
 
 
 @dataclass(frozen=True)
-class PermutationComplex:
-    """A cochain complex C^0..C^dim of signed permutation F_p[Z/p]-modules.
+class TransferredComplex:
+    """The perturbed differential D' on core (x) W, block by block.
 
-    ``sizes[j]`` counts the cells of C^j, ``rows[j]`` holds the sparse rows
-    of delta^j: C^j -> C^{j+1} (one per cell of C^{j+1}) and
-    ``pullbacks[j] = (perm, signs)`` gives sigma^# on C^j as
-    (sigma^# a)[s] = signs[s] * a[perm[s]].
+    ``sizes[j]`` counts the core cells of degree j, ``rows[j]`` holds the
+    sparse rows of delta_core^j (one per core cell of degree j+1), and
+    ``horizontal[a, j, k]`` the term (-1)^k pi epsilon (h_tot epsilon)^k iota
+    out of a column of parity a and cochain degree j, into cochain degree
+    j - k and k + 1 columns on: ``{target: {source: value}}`` in core
+    indices, present where nonzero.
     """
 
     p: int
     sizes: tuple[int, ...]
     rows: tuple[list[dict[int, int]], ...]
-    pullbacks: tuple[tuple[list[int], list[int]], ...]
+    horizontal: dict[tuple[int, int, int], dict[int, dict[int, int]]]
 
     @property
     def dim(self) -> int:
         return len(self.sizes) - 1
 
     @classmethod
-    def of_action(cls, action: GroupAction) -> "PermutationComplex":
-        """The simplicial cochains of *action*'s complex, unsubdivided."""
-        X = action.complex
-        degrees = range(X.dim + 1)
-        return cls(action.p, X.f_vector, tuple(X.coboundary_rows(j) for j in degrees[:-1]),
-                   tuple(pullback_permutation(action, j) for j in degrees))
-
-    def reduced(self) -> "PermutationComplex":
-        """Seed, coreduce, then cancel G-stable pairs (tau in C^{j+1}, s in C^j) by Schur steps.
-
-        ``simplicial.coreduce`` with G's permutations runs first.  It zeroes
-        delta^0's column at a G-fixed vertex, if there is one: the vertex's
-        basis vector becomes the indicator of its component (on a connected
-        X the constant cochain), which sigma^# fixes and delta kills.  Then
-        its queue cancels orbits of unit pivots that change no other entry,
-        so the live cells carry submatrices of delta.  The Markowitz heap
-        runs on those.  Its cancellation is the Schur complement on delta^j
-        at the pivots of one G-stable block with delta^j[tau, s] != 0: two
-        fixed cells, or two free orbits where row tau meets orbit(s) only at
-        s (the p pivots (sigma^k tau, sigma^k s) are then independent); never
-        a fixed cell against a free orbit.  Pairs go cheapest Markowitz cost
-        (row length - 1) * (column length - 1) first, so the pairs without
-        fill-in lead.  Each orbit of entries has one heap entry, the one whose
-        row tau is the least cell of its orbit: the live part of delta is
-        G-stable, so its G-images have the same cost.  The orbits are walked
-        once per degree; G has prime order, so tau and s have orbits of one
-        size exactly when both are fixed or both move.
-        """
-        p, top = self.p, self.dim
-        rows = [[{c: v % p for c, v in r.items() if v % p} for r in R] for R in self.rows]
-        perms = [perm for perm, _ in self.pullbacks]
-        rows, alive, *_ = coreduce(rows, self.sizes, perms)
-        for j, R in enumerate(rows):
-            live_rows, live_cols = alive[j + 1], alive[j]
-            for t, r in enumerate(R):
-                R[t] = {c: v for c, v in r.items() if live_cols[c]} if live_rows[t] else {}
-        orbits = []  # per degree, each cell's orbit, listed from its least cell
-        for perm in perms:
-            orbits.append(O := [None] * len(perm))
-            for o in (orbit(perm, q) for q in range(len(perm)) if O[q] is None):
-                for x in o:
-                    O[x] = o
-        cols = [[set() for _ in range(n)] for n in self.sizes[:-1]]
-        for R, C in zip(rows, cols):
-            for t, r in enumerate(R):
-                for c in r:
-                    C[c].add(t)
-
-        def cost(j: int, t: int, c: int) -> int:
-            return (len(rows[j][t]) - 1) * (len(cols[j][c]) - 1)
-
-        def push_free(j: int, entries):  # pairs a cancellation made fill-free
-            R, C, O = rows[j], cols[j], orbits[j + 1]
-            for t, c in entries:
-                if O[t][0] == t and (len(R[t]) == 1 or len(C[c]) == 1):
-                    heapq.heappush(heap, (0, j, t, c))
-
-        def cancel(j: int, t: int, s: int):
-            R, C = rows[j], cols[j]
-            pivot, inv = R[t], pow(R[t][s], -1, p)
-            others = C[s] - {t}
-            for r in others:
-                f = R[r][s] * inv % p
-                for c, v in pivot.items():
-                    R[r][c] = (R[r].get(c, 0) - f * v) % p
-                    C[c].add(r)
-                    if not R[r][c]:
-                        del R[r][c]
-                        C[c].discard(r)
-            for c in pivot:
-                C[c].discard(t)
-            R[t] = {}
-            push_free(j, [(r, c) for r in others for c in R[r]])
-            if j > 0:  # s leaves C^j: drop row s of delta^{j-1}
-                gone, rows[j - 1][s] = rows[j - 1][s], {}
-                for c in gone:
-                    cols[j - 1][c].discard(s)
-                push_free(j - 1, [(r, c) for c in gone for r in cols[j - 1][c]])
-            if j + 1 < top:  # t leaves C^{j+1}: drop column t of delta^{j+1}
-                for r in cols[j + 1][t]:
-                    del rows[j + 1][r][t]
-                push_free(j + 1, [(r, c) for r in cols[j + 1][t] for c in rows[j + 1][r]])
-                cols[j + 1][t] = set()
-            alive[j + 1][t] = alive[j][s] = 0
-
-        progress = True
-        while progress:  # until a full sweep cancels nothing
-            progress = False
-            heap = [(cost(j, t, c), j, t, c) for j, R in enumerate(rows)
-                    for t, r in enumerate(R) if orbits[j + 1][t][0] == t for c in r]
-            heapq.heapify(heap)
-            while heap:
-                old, j, t, s = heapq.heappop(heap)
-                if s not in rows[j][t]:
-                    continue
-                if cost(j, t, s) > old:
-                    heapq.heappush(heap, (cost(j, t, s), j, t, s))
-                    continue
-                if (perms[j + 1][t] == t) != (perms[j][s] == s):
-                    continue
-                o = orbits[j][s]
-                cells = o[o.index(s):] + o[:o.index(s)]  # from s, in step with t's orbit
-                if any(c in rows[j][t] for c in cells[1:]):
-                    continue
-                progress = True
-                for tau, cell in zip(orbits[j + 1][t], cells):
-                    cancel(j, tau, cell)
-
-        keep = [[s for s, a in enumerate(A) if a] for A in alive]
-        new = [{s: k for k, s in enumerate(K)} for K in keep]
-        return PermutationComplex(
-            p,
-            tuple(map(len, keep)),
-            tuple([{new[j][c]: v for c, v in rows[j][t].items()} for t in keep[j + 1]]
-                  for j in range(top)),
-            tuple(([new[j][perm[s]] for s in keep[j]], [signs[s] for s in keep[j]])
-                  for j, (perm, signs) in enumerate(self.pullbacks)),
-        )
+    def of_action(cls, action: GroupAction) -> "TransferredComplex":
+        """Transfer the action's double complex onto X's core: each degree's core
+        cells go as one block through iota, then epsilon, pi and h level by level."""
+        X, p = action.complex, action.p
+        R = Retraction(X, p)
+        core = R.core
+        index = [{q: i for i, q in enumerate(cells)} for cells in core]
+        rows = tuple([{index[j][c]: r for c, v in R.rows[j][t].items() if c in index[j]
+                       and (r := v % p)} for t in core[j + 1]] for j in range(X.dim))
+        pullbacks = [pullback_permutation(action, j) for j in range(X.dim + 1)]
+        inverses = [sorted(range(len(perm)), key=perm.__getitem__) for perm, _ in pullbacks]
+        terms = {}
+        for j, cells in enumerate(core):
+            start = R.lift({q: {i: 1} for i, q in enumerate(cells)}, j)
+            for a in (0, 1):
+                V, sign = start, 1
+                for k in range(j + 1):
+                    if not (V := horizontal(V, pullbacks[j - k][1], inverses[j - k], (a + k) % 2, p)):
+                        break
+                    P, V = R.project(V, j - k)
+                    if P:
+                        terms[a, j, k] = {index[j - k][q]: {m: sign * x % p for m, x in col.items()}
+                                          for q, col in P.items()}
+                    if (a + k) % 2:  # h_tot = (-1)^(a+k+1) h, and (-1)^(k+1) on the next term
+                        sign = -sign
+        return cls(p, tuple(map(len, core)), rows, terms)
 
 
 class BorelComplex:
-    """The double complex K^{i,j} = C^j of a permutation cochain complex.
+    """The total complex of core (x) W with D': block (i, j) is the core's C^j in
+    column i, and D' sends it by (-1)^i delta_core into (i, j+1) and by the
+    k-th horizontal term into (i+k+1, j-k)."""
 
-    Horizontal maps out of column i are (sigma^# - 1) for even i and
-    Norm = 1 + sigma^# + ... + (sigma^#)^{p-1} for odd i; both commute with
-    the simplicial coboundary, and Norm o (sigma^#-1) = (sigma^#-1) o Norm
-    = 0 because (sigma^#)^p = 1.
-    """
-
-    def __init__(self, cochains: PermutationComplex):
-        self.C = cochains
-        self.p = cochains.p
-        self._horizontal: dict[tuple[int, int], list[dict[int, int]]] = {}
-        self._rank_cache: dict = {}
-
-    def horizontal_rows(self, i: int, j: int) -> list[dict[int, int]]:
-        """Sparse rows of K^{i,j} -> K^{i+1,j}: sigma^# - 1 or the norm.
-
-        sigma^# is a signed permutation, so its powers compose in O(n) and
-        the norm rows have at most p entries.
-        """
-        key = (i % 2, j)
-        if key not in self._horizontal:
-            perm, signs = self.C.pullbacks[j]
-            rows: list[dict[int, int]] = []
-            for s in range(len(perm)):
-                row, cur, sgn = {s: 1 if i % 2 else -1}, s, 1
-                for _ in range(self.p - 1 if i % 2 else 1):
-                    sgn, cur = sgn * signs[cur], perm[cur]
-                    row[cur] = row.get(cur, 0) + sgn
-                rows.append({c: v % self.p for c, v in row.items() if v % self.p})
-            self._horizontal[key] = rows
-        return self._horizontal[key]
+    def __init__(self, model: TransferredComplex):
+        self.C, self.p, self._rank_cache = model, model.p, {}
 
     def slice_dims(self, n: int) -> list[tuple[int, int]]:
         """Blocks (i, j) of total degree n, ordered by j."""
@@ -214,41 +212,36 @@ class BorelComplex:
         return sum(self.C.sizes[j] for _, j in self.slice_dims(n))
 
     def total_differential_rows(self, n: int) -> list[dict[int, int]]:
-        """Sparse rows of D_n: total degree n -> n + 1.
+        """Sparse rows of D'_n: total degree n -> n + 1.
 
         Row indices run over the degree-(n+1) slice blocks in slice_dims
         order, columns over the degree-n slice.
         """
+        C, p = self.C, self.p
         src = self.slice_dims(n)
-        src_offset = dict(zip(src, accumulate((self.C.sizes[j] for _, j in src), initial=0)))
+        offset = dict(zip(src, accumulate((C.sizes[j] for _, j in src), initial=0)))
         rows: list[dict[int, int]] = []
-        p = self.p
         for (i, j) in self.slice_dims(n + 1):
-            block_rows: list[dict[int, int]] = [dict() for _ in range(self.C.sizes[j])]
-            # Horizontal: from K^{i-1, j}.
-            if (i - 1, j) in src_offset:
-                base = src_offset[(i - 1, j)]
-                for r, hrow in enumerate(self.horizontal_rows(i - 1, j)):
-                    block_rows[r] = {base + c: v for c, v in hrow.items()}
-            # Vertical: from K^{i, j-1} with sign (-1)^i.
-            if (i, j - 1) in src_offset:
-                sign = -1 if i % 2 else 1
-                base = src_offset[(i, j - 1)]
-                for r, row in enumerate(self.C.rows[j - 1]):
-                    tgt = block_rows[r]
-                    for c, v in row.items():
-                        tgt[base + int(c)] = (tgt.get(base + int(c), 0) + sign * v) % p
-            rows.extend(block_rows)
-        return [{c: v for c, v in row.items() if v % p} for row in rows]
+            block: list[dict[int, int]] = [{} for _ in range(C.sizes[j])]
+            if (i, j - 1) in offset:  # vertical, with sign (-1)^i
+                base, sign = offset[i, j - 1], -1 if i % 2 else 1
+                for r, row in enumerate(C.rows[j - 1]):
+                    block[r] = {base + c: sign * v % p for c, v in row.items()}
+            for k in range(C.dim - j + 1):  # horizontal, from (i-k-1, j+k)
+                if (i - k - 1, j + k) in offset:
+                    base = offset[i - k - 1, j + k]
+                    for r, col in C.horizontal.get(((i - k - 1) % 2, j + k, k), {}).items():
+                        block[r].update((base + c, v) for c, v in col.items())
+            rows.extend(block)
+        return rows
 
     def differential_rank(self, n: int) -> int:
-        """rank of D_n; cached, and stable degrees share one computation."""
+        """rank of D'_n; cached, and stable degrees share one computation."""
         if n < 0:
             return 0
         key = ("stable", n % 2) if n >= self.C.dim else ("deg", n)
         if key not in self._rank_cache:
-            rows = self.total_differential_rows(n)
-            self._rank_cache[key] = exactalg.sparse_rank_modp(rows, self.p)
+            self._rank_cache[key] = exactalg.sparse_rank_modp(self.total_differential_rows(n), self.p)
         return self._rank_cache[key]
 
     def cohomology_dim(self, n: int) -> int:
@@ -262,9 +255,9 @@ def equivariant_betti(action: GroupAction, degrees) -> list[int]:
 
     For the one-point trivial action this reproduces the classifying-space
     answer: one dimension in every degree.  The Borel complex is built on
-    the reduced cochains of the action as given.
+    X's core by the perturbation lemma.
     """
-    K = BorelComplex(PermutationComplex.of_action(action).reduced())
+    K = BorelComplex(TransferredComplex.of_action(action))
     return [K.cohomology_dim(n) for n in degrees]
 
 
@@ -274,13 +267,11 @@ def localization_check(action: GroupAction) -> dict:
     The evaluation/localization theorem's numerical shadow: for n above
     dim X, dim H^n_G equals dim H^*(X^G; F_p).  Checks n = dim X + 1 and
     dim X + 2.  Neither side is subdivided: the fixed set is read off the
-    invariant simplices, and the Borel complex is built on the reduced
-    cochains of the action as given.
+    invariant simplices, and the Borel complex is built on X's core by the
+    perturbation lemma.
     """
     fixed_total = fixed_set_cohomology(action, GF(action.p)).total
-    K = BorelComplex(PermutationComplex.of_action(action).reduced())
-    d = action.complex.dim
-    dims = [K.cohomology_dim(d + 1), K.cohomology_dim(d + 2)]
+    dims = equivariant_betti(action, [action.complex.dim + 1, action.complex.dim + 2])
     return {
         "stable_dims": dims,
         "fixed_total": fixed_total,

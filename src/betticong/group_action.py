@@ -202,14 +202,17 @@ def pullback_permutation(action: GroupAction, degree: int) -> tuple[list[int], l
     """sigma^# on C^degree as (``simplex_permutation``, signs).
 
     (sigma^# a)[s] = signs[s] * a[perm[s]], the sign being the parity of
-    the permutation that sorts s's vertex image.
+    the permutation that sorts s's vertex image: one sort per simplex.
     """
     X = action.complex
     key = ("pullperm", action.vertex_map, degree)
     if key not in X._cache:
-        perm_v = action.perm()
-        signs = [-1 if sum(perm_v[a] > perm_v[b] for a, b in combinations(s, 2)) % 2 else 1
-                 for s in X.simplices(degree)]
+        perm_v, positions, parity, signs = action.perm(), range(degree + 1), {}, []
+        for s in X.simplices(degree):
+            order = tuple(sorted(positions, key=[perm_v[v] for v in s].__getitem__))
+            if order not in parity:  # inversions, once per distinct sorting permutation
+                parity[order] = -1 if sum(a > b for a, b in combinations(order, 2)) % 2 else 1
+            signs.append(parity[order])
         X._cache[key] = (simplex_permutation(action, degree), signs)
     return X._cache[key]
 

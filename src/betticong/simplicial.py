@@ -103,21 +103,18 @@ def _orient(faces, cofaces, t0: int, eps) -> list[int] | None:
     return comp if closed else None
 
 
-def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
-    """Cancel cells in G-stable pairs of unit pivots that change no other entry of delta.
+def coreduce(rows: list[list[dict[int, int]]], sizes):
+    """Cancel cells in pairs of unit pivots that change no other entry of delta.
 
     ``rows[d]`` are the sparse rows of delta^d (the faces of the (d+1)-cells,
-    with entries that are units), ``sizes[d]`` counts the d-cells and
-    ``perms[d]``, if given, is the permutation of the d-cells by a generator
-    of a group G of prime order acting simplicially (vertices unsigned), so
-    an orbit has 1 or |G| cells; without it G is trivial.  Coreduction
-    (Mrozek and Batko, Discrete Comput. Geom. 41, 2009; Kaczynski,
-    Mischaikow and Mrozek, *Computational Homology*, 2004):
+    with entries that are units) and ``sizes[d]`` counts the d-cells.
+    Coreduction (Mrozek and Batko, Discrete Comput. Geom. 41, 2009;
+    Kaczynski, Mischaikow and Mrozek, *Computational Homology*, 2004):
 
-    - Top seed, with the trivial group and d = dim >= 1: in each component
-      of d-cells (joined by shared faces) that ``_orient`` finds a closed
-      orientable pseudomanifold, the row of delta^{d-1} at its first cell
-      tau is replaced by sum_t eps_t eps_tau row_t, which is 0.  That is the
+    - Top seed, with d = dim >= 1: in each component of d-cells (joined by
+      shared faces) that ``_orient`` finds a closed orientable
+      pseudomanifold, the row of delta^{d-1} at its first cell tau is
+      replaced by sum_t eps_t eps_tau row_t, which is 0.  That is the
       unimodular row operation M (M v)_tau = eps_tau sum_t eps_t v_t, the
       identity off tau; delta^d = 0, so M delta^{d-1} is again a cochain
       complex, and tau stays live and isolated.  It runs before the queue,
@@ -126,26 +123,24 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
       fundamental cycle, where that is a column operation by its indicator.
       For d = 1 the component is a cycle, still connected without tau's
       row, so the vertex seed below is unchanged.
-    - Seed: delta^0's column at a live G-fixed vertex x is zeroed, a
-      change of basis from e_x to the indicator of x's component among the
-      live cells.  That indicator is a cocycle while no live edge has just
-      one live face, and sigma^# fixes it, as x is fixed; x stays live and
-      isolated.  The first fixed vertex is seeded before the queue runs,
-      and each time the queue empties, the next live fixed vertex, while no
-      live edge has one live face.  With the trivial group none has then,
-      and a seeded component keeps no other live vertex (its core's H^0 is
-      one dimension, the seed's), so each component is seeded once.
-    - Queue: a FIFO queue cancels orbit(tau) against orbit(sigma), sigma a
-      face of tau, when the orbits have equal size (both cells fixed or
-      both moved, as G has prime order) and sigma is tau's only live face
-      or tau is sigma's only live coface.  A cell joins the queue when
-      either count falls to 1, or if it starts at 1; a cancelled pair
-      pushes tau's cofaces, tau's faces, sigma's cofaces, then sigma's faces.
+    - Seed: delta^0's column at a live vertex x is zeroed, a change of basis
+      from e_x to the indicator of x's component among the live cells.
+      That indicator is a cocycle while no live edge has just one live
+      face; x stays live and isolated.  Vertex 0 is seeded before the queue
+      runs, and each time the queue empties, the next live vertex.  No live
+      edge has one live face then (the queue would have cancelled it), and a
+      seeded component keeps no other live vertex (its core's H^0 is one
+      dimension, the seed's), so each component is seeded once.
+    - Queue: a FIFO queue cancels tau against sigma, a face of tau, when
+      sigma is tau's only live face or tau is sigma's only live coface.  A
+      cell joins the queue when either count falls to 1, or if it starts at
+      1; a cancelled pair pushes tau's cofaces, tau's faces, sigma's
+      cofaces, then sigma's faces.
 
     Either way row tau or column sigma of the live part of delta is that
     unit entry alone, so the unit pivot there changes no other entry: the
     live cells (the core) carry the submatrices of the seeded coboundaries,
-    a G-complex chain homotopy equivalent to the cochains.
+    a complex chain homotopy equivalent to the cochains.
 
     Returns ``(rows, live, down, (eps, seeds))``: the coboundaries with
     the seeds' columns of delta^0 and top rows zeroed (the input is not
@@ -162,7 +157,7 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
             for s in fs:
                 cs[s].append(t)
     eps, seeds = array("b"), {}
-    if perms is None and top > 0:
+    if top > 0:
         eps = array("b", bytes(sizes[top]))
         seeds = {t: array("i", comp) for t in range(sizes[top]) if not eps[t]
                  and (comp := _orient(rows[top - 1], cofaces[top - 1], t, eps)) is not None}
@@ -194,8 +189,7 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
     steps = [(live[d], live[d - 1], *down[d], cofaces[d], faces[d], cofaces[d - 1], faces[d - 1],
               n_faces[d + 1], n_cofaces[d - 1], n_faces[d], n_cofaces[d - 2])
              for d in range(1, top + 1)]
-    fresh = (x for x in range(sizes[0] if sizes else 0)
-             if live[0][x] and (perms is None or perms[0][x] == x))
+    fresh = (x for x in range(sizes[0] if sizes else 0) if live[0][x])
     x = next(fresh, None)
     if x is not None:
         seed(x)
@@ -219,52 +213,54 @@ def coreduce(rows: list[list[dict[int, int]]], sizes, perms=None):
                         break
             else:
                 continue
-            if perms and (perms[d][tau] == tau) != (perms[d - 1][sigma] == sigma):
-                continue
             lt, ls, cells, partner, up_t, dn_t, up_s, dn_s, f_up, c_dn, f_s, c_s = steps[d - 1]
-            while lt[tau]:  # tau's orbit against sigma's; a zero count pushes neither again
-                lt[tau] = ls[sigma] = c_dn[sigma] = f_s[tau] = 0
-                cells.append(tau)
-                partner[tau] = sigma
-                for t in up_t[tau]:
-                    f_up[t] -= 1
-                    if f_up[t] == 1:
-                        push((d + 1, t))
-                for s in dn_t[tau]:
-                    c_dn[s] -= 1
-                    if c_dn[s] == 1:
-                        push((d - 1, s))
-                for t in up_s[sigma]:
-                    f_s[t] -= 1
-                    if f_s[t] == 1:
-                        push((d, t))
-                for s in dn_s[sigma]:
-                    c_s[s] -= 1
-                    if c_s[s] == 1:
-                        push((d - 2, s))
-                if perms:
-                    tau, sigma = perms[d][tau], perms[d - 1][sigma]
+            lt[tau] = ls[sigma] = c_dn[sigma] = f_s[tau] = 0  # a zero count pushes neither again
+            cells.append(tau)
+            partner[tau] = sigma
+            for t in up_t[tau]:
+                f_up[t] -= 1
+                if f_up[t] == 1:
+                    push((d + 1, t))
+            for s in dn_t[tau]:
+                c_dn[s] -= 1
+                if c_dn[s] == 1:
+                    push((d - 1, s))
+            for t in up_s[sigma]:
+                f_s[t] -= 1
+                if f_s[t] == 1:
+                    push((d, t))
+            for s in dn_s[sigma]:
+                c_s[s] -= 1
+                if c_s[s] == 1:
+                    push((d - 2, s))
         x = next(fresh, None)
-        if x is None or top and any(f == 1 and a for f, a in zip(n_faces[1], live[1])):
+        if x is None:
             return rows, live, down, (eps, seeds)
         seed(x)
 
 
-def _lift(v: dict[int, int], pairs, up, reduce) -> dict[int, int]:
-    """Extend a core cochain v (sparse, in X's indices) to X along the cells cancelled upward.
+def _lift(B: dict, pairs, up, reduce, c=None) -> dict:
+    """Extend a block B = {cell: {label: value}} of core cochains (X's indices) to X.
 
     *pairs* are ``(cells, partner)`` from ``coreduce``, tau in cells against
-    sigma = partner[tau] in v's degree, and *up* the rows of delta out of
-    it.  Walked last pair first, each sets v(sigma) = -u sum_{b != sigma}
-    delta[tau, b] v(b), u = delta[tau, sigma] = +-1; v is extended in place.
+    sigma = partner[tau] in B's degree, and *up* the rows of delta out of it.
+    Walked last pair first, each sets B(sigma) = c(sigma) - u sum_{b !=
+    sigma} delta[tau, b] B(b), u = delta[tau, sigma] = +-1, in place; c is 0
+    but in ``equivariant.Retraction``'s homotopy.
     """
-    cells, partner = pairs
-    for tau in reversed(cells):
+    (cells, partner), c = pairs, c or {}
+    for tau in reversed(cells):  # sigma is not set yet, so not in B
         row, sigma = up[tau], partner[tau]
-        s = reduce(sum(x * v[b] for b, x in row.items() if b in v))
-        if s:
-            v[sigma] = reduce(-row[sigma] * s)
-    return v
+        if B.keys().isdisjoint(row) and sigma not in c:
+            continue
+        acc, u = dict(c.get(sigma, {})), row[sigma]
+        for b, e in row.items():
+            if b in B:
+                for m, x in B[b].items():
+                    acc[m] = acc.get(m, 0) - u * e * x
+        if acc := {m: r for m, x in acc.items() if (r := reduce(x))}:
+            B[sigma] = acc
+    return B
 
 
 def _pull_back(z: dict[int, int], pairs, faces, reduce) -> dict[int, int]:
@@ -423,11 +419,11 @@ class SimplicialComplex:
     def _coreduction(self) -> tuple[list[bytearray], list[tuple]]:
         """Per degree, the live cells (flags) and the cells cancelled downward, with their partners.
 
-        ``coreduce`` with the trivial group, then vertex 0, the first seed,
-        goes against the augmentation: the live cells (the core) carry
-        submatrices of the coboundaries in the seeded bases (M delta^{d-1}
-        in the top degree d, M the top seeds' row operation), a cochain
-        complex with the reduced cohomology of X over every ring.  Cells
+        ``coreduce``, then vertex 0, the first seed, goes against the
+        augmentation: the live cells (the core) carry submatrices of the
+        coboundaries in the seeded bases (M delta^{d-1} in the top degree d,
+        M the top seeds' row operation), a cochain complex with the reduced
+        cohomology of X over every ring.  Cells
         neither live nor cancelled downward were cancelled upward.  The top
         seeds are the live d-cells whose seeded row is empty; their components
         and the walk's orientation, kept as ``"orientation"``, give their H^d.
@@ -628,13 +624,17 @@ class SimplicialComplex:
                       for q, row in enumerate(rows[i]) if live[i + 1][q]]
         core = exactalg.Subquotient(kernel, image, field, len(cells[1]))
 
+        def lift(v: dict, pairs, up, reduce) -> dict:  # one cochain, as a block
+            return {c: col[0] for c, col in _lift({c: {0: x} for c, x in v.items()}, pairs, up,
+                                                   reduce).items()}
+
         def carry(move, values: dict, pairs, rows_of) -> dict:
             # On the integer multiple; residues over F_p have m = 1.
             m, v = exactalg.int_multiple({cells[1][j]: x for j, x in values.items()})
             v = move(v, pairs, rows_of, field.reduce)
             return v if m == 1 else {c: Fraction(x, m) for c, x in v.items()}
 
-        basis += [carry(_lift, row, *up) for row in core.basis]
+        basis += [carry(lift, row, *up) for row in core.basis]
         duals += [carry(_pull_back, z, down[i], rows[i - 1]) for z in core.duals]
         return basis, duals
 

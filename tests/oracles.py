@@ -10,11 +10,12 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from betticong import exactalg, simplicial
-from betticong.equivariant import PermutationComplex
+from betticong.equivariant import Retraction, TransferredComplex
 from betticong.exactalg import QQ, rref
 from betticong.group_action import GroupAction, induced_cohomology_action, pullback_permutation
 from betticong.simplicial import Simplex, SimplicialComplex, bary_label, orbit
@@ -403,12 +404,12 @@ def coreduce_with_cancel(rows: list[list[dict[int, int]]], sizes, perms=None):
         seed(x)
 
 
-def assert_coreduce_matches_oracle(rows, sizes, perms=None):
+def assert_coreduce_matches_oracle(rows, sizes):
     """``simplicial.coreduce`` cancels the pairs of ``coreduce_with_cancel``,
     in the same order, and leaves the same rows and live cells; its top
     seeds are the rows it emptied, each first in its component."""
-    got_rows, live, down, (eps, seeds) = simplicial.coreduce(rows, sizes, perms)
-    want_rows, want_live, want_down = coreduce_with_cancel(rows, sizes, perms)
+    got_rows, live, down, (eps, seeds) = simplicial.coreduce(rows, sizes)
+    want_rows, want_live, want_down = coreduce_with_cancel(rows, sizes)
     assert [[list(r.items()) for r in R] for R in got_rows] \
         == [[list(r.items()) for r in R] for R in want_rows]
     assert live == want_live
@@ -417,7 +418,7 @@ def assert_coreduce_matches_oracle(rows, sizes, perms=None):
         assert [partner[t] for t in cells] == list(pairs.values())
         assert len(partner) == sizes[d] and sum(1 for s in partner if s >= 0) == len(cells)
     top = len(sizes) - 1
-    emptied = [] if perms or top < 1 else [t for t, r in enumerate(got_rows[top - 1]) if not r]
+    emptied = [] if top < 1 else [t for t, r in enumerate(got_rows[top - 1]) if not r]
     assert list(seeds) == emptied and all(comp[0] == t and eps[t] == 1 for t, comp in seeds.items())
 
 
@@ -450,8 +451,9 @@ def assert_lift_and_projection(X: SimplicialComplex, forwards: bool = False):
         cells, partner = down[d + 1] if d < X.dim else ((), ())
         if forwards:
             cells = cells[::-1]
-        return seeded(simplicial._lift(dict(x), (cells, partner), X.coboundary_rows(d), int), d,
-                      inverse=True)
+        block = simplicial._lift({a: {0: y} for a, y in x.items()}, (cells, partner),
+                                 X.coboundary_rows(d), int)
+        return seeded({a: col[0] for a, col in block.items()}, d, inverse=True)
 
     def project(v, d):
         v, rows = seeded(dict(v), d), X.coboundary_rows(d - 1)
@@ -561,17 +563,162 @@ def assert_kernel_check_as_oracle(sq: exactalg.Subquotient, rows, n: int, field,
     return rejected
 
 
-def reduced_per_cell(C: PermutationComplex) -> PermutationComplex:
-    """``PermutationComplex.reduced`` with a heap entry per nonzero entry of delta.
+@dataclass(frozen=True)
+class PermutationComplex:
+    """A cochain complex C^0..C^dim of signed permutation F_p[Z/p]-modules.
 
-    The same coreduction, then the same Markowitz heap, but every entry of
-    an orbit of entries is held (p of them for a free orbit), and each pop
-    finds the orbits of its row and column cells afresh.
+    ``sizes[j]`` counts the cells of C^j, ``rows[j]`` holds the sparse rows
+    of delta^j: C^j -> C^{j+1} (one per cell of C^{j+1}) and
+    ``pullbacks[j] = (perm, signs)`` gives sigma^# on C^j as
+    (sigma^# a)[s] = signs[s] * a[perm[s]].
+    """
+
+    p: int
+    sizes: tuple[int, ...]
+    rows: tuple[list[dict[int, int]], ...]
+    pullbacks: tuple[tuple[list[int], list[int]], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.sizes) - 1
+
+    @classmethod
+    def of_action(cls, action: GroupAction) -> "PermutationComplex":
+        """The simplicial cochains of *action*'s complex, unsubdivided."""
+        X = action.complex
+        degrees = range(X.dim + 1)
+        return cls(action.p, X.f_vector, tuple(X.coboundary_rows(j) for j in degrees[:-1]),
+                   tuple(pullback_permutation(action, j) for j in degrees))
+
+
+def horizontal_rows(C: PermutationComplex, i: int, j: int) -> list[dict[int, int]]:
+    """Sparse rows of K^{i,j} -> K^{i+1,j}: sigma^# - 1 for even i, the norm
+    1 + sigma^# + ... + (sigma^#)^{p-1} for odd i, walked along perm."""
+    perm, signs = C.pullbacks[j]
+    rows: list[dict[int, int]] = []
+    for s in range(len(perm)):
+        row, cur, sgn = {s: 1 if i % 2 else -1}, s, 1
+        for _ in range(C.p - 1 if i % 2 else 1):
+            sgn, cur = sgn * signs[cur], perm[cur]
+            row[cur] = row.get(cur, 0) + sgn
+        rows.append({c: v % C.p for c, v in row.items() if v % C.p})
+    return rows
+
+
+def borel_model(C: PermutationComplex) -> TransferredComplex:
+    """The double complex of C itself for ``BorelComplex``: delta mod p, and
+    epsilon as the only horizontal term (k = 0), as no homotopy enters."""
+    p = C.p
+    horizontal = {}
+    for a in (0, 1):
+        for j in range(C.dim + 1):
+            if block := {r: row for r, row in enumerate(horizontal_rows(C, a, j)) if row}:
+                horizontal[a, j, 0] = block
+    rows = tuple([{c: v % p for c, v in r.items() if v % p} for r in R] for R in C.rows)
+    return TransferredComplex(p, C.sizes, rows, horizontal)
+
+
+def unreduced_model(action: GroupAction) -> TransferredComplex:
+    """The Borel double complex on all of X's cochains: the test oracle of the transfer."""
+    return borel_model(PermutationComplex.of_action(action))
+
+
+def pairwise_signs(action: GroupAction, degree: int) -> list[int]:
+    """The signs of sigma^# on C^degree by counting the inverted vertex pairs of each simplex."""
+    perm_v = action.perm()
+    return [-1 if sum(perm_v[a] > perm_v[b] for a, b in combinations(s, 2)) % 2 else 1
+            for s in action.complex.simplices(degree)]
+
+
+def _block_delta(rows: list[dict[int, int]], B: dict, p: int) -> dict:
+    """delta on a block {cell: {label: value}}: row t of the result is sum_s delta[t, s] B[s]."""
+    out = {}
+    for t, row in enumerate(rows):
+        acc = {}
+        for s, e in row.items():
+            for m, x in B.get(s, {}).items():
+                acc[m] = acc.get(m, 0) + e * x
+        if acc := {m: r for m, v in acc.items() if (r := v % p)}:
+            out[t] = acc
+    return out
+
+
+def _block_sum(p: int, *terms) -> dict:
+    """sum of f * B over the (f, B) *terms*, reduced mod p, zero rows dropped."""
+    out = {}
+    for f, B in terms:
+        for t, col in B.items():
+            acc = out.setdefault(t, {})
+            for m, x in col.items():
+                acc[m] = acc.get(m, 0) + f * x
+    return {t: r for t, col in out.items() if (r := {m: y for m, v in col.items() if (y := v % p)})}
+
+
+def assert_retraction(X: SimplicialComplex, p: int):
+    """``Retraction(X, p)`` is a strong deformation retraction over F_p, checked
+    on the block of every basis cochain in each degree: pi iota = 1; iota and
+    pi are cochain maps between X's delta and the core's (the seeded rows on
+    the core's cells); 1 - iota pi = delta h + h delta; and h h = 0, h iota =
+    0 and pi h = 0.  The core's degree-0 cells are the seed vertices, and
+    iota of each is its component's indicator."""
+    R = Retraction(X, p)
+    core = R.core
+    local = [set(cells) for cells in core]
+    delta = [X.coboundary_rows(d) for d in range(X.dim)]
+    core_delta = [[{c: v for c, v in R.rows[d][t].items() if c in local[d]} if t in local[d + 1]
+                   else {} for t in range(X.n_simplices(d + 1))] for d in range(X.dim)]
+
+    def d_X(B, d):
+        return _block_delta(delta[d], B, p) if d < X.dim else {}
+
+    def d_core(B, d):
+        return _block_delta(core_delta[d], B, p) if d < X.dim else {}
+
+    def pi(B, d):
+        return R.project(B, d)[0]
+
+    def h(B, d):
+        return R.project(B, d)[1] if 0 <= d <= X.dim else {}
+
+    if core:
+        comps = {frozenset(c) for c in R.components.values()}
+        assert len(comps) == len(core[0]) == len(X.connected_components())
+        assert 0 in core[0] and all(x in R.components[x] for x in core[0])
+    for d in range(X.dim + 1):
+        ident_core = {q: {q: 1} for q in core[d]}
+        ident = {q: {q: 1} for q in range(X.n_simplices(d))}
+        lifted = R.lift(ident_core, d)
+        assert pi(lifted, d) == ident_core, ("pi iota", d)
+        assert d_X(lifted, d) == R.lift(d_core(ident_core, d), d + 1) if d < X.dim else True, \
+            ("iota chain map", d)
+        assert pi(d_X(ident, d), d + 1) == d_core(pi(ident, d), d) if d < X.dim else True, \
+            ("pi chain map", d)
+        hB = h(ident, d)
+        assert _block_sum(p, (1, ident), (-1, R.lift(pi(ident, d), d))) \
+            == _block_sum(p, (1, d_X(hB, d - 1) if d else {}), (1, h(d_X(ident, d), d + 1))), \
+            ("1 - iota pi = delta h + h delta", d)
+        assert not h(hB, d - 1), ("h h", d)
+        assert not h(lifted, d), ("h iota", d)
+        assert not (pi(hB, d - 1) if d else {}), ("pi h", d)
+
+
+def reduced_per_cell(C: PermutationComplex) -> PermutationComplex:
+    """C reduced by G-stable pairs: a G-stable coreduction, then a Markowitz heap.
+
+    ``coreduce_with_cancel`` with G's permutations seeds a G-fixed vertex
+    and cancels orbits of unit pivots.  The heap then cancels G-stable pairs
+    (tau in C^{j+1}, s in C^j) by Schur complements on delta: two fixed
+    cells, or two free orbits where row tau meets orbit(s) only at s; never a
+    fixed cell against a free orbit.  Pairs go cheapest Markowitz cost (row
+    length - 1) * (column length - 1) first; every entry of delta has a heap
+    entry, and each pop finds the orbits of its row and column cells afresh.
+    The result is an F_p[G]-complex chain homotopy equivalent to C, the
+    route the transfer replaced.
     """
     p, top = C.p, C.dim
     rows = [[{c: v % p for c, v in r.items() if v % p} for r in R] for R in C.rows]
     perms = [perm for perm, _ in C.pullbacks]
-    rows, alive, *_ = simplicial.coreduce(rows, C.sizes, perms)
+    rows, alive, *_ = coreduce_with_cancel(rows, C.sizes, perms)
     for j, R in enumerate(rows):
         live_rows, live_cols = alive[j + 1], alive[j]
         for t, r in enumerate(R):

@@ -10,22 +10,32 @@ from betticong import corpus
 from betticong.cli import parse
 from betticong.equivariant import (
     BorelComplex,
-    PermutationComplex,
+    Retraction,
+    TransferredComplex,
     equivariant_betti,
     group_cohomology_dims,
+    horizontal,
     localization_check,
 )
 from betticong.exactalg import GF
 from betticong.group_action import (
     induced_cohomology_action,
     make_regular,
+    pullback_permutation,
     tfr_decomposition,
     trivial_action,
 )
 from betticong.simplicial import SimplicialComplex
 
 from conftest import small_actions
-from oracles import cochain_pullback_matrix, reduced_per_cell
+from oracles import (
+    PermutationComplex,
+    borel_model,
+    cochain_pullback_matrix,
+    horizontal_rows,
+    reduced_per_cell,
+    unreduced_model,
+)
 
 
 def total_matrix_dense(K: BorelComplex, n: int) -> np.ndarray:
@@ -41,14 +51,19 @@ def total_matrix_dense(K: BorelComplex, n: int) -> np.ndarray:
 # double complex structure
 # ---------------------------------------------------------------------------
 
+def _models(a):
+    """The unreduced double complex and the transfer onto X's core."""
+    return BorelComplex(unreduced_model(a)), BorelComplex(TransferredComplex.of_action(a))
+
+
 def test_total_differential_squares_to_zero():
     for a in (corpus.sphere_rotation(3), corpus.free_polygon_action(5)):
-        K = BorelComplex(PermutationComplex.of_action(a))
-        for n in range(a.complex.dim + 3):
-            D1 = total_matrix_dense(K, n)
-            D2 = total_matrix_dense(K, n + 1)
-            prod = (D2.astype(object) @ D1.astype(object)) % K.p
-            assert not np.any(prod)
+        for K in _models(a):
+            for n in range(a.complex.dim + 3):
+                D1 = total_matrix_dense(K, n)
+                D2 = total_matrix_dense(K, n + 1)
+                prod = (D2.astype(object) @ D1.astype(object)) % K.p
+                assert not np.any(prod)
 
 
 def rows_to_dense(rows, ncols, p):
@@ -59,17 +74,31 @@ def rows_to_dense(rows, ncols, p):
     return M
 
 
+def _epsilon_dense(a, j: int, odd: bool) -> np.ndarray:
+    """``horizontal`` on the block of every basis cochain of C^j, as a matrix."""
+    perm, signs = pullback_permutation(a, j)
+    inverse = [0] * len(perm)
+    for s, t in enumerate(perm):
+        inverse[t] = s
+    M = np.zeros((len(perm), len(perm)), dtype=np.int64)
+    for t, col in horizontal({s: {s: 1} for s in range(len(perm))}, signs, inverse,
+                             odd, a.p).items():
+        for s, v in col.items():
+            M[t, s] = v
+    return M
+
+
 def test_norm_composes_to_zero_with_shift():
     a = corpus.sphere_rotation(3)
-    K = BorelComplex(PermutationComplex.of_action(a))
+    C = PermutationComplex.of_action(a)
     for j in range(3):
         n = a.complex.n_simplices(j)
-        gm1 = rows_to_dense(K.horizontal_rows(0, j), n, 3)
-        nm = rows_to_dense(K.horizontal_rows(1, j), n, 3)
+        gm1, nm = _epsilon_dense(a, j, False), _epsilon_dense(a, j, True)
         assert not np.any((nm.astype(object) @ gm1.astype(object)) % 3)
         assert not np.any((gm1.astype(object) @ nm.astype(object)) % 3)
-        # The sparse rows agree with the dense pullback matrix.
-        from betticong.exactalg import GF
+        # The blocks agree with the rows walked along perm and with the dense pullback matrix.
+        assert gm1.tolist() == rows_to_dense(horizontal_rows(C, 0, j), n, 3).tolist()
+        assert nm.tolist() == rows_to_dense(horizontal_rows(C, 1, j), n, 3).tolist()
         P = cochain_pullback_matrix(a, j, GF(3))
         assert gm1.tolist() == [[(x - (i == k)) % 3 for k, x in enumerate(row)]
                                 for i, row in enumerate(P)]
@@ -77,10 +106,10 @@ def test_norm_composes_to_zero_with_shift():
 
 def test_stable_degree_matrices_coincide():
     a = corpus.sphere_rotation(3)
-    K = BorelComplex(PermutationComplex.of_action(a))
     d = a.complex.dim
-    assert K.total_differential_rows(d) == K.total_differential_rows(d + 2)
-    assert K.total_differential_rows(d + 1) == K.total_differential_rows(d + 3)
+    for K in _models(a):
+        assert K.total_differential_rows(d) == K.total_differential_rows(d + 2)
+        assert K.total_differential_rows(d + 1) == K.total_differential_rows(d + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +217,11 @@ def test_e2bar_matches_tfr_on_samples():
 
 
 # ---------------------------------------------------------------------------
-# the reduced model against the unreduced and the subdivided ones
+# the transfer onto X's core against the unreduced, subdivided and heap models
 # ---------------------------------------------------------------------------
 
-def _borel_dims(C: PermutationComplex, degrees) -> list[int]:
-    K = BorelComplex(C)
+def _borel_dims(model, degrees) -> list[int]:
+    K = BorelComplex(model)
     return [K.cohomology_dim(n) for n in degrees]
 
 
@@ -217,107 +246,126 @@ def _assert_permutation_complex(C: PermutationComplex):
             assert not np.any((D[j + 1] @ Dj) % p)
 
 
-def _check_reduction(action) -> PermutationComplex:
-    """The reduced model is a permutation complex with the unreduced H^*_G."""
-    C = PermutationComplex.of_action(action)
-    R = C.reduced()
-    assert R.p == C.p and R.dim == C.dim
-    assert all(r <= c for r, c in zip(R.sizes, C.sizes))
-    _assert_permutation_complex(R)
-    degrees = range(C.dim + 3)
-    assert _borel_dims(R, degrees) == _borel_dims(C, degrees)
-    return R
+def _assert_squares_to_zero(K: BorelComplex, degrees):
+    """D'_{n+1} D'_n = 0 over F_p, on the sparse rows."""
+    p = K.p
+    for n in degrees:
+        lower = K.total_differential_rows(n)
+        for row in K.total_differential_rows(n + 1):
+            out = {}
+            for c, v in row.items():
+                for m, x in lower[c].items():
+                    out[m] = (out.get(m, 0) + v * x) % p
+            assert not any(out.values()), n
+
+
+def _check_transfer(action) -> TransferredComplex:
+    """The transfer onto X's core is a complex no larger than X's cochains,
+    with the unreduced H^*_G."""
+    T = TransferredComplex.of_action(action)
+    assert T.p == action.p and T.dim == action.complex.dim
+    assert all(r <= c for r, c in zip(T.sizes, action.complex.f_vector))
+    degrees = range(T.dim + 4)
+    _assert_squares_to_zero(BorelComplex(T), degrees)
+    assert _borel_dims(T, degrees) == _borel_dims(unreduced_model(action), degrees)
+    return T
 
 
 def test_reduction_keeps_borel_dims_on_the_corpus():
     for a in corpus.corpus_actions().values():
-        _check_reduction(a)
-    # The reduction is not the identity: the S^2 x S^2 rotations keep 16 of
-    # 2812 and 32 of 4396 cells.
-    for p, sizes in ((3, (2, 3, 5, 3, 3)), (7, (2, 7, 9, 7, 7))):
-        assert PermutationComplex.of_action(corpus.s2xs2_rotation(p)).reduced().sizes == sizes
+        _check_transfer(a)
+    # The core is X's, vertex 0 kept: the S^2 x S^2 rotations keep 4 of 2812
+    # and of 4396 cells, where the G-stable reduction kept 16 and 32.
+    for p in (3, 7):
+        assert TransferredComplex.of_action(corpus.s2xs2_rotation(p)).sizes == (1, 0, 2, 0, 1)
 
 
 def test_reduction_seeds_a_fixed_vertex_in_each_component():
-    """RP^2 disjoint from a torus under the trivial Z/3 has fixed vertices in
-    both components; each component's indicator seeds the coreduction, and
-    the model keeps only the F_3 cohomology (2, 2, 1)."""
+    """RP^2 disjoint from a torus under the trivial Z/3: each component keeps
+    its seed vertex, whose lift is the component's indicator.  RP^2's core
+    stalls at 5/5 cells; the torus is seeded at its top."""
     X = SimplicialComplex.from_facets(
         [*(("x" + v for v in f) for f in corpus.rp2_six_vertex().simplex_labels(2)),
          *(("y" + v for v in f) for f in corpus.torus().simplex_labels(2))])
-    assert _check_reduction(trivial_action(X, 3)).sizes == (2, 2, 1)
+    assert _check_transfer(trivial_action(X, 3)).sizes == (2, 7, 6)
+    R = Retraction(X, 3)
+    lifted = R.lift({x: {x: 1} for x in R.core[0]}, 0)
+    index = X._simplex_index[0]
+    assert [{v for v, col in lifted.items() if x in col} for x in R.core[0]] \
+        == [{index[(v,)] for v in comp} for comp in X.connected_components()]
 
 
 def test_fixed_cells_never_cancel_against_free_orbits():
-    # The rotated triangle: sigma^# fixes the 2-cell (invariant, not
-    # pointwise fixed) and moves vertices and edges in free orbits, whose
-    # block is not monomial.  No G-stable pair exists, so nothing cancels.
+    """The rotated triangle: sigma^# fixes the 2-cell (invariant, not
+    pointwise fixed) and moves vertices and edges in free orbits, whose
+    block is not monomial.  The G-stable heap finds no pair and keeps all
+    7 cells; X's own core is one vertex."""
     a = corpus.disc_rotation()
     C = PermutationComplex.of_action(a)
-    assert C.reduced().sizes == C.sizes
+    assert reduced_per_cell(C).sizes == C.sizes
+    assert _check_transfer(a).sizes == (1, 0, 0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_actions())
 def test_reduced_and_subdivided_models_agree(a):
-    R = _check_reduction(a)
+    T = _check_transfer(a)
     degrees = range(a.complex.dim + 3)
-    reg = make_regular(a)
-    R_sd = PermutationComplex.of_action(reg).reduced()
-    _assert_permutation_complex(R_sd)
-    assert _borel_dims(R_sd, degrees) == _borel_dims(R, degrees)
+    assert _borel_dims(_check_transfer(make_regular(a)), degrees) == _borel_dims(T, degrees)
 
 
-def test_orbit_heap_pivots_off_the_least_cell_of_a_column_orbit():
+def test_per_cell_heap_cancels_free_orbits_that_no_count_reaches():
     """Z/3 on C^1 = A + E and C^2 = B + D, four free orbits, with delta(b_i) =
     a_{i+1} + e_{i+1} and delta(d_i) = a_{i+1} + 2 e_{i+1}: acyclic, yet no
-    count is 1, so the coreduction stops at once.  Every entry of a row
-    b_0 or d_0 lies off the least cell of its column's orbit; the heap
-    still cancels both pairs of orbits."""
+    count is 1, so the coreduction stops at once.  The heap oracle still
+    cancels both pairs of orbits, and keeps the Borel dimensions."""
     shift = [1, 2, 0, 4, 5, 3]  # a_i -> a_{i+1}, e_i -> e_{i+1}; likewise b, d
     delta = [{(i + 1) % 3: 1, 3 + (i + 1) % 3: c} for c in (1, 2) for i in range(3)]
     C = PermutationComplex(3, (0, 6, 6), ([{}] * 6, delta),
                            (([], []), (shift, [1] * 6), (shift, [1] * 6)))
     _assert_permutation_complex(C)
-    assert C.reduced().sizes == reduced_per_cell(C).sizes == (0, 0, 0)
+    R = reduced_per_cell(C)
+    assert R.sizes == (0, 0, 0)
+    assert _borel_dims(borel_model(R), range(5)) == _borel_dims(borel_model(C), range(5)) == [0] * 5
 
 
-def _assert_reduced_as_per_cell(C: PermutationComplex):
-    """The heap with one entry per orbit reduces C to the sizes and the Borel
-    dimensions of the heap with one entry per nonzero entry."""
-    R, want = C.reduced(), reduced_per_cell(C)
-    assert R.sizes == want.sizes
-    degrees = range(C.dim + 3)
-    assert _borel_dims(R, degrees) == _borel_dims(want, degrees)
+def _assert_transfer_as_per_cell(a):
+    """The transfer has the Borel dimensions of the G-stable heap's model."""
+    C = PermutationComplex.of_action(a)
+    H = reduced_per_cell(C)
+    _assert_permutation_complex(H)
+    degrees = range(C.dim + 4)
+    assert _borel_dims(TransferredComplex.of_action(a), degrees) \
+        == _borel_dims(borel_model(H), degrees)
 
 
-def test_orbit_heap_matches_the_per_cell_heap_on_the_corpus(s4_document):
+def test_transfer_matches_the_per_cell_heap_on_the_corpus(s4_document):
     for a in corpus.corpus_actions().values():
-        _assert_reduced_as_per_cell(PermutationComplex.of_action(a))
+        _assert_transfer_as_per_cell(a)
     s4 = parse(s4_document(9)).actions["rot"]
     for a in (s4, make_regular(s4)):
-        _assert_reduced_as_per_cell(PermutationComplex.of_action(a))
+        _assert_transfer_as_per_cell(a)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_actions())
-def test_orbit_heap_matches_the_per_cell_heap_on_small_actions(a):
-    _assert_reduced_as_per_cell(PermutationComplex.of_action(a))
-    _assert_reduced_as_per_cell(PermutationComplex.of_action(make_regular(a)))
+def test_transfer_matches_the_per_cell_heap_on_small_actions(a):
+    _assert_transfer_as_per_cell(a)
+    _assert_transfer_as_per_cell(make_regular(a))
 
 
 def test_s4_document_models_agree(s4_document):
     """The benchmark's non-regular S^4: 284 cells unsubdivided, 27,614 after."""
     a = parse(s4_document(9)).actions["rot"]
     d = a.complex.dim
-    R = _check_reduction(a)
-    assert R.sizes == (1, 0, 1, 3, 3)
-    assert _borel_dims(R, range(d + 3)) == [1, 1, 1, 1, 2, 2, 2]
-    C_sd = PermutationComplex.of_action(make_regular(a))
+    T = _check_transfer(a)
+    assert T.sizes == (1, 0, 0, 0, 1)
+    assert _borel_dims(T, range(d + 3)) == [1, 1, 1, 1, 2, 2, 2]
+    sd = make_regular(a)
+    C_sd = unreduced_model(sd)
     assert sum(C_sd.sizes) == 27614
-    R_sd = C_sd.reduced()
-    _assert_permutation_complex(R_sd)
     # The unreduced subdivided model only in the stable degrees.
     stable = [d + 1, d + 2]
-    assert _borel_dims(C_sd, stable) == _borel_dims(R_sd, stable) == [2, 2]
+    assert _borel_dims(C_sd, stable) == _borel_dims(TransferredComplex.of_action(sd), stable) \
+        == [2, 2]
     assert localization_check(a) == {"stable_dims": [2, 2], "fixed_total": 2, "ok": True}

@@ -42,6 +42,7 @@ from oracles import (
     dense as dense_vector,
     dense_cup,
     dense_pullback,
+    pairwise_signs,
     power_map,
     simplex_orbits,
     subdivided_map,
@@ -160,6 +161,27 @@ def test_orbit_walks_read_the_simplex_permutation_without_signs():
         for d in range(X.dim + 1):
             perm = group_action.simplex_permutation(action, d)
             assert pullback_permutation(action, d)[0] is perm
+
+
+def _assert_signs_are_pairwise(action):
+    for d in range(action.complex.dim + 1):
+        assert pullback_permutation(action, d)[1] == pairwise_signs(action, d), d
+
+
+def test_pullback_signs_match_the_pairwise_count_on_the_corpus():
+    """The sign of each simplex, the parity of the one sort of its vertex
+    image, is the parity of its inverted vertex pairs; also on the powers."""
+    for action in corpus.corpus_actions().values():
+        _assert_signs_are_pairwise(action)
+        X = action.complex
+        _assert_signs_are_pairwise(group_action.GroupAction(X, action.p, power_map(action, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_actions())
+def test_pullback_signs_match_the_pairwise_count_on_small_actions(action):
+    _assert_signs_are_pairwise(action)
+    _assert_signs_are_pairwise(make_regular(action))
 
 
 def test_validate_p2_rejected():

@@ -18,7 +18,7 @@ from betticong.group_action import (
     trivial_action,
     validate_action,
 )
-from betticong.equivariant import PermutationComplex, localization_check
+from betticong.equivariant import BorelComplex, TransferredComplex, localization_check
 from betticong.pd_algebra import (
     Differential,
     _single_generator_model,
@@ -40,13 +40,18 @@ from betticong.simplicial import SimplicialComplex, join, link, product, suspens
 
 from conftest import small_actions
 from oracles import (
+    PermutationComplex,
     assert_coreduce_matches_oracle,
     assert_gstar_conjugate,
     assert_lift_and_projection,
     assert_pairings_congruent,
+    assert_retraction,
+    borel_model,
     dense,
+    reduced_per_cell,
     sparse,
     top_seeds,
+    unreduced_model,
 )
 
 
@@ -526,28 +531,18 @@ def _assert_coreduce_matches_oracle(X: SimplicialComplex):
     assert_coreduce_matches_oracle([X.coboundary_rows(d) for d in range(X.dim)], X.f_vector)
 
 
-def _assert_borel_coreduce_matches_oracle(action):
-    """The same with G's permutations, on the rows that the Borel model
-    (``PermutationComplex.reduced``) hands to ``coreduce``."""
-    K = PermutationComplex.of_action(action)
-    rows = [[{c: v % K.p for c, v in r.items() if v % K.p} for r in R] for R in K.rows]
-    assert_coreduce_matches_oracle(rows, K.sizes, [perm for perm, _ in K.pullbacks])
-
-
 def test_coreduce_cancels_the_pairs_of_the_plain_queue():
     """The inlined queue of ``simplicial.coreduce`` cancels the pairs of the
     plain one with a nested ``cancel`` (``oracles.coreduce_with_cancel``),
     in the same order, and leaves the same rows and live cells: on every
-    corpus complex, L(3,1), the top-seed cases and the empty complex, and
-    with G's permutations on the Borel model of every corpus action."""
+    corpus complex, L(3,1), the top-seed cases, RP^2 beside a disc and the
+    empty complex."""
     actions = list(corpus.corpus_actions().values())
     fixtures = [corpus.full_triangle(), suspension(corpus.rp2_six_vertex()), corpus.one_point(),
-                SimplicialComplex.empty()]
+                _rp2_beside_a_disc(), SimplicialComplex.empty()]
     fixtures += [X for X, _, _ in _top_seed_cases().values()]
     for X in [a.complex for a in actions] + fixtures:
         _assert_coreduce_matches_oracle(X)
-    for action in actions:
-        _assert_borel_coreduce_matches_oracle(action)
 
 
 @settings(max_examples=40, deadline=None)
@@ -560,7 +555,39 @@ def test_coreduce_cancels_the_pairs_of_the_plain_queue_on_pure_complexes(X):
 @given(small_actions())
 def test_coreduce_cancels_the_pairs_of_the_plain_queue_on_small_actions(action):
     _assert_coreduce_matches_oracle(action.complex)
-    _assert_borel_coreduce_matches_oracle(action)
+
+
+def _rp2_beside_a_disc() -> SimplicialComplex:
+    """RP^2 (vertex 0, seeded first) beside a disc that collapses to a later seed."""
+    return _disjoint(corpus.rp2_six_vertex(), join(corpus.polygon(5), corpus.one_point()))
+
+
+def test_the_coreduction_is_a_strong_deformation_retraction():
+    """``equivariant.Retraction`` over F_3 and F_5: pi iota = 1, iota and pi
+    are cochain maps, 1 - iota pi = delta h + h delta, and h h = 0, h iota = 0
+    and pi h = 0 (``oracles.assert_retraction``).  On the corpus complexes,
+    the top-seed cases (L(3,1) among them) and RP^2 beside a disc, whose
+    disc keeps a later vertex seed: an edge cancelled before it has lost the
+    seed's column, so only the component's indicator lifts that seed to a
+    cocycle."""
+    X = _rp2_beside_a_disc()
+    live, down = X._coreduction()
+    later = [x for x in range(1, X.n_simplices(0)) if live[0][x]]
+    assert len(later) == 1 and any(later[0] in X.coboundary_rows(0)[t]
+                                   and later[0] not in X._cache["core rows"][0][t]
+                                   for t in down[1][0])
+    complexes = [X, *(a.complex for a in corpus.corpus_actions().values())]
+    complexes += [Y for name, (Y, _, _) in _top_seed_cases().items()
+                  if not name.startswith("S^2 x S^2")]  # as in the corpus
+    for Y in complexes:
+        for p in (3, 5):
+            assert_retraction(Y, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pure_complexes(), st.sampled_from([3, 5]))
+def test_the_coreduction_is_a_strong_deformation_retraction_on_pure_complexes(X, p):
+    assert_retraction(X, p)
 
 
 def test_top_seeded_routes_agree_with_the_full_rows():
@@ -744,6 +771,31 @@ def test_theorems_hold_on_pairwise_joins_of_the_p3_corpus_actions():
                     expected[i + k + 1] += x * y
             assert _reduced_betti(j.complex, field) == expected, (j, field)
     assert "FAIL" not in verdicts and verdicts.count("PASS") == 24
+
+
+def test_transfer_matches_the_oracles_on_pairwise_joins_of_the_p3_corpus_actions():
+    """The Borel dimensions of the transfer onto X's core, n = 0..dim+3, equal
+    those of the G-stable heap (``oracles.reduced_per_cell``) on the 36 joins
+    of ``test_theorems_hold_on_pairwise_joins_of_the_p3_corpus_actions``, and
+    those of the unreduced model on the joins below 1,000 cells."""
+    actions = [a for name, a in corpus.corpus_actions().items()
+               if a.p == 3 and name not in ("sphere_factor_p3", "s2xs2_rotation_p3")]
+    unreduced = 0
+    for a, b in combinations(actions, 2):
+        j = _join_action(a, b)
+        degrees = range(j.complex.dim + 4)
+        dims = _borel_dims(TransferredComplex.of_action(j), degrees)
+        assert dims == _borel_dims(borel_model(reduced_per_cell(PermutationComplex.of_action(j))),
+                                   degrees), j
+        if sum(j.complex.f_vector) < 1000:
+            unreduced += 1
+            assert dims == _borel_dims(unreduced_model(j), degrees), j
+    assert unreduced == 22
+
+
+def _borel_dims(model, degrees) -> list[int]:
+    K = BorelComplex(model)
+    return [K.cohomology_dim(n) for n in degrees]
 
 
 def test_hm_passes_on_joins_of_spheres():
