@@ -10,11 +10,11 @@ quasi-isomorphism of bounded complexes, which Hom over F_p[G] out of W keeps.
 The model runs on X's own core, by the basic perturbation lemma (R. Brown,
 "The twisted Eilenberg-Zilber theorem", 1965; M. Crainic, "On the
 perturbation lemma, and deformations", arXiv:math/0403266).  X's cached
-coreduction is a strong deformation retraction (iota, pi, h) of C^*(X; F_p)
-onto the core (``Retraction``): pi iota = 1 and 1 - iota pi = delta h + h
-delta, with the side conditions h h = 0, h iota = 0 and pi h = 0.  On
-column i the vertical differential is (-1)^i delta, retracted by h_tot =
-(-1)^i h, and epsilon perturbs it; the lemma transfers the total
+coreduction, ``simplicial.Retraction``, is a strong deformation retraction
+(iota, pi, h) of C^*(X; F_p) onto the core: pi iota = 1 and 1 - iota pi =
+delta h + h delta, with the side conditions h h = 0, h iota = 0 and pi h =
+0.  On column i the vertical differential is (-1)^i delta, retracted by
+h_tot = (-1)^i h, and epsilon perturbs it; the lemma transfers the total
 differential to
 
     D' = (-1)^i delta_core + sum_{k >= 0} (-1)^k pi epsilon (h_tot epsilon)^k iota
@@ -33,21 +33,7 @@ from itertools import accumulate
 from . import exactalg
 from .exactalg import GF
 from .group_action import GroupAction, fixed_set_cohomology, pullback_permutation
-from .simplicial import _lift
-
-
-# A block is a set of cochains held row-major, {cell: {label: value}}: each
-# walk below carries every cochain of a block in one pass over the pairs.
-
-def _axpy(y: dict, a: int, x: dict):
-    """y += a x, for sparse rows."""
-    get = y.get
-    for m, v in x.items():
-        y[m] = get(m, 0) + a * v
-
-
-def _reduced(y: dict, p: int) -> dict:
-    return {m: r for m, v in y.items() if (r := v % p)}
+from .simplicial import _axpy, _reduced
 
 
 def horizontal(B: dict, signs: list[int], inverse: list[int], odd: bool, p: int) -> dict:
@@ -62,88 +48,6 @@ def horizontal(B: dict, signs: list[int], inverse: list[int], odd: bool, p: int)
             s = inverse[s]
             f *= signs[s]
     return {t: r for t, col in out.items() if (r := _reduced(col, p))}
-
-
-class Retraction:
-    """X's coreduction as a strong deformation retraction of C^*(X; F_p) onto its core.
-
-    The core is the live cells, and in degree 0 every seed vertex, vertex 0
-    included (``_coreduction`` drops it for reduced cohomology only).  A
-    pair (tau, sigma) of degrees (d, d-1), u = delta[tau, sigma] = +-1, is
-    the elimination with iota v (sigma) = -u sum_{b != sigma} delta[tau, b]
-    v(b), pi v = v - u v(tau) delta e_sigma off tau, and h v = u v(tau)
-    e_sigma, an SDR; so is the composite, h = sum_k iota_{<k} h_k pi_{<k}.
-    A vertex seed x changes basis in degree 0: iota e_x is x's component's
-    indicator (a later seed has zeroed x's column in the rows cancelled
-    before it) and pi v (x) = v(x).  The top seeds' row operation M comes
-    first: pi and h read M v, and iota is M^-1 on the top core cells.
-    """
-
-    def __init__(self, X, p: int):
-        live, self.down = X._coreduction()
-        self.p, self.top, self.rows = p, X.dim, X._cache["core rows"]
-        self.eps, self.seeds = X._cache["orientation"]
-        self.core = [[q for q, a in enumerate(flags) if a or (d, q) == (0, 0)]
-                     for d, flags in enumerate(live)]
-        index = X._simplex_index.get(0, {})
-        comps = [[index[(v,)] for v in comp] for comp in X.connected_components()]
-        self.components = {x: cells for cells in comps for x in cells if x in self.core[0]}
-        # cols[d][sigma]: column sigma of delta^{d-1}, for each sigma cancelled
-        # upward by a d-cell, at the d-cells that a walk reads or keeps.
-        self.cols = [{}]
-        for d in range(1, self.top + 1):
-            (cells, partner), rows = self.down[d], self.rows[d - 1]
-            self.cols.append(cols := {partner[t]: {} for t in cells})
-            for a in (*self.core[d], *cells):
-                for s, e in rows[a].items():
-                    if s in cols:
-                        cols[s][a] = e
-
-    def lift(self, B: dict, j: int) -> dict:
-        """iota on a block of core cochains of degree j."""
-        if not j:
-            return {y: col for x, col in B.items() for y in self.components[x]}
-        if j < self.top:
-            return _lift(dict(B), self.down[j + 1], self.rows[j], self.p.__rmod__)
-        return self._seeded(dict(B), -1)
-
-    def project(self, B: dict, j: int) -> tuple[dict, dict]:
-        """(pi B, h B) for a block B of X's cochains of degree j.
-
-        One walk of the pairs (tau, sigma) of degrees (j, j-1), first first,
-        gives pi B and h's coefficients c(sigma) = u (pi_{<k} B)(tau); h B =
-        sum_k c(sigma_k) iota_{<k} e_sigma_k is their ``_lift`` along the
-        same pairs, last first.
-        """
-        p, W, c = self.p, {t: dict(col) for t, col in B.items()}, {}
-        if j == self.top:
-            self._seeded(W, 1)
-        if j:
-            (cells, partner), rows, cols = self.down[j], self.rows[j - 1], self.cols[j]
-            for tau in cells:
-                if (w := W.pop(tau, None)) and (w := _reduced(w, p)):
-                    sigma = partner[tau]
-                    u = rows[tau][sigma]
-                    c[sigma] = {m: u * x for m, x in w.items()}
-                    for a, e in cols[sigma].items():
-                        if a != tau:
-                            _axpy(W.setdefault(a, {}), -e * u, w)
-        h = _lift({}, self.down[j], self.rows[j - 1], p.__rmod__, c) if c else {}
-        return {q: r for q in self.core[j] if q in W and (r := _reduced(W[q], p))}, h
-
-    def _seeded(self, W: dict, f: int):
-        """M W for f = 1, M^-1 W for f = -1: W(tau) += f sum_{t != tau} eps_t W(t)
-        over each top seed tau's component."""
-        for tau, comp in self.seeds.items():
-            acc = dict(W.get(tau, {}))
-            for t in comp:
-                if t != tau and t in W:
-                    _axpy(acc, f * self.eps[t], W[t])
-            if acc := _reduced(acc, self.p):
-                W[tau] = acc
-            else:
-                W.pop(tau, None)
-        return W
 
 
 @dataclass(frozen=True)
@@ -172,27 +76,27 @@ class TransferredComplex:
         """Transfer the action's double complex onto X's core: each degree's core
         cells go as one block through iota, then epsilon, pi and h level by level."""
         X, p = action.complex, action.p
-        R = Retraction(X, p)
-        core = R.core
-        index = [{q: i for i, q in enumerate(cells)} for cells in core]
-        rows = tuple([{index[j][c]: r for c, v in R.rows[j][t].items() if c in index[j]
-                       and (r := v % p)} for t in core[j + 1]] for j in range(X.dim))
+        R = X._retraction()
+        core, index = R.core, R.index
+        rows = tuple([{c: r for c, v in row.items() if (r := v % p)} for row in delta]
+                     for delta in R.delta)
         pullbacks = [pullback_permutation(action, j) for j in range(X.dim + 1)]
         inverses = [sorted(range(len(perm)), key=perm.__getitem__) for perm, _ in pullbacks]
         terms = {}
         for j, cells in enumerate(core):
-            start = R.lift({q: {i: 1} for i, q in enumerate(cells)}, j)
+            start = R.lift({q: {i: 1} for i, q in enumerate(cells)}, j, p)
             for a in (0, 1):
                 V, sign = start, 1
                 for k in range(j + 1):
                     if not (V := horizontal(V, pullbacks[j - k][1], inverses[j - k], (a + k) % 2, p)):
                         break
-                    P, V = R.project(V, j - k)
+                    P, V = R.project(V, j - k, p)
                     if P:
                         terms[a, j, k] = {index[j - k][q]: {m: sign * x % p for m, x in col.items()}
                                           for q, col in P.items()}
                     if (a + k) % 2:  # h_tot = (-1)^(a+k+1) h, and (-1)^(k+1) on the next term
                         sign = -sign
+        vars(R).pop("cols", None)  # X keeps its retraction, not the columns this transfer read
         return cls(p, tuple(map(len, core)), rows, terms)
 
 

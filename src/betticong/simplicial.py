@@ -10,9 +10,12 @@ bases) is cached on the instance.
 
 from __future__ import annotations
 
+import operator
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, permutations, repeat
 
 from . import exactalg
@@ -246,7 +249,7 @@ def _lift(B: dict, pairs, up, reduce, c=None) -> dict:
     sigma = partner[tau] in B's degree, and *up* the rows of delta out of it.
     Walked last pair first, each sets B(sigma) = c(sigma) - u sum_{b !=
     sigma} delta[tau, b] B(b), u = delta[tau, sigma] = +-1, in place; c is 0
-    but in ``equivariant.Retraction``'s homotopy.
+    but in ``Retraction.project``'s homotopy.
     """
     (cells, partner), c = pairs, c or {}
     for tau in reversed(cells):  # sigma is not set yet, so not in B
@@ -263,33 +266,187 @@ def _lift(B: dict, pairs, up, reduce, c=None) -> dict:
     return B
 
 
-def _pull_back(z: dict[int, int], pairs, faces, reduce) -> dict[int, int]:
-    """The functional z o pi on X's cochains, for z (sparse) on the core's cells.
+# A block holds cochains row-major, {cell: {label: value}}: one walk over the pairs
+# carries them all.  p is a prime, or 0 for integers: the retraction is integral,
+# and over Q it runs on integer multiples.
 
-    pi v = (v - delta c) on the core, c(sigma) = u (v - delta c)(tau) over
-    the earlier *pairs* (as in ``_lift``, tau in z's degree, *faces* the
-    rows of the coboundary into it): c = (I + U A)^-1 U S v, S v = (v(tau)),
-    U = diag(u) and A[k, j] = delta[tau_k, sigma_j] strictly lower
-    triangular.  So z . pi v = z . v - y . c with y = delta^T z, and y . c
-    = sum_k u_k g_k v(tau_k) with g = (I + A^T U)^-1 y solved last pair
-    first: g_k is y(sigma_k) once every later pair j has pushed -delta[tau_j,
-    b] u_j g_j onto each face b of tau_j.
+def _axpy(y: dict, a: int, x: dict):
+    """y += a x, for sparse rows."""
+    get = y.get
+    for m, v in x.items():
+        y[m] = get(m, 0) + a * v
+
+
+def _reduced(y: dict, p: int) -> dict:
+    if p:
+        return {m: r for m, v in y.items() if (r := v % p)}
+    return {m: v for m, v in y.items() if v}
+
+
+def _mod(p: int):
+    return p.__rmod__ if p else operator.pos
+
+
+class Retraction:
+    """X's coreduction as a strong deformation retraction (iota, pi, h) of C^*(X) onto its core.
+
+    The only reader of ``coreduce``'s output.  The core is the ``live``
+    cells, every seed vertex included (without vertex 0 it would carry the
+    reduced cohomology), the top seeds first in the top degree;
+    ``delta[j]`` is its delta^j in core indices (``index[j]``), one row per
+    core cell of degree j+1: the live submatrix of the seeded coboundaries
+    ``rows``.  Cells neither live nor cancelled downward (``down``) were
+    cancelled upward.
+
+    A pair (tau, sigma) of degrees (d, d-1), u = delta[tau, sigma] = +-1 =
+    u^-1, is an elementary reduction: row tau or column sigma of the live
+    delta is u alone, so delta[a, sigma] delta[tau, b] = 0 for a != tau and
+    b != sigma, and the rest carries the submatrices of delta.  Its iota v
+    (sigma) = -u sum_{b != sigma} delta[tau, b] v(b) makes (delta iota
+    v)(tau) = 0, pi v = v - u v(tau) delta e_sigma off tau, and h v = u
+    v(tau) e_sigma: delta^2 = 0 and that unit alone give pi iota = 1, 1 -
+    iota pi = delta h + h delta, h h = 0, h iota = 0 and pi h = 0.  So does
+    the composite, h = sum_k iota_{<k} h_k pi_{<k}: iota walks the pairs of
+    degrees (j+1, j) last first (the cells of earlier pairs, not set yet,
+    are dead in that step, and their zeros keep its sums), pi those of
+    degrees (j, j-1) first first (X's full column delta e_sigma differs
+    from the live one only at dead cells, which no later step reads).  A
+    vertex seed x changes basis in degree 0: iota e_x is x's component's
+    indicator (a later seed has zeroed x's column in the rows cancelled
+    before it) and pi v (x) = v(x).  The top seeds' row operation M comes
+    first: pi and h read M v, iota is M^-1 on the top core cells, and
+    ``pull_back``, pi^T, ends with M^T.
+
+    ``components``, ``delta`` and ``cols`` are built when first read, so a
+    complex whose ranks alone are asked for pays for none of them; the
+    Borel transfer, which alone reads ``cols``, drops them when it is done.
     """
-    y: dict[int, int] = {}
-    for a, x in z.items():
-        for b, e in faces[a].items():
-            y[b] = y.get(b, 0) + e * x
-    out, (cells, partner) = dict(z), pairs
-    for tau in reversed(cells):
-        sigma = partner[tau]
-        g = reduce(y.get(sigma, 0))
-        if g:
-            row = faces[tau]
-            t = row[sigma] * g
-            out[tau] = reduce(-t)
-            for b, e in row.items():
-                y[b] = y.get(b, 0) - e * t
-    return out
+
+    def __init__(self, X: "SimplicialComplex"):
+        self.rows, self.live, self.down, (self.eps, self.seeds) = coreduce(
+            [X.coboundary_rows(d) for d in range(X.dim)], X.f_vector)
+        self.top, self._complex = X.dim, weakref.ref(X)  # X caches self
+
+    @cached_property
+    def core(self) -> list[list[int]]:
+        core = [[q for q, a in enumerate(flags) if a] for flags in self.live]
+        if self.seeds:
+            core[-1] = [*self.seeds, *(q for q in core[-1] if q not in self.seeds)]
+        return core
+
+    @cached_property
+    def index(self) -> list[dict[int, int]]:
+        return [{q: i for i, q in enumerate(cells)} for cells in self.core]
+
+    @cached_property
+    def delta(self) -> list[list[dict[int, int]]]:
+        return [[{index[c]: v for c, v in self.rows[j][t].items() if c in index}
+                 for t in self.core[j + 1]] for j, index in enumerate(self.index[:-1])]
+
+    @cached_property
+    def components(self) -> dict[int, list[int]]:
+        """Each seed vertex's component, as vertex cells: iota e_x."""
+        X = self._complex()
+        index = X._simplex_index.get(0, {})
+        comps = [[index[(v,)] for v in comp] for comp in X.connected_components()]
+        return {x: cells for cells in comps for x in cells if self.live[0][x]}
+
+    @cached_property
+    def cols(self) -> list[dict[int, dict[int, int]]]:
+        """cols[d][sigma]: column sigma of delta^{d-1}, for each sigma cancelled
+        upward by a d-cell, at the d-cells that ``project`` reads or keeps."""
+        out = [{}]
+        for d in range(1, self.top + 1):
+            (cells, partner), rows = self.down[d], self.rows[d - 1]
+            out.append(cols := {partner[t]: {} for t in cells})
+            for a in (*self.core[d], *cells):
+                for s, e in rows[a].items():
+                    if s in cols:
+                        cols[s][a] = e
+        return out
+
+    def lift(self, B: dict, j: int, p: int) -> dict:
+        """iota on a block B of core cochains of degree j."""
+        if not j:
+            return {y: col for x, col in B.items() for y in self.components[x]}
+        if j < self.top:
+            return _lift(dict(B), self.down[j + 1], self.rows[j], _mod(p))
+        return self._seeded(dict(B), -1, p)
+
+    def project(self, B: dict, j: int, p: int) -> tuple[dict, dict]:
+        """(pi B, h B) for a block B of X's cochains of degree j.
+
+        One walk of the pairs (tau, sigma) of degrees (j, j-1), first first,
+        gives pi B and h's coefficients c(sigma) = u (pi_{<k} B)(tau); h B =
+        sum_k c(sigma_k) iota_{<k} e_sigma_k is their ``_lift`` along the
+        same pairs, last first.
+        """
+        W, c = {t: dict(col) for t, col in B.items()}, {}
+        if j == self.top:
+            self._seeded(W, 1, p)
+        if j:
+            (cells, partner), rows, cols = self.down[j], self.rows[j - 1], self.cols[j]
+            for tau in cells:
+                if (w := W.pop(tau, None)) and (w := _reduced(w, p)):
+                    sigma = partner[tau]
+                    u = rows[tau][sigma]
+                    c[sigma] = {m: u * x for m, x in w.items()}
+                    for a, e in cols[sigma].items():
+                        if a != tau:
+                            _axpy(W.setdefault(a, {}), -e * u, w)
+        h = _lift({}, self.down[j], self.rows[j - 1], _mod(p), c) if c else {}
+        return {q: r for q in self.core[j] if q in W and (r := _reduced(W[q], p))}, h
+
+    def pull_back(self, z: dict[int, int], j: int, p: int) -> dict[int, int]:
+        """pi^T: z o pi on X's cochains of degree j >= 1, for z sparse on the core's cells.
+
+        Off M, pi v = (v - delta c) on the core, c(sigma) = u (v - delta
+        c)(tau) over the pairs of degrees (j, j-1): c = (I + U A)^-1 U S v,
+        S v = (v(tau)), U = diag(u) and A[k, i] = delta[tau_k, sigma_i]
+        strictly lower triangular.  So z . pi v = z . v - y . c with y =
+        delta^T z, and y . c = sum_k u_k g_k v(tau_k) with g = (I + A^T
+        U)^-1 y solved last pair first: g_k is y(sigma_k) once every later
+        pair i has pushed -delta[tau_i, b] u_i g_i onto each face b of
+        tau_i.  In the top degree M^T follows: (M^T w)(t) = w(t) + eps_t
+        w(tau) over each top seed tau's component.
+        """
+        reduce, faces, y = _mod(p), self.rows[j - 1], {}
+        for a, x in z.items():
+            for b, e in faces[a].items():
+                y[b] = y.get(b, 0) + e * x
+        out, (cells, partner) = dict(z), self.down[j]
+        for tau in reversed(cells):
+            sigma = partner[tau]
+            g = reduce(y.get(sigma, 0))
+            if g:
+                row = faces[tau]
+                t = row[sigma] * g
+                out[tau] = reduce(-t)
+                for b, e in row.items():
+                    y[b] = y.get(b, 0) - e * t
+        if j == self.top:
+            for tau, comp in self.seeds.items():
+                if g := out.get(tau):
+                    for t in comp[1:]:  # comp[0] is tau
+                        if x := reduce(out.get(t, 0) + self.eps[t] * g):
+                            out[t] = x
+                        else:
+                            out.pop(t, None)
+        return out
+
+    def _seeded(self, W: dict, f: int, p: int):
+        """M W for f = 1, M^-1 W for f = -1: W(tau) += f sum_{t != tau} eps_t W(t)
+        over each top seed tau's component."""
+        for tau, comp in self.seeds.items():
+            acc = dict(W.get(tau, {}))
+            for t in comp:
+                if t != tau and t in W:
+                    _axpy(acc, f * self.eps[t], W[t])
+            if acc := _reduced(acc, p):
+                W[tau] = acc
+            else:
+                W.pop(tau, None)
+        return W
 
 
 class SimplicialComplex:
@@ -373,6 +530,9 @@ class SimplicialComplex:
         return sum((-1) ** k * self.n_simplices(k) for k in range(self.dim + 1))
 
     def connected_components(self) -> list[set[int]]:
+        """The vertex sets of the components, by least vertex; cached, not to be modified."""
+        if "components" in self._cache:
+            return self._cache["components"]
         # Only vertices that are simplices count; a label can sit in the
         # declared order without being used by any facet.
         used = [s[0] for s in self.simplices(0)]
@@ -391,7 +551,8 @@ class SimplicialComplex:
         comps: dict[int, set[int]] = {}
         for v in used:
             comps.setdefault(find(v), set()).add(v)
-        return sorted(comps.values(), key=min)
+        self._cache["components"] = sorted(comps.values(), key=min)
+        return self._cache["components"]
 
     def is_pure(self) -> bool:
         return all(len(f) - 1 == self.dim for f in self.facets)
@@ -416,25 +577,11 @@ class SimplicialComplex:
             self._cache[key] = rows
         return self._cache[key]
 
-    def _coreduction(self) -> tuple[list[bytearray], list[tuple]]:
-        """Per degree, the live cells (flags) and the cells cancelled downward, with their partners.
-
-        ``coreduce``, then vertex 0, the first seed, goes against the
-        augmentation: the live cells (the core) carry submatrices of the
-        coboundaries in the seeded bases (M delta^{d-1} in the top degree d,
-        M the top seeds' row operation), a cochain complex with the reduced
-        cohomology of X over every ring.  Cells
-        neither live nor cancelled downward were cancelled upward.  The top
-        seeds are the live d-cells whose seeded row is empty; their components
-        and the walk's orientation, kept as ``"orientation"``, give their H^d.
-        """
-        if "core" not in self._cache:
-            rows, live, down, self._cache["orientation"] = coreduce(
-                [self.coboundary_rows(d) for d in range(self.dim)], self.f_vector)
-            if live:
-                live[0][0] = 0
-            self._cache["core"], self._cache["core rows"] = (live, down), rows
-        return self._cache["core"]
+    def _retraction(self) -> Retraction:
+        """X's coreduction (``Retraction``), built once."""
+        if "retraction" not in self._cache:
+            self._cache["retraction"] = Retraction(self)
+        return self._cache["retraction"]
 
     def _reduced_rows(self, k: int) -> list[dict[int, int]]:
         """delta^k after the coreduction's unit pivots, in X's own row and column indices.
@@ -447,11 +594,11 @@ class SimplicialComplex:
         """
         if k >= self.dim:
             return self.coboundary_rows(k)
-        live, down = self._coreduction()
-        partner, live_rows, live_cols = down[k + 1][1], live[k + 1], live[k]
+        R = self._retraction()
+        partner, live_rows, live_cols = R.down[k + 1][1], R.live[k + 1], R.live[k]
         return [{s: row[s]} if (s := partner[q]) >= 0
                 else {c: v for c, v in row.items() if live_cols[c]} if live_rows[q] else {}
-                for q, row in enumerate(self._cache["core rows"][k])]
+                for q, row in enumerate(R.rows[k])]
 
     def _coboundary_rank(self, k: int, field) -> int:
         """rank delta^k over *field*, read off the Smith divisors once they exist; uncached."""
@@ -532,57 +679,21 @@ class SimplicialComplex:
         one cocycle of X per class; ``express(v)`` gives the coefficients
         (a list) of v's class, raising ValueError unless delta^i v = 0 on
         X's rows of delta^i.  Where b_i = 0 (from the cached ranks)
-        nothing is eliminated.  The core carries reduced cohomology, so
-        degree 0 is read off the components: one indicator cocycle per entry
-        of ``connected_components``, in that order, whose dual vector is the
-        value at the component's least vertex.  No elimination runs.
+        nothing is eliminated.  Degree 0 is read off the components: one
+        indicator cocycle per entry of ``connected_components``, in that
+        order, whose dual vector is the value at the component's least
+        vertex.  No elimination runs.
 
         For i >= 1 the one sparse engine, ``exactalg.Subquotient``, runs on
-        the core (see ``_coreduction``): ker delta^i modulo the columns of
-        delta^{i-1}, both live submatrices.  Its classes are lifted to X
-        (``_lift``), and its dual vectors composed with the projection to
-        the core (``_pull_back``), so ``express`` is the core's on pi v.
-        The coreduction is a sequence of elementary reductions: K' is K less
-        a pair (tau, sigma) of degrees (d, d-1), u = delta[tau, sigma] = +-1
-        = u^-1, where row tau or column sigma of K's delta is u alone, so
-        delta[a, sigma] delta[tau, b] = 0 for a != tau, b != sigma and K'
-        carries the submatrices of delta.  Let iota: C(K') -> C(K) be the
-        identity but at sigma, iota v (sigma) = -u sum_{b != sigma}
-        delta[tau, b] v(b), so that (delta iota v)(tau) = 0; and pi: C(K) ->
-        C(K') the restriction but in degree d, pi v = v - v(tau) u delta
-        e_sigma off tau.  Then pi iota = id: iota changes only sigma, which
-        pi drops, and iota v (tau) = 0.  Both are cochain maps:
-
-        - into sigma's degree: iota delta' w (sigma) = -u sum_{b != sigma}
-          delta[tau, b] (delta w)(b) = (delta w)(sigma), as (delta delta
-          w)(tau) = 0;
-        - out of it, off tau: (delta iota v)(a) - (delta' v)(a) = delta[a,
-          sigma] iota v (sigma) = 0 (a row tau that is u alone makes iota v
-          (sigma) = 0), and pi delta v (a) - delta' pi v (a) = delta[a,
-          sigma] (v(sigma) - u (delta v)(tau)) = 0 the same way;
-        - out of tau's degree: (delta' pi v)(c) = (delta v)(c) - delta[c,
-          tau] v(tau) - u v(tau) sum_{a != tau} delta[c, a] delta[a,
-          sigma], and delta^2 = 0 makes that sum -delta[c, tau] u.
-
-        X and the core have the same cohomology in degree i >= 1, so H(iota)
-        and H(pi) are inverse isomorphisms.  Composed, the lift walks the
-        pairs of degrees (i+1, i) last first: the cells not yet set, of
-        earlier pairs, are dead in that step's K, and their zeros keep its
-        sums.  The projection walks the pairs of degrees (i, i-1) first
-        first; X's full column delta e_sigma differs from K's only at dead
-        cells, which no later step reads.  A seed changes the basis of C^0
-        at no partner.
-
-        In the top degree d, delta^{d-1} is block diagonal over the
-        components of d-cells, and so is the core's.  A top seed tau's
-        component (walked with eps, eps_tau = 1) has H^d spanned by e_tau:
-        each face s there lies on two cells t, u with eps_t delta[t, s] +
-        eps_u delta[u, s] = 0, so the fundamental cycle w(v) = sum_t eps_t
-        v(t) vanishes on delta e_s, and a functional on the block that does
-        is a multiple of w.  So w is e_tau's dual.  The other components take
-        the route above on their live d-cells alone: an elementary reduction
-        keeps H^d and changes one block, so it keeps each block's H^d, and
-        the lifts and projections there stay off the seeded components.
+        the core (``Retraction.delta``): ker delta^i modulo the columns of
+        delta^{i-1}.  The retraction is a homotopy equivalence, so iota and
+        pi are inverse isomorphisms on H^i: each class is lifted to X by
+        iota (``Retraction.lift``) and each dual vector z becomes z o pi
+        (``Retraction.pull_back``), so ``express`` is the core's on pi v.
+        In the top degree d each top seed tau has an empty row in the
+        core's delta^{d-1}, so its class e_tau comes first, with the dual
+        e_tau, which M^T pulls back to the fundamental cycle of tau's
+        component.
         """
         key = ("basis", field.name, degree)
         if key not in self._cache:
@@ -600,43 +711,24 @@ class SimplicialComplex:
         return self._cache[key]
 
     def _core_basis(self, field, i: int) -> tuple[list[dict], list[dict]]:
-        """(basis, duals) of H^i (i >= 1): the top seeds', then the core's carried to X."""
-        live, down = self._coreduction()
-        rows = self._cache["core rows"]
-        cells = [[q for q, a in enumerate(flags) if a] for flags in live[i - 1: i + 1]]
-        # Top degree: e_tau at each top seed, dual to its component's fundamental cycle.
-        eps, seeds = self._cache["orientation"] if i == self.dim else ((), {})
-        basis = [{tau: 1} for tau in seeds]
-        duals = [{t: field.reduce(eps[t]) for t in comp} for comp in seeds.values()]
-        seeded = set().union(*seeds.values())
-        cells[1] = [t for t in cells[1] if t not in seeded]
-        if not cells[1]:
-            return basis, duals
-        index = [{c: j for j, c in enumerate(cs)} for cs in cells]
-        # Image of the core's delta^{i-1} in C^i: the columns of its rows.
-        image = exactalg.transpose_rows(
-            [{index[0][c]: v for c, v in rows[i - 1][a].items() if c in index[0]} for a in cells[1]],
-            len(cells[0]))
-        kernel, up = [], (((), ()), [])  # no pairs above the top degree
-        if i < self.dim:
-            up = (down[i + 1], rows[i])
-            kernel = [{index[1][c]: v for c, v in row.items() if c in index[1]}
-                      for q, row in enumerate(rows[i]) if live[i + 1][q]]
-        core = exactalg.Subquotient(kernel, image, field, len(cells[1]))
+        """(basis, duals) of H^i (i >= 1): the core's, carried to X by iota and pi^T."""
+        R, p = self._retraction(), field.char
+        cells = R.core[i]
+        core = exactalg.Subquotient(R.delta[i] if i < self.dim else [],
+                                    exactalg.transpose_rows(R.delta[i - 1], len(R.core[i - 1])),
+                                    field, len(cells))
 
-        def lift(v: dict, pairs, up, reduce) -> dict:  # one cochain, as a block
-            return {c: col[0] for c, col in _lift({c: {0: x} for c, x in v.items()}, pairs, up,
-                                                   reduce).items()}
-
-        def carry(move, values: dict, pairs, rows_of) -> dict:
+        def carry(move, values: dict) -> dict:
             # On the integer multiple; residues over F_p have m = 1.
-            m, v = exactalg.int_multiple({cells[1][j]: x for j, x in values.items()})
-            v = move(v, pairs, rows_of, field.reduce)
+            m, v = exactalg.int_multiple({cells[j]: x for j, x in values.items()})
+            v = move(v)
             return v if m == 1 else {c: Fraction(x, m) for c, x in v.items()}
 
-        basis += [carry(lift, row, *up) for row in core.basis]
-        duals += [carry(_pull_back, z, down[i], rows[i - 1]) for z in core.duals]
-        return basis, duals
+        def lift(v: dict) -> dict:  # one cochain, as a block
+            return {c: col[0] for c, col in R.lift({c: {0: x} for c, x in v.items()}, i, p).items()}
+
+        return ([carry(lift, v) for v in core.basis],
+                [carry(lambda z: R.pull_back(z, i, p), z) for z in core.duals])
 
     def cup_cochain(self, field, i: int, j: int, a: dict, b: dict) -> dict:
         """Front-face/back-face cup product of sparse cochains a in C^i, b in C^j: sparse

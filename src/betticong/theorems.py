@@ -274,9 +274,9 @@ def homology_manifold_check(X: SimplicialComplex, p: int,
       surface has b_2 <= 1, so it passes iff it is connected and
       V - E + F = 2.
     - Every other link (c >= 4, or a coface failed) passes if its
-      coreduction leaves one cell, of degree c - 1: the core carries the
-      link's reduced cohomology over every ring, that of S^(c-1), with no
-      rank taken.  A vertex link of S^2 x S^2 (Z/7) coreduces so.  Any
+      coreduction leaves vertex 0 and one cell of degree c - 1: the core
+      carries the link's cohomology over every ring, that of S^(c-1), with
+      no rank taken.  A vertex link of S^2 x S^2 (Z/7) coreduces so.  Any
       other core passes iff the F_p Betti numbers are (1, 0, ..., 0, 1),
       from the coboundary ranks on the coreduced rows.
 
@@ -365,7 +365,7 @@ def _link_passes(X: SimplicialComplex, lk: list, c: int, coface_failed: bool, p:
         edges = {e for f in lk for e in combinations(f, 2)}
         return len(vertices) - len(edges) + len(lk) == 2 and _is_connected(lk)
     L = SimplicialComplex(X.vertices, tuple(sorted(lk)))
-    if list(map(sum, L._coreduction()[0])) == [0] * (c - 1) + [1]:
+    if list(map(sum, L._retraction().live)) == [1] + [0] * (c - 2) + [1]:
         return True
     return L.cohomology(GF(p)).betti == (1,) + (0,) * (c - 2) + (1,)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from betticong import exactalg, simplicial
-from betticong.equivariant import Retraction, TransferredComplex
+from betticong.equivariant import TransferredComplex
 from betticong.exactalg import QQ, rref
 from betticong.group_action import GroupAction, induced_cohomology_action, pullback_permutation
 from betticong.simplicial import Simplex, SimplicialComplex, bary_label, orbit
@@ -424,21 +424,21 @@ def assert_coreduce_matches_oracle(rows, sizes):
 
 def assert_lift_and_projection(X: SimplicialComplex, forwards: bool = False):
     """The lift and projection between X and its core in degrees d >= 1
-    are integral cochain maps with pi iota = id, and ``_pull_back`` gives
-    the functional z o pi.  pi is computed here as stated in
-    ``cohomology_basis``: walk the pairs cancelled downward first first,
+    are integral cochain maps with pi iota = id, and ``Retraction.pull_back``
+    gives the functional z o pi.  pi is computed here as stated in
+    ``Retraction``: walk the pairs cancelled downward first first,
     subtracting v(tau) u delta e_sigma with X's full column of delta.  In the
     top degree the core is that of M delta, M the row operation of the top
     seeds (``top_seeds``): pi is composed with M, iota with M^-1, and the
     seeds' rows are zero.  The coreduction's empty top rows are exactly the
     seeds.  With ``forwards`` the lift walks its pairs first first, a
     planted defect."""
-    live, down = X._coreduction()
+    R = X._retraction()
+    live, down = R.live, R.down
     rng = random.Random(sum(X.f_vector))
     seeds = top_seeds(X)
     if X.dim >= 1:
-        core_rows = X._cache["core rows"][X.dim - 1]
-        assert {t for t, row in enumerate(core_rows) if not row} == set(seeds)
+        assert {t for t, row in enumerate(R.rows[X.dim - 1]) if not row} == set(seeds)
 
     def seeded(v, d, inverse=False):  # M v in the top degree; M^-1 v with *inverse*
         if d == X.dim:
@@ -482,19 +482,11 @@ def assert_lift_and_projection(X: SimplicialComplex, forwards: bool = False):
 
     for d in range(1, X.dim + 1):
         cells = [q for q, a in enumerate(live[d]) if a]
-        rows = X.coboundary_rows(d - 1)
-        if d == X.dim:
-            rows = [{} if t in seeds else row for t, row in enumerate(rows)]
         for _ in range(3):
             x, z = random_cochain(cells), random_cochain(cells)
             v = random_cochain(range(X.n_simplices(d)))
             assert project(lift(x, d), d) == x
-            pulled = simplicial._pull_back(z, down[d], rows, int)
-            if d == X.dim:  # w o M
-                for tau, eps in seeds.items():
-                    for t, e in eps.items():
-                        if t != tau:
-                            pulled[t] = pulled.get(t, 0) + pulled.get(tau, 0) * e
+            pulled = R.pull_back(z, d, 0)
             assert (sum(z.get(a, 0) * y for a, y in project(v, d).items())
                     == sum(y * v.get(c, 0) for c, y in pulled.items()))
             if d < X.dim:
@@ -638,9 +630,14 @@ def _block_delta(rows: list[dict[int, int]], B: dict, p: int) -> dict:
         for s, e in row.items():
             for m, x in B.get(s, {}).items():
                 acc[m] = acc.get(m, 0) + e * x
-        if acc := {m: r for m, v in acc.items() if (r := v % p)}:
+        if acc := _mod(acc, p):
             out[t] = acc
     return out
+
+
+def _mod(col: dict, p: int) -> dict:
+    """The nonzero entries of col, mod p if p is a prime, as integers if p = 0."""
+    return {m: r for m, v in col.items() if (r := v % p if p else v)}
 
 
 def _block_sum(p: int, *terms) -> dict:
@@ -651,17 +648,19 @@ def _block_sum(p: int, *terms) -> dict:
             acc = out.setdefault(t, {})
             for m, x in col.items():
                 acc[m] = acc.get(m, 0) + f * x
-    return {t: r for t, col in out.items() if (r := {m: y for m, v in col.items() if (y := v % p)})}
+    return {t: r for t, col in out.items() if (r := _mod(col, p))}
 
 
 def assert_retraction(X: SimplicialComplex, p: int):
-    """``Retraction(X, p)`` is a strong deformation retraction over F_p, checked
-    on the block of every basis cochain in each degree: pi iota = 1; iota and
-    pi are cochain maps between X's delta and the core's (the seeded rows on
-    the core's cells); 1 - iota pi = delta h + h delta; and h h = 0, h iota =
-    0 and pi h = 0.  The core's degree-0 cells are the seed vertices, and
-    iota of each is its component's indicator."""
-    R = Retraction(X, p)
+    """X's ``Retraction`` is a strong deformation retraction over F_p, or over
+    Q (on integers) for p = 0, checked on the block of every basis cochain
+    in each degree: pi iota = 1; iota and pi are cochain maps between X's
+    delta and the core's (the seeded rows on the core's cells); 1 - iota pi
+    = delta h + h delta; and h h = 0, h iota = 0 and pi h = 0.  In every
+    degree >= 1, ``pull_back`` of each core cell's e_q is that row of pi:
+    (pull_back z) . v = z . pi v.  The core's degree-0 cells are the seed
+    vertices, and iota of each is its component's indicator."""
+    R = X._retraction()
     core = R.core
     local = [set(cells) for cells in core]
     delta = [X.coboundary_rows(d) for d in range(X.dim)]
@@ -675,10 +674,10 @@ def assert_retraction(X: SimplicialComplex, p: int):
         return _block_delta(core_delta[d], B, p) if d < X.dim else {}
 
     def pi(B, d):
-        return R.project(B, d)[0]
+        return R.project(B, d, p)[0]
 
     def h(B, d):
-        return R.project(B, d)[1] if 0 <= d <= X.dim else {}
+        return R.project(B, d, p)[1] if 0 <= d <= X.dim else {}
 
     if core:
         comps = {frozenset(c) for c in R.components.values()}
@@ -687,14 +686,18 @@ def assert_retraction(X: SimplicialComplex, p: int):
     for d in range(X.dim + 1):
         ident_core = {q: {q: 1} for q in core[d]}
         ident = {q: {q: 1} for q in range(X.n_simplices(d))}
-        lifted = R.lift(ident_core, d)
+        lifted = R.lift(ident_core, d, p)
         assert pi(lifted, d) == ident_core, ("pi iota", d)
-        assert d_X(lifted, d) == R.lift(d_core(ident_core, d), d + 1) if d < X.dim else True, \
+        assert d_X(lifted, d) == R.lift(d_core(ident_core, d), d + 1, p) if d < X.dim else True, \
             ("iota chain map", d)
-        assert pi(d_X(ident, d), d + 1) == d_core(pi(ident, d), d) if d < X.dim else True, \
+        projected = pi(ident, d)
+        assert pi(d_X(ident, d), d + 1) == d_core(projected, d) if d < X.dim else True, \
             ("pi chain map", d)
+        if d:
+            assert all(R.pull_back({q: 1}, d, p) == projected.get(q, {}) for q in core[d]), \
+                ("pull_back = pi^T", d)
         hB = h(ident, d)
-        assert _block_sum(p, (1, ident), (-1, R.lift(pi(ident, d), d))) \
+        assert _block_sum(p, (1, ident), (-1, R.lift(projected, d, p))) \
             == _block_sum(p, (1, d_X(hB, d - 1) if d else {}), (1, h(d_X(ident, d), d + 1))), \
             ("1 - iota pi = delta h + h delta", d)
         assert not h(hB, d - 1), ("h h", d)

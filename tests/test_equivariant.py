@@ -10,7 +10,6 @@ from betticong import corpus
 from betticong.cli import parse
 from betticong.equivariant import (
     BorelComplex,
-    Retraction,
     TransferredComplex,
     equivariant_betti,
     group_cohomology_dims,
@@ -288,8 +287,8 @@ def test_reduction_seeds_a_fixed_vertex_in_each_component():
         [*(("x" + v for v in f) for f in corpus.rp2_six_vertex().simplex_labels(2)),
          *(("y" + v for v in f) for f in corpus.torus().simplex_labels(2))])
     assert _check_transfer(trivial_action(X, 3)).sizes == (2, 7, 6)
-    R = Retraction(X, 3)
-    lifted = R.lift({x: {x: 1} for x in R.core[0]}, 0)
+    R = X._retraction()
+    lifted = R.lift({x: {x: 1} for x in R.core[0]}, 0, 3)
     index = X._simplex_index[0]
     assert [{v for v, col in lifted.items() if x in col} for x in R.core[0]] \
         == [{index[(v,)] for v in comp} for comp in X.connected_components()]

@@ -249,14 +249,15 @@ def test_integral_divisors_match_dense_snf_on_the_corpus():
 
 def test_coreduction_cancels_face_pairs_down_to_a_core():
     """Every cancelled pair is a simplex and a facet of it with a +-1 entry,
-    each cell is cancelled at most once, and the core keeps the reduced
-    Euler characteristic.  Vertex 0 goes against the augmentation, so a
-    connected complex has no live vertex; S^2 x S^2 (Z/7), seeded at its
-    first 4-cell, keeps a core of 0/0/2/0/1 of its 64/516/1464/1680/672
+    each cell is cancelled at most once, and the core keeps the Euler
+    characteristic.  Each component keeps one vertex, its seed, so a
+    connected complex keeps vertex 0 alone; S^2 x S^2 (Z/7), seeded at its
+    first 4-cell, keeps a core of 1/0/2/0/1 of its 64/516/1464/1680/672
     cells, the rank of its cohomology."""
     s2xs2 = corpus.s2xs2_rotation(7).complex
     for X in _small_corpus_complexes() + [s2xs2, SimplicialComplex.empty()]:
-        live, down = X._coreduction()
+        R = X._retraction()
+        live, down = R.live, R.down
         partners = {(d - 1, partner[t]) for d, (cells, partner) in enumerate(down) for t in cells}
         assert len(partners) == sum(len(cells) for cells, _ in down)
         for d, (cells, partner) in enumerate(down):
@@ -267,12 +268,12 @@ def test_coreduction_cancels_face_pairs_down_to_a_core():
                 assert X.coboundary_rows(d - 1)[t][s] in (1, -1)
                 assert (d, t) not in partners
         assert sum(map(len, live)) == sum(X.f_vector)
-        assert sum(map(sum, live)) + 2 * len(partners) + bool(X.f_vector) == sum(X.f_vector)
-        assert sum((-1) ** d * sum(f) for d, f in enumerate(live)) \
-            == X.euler_characteristic() - bool(X.f_vector)
+        assert sum(map(sum, live)) + 2 * len(partners) == sum(X.f_vector)
+        assert sum((-1) ** d * sum(f) for d, f in enumerate(live)) == X.euler_characteristic()
+        assert list(map(len, R.core)) == list(map(sum, live))
         if len(X.connected_components()) == 1:
-            assert not sum(live[0])
-    assert list(map(sum, s2xs2._coreduction()[0])) == [0, 0, 2, 0, 1]
+            assert R.core[0] == [0]
+    assert list(map(len, s2xs2._retraction().core)) == [1, 0, 2, 0, 1]
 
 
 def test_integral_lens_space_agrees_with_other_routes():
@@ -323,9 +324,10 @@ def test_lens_coboundaries_are_eliminated_on_the_rows_that_can_be_independent(
         monkeypatch, field, kept):
     """Bottom-up, each delta^k of L(3,1) is eliminated on the rows its
     coreduction leaves, as (nonempty rows, one-entry rows): the core is
-    0/38/38/1 cells.  delta^0: the 319 edges cancelled downward alone, as
-    no vertex is live (rank 319 = n_0 - 1).  delta^1: 1691 one-entry rows
-    and the 38 live triangles, whose rows keep their live columns.
+    1/38/38/1 cells.  delta^0: the 319 edges cancelled downward alone, as
+    vertex 0, whose column the seed zeroed, is the only live vertex (rank
+    319 = n_0 - 1).  delta^1: 1691 one-entry rows and the 38 live
+    triangles, whose rows keep their live columns.
     delta^2: the top seed's row is the fundamental cycle's, 0, and the
     other 1727 tetrahedra are cancelled downward, one +-1 entry each.
     delta^3 has no rows.  Every other row is empty, so each delta^k keeps
@@ -341,7 +343,7 @@ def test_lens_coboundaries_are_eliminated_on_the_rows_that_can_be_independent(
     assert [len(rows) for rows in calls] == [L.n_simplices(k + 1) for k in (0, 1, 2, 3)]
     assert [(sum(1 for row in rows if row), sum(1 for row in rows if len(row) == 1))
             for rows in calls] == kept
-    assert list(map(sum, L._coreduction()[0])) == [0, 38, 38, 1]
+    assert list(map(len, L._retraction().core)) == [1, 38, 38, 1]
     assert betti == ((1, 0, 0, 1) if field is QQ else (1, 1, 1, 1))
 
 
@@ -905,8 +907,8 @@ def test_top_degree_splits_seeded_and_unseeded_components(sphere_first):
     biorthogonal to them and vanish on every delta e_s, spanning what the
     route on X's full rows spans."""
     X = _sphere_beside_three_discs(sphere_first)
-    d, (live, _) = X.dim, X._coreduction()
-    (tau, comp), = X._cache["orientation"][1].items()
+    d, R = X.dim, X._retraction()
+    live, ((tau, comp),) = R.live, R.seeds.items()
     assert len(comp) == 8 and any(live[d][t] for t in set(range(X.n_simplices(d))) - set(comp))
     for field in (QQ, GF(3)):
         assert X.cohomology(field).betti == (2, 0, 3)

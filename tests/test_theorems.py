@@ -451,11 +451,11 @@ def test_cleared_routes_agree_with_the_full_rows():
         _assert_reduced_routes_agree(join(corpus.rp2_six_vertex(), corpus.one_point()), p)
     # The torus is not connected to vertex 0: its first vertex seeds it, and
     # its first triangle, as it is closed and orientable, while RP^2 is not
-    # top-seeded.  That leaves a core of 1/7/6 of 15/42/28 cells: RP^2's
-    # 0/5/5 and the torus's seed vertex and 2/1.
+    # top-seeded.  That leaves a core of 2/7/6 of 15/42/28 cells: RP^2's
+    # vertex 0 and 5/5, and the torus's seed vertex and 2/1.
     X = _disjoint(corpus.rp2_six_vertex(), corpus.torus())
     _assert_reduced_routes_agree(X, 2)
-    assert list(map(sum, X._coreduction()[0])) == [1, 7, 6]
+    assert list(map(len, X._retraction().core)) == [2, 7, 6]
     _assert_reduced_routes_agree(corpus.one_point(), 3)
 
 
@@ -478,29 +478,29 @@ def _klein_bottle(n: int = 4) -> SimplicialComplex:
 
 
 def _top_seed_cases() -> dict[str, tuple[SimplicialComplex, int, list[int]]]:
-    """name -> (X, number of top seeds, core from ``_coreduction``)."""
+    """name -> (X, number of top seeds, core sizes of ``Retraction``)."""
     rp2 = corpus.rp2_six_vertex()
     return {
         # Closed orientable components of top cells: each is seeded once.
-        "circle": (corpus.polygon(5), 1, [0, 1]),
-        "torus": (corpus.torus(), 1, [0, 2, 1]),
-        "S^2 x S^2 (Z/3)": (corpus.s2xs2(3), 1, [0, 0, 2, 0, 1]),
-        "S^2 x S^2 (Z/7)": (corpus.s2xs2(7), 1, [0, 0, 2, 0, 1]),
-        "L(3,1)": (corpus.lens_space(), 1, [0, 38, 38, 1]),
+        "circle": (corpus.polygon(5), 1, [1, 1]),
+        "torus": (corpus.torus(), 1, [1, 2, 1]),
+        "S^2 x S^2 (Z/3)": (corpus.s2xs2(3), 1, [1, 0, 2, 0, 1]),
+        "S^2 x S^2 (Z/7)": (corpus.s2xs2(7), 1, [1, 0, 2, 0, 1]),
+        "L(3,1)": (corpus.lens_space(), 1, [1, 38, 38, 1]),
         "S^2 * S^1": (_join_action(corpus.sphere_rotation(3), corpus.free_polygon_action(3)).complex,
-                      1, [0, 0, 0, 0, 1]),
+                      1, [1, 0, 0, 0, 1]),
         # Components of top cells, not of X: spheres sharing a vertex, and
         # spheres hung on edges (not pure).
-        "two spheres on a vertex": (_wedge_of_spheres(), 2, [0, 0, 2]),
-        "three spheres on edges": (corpus.three_sphere_wedge(), 3, [0, 0, 3]),
+        "two spheres on a vertex": (_wedge_of_spheres(), 2, [1, 0, 2]),
+        "three spheres on edges": (corpus.three_sphere_wedge(), 3, [1, 0, 3]),
         # Not seeded: non-orientable, a face on three top cells, faces on one.
-        "RP^2": (rp2, 0, [0, 5, 5]),
-        "Klein bottle": (_klein_bottle(), 0, [0, 15, 14]),
+        "RP^2": (rp2, 0, [1, 5, 5]),
+        "Klein bottle": (_klein_bottle(), 0, [1, 15, 14]),
         "three discs on a circle": (join(corpus.polygon(3, "c"), SimplicialComplex.from_facets(
-            [("x",), ("y",), ("z",)])), 0, [0, 0, 2]),
-        "two triangles on a vertex": (corpus.wedge_fixture(), 0, [0, 0, 0]),
+            [("x",), ("y",), ("z",)])), 0, [1, 0, 2]),
+        "two triangles on a vertex": (corpus.wedge_fixture(), 0, [1, 0, 0]),
         # The orientable component alone is seeded.
-        "RP^2 beside the torus": (_disjoint(rp2, corpus.torus()), 1, [1, 7, 6]),
+        "RP^2 beside the torus": (_disjoint(rp2, corpus.torus()), 1, [2, 7, 6]),
     }
 
 
@@ -515,14 +515,15 @@ def test_coreduction_seeds_each_closed_orientable_component_at_its_top():
     assert (klein.betti, klein.torsion) == ((1, 1, 0), ((), (), (2,)))
     for name, (X, n_seeds, core) in _top_seed_cases().items():
         X = SimplicialComplex(X.vertices, X.facets)
-        live, _ = X._coreduction()
-        assert [t for t, row in enumerate(X._cache["core rows"][X.dim - 1]) if not row] \
+        R = X._retraction()
+        assert [t for t, row in enumerate(R.rows[X.dim - 1]) if not row] \
             == sorted(top_seeds(X)), name
         assert len(top_seeds(X)) == n_seeds, name
-        assert list(map(sum, live)) == core, name
+        assert list(map(len, R.core)) == core, name
+        assert R.core[-1][:n_seeds] == list(R.seeds), name  # the top seeds first
         integral = X.integral_cohomology()
         if n_seeds and not any(integral.torsion):
-            assert core == [0, *integral.betti[1:]], name
+            assert core == list(integral.betti), name
         if sum(X.f_vector) < 2000:
             assert_lift_and_projection(X)
 
@@ -563,29 +564,30 @@ def _rp2_beside_a_disc() -> SimplicialComplex:
 
 
 def test_the_coreduction_is_a_strong_deformation_retraction():
-    """``equivariant.Retraction`` over F_3 and F_5: pi iota = 1, iota and pi
-    are cochain maps, 1 - iota pi = delta h + h delta, and h h = 0, h iota = 0
-    and pi h = 0 (``oracles.assert_retraction``).  On the corpus complexes,
-    the top-seed cases (L(3,1) among them) and RP^2 beside a disc, whose
-    disc keeps a later vertex seed: an edge cancelled before it has lost the
-    seed's column, so only the component's indicator lifts that seed to a
-    cocycle."""
+    """``simplicial.Retraction`` over Q, F_3 and F_5: pi iota = 1, iota and
+    pi are cochain maps, 1 - iota pi = delta h + h delta, h h = 0, h iota =
+    0 and pi h = 0, and ``pull_back`` is pi^T, M^T in the top degree
+    included (``oracles.assert_retraction``).  On the corpus complexes, the
+    top-seed cases (L(3,1) and RP^2 beside the torus among them) and RP^2
+    beside a disc, whose disc keeps a later vertex seed: an edge cancelled
+    before it has lost the seed's column, so only the component's indicator
+    lifts that seed to a cocycle."""
     X = _rp2_beside_a_disc()
-    live, down = X._coreduction()
-    later = [x for x in range(1, X.n_simplices(0)) if live[0][x]]
+    R = X._retraction()
+    later = R.core[0][1:]
     assert len(later) == 1 and any(later[0] in X.coboundary_rows(0)[t]
-                                   and later[0] not in X._cache["core rows"][0][t]
-                                   for t in down[1][0])
+                                   and later[0] not in R.rows[0][t]
+                                   for t in R.down[1][0])
     complexes = [X, *(a.complex for a in corpus.corpus_actions().values())]
     complexes += [Y for name, (Y, _, _) in _top_seed_cases().items()
                   if not name.startswith("S^2 x S^2")]  # as in the corpus
     for Y in complexes:
-        for p in (3, 5):
+        for p in (0, 3, 5):
             assert_retraction(Y, p)
 
 
 @settings(max_examples=40, deadline=None)
-@given(pure_complexes(), st.sampled_from([3, 5]))
+@given(pure_complexes(), st.sampled_from([0, 3, 5]))
 def test_the_coreduction_is_a_strong_deformation_retraction_on_pure_complexes(X, p):
     assert_retraction(X, p)
 
@@ -639,12 +641,12 @@ def test_sphere_links_pass_on_their_core_with_no_rank(monkeypatch):
 
 
 def test_hm_core_certificate_reads_every_degree():
-    """S^3 beside a solid tetrahedron coreduces to one 3-cell and the
-    tetrahedron's seed vertex: one top cell is not enough, and this link
+    """S^3 beside a solid tetrahedron coreduces to vertex 0, one 3-cell and
+    the tetrahedron's seed vertex: one top cell is not enough, and this link
     fails at both poles of the suspension."""
     Y = SimplicialComplex.from_facets(
         [*combinations(["a0", "a1", "a2", "a3", "a4"], 4), ("b0", "b1", "b2", "b3")])
-    assert list(map(sum, Y._coreduction()[0])) == [1, 0, 0, 1]
+    assert list(map(len, Y._retraction().core)) == [2, 0, 0, 1]
     X = suspension(Y)
     for p in (3, 5):
         assert {("N*",), ("S*",)} <= set(assert_hm_matches_oracle(X, p))
