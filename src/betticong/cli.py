@@ -231,6 +231,8 @@ def _parse_algebra(lines, i):
                 eps, j = int(tok[3]), int(tok[4])
             except ValueError:
                 raise InputError("bidegree components must be integers", lineno)
+            if j < 0:
+                raise InputError(f"the second grading j must be >= 0, got {j}", lineno)
             if tok[1] in labels:
                 raise InputError(f"duplicate basis label {tok[1]!r}", lineno)
             labels.add(tok[1])

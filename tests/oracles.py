@@ -16,7 +16,7 @@ from itertools import combinations
 
 from betticong import exactalg, simplicial
 from betticong.equivariant import TransferredComplex
-from betticong.exactalg import QQ, rref
+from betticong.exactalg import QQ, SmithForm, rref
 from betticong.group_action import GroupAction, induced_cohomology_action, pullback_permutation
 from betticong.simplicial import Simplex, SimplicialComplex, bary_label, orbit
 
@@ -183,6 +183,141 @@ def coboundary_matrix(X: SimplicialComplex, k: int) -> list[list[int]]:
         for c, v in row.items():
             out[c] = v
     return M
+
+
+# The library's dense Smith form before it diagonalised first and read the
+# chain off the diagonal by gcd and lcm: the smallest-pivot rule with a
+# column swap, a sign-normalising helper and a divisibility restart.  Kept
+# unchanged as the oracle of the one that replaced it.
+def smith_normal_form(matrix) -> SmithForm:
+    """Smith normal form (the divisor chain) of an integer matrix.
+
+    Pivot selection: smallest absolute value among the remaining nonzero
+    entries, ties broken by lowest (row, col); this bounds entry growth and
+    makes the reduction deterministic.  Arithmetic is arbitrary-precision, but
+    each pivot choice scans every remaining entry: large matrices belong to
+    ``sparse_smith_divisors``, which uses this on its small core.
+    """
+    M = [[int(x) for x in row] for row in matrix]
+    m, n = len(M), len(M[0]) if M else 0
+
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
+            if x:
+                rows.setdefault(i, {})[j] = x
+                col_rows.setdefault(j, set()).add(i)
+
+    def row_sub(dst: int, src: int, q: int):
+        src_row = rows.get(src, {})
+        d = rows.setdefault(dst, {})
+        for c, v in src_row.items():
+            nv = d.get(c, 0) - q * v
+            if nv:
+                d[c] = nv
+                col_rows.setdefault(c, set()).add(dst)
+            elif c in d:
+                del d[c]
+                col_rows[c].discard(dst)
+        if not d:
+            rows.pop(dst, None)
+
+    def col_sub(dst: int, src: int, q: int):
+        for i in list(col_rows.get(src, ())):
+            row = rows[i]
+            v = row[src]
+            nv = row.get(dst, 0) - q * v
+            if nv:
+                row[dst] = nv
+                col_rows.setdefault(dst, set()).add(i)
+            elif dst in row:
+                del row[dst]
+                col_rows[dst].discard(i)
+
+    def negate_row(i: int):
+        row = rows.get(i)
+        if row:
+            for c in row:
+                row[c] = -row[c]
+
+    divisors: list[int] = []
+
+    while rows:
+        best = None
+        for i in sorted(rows):
+            for c, v in rows[i].items():
+                key = (abs(v), i, c)
+                if best is None or key < best:
+                    best = key
+        _, pi, pc = best
+
+        while True:
+            if rows[pi][pc] < 0:
+                negate_row(pi)
+            pv = rows[pi][pc]
+            # Clear the pivot column with floor-division row operations, then
+            # re-select if a smaller remainder appeared.
+            for j in sorted(col_rows.get(pc, set()) - {pi}):
+                q = rows[j][pc] // pv
+                if q:
+                    row_sub(j, pi, q)
+            residual = sorted(col_rows.get(pc, set()) - {pi})
+            if residual:
+                # Remainders in [0, pv) became new, smaller pivot candidates.
+                j = min(residual, key=lambda r: (abs(rows[r][pc]), r))
+                pi = j
+                continue
+            # Clear the pivot row by column operations.
+            pv = rows[pi][pc]
+            for c in sorted(set(rows[pi]) - {pc}):
+                q = rows[pi][c] // pv
+                if q:
+                    col_sub(c, pc, q)
+            rest = sorted(set(rows[pi]) - {pc})
+            if rest:
+                c = min(rest, key=lambda cc: (abs(rows[pi][cc]), cc))
+                # Move the smaller entry into the pivot column.
+                for i in set(col_rows.get(pc, set())) | set(col_rows.get(c, set())):
+                    row = rows[i]
+                    a, b = row.get(pc), row.get(c)
+                    if a is None and b is None:
+                        continue
+                    if b is None:
+                        del row[pc]
+                        col_rows[pc].discard(i)
+                        row[c] = a
+                        col_rows.setdefault(c, set()).add(i)
+                    elif a is None:
+                        del row[c]
+                        col_rows[c].discard(i)
+                        row[pc] = b
+                        col_rows.setdefault(pc, set()).add(i)
+                    else:
+                        row[pc], row[c] = b, a
+                continue
+            # Pivot isolated; enforce that it divides every remaining entry.
+            pv = rows[pi][pc]
+            offender = None
+            for i in sorted(rows):
+                if i == pi:
+                    continue
+                for c, v in sorted(rows[i].items()):
+                    if v % pv:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_sub(pi, offender, -1)  # add offending row, restart reduction
+
+        divisors.append(abs(rows[pi][pc]))
+        col_rows[pc].discard(pi)
+        del rows[pi]
+
+    divisors += [0] * (min(m, n) - len(divisors))
+    return SmithForm(divisors=tuple(divisors), rank=sum(1 for d in divisors if d))
 
 
 def cochain_pullback_matrix(action: GroupAction, degree: int, field) -> list[list]:

@@ -563,6 +563,20 @@ def test_algebra_over_f2_rejected_with_its_line(tmp_path, capsys, command):
     assert "line 1:" in err and "characteristic 2" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["algebra-check", "theorem1-alg"])
+def test_negative_second_grading_rejected_with_its_line(tmp_path, capsys, command):
+    """The algebras are (Z/2 x N)-bigraded, so j < 0 is an input error at its
+    basis line.  Before, a top class at bidegree (0, -2) gave theorem1-alg an
+    applicable PASS at formal dimension -2, and algebra-check reported PD."""
+    path = tmp_path / "negative.bc"
+    path.write_text("algebra A field Q\nbasis one bidegree 0 0\nbasis x bidegree 0 -2\n"
+                    "phi x = 1\nend\n")
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "line 3:" in captured.err and "-2" in captured.err and not captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_denominator_divisible_by_p_rejected_with_its_line(tmp_path, capsys):
     path = tmp_path / "third.bc"
     path.write_text(_f3_algebra("1", "1/3"))

@@ -746,12 +746,12 @@ def _reduced_betti(X: SimplicialComplex, field) -> list[int]:
 
 def test_theorems_hold_on_pairwise_joins_of_the_p3_corpus_actions():
     """The 36 pairwise joins of the p = 3 corpus actions give no applicable
-    FAIL from theorems 2 and 4; L(sigma) = chi(X^G); the localization check
-    holds; the T/F/R blocks of g* fill each H^i(X;F_3); and over F_3 and Q
-    the reduced Betti numbers follow the join formula, H~^{n+1}(A * B) =
-    sum_{i+j=n} H~^i(A) (x) H~^j(B).  The joins with ``sphere_factor_p3``
-    or ``s2xs2_rotation_p3`` (5,625 to 182,844 cells) are left out for
-    time; most others are top-seeded manifolds."""
+    FAIL from theorems 2 and 4; L(g) = chi(X^g) for g = sigma and sigma^2;
+    the localization check holds; the T/F/R blocks of g* fill each
+    H^i(X;F_3); and over F_3 and Q the reduced Betti numbers follow the join
+    formula, H~^{n+1}(A * B) = sum_{i+j=n} H~^i(A) (x) H~^j(B).  The joins
+    with ``sphere_factor_p3`` or ``s2xs2_rotation_p3`` (5,625 to 182,844
+    cells) are left out for time; most others are top-seeded manifolds."""
     actions = [a for name, a in corpus.corpus_actions().items()
                if a.p == 3 and name not in ("sphere_factor_p3", "s2xs2_rotation_p3")]
     assert len(actions) == 9
@@ -759,8 +759,9 @@ def test_theorems_hold_on_pairwise_joins_of_the_p3_corpus_actions():
     for a, b in combinations(actions, 2):
         j = _join_action(a, b)
         verdicts += [check_theorem2(j).verdict, check_theorem4(j).verdict]
-        fixed = fixed_set_cohomology(j, QQ).betti
-        assert lefschetz_number(j) == sum((-1) ** i * x for i, x in enumerate(fixed))
+        for g in (j, j.power(2)):
+            fixed = fixed_set_cohomology(g, QQ).betti
+            assert lefschetz_number(g) == sum((-1) ** i * x for i, x in enumerate(fixed)), g
         assert localization_check(j)["ok"]
         tfr = tfr_decomposition(j)
         assert [t + 3 * f + 2 * r + sum(o) for t, f, r, o in zip(tfr.t, tfr.f, tfr.r, tfr.other)] \
