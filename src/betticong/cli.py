@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import corpus
@@ -66,39 +66,11 @@ class InputError(Exception):
 
 
 @dataclass
-class ComplexBlock:
-    name: str
-    vertices: list[str]
-    facets: list[tuple[str, ...]]
-    line: int = 0
-
-
-@dataclass
-class ActionBlock:
-    name: str
-    complex_name: str
-    p: int
-    pairs: list[tuple[str, str]]
-    line: int = 0
-
-
-@dataclass
-class AlgebraBlock:
-    name: str
-    field_name: str
-    basis: list[tuple[str, int, int]]  # label, eps, j
-    mult: dict = field(default_factory=dict)   # (a, b) -> list[(coeff str, label)]
-    phi: dict = field(default_factory=dict)    # label -> coeff str
-    delta: dict = field(default_factory=dict)  # label -> list[(coeff str, label)]
-    line: int = 0
-
-
-@dataclass
 class InputDocument:
     complexes: dict[str, SimplicialComplex]
     actions: dict[str, GroupAction]
     algebras: dict[str, tuple[BigradedAlgebra, Orientation | None, Differential | None]]
-    blocks: list  # declaration order, for serialization
+    names: list[str]  # declaration order, for serialization
 
     def sole(self, kind: str):
         table = getattr(self, kind)
@@ -119,49 +91,54 @@ def _logical_lines(text: str):
 
 
 def parse(text: str) -> InputDocument:
-    """Parse and semantically validate an input document."""
-    blocks = []
-    lines = list(_logical_lines(text))
-    i = 0
-    while i < len(lines):
-        lineno, tok = lines[i]
-        if tok[0] == "complex":
-            if len(tok) != 2:
-                raise InputError("expected: complex <name>", lineno)
-            block, i = _parse_complex(lines, i)
-            blocks.append(block)
-        elif tok[0] == "action":
-            if len(tok) != 6 or tok[2] != "on" or tok[4] != "p":
-                raise InputError("expected: action <name> on <complex> p <p>", lineno)
-            block, i = _parse_action(lines, i)
-            blocks.append(block)
-        elif tok[0] == "algebra":
-            if len(tok) != 4 or tok[2] != "field":
-                raise InputError("expected: algebra <name> field <Q|Fp>", lineno)
-            block, i = _parse_algebra(lines, i)
-            blocks.append(block)
-        else:
-            raise InputError(f"unknown directive {tok[0]!r}", lineno)
-    return _build_document(blocks)
+    """Parse and semantically validate an input document in one pass.
+
+    Each block's builder checks its lines as they come and builds the
+    block's object at ``end``; an error in the block as a whole (a
+    ValueError) names its header line.  The first error in reading order
+    is the one reported.
+    """
+    doc = InputDocument({}, {}, {}, [])
+    lines = _logical_lines(text)
+    for lineno, head in lines:
+        if head[0] not in _BLOCKS:
+            raise InputError(f"unknown directive {head[0]!r}", lineno)
+        usage, table, build = _BLOCKS[head[0]]
+        words = usage.split()
+        if len(head) != len(words) or any(w != t for w, t in zip(words, head) if w[0] != "<"):
+            raise InputError(f"expected: {usage}", lineno)
+        try:
+            getattr(doc, table)[head[1]] = build(doc, head, _block_lines(lines, doc, head, lineno))
+        except ValueError as e:
+            raise InputError(str(e), lineno)
+        doc.names.append(head[1])
+    return doc
 
 
-def _parse_complex(lines, i):
-    lineno, tok = lines[i]
-    block = ComplexBlock(name=tok[1], vertices=[], facets=[], line=lineno)
+def _block_lines(lines, doc: InputDocument, head: list[str], lineno: int):
+    """The lines of a block up to its ``end``, where the block's name must be new."""
+    for line in lines:
+        if line[1][0] == "end":
+            if head[1] in doc.names:
+                raise InputError(f"duplicate name {head[1]!r}", lineno)
+            return
+        yield line
+    raise InputError(f"unterminated {head[0]} block (missing end)", lineno)
+
+
+def _complex(doc, head, body) -> SimplicialComplex:
+    vertices: list[str] = []
     declared: set[str] = set()
-    i += 1
-    while i < len(lines):
-        lineno, tok = lines[i]
-        if tok[0] == "end":
-            return block, i + 1
+    facets: list[tuple[str, ...]] = []
+    for lineno, tok in body:
         if tok[0] == "vertices":
-            if block.vertices:
+            if vertices:
                 raise InputError("duplicate vertices line", lineno)
             if len(tok) < 2:
                 raise InputError("vertices line needs at least one vertex", lineno)
-            block.vertices, declared = tok[1:], set(tok[1:])
-            if len(declared) != len(tok) - 1:
-                raise InputError(f"vertices line repeats label {_first_repeat(tok[1:])!r}", lineno)
+            vertices, declared = tok[1:], set(tok[1:])
+            if len(declared) != len(vertices):
+                raise InputError(f"vertices line repeats label {_first_repeat(vertices)!r}", lineno)
         elif tok[0] == "facet":
             if len(tok) < 2:
                 raise InputError("facet line needs at least one vertex", lineno)
@@ -171,11 +148,12 @@ def _parse_complex(lines, i):
                 raise InputError(f"facet references undeclared vertex {v!r}", lineno)
             if len(set(facet)) != len(facet):
                 raise InputError(f"facet repeats vertex {_first_repeat(facet)!r}", lineno)
-            block.facets.append(facet)
+            facets.append(facet)
         else:
             raise InputError(f"unexpected {tok[0]!r} in complex block", lineno)
-        i += 1
-    raise InputError("unterminated complex block (missing end)", block.line)
+    if not facets:
+        raise ValueError(f"complex {head[1]!r} has no facets")
+    return SimplicialComplex.from_facets(facets, vertex_order=vertices)
 
 
 def _first_repeat(labels):
@@ -184,46 +162,38 @@ def _first_repeat(labels):
     return next(v for v in labels if v in seen or seen.add(v))
 
 
-def _parse_action(lines, i):
-    lineno, tok = lines[i]
+def _action(doc, head, body) -> GroupAction:
     try:
-        p = int(tok[5])
+        p = int(head[5])
     except ValueError:
-        raise InputError(f"p must be an integer, got {tok[5]!r}", lineno)
-    block = ActionBlock(name=tok[1], complex_name=tok[3], p=p, pairs=[], line=lineno)
-    sources = set()
-    i += 1
-    while i < len(lines):
-        lineno, tok = lines[i]
-        if tok[0] == "end":
-            return block, i + 1
-        if tok[0] == "map":
-            if len(tok) != 4 or tok[2] != "->":
-                raise InputError("expected: map <v> -> <w>", lineno)
-            if tok[1] in sources:
-                raise InputError(f"map repeats source vertex {tok[1]!r}", lineno)
-            sources.add(tok[1])
-            block.pairs.append((tok[1], tok[3]))
-        else:
+        raise ValueError(f"p must be an integer, got {head[5]!r}")
+    sigma: dict[str, str] = {}
+    for lineno, tok in body:
+        if tok[0] != "map":
             raise InputError(f"unexpected {tok[0]!r} in action block", lineno)
-        i += 1
-    raise InputError("unterminated action block (missing end)", block.line)
+        if len(tok) != 4 or tok[2] != "->":
+            raise InputError("expected: map <v> -> <w>", lineno)
+        if tok[1] in sigma:
+            raise InputError(f"map repeats source vertex {tok[1]!r}", lineno)
+        sigma[tok[1]] = tok[3]
+    if head[3] not in doc.complexes:
+        raise ValueError(f"action {head[1]!r} references unknown complex {head[3]!r}")
+    return validate_action(doc.complexes[head[3]], sigma, p)
 
 
-def _parse_algebra(lines, i):
-    lineno, tok = lines[i]
-    block = AlgebraBlock(name=tok[1], field_name=tok[3], basis=[], line=lineno)
+def _algebra(doc, head, body):
     try:
-        if _field_named(block.field_name).char == 2:
+        field = _field_named(head[3])
+        if field.char == 2:
             raise ValueError("characteristic 2 is excluded")
     except ValueError as e:
-        raise InputError(f"field must be Q or Fp for an odd prime p, got {tok[3]!r}: {e}", lineno)
-    i += 1
-    labels = set()
-    while i < len(lines):
-        lineno, tok = lines[i]
-        if tok[0] == "end":
-            return block, i + 1
+        raise ValueError(f"field must be Q or Fp for an odd prime p, got {head[3]!r}: {e}")
+    labels: list[str] = []
+    bidegrees: list[tuple[int, int]] = []
+    index: dict[str, int] = {}
+    # A later line for the same product, phi value or delta column replaces an earlier one.
+    mult, phi, delta = {}, {}, {}
+    for lineno, tok in body:
         if tok[0] == "basis":
             if len(tok) != 5 or tok[2] != "bidegree":
                 raise InputError("expected: basis <b> bidegree <eps> <j>", lineno)
@@ -233,44 +203,75 @@ def _parse_algebra(lines, i):
                 raise InputError("bidegree components must be integers", lineno)
             if j < 0:
                 raise InputError(f"the second grading j must be >= 0, got {j}", lineno)
-            if tok[1] in labels:
+            if tok[1] in index:
                 raise InputError(f"duplicate basis label {tok[1]!r}", lineno)
-            labels.add(tok[1])
-            block.basis.append((tok[1], eps, j))
-        elif tok[0] in ("mult", "phi", "delta"):
-            _parse_algebra_line(block, tok, labels, lineno)
-        else:
+            index[tok[1]] = len(labels)
+            labels.append(tok[1])
+            bidegrees.append((eps, j))
+            continue
+        if tok[0] not in ("mult", "phi", "delta"):
             raise InputError(f"unexpected {tok[0]!r} in algebra block", lineno)
-        i += 1
-    raise InputError("unterminated algebra block (missing end)", block.line)
+        if "=" not in tok:
+            raise InputError(f"{tok[0]} line needs '='", lineno)
+        eq = tok.index("=")
+        lhs, rhs = tok[1:eq], tok[eq + 1:]
+        for lab in lhs:
+            if lab not in index:
+                raise InputError(f"unknown basis label {lab!r}", lineno)
+        if tok[0] == "phi":
+            if len(lhs) != 1 or len(rhs) != 1:
+                raise InputError("expected: phi <b> = <coeff>", lineno)
+            phi[index[lhs[0]]] = _scalar(rhs[0], field, lineno)
+            continue
+        terms = _parse_terms(rhs, index, field, lineno)
+        if tok[0] == "mult":
+            if len(lhs) != 2:
+                raise InputError("expected: mult <a> <b> = <coeff> <c> [+ ...]", lineno)
+            mult[index[lhs[0]], index[lhs[1]]] = accumulate(field, terms)
+        else:
+            if len(lhs) != 1:
+                raise InputError("expected: delta <b> = <coeff> <c> [+ ...]", lineno)
+            delta[index[lhs[0]]] = terms
+    if not labels:
+        raise ValueError(f"algebra {head[1]!r} has no basis")
+    if bidegrees[0] != (0, 0):
+        raise ValueError("first basis element is the unit and must sit at bidegree (0, 0)")
+    n = len(labels)
+    table = {key: {i: field.one} for i in range(n) for key in ((0, i), (i, 0))}
+    for key, v in mult.items():
+        # Terms that sum to 0 leave no entry: the product is 0.
+        table.pop(key, None)
+        if v:
+            table[key] = v
+    A = BigradedAlgebra(field, bidegrees, table, unit_index=0, labels=labels)
+    orientation = make_orientation(A, phi) if phi else None
+    differential = None
+    if delta:
+        columns = [{} for _ in range(n)]
+        shift = None
+        for src, terms in delta.items():
+            columns[src] = accumulate(field, terms)
+            for t, _ in terms:  # cancelling terms too
+                (et, jt), (es, js) = bidegrees[t], bidegrees[src]
+                term_shift = ((et - es) % 2, jt - js)
+                if shift not in (None, term_shift):
+                    raise ValueError(f"delta is not homogeneous: shifts {shift} and {term_shift}")
+                shift = term_shift
+        # Terms that cancel fix no shift: a zero map has the default (0, -1).
+        differential = Differential(tuple(columns), shift if any(columns) else (0, -1))
+    return A, orientation, differential
 
 
-def _parse_algebra_line(block, tok, labels, lineno):
-    if "=" not in tok:
-        raise InputError(f"{tok[0]} line needs '='", lineno)
-    eq = tok.index("=")
-    lhs, rhs = tok[1:eq], tok[eq + 1:]
-    for lab in lhs:
-        if lab not in labels:
-            raise InputError(f"unknown basis label {lab!r}", lineno)
-    field = _field_named(block.field_name)
-    if tok[0] == "phi":
-        if len(lhs) != 1 or len(rhs) != 1:
-            raise InputError("expected: phi <b> = <coeff>", lineno)
-        block.phi[lhs[0]] = _check_scalar(rhs[0], lineno, field)
-        return
-    terms = _parse_terms(rhs, labels, lineno, field)
-    if tok[0] == "mult":
-        if len(lhs) != 2:
-            raise InputError("expected: mult <a> <b> = <coeff> <c> [+ ...]", lineno)
-        block.mult[(lhs[0], lhs[1])] = terms
-    else:
-        if len(lhs) != 1:
-            raise InputError("expected: delta <b> = <coeff> <c> [+ ...]", lineno)
-        block.delta[lhs[0]] = terms
+# Each block's header (its fixed words and <fields>), table and builder.
+_BLOCKS = {
+    "complex": ("complex <name>", "complexes", _complex),
+    "action": ("action <name> on <complex> p <p>", "actions", _action),
+    "algebra": ("algebra <name> field <Q|Fp>", "algebras", _algebra),
+}
 
 
-def _check_scalar(s: str, lineno: int, field) -> str:
+def _scalar(s: str, field, lineno: int):
+    """The coefficient *s* in *field*; an input error where it has no value there."""
     try:
         x = Fraction(s)
     except (ValueError, ZeroDivisionError):
@@ -278,10 +279,11 @@ def _check_scalar(s: str, lineno: int, field) -> str:
     if field.char and x.denominator % field.char == 0:
         raise InputError(f"coefficient {s!r} has no value in {field.name}: "
                          f"its denominator is divisible by {field.char}", lineno)
-    return s
+    return field.coerce(x)
 
 
-def _parse_terms(rhs, labels, lineno, field):
+def _parse_terms(rhs, index, field, lineno):
+    """The (index, coefficient) terms of a mult or delta right-hand side."""
     if list(rhs) == ["0"]:
         return []
     terms = []
@@ -290,55 +292,13 @@ def _parse_terms(rhs, labels, lineno, field):
         if t == "+":
             if len(chunk) != 2:
                 raise InputError("each term must be '<coeff> <label>'", lineno)
-            if chunk[1] not in labels:
+            if chunk[1] not in index:
                 raise InputError(f"unknown basis label {chunk[1]!r}", lineno)
-            terms.append((_check_scalar(chunk[0], lineno, field), chunk[1]))
+            terms.append((index[chunk[1]], _scalar(chunk[0], field, lineno)))
             chunk = []
         else:
             chunk.append(t)
     return terms
-
-
-def _build_document(blocks) -> InputDocument:
-    complexes: dict[str, SimplicialComplex] = {}
-    actions: dict[str, GroupAction] = {}
-    algebras = {}
-    names = set()
-    for b in blocks:
-        if b.name in names:
-            raise InputError(f"duplicate name {b.name!r}", b.line)
-        names.add(b.name)
-        if isinstance(b, ComplexBlock):
-            if not b.facets:
-                raise InputError(f"complex {b.name!r} has no facets", b.line)
-            try:
-                complexes[b.name] = SimplicialComplex.from_facets(
-                    b.facets, vertex_order=b.vertices
-                )
-            except ValueError as e:
-                raise InputError(str(e), b.line)
-        elif isinstance(b, ActionBlock):
-            if b.complex_name not in complexes:
-                raise InputError(
-                    f"action {b.name!r} references unknown complex {b.complex_name!r}",
-                    b.line,
-                )
-            try:
-                actions[b.name] = validate_action(
-                    complexes[b.complex_name], dict(b.pairs), b.p
-                )
-            except ValueError as e:
-                raise InputError(str(e), b.line)
-        else:
-            try:
-                algebras[b.name] = _build_algebra(b)
-            except ValueError as e:
-                raise InputError(str(e), b.line)
-    return InputDocument(complexes, actions, algebras, blocks)
-
-
-def _scalar(field_obj, s: str):
-    return field_obj.coerce(Fraction(s))
 
 
 def _field_named(name: str):
@@ -350,91 +310,54 @@ def _field_named(name: str):
     return GF(int(name[1:]))
 
 
-def _build_algebra(b: AlgebraBlock):
-    field_obj = _field_named(b.field_name)
-    n = len(b.basis)
-    index = {lab: i for i, (lab, _, _) in enumerate(b.basis)}
-    bidegrees = [(e, j) for _, e, j in b.basis]
-    if not b.basis:
-        raise ValueError(f"algebra {b.name!r} has no basis")
-    if bidegrees[0] != (0, 0):
-        raise ValueError("first basis element is the unit and must sit at bidegree (0, 0)")
-    table = {key: {i: field_obj.one} for i in range(n) for key in ((0, i), (i, 0))}
-    for (a, c), terms in b.mult.items():
-        # Terms that sum to 0 leave no entry: the product is 0.
-        table.pop((index[a], index[c]), None)
-        if v := accumulate(field_obj, ((index[lab], _scalar(field_obj, coeff)) for coeff, lab in terms)):
-            table[index[a], index[c]] = v
-    A = BigradedAlgebra(field_obj, bidegrees, table, unit_index=0,
-                        labels=[lab for lab, _, _ in b.basis])
-    phi = None
-    if b.phi:
-        phi = make_orientation(A, {index[lab]: _scalar(field_obj, c) for lab, c in b.phi.items()})
-    delta = None
-    if b.delta:
-        columns = [{} for _ in range(n)]
-        shift = None
-        for lab, terms in b.delta.items():
-            src = index[lab]
-            columns[src] = accumulate(field_obj, ((index[t], _scalar(field_obj, c)) for c, t in terms))
-            for _, tlab in terms:
-                (et, jt), (es, js) = bidegrees[index[tlab]], bidegrees[src]
-                term_shift = ((et - es) % 2, jt - js)
-                if shift not in (None, term_shift):
-                    raise ValueError(f"delta is not homogeneous: shifts {shift} and {term_shift}")
-                shift = term_shift
-        delta = Differential(tuple(columns), shift or (0, -1))
-    return A, phi, delta
-
-
 # ---------------------------------------------------------------------------
 # serialization (canonical form)
 # ---------------------------------------------------------------------------
 
 def serialize(doc: InputDocument) -> str:
+    """The canonical form of a parsed document, its blocks in declaration order."""
     out: list[str] = []
-    for b in doc.blocks:
-        if isinstance(b, ComplexBlock):
-            X = doc.complexes[b.name]
-            out.append(f"complex {b.name}")
+    for name in doc.names:
+        if name in doc.complexes:
+            X = doc.complexes[name]
+            out.append(f"complex {name}")
             out.append("vertices " + " ".join(X.vertices))
             for f in sorted(X.facets):
                 out.append("facet " + " ".join(X.vertices[v] for v in f))
-            out.append("end")
-        elif isinstance(b, ActionBlock):
-            a = doc.actions[b.name]
-            out.append(f"action {b.name} on {b.complex_name} p {b.p}")
+        elif name in doc.actions:
+            a = doc.actions[name]
+            host = next(c for c, X in doc.complexes.items() if X is a.complex)
+            out.append(f"action {name} on {host} p {a.p}")
             idx = a.complex._vertex_index
             moved = [(v, w) for v, w in a.vertex_map if v != w]
             for v, w in sorted(moved, key=lambda t: idx[t[0]]):
                 out.append(f"map {v} -> {w}")
-            out.append("end")
         else:
-            A, phi, delta = doc.algebras[b.name]
-            out.append(f"algebra {b.name} field {b.field_name}")
+            A, phi, delta = doc.algebras[name]
+            u = A.unit_index
+            out.append(f"algebra {name} field {A.field.name}")
             for lab, (e, j) in zip(A.labels, A.bidegrees):
                 out.append(f"basis {lab} bidegree {e} {j}")
-            for a, c in sorted(A.table):
-                if A.unit_index not in (a, c):
-                    out.append(f"mult {A.labels[a]} {A.labels[c]} = " + _terms_str(A, A.table[a, c]))
+            # A product with the unit is written where it is not the parser's e_i.
+            unit_pairs = {key for i in range(A.dim) for key in ((u, i), (i, u))}
+            for a, c in sorted(A.table.keys() | unit_pairs):
+                v = A.table.get((a, c), {})
+                if u not in (a, c) or v != {a if c == u else c: A.field.one}:
+                    out.append(f"mult {A.labels[a]} {A.labels[c]} = " + _terms_str(A, v))
             if phi is not None:
                 for i, x in sorted(phi.values.items()):
-                    out.append(f"phi {A.labels[i]} = {_coeff_str(x)}")
+                    out.append(f"phi {A.labels[i]} = {x}")
             if delta is not None:
-                for src, col in enumerate(delta.columns):
-                    if col:
-                        out.append(f"delta {A.labels[src]} = " + _terms_str(A, col))
-            out.append("end")
+                # A declared delta that is 0 keeps one line, so that it stays declared.
+                columns = [(src, col) for src, col in enumerate(delta.columns) if col]
+                for src, col in columns or [(u, {})]:
+                    out.append(f"delta {A.labels[src]} = " + _terms_str(A, col))
+        out.append("end")
     return "\n".join(out) + "\n"
 
 
-def _coeff_str(x) -> str:
-    f = Fraction(x) if not isinstance(x, Fraction) else x
-    return str(f)
-
-
 def _terms_str(A: BigradedAlgebra, v: dict) -> str:
-    return " + ".join(f"{_coeff_str(x)} {A.labels[i]}" for i, x in sorted(v.items()))
+    return " + ".join(f"{x} {A.labels[i]}" for i, x in sorted(v.items())) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -780,7 +780,6 @@ class CohomologyRing:
 class PDResult:
     is_pd: bool
     formal_dim: int | None
-    orientation: list | None
     failures: tuple[str, ...] = ()
 
 
@@ -838,7 +837,6 @@ def pd_check(X: SimplicialComplex, field) -> PDResult:
     return PDResult(
         is_pd=ok,
         formal_dim=n if ok else None,
-        orientation=ring.orientation if ok else None,
         failures=tuple(failures),
     )
 

@@ -1,7 +1,7 @@
 """Dense and plain-loop routes the tests compare the library against.
 
 No library path calls these: the library computes kernels, cocycle bases,
-g* and cup pairings sparsely.  They stay here as independent references,
+g* and cup pairings sparsely, and reads an input document in one pass.  They stay here as independent references,
 with the checks that several test modules run against them.
 """
 
@@ -10,14 +10,21 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from betticong import exactalg, simplicial
+from betticong.cli import InputDocument, InputError, _field_named, _first_repeat, _logical_lines
 from betticong.equivariant import TransferredComplex
 from betticong.exactalg import QQ, SmithForm, rref
-from betticong.group_action import GroupAction, induced_cohomology_action, pullback_permutation
+from betticong.group_action import (
+    GroupAction,
+    induced_cohomology_action,
+    pullback_permutation,
+    validate_action,
+)
+from betticong.pd_algebra import BigradedAlgebra, Differential, accumulate, make_orientation
 from betticong.simplicial import Simplex, SimplicialComplex, bary_label, orbit
 
 
@@ -934,3 +941,290 @@ def reduced_per_cell(C: PermutationComplex) -> PermutationComplex:
         tuple(([new[j][perm[s]] for s in keep[j]], [signs[s] for s in keep[j]])
               for j, (perm, signs) in enumerate(C.pullbacks)),
     )
+
+
+# ---------------------------------------------------------------------------
+# the replaced two-pass document parser
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ComplexBlock:
+    name: str
+    vertices: list[str]
+    facets: list[tuple[str, ...]]
+    line: int = 0
+
+
+@dataclass
+class ActionBlock:
+    name: str
+    complex_name: str
+    p: int
+    pairs: list[tuple[str, str]]
+    line: int = 0
+
+
+@dataclass
+class AlgebraBlock:
+    name: str
+    field_name: str
+    basis: list[tuple[str, int, int]]  # label, eps, j
+    mult: dict = field(default_factory=dict)   # (a, b) -> list[(coeff str, label)]
+    phi: dict = field(default_factory=dict)    # label -> coeff str
+    delta: dict = field(default_factory=dict)  # label -> list[(coeff str, label)]
+    line: int = 0
+
+
+def two_pass_parse(text: str) -> InputDocument:
+    """The document as the replaced two-pass parser read it: every block into a
+    record with string coefficients, then every record into its object."""
+    blocks = []
+    lines = list(_logical_lines(text))
+    i = 0
+    while i < len(lines):
+        lineno, tok = lines[i]
+        if tok[0] == "complex":
+            if len(tok) != 2:
+                raise InputError("expected: complex <name>", lineno)
+            block, i = _parse_complex(lines, i)
+            blocks.append(block)
+        elif tok[0] == "action":
+            if len(tok) != 6 or tok[2] != "on" or tok[4] != "p":
+                raise InputError("expected: action <name> on <complex> p <p>", lineno)
+            block, i = _parse_action(lines, i)
+            blocks.append(block)
+        elif tok[0] == "algebra":
+            if len(tok) != 4 or tok[2] != "field":
+                raise InputError("expected: algebra <name> field <Q|Fp>", lineno)
+            block, i = _parse_algebra(lines, i)
+            blocks.append(block)
+        else:
+            raise InputError(f"unknown directive {tok[0]!r}", lineno)
+    return _build_document(blocks)
+
+
+def _parse_complex(lines, i):
+    lineno, tok = lines[i]
+    block = ComplexBlock(name=tok[1], vertices=[], facets=[], line=lineno)
+    declared: set[str] = set()
+    i += 1
+    while i < len(lines):
+        lineno, tok = lines[i]
+        if tok[0] == "end":
+            return block, i + 1
+        if tok[0] == "vertices":
+            if block.vertices:
+                raise InputError("duplicate vertices line", lineno)
+            if len(tok) < 2:
+                raise InputError("vertices line needs at least one vertex", lineno)
+            block.vertices, declared = tok[1:], set(tok[1:])
+            if len(declared) != len(tok) - 1:
+                raise InputError(f"vertices line repeats label {_first_repeat(tok[1:])!r}", lineno)
+        elif tok[0] == "facet":
+            if len(tok) < 2:
+                raise InputError("facet line needs at least one vertex", lineno)
+            facet = tuple(tok[1:])
+            if not declared.issuperset(facet):
+                v = next(v for v in facet if v not in declared)
+                raise InputError(f"facet references undeclared vertex {v!r}", lineno)
+            if len(set(facet)) != len(facet):
+                raise InputError(f"facet repeats vertex {_first_repeat(facet)!r}", lineno)
+            block.facets.append(facet)
+        else:
+            raise InputError(f"unexpected {tok[0]!r} in complex block", lineno)
+        i += 1
+    raise InputError("unterminated complex block (missing end)", block.line)
+
+
+def _parse_action(lines, i):
+    lineno, tok = lines[i]
+    try:
+        p = int(tok[5])
+    except ValueError:
+        raise InputError(f"p must be an integer, got {tok[5]!r}", lineno)
+    block = ActionBlock(name=tok[1], complex_name=tok[3], p=p, pairs=[], line=lineno)
+    sources = set()
+    i += 1
+    while i < len(lines):
+        lineno, tok = lines[i]
+        if tok[0] == "end":
+            return block, i + 1
+        if tok[0] == "map":
+            if len(tok) != 4 or tok[2] != "->":
+                raise InputError("expected: map <v> -> <w>", lineno)
+            if tok[1] in sources:
+                raise InputError(f"map repeats source vertex {tok[1]!r}", lineno)
+            sources.add(tok[1])
+            block.pairs.append((tok[1], tok[3]))
+        else:
+            raise InputError(f"unexpected {tok[0]!r} in action block", lineno)
+        i += 1
+    raise InputError("unterminated action block (missing end)", block.line)
+
+
+def _parse_algebra(lines, i):
+    lineno, tok = lines[i]
+    block = AlgebraBlock(name=tok[1], field_name=tok[3], basis=[], line=lineno)
+    try:
+        if _field_named(block.field_name).char == 2:
+            raise ValueError("characteristic 2 is excluded")
+    except ValueError as e:
+        raise InputError(f"field must be Q or Fp for an odd prime p, got {tok[3]!r}: {e}", lineno)
+    i += 1
+    labels = set()
+    while i < len(lines):
+        lineno, tok = lines[i]
+        if tok[0] == "end":
+            return block, i + 1
+        if tok[0] == "basis":
+            if len(tok) != 5 or tok[2] != "bidegree":
+                raise InputError("expected: basis <b> bidegree <eps> <j>", lineno)
+            try:
+                eps, j = int(tok[3]), int(tok[4])
+            except ValueError:
+                raise InputError("bidegree components must be integers", lineno)
+            if j < 0:
+                raise InputError(f"the second grading j must be >= 0, got {j}", lineno)
+            if tok[1] in labels:
+                raise InputError(f"duplicate basis label {tok[1]!r}", lineno)
+            labels.add(tok[1])
+            block.basis.append((tok[1], eps, j))
+        elif tok[0] in ("mult", "phi", "delta"):
+            _parse_algebra_line(block, tok, labels, lineno)
+        else:
+            raise InputError(f"unexpected {tok[0]!r} in algebra block", lineno)
+        i += 1
+    raise InputError("unterminated algebra block (missing end)", block.line)
+
+
+def _parse_algebra_line(block, tok, labels, lineno):
+    if "=" not in tok:
+        raise InputError(f"{tok[0]} line needs '='", lineno)
+    eq = tok.index("=")
+    lhs, rhs = tok[1:eq], tok[eq + 1:]
+    for lab in lhs:
+        if lab not in labels:
+            raise InputError(f"unknown basis label {lab!r}", lineno)
+    field = _field_named(block.field_name)
+    if tok[0] == "phi":
+        if len(lhs) != 1 or len(rhs) != 1:
+            raise InputError("expected: phi <b> = <coeff>", lineno)
+        block.phi[lhs[0]] = _check_scalar(rhs[0], lineno, field)
+        return
+    terms = _parse_terms(rhs, labels, lineno, field)
+    if tok[0] == "mult":
+        if len(lhs) != 2:
+            raise InputError("expected: mult <a> <b> = <coeff> <c> [+ ...]", lineno)
+        block.mult[(lhs[0], lhs[1])] = terms
+    else:
+        if len(lhs) != 1:
+            raise InputError("expected: delta <b> = <coeff> <c> [+ ...]", lineno)
+        block.delta[lhs[0]] = terms
+
+
+def _check_scalar(s: str, lineno: int, field) -> str:
+    try:
+        x = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad coefficient {s!r}", lineno)
+    if field.char and x.denominator % field.char == 0:
+        raise InputError(f"coefficient {s!r} has no value in {field.name}: "
+                         f"its denominator is divisible by {field.char}", lineno)
+    return s
+
+
+def _parse_terms(rhs, labels, lineno, field):
+    if list(rhs) == ["0"]:
+        return []
+    terms = []
+    chunk: list[str] = []
+    for t in list(rhs) + ["+"]:
+        if t == "+":
+            if len(chunk) != 2:
+                raise InputError("each term must be '<coeff> <label>'", lineno)
+            if chunk[1] not in labels:
+                raise InputError(f"unknown basis label {chunk[1]!r}", lineno)
+            terms.append((_check_scalar(chunk[0], lineno, field), chunk[1]))
+            chunk = []
+        else:
+            chunk.append(t)
+    return terms
+
+
+def _build_document(blocks) -> InputDocument:
+    complexes: dict[str, SimplicialComplex] = {}
+    actions: dict[str, GroupAction] = {}
+    algebras = {}
+    names = set()
+    for b in blocks:
+        if b.name in names:
+            raise InputError(f"duplicate name {b.name!r}", b.line)
+        names.add(b.name)
+        if isinstance(b, ComplexBlock):
+            if not b.facets:
+                raise InputError(f"complex {b.name!r} has no facets", b.line)
+            try:
+                complexes[b.name] = SimplicialComplex.from_facets(
+                    b.facets, vertex_order=b.vertices
+                )
+            except ValueError as e:
+                raise InputError(str(e), b.line)
+        elif isinstance(b, ActionBlock):
+            if b.complex_name not in complexes:
+                raise InputError(
+                    f"action {b.name!r} references unknown complex {b.complex_name!r}",
+                    b.line,
+                )
+            try:
+                actions[b.name] = validate_action(
+                    complexes[b.complex_name], dict(b.pairs), b.p
+                )
+            except ValueError as e:
+                raise InputError(str(e), b.line)
+        else:
+            try:
+                algebras[b.name] = _build_algebra(b)
+            except ValueError as e:
+                raise InputError(str(e), b.line)
+    return InputDocument(complexes, actions, algebras, [b.name for b in blocks])
+
+
+def _scalar(field_obj, s: str):
+    return field_obj.coerce(Fraction(s))
+
+
+def _build_algebra(b: AlgebraBlock):
+    field_obj = _field_named(b.field_name)
+    n = len(b.basis)
+    index = {lab: i for i, (lab, _, _) in enumerate(b.basis)}
+    bidegrees = [(e, j) for _, e, j in b.basis]
+    if not b.basis:
+        raise ValueError(f"algebra {b.name!r} has no basis")
+    if bidegrees[0] != (0, 0):
+        raise ValueError("first basis element is the unit and must sit at bidegree (0, 0)")
+    table = {key: {i: field_obj.one} for i in range(n) for key in ((0, i), (i, 0))}
+    for (a, c), terms in b.mult.items():
+        # Terms that sum to 0 leave no entry: the product is 0.
+        table.pop((index[a], index[c]), None)
+        if v := accumulate(field_obj, ((index[lab], _scalar(field_obj, coeff)) for coeff, lab in terms)):
+            table[index[a], index[c]] = v
+    A = BigradedAlgebra(field_obj, bidegrees, table, unit_index=0,
+                        labels=[lab for lab, _, _ in b.basis])
+    phi = None
+    if b.phi:
+        phi = make_orientation(A, {index[lab]: _scalar(field_obj, c) for lab, c in b.phi.items()})
+    delta = None
+    if b.delta:
+        columns = [{} for _ in range(n)]
+        shift = None
+        for lab, terms in b.delta.items():
+            src = index[lab]
+            columns[src] = accumulate(field_obj, ((index[t], _scalar(field_obj, c)) for c, t in terms))
+            for _, tlab in terms:
+                (et, jt), (es, js) = bidegrees[index[tlab]], bidegrees[src]
+                term_shift = ((et - es) % 2, jt - js)
+                if shift not in (None, term_shift):
+                    raise ValueError(f"delta is not homogeneous: shifts {shift} and {term_shift}")
+                shift = term_shift
+        delta = Differential(tuple(columns), shift or (0, -1))
+    return A, phi, delta

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from betticong import cli, pd_algebra, theorems
 from betticong.cli import COMMANDS, InputError, main, parse, serialize
@@ -24,6 +24,8 @@ from betticong.pd_algebra import (
     random_differential_algebra,
     random_pd_algebra,
 )
+
+import oracles
 
 S2_DOC = """\
 # suspended triangle with its rotation
@@ -934,10 +936,52 @@ def algebra_documents(draw, families=(_random_algebra_lines, _generated_algebra_
     return "\n".join([f"algebra fz field {field}", *lines, "end"]) + "\n"
 
 
+# Documents whose canonical form once changed a command's verdict.
+# A product with the unit that is not e_i was dropped, so the unit law held again:
+UNIT_PRODUCT_DOC = """\
+algebra fz field Q
+basis one bidegree 0 0
+basis w bidegree 0 2
+mult one w = 2 w
+phi w = 1
+end
+"""
+
+# A declared delta that is 0 was dropped, so theorem1-alg had no differential:
+ZERO_DELTA_DOC = """\
+algebra fz field Q
+basis one bidegree 0 0
+basis a bidegree 0 1
+basis b bidegree 0 2
+basis w bidegree 0 3
+mult a b = 1 w
+mult b a = 1 w
+phi w = 1
+delta b = 0
+end
+"""
+
+# Terms that cancel gave the zero map the shift (0, -2), of even total degree:
+CANCELLED_SHIFT_DOC = ZERO_DELTA_DOC.replace("delta b = 0", "delta w = 1 a + -1 a")
+
+
+def _run(command: str, text: str, path: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command on the document *text*."""
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
+@example(UNIT_PRODUCT_DOC)
+@example(ZERO_DELTA_DOC)
+@example(CANCELLED_SHIFT_DOC)
 @given(algebra_documents())
 def test_algebra_document_grammar_fuzz(tmp_path_factory, text):
-    """serialize(parse(.)) is a fixed point, and both algebra commands exit
+    """serialize(parse(.)) is a fixed point on which both algebra commands
+    print the same bytes and exit code as on the document, and both exit
     0-3 without a traceback (3 whenever the document does not parse).
     Where algebra-check finds a broken law, theorem1-alg asserts no verdict."""
     try:
@@ -947,19 +991,27 @@ def test_algebra_document_grammar_fuzz(tmp_path_factory, text):
     if doc is not None:
         once = serialize(doc)
         assert serialize(parse(once)) == once
-    path = tmp_path_factory.getbasetemp() / "fuzz.bc"
-    path.write_text(text)
+    base = tmp_path_factory.getbasetemp()
     outputs = {}
     for command in ("algebra-check", "theorem1-alg"):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main([command, str(path)])
-        assert 0 <= code <= 3 and "Traceback" not in err.getvalue(), (command, text)
+        code, out, err = _run(command, text, base / "fuzz.bc")
+        assert 0 <= code <= 3 and "Traceback" not in err, (command, text)
         if doc is None:
             assert code == 3
-        outputs[command] = out.getvalue()
+        else:
+            assert _run(command, once, base / "canonical.bc") == (code, out, err), (command, text)
+        outputs[command] = out
     if "CHECK algebra-structure: FAIL" in outputs["algebra-check"]:
         assert not re.search(r"theorem1-algebraic: (PASS|FAIL)", outputs["theorem1-alg"]), text
+
+
+def test_a_zero_delta_has_the_default_shift():
+    for text in (ZERO_DELTA_DOC, CANCELLED_SHIFT_DOC):
+        delta = parse(text).algebras["fz"][2]
+        assert not any(delta.columns) and delta.shift == (0, -1)
+    assert "delta one = 0\n" in serialize(parse(CANCELLED_SHIFT_DOC))
+    assert "mult one w = 2 w\n" in serialize(parse(UNIT_PRODUCT_DOC))
+    assert "mult w one = 0\n" in serialize(parse(UNIT_PRODUCT_DOC.replace("phi", "mult w one = 0\nphi")))
 
 
 def test_algebra_document_grammar_fuzz_reaches_a_pd_failure(tmp_path):
@@ -978,3 +1030,98 @@ def test_algebra_document_grammar_fuzz_reaches_a_pd_failure(tmp_path):
     text = find(algebra_documents(families=(_generated_algebra_lines,)),
                 lambda t: "CHECK algebra-pd: FAIL" in check_output(t))
     assert "CHECK algebra-structure: PASS" in check_output(text)
+
+
+# ---------------------------------------------------------------------------
+# one pass against the replaced two-pass parser
+# ---------------------------------------------------------------------------
+
+_JUNK = ["end", "=", "+", "->", "0", "-1", "1/0", "1/3", "x", "F2", "F4", "F03", "2", "-2",
+         "complex", "action", "algebra", "vertices", "facet", "map", "basis", "mult", "phi", "delta"]
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """*text* with one to three lines, runs of lines or tokens deleted,
+    duplicated, swapped or retyped."""
+    lines = text.splitlines()
+    vocabulary = sorted(set(text.split())) + _JUNK
+    for _ in range(rng.randint(1, 3)):
+        i, j = sorted(rng.randrange(len(lines)) for _ in range(2))
+        kind = rng.randrange(5)
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines[j + 1:j + 1] = lines[i:j + 1]
+        elif kind == 2:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif tok := lines[i].split():
+            k = rng.randrange(len(tok))
+            tok[k:k + 1] = [rng.choice(vocabulary)] if kind == 3 else []
+            lines[i] = " ".join(tok)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+def _objects(doc) -> list:
+    """What a parsed document holds, as plain data in declaration order."""
+    out = []
+    for name in doc.names:
+        if name in doc.complexes:
+            X = doc.complexes[name]
+            out.append((name, X.vertices, sorted(X.facets)))
+        elif name in doc.actions:
+            a = doc.actions[name]
+            host = next(c for c, X in doc.complexes.items() if X is a.complex)
+            out.append((name, host, a.p, a.vertex_map))
+        else:
+            A, phi, delta = doc.algebras[name]
+            # The replaced parser took a zero delta's shift from terms that cancel.
+            out.append((name, A.field.name, A.labels, A.bidegrees, sorted(A.table.items()),
+                        phi and (phi.values, phi.formal_dim),
+                        delta and (delta.columns, delta.shift if any(delta.columns) else None)))
+    return out
+
+
+def _outcome(parse_text, text: str):
+    try:
+        return _objects(parse_text(text))
+    except InputError as e:
+        return e
+
+
+def test_one_pass_parse_matches_the_two_pass_parser(tmp_path, s4_document):
+    """Seeded mutations of this module's documents and of the S^4 document:
+    the one-pass parser builds the objects the two-pass one built, or raises
+    its error, or, where a document has several errors, an error on an
+    earlier line (it reports the first in reading order; the two-pass one
+    reported every syntax error before any semantic one).  Each valid
+    document round-trips through its canonical form, and the algebra
+    commands print the same bytes and exit code on both."""
+    documents = [S2_DOC, PENTAGON_DOC, ODD_ALGEBRA_DOC, README_DOC, BAD_DELTA_DOC,
+                 EXACT_UNIT_DOC, CANCELLING_DOC, NOT_APPLICABLE_DOC, DEGENERATE_ODD_DOC,
+                 NOT_AN_ALGEBRA_DOC, UNIT_PRODUCT_DOC, ZERO_DELTA_DOC, s4_document(3)]
+    rng = random.Random(34)
+    seen = dict.fromkeys(["valid", "same error", "earlier error"], 0)
+    for text in documents:
+        for _ in range(150):
+            mutant = _mutate(text, rng)
+            new, old = _outcome(parse, mutant), _outcome(oracles.two_pass_parse, mutant)
+            if isinstance(new, InputError) and isinstance(old, InputError):
+                if str(new) == str(old):
+                    seen["same error"] += 1
+                else:
+                    assert new.line < old.line, (mutant, str(new), str(old))
+                    seen["earlier error"] += 1
+                continue
+            assert new == old, (mutant, new, old)
+            seen["valid"] += 1
+            doc = parse(mutant)
+            once = serialize(doc)
+            assert _objects(parse(once)) == _objects(doc), mutant
+            assert serialize(parse(once)) == once, mutant
+            if doc.algebras:
+                for command in ("algebra-check", "theorem1-alg"):
+                    assert (_run(command, mutant, tmp_path / "doc.bc")
+                            == _run(command, once, tmp_path / "canonical.bc")), (command, mutant)
+    assert all(seen.values()), seen
