@@ -6,6 +6,7 @@ fraction-free elimination over Q, canonical residues over F_p.
 
 from betticong import GF, QQ, SimplicialComplex, cup_pairing, pd_check, product, suspension
 from betticong.corpus import lens_space, polygon, rp2_six_vertex
+from betticong.pd_algebra import pairing_matrix
 
 # A circle, a sphere, a torus.
 circle = polygon(5)
@@ -23,11 +24,12 @@ print("RP^2 over F2:", rp2.cohomology(GF(2)))
 print("RP^2 over F3:", rp2.cohomology(GF(3)))
 print("RP^2 over Z :", rp2.integral_cohomology())
 
-# Poincare duality through cup products: the torus pairing in degree 1 is a
-# skew 2x2 matrix, and duality forces b_i = b_{2-i}.
-ring = cup_pairing(torus, QQ)
+# Poincare duality through cup products: H^*(torus) is a bigraded algebra
+# with an orientation on its top class, its pairing in degree 1 is a skew
+# 2x2 matrix, and duality forces b_i = b_{2-i}.
+ring, phi = cup_pairing(torus, QQ)
 print("torus degree-1 pairing matrix:")
-for row in ring.pairing_matrix(1):
+for row in pairing_matrix(ring, phi, 1):
     print("  ", *row)
 result = pd_check(torus, QQ)
 print("torus is PD:", result.is_pd, "of formal dimension", result.formal_dim)

@@ -10,7 +10,6 @@ from .exactalg import (
     smith_normal_form,
 )
 from .simplicial import (
-    CohomologyRing,
     GradedBetti,
     SimplicialComplex,
     barycentric_subdivision,

@@ -191,7 +191,6 @@ def _algebra(doc, head, body):
     labels: list[str] = []
     bidegrees: list[tuple[int, int]] = []
     index: dict[str, int] = {}
-    # A later line for the same product, phi value or delta column replaces an earlier one.
     mult, phi, delta = {}, {}, {}
     for lineno, tok in body:
         if tok[0] == "basis":
@@ -221,17 +220,21 @@ def _algebra(doc, head, body):
         if tok[0] == "phi":
             if len(lhs) != 1 or len(rhs) != 1:
                 raise InputError("expected: phi <b> = <coeff>", lineno)
-            phi[index[lhs[0]]] = _scalar(rhs[0], field, lineno)
-            continue
-        terms = _parse_terms(rhs, index, field, lineno)
-        if tok[0] == "mult":
-            if len(lhs) != 2:
-                raise InputError("expected: mult <a> <b> = <coeff> <c> [+ ...]", lineno)
-            mult[index[lhs[0]], index[lhs[1]]] = accumulate(field, terms)
+            entries, value = phi, _scalar(rhs[0], field, lineno)
         else:
-            if len(lhs) != 1:
-                raise InputError("expected: delta <b> = <coeff> <c> [+ ...]", lineno)
-            delta[index[lhs[0]]] = terms
+            terms = _parse_terms(rhs, index, field, lineno)
+            if tok[0] == "mult":
+                if len(lhs) != 2:
+                    raise InputError("expected: mult <a> <b> = <coeff> <c> [+ ...]", lineno)
+                entries, value = mult, accumulate(field, terms)
+            else:
+                if len(lhs) != 1:
+                    raise InputError("expected: delta <b> = <coeff> <c> [+ ...]", lineno)
+                entries, value = delta, terms
+        key = (index[lhs[0]], index[lhs[1]]) if tok[0] == "mult" else index[lhs[0]]
+        if key in entries:
+            raise InputError(f"{tok[0]} line repeats {' '.join(map(repr, lhs))}", lineno)
+        entries[key] = value
     if not labels:
         raise ValueError(f"algebra {head[1]!r} has no basis")
     if bidegrees[0] != (0, 0):

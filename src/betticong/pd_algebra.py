@@ -192,6 +192,12 @@ def _gram_matrix(A: BigradedAlgebra, phi: Orientation) -> list[list]:
     return G
 
 
+def pairing_matrix(A: BigradedAlgebra, phi: Orientation, i: int) -> list[list]:
+    """The block of the Gram matrix on bidegrees (0, i) x (0, n - i), n = phi's formal dimension."""
+    G = _gram_matrix(A, phi)
+    return [[G[a][b] for b in A.component(0, phi.formal_dim - i)] for a in A.component(0, i)]
+
+
 def euler_and_dim(A: BigradedAlgebra) -> tuple[int, int]:
     """(total dimension, Euler characteristic by total Z/2 grading)."""
     even = sum(1 for i in range(A.dim) if A.total_degree(i) == 0)

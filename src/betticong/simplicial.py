@@ -19,6 +19,7 @@ from functools import cached_property
 from itertools import chain, combinations, permutations, repeat
 
 from . import exactalg
+from .pd_algebra import BigradedAlgebra, Orientation, pairing_matrix
 
 Simplex = tuple[int, ...]  # strictly increasing vertex indices
 
@@ -746,36 +747,6 @@ class SimplicialComplex:
 # Cohomology ring / Poincare duality
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CohomologyRing:
-    """Graded cohomology ring data: bases, structure constants, orientation.
-
-    ``structure[(i, j)][a][b]`` is the coefficient vector of the product of
-    the a-th degree-i and b-th degree-j basis classes in the degree-(i+j)
-    basis.  ``orientation`` is the functional on the top-degree basis when
-    the top Betti number is one (normalised to 1 on the basis class).
-    """
-
-    field: object
-    betti: tuple[int, ...]
-    top_degree: int
-    structure: dict
-    orientation: list | None
-
-    def pairing_matrix(self, i: int) -> list[list]:
-        """Gram matrix of H^i x H^{n-i} -> H^n composed with the orientation."""
-        n = self.top_degree
-        bi, bj = self.betti[i], self.betti[n - i]
-        M = self.field.zeros((bi, bj))
-        if self.orientation is None:
-            return M
-        for a in range(bi):
-            for b in range(bj):
-                coeffs = self.structure[(i, n - i)][a][b]
-                M[a][b] = self.field.coerce(sum(c * o for c, o in zip(coeffs, self.orientation)))
-        return M
-
-
 @dataclass(frozen=True)
 class PDResult:
     is_pd: bool
@@ -783,32 +754,37 @@ class PDResult:
     failures: tuple[str, ...] = ()
 
 
-def cup_pairing(X: SimplicialComplex, field) -> CohomologyRing:
-    """Cohomology ring with cup products on the cocycle bases of ``cohomology_basis``."""
+def cup_pairing(X: SimplicialComplex, field) -> tuple[BigradedAlgebra, Orientation | None]:
+    """H^*(X) of a connected X as a ``BigradedAlgebra``, with its orientation.
+
+    The basis is the classes of ``cohomology_basis`` in each degree i, at
+    bidegree (0, i), the unit first.  Products with the unit are written
+    (1 cup v = v cup 1 = v on cochains); every other product is the class
+    of ``cup_cochain``.  The orientation is dual to the top class where
+    b_top = 1, and None otherwise.
+    """
     key = ("ring", field.name)
     if key in X._cache:
         return X._cache[key]
+    comps = X.connected_components()
+    if len(comps) != 1:
+        raise ValueError(f"cup_pairing requires a connected complex ({len(comps)} components)")
     betti = X.cohomology(field).betti
-    top = max((i for i, b in enumerate(betti) if b), default=0)
-    bases = {i: X.cohomology_basis(field, i) for i in range(X.dim + 1)}
-    structure: dict = {}
-    for i in range(top + 1):
-        for j in range(top + 1 - i):
-            if betti[i] == 0 or betti[j] == 0:
-                continue
-            tbl = []
-            target = bases[i + j]
-            for a in range(betti[i]):
-                row = []
-                for b in range(betti[j]):
-                    cochain = X.cup_cochain(field, i, j, bases[i].basis[a], bases[j].basis[b])
-                    row.append(target.express(cochain))
-                tbl.append(row)
-            structure[(i, j)] = tbl
-    orientation = [field.one] if betti[top] == 1 else None
-    ring = CohomologyRing(field, betti, top, structure, orientation)
-    X._cache[key] = ring
-    return ring
+    top = max(i for i, b in enumerate(betti) if b)
+    bases = [X.cohomology_basis(field, i) for i in range(top + 1)]
+    start = [sum(betti[:i]) for i in range(top + 2)]
+    table = {k: {c: field.one} for c in range(start[-1]) for k in ((0, c), (c, 0))}
+    for i in range(1, top):
+        for j in range(1, top + 1 - i):
+            for a, u in enumerate(bases[i].basis):
+                for b, v in enumerate(bases[j].basis):
+                    coeffs = bases[i + j].express(X.cup_cochain(field, i, j, u, v))
+                    if prod := {start[i + j] + c: x for c, x in enumerate(coeffs) if x}:
+                        table[start[i] + a, start[j] + b] = prod
+    A = BigradedAlgebra(field, [(0, i) for i in range(top + 1) for _ in range(betti[i])], table)
+    phi = Orientation({start[top]: field.one}, top) if betti[top] == 1 else None
+    X._cache[key] = A, phi
+    return A, phi
 
 
 def pd_check(X: SimplicialComplex, field) -> PDResult:
@@ -821,17 +797,17 @@ def pd_check(X: SimplicialComplex, field) -> PDResult:
     comps = X.connected_components()
     if len(comps) != 1:
         raise ValueError(f"pd_check requires a connected complex ({len(comps)} components)")
-    ring = cup_pairing(X, field)
-    n = ring.top_degree
+    A, phi = cup_pairing(X, field)
+    n, betti = A.max_second_grading(), X.cohomology(field).betti
     failures = []
-    if ring.betti[n] != 1:
-        failures.append(f"top Betti number b_{n} = {ring.betti[n]} != 1")
+    if phi is None:
+        failures.append(f"top Betti number b_{n} = {betti[n]} != 1")
     else:
         for i in range(n + 1):
-            bi, bj = ring.betti[i], ring.betti[n - i]
+            bi, bj = betti[i], betti[n - i]
             if bi != bj:
                 failures.append(f"pairing H^{i} x H^{n - i} not square: {bi} vs {bj}")
-            elif bi and exactalg.rank(ring.pairing_matrix(i), field) != bi:
+            elif bi and exactalg.rank(pairing_matrix(A, phi, i), field) != bi:
                 failures.append(f"pairing H^{i} x H^{n - i} is degenerate")
     ok = not failures
     return PDResult(

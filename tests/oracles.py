@@ -24,7 +24,14 @@ from betticong.group_action import (
     pullback_permutation,
     validate_action,
 )
-from betticong.pd_algebra import BigradedAlgebra, Differential, accumulate, make_orientation
+from betticong.pd_algebra import (
+    BigradedAlgebra,
+    Differential,
+    accumulate,
+    check_pd,
+    make_orientation,
+    pairing_matrix,
+)
 from betticong.simplicial import Simplex, SimplicialComplex, bary_label, orbit
 
 
@@ -163,10 +170,10 @@ def assert_pairings_congruent(X: SimplicialComplex, field):
     """Each Gram matrix G of H^i x H^{n-i} -> H^n is congruent to that of
     the route on X's full rows: c G = C_i^T G_old C_{n-i}, c the class of
     the published top class in that route's basis; so the ranks agree."""
-    ring = simplicial.cup_pairing(X, field)
-    n = ring.top_degree
-    if ring.orientation is None:
+    A, phi = simplicial.cup_pairing(X, field)
+    if phi is None:
         return
+    n = phi.formal_dim
     change = {i: cocycle_bases_and_change(X, field, i) for i in range(n + 1)}
     top, ((c,),) = change[n][1:]
     for i in range(n + 1):
@@ -175,11 +182,83 @@ def assert_pairings_congruent(X: SimplicialComplex, field):
             continue
         old = [[top.express(X.cup_cochain(field, i, n - i, a, b))[0] for b in old_j.basis]
                for a in old_i.basis]
-        G = ring.pairing_matrix(i)
+        G = pairing_matrix(A, phi, i)
         Ct = [list(col) for col in zip(*C_i)]
         assert ([[field.reduce(c * x) for x in row] for row in G]
                 == exactalg.matmul(exactalg.matmul(Ct, old, field), C_j, field))
         assert exactalg.rank(G, field) == exactalg.rank(old, field)
+
+
+# The library's cohomology ring before H^*(X) became a ``BigradedAlgebra``:
+# dense nested structure constants, every product with the unit computed by
+# a cup product and ``express``.  Kept unchanged as the oracle of the table,
+# but cached nowhere, so that it never shadows the library's cached ring.
+@dataclass
+class CohomologyRing:
+    """Graded cohomology ring data: bases, structure constants, orientation.
+
+    ``structure[(i, j)][a][b]`` is the coefficient vector of the product of
+    the a-th degree-i and b-th degree-j basis classes in the degree-(i+j)
+    basis.  ``orientation`` is the functional on the top-degree basis when
+    the top Betti number is one (normalised to 1 on the basis class).
+    """
+
+    field: object
+    betti: tuple[int, ...]
+    top_degree: int
+    structure: dict
+    orientation: list | None
+
+
+def cup_pairing(X: SimplicialComplex, field) -> CohomologyRing:
+    """Cohomology ring with cup products on the cocycle bases of ``cohomology_basis``."""
+    betti = X.cohomology(field).betti
+    top = max((i for i, b in enumerate(betti) if b), default=0)
+    bases = {i: X.cohomology_basis(field, i) for i in range(X.dim + 1)}
+    structure: dict = {}
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            if betti[i] == 0 or betti[j] == 0:
+                continue
+            tbl = []
+            target = bases[i + j]
+            for a in range(betti[i]):
+                row = []
+                for b in range(betti[j]):
+                    cochain = X.cup_cochain(field, i, j, bases[i].basis[a], bases[j].basis[b])
+                    row.append(target.express(cochain))
+                tbl.append(row)
+            structure[(i, j)] = tbl
+    orientation = [field.one] if betti[top] == 1 else None
+    return CohomologyRing(field, betti, top, structure, orientation)
+
+
+def assert_ring_matches_oracle(X: SimplicialComplex, field):
+    """``cup_pairing``'s table is the oracle's dense structure in global
+    indices, product by product and products with the unit included; its
+    orientation is the oracle's; the algebra passes ``validate``, and
+    ``check_pd`` agrees with ``pd_check`` where the orientation exists."""
+    A, phi = simplicial.cup_pairing(X, field)
+    ring = cup_pairing(X, field)
+    n = ring.top_degree
+    start = [sum(ring.betti[:i]) for i in range(n + 2)]
+    expected = {}
+    for (i, j), tbl in ring.structure.items():
+        for a, row in enumerate(tbl):
+            for b, coeffs in enumerate(row):
+                if prod := sparse(coeffs):
+                    expected[start[i] + a, start[j] + b] = {start[i + j] + c: x
+                                                            for c, x in prod.items()}
+    assert A.table == expected, (X, field)
+    assert A.bidegrees == tuple((0, i) for i in range(n + 1) for _ in range(ring.betti[i]))
+    assert A.unit_index == 0
+    if ring.orientation is None:
+        assert phi is None
+    else:
+        assert (phi.values, phi.formal_dim) == ({start[n]: ring.orientation[0]}, n)
+    assert A.validate() == [], (X, field)
+    if phi is not None:
+        assert check_pd(A, phi).is_pd == simplicial.pd_check(X, field).is_pd
 
 
 def coboundary_matrix(X: SimplicialComplex, k: int) -> list[list[int]]:

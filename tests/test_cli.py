@@ -579,6 +579,25 @@ def test_negative_second_grading_rejected_with_its_line(tmp_path, capsys, comman
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("second, message", [
+    ("mult a1 u1 = 2 w", "mult line repeats 'a1' 'u1'"),
+    ("phi w = 3", "phi line repeats 'w'"),
+    ("delta u1 = 0", "delta line repeats 'u1'"),
+])
+def test_repeated_algebra_line_rejected_with_its_line(tmp_path, capsys, second, message):
+    """A second mult line for one ordered pair, phi line for one label or
+    delta line for one source is an input error at the second line; before,
+    it silently replaced the first.  ``mult a b`` then ``mult b a`` is two
+    products, as in ODD_ALGEBRA_DOC, which already holds each first line."""
+    path = tmp_path / "repeat.bc"
+    path.write_text(ODD_ALGEBRA_DOC.replace("end\n", f"{second}\nend\n"))
+    assert main(["algebra-check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 15: {message}\n" and not captured.out
+    table = parse(ODD_ALGEBRA_DOC).algebras["odd_example"][0].table
+    assert table[1, 3] == table[3, 1] == {5: 1}
+
+
 def test_denominator_divisible_by_p_rejected_with_its_line(tmp_path, capsys):
     path = tmp_path / "third.bc"
     path.write_text(_f3_algebra("1", "1/3"))
@@ -1090,23 +1109,54 @@ def _outcome(parse_text, text: str):
         return e
 
 
+def _repeated_key_header(text: str, line: int) -> int | None:
+    """The header line of the algebra block in which *line* repeats the
+    (kind, left-hand labels) key of an earlier mult, phi or delta line of
+    that block, or None where it repeats none."""
+    header, keys = None, set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
+            continue
+        if tok[0] in ("complex", "action", "algebra", "end"):
+            header, keys = (lineno if tok[0] == "algebra" else None), set()
+        elif header and tok[0] in ("mult", "phi", "delta") and "=" in tok:
+            key = (tok[0], tuple(tok[1:tok.index("=")]))
+            if lineno == line:
+                return header if key in keys else None
+            keys.add(key)
+    return None
+
+
 def test_one_pass_parse_matches_the_two_pass_parser(tmp_path, s4_document):
     """Seeded mutations of this module's documents and of the S^4 document:
     the one-pass parser builds the objects the two-pass one built, or raises
     its error, or, where a document has several errors, an error on an
     earlier line (it reports the first in reading order; the two-pass one
-    reported every syntax error before any semantic one).  Each valid
-    document round-trips through its canonical form, and the algebra
-    commands print the same bytes and exit code on both."""
+    reported every syntax error before any semantic one).  The two-pass
+    parser let a repeated mult, phi or delta line replace the earlier one;
+    where the one-pass parser rejects such a line, the line must repeat an
+    earlier line's key in its block, and the two-pass parser either accepts
+    the document or reports an error on a later line or on that block's
+    header.  Each valid document round-trips through its canonical form, and
+    the algebra commands print the same bytes and exit code on both."""
     documents = [S2_DOC, PENTAGON_DOC, ODD_ALGEBRA_DOC, README_DOC, BAD_DELTA_DOC,
                  EXACT_UNIT_DOC, CANCELLING_DOC, NOT_APPLICABLE_DOC, DEGENERATE_ODD_DOC,
                  NOT_AN_ALGEBRA_DOC, UNIT_PRODUCT_DOC, ZERO_DELTA_DOC, s4_document(3)]
     rng = random.Random(34)
-    seen = dict.fromkeys(["valid", "same error", "earlier error"], 0)
+    seen = dict.fromkeys(["valid", "same error", "earlier error", "repeated line"], 0)
     for text in documents:
         for _ in range(150):
             mutant = _mutate(text, rng)
             new, old = _outcome(parse, mutant), _outcome(oracles.two_pass_parse, mutant)
+            if isinstance(new, InputError) and re.match(r"line \d+: (mult|phi|delta) line repeats ",
+                                                        str(new)):
+                header = _repeated_key_header(mutant, new.line)
+                assert header is not None, (mutant, str(new))
+                assert (not isinstance(old, InputError) or old.line > new.line
+                        or old.line == header), (mutant, str(new), str(old))
+                seen["repeated line"] += 1
+                continue
             if isinstance(new, InputError) and isinstance(old, InputError):
                 if str(new) == str(old):
                     seen["same error"] += 1

@@ -16,7 +16,8 @@ from itertools import combinations
 
 import pytest
 
-from betticong import corpus, exactalg, group_action
+import betticong
+from betticong import corpus, exactalg, group_action, simplicial
 from betticong.corpus import (
     full_triangle,
     polygon,
@@ -42,7 +43,7 @@ from betticong.group_action import (
     trivial_action,
     validate_action,
 )
-from betticong.pd_algebra import homology, random_differential_algebra
+from betticong.pd_algebra import homology, pairing_matrix, random_differential_algebra
 from betticong.simplicial import (
     SimplicialComplex,
     _maximal,
@@ -62,6 +63,7 @@ from oracles import (
     assert_kernel_check_as_oracle,
     assert_lift_and_projection,
     assert_pairings_congruent,
+    assert_ring_matches_oracle,
     coboundary_matrix,
     cocycle_bases_and_change,
     dense,
@@ -455,14 +457,14 @@ def test_degree_zero_basis_is_read_off_the_components(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_cup_pairing_sphere():
-    ring = cup_pairing(sphere_suspension(3), QQ)
-    M = ring.pairing_matrix(0)
+    A, phi = cup_pairing(sphere_suspension(3), QQ)
+    M = pairing_matrix(A, phi, 0)
     assert len(M) == 1 and len(M[0]) == 1 and M[0][0] != 0
 
 
 def test_cup_pairing_torus_skew():
-    ring = cup_pairing(torus(), GF(5))
-    M = ring.pairing_matrix(1)
+    A, phi = cup_pairing(torus(), GF(5))
+    M = pairing_matrix(A, phi, 1)
     assert len(M) == 2 and all(len(row) == 2 for row in M)
     # Degree-1 classes anticommute, so the pairing is skew with zero diagonal.
     assert M[0][0] % 5 == 0 and M[1][1] % 5 == 0
@@ -491,8 +493,9 @@ def test_cup_direct_evaluation_oracle():
 def test_rp2_cup_square_nontrivial_mod_2():
     # The degree-1 class of RP^2 squares to the top class over F_2; this is
     # what separates RP^2 from the wedge of a circle and a sphere.
-    ring = cup_pairing(rp2_six_vertex(), GF(2))
-    assert list(ring.structure[(1, 1)][0][0]) == [1]
+    A, phi = cup_pairing(rp2_six_vertex(), GF(2))
+    assert A.bidegrees == ((0, 0), (0, 1), (0, 2))
+    assert A.table[1, 1] == {2: 1}
 
 
 def test_s2xs2_intersection_form_hyperbolic():
@@ -502,8 +505,8 @@ def test_s2xs2_intersection_form_hyperbolic():
     depends on the basis that ``cohomology_basis`` publishes."""
     from betticong.corpus import s2xs2
 
-    ring = cup_pairing(s2xs2(3), GF(3))
-    M = ring.pairing_matrix(2)
+    A, phi = cup_pairing(s2xs2(3), GF(3))
+    M = pairing_matrix(A, phi, 2)
     assert M == [list(col) for col in zip(*M)]
     assert (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % 3
     assert any((x * x * M[0][0] + 2 * x * y * M[0][1] + y * y * M[1][1]) % 3 == 0
@@ -511,28 +514,18 @@ def test_s2xs2_intersection_form_hyperbolic():
 
 
 def test_contractible_products_vanish():
-    ring = cup_pairing(full_triangle(), QQ)
-    assert ring.top_degree == 0
-    assert ring.betti == (1, 0, 0)
+    A, phi = cup_pairing(full_triangle(), QQ)
+    assert A.bidegrees == ((0, 0),) and A.table == {(0, 0): {0: 1}}
+    assert (phi.values, phi.formal_dim) == ({0: 1}, 0)
 
 
 def test_ring_structure_graded_commutative():
     for X, field in ((torus(), QQ), (sphere_suspension(3), GF(3)), (rp2_six_vertex(), GF(2))):
-        ring = cup_pairing(X, field)
-        for (i, j), tbl in ring.structure.items():
-            if (j, i) not in ring.structure:
-                continue
-            sign = (-1) ** (i * j)
-            other = ring.structure[(j, i)]
-            for a in range(len(tbl)):
-                for b in range(len(tbl[a])):
-                    left = tbl[a][b]
-                    right = other[b][a]
-                    for k in range(len(left)):
-                        diff = left[k] - sign * right[k]
-                        if hasattr(field, "p"):
-                            diff %= field.p
-                        assert diff == 0, (i, j, a, b)
+        A, _ = cup_pairing(X, field)
+        for a, b in A.table:
+            sign = (-1) ** (A.bidegrees[a][1] * A.bidegrees[b][1])
+            assert A.table[a, b] == {c: field.reduce(sign * x)
+                                     for c, x in A.table[b, a].items()}, (a, b)
 
 
 def test_pd_sphere():
@@ -938,6 +931,39 @@ def test_cup_pairings_are_congruent_to_the_canonical_basis_route():
     assert_pairings_congruent(corpus.lens_space(), GF(3))
 
 
+def test_cohomology_rings_match_the_dense_oracle():
+    """H^*(X) as a ``BigradedAlgebra``: its table is the dense ring's of
+    ``tests/oracles.py``, product by product, on every corpus action over Q,
+    F_3 and its own F_p and on L(3,1) over F_3; it satisfies the algebra
+    laws, and ``check_pd`` agrees with ``pd_check``."""
+    for a in corpus.corpus_actions().values():
+        for field in dict.fromkeys([QQ, GF(3), GF(a.p)]):
+            assert_ring_matches_oracle(a.complex, field)
+    assert_ring_matches_oracle(corpus.lens_space(), GF(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_complexes().filter(lambda X: len(X.connected_components()) == 1),
+       st.sampled_from([QQ, GF(2), GF(3)]))
+def test_cohomology_rings_match_the_dense_oracle_on_random_complexes(X, field):
+    assert_ring_matches_oracle(X, field)
+
+
+def test_pd_check_computes_no_product_with_the_unit():
+    """On a fresh L(3,1) over Q, where H^1 = H^2 = 0, ``pd_check`` expresses
+    no class, so delta^0's column index is never built.  A disconnected
+    complex is still rejected with ``pd_check``'s own message."""
+    L = corpus.lens_space()
+    X = SimplicialComplex(L.vertices, L.facets)
+    assert pd_check(X, QQ).is_pd
+    assert not X._cache.get(("cob index", 0))
+    Y = SimplicialComplex.from_facets([(1, 2), (3, 4)])
+    with pytest.raises(ValueError, match=r"^pd_check requires a connected complex \(2 components\)$"):
+        pd_check(Y, QQ)
+    with pytest.raises(ValueError, match=r"^cup_pairing requires a connected complex"):
+        cup_pairing(Y, QQ)
+
+
 def test_cached_bases_keep_no_reference_cycle_through_the_complex():
     """A cached basis holds the coreduction's data, not X: once its last
     reference goes, X is freed at once, with the cyclic collector off."""
@@ -1010,6 +1036,8 @@ def test_cocycle_bases_take_no_dense_route():
     and the dense pullback are test oracles (``tests/oracles.py``), absent
     from the library."""
     assert not hasattr(SimplicialComplex, "coboundary_matrix")
+    # H^*(X) is a ``BigradedAlgebra``; the dense ring is the test oracle.
+    assert not hasattr(simplicial, "CohomologyRing") and not hasattr(betticong, "CohomologyRing")
     for module, names in ((exactalg, ("_kernel_from_rref", "rank_and_kernel", "kernel_basis")),
                           (group_action, ("cochain_pullback_matrix",
                                           "trivial_rational_action_check"))):
