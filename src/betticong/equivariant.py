@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import exactalg
-from .exactalg import GF
+from .exactalg import GF, _axpy, _reduced
 from .group_action import GroupAction, fixed_set_cohomology, pullback_permutation
-from .simplicial import _axpy, _reduced
 
 
 def horizontal(B: dict, signs: list[int], inverse: list[int], odd: bool, p: int) -> dict:

@@ -128,6 +128,20 @@ def identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def _axpy(y: dict, a, x: dict):
+    """y += a x, for sparse vectors; zeros and unreduced values stay until ``_reduced``."""
+    get = y.get
+    for m, v in x.items():
+        y[m] = get(m, 0) + a * v
+
+
+def _reduced(y: dict, p: int) -> dict:
+    """y's nonzero entries, reduced mod p (p a prime, or 0 for Z and Q)."""
+    if p:
+        return {m: r for m, v in y.items() if (r := v % p)}
+    return {m: v for m, v in y.items() if v}
+
+
 # ---------------------------------------------------------------------------
 # Dense reduced row echelon form and kernels
 # ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@ extended by the Leibniz rule.
 All algebra data is sparse, with no zero entries: the structure constants
 are one table ``{(a, b): {c: coeff}}`` with no entry for a zero product, an
 orientation is ``{i: phi(e_i)}`` and a differential is the tuple of its
-columns delta(e_j) = ``{i: coeff}``.  Products, the law checks, base changes
-and homology run on sparse vectors ``{index: coeff}``; dense matrices remain
-only where a dense rank or inverse runs (Gram matrices, base-change blocks,
-the odd-model pairing).
+columns delta(e_j) = ``{i: coeff}``.  The kernels touch the nonzero products
+only and sum through exactalg's one sparse axpy: a product reads the table at
+its pairs of support, the Leibniz check reads T(i, b) for e_i in delta(e_a)
+and T(a, j) for e_j in delta(e_b), and a base change sums N[i,a] N[j,b] T(i,j)
+over the table, in integers, then applies N^-1 once per pair reached.  Dense
+matrices remain only where a dense rank or inverse runs (Gram matrices,
+base-change blocks, the odd-model pairing).
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import exactalg
+from .exactalg import _axpy, _reduced
 
 BiDegree = tuple[int, int]  # (eps in Z/2, j in N)
 
@@ -60,8 +65,12 @@ class BigradedAlgebra:
 
     def product(self, x: dict, y: dict) -> dict:
         """x * y for sparse vectors ``{index: coeff}``."""
-        return accumulate(self.field, ((c, xa * yb * t) for a, xa in x.items() for b, yb in y.items()
-                                       for c, t in self.table.get((a, b), {}).items()))
+        T, out = self.table, {}
+        for a, xa in x.items():
+            for b, yb in y.items():
+                if t := T.get((a, b)):
+                    _axpy(out, xa * yb, t)
+        return _reduced(out, self.field.char)
 
     def max_second_grading(self) -> int:
         return max((j for _, j in self.bidegrees), default=0)
@@ -112,9 +121,18 @@ def _columns(M) -> list[dict]:
     return [{i: x for i, x in enumerate(col) if x} for col in zip(*M)]
 
 
+def _scaled(vectors) -> tuple[int, list[dict]]:
+    """(m, m * vectors) for sparse vectors, m the lcm of their denominators: integral vectors."""
+    m = math.lcm(*(x.denominator for v in vectors for x in v.values()))
+    return m, [{c: x.numerator * (m // x.denominator) for c, x in v.items()} for v in vectors]
+
+
 def _apply(field, columns, x: dict) -> dict:
     """M x for the matrix M with the given sparse columns."""
-    return accumulate(field, ((k, xi * m) for i, xi in x.items() for k, m in columns[i].items()))
+    out: dict = {}
+    for i, xi in x.items():
+        _axpy(out, xi, columns[i])
+    return _reduced(out, field.char)
 
 
 @dataclass(frozen=True)
@@ -171,10 +189,8 @@ class PDAlgebraResult:
 def check_pd(A: BigradedAlgebra, phi: Orientation) -> PDAlgebraResult:
     """Connectedness and nondegeneracy of the pairing phi(a * b)."""
     _check_orientation_support(A, phi)
-    comp00 = A.component(0, 0)
-    connected = comp00 == [A.unit_index]
-    gram = _gram_matrix(A, phi)
-    nondeg = exactalg.rank(gram, A.field) == A.dim
+    connected = A.component(0, 0) == [A.unit_index]
+    nondeg = exactalg.rank(_gram_matrix(A, phi), A.field) == A.dim
     return PDAlgebraResult(connected, nondeg, phi.formal_dim)
 
 
@@ -193,9 +209,10 @@ def _gram_matrix(A: BigradedAlgebra, phi: Orientation) -> list[list]:
 
 
 def pairing_matrix(A: BigradedAlgebra, phi: Orientation, i: int) -> list[list]:
-    """The block of the Gram matrix on bidegrees (0, i) x (0, n - i), n = phi's formal dimension."""
-    G = _gram_matrix(A, phi)
-    return [[G[a][b] for b in A.component(0, phi.formal_dim - i)] for a in A.component(0, i)]
+    """The block of the Gram matrix on bidegrees (0, i) x (0, n - i), n = phi's formal
+    dimension: phi of each product in the block, read off the table."""
+    return [[A.field.reduce(phi(A.table.get((a, b), {}))) for b in A.component(0, phi.formal_dim - i)]
+            for a in A.component(0, i)]
 
 
 def euler_and_dim(A: BigradedAlgebra) -> tuple[int, int]:
@@ -257,17 +274,26 @@ def check_derivation(A: BigradedAlgebra, delta: Differential) -> DerivationRepor
     if any(_apply(A.field, cols, col) for col in cols):
         problems.append("delta^2 != 0")
     for a, b in itertools.product(range(A.dim), repeat=2):
-        if _apply(A.field, cols, A.table.get((a, b), {})) != _leibniz(A, cols, a, b):
+        # A side is 0 where it reads no product: e_a e_b = 0, resp. delta(e_a) = delta(e_b) = 0.
+        lhs = _apply(A.field, cols, A.table[a, b]) if (a, b) in A.table else {}
+        if lhs != (_leibniz(A, cols, a, b) if cols[a] or cols[b] else {}):
             problems.append(f"Leibniz fails at pair ({a}, {b})")
             return DerivationReport(False, tuple(problems))
     return DerivationReport(not problems, tuple(problems))
 
 
 def _leibniz(A: BigradedAlgebra, cols: list[dict], a: int, b: int) -> dict:
-    """delta(e_a) e_b + (-1)^|a| e_a delta(e_b), from the sparse columns of delta."""
+    """delta(e_a) e_b + (-1)^|a| e_a delta(e_b), from the sparse columns of delta:
+    the sum of x T(i, b) over delta(e_a) = sum x e_i and of y T(a, j) over delta(e_b)."""
+    T, out = A.table, {}
+    for i, x in cols[a].items():
+        if t := T.get((i, b)):
+            _axpy(out, x, t)
     sign = -1 if A.total_degree(a) else 1
-    return accumulate(A.field, itertools.chain(A.product(cols[a], {b: 1}).items(),
-                                               A.product({a: sign}, cols[b]).items()))
+    for j, y in cols[b].items():
+        if t := T.get((a, j)):
+            _axpy(out, sign * y, t)
+    return _reduced(out, A.field.char)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +360,7 @@ def _homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
         raise ValueError("unit exact but homology nonzero: the unit law fails")
     H = BigradedAlgebra(field, h_bidegrees, table, unit_index=min(unit))
     phi_values = {k: x for k, rep in enumerate(h_reps) if (x := field.coerce(phi(rep)))}
-    if not phi_values:
-        return H, None
-    return H, make_orientation(H, phi_values)
+    return H, make_orientation(H, phi_values) if phi_values else None
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +436,8 @@ def odd_congruence(A: BigradedAlgebra, delta: Differential, phi: Orientation) ->
     skew = all(not A.field.reduce(x + y) for row, col in zip(gram, zip(*gram))
                for x, y in zip(row, col))
     nondeg = exactalg.rank(gram, A.field) == s
-    return OddCongruenceReport(
-        applicable=True,
-        failures=(),
-        dim_total=A.dim,
-        dim_homology=dim_h,
-        quotient_dim=s,
-        gamma_skew=skew,
-        gamma_nondegenerate=nondeg,
-        derivation=der,
-        pd=pd,
-    )
+    return OddCongruenceReport(True, (), A.dim, dim_h, quotient_dim=s, gamma_skew=skew,
+                               gamma_nondegenerate=nondeg, derivation=der, pd=pd)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +450,10 @@ def _single_generator_model(field, eps: int, j: int, height: int):
     height = 2 is the exterior algebra; odd-total generators require
     height 2 (x^2 = 0 forced by graded commutativity away from char 2).
     """
-    n = height
-    bidegrees = [((eps * k) % 2, j * k) for k in range(n)]
-    table = {(a, b): {a + b: field.one} for a in range(n) for b in range(n - a)}
+    bidegrees = [((eps * k) % 2, j * k) for k in range(height)]
+    table = {(a, b): {a + b: field.one} for a in range(height) for b in range(height - a)}
     A = BigradedAlgebra(field, bidegrees, table)
-    A._monomials = [(0,) * k for k in range(n)]  # generator id 0, multiplicity k
+    A._monomials = [(0,) * k for k in range(height)]  # generator id 0, multiplicity k
     A._generators = [(eps, j)]
     return A
 
@@ -447,13 +461,7 @@ def _single_generator_model(field, eps: int, j: int, height: int):
 def tensor(A: BigradedAlgebra, B: BigradedAlgebra) -> BigradedAlgebra:
     """Graded tensor product with Koszul signs; preserves monomial data."""
     field = A.field
-    dim = A.dim * B.dim
-    bidegrees = []
-    for i in range(A.dim):
-        for k in range(B.dim):
-            ea, ja = A.bidegrees[i]
-            eb, jb = B.bidegrees[k]
-            bidegrees.append(((ea + eb) % 2, ja + jb))
+    bidegrees = [((ea + eb) % 2, ja + jb) for ea, ja in A.bidegrees for eb, jb in B.bidegrees]
     table = {}
     for (i1, i2), pa in A.table.items():
         for (k1, k2), pb in B.table.items():
@@ -475,8 +483,7 @@ def tensor(A: BigradedAlgebra, B: BigradedAlgebra) -> BigradedAlgebra:
 
 def _tensor_orientation(A: BigradedAlgebra) -> Orientation:
     """Orientation dual to the unique top monomial of a tensor model."""
-    top_j = A.max_second_grading()
-    top = [i for i in range(A.dim) if A.bidegrees[i] == (0, top_j)]
+    top = A.component(0, A.max_second_grading())
     if len(top) != 1:
         raise ValueError("tensor model has no unique top class")
     return make_orientation(A, {top[0]: 1})
@@ -489,38 +496,43 @@ def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
     (A', phi', delta'); associativity and all congruence data are invariant.
     """
     field = A.field
-    ncols = [{i: field.one} for i in range(A.dim)]  # the sparse columns of N
-    ninv_cols = list(ncols)                          # and of N^-1
+    nrows = [{i: 1} for i in range(A.dim)]  # the sparse rows of N, integers
+    ninv_cols = [{i: field.one} for i in range(A.dim)]  # the sparse columns of N^-1
     for bd, idxs in A._components.items():
         if bd == (0, 0):
             continue
         k = len(idxs)
         while True:
             # Uniform residues over F_p, small integers over Q.
-            block = [
-                [field.coerce(rng.randrange(field.char) if field.char else rng.randint(-3, 3))
-                 for _ in range(k)] for _ in range(k)
-            ]
+            block = [[rng.randrange(field.char) if field.char else rng.randint(-3, 3)
+                      for _ in range(k)] for _ in range(k)]
             try:
                 inverse = exactalg.invert(block, field)
                 break
             except ValueError:
                 continue
-        for i, col, inv_col in zip(idxs, _columns(block), _columns(inverse)):
-            ncols[i] = {idxs[r]: x for r, x in col.items()}
+        for i, row, inv_col in zip(idxs, block, _columns(inverse)):
+            nrows[i] = {idxs[c]: x for c, x in enumerate(row) if x}
             ninv_cols[i] = {idxs[r]: x for r, x in inv_col.items()}
-    # The new product e_a * e_b is Ninv (N e_a * N e_b), and delta(e_j) is Ninv delta(N e_j).
-    # A product is homogeneous, so it is 0 where no basis element has its bidegree.
-    bd = A.bidegrees
-    table = {(a, b): v for a, na in enumerate(ncols) for b, nb in enumerate(ncols)
-             if A.component(bd[a][0] + bd[b][0], bd[a][1] + bd[b][1])
-             and (v := _apply(field, ninv_cols, A.product(na, nb)))}
+    # The new product e_a * e_b is N^-1 (N e_a * N e_b), and N e_a * N e_b sums
+    # N[i,a] N[j,b] T(i,j) over A's nonzero products.  The sums run on integers:
+    # T = W / m and N^-1 = V / d with W and V integral (m = d = 1 over F_p).
+    (m, W), (d, V) = _scaled(A.table.values()), _scaled(ninv_cols)
+    products: dict[tuple[int, int], dict] = {}
+    for (i, j), w in zip(A.table, W):
+        for a, x in nrows[i].items():
+            for b, y in nrows[j].items():
+                _axpy(products.setdefault((a, b), {}), x * y, w)
+    s = field.coerce(Fraction(1, d * m))  # 1 over F_p, so z * s stays a residue
+    table = {ab: {c: z * s for c, z in v.items()} for ab, prod in sorted(products.items())
+             if (v := _apply(field, V, prod))}
     A2 = BigradedAlgebra(field, A.bidegrees, table, unit_index=A.unit_index)
-    phi2 = make_orientation(A2, {i: phi(na) for i, na in enumerate(ncols)})
+    # phi'(e_a) = phi(N e_a), and delta'(e_j) = N^-1 delta(N e_j).
+    phi2 = make_orientation(A2, _apply(field, nrows, phi.values))
     delta2 = None
     if delta is not None:
-        delta2 = Differential(tuple(_apply(field, ninv_cols, _apply(field, delta.columns, na))
-                                    for na in ncols), delta.shift)
+        delta2 = Differential(tuple(_apply(field, ninv_cols, _apply(field, delta.columns, col))
+                                    for col in exactalg.transpose_rows(nrows, A.dim)), delta.shift)
     return A2, phi2, delta2
 
 
@@ -577,17 +589,9 @@ def _random_tensor_model(rng: random.Random, field, max_dim: int, even_dim: bool
         return A, _tensor_orientation(A)
 
 
-def _generator_indices(A: BigradedAlgebra) -> list[int]:
-    gens = []
-    for g in range(len(A._generators)):
-        target = (g,)
-        gens.append(A._monomials.index(target))
-    return gens
-
-
 def _sample_differential(A: BigradedAlgebra, rng: random.Random, max_tries: int):
     field = A.field
-    gen_idx = _generator_indices(A)
+    gen_idx = [A._monomials.index((g,)) for g in range(len(A._generators))]
     shifts = [(e, -j) for e in (0, 1) for j in range(1, A.max_second_grading() + 1)]
     # Monomials by length: the Leibniz recursion below needs the shorter first.
     order = sorted(range(A.dim), key=lambda i: len(A._monomials[i]))
@@ -624,10 +628,8 @@ def odd_model(field, m: int, r: int, pairing=None):
     surgered S^1 x S^2m example (rank 2 in degrees 1 and 2m for r = 2).
     """
     dim = 2 * r + 2
-    if pairing is None:
-        C = [[field.one if i == j else 0 for j in range(r)] for i in range(r)]
-    else:
-        C = [list(row) for row in pairing]
+    C = ([[field.one if i == j else 0 for j in range(r)] for i in range(r)] if pairing is None
+         else [list(row) for row in pairing])
     bidegrees = [(0, 0)] + [(0, 1)] * r + [(0, 2 * m)] * r + [(0, 2 * m + 1)]
     a0, u0, w = 1, 1 + r, 2 * r + 1
     table = {key: {x: field.one} for x in range(dim) for key in ((0, x), (x, 0))}

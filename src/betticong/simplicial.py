@@ -19,6 +19,7 @@ from functools import cached_property
 from itertools import chain, combinations, permutations, repeat
 
 from . import exactalg
+from .exactalg import _axpy, _reduced
 from .pd_algebra import BigradedAlgebra, Orientation, pairing_matrix
 
 Simplex = tuple[int, ...]  # strictly increasing vertex indices
@@ -243,14 +244,14 @@ def coreduce(rows: list[list[dict[int, int]]], sizes):
         seed(x)
 
 
-def _lift(B: dict, pairs, up, reduce, c=None) -> dict:
+def _lift(B: dict, pairs, up, p: int, c=None) -> dict:
     """Extend a block B = {cell: {label: value}} of core cochains (X's indices) to X.
 
     *pairs* are ``(cells, partner)`` from ``coreduce``, tau in cells against
     sigma = partner[tau] in B's degree, and *up* the rows of delta out of it.
     Walked last pair first, each sets B(sigma) = c(sigma) - u sum_{b !=
-    sigma} delta[tau, b] B(b), u = delta[tau, sigma] = +-1, in place; c is 0
-    but in ``Retraction.project``'s homotopy.
+    sigma} delta[tau, b] B(b), u = delta[tau, sigma] = +-1, in place and mod
+    p; c is 0 but in ``Retraction.project``'s homotopy.
     """
     (cells, partner), c = pairs, c or {}
     for tau in reversed(cells):  # sigma is not set yet, so not in B
@@ -260,9 +261,8 @@ def _lift(B: dict, pairs, up, reduce, c=None) -> dict:
         acc, u = dict(c.get(sigma, {})), row[sigma]
         for b, e in row.items():
             if b in B:
-                for m, x in B[b].items():
-                    acc[m] = acc.get(m, 0) - u * e * x
-        if acc := {m: r for m, x in acc.items() if (r := reduce(x))}:
+                _axpy(acc, -u * e, B[b])
+        if acc := _reduced(acc, p):
             B[sigma] = acc
     return B
 
@@ -270,19 +270,6 @@ def _lift(B: dict, pairs, up, reduce, c=None) -> dict:
 # A block holds cochains row-major, {cell: {label: value}}: one walk over the pairs
 # carries them all.  p is a prime, or 0 for integers: the retraction is integral,
 # and over Q it runs on integer multiples.
-
-def _axpy(y: dict, a: int, x: dict):
-    """y += a x, for sparse rows."""
-    get = y.get
-    for m, v in x.items():
-        y[m] = get(m, 0) + a * v
-
-
-def _reduced(y: dict, p: int) -> dict:
-    if p:
-        return {m: r for m, v in y.items() if (r := v % p)}
-    return {m: v for m, v in y.items() if v}
-
 
 def _mod(p: int):
     return p.__rmod__ if p else operator.pos
@@ -371,7 +358,7 @@ class Retraction:
         if not j:
             return {y: col for x, col in B.items() for y in self.components[x]}
         if j < self.top:
-            return _lift(dict(B), self.down[j + 1], self.rows[j], _mod(p))
+            return _lift(dict(B), self.down[j + 1], self.rows[j], p)
         return self._seeded(dict(B), -1, p)
 
     def project(self, B: dict, j: int, p: int) -> tuple[dict, dict]:
@@ -395,7 +382,7 @@ class Retraction:
                     for a, e in cols[sigma].items():
                         if a != tau:
                             _axpy(W.setdefault(a, {}), -e * u, w)
-        h = _lift({}, self.down[j], self.rows[j - 1], _mod(p), c) if c else {}
+        h = _lift({}, self.down[j], self.rows[j - 1], p, c) if c else {}
         return {q: r for q in self.core[j] if q in W and (r := _reduced(W[q], p))}, h
 
     def pull_back(self, z: dict[int, int], j: int, p: int) -> dict[int, int]:
@@ -413,8 +400,7 @@ class Retraction:
         """
         reduce, faces, y = _mod(p), self.rows[j - 1], {}
         for a, x in z.items():
-            for b, e in faces[a].items():
-                y[b] = y.get(b, 0) + e * x
+            _axpy(y, x, faces[a])
         out, (cells, partner) = dict(z), self.down[j]
         for tau in reversed(cells):
             sigma = partner[tau]
@@ -423,8 +409,7 @@ class Retraction:
                 row = faces[tau]
                 t = row[sigma] * g
                 out[tau] = reduce(-t)
-                for b, e in row.items():
-                    y[b] = y.get(b, 0) - e * t
+                _axpy(y, -t, row)
         if j == self.top:
             for tau, comp in self.seeds.items():
                 if g := out.get(tau):

@@ -1,13 +1,15 @@
 """Dense and plain-loop routes the tests compare the library against.
 
 No library path calls these: the library computes kernels, cocycle bases,
-g* and cup pairings sparsely, and reads an input document in one pass.  They stay here as independent references,
+g* and cup pairings sparsely, walks only the nonzero products of a PD
+algebra, and reads an input document in one pass.  They stay here as independent references,
 with the checks that several test modules run against them.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,6 +29,8 @@ from betticong.group_action import (
 from betticong.pd_algebra import (
     BigradedAlgebra,
     Differential,
+    DerivationReport,
+    _columns,
     accumulate,
     check_pd,
     make_orientation,
@@ -259,6 +263,98 @@ def assert_ring_matches_oracle(X: SimplicialComplex, field):
     assert A.validate() == [], (X, field)
     if phi is not None:
         assert check_pd(A, phi).is_pd == simplicial.pd_check(X, field).is_pd
+
+
+# The sparse PD-algebra kernels before they walked the nonzero products
+# only: every sum through ``accumulate``'s generator of terms, the Leibniz
+# side by two products with singleton vectors, and the base change by a
+# product N e_a * N e_b for every pair (a, b) of a bidegree that has a
+# basis.  Kept unchanged as the oracles of ``BigradedAlgebra.product``,
+# ``_apply``, ``_leibniz``, ``check_derivation`` and ``random_base_change``.
+
+def algebra_product(A: BigradedAlgebra, x: dict, y: dict) -> dict:
+    """x * y for sparse vectors ``{index: coeff}``."""
+    return accumulate(A.field, ((c, xa * yb * t) for a, xa in x.items() for b, yb in y.items()
+                                for c, t in A.table.get((a, b), {}).items()))
+
+
+def apply_columns(field, columns, x: dict) -> dict:
+    """M x for the matrix M with the given sparse columns."""
+    return accumulate(field, ((k, xi * m) for i, xi in x.items() for k, m in columns[i].items()))
+
+
+def leibniz(A: BigradedAlgebra, cols: list[dict], a: int, b: int) -> dict:
+    """delta(e_a) e_b + (-1)^|a| e_a delta(e_b), from the sparse columns of delta."""
+    sign = -1 if A.total_degree(a) else 1
+    return accumulate(A.field, itertools.chain(algebra_product(A, cols[a], {b: 1}).items(),
+                                               algebra_product(A, {a: sign}, cols[b]).items()))
+
+
+def check_derivation(A: BigradedAlgebra, delta: Differential) -> DerivationReport:
+    """Verify homogeneity, delta^2 = 0 and the signed Leibniz rule."""
+    problems = []
+    de, dj = delta.shift
+    if dj >= 0:
+        problems.append("differential must lower the second grading")
+    cols = delta.columns
+    for j, col in enumerate(cols):
+        ej, jj = A.bidegrees[j]
+        for i in col:
+            ei, ji = A.bidegrees[i]
+            if (ei - ej - de) % 2 or ji != jj + dj:
+                problems.append(f"delta(e{j}) not homogeneous of shift {delta.shift}")
+                break
+    if problems:
+        return DerivationReport(False, tuple(problems))
+    if any(apply_columns(A.field, cols, col) for col in cols):
+        problems.append("delta^2 != 0")
+    for a, b in itertools.product(range(A.dim), repeat=2):
+        if apply_columns(A.field, cols, A.table.get((a, b), {})) != leibniz(A, cols, a, b):
+            problems.append(f"Leibniz fails at pair ({a}, {b})")
+            return DerivationReport(False, tuple(problems))
+    return DerivationReport(not problems, tuple(problems))
+
+
+def random_base_change(A: BigradedAlgebra, phi, delta, rng: random.Random):
+    """Conjugate everything by a random bidegree-preserving isomorphism.
+
+    The (0,0) block stays the identity so the unit is untouched.  Returns
+    (A', phi', delta'); associativity and all congruence data are invariant.
+    """
+    field = A.field
+    ncols = [{i: field.one} for i in range(A.dim)]  # the sparse columns of N
+    ninv_cols = list(ncols)                          # and of N^-1
+    for bd, idxs in A._components.items():
+        if bd == (0, 0):
+            continue
+        k = len(idxs)
+        while True:
+            # Uniform residues over F_p, small integers over Q.
+            block = [
+                [field.coerce(rng.randrange(field.char) if field.char else rng.randint(-3, 3))
+                 for _ in range(k)] for _ in range(k)
+            ]
+            try:
+                inverse = exactalg.invert(block, field)
+                break
+            except ValueError:
+                continue
+        for i, col, inv_col in zip(idxs, _columns(block), _columns(inverse)):
+            ncols[i] = {idxs[r]: x for r, x in col.items()}
+            ninv_cols[i] = {idxs[r]: x for r, x in inv_col.items()}
+    # The new product e_a * e_b is Ninv (N e_a * N e_b), and delta(e_j) is Ninv delta(N e_j).
+    # A product is homogeneous, so it is 0 where no basis element has its bidegree.
+    bd = A.bidegrees
+    table = {(a, b): v for a, na in enumerate(ncols) for b, nb in enumerate(ncols)
+             if A.component(bd[a][0] + bd[b][0], bd[a][1] + bd[b][1])
+             and (v := apply_columns(field, ninv_cols, algebra_product(A, na, nb)))}
+    A2 = BigradedAlgebra(field, A.bidegrees, table, unit_index=A.unit_index)
+    phi2 = make_orientation(A2, {i: phi(na) for i, na in enumerate(ncols)})
+    delta2 = None
+    if delta is not None:
+        delta2 = Differential(tuple(apply_columns(field, ninv_cols, apply_columns(field, delta.columns, na))
+                                    for na in ncols), delta.shift)
+    return A2, phi2, delta2
 
 
 def coboundary_matrix(X: SimplicialComplex, k: int) -> list[list[int]]:
@@ -673,7 +769,7 @@ def assert_lift_and_projection(X: SimplicialComplex, forwards: bool = False):
         if forwards:
             cells = cells[::-1]
         block = simplicial._lift({a: {0: y} for a, y in x.items()}, (cells, partner),
-                                 X.coboundary_rows(d), int)
+                                 X.coboundary_rows(d), 0)
         return seeded({a: col[0] for a, col in block.items()}, d, inverse=True)
 
     def project(v, d):

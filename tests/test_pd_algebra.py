@@ -6,6 +6,7 @@ of the pairing) before being compared with the library computation.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betticong import exactalg
+from betticong import corpus, exactalg, pd_algebra
 from betticong.exactalg import GF, QQ, field_matrix, rank
 from betticong.pd_algebra import (
     Differential,
@@ -26,15 +27,23 @@ from betticong.pd_algebra import (
     odd_congruence,
     odd_model,
     odd_model_differential,
+    pairing_matrix,
     random_base_change,
     random_differential_algebra,
     random_pd_algebra,
     tensor,
+    _gram_matrix,
+    _leibniz,
     _single_generator_model,
     _tensor_orientation,
 )
+from betticong.simplicial import cup_pairing
 
+import oracles
 from oracles import assert_complements, kernel_basis
+
+
+_FIELDS = {"Q": QQ, "F3": GF(3), "F5": GF(5), "F7": GF(7)}
 
 
 def zero_differential(A, shift=(0, -1)) -> Differential:
@@ -111,6 +120,27 @@ def test_truncated_unit_only_algebra_has_no_orientation():
         make_orientation(A, {0: 0})
 
 
+def test_pairing_matrix_is_the_block_of_the_gram_matrix():
+    """``pairing_matrix(A, phi, i)`` reads its block off the table: it is the
+    block of ``_gram_matrix`` on (0, i) x (0, n - i) for every i, on the
+    corpus rings over Q, F3 and their own F_p and on random PD algebras."""
+    def assert_blocks(A, phi):
+        G, n = _gram_matrix(A, phi), phi.formal_dim
+        for i in range(n + 1):
+            assert pairing_matrix(A, phi, i) == [[G[a][b] for b in A.component(0, n - i)]
+                                                 for a in A.component(0, i)], (A.field, i)
+
+    for a in corpus.corpus_actions().values():
+        for field in dict.fromkeys([QQ, GF(3), GF(a.p)]):
+            A, phi = cup_pairing(a.complex, field)
+            if phi is not None:
+                assert_blocks(A, phi)
+    rng = random.Random(41)
+    for field in _FIELDS.values():
+        for _ in range(6):
+            assert_blocks(*random_pd_algebra(rng, field, even_dim=None))
+
+
 # ---------------------------------------------------------------------------
 # euler_and_dim / even-dimension congruence
 # ---------------------------------------------------------------------------
@@ -179,6 +209,70 @@ def test_sparse_table_and_product_match_the_bilinear_oracle(field):
                                         for a in range(n) for b in range(n)))
 
             assert A.product(x, y) == {c: v for c in range(n) if (v := oracle(c))}
+
+
+def _drawn(kind: str, name: str, n: int):
+    """((A, phi, delta), the generator's state after it) from
+    ``random.Random("<kind>/<field>/<n>")``, seeded as ``perfbench``'s
+    population is; delta is None for an even algebra."""
+    rng = random.Random(f"{kind}/{name}/{n}")
+    if kind == "even":
+        return (*random_pd_algebra(rng, _FIELDS[name], even_dim=True), None), rng.getstate()
+    return random_differential_algebra(rng, _FIELDS[name]), rng.getstate()
+
+
+def _one_entry_changed(A, delta: Differential, rng) -> Differential:
+    """delta with its coefficient at one homogeneous position raised by 1.
+    Where delta's shift reaches no basis element delta is 0, and it is taken
+    at the shift from a random class onto the unit instead."""
+    cols, (de, dj) = [dict(col) for col in delta.columns], delta.shift
+    spots = [(j, i) for j, (e, d) in enumerate(A.bidegrees) for i in A.component(e + de, d + dj)]
+    if not spots:
+        j = rng.randrange(1, A.dim)
+        (de, dj), spots = (A.bidegrees[j][0], -A.bidegrees[j][1]), [(j, A.unit_index)]
+    j, i = rng.choice(spots)
+    if x := A.field.reduce(cols[j].pop(i, 0) + A.field.one):
+        cols[j][i] = x
+    return Differential(tuple(cols), (de, dj))
+
+
+def test_kernels_over_the_nonzero_products_match_the_per_pair_oracles(monkeypatch):
+    """The population's algebras (dimensions 2 to 32, 12 and 16 among them)
+    over Q, F3, F5 and F7 come out equal as dicts, table, orientation and
+    differential, from the same draws of the generator, when generated with
+    the per-pair kernels of ``tests/oracles.py`` in place of the library's;
+    and ``check_derivation`` reports what the oracle reports, on the valid
+    delta and on delta with one entry changed, where ``_leibniz`` equals the
+    oracle's on every pair."""
+    keys = [(kind, name, n) for kind in ("even", "diff") for name in _FIELDS for n in range(24)]
+    drawn = {key: _drawn(*key) for key in keys}
+    with monkeypatch.context() as m:
+        m.setattr(pd_algebra, "random_base_change", oracles.random_base_change)
+        m.setattr(pd_algebra, "check_derivation", oracles.check_derivation)
+        m.setattr(pd_algebra, "_leibniz", oracles.leibniz)
+        m.setattr(pd_algebra, "_apply", oracles.apply_columns)
+        m.setattr(pd_algebra.BigradedAlgebra, "product", oracles.algebra_product)
+        expected = {key: _drawn(*key) for key in keys}
+    rng, failures = random.Random(29), set()
+    for key in keys:
+        ((A, phi, delta), state), ((B, psi, eps), expected_state) = drawn[key], expected[key]
+        assert state == expected_state, key
+        assert (A.table, A.bidegrees, A.unit_index) == (B.table, B.bidegrees, B.unit_index), key
+        assert (phi.values, phi.formal_dim) == (psi.values, psi.formal_dim), key
+        if delta is None:
+            assert eps is None
+            delta = zero_differential(A)
+        else:
+            assert (delta.columns, delta.shift) == (eps.columns, eps.shift), key
+        changed = _one_entry_changed(A, delta, rng)
+        for d in (delta, changed):
+            report = check_derivation(A, d)
+            assert report == oracles.check_derivation(A, d), key
+            failures.update(v.split(" at ")[0] for v in report.violations)
+        for a, b in itertools.product(range(A.dim), repeat=2):
+            assert _leibniz(A, changed.columns, a, b) == oracles.leibniz(A, changed.columns, a, b)
+    assert {algebra[0].dim for algebra, _ in drawn.values()} >= {12, 16}
+    assert failures == {"delta^2 != 0", "Leibniz fails"}
 
 
 # ---------------------------------------------------------------------------

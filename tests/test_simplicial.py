@@ -949,6 +949,43 @@ def test_cohomology_rings_match_the_dense_oracle_on_random_complexes(X, field):
     assert_ring_matches_oracle(X, field)
 
 
+@st.composite
+def small_complexes_with_classes(draw):
+    """A circle on 3 to 5 vertices or the boundary of a tetrahedron, with up
+    to two random edges or triangles added on its vertices; drawn again in
+    the rare case that these leave no rational class of positive degree."""
+    n = draw(st.integers(3, 5))
+    labels = [f"u{i}" for i in range(n)]
+    if n == 4 and draw(st.booleans()):
+        facets = list(combinations(labels, 3))
+    else:
+        facets = [(labels[i], labels[(i + 1) % n]) for i in range(n)]
+    extra = draw(st.lists(st.lists(st.sampled_from(labels), min_size=2, max_size=3, unique=True),
+                          max_size=2))
+    return SimplicialComplex.from_facets(facets + [tuple(f) for f in extra])
+
+
+@st.composite
+def products_with_cup_products(draw):
+    """The staircase ``product`` X x Y of two such complexes.  Over a field
+    H^*(X x Y) is H^*(X) (x) H^*(Y) as a ring (Kunneth), so (u x 1)(1 x v)
+    = u x v is a nonzero product of two classes of positive degree."""
+    small = small_complexes_with_classes().filter(lambda X: X.cohomology(QQ).total > 1)
+    return product(draw(small), draw(small))
+
+
+@settings(max_examples=40, deadline=None)
+@given(products_with_cup_products(), st.sampled_from([QQ, GF(2), GF(3)]))
+def test_cohomology_rings_match_the_dense_oracle_on_random_products(X, field):
+    """Unlike ``random_complexes``, whose rings almost never multiply two
+    classes of positive degree to a nonzero class, these rings do: the table
+    against the oracle's, and the ring laws of ``validate``, see every
+    computed product."""
+    A, _ = cup_pairing(X, field)
+    assert any(A.bidegrees[a][1] and A.bidegrees[b][1] for a, b in A.table)
+    assert_ring_matches_oracle(X, field)
+
+
 def test_pd_check_computes_no_product_with_the_unit():
     """On a fresh L(3,1) over Q, where H^1 = H^2 = 0, ``pd_check`` expresses
     no class, so delta^0's column index is never built.  A disconnected
