@@ -2,18 +2,19 @@
 
 Everything downstream (cohomology, group actions, the Borel complex) reduces
 to the primitives in this module: the dense reduced row echelon form, the
-one sparse elimination loop, the one kernel-modulo-image engine
-``Subquotient``, integer Smith normal form (whose divisors give the ranks
-over every field and, through ``p_valuation_profile``, the p-local torsion)
-and the Jordan block partition of a nilpotent operator.  All arithmetic is
-exact: Python ints, ``fractions.Fraction`` for the rationals, canonical
-residues in ``[0, p)`` for prime fields.  A dense matrix is a list of rows,
-a short coefficient vector a list, of such elements.  The two field
-objects own that carrier: ``one``, ``zeros``, ``coerce`` and ``reduce`` (the
-identity over Q, ``% p`` over F_p), so no other module tests which field it
-holds.  The sparse routines work on dict-of-rows and exist because the
-corpus coboundary matrices are large but eliminate with tiny fill-in.  A
-cochain, and every vector ``Subquotient`` takes or publishes, is sparse too:
+one sparse elimination loop (over Q and over F_p), the one
+kernel-modulo-image engine ``Subquotient``, the integer Smith normal form of
+sparse rows (whose divisors give the ranks over every field and, through
+``p_valuation_profile``, the p-local torsion) and the Jordan block partition
+of a nilpotent operator.  All arithmetic is exact: Python ints,
+``fractions.Fraction`` for the rationals, canonical residues in ``[0, p)``
+for prime fields.  A dense matrix is a list of rows, a short coefficient
+vector a list, of such elements.  The two field objects own that carrier:
+``one``, ``zeros``, ``coerce`` and ``reduce`` (the identity over Q, ``% p``
+over F_p), so no other module tests which field it holds.  The sparse
+routines work on dict-of-rows and exist because the corpus coboundary
+matrices are large but eliminate with tiny fill-in.  A cochain, and every
+vector ``Subquotient`` takes or publishes, is sparse too:
 ``{index: value}``, 0 wherever an index is absent.
 """
 
@@ -204,17 +205,16 @@ def invert(M, field) -> list[list]:
 
 
 # ---------------------------------------------------------------------------
-# Sparse exact elimination: one loop for Q, F_p and Z
+# Sparse exact elimination: one loop for Q and F_p
 # ---------------------------------------------------------------------------
 
-def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, unit=False):
+def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p):
     """Clear column *pc* of ``rows[dst]`` with ``rows[src]``, keeping the index.
 
     ``col_rows[c]`` is the set of rows with a nonzero entry in column c.
-    Over F_p (the source pivot is 1): dst <- dst - f*src.  Otherwise
+    Over F_p (the source pivot is 1): dst <- dst - f*src.  Over Q
     fraction-free: dst <- pv*dst - f*src, then dst is divided by the gcd of
-    its entries (with a ``unit`` pivot pv = +-1, not at all, as that
-    division is not unimodular).
+    its entries.
     """
     other, row = rows[dst], rows[src]
     f = other[pc]
@@ -236,7 +236,7 @@ def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, unit=Fal
         elif c in other:
             del other[c]
             col_rows[c].discard(dst)
-    if other and not modp and not unit:
+    if other and not modp:
         g = 0
         for v in other.values():
             g = math.gcd(g, v)
@@ -247,26 +247,23 @@ def _subtract_pivot_row(rows, col_rows, dst: int, src: int, pc: int, p, unit=Fal
                 other[c] //= g
 
 
-def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False):
+def _eliminate(rows: list[dict[int, int]], p: int | None = None):
     """Sparse Gaussian elimination shared by every sparse rank and echelon form.
 
     Rows are dicts {column: nonzero int}; they are not modified, and every
     row that a step can change is a copy.
-    Three modes: over Q (``p`` None) fraction-free on integer rows with gcd
+    Two modes: over Q (``p`` None) fraction-free on integer rows with gcd
     normalisation, so it is exact; over F_p (``p`` a prime) on residues mod
-    p with each pivot scaled to 1; over Z (``unit``) with +-1 pivots only
-    and no rescaling, so every step is unimodular and keeps the Smith form.
-    Pivot choice: sparsest active row first, then the admissible column that
-    hits the fewest active rows (classic fill-in heuristic); ties break on
-    indices so the elimination is deterministic.  A one-entry row alone in
-    its column (+-1 with unit pivots) is a pivot under that rule and meets
-    no other row, so it is taken first, as given (over F_p scaled to 1).
+    p with each pivot scaled to 1.  Pivot choice: sparsest active row
+    first, then its column that hits the fewest active rows (classic
+    fill-in heuristic); ties break on indices so the elimination is
+    deterministic.  A one-entry row alone in its column is a pivot under
+    that rule and meets no other row, so it is taken first, as given (over
+    F_p scaled to 1).
 
-    Returns ``(work, pivots, rest)``: the reduced rows, the (row, column)
-    pivots in elimination order, and the nonzero rows left without a pivot
-    (with unit pivots, rows without a +-1 entry; empty otherwise).  Each
-    pivot row is zero at the column of every earlier pivot, and rows in
-    ``rest`` are zero in every pivot column.
+    Returns ``(work, pivots)``: the reduced rows and the (row, column)
+    pivots in elimination order.  Each pivot row is zero at the column of
+    every earlier pivot.
     """
     modp = p is not None
     work: list[dict[int, int]] = []
@@ -293,7 +290,7 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False):
     # row alone there, so it stays as given; the others are copied.
     pivots: list[tuple[int, int]] = []
     for i, c, v in ones:
-        if single[c] == i and c not in col_rows and (v in (1, -1) or not unit):
+        if single[c] == i and c not in col_rows:
             if modp and v != 1:
                 work[i] = {c: 1}
             pivots.append((i, c))
@@ -313,10 +310,7 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False):
         if len(row) != k:  # stale heap entry
             heapq.heappush(heap, (len(row), i))
             continue
-        cols = [c for c, v in row.items() if v in (1, -1)] if unit else row
-        if not cols:
-            continue  # no admissible entry; stays active until an update gives one
-        pc = min(cols, key=lambda c: (len(col_rows[c]), c))
+        pc = min(row, key=lambda c: (len(col_rows[c]), c))
         active.discard(i)
         pivots.append((i, pc))
         if modp:
@@ -325,14 +319,14 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None, unit=False):
                 for c in row:
                     row[c] = row[c] * inv % p
         for j in col_rows[pc] - {i}:
-            _subtract_pivot_row(work, col_rows, j, i, pc, p, unit)
+            _subtract_pivot_row(work, col_rows, j, i, pc, p)
             if not work[j]:
                 active.discard(j)
             else:
                 heapq.heappush(heap, (len(work[j]), j))
         for c in row:
             col_rows[c].discard(i)
-    return work, pivots, [work[i] for i in sorted(active)]
+    return work, pivots
 
 
 def sparse_rank_modp(rows: list[dict[int, int]], p: int) -> int:
@@ -356,7 +350,7 @@ def sparse_rref_q(rows: list[dict[int, int]]) -> tuple[list[dict[int, Fraction]]
     arithmetic integral until the final scaling, so large sparse coboundary
     matrices reduce in near-linear time.  Deterministic for fixed input.
     """
-    work, pivots, _ = _eliminate(rows)
+    work, pivots = _eliminate(rows)
     # Backward pass: clear each pivot column from the other pivot rows.
     col_rows: dict[int, set[int]] = {}
     for i, _ in pivots:
@@ -401,7 +395,7 @@ def _unit_echelon(rows, field) -> list[tuple[int, dict]]:
     already scales pivots to 1; over Q its rows are fraction-free and are
     divided by their pivot entry here.
     """
-    work, pivots, _ = _eliminate(rows, field.char or None)
+    work, pivots = _eliminate(rows, field.char or None)
     out = []
     for i, pc in pivots:
         row, pv = work[i], work[i][pc]
@@ -545,26 +539,26 @@ class SmithForm:
     rank: int
 
 
-def smith_normal_form(matrix) -> SmithForm:
-    """Smith normal form (the divisor chain) of an integer matrix.
+def smith_normal_form(rows: list[dict[int, int]], ncols: int) -> SmithForm:
+    """Smith normal form (the divisor chain) of an integer matrix on *ncols*
+    columns, given by its sparse rows ``{column: int}``; they are not modified.
 
     First diagonalise.  The pivot is the entry of least absolute value, ties
     on (row, col).  Floor-division row operations clear its column and
     column operations its row; the least remainder left in either becomes
     the next pivot, and a pivot alone in its row and column goes on the
-    diagonal.  Each diagonal entry starts with a scan of every remaining
-    entry, so large matrices belong to ``sparse_smith_divisors``, which
-    calls this on its small core.  Then, as diag(a, b) ~ diag(gcd(a, b),
-    lcm(a, b)), pairwise gcd and lcm over the diagonal entries above 1 give
-    the chain, after the 1s and before the zeros.
+    diagonal.  Each diagonal entry starts with a scan of the remaining rows
+    in index order, which stops at the first row holding a +-1.  Then, as
+    diag(a, b) ~ diag(gcd(a, b), lcm(a, b)), pairwise gcd and lcm over the
+    diagonal entries above 1 give the chain, after the 1s and before the
+    zeros.
     """
-    rows: dict[int, dict[int, int]] = {}
+    size = min(len(rows), ncols)
+    rows = {i: r for i, row in enumerate(rows) if (r := {c: v for c, v in row.items() if v})}
     cols: dict[int, set[int]] = {}
-    for i, row in enumerate(matrix):
-        for j, x in enumerate(row):
-            if x:
-                rows.setdefault(i, {})[j] = int(x)
-                cols.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
 
     def add(i: int, j: int, v: int):
         row = rows[i]
@@ -578,7 +572,13 @@ def smith_normal_form(matrix) -> SmithForm:
 
     diagonal: list[int] = []
     while rows:
-        least, pi = min((min(map(abs, row.values())), i) for i, row in rows.items())
+        least = math.inf
+        for i, row in rows.items():  # rows are only ever deleted, so stay in index order
+            m = min(map(abs, row.values()))
+            if m < least:
+                least, pi = m, i
+                if m == 1:
+                    break
         pc = min(c for c, v in rows[pi].items() if abs(v) == least)
         while True:
             pivot = rows[pi][pc]
@@ -608,26 +608,7 @@ def smith_normal_form(matrix) -> SmithForm:
             g = math.gcd(big[a], big[b])
             big[a], big[b] = g, big[a] // g * big[b]
     divisors = [1] * (len(diagonal) - len(big)) + big
-    divisors += [0] * (min(len(matrix), len(matrix[0]) if matrix else 0) - len(divisors))
-    return SmithForm(divisors=tuple(divisors), rank=len(diagonal))
-
-
-def sparse_smith_divisors(rows: list[dict[int, int]], ncols: int) -> tuple[int, ...]:
-    """``smith_normal_form(matrix).divisors`` of a dict-of-rows integer matrix.
-
-    The +-1 pivots are eliminated sparsely first; that is unimodular and
-    each one gives a divisor 1.  The rows left, on the columns without a
-    pivot, form a small core whose divisors come from the dense Smith form
-    (Dumas-Saunders-Villard, J. Symb. Comp. 2001).
-    """
-    _, found, rest = _eliminate(rows, unit=True)
-    cols = {c: j for j, c in enumerate(sorted({c for row in rest for c in row}))}
-    core = _zeros((len(rest), len(cols)))
-    for core_row, row in zip(core, rest):
-        for c, v in row.items():
-            core_row[cols[c]] = v
-    divisors = [1] * len(found) + [d for d in smith_normal_form(core).divisors if d]
-    return tuple(divisors + [0] * (min(len(rows), ncols) - len(divisors)))
+    return SmithForm(divisors=tuple(divisors + [0] * (size - len(divisors))), rank=len(diagonal))
 
 
 def p_valuation_profile(divisors, p: int) -> list[int]:

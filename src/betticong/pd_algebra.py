@@ -347,11 +347,11 @@ def _homology(A: BigradedAlgebra, delta: Differential, phi: Orientation):
         coeffs = subq[bd].express({position[i]: x for i, x in v.items() if A.bidegrees[i] == bd})
         return {offset[bd] + k: x for k, x in enumerate(coeffs) if x}
 
+    # A product of cycles is a cycle: where H has no class, it is 0 in H.
     table = {}
     for (a, ra), (b, rb) in itertools.product(enumerate(h_reps), repeat=2):
-        prod = A.product(ra, rb)
         bd = ((h_bidegrees[a][0] + h_bidegrees[b][0]) % 2, h_bidegrees[a][1] + h_bidegrees[b][1])
-        if bd in subq and prod and (coeffs := classes(prod, bd)):
+        if subq.get(bd) and (prod := A.product(ra, rb)) and (coeffs := classes(prod, bd)):
             table[a, b] = coeffs
     unit = classes({A.unit_index: field.one}, (0, 0)) if (0, 0) in h_bidegrees else {}
     if not unit:

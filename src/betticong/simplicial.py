@@ -574,9 +574,9 @@ class SimplicialComplex:
 
         A row cancelled downward is its +-1 entry at its partner, a live row
         keeps its live columns (of delta^0 in the seeded basis, of M
-        delta^{d-1} in the top degree), and every other row is empty.  This
-        matrix has delta^k's rank over every field and its nonzero Smith
-        divisors (see ``cohomology``), and the partners are among its pivots.
+        delta^{d-1} in the top degree), and every other row is empty.  The
+        rank routes eliminate this matrix, which has delta^k's rank over
+        every field (see ``cohomology``); the partners are among its pivots.
         """
         if k >= self.dim:
             return self.coboundary_rows(k)
@@ -595,18 +595,23 @@ class SimplicialComplex:
         return exactalg.sparse_rank_modp(rows, p) if p else exactalg.sparse_rank_q(rows)
 
     def _smith_divisors(self) -> list[tuple[int, ...]]:
-        """The Smith divisors of delta^0..delta^dim (delta^dim is zero), in one pass.
+        """The Smith divisors of delta^0..delta^dim (delta^dim is zero), off the coreduction.
 
-        Each pass eliminates ``_reduced_rows``, whose nonzero divisors are
-        delta^k's (see ``cohomology``); the dense Smith form sees at most the
-        core's block of delta^k.  Over Q the rank of delta^k is its number of
+        Those of delta^k (see ``cohomology``): a 1 per cancelled pair of
+        degrees (k+1, k), the divisors of the core's block of delta^k
+        (``Retraction.delta``, all that ``smith_normal_form`` sees), then 0s
+        up to min(n_{k+1}, n_k).  Over Q the rank of delta^k is its number of
         nonzero divisors, over F_p the number prime to p; once this pass has
         run, ``cohomology`` eliminates nothing.
         """
         if "smith" not in self._cache:
-            self._cache["smith"] = [
-                exactalg.sparse_smith_divisors(self._reduced_rows(k), self.n_simplices(k))
-                if k < self.dim else () for k in range(self.dim + 1)]
+            smith, n = [()] * (self.dim + 1), self.f_vector
+            for k in range(self.dim):
+                R = self._retraction()
+                ds = (1,) * len(R.down[k + 1][0]) + exactalg.smith_normal_form(
+                    R.delta[k], len(R.core[k])).divisors
+                smith[k] = ds + (0,) * (min(n[k + 1], n[k]) - len(ds))
+            self._cache["smith"] = smith
         return self._cache["smith"]
 
     # -- cohomology ------------------------------------------------------
@@ -614,14 +619,15 @@ class SimplicialComplex:
     def cohomology(self, field) -> GradedBetti:
         """Betti numbers over Q or F_p from coboundary ranks.
 
-        Every route eliminates ``_reduced_rows``, delta^k after the unit
-        pivots of the coreduction.  Its live rows are the core's delta^k, and
-        its one-entry rows (each cell cancelled downward, at its partner)
-        meet no other row's column.  The seeds are unimodular: each vertex
-        seed after vertex 0's zeroes a column of delta^0 (the seed's basis
-        vector becomes its component's indicator cocycle), and the top seeds
-        replace delta^{d-1} (d = dim) by M delta^{d-1}.  So it has the rank
-        of delta^k over every field and its nonzero Smith divisors.
+        Every route reads delta^k after the unit pivots of the coreduction
+        (``_reduced_rows``; the Smith pass reads it off ``Retraction``).  Its
+        live rows are the core's delta^k, and its one-entry rows (each cell
+        cancelled downward, at its partner) meet no other row's column.  The
+        seeds are unimodular: each vertex seed after vertex 0's zeroes a
+        column of delta^0 (the seed's basis vector becomes its component's
+        indicator cocycle), and the top seeds replace delta^{d-1} (d = dim)
+        by M delta^{d-1}.  So it has the rank of delta^k over every field
+        and its nonzero Smith divisors.
         """
         key = ("betti", field.name)
         if key not in self._cache:

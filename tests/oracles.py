@@ -378,7 +378,8 @@ def smith_normal_form(matrix) -> SmithForm:
     entries, ties broken by lowest (row, col); this bounds entry growth and
     makes the reduction deterministic.  Arithmetic is arbitrary-precision, but
     each pivot choice scans every remaining entry: large matrices belong to
-    ``sparse_smith_divisors``, which uses this on its small core.
+    ``sparse_smith_divisors``, which uses this on its small core.  Takes a
+    dense matrix, as the library's did then.
     """
     M = [[int(x) for x in row] for row in matrix]
     m, n = len(M), len(M[0]) if M else 0
@@ -500,6 +501,82 @@ def smith_normal_form(matrix) -> SmithForm:
 
     divisors += [0] * (min(m, n) - len(divisors))
     return SmithForm(divisors=tuple(divisors), rank=sum(1 for d in divisors if d))
+
+
+# The library's Smith pass before it read the divisors off the coreduction:
+# the +-1 pivots eliminated sparsely over Z on X's full-length rows, then the
+# dense Smith form above on the rows left.  Kept as the oracle of
+# ``SimplicialComplex._smith_divisors``, with its own copy of the unit-pivot
+# mode that the library's elimination loop had then.
+def _unit_pivot_elimination(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """(number of pivots, rows left) of a sparse elimination over Z with +-1 pivots only.
+
+    Sparsest active row first, then its +-1 entry whose column meets the
+    fewest active rows, ties on indices.  dst <- pv*dst - f*src with pv =
+    +-1 and no gcd division, so every step is unimodular.  The rows left,
+    with no +-1 entry, are zero in every pivot column.
+    """
+    work = [dict(r) for r in rows]
+    col_rows: dict[int, set[int]] = {}
+    for i, r in enumerate(work):
+        for c in r:
+            col_rows.setdefault(c, set()).add(i)
+    active = {i for i, r in enumerate(work) if r}
+    heap = [(len(work[i]), i) for i in active]
+    heapq.heapify(heap)
+    found = 0
+    while heap:
+        k, i = heapq.heappop(heap)
+        if i not in active:
+            continue
+        row = work[i]
+        if len(row) != k:
+            heapq.heappush(heap, (len(row), i))
+            continue
+        units = [c for c, v in row.items() if v in (1, -1)]
+        if not units:
+            continue  # stays active until an update gives it a unit
+        pc = min(units, key=lambda c: (len(col_rows[c]), c))
+        active.discard(i)
+        found += 1
+        pv = row[pc]
+        for j in col_rows[pc] - {i}:
+            other = work[j]
+            f = other[pc]
+            for c in set(other) | set(row):
+                nv = pv * other.get(c, 0) - f * row.get(c, 0)
+                if nv:
+                    if c not in other:
+                        col_rows.setdefault(c, set()).add(j)
+                    other[c] = nv
+                elif c in other:
+                    del other[c]
+                    col_rows[c].discard(j)
+            if not other:
+                active.discard(j)
+            else:
+                heapq.heappush(heap, (len(other), j))
+        for c in row:
+            col_rows[c].discard(i)
+    return found, [work[i] for i in sorted(active)]
+
+
+def sparse_smith_divisors(rows: list[dict[int, int]], ncols: int) -> tuple[int, ...]:
+    """The Smith divisors of a dict-of-rows integer matrix on *ncols* columns.
+
+    The +-1 pivots are eliminated sparsely first; that is unimodular and
+    each one gives a divisor 1.  The rows left, on the columns without a
+    pivot, form a small core whose divisors come from the dense Smith form
+    (Dumas-Saunders-Villard, J. Symb. Comp. 2001).
+    """
+    found, rest = _unit_pivot_elimination(rows)
+    cols = {c: j for j, c in enumerate(sorted({c for row in rest for c in row}))}
+    core = [[0] * len(cols) for _ in rest]
+    for core_row, row in zip(core, rest):
+        for c, v in row.items():
+            core_row[cols[c]] = v
+    divisors = [1] * found + [d for d in smith_normal_form(core).divisors if d]
+    return tuple(divisors + [0] * (min(len(rows), ncols) - len(divisors)))
 
 
 def cochain_pullback_matrix(action: GroupAction, degree: int, field) -> list[list]:
@@ -1403,3 +1480,15 @@ def _build_algebra(b: AlgebraBlock):
                 shift = term_shift
         delta = Differential(tuple(columns), shift or (0, -1))
     return A, phi, delta
+
+
+def assert_smith_divisors_match(X: SimplicialComplex):
+    """The Smith divisors that a fresh copy of X reads off its coreduction
+    equal those of X's full coboundary rows, by the Smith pass those rows
+    once took (``sparse_smith_divisors``) and by ``smith_normal_form``."""
+    divisors = SimplicialComplex(X.vertices, X.facets)._smith_divisors()
+    assert len(divisors) == X.dim + 1 and divisors[X.dim:] == [()] * (X.dim >= 0)
+    for k in range(X.dim):
+        rows, n = X.coboundary_rows(k), X.n_simplices(k)
+        assert divisors[k] == sparse_smith_divisors(rows, n), (X, k)
+        assert divisors[k] == exactalg.smith_normal_form(rows, n).divisors, (X, k)

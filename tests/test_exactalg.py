@@ -39,7 +39,6 @@ from betticong.exactalg import (
     sparse_rank_q,
     sparse_rref_q,
     sparse_rows,
-    sparse_smith_divisors,
 )
 
 import oracles
@@ -166,12 +165,17 @@ def numpy_invert(matrix, field) -> list[list]:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
+def snf(M: list[list[int]]):
+    """``smith_normal_form`` of a dense matrix, through its sparse rows."""
+    return smith_normal_form([sparse(row) for row in M], len(M[0]) if M else 0)
+
+
 def test_snf_identity():
-    assert smith_normal_form([[1, 0], [0, 1]]).divisors == (1, 1)
+    assert snf([[1, 0], [0, 1]]).divisors == (1, 1)
 
 
 def test_snf_zero_1x1():
-    f = smith_normal_form([[0]])
+    f = snf([[0]])
     assert f.divisors == (0,)
     assert f.rank == 0
 
@@ -179,12 +183,18 @@ def test_snf_zero_1x1():
 def test_snf_diag_2_3():
     # Frozen from the determinantal-divisor oracle: d1 = gcd(2,3) = 1, d2 = 6.
     assert snf_divisors_oracle([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[2, 0], [0, 3]]).divisors == (1, 6)
+    assert snf([[2, 0], [0, 3]]).divisors == (1, 6)
 
 
 def test_snf_empty():
-    assert smith_normal_form([]).divisors == ()
-    assert smith_normal_form([[], []]).divisors == ()
+    assert smith_normal_form([], 0).divisors == ()
+    assert smith_normal_form([{}, {}], 0).divisors == ()
+    assert smith_normal_form([], 3).divisors == ()
+    assert smith_normal_form([{}, {}], 3).divisors == (0, 0)
+    # Explicit zeros are no entries, and the input rows are left as they are.
+    rows = [{0: 0, 1: 2}, {0: 4, 1: 0}]
+    assert smith_normal_form(rows, 2).divisors == (2, 4)
+    assert rows == [{0: 0, 1: 2}, {0: 4, 1: 0}]
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,7 +207,7 @@ def test_snf_matches_minor_oracle(m, n, seed):
     rng = random.Random(seed)
     M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
     expected = snf_divisors_oracle(M)
-    f = smith_normal_form(M)
+    f = snf(M)
     assert list(f.divisors) == expected
     # Divisibility chain, zeros last.
     nz = [d for d in f.divisors if d]
@@ -227,12 +237,12 @@ def test_snf_matches_the_replaced_smith_form():
                     if X.n_simplices(k) + X.n_simplices(k + 1) <= 500]
     assert len(coboundaries) == 41
     for M in matrices + coboundaries:
-        assert smith_normal_form(M) == oracles.smith_normal_form(M), M
+        assert snf(M) == oracles.smith_normal_form(M), M
 
 
 def test_snf_deterministic():
     M = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-    assert smith_normal_form(M) == smith_normal_form(M)
+    assert snf(M) == snf(M)
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +371,18 @@ def test_blocks_conjugation_invariant(sizes, seed, p):
 
 
 # ---------------------------------------------------------------------------
-# p-local valuation profile of the sparse Smith divisors
+# p-local valuation profile of the Smith divisors
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6), st.sampled_from([2, 3, 5]))
 def test_p_profile_matches_snf(m, n, seed, p):
-    """The profile of the sparse Smith divisors is v_p of the determinantal
+    """The profile of the Smith divisors is v_p of the determinantal
     divisors, ascending."""
     rng = random.Random(seed)
     M = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
     expected = sorted(_val(d, p) for d in snf_divisors_oracle(M) if d)
-    rows = [{j: v for j, v in enumerate(row) if v} for row in M]
-    assert p_valuation_profile(sparse_smith_divisors(rows, n), p) == expected
+    assert p_valuation_profile(snf(M).divisors, p) == expected
 
 
 def _val(d: int, p: int) -> int:
@@ -388,7 +397,7 @@ def test_p_profile_detects_torsion():
     # diag(1, 3, 9, 5): divisors 1, 1, 3, 45, valuations at 3 are 0, 0, 1, 2.
     M = [[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 9, 0], [0, 0, 0, 5]]
     rows = [{0: 1}, {1: 3}, {2: 9}, {3: 5}]
-    divisors = sparse_smith_divisors(rows, 4)
+    divisors = smith_normal_form(rows, 4).divisors
     assert list(divisors) == snf_divisors_oracle(M) == [1, 1, 3, 45]
     assert p_valuation_profile(divisors, 3) == [0, 0, 1, 2]
     assert p_valuation_profile((1, 2, 0), 3) == [0, 0]  # zero divisors are dropped
@@ -473,19 +482,18 @@ def test_sparse_rref_q_properties(m, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# one elimination engine, three arithmetic modes
+# one elimination engine, two arithmetic modes, and the Smith form
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
 def test_engine_modes_agree(m, n, seed):
-    """Over Z (+-1 pivots, then the dense core) the Smith divisors prime to
-    p count the rank mod p, and the nonzero ones the Q rank; rref rank is
-    the Q rank."""
+    """The Smith divisors prime to p count the rank mod p, and the nonzero
+    ones the Q rank; rref rank is the Q rank."""
     rng = random.Random(seed)
     M = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(m)]
     rows = [{j: v for j, v in enumerate(row) if v} for row in M]
-    divisors = sparse_smith_divisors(rows, n)
+    divisors = smith_normal_form(rows, n).divisors
     for p in (2, 3, 5):
         rows_p = [{j: v % p for j, v in row.items() if v % p} for row in rows]
         assert sum(1 for d in divisors if d % p) == sparse_rank_modp(rows_p, p)
@@ -495,26 +503,21 @@ def test_engine_modes_agree(m, n, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 10**6),
-       st.sampled_from(["Q", 2, 3, 5, "unit"]))
+       st.sampled_from(["Q", 2, 3, 5]))
 def test_each_pivot_row_is_zero_at_the_earlier_pivots(m, n, seed, mode):
     """The triangular form that ``Subquotient`` relies on, through
-    ``back_substitute`` for its basis and its dual vectors, and that the
-    Smith pass relies on to read its dense core off the rows left after the
-    +-1 pivots: each pivot row is zero at the pivot columns of every earlier
-    pivot, and the rows left without a pivot are zero at all of them."""
+    ``back_substitute`` for its basis and its dual vectors: each pivot row
+    is zero at the pivot columns of every earlier pivot."""
     rng = random.Random(seed)
     M = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 4]) for _ in range(n)] for _ in range(m)]
     rows = [{j: v for j, v in enumerate(row) if v} for row in M]
     p = mode if isinstance(mode, int) else None
-    work, pivots, rest = _eliminate(rows, p, mode == "unit")
+    work, pivots = _eliminate(rows, p)
     assert rows == [{j: v for j, v in enumerate(row) if v} for row in M]  # inputs untouched
     for k, (i, pc) in enumerate(pivots):
         assert not any(c in work[i] for _, c in pivots[:k])
-        assert mode != "unit" or work[i][pc] in (1, -1)
         assert not p or work[i][pc] == 1
-    assert not any(c in row for row in rest for _, c in pivots)
-    if mode != "unit":
-        assert rest == [] and len(pivots) == rank(M, GF(p) if p else QQ)
+    assert len(pivots) == rank(M, GF(p) if p else QQ)
 
 
 def test_prime_field_inverts_fraction_denominators():
@@ -654,7 +657,8 @@ def test_sparse_rank_modp_reduces_entries():
 
 
 # ---------------------------------------------------------------------------
-# sparse Smith divisors: unit pivots, then the dense Smith form on the core
+# the Smith pass that read X's full rows (unit pivots, then the dense Smith
+# form on the core), now ``oracles.sparse_smith_divisors``
 # ---------------------------------------------------------------------------
 
 _ENTRIES = {
@@ -675,17 +679,18 @@ def test_sparse_smith_divisors_match_dense(m, n, seed, kind, zero_lines):
         M = [[0 if i in dead_rows or j in dead_cols else v for j, v in enumerate(row)]
              for i, row in enumerate(M)]
     rows = [{j: v for j, v in enumerate(row) if v} for row in M]
-    assert sparse_smith_divisors(rows, n) == smith_normal_form(M).divisors
+    assert oracles.sparse_smith_divisors(rows, n) == smith_normal_form(rows, n).divisors \
+        == oracles.smith_normal_form(M).divisors
 
 
 def test_sparse_smith_divisors_keep_the_row_content():
     # [[1, 1], [1, 3]] has determinant 2: the row left after the unit pivot
     # is (0, 2), and dividing it by its gcd would lose the divisor 2.
-    assert sparse_smith_divisors([{0: 1, 1: 1}, {0: 1, 1: 3}], 2) == (1, 2)
     # No +-1 entry but coprime entries: the core alone gives the divisor 1.
-    assert sparse_smith_divisors([{0: 2, 1: 3}], 2) == (1,)
-    assert sparse_smith_divisors([], 3) == ()
-    assert sparse_smith_divisors([{}, {}], 3) == (0, 0)
+    for rows, n, divisors in [([{0: 1, 1: 1}, {0: 1, 1: 3}], 2, (1, 2)),
+                              ([{0: 2, 1: 3}], 2, (1,)), ([], 3, ()), ([{}, {}], 3, (0, 0))]:
+        assert oracles.sparse_smith_divisors(rows, n) == divisors
+        assert smith_normal_form(rows, n).divisors == divisors
 
 
 # ---------------------------------------------------------------------------

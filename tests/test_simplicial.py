@@ -32,8 +32,6 @@ from betticong.exactalg import (
     GF,
     QQ,
     field_matrix,
-    smith_normal_form,
-    sparse_smith_divisors,
 )
 from betticong.group_action import (
     GroupAction,
@@ -64,6 +62,7 @@ from oracles import (
     assert_lift_and_projection,
     assert_pairings_congruent,
     assert_ring_matches_oracle,
+    assert_smith_divisors_match,
     coboundary_matrix,
     cocycle_bases_and_change,
     dense,
@@ -242,10 +241,10 @@ def test_faces_are_enumerated_as_by_the_per_facet_loop():
 
 
 def test_integral_divisors_match_dense_snf_on_the_corpus():
+    """The Smith divisors read off the coreduction equal those of the full
+    coboundary rows (``assert_smith_divisors_match``)."""
     for X in _small_corpus_complexes():
-        for k in range(X.dim):
-            dense = smith_normal_form(coboundary_matrix(X, k)).divisors
-            assert sparse_smith_divisors(X.coboundary_rows(k), X.n_simplices(k)) == dense
+        assert_smith_divisors_match(X)
         assert X.integral_cohomology().betti == X.cohomology(QQ).betti
 
 
@@ -351,14 +350,15 @@ def test_lens_coboundaries_are_eliminated_on_the_rows_that_can_be_independent(
 
 def test_profiles_at_every_prime_share_one_smith_pass(monkeypatch):
     """The profiles at 3 and 5, H^*(X;Z) and the Betti numbers over Q, F_3
-    and F_5 of L(3,1) come from one Smith pass: one elimination of each
-    nonzero coboundary and no rank elimination."""
+    and F_5 of L(3,1) come from one Smith pass: one Smith form of the core's
+    block of each nonzero coboundary (38 x 38 for delta^1, where the Z/3
+    lives) and no rank elimination."""
     L = corpus.lens_space()
     L = SimplicialComplex(L.vertices, L.facets)
     calls = []
-    real = exactalg.sparse_smith_divisors
-    monkeypatch.setattr(exactalg, "sparse_smith_divisors",
-                        lambda rows, *a: calls.append(rows) or real(rows, *a))
+    real = exactalg.smith_normal_form
+    monkeypatch.setattr(exactalg, "smith_normal_form",
+                        lambda rows, n: calls.append((len(rows), n)) or real(rows, n))
     for name in ("sparse_rank_q", "sparse_rank_modp"):
         monkeypatch.setattr(exactalg, name, lambda *a: pytest.fail("rank eliminated"))
     assert {i: [v for v in vals if v] for i, vals in L.torsion_valuation_profile(3).items()} \
@@ -367,7 +367,8 @@ def test_profiles_at_every_prime_share_one_smith_pass(monkeypatch):
     assert L.integral_cohomology().torsion == ((), (), (3,), ())
     assert [L.cohomology(F).betti for F in (QQ, GF(3), GF(5))] == [
         (1, 0, 0, 1), (1, 1, 1, 1), (1, 0, 0, 1)]
-    assert [len(rows) for rows in calls] == [L.n_simplices(k + 1) for k in (0, 1, 2)]
+    core = list(map(len, L._retraction().core))
+    assert calls == [(core[k + 1], core[k]) for k in (0, 1, 2)] == [(38, 1), (38, 38), (1, 38)]
 
 
 def test_uct_equality_iff_no_torsion():
@@ -677,6 +678,7 @@ def test_random_complex_euler_and_uct(X):
     assert sum((-1) ** i * b for i, b in enumerate(bq)) == chi
     integral = X.integral_cohomology()
     assert integral.betti == bq
+    assert_smith_divisors_match(X)
     for p in (2, 3, 5):
         bp = X.cohomology(GF(p)).betti
         assert sum((-1) ** i * b for i, b in enumerate(bp)) == chi

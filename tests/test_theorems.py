@@ -46,10 +46,12 @@ from oracles import (
     assert_lift_and_projection,
     assert_pairings_congruent,
     assert_retraction,
+    assert_smith_divisors_match,
     borel_model,
     dense,
     reduced_per_cell,
     sparse,
+    sparse_smith_divisors,
     top_seeds,
     unreduced_model,
 )
@@ -386,7 +388,7 @@ def _assert_reduced_routes_agree(X: SimplicialComplex, p: int):
     full rows), and ``express`` agrees with the route on X's full rows."""
     rows = [X.coboundary_rows(k) for k in range(X.dim + 1)]
     n = [X.n_simplices(k) for k in range(X.dim + 1)]
-    smith = [exactalg.sparse_smith_divisors(r, n[k]) for k, r in enumerate(rows[:-1])]
+    smith = [sparse_smith_divisors(r, n[k]) for k, r in enumerate(rows[:-1])]
     profile = [exactalg.p_valuation_profile(d, p) for d in smith]
     ranks = {QQ: [exactalg.sparse_rank_q(r) for r in rows] + [0],
              GF(p): [exactalg.sparse_rank_modp(r, p) for r in rows] + [0]}
@@ -410,7 +412,7 @@ def _assert_reduced_routes_agree(X: SimplicialComplex, p: int):
             assert Y.torsion_valuation_profile(p)[k + 1] == profile[k], (order, k)
             reduced = Y._reduced_rows(k)
             assert len(reduced) == len(r)
-            assert exactalg.sparse_smith_divisors(reduced, n[k]) == smith[k]
+            assert sparse_smith_divisors(reduced, n[k]) == smith[k]
             assert exactalg.sparse_rank_modp(reduced, p) == ranks[GF(p)][k], k
             assert exactalg.sparse_rank_q(reduced) == ranks[QQ][k], k
         r_z = [0] + [sum(1 for d in ds if d) for ds in smith] + [0]
@@ -744,20 +746,26 @@ def _reduced_betti(X: SimplicialComplex, field) -> list[int]:
     return [betti[0] - 1, *betti[1:]] if betti else []
 
 
-def test_theorems_hold_on_pairwise_joins_of_the_p3_corpus_actions():
-    """The 36 pairwise joins of the p = 3 corpus actions give no applicable
-    FAIL from theorems 2 and 4; L(g) = chi(X^g) for g = sigma and sigma^2;
-    the localization check holds; the T/F/R blocks of g* fill each
-    H^i(X;F_3); and over F_3 and Q the reduced Betti numbers follow the join
-    formula, H~^{n+1}(A * B) = sum_{i+j=n} H~^i(A) (x) H~^j(B).  The joins
-    with ``sphere_factor_p3`` or ``s2xs2_rotation_p3`` (5,625 to 182,844
-    cells) are left out for time; most others are top-seeded manifolds."""
+def _p3_joins():
+    """(a, b, a * b) for the 36 pairs of the p = 3 corpus actions other than
+    ``sphere_factor_p3`` and ``s2xs2_rotation_p3``, whose joins (5,625 to
+    182,844 cells) are left out for time; most others are top-seeded
+    manifolds."""
     actions = [a for name, a in corpus.corpus_actions().items()
                if a.p == 3 and name not in ("sphere_factor_p3", "s2xs2_rotation_p3")]
     assert len(actions) == 9
-    verdicts = []
     for a, b in combinations(actions, 2):
-        j = _join_action(a, b)
+        yield a, b, _join_action(a, b)
+
+
+def test_theorems_hold_on_pairwise_joins_of_the_p3_corpus_actions():
+    """The 36 joins of ``_p3_joins`` give no applicable FAIL from theorems 2
+    and 4; L(g) = chi(X^g) for g = sigma and sigma^2; the localization check
+    holds; the T/F/R blocks of g* fill each H^i(X;F_3); and over F_3 and Q
+    the reduced Betti numbers follow the join formula, H~^{n+1}(A * B) =
+    sum_{i+j=n} H~^i(A) (x) H~^j(B)."""
+    verdicts = []
+    for a, b, j in _p3_joins():
         verdicts += [check_theorem2(j).verdict, check_theorem4(j).verdict]
         for g in (j, j.power(2)):
             fixed = fixed_set_cohomology(g, QQ).betti
@@ -779,13 +787,10 @@ def test_theorems_hold_on_pairwise_joins_of_the_p3_corpus_actions():
 def test_transfer_matches_the_oracles_on_pairwise_joins_of_the_p3_corpus_actions():
     """The Borel dimensions of the transfer onto X's core, n = 0..dim+3, equal
     those of the G-stable heap (``oracles.reduced_per_cell``) on the 36 joins
-    of ``test_theorems_hold_on_pairwise_joins_of_the_p3_corpus_actions``, and
-    those of the unreduced model on the joins below 1,000 cells."""
-    actions = [a for name, a in corpus.corpus_actions().items()
-               if a.p == 3 and name not in ("sphere_factor_p3", "s2xs2_rotation_p3")]
+    of ``_p3_joins``, and those of the unreduced model on the joins below
+    1,000 cells."""
     unreduced = 0
-    for a, b in combinations(actions, 2):
-        j = _join_action(a, b)
+    for _, _, j in _p3_joins():
         degrees = range(j.complex.dim + 4)
         dims = _borel_dims(TransferredComplex.of_action(j), degrees)
         assert dims == _borel_dims(borel_model(reduced_per_cell(PermutationComplex.of_action(j))),
@@ -794,6 +799,20 @@ def test_transfer_matches_the_oracles_on_pairwise_joins_of_the_p3_corpus_actions
             unreduced += 1
             assert dims == _borel_dims(unreduced_model(j), degrees), j
     assert unreduced == 22
+
+
+def test_smith_divisors_off_the_core_match_the_full_rows():
+    """The Smith divisors read off X's coreduction, a 1 per cancelled pair
+    and the core's block, equal those of X's full coboundary rows
+    (``assert_smith_divisors_match``) on L(3,1), RP^2 beside a disc and
+    beside the torus (two seeded components), S^2 x S^2 (Z/7) and the 36
+    joins of ``_p3_joins``."""
+    rp2 = corpus.rp2_six_vertex()
+    for X in (corpus.lens_space(), _rp2_beside_a_disc(), _disjoint(rp2, corpus.torus()),
+              corpus.s2xs2_rotation(7).complex):
+        assert_smith_divisors_match(X)
+    for _, _, j in _p3_joins():
+        assert_smith_divisors_match(j.complex)
 
 
 def _borel_dims(model, degrees) -> list[int]:
@@ -856,18 +875,20 @@ def test_theorems_2_and_4_eliminate_no_coboundary_twice(monkeypatch):
 def test_cold_theorem4_eliminates_each_coboundary_once(monkeypatch):
     """A cold theorem 4 on S^2 x S^2 (Z/7) reads the F_p ranks (p exceeds the
     total Betti number) and the Q ranks (orientability, the rhs) off one
-    Smith pass per coboundary: of the complex's own nonzero
-    coboundaries (delta^4 has no rows), none is eliminated over Q and none
-    twice.  Link ranks are not counted."""
+    Smith pass: one Smith form for each nonzero coboundary delta^0..delta^3
+    (delta^4 has no rows), of its core's block alone, and no rank
+    elimination of one of them.  Link ranks are not counted."""
     action = corpus.s2xs2_rotation(7)
     X = SimplicialComplex(action.complex.vertices, action.complex.facets)
     degree_of = _degrees_by_row_count(X)
-    calls = _record_engine_calls(
-        monkeypatch, ("sparse_rank_q", "sparse_rank_modp", "sparse_smith_divisors"))
+    calls = _record_engine_calls(monkeypatch, ("sparse_rank_q", "sparse_rank_modp"))
+    real, shapes = exactalg.smith_normal_form, []
+    monkeypatch.setattr(exactalg, "smith_normal_form",
+                        lambda rows, n: shapes.append((len(rows), n)) or real(rows, n))
     assert check_theorem4(GroupAction(X, 7, action.vertex_map)).verdict == "PASS"
-    on_x = [(name, degree_of[n]) for name, n in calls if n in degree_of]
-    assert [name for name, _ in on_x] == ["sparse_smith_divisors"] * 4
-    assert sorted(k for _, k in on_x) == [0, 1, 2, 3]
+    assert not [n for _, n in calls if n in degree_of]
+    core = list(map(len, X._retraction().core))
+    assert shapes == [(core[k + 1], core[k]) for k in range(4)] == [(0, 1), (2, 0), (0, 2), (1, 0)]
 
 
 def test_theorem4_sphere_rotations():
